@@ -15,7 +15,7 @@ from importlib import resources
 
 from . import closed, germs, intersection
 from .audit import audit_scene
-from .core import Scene, load_scene, scene_from_dict
+from .core import Scene, load_scene
 from .errors import InconsistencyError, InputError, InvarianceError
 from .jsonio import canonical_dumps
 from .spectrum import load_loop, spectrum_report
@@ -32,10 +32,8 @@ def golden_scene(name: str) -> Scene:
     """Load one of the scenes shipped with the package."""
     if name not in GOLDEN_SCENES:
         raise InputError(f"unknown golden scene {name!r}; choose from {GOLDEN_SCENES}")
-    import json
-
-    text = resources.files("siefring_kit").joinpath(f"scenes/{name}.json").read_text("utf-8")
-    return scene_from_dict(json.loads(text))
+    with resources.as_file(resources.files("siefring_kit").joinpath(f"scenes/{name}.json")) as path:
+        return load_scene(path)
 
 
 def _resolve_scene(ref: str) -> Scene:
@@ -87,28 +85,17 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_germ(args) -> int:
+    u = germs.load_germ(args.a)  # the second file is read only where it is used
     if args.germ_op == "iota":
-        value = germs.local_intersection(germs.load_germ(args.a), germs.load_germ(args.b))
+        value = germs.local_intersection(u, germs.load_germ(args.b))
     elif args.germ_op == "delta":
-        value = germs.delta_local(germs.load_germ(args.a))
-    elif args.germ_op == "oracle":
+        value = germs.delta_local(u)
+    else:  # oracle
+        perturbation = {"epsilon": args.epsilon, "radius": args.radius, "seed": args.seed}
         if args.b is not None:
-            value = germs.numeric_intersection_oracle(
-                germs.load_germ(args.a),
-                germs.load_germ(args.b),
-                epsilon=args.epsilon,
-                radius=args.radius,
-                seed=args.seed,
-            )
+            value = germs.numeric_intersection_oracle(u, germs.load_germ(args.b), **perturbation)
         else:
-            value = germs.numeric_double_point_oracle(
-                germs.load_germ(args.a),
-                epsilon=args.epsilon,
-                radius=args.radius,
-                seed=args.seed,
-            )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown germ operation {args.germ_op!r}")
+            value = germs.numeric_double_point_oracle(u, **perturbation)
     sys.stdout.write(f"{value}\n")
     return EXIT_OK
 
@@ -128,13 +115,11 @@ def _cmd_closed(args) -> int:
                 "embedded": delta == 0,
             }
         )
-    elif args.closed_op == "nodal-split":
+    else:  # nodal-split
         result = closed.analyze_nodal_split(
             args.total_self, args.total_c1, tuple(args.components)
         )
         _emit(result.as_dict())
-    else:  # pragma: no cover
-        raise InputError(f"unknown closed operation {args.closed_op!r}")
     return EXIT_OK
 
 

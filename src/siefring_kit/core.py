@@ -9,11 +9,11 @@ that must not depend on the trivialization are tested against
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
+from .jsonio import JsonObject, read_json
 
 SIGNS = ("+", "-")
 
@@ -104,6 +104,18 @@ def _pair_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
+def _symmetric_table(pairs) -> dict[tuple[str, str], int]:
+    """Table keyed by sorted curve pairs from ((u, v), value) pairs; the
+    same pair given twice must carry the same value."""
+    table = {}
+    for (u, v), value in pairs:
+        key = _pair_key(u, v)
+        if key in table and table[key] != value:
+            raise InputError(f"conflicting pairing entries for {key}")
+        table[key] = int(value)
+    return table
+
+
 @dataclass(frozen=True)
 class RelativePairing:
     """Symmetric table of relative intersection numbers u .tau v."""
@@ -111,23 +123,11 @@ class RelativePairing:
     entries: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        table = {}
-        for (u, v), value in self.entries.items():
-            key = _pair_key(u, v)
-            if key in table and table[key] != value:
-                raise InputError(f"conflicting pairing entries for {key}")
-            table[key] = int(value)
-        object.__setattr__(self, "entries", table)
+        object.__setattr__(self, "entries", _symmetric_table(self.entries.items()))
 
     @staticmethod
     def from_items(items) -> "RelativePairing":
-        table = {}
-        for u, v, value in items:
-            key = _pair_key(u, v)
-            if key in table and table[key] != value:
-                raise InputError(f"conflicting pairing entries for {key}")
-            table[key] = int(value)
-        return RelativePairing(table)
+        return RelativePairing(_symmetric_table(((u, v), value) for u, v, value in items))
 
     def get(self, u: str, v: str) -> int:
         key = _pair_key(u, v)
@@ -142,7 +142,9 @@ class RelativePairing:
 
 @dataclass(frozen=True)
 class Scene:
-    """A named collection of orbits, curves and pairwise relative data."""
+    """A named collection of orbits, curves and pairwise relative data.
+    Id lookups use dict indices that are attributes, not fields, so that
+    equality and repr see only the data."""
 
     orbits: tuple[OrbitData, ...]
     curves: tuple[CurveClass, ...]
@@ -151,34 +153,34 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "orbits", tuple(self.orbits))
         object.__setattr__(self, "curves", tuple(self.curves))
-        orbit_ids = [o.id for o in self.orbits]
-        if len(set(orbit_ids)) != len(orbit_ids):
+        orbits = {o.id: o for o in self.orbits}
+        if len(orbits) != len(self.orbits):
             raise InputError("duplicate orbit ids in scene")
-        curve_ids = [c.id for c in self.curves]
-        if len(set(curve_ids)) != len(curve_ids):
+        curves = {c.id: c for c in self.curves}
+        if len(curves) != len(self.curves):
             raise InputError("duplicate curve ids in scene")
-        by_id = {o.id: o for o in self.orbits}
+        object.__setattr__(self, "_orbit_index", orbits)
+        object.__setattr__(self, "_curve_index", curves)
         for c in self.curves:
             for p in c.punctures:
-                if p.orbit not in by_id:
+                if p.orbit not in orbits:
                     raise InputError(f"curve {c.id!r} references unknown orbit {p.orbit!r}")
-                by_id[p.orbit].cover(p.multiplicity)  # raises if the cover is missing
-        known = set(curve_ids)
+                orbits[p.orbit].cover(p.multiplicity)  # raises if the cover is missing
         for (u, v) in self.pairing.entries:
-            if u not in known or v not in known:
+            if u not in curves or v not in curves:
                 raise InputError(f"pairing references unknown curve in pair ({u!r}, {v!r})")
 
     def orbit(self, orbit_id: str) -> OrbitData:
-        for o in self.orbits:
-            if o.id == orbit_id:
-                return o
-        raise InputError(f"unknown orbit id {orbit_id!r}")
+        try:
+            return self._orbit_index[orbit_id]
+        except KeyError:
+            raise InputError(f"unknown orbit id {orbit_id!r}") from None
 
     def curve(self, curve_id: str) -> CurveClass:
-        for c in self.curves:
-            if c.id == curve_id:
-                return c
-        raise InputError(f"unknown curve id {curve_id!r}")
+        try:
+            return self._curve_index[curve_id]
+        except KeyError:
+            raise InputError(f"unknown curve id {curve_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -267,8 +269,6 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
         for c in scene.curves
     )
 
-    by_id = {c.id: c for c in scene.curves}
-
     def bullet_correction(u: CurveClass, v: CurveClass) -> int:
         total = 0
         for sign, sgn in (("+", 1), ("-", -1)):
@@ -279,7 +279,7 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
         return total
 
     entries = {
-        key: value + bullet_correction(by_id[key[0]], by_id[key[1]])
+        key: value + bullet_correction(scene.curve(key[0]), scene.curve(key[1]))
         for key, value in scene.pairing.entries.items()
     }
     return Scene(orbits, curves, RelativePairing(entries))
@@ -295,49 +295,45 @@ _PUNCTURE_KEYS = {"sign", "orbit", "multiplicity"}
 _PAIRING_KEYS = {"u", "v", "bullet"}
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str):
-    for key in obj:
-        if key not in allowed:
-            raise InputError(f"unknown key {key!r} in {where}")
-
-
 def scene_from_dict(data: dict) -> Scene:
     """Build a Scene from the JSON object layout, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise InputError("scene file must contain a JSON object")
-    _reject_unknown(data, _SCENE_KEYS, "scene")
+    top = JsonObject(data, _SCENE_KEYS, "scene", "scene file")
     orbits = []
-    for od in data.get("orbits", []):
-        _reject_unknown(od, _ORBIT_KEYS, "orbit")
+    for od in top.field("orbits", list, []):
+        orbit = JsonObject(od, _ORBIT_KEYS, "orbit", "orbit")
         covers = {}
-        for k_str, cd in od.get("covers", {}).items():
-            _reject_unknown(cd, _COVER_KEYS, f"cover {k_str!r} of orbit {od.get('id')!r}")
+        for k_str, cd in orbit.field("covers", dict, {}).items():
+            where = f"cover {k_str!r} of orbit {od.get('id')!r}"
+            cover = JsonObject(cd, _COVER_KEYS, where, where)
             try:
                 k = int(k_str)
             except ValueError:
                 raise InputError(f"cover multiplicity {k_str!r} is not an integer") from None
-            covers[k] = CoverData(int(cd["alpha_minus"]), int(cd["alpha_plus"]))
-        orbits.append(OrbitData(str(od["id"]), covers))
+            covers[k] = CoverData(*(cover.required(a, int) for a in ("alpha_minus", "alpha_plus")))
+        orbits.append(OrbitData(str(orbit.required("id", object)), covers))
     curves = []
-    for cd in data.get("curves", []):
-        _reject_unknown(cd, _CURVE_KEYS, "curve")
+    for cd in top.field("curves", list, []):
+        curve = JsonObject(cd, _CURVE_KEYS, "curve", "curve")
         punctures = []
-        for pd in cd.get("punctures", []):
-            _reject_unknown(pd, _PUNCTURE_KEYS, f"puncture of curve {cd.get('id')!r}")
-            punctures.append(PunctureSpec(str(pd["sign"]), str(pd["orbit"]), int(pd["multiplicity"])))
+        for pd in curve.field("punctures", list, []):
+            where = f"puncture of curve {cd.get('id')!r}"
+            puncture = JsonObject(pd, _PUNCTURE_KEYS, where, where)
+            sign, orbit_id = (str(puncture.required(key, object)) for key in ("sign", "orbit"))
+            punctures.append(PunctureSpec(sign, orbit_id, puncture.required("multiplicity", int)))
         curves.append(
             CurveClass(
-                str(cd["id"]),
-                int(cd.get("genus", 0)),
+                str(curve.required("id", object)),
+                curve.field("genus", int, 0),
                 tuple(punctures),
-                int(cd["rel_c1"]),
-                int(cd.get("ambient_dim_half", 2)),
+                curve.required("rel_c1", int),
+                curve.field("ambient_dim_half", int, 2),
             )
         )
     items = []
-    for pd in data.get("pairing", []):
-        _reject_unknown(pd, _PAIRING_KEYS, "pairing entry")
-        items.append((str(pd["u"]), str(pd["v"]), int(pd["bullet"])))
+    for pd in top.field("pairing", list, []):
+        entry = JsonObject(pd, _PAIRING_KEYS, "pairing entry", "pairing entry")
+        u, v = (str(entry.required(key, object)) for key in ("u", "v"))
+        items.append((u, v, entry.required("bullet", int)))
     return Scene(tuple(orbits), tuple(curves), RelativePairing.from_items(items))
 
 
@@ -374,11 +370,4 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def load_scene(path) -> Scene:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read scene file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in scene file: {exc}") from exc
-    return scene_from_dict(data)
+    return scene_from_dict(read_json(path, "scene"))

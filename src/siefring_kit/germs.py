@@ -17,16 +17,17 @@ checked against each other throughout the test suite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import sympy
 from sympy import I, Poly, Rational, gcd as sym_gcd, symbols
 
 from .errors import InputError
+from .jsonio import JsonObject, read_json, typed
 
 Z, W = symbols("z w")
 _DOMAIN = "QQ_I"
@@ -90,6 +91,14 @@ class Germ:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
+    @cached_property
+    def _far_zero_free(self) -> bool:
+        """True if p and q share no zero besides z = 0 (see
+        ``_require_small_domain``); computed once, since every cell of an
+        oracle ladder asks again."""
+        p, q = (Poly.from_list(f[::-1], W, domain=_DOMAIN) for f in (self.p, self.q))
+        return len(p.gcd(q).terms()) <= 1
+
     def numeric(self):
         """Coefficient arrays as complex128, ascending in degree."""
         return (
@@ -113,11 +122,6 @@ def monomial_germ(a: int, b: int) -> Germ:
 
 
 # -- exact polynomial helpers -------------------------------------------------
-
-
-def _univariate(coeffs, var) -> Poly:
-    expr = sum((c * var**i for i, c in enumerate(coeffs)), sympy.Integer(0))
-    return Poly(expr, var, domain=_DOMAIN)
 
 
 def _difference_poly(coeffs_u, coeffs_v) -> Poly:
@@ -145,14 +149,16 @@ def _order_in_z(poly: Poly):
     return _order(tuple(coeffs))
 
 
-def _gcd_is_monomial(u_coeffs, v_coeffs) -> bool:
-    """True if gcd(p, q) has no roots besides 0 (i.e. is a monomial)."""
-    pu = _univariate(u_coeffs, W) if u_coeffs else Poly(0, W, domain=_DOMAIN)
-    qu = _univariate(v_coeffs, W) if v_coeffs else Poly(0, W, domain=_DOMAIN)
-    if pu.is_zero and qu.is_zero:
-        return False
-    g = sym_gcd(pu, qu)
-    return len(Poly(g, W, domain=_DOMAIN).terms()) <= 1
+_PAIR_DOMAIN = "second germ passes through the first germ's basepoint fiber away from 0"
+_SELF_DOMAIN = "germ has self-intersection parameters in the z = 0 fiber away from 0"
+
+
+def _require_small_domain(u: Germ, detail: str) -> None:
+    """Refuse a germ whose p and q share a zero besides z = 0: a parameter
+    mapped to the origin away from 0, which the resultants would count as
+    if it were at 0.  The exact calculators and the oracles refuse alike."""
+    if not u._far_zero_free:
+        raise InputError(f"germ domain too large, rescale input: {detail}")
 
 
 # -- critical order, tangents, normal form ------------------------------------
@@ -254,15 +260,11 @@ def normal_form(u: Germ) -> GermNormalForm:
         ]
         hat = [aligned.q[i] if i < len(aligned.q) else 0 for i in range(size)]
         # solve excess + t * hat == 0 coefficientwise for a single scalar t
-        t = None
         solvable = all(e == 0 for e, h in zip(excess, hat) if h == 0)
         ratios = {sympy.simplify(-e / h) for e, h in zip(excess, hat) if h != 0}
         if solvable and len(ratios) == 1:
-            candidate = change_coordinates(aligned, ((1, ratios.pop()), (0, 1)))
-            if candidate.p == p_mono:
-                aligned = candidate
-                t = True
-        if t is None:
+            aligned = change_coordinates(aligned, ((1, ratios.pop()), (0, 1)))
+        if aligned.p != p_mono:
             raise InputError(
                 "germ is not in monomial normal form after aligning the tangent; "
                 "branch orders are undefined for general polynomial representatives"
@@ -301,11 +303,7 @@ def local_intersection(u: Germ, v: Germ) -> int:
     (p_u(z) - p_v(w), q_u(z) - q_v(w)); always >= 1, and equal to the
     algebraic count of intersections surviving near 0 after perturbation.
     """
-    if not _gcd_is_monomial(v.p, v.q):
-        raise InputError(
-            "germ domain too large, rescale input: second germ passes through "
-            "the first germ's basepoint fiber away from 0"
-        )
+    _require_small_domain(v, _PAIR_DOMAIN)
     b1 = _difference_poly(u.p, v.p)
     b2 = _difference_poly(u.q, v.q)
     res = b1.resultant(b2)
@@ -338,11 +336,7 @@ def delta_local(u: Germ) -> int:
         else:
             raise InputError("non-isolated double points: a coordinate is constant")
     else:
-        if not _gcd_is_monomial(u.p, u.q):
-            raise InputError(
-                "germ domain too large, rescale input: germ has self-intersection "
-                "parameters in the z = 0 fiber away from 0"
-            )
+        _require_small_domain(u, _SELF_DOMAIN)
         res = p_dd.resultant(q_dd)
         if res.is_zero:
             raise InputError("non-isolated double points: divided differences share a component")
@@ -399,20 +393,14 @@ def _numeric_difference(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _w_degree(b: np.ndarray) -> int:
+def _degree(b: np.ndarray, axis: int) -> int:
+    """Degree of B[i, j] (coefficient of z^i w^j) in z (axis 0) or w (axis
+    1), ignoring coefficients below COEFF_TRIM_TOL of the largest."""
     scale = np.abs(b).max()
     if scale == 0:
         return -1
-    cols = np.flatnonzero(np.abs(b).max(axis=0) > COEFF_TRIM_TOL * scale)
-    return int(cols[-1]) if len(cols) else -1
-
-
-def _z_degree(b: np.ndarray) -> int:
-    scale = np.abs(b).max()
-    if scale == 0:
-        return -1
-    rows = np.flatnonzero(np.abs(b).max(axis=1) > COEFF_TRIM_TOL * scale)
-    return int(rows[-1]) if len(rows) else -1
+    lines = np.flatnonzero(np.abs(b).max(axis=1 - axis) > COEFF_TRIM_TOL * scale)
+    return int(lines[-1]) if len(lines) else -1
 
 
 def _sylvester(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
@@ -437,8 +425,8 @@ def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float = 1.0) -> 
     roots cluster inside it; on the unscaled unit circle the low-order
     coefficients of a tight degree-18 cluster drown in roundoff.
     """
-    df, dg = _w_degree(bf), _w_degree(bg)
-    dfz, dgz = _z_degree(bf), _z_degree(bg)
+    df, dg = _degree(bf, 1), _degree(bg, 1)
+    dfz, dgz = _degree(bf, 0), _degree(bg, 0)
     if df < 0 or dg < 0:
         return np.zeros(1, dtype=complex)
     if df == 0 and dg == 0:
@@ -463,69 +451,48 @@ def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float = 1.0) -> 
     return np.fft.fft(values) / samples
 
 
-def _nonzero_roots(coeffs: np.ndarray):
-    """Roots of a complex polynomial with the cluster at 0 deflated.
-
-    Trailing (low-order) coefficients below tolerance are treated as an
-    exact zero root of that multiplicity and stripped; remaining roots come
-    from the companion matrix.
-    """
-    scale = np.abs(coeffs).max()
-    if scale == 0:
-        return None  # identically zero within tolerance
-    keep = np.abs(coeffs) > COEFF_TRIM_TOL * scale
-    first = int(np.flatnonzero(keep)[0])
-    last = int(np.flatnonzero(keep)[-1])
-    trimmed = coeffs[first : last + 1]
-    if len(trimmed) == 1:
-        return np.array([], dtype=complex)
-    return np.roots(trimmed[::-1])
-
-
-def _count_unit_roots(coeffs: np.ndarray, edge_tol: float):
-    """(nonzero roots inside the unit disk, hit_edge, multiplicity at 0).
-
-    ``coeffs`` are already rescaled so that the counting circle is |zeta|=1.
-    """
+def _unit_roots(coeffs: np.ndarray, edge_tol: float):
+    """(multiplicity at 0, nonzero roots, hit_edge) of a polynomial rescaled
+    so that the counting circle is |zeta| = 1.  Low-order coefficients below
+    COEFF_TRIM_TOL of the largest count as an exact root at 0, high-order
+    ones are dropped; hit_edge flags a root within edge_tol of the circle."""
     scale = np.abs(coeffs).max()
     if scale == 0:
         raise InputError("oracle resultant vanished identically")
-    keep = np.abs(coeffs) > COEFF_TRIM_TOL * scale
-    zero_mult = int(np.flatnonzero(keep)[0])
-    roots = _nonzero_roots(coeffs)
-    hit_edge = bool(np.any(np.abs(np.abs(roots) - 1.0) < edge_tol))
-    inside = int(np.sum(np.abs(roots) < 1.0))
-    return inside, hit_edge, zero_mult
-
-
-def _roots_inside(coeffs: np.ndarray, edge_tol: float):
-    """(roots with |zeta| < 1, hit_edge) without deflating the origin.
-
-    Used on perturbed resultants, whose roots may legitimately sit very
-    close to 0; only leading coefficients below tolerance are dropped.
-    """
-    scale = np.abs(coeffs).max()
-    if scale == 0:
-        raise InputError("oracle resultant vanished identically")
-    keep = np.abs(coeffs) > COEFF_TRIM_TOL * scale
-    last = int(np.flatnonzero(keep)[-1])
-    trimmed = coeffs[: last + 1]
-    if len(trimmed) == 1:
-        return np.array([], dtype=complex), False
-    roots = np.roots(trimmed[::-1])
-    hit_edge = bool(np.any(np.abs(np.abs(roots) - 1.0) < edge_tol))
-    return roots[np.abs(roots) < 1.0], hit_edge
+    keep = np.flatnonzero(np.abs(coeffs) > COEFF_TRIM_TOL * scale)
+    first, last = int(keep[0]), int(keep[-1])
+    roots = np.roots(coeffs[first : last + 1][::-1])
+    return first, roots, bool(np.any(np.abs(np.abs(roots) - 1.0) < edge_tol))
 
 
 def _embedded_radius_check(res0_scaled: np.ndarray, edge_tol: float, what: str):
     """Reject a counting disk that contains unperturbed solution parameters."""
-    roots = _nonzero_roots(res0_scaled)
-    if roots is None:
-        return  # resultant-zero cases are reported by the caller
+    if not np.any(res0_scaled):
+        return  # resultant-zero cases are reported by the draws
+    _, roots, _ = _unit_roots(res0_scaled, edge_tol)
     if len(roots) and np.min(np.abs(roots)) <= 1.0 + edge_tol:
         raise InputError(
             f"radius too large: {what} within the chosen disk; shrink the radius"
         )
+
+
+def _redraw(draw, epsilon: complex, seed: int) -> int:
+    """The count of the first perturbation ``draw(eps)`` accepts.
+
+    The first draw uses epsilon itself, each later one epsilon turned by a
+    seeded random phase; a draw returns its count, or the reason it failed
+    as a string, which is reported if every draw fails.
+    """
+    rng = np.random.default_rng(seed)
+    for attempt in range(MAX_EPSILON_REDRAWS):
+        eps = complex(epsilon) if attempt == 0 else complex(epsilon) * np.exp(
+            2j * np.pi * rng.random()
+        )
+        result = draw(eps)
+        if not isinstance(result, str):
+            return result
+        last_failure = result
+    raise InputError(f"oracle failed: {last_failure} after {MAX_EPSILON_REDRAWS} draws")
 
 
 def numeric_double_point_oracle(
@@ -536,40 +503,38 @@ def numeric_double_point_oracle(
     The germ is perturbed to (p(z), q(z) + eps z); ordered self-intersection
     parameter pairs are the roots of the resultant of the perturbed divided
     differences, counted inside |z| < radius via companion-matrix
-    eigenvalues and halved.  Must agree with delta_local on valid inputs.
+    eigenvalues and halved.  Must agree with delta_local on valid inputs,
+    and refuses the germs it refuses as a too large domain.
     """
     if not is_simple(u):
         raise InputError("not simple: germ is a multiple cover")
     if not (radius > 0):
         raise InputError("radius must be positive")
+    if u.p and u.q:  # neither divided difference vanishes, as in delta_local
+        _require_small_domain(u, _SELF_DOMAIN)
     edge_tol = ROOT_EDGE_TOL / radius
     cp, cq = u.numeric()
     pdd = _numeric_divided_difference(cp)
     qdd = _numeric_divided_difference(cq)
     res0 = numeric_resultant_w(pdd, qdd, circle=radius)
     _embedded_radius_check(res0, edge_tol, "germ has self-intersections")
-    rng = np.random.default_rng(seed)
-    last_failure = "degenerate epsilon"
-    for attempt in range(MAX_EPSILON_REDRAWS):
-        eps = complex(epsilon) if attempt == 0 else complex(epsilon) * np.exp(
-            2j * np.pi * rng.random()
-        )
+
+    def draw(eps):
         # q(z) + eps z - (q(w) + eps w) divided by (z - w) adds the constant eps
         q_pert = qdd.copy()
         q_pert[0, 0] += eps
         res = numeric_resultant_w(pdd, q_pert, circle=radius)
-        count, hit_edge, zero_mult = _count_unit_roots(res, edge_tol)
+        zero_mult, roots, hit_edge = _unit_roots(res, edge_tol)
         if zero_mult:
-            last_failure = "perturbed intersection parameters stuck at the origin"
-            continue
+            return "perturbed intersection parameters stuck at the origin"
         if hit_edge:
-            last_failure = "radius on a root, retry"
-            continue
+            return "radius on a root, retry"
+        count = int(np.sum(np.abs(roots) < 1.0))
         if count % 2 != 0:
-            last_failure = "unpaired intersection parameter (partner escaped the disk)"
-            continue
+            return "unpaired intersection parameter (partner escaped the disk)"
         return count // 2
-    raise InputError(f"oracle failed: {last_failure} after {MAX_EPSILON_REDRAWS} draws")
+
+    return _redraw(draw, epsilon, seed)
 
 
 def numeric_intersection_oracle(
@@ -583,10 +548,12 @@ def numeric_intersection_oracle(
     unperturbed germs have no intersection parameters with |z| <= radius
     apart from the origin, so for small eps the count equals the number of
     perturbed intersections in the bidisk.  Must agree with
-    local_intersection on valid inputs.
+    local_intersection on valid inputs, and refuses the pairs it refuses
+    as a too large domain.
     """
     if not (radius > 0):
         raise InputError("radius must be positive")
+    _require_small_domain(v, _PAIR_DOMAIN)
     # precondition checks are exact (shared components make the float
     # resultant meaningless at any tolerance); the count itself stays float
     if sym_gcd(_difference_poly(u.p, v.p), _difference_poly(u.q, v.q)).total_degree() > 0:
@@ -598,25 +565,22 @@ def numeric_intersection_oracle(
     b2 = _numeric_difference(cqu, cqv)
     res0 = numeric_resultant_w(b1, b2, circle=radius)
     _embedded_radius_check(res0, edge_tol, "germs intersect away from the origin but")
-    rng = np.random.default_rng(seed)
-    last_failure = "degenerate epsilon"
-    for attempt in range(MAX_EPSILON_REDRAWS):
-        eps = complex(epsilon) if attempt == 0 else complex(epsilon) * np.exp(
-            2j * np.pi * rng.random()
-        )
-        b1e = b1.copy()
-        b1e[0, 0] += eps
+
+    def draw(eps):
         # the resultant root z of a solution (z, w) does not see where w is,
         # but the radius pre-check has excluded unperturbed solutions with
         # |z| <= radius and w anywhere, so for small eps every perturbed
-        # solution counted here lies in the bidisk
+        # solution counted here lies in the bidisk; roots deflated to 0
+        # are perturbed solutions too
+        b1e = b1.copy()
+        b1e[0, 0] += eps
         res_z = numeric_resultant_w(b1e, b2, circle=radius)
-        z_candidates, hit_edge = _roots_inside(res_z, edge_tol)
+        zero_mult, roots, hit_edge = _unit_roots(res_z, edge_tol)
         if hit_edge:
-            last_failure = "radius on a root, retry"
-            continue
-        return len(z_candidates)
-    raise InputError(f"oracle failed: {last_failure} after {MAX_EPSILON_REDRAWS} draws")
+            return "radius on a root, retry"
+        return zero_mult + int(np.sum(np.abs(roots) < 1.0))
+
+    return _redraw(draw, epsilon, seed)
 
 
 # -- germ file format ----------------------------------------------------------
@@ -627,7 +591,9 @@ _GERM_KEYS = {"p", "q"}
 def _coeff_from_json(entry):
     if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
         raise InputError(f"germ coefficient {entry!r} must be [re_num, re_den, im_num, im_den]")
-    re_num, re_den, im_num, im_den = (int(x) for x in entry)
+    re_num, re_den, im_num, im_den = (
+        typed(x, int, f"each part of germ coefficient {entry!r}") for x in entry
+    )
     if re_den == 0 or im_den == 0:
         raise InputError("germ coefficient has zero denominator")
     return Rational(re_num, re_den) + Rational(im_num, im_den) * I
@@ -640,13 +606,9 @@ def _coeff_to_json(c):
 
 
 def germ_from_dict(data: dict) -> Germ:
-    if not isinstance(data, dict):
-        raise InputError("germ file must contain a JSON object")
-    for key in data:
-        if key not in _GERM_KEYS:
-            raise InputError(f"unknown key {key!r} in germ file")
-    p = [_coeff_from_json(c) for c in data.get("p", [])]
-    q = [_coeff_from_json(c) for c in data.get("q", [])]
+    obj = JsonObject(data, _GERM_KEYS, "germ file", "germ file")
+    p = [_coeff_from_json(c) for c in obj.field("p", list, [])]
+    q = [_coeff_from_json(c) for c in obj.field("q", list, [])]
     return germ(p, q)
 
 
@@ -655,11 +617,4 @@ def germ_to_dict(u: Germ) -> dict:
 
 
 def load_germ(path) -> Germ:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read germ file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in germ file: {exc}") from exc
-    return germ_from_dict(data)
+    return germ_from_dict(read_json(path, "germ"))

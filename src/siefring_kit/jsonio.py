@@ -1,16 +1,74 @@
-"""Deterministic JSON emission for reports.
+"""JSON input files, read strictly, and deterministic JSON emission.
 
-Identical inputs must produce byte-identical output: keys are sorted,
-integers print unformatted, floats at 17 significant digits.
+Input files are decoded by ``read_json`` and read through ``JsonObject``,
+which refuses unknown or missing keys and values of the wrong JSON type.
+Identical reports are byte-identical: keys are sorted, integers print
+unformatted, floats at 17 significant digits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .errors import InputError
+
+_KINDS = {int: "an integer", float: "a finite number", list: "an array", dict: "an object"}
+
+
+def read_json(path, what: str):
+    """Decoded contents of the JSON file at ``path``, a ``what`` file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {what} file: {exc}") from exc
+
+
+def typed(value, kind, what: str):
+    """``value`` if it is a JSON value of ``kind``: a key of ``_KINDS``, or
+    ``object`` for any value.  A bool is no number and a float never an
+    integer, not even 1.0."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        ok = number and isinstance(value, int)
+    elif kind is float:
+        ok = number and (isinstance(value, int) or math.isfinite(value))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise InputError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+class JsonObject:
+    """One object of an input file with typed access to its fields;
+    ``where`` names it in errors, ``what`` where it is not an object."""
+
+    def __init__(self, data, allowed, where: str, what: str):
+        if not isinstance(data, dict):
+            raise InputError(f"{what} must contain a JSON object")
+        for key in data:
+            if key not in allowed:
+                raise InputError(f"unknown key {key!r} in {where}")
+        self.data = data
+        self.where = where
+
+    def field(self, key: str, kind, default):
+        """The value at ``key`` checked by ``typed``, or ``default`` if absent."""
+        if key not in self.data:
+            return default
+        return typed(self.data[key], kind, f"{key!r} in {self.where}")
+
+    def required(self, key: str, kind):
+        """The value at ``key`` checked by ``typed``; the key must be present."""
+        if key not in self.data:
+            raise InputError(f"missing key {key!r} in {self.where}")
+        return self.field(key, kind, None)
 
 
 def _fmt(value) -> str:

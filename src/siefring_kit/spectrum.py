@@ -18,12 +18,13 @@ the asymptotic-eigenvector picture.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError
+from .jsonio import JsonObject, read_json, typed
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -37,7 +38,10 @@ DEFAULT_CUTOFF = 32
 
 
 def _check_symmetric(mat, what: str) -> np.ndarray:
-    m = np.asarray(mat, dtype=float)
+    try:
+        m = np.asarray(mat, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a 2x2 matrix of numbers") from None
     if m.shape != (2, 2):
         raise InputError(f"{what} must be a 2x2 matrix, got shape {m.shape}")
     if abs(m[0, 1] - m[1, 0]) > SYMMETRY_TOL:
@@ -117,6 +121,12 @@ class OperatorDiscretization:
     loop: SpectralLoop
     mode_cutoff: int
     matrix: np.ndarray
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of ``matrix``, computed
+        once per discretization."""
+        return np.linalg.eigh(self.matrix)
 
 
 def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorDiscretization:
@@ -268,7 +278,7 @@ def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[Eigen
             f"window exceeds resolution: need |lo|, |hi| <= {band:.6g} at cutoff {op.mode_cutoff}"
         )
     M = op.mode_cutoff
-    evals, evecs = np.linalg.eigh(op.matrix)
+    evals, evecs = op.eigh
     sel = np.flatnonzero((evals >= lo) & (evals <= hi))
     selected = evals[sel]
     mults = _multiplicities(selected)
@@ -316,7 +326,7 @@ def alphas_from_spectrum(
     the nondegeneracy threshold: any eigenvalue within it of 0 rejects the
     operator as degenerate.
     """
-    evals = np.linalg.eigvalsh(op.matrix)
+    evals = op.eigh[0]
     if np.abs(evals).min() <= zero_tol:
         raise InputError("degenerate orbit: operator has an eigenvalue at 0")
     band = resolved_band(op)
@@ -442,31 +452,25 @@ _LOOP_KEYS = {"modes"}
 _MODE_KEYS = {"n", "cos", "sin"}
 
 
+def _finite_matrix(mode: JsonObject, key: str) -> list:
+    """The matrix at ``key`` of a loop mode: finite numbers, zero if absent."""
+    rows = mode.field(key, list, [[0.0, 0.0], [0.0, 0.0]])
+    what = f"entry of {key!r} in {mode.where}"
+    return [[typed(x, float, what) for x in typed(row, list, what)] for row in rows]
+
+
 def loop_from_dict(data: dict) -> SpectralLoop:
-    if not isinstance(data, dict):
-        raise InputError("loop file must contain a JSON object")
-    for key in data:
-        if key not in _LOOP_KEYS:
-            raise InputError(f"unknown key {key!r} in loop file")
+    loop = JsonObject(data, _LOOP_KEYS, "loop file", "loop file")
     modes = []
-    for md in data.get("modes", []):
-        for key in md:
-            if key not in _MODE_KEYS:
-                raise InputError(f"unknown key {key!r} in loop mode")
-        zero = [[0.0, 0.0], [0.0, 0.0]]
-        modes.append((int(md["n"]), md.get("cos", zero), md.get("sin", zero)))
+    for md in loop.field("modes", list, []):
+        mode = JsonObject(md, _MODE_KEYS, "loop mode", "loop mode")
+        n = mode.required("n", int)
+        modes.append((n, _finite_matrix(mode, "cos"), _finite_matrix(mode, "sin")))
     return SpectralLoop(tuple(modes))
 
 
 def load_loop(path) -> SpectralLoop:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read loop file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in loop file: {exc}") from exc
-    return loop_from_dict(data)
+    return loop_from_dict(read_json(path, "loop"))
 
 
 def spectrum_report(loop: SpectralLoop, mode_cutoff: int, lo: float, hi: float) -> dict:

@@ -195,3 +195,67 @@ class TestDeterminism:
 
         text = canonical_dumps({"pi": math.pi})
         assert text == '{"pi": 3.1415926535897931}\n'
+
+
+def _planar_page(edit):
+    from siefring_kit.core import scene_to_dict
+
+    data = scene_to_dict(cli.golden_scene("planar_page"))
+    edit(data)
+    return data
+
+
+def _loop_mode(**fields):
+    return {"modes": [dict(LOOP_IDENTITY["modes"][0], **fields)]}
+
+
+# (subcommand, payload, arguments after the file, a fragment of the error);
+# each used to end in a traceback, a wrong exit code or a truncated number
+MALFORMED = {
+    "scene_missing_id": (
+        "curve", _planar_page(lambda d: d["curves"][-1].pop("id")), ["page"], "missing key 'id'"
+    ),
+    "alpha_float": (
+        "curve",
+        _planar_page(lambda d: d["orbits"][0]["covers"]["1"].update(alpha_minus=0.7)),
+        ["page"],
+        "'alpha_minus'",
+    ),
+    "rel_c1_float": (
+        "curve", _planar_page(lambda d: d["curves"][0].update(rel_c1=0.9)), ["page"], "'rel_c1'"
+    ),
+    "genus_bool": (
+        "curve", _planar_page(lambda d: d["curves"][0].update(genus=True)), ["page"], "'genus'"
+    ),
+    "germ_float": ("germ", dict(GERM_35, q=GERM_35["q"][:-1] + [[1.9, 1, 0, 1]]), [], "1.9"),
+    "loop_nan": (
+        "spectrum", _loop_mode(cos=[[float("nan"), 0.0], [0.0, 1.0]]), [], "finite number"
+    ),
+    "loop_n_float": ("spectrum", _loop_mode(n=1.5), [], "'n'"),
+    "loop_missing_n": (
+        "spectrum", {"modes": [{"cos": [[1.0, 0.0], [0.0, 1.0]]}]}, [], "missing key 'n'"
+    ),
+    "loop_ragged": ("spectrum", _loop_mode(cos=[[1.0, 0.0], [0.0]]), [], "2x2 matrix"),
+    "loop_huge_int": ("spectrum", _loop_mode(cos=[[10**400, 0], [0, 1]]), [], "2x2 matrix"),
+    "scene_orbits_not_array": ("curve", {"orbits": 5}, ["page"], "must be an array"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("defect", sorted(MALFORMED))
+    def test_exits_one_with_error_line(self, defect, tmp_path, capsys):
+        command, payload, rest, fragment = MALFORMED[defect]
+        path = write(tmp_path / "input.json", payload)
+        argv = ["germ", "delta", path] if command == "germ" else [command, path, *rest]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and fragment in err
+        assert "Traceback" not in err
+
+    def test_undecodable_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "loop.json"
+        path.write_bytes(b'{"modes": [\xff]}')
+        code, _, err = run(capsys, "spectrum", str(path))
+        assert code == 1
+        assert err.startswith("error: cannot read loop file")

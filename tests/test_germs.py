@@ -351,3 +351,41 @@ class TestGermFiles:
     def test_malformed_coefficient(self):
         with pytest.raises(InputError, match="re_num"):
             germ_from_dict({"p": [[0, 1]], "q": []})
+
+
+class TestOracleDomainRefusal:
+    """The oracles refuse the germs their exact counterparts refuse as a
+    too large domain, with the same message, on every ladder cell."""
+
+    LADDER = [(r, e) for r in (0.3, 0.15, 0.08, 0.04) for e in (1e-2, 1e-5, 1e-8)]
+
+    def test_pair_refused_like_local_intersection(self):
+        # v returns to the origin at w = 1 (p_v = 0, q_v = w^2 (1 - w - 2i w^2)
+        # vanishes there too); the oracle used to answer 12 where ku*kv = 6
+        u = germ([0, 0, 0, 1], [0, 0, 0, 0, 1])
+        v = germ([0], [0, 0, 1, -1, gaussian(0, -2)])
+        with pytest.raises(InputError) as exact:
+            local_intersection(u, v)
+        assert str(exact.value).startswith("germ domain too large")
+        for radius, eps in self.LADDER:
+            with pytest.raises(InputError) as oracle:
+                numeric_intersection_oracle(u, v, epsilon=eps, radius=radius)
+            assert str(oracle.value) == str(exact.value)
+
+    def test_single_refused_like_delta_local(self):
+        # p and q share the zero z = 1; the cusp at 0 has delta 1, and the
+        # oracle used to answer 2
+        u = germ([0, 0, 1, -1], [0, 0, 0, 1, -1])
+        with pytest.raises(InputError) as exact:
+            delta_local(u)
+        assert str(exact.value).startswith("germ domain too large")
+        for radius, eps in self.LADDER:
+            with pytest.raises(InputError) as oracle:
+                numeric_double_point_oracle(u, epsilon=eps, radius=radius)
+            assert str(oracle.value) == str(exact.value)
+
+    def test_zero_coordinate_not_refused(self):
+        # delta_local skips the domain check when a coordinate vanishes
+        u = germ([0, 1], [0])
+        assert delta_local(u) == 0
+        assert numeric_double_point_oracle(u, 1e-3, 0.3) == 0

@@ -16,6 +16,7 @@ from siefring_kit.spectrum import (
     fit_decay,
     integrate_linear_ode,
     loop_from_dict,
+    orbit_from_loop,
     spectrum_report,
     winding,
 )
@@ -347,3 +348,31 @@ class TestLoopFiles:
             loop_from_dict({"modes": [], "extra": 1})
         with pytest.raises(InputError, match="'bad'"):
             loop_from_dict({"modes": [{"n": 0, "cos": [[1, 0], [0, 1]], "bad": 2}]})
+
+
+class TestOneDecomposition:
+    """Each discretized operator is decomposed once, however many of
+    eigen_window and alphas_from_spectrum read it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_spectrum_report(self, calls):
+        loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
+        spectrum_report(loop, 16, -5.0, 5.0)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    def test_orbit_from_loop_per_cover(self, calls):
+        loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
+        orbit_from_loop("o", loop, (1, 2, 3), 8)
+        assert calls == {"eigh": 3, "eigvalsh": 0}
