@@ -3,22 +3,39 @@
 Subcommands parse scene/loop/germ files, dispatch to the computation
 modules, and emit deterministic JSON (or bare integers for the germ
 calculators).  Exit codes: 0 success, 1 input error, 2 scene
-inconsistency, 3 invariance breach.
+inconsistency, 3 invariance breach or broken exact germ invariant.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 from importlib import resources
 
-from . import closed, germs, intersection
+from . import closed, intersection
 from .audit import audit_scene
 from .core import Scene, load_scene
 from .errors import InconsistencyError, InputError, InvarianceError
 from .jsonio import canonical_dumps
 from .spectrum import load_loop, spectrum_report
+
+
+def _lazy_submodule(child: str):
+    """The package's module ``child``, run on its first attribute access."""
+    name = f"{__package__}.{child}"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], child, module)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+# germs imports sympy (about 0.5 s), which only the germ subcommand needs
+germs = _lazy_submodule("germs")
 
 GOLDEN_SCENES = ("closed_ruled", "orbit_cylinder", "planar_page", "nodal_split")
 

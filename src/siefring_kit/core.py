@@ -209,14 +209,9 @@ def parity(orbit: OrbitData, k: int) -> int:
 def cz_index(orbit: OrbitData, k: int) -> int:
     """Conley-Zehnder index of the k-fold cover relative to the baseline.
 
-    Computed as 2*alpha_minus + parity; the equivalent expression
-    2*alpha_plus - parity must agree, which is enforced.
+    Computed as 2*alpha_minus + parity, which equals 2*alpha_plus - parity.
     """
-    cov = orbit.cover(k)
-    p = cov.alpha_plus - cov.alpha_minus
-    mu = 2 * cov.alpha_minus + p
-    assert mu == 2 * cov.alpha_plus - p
-    return mu
+    return 2 * orbit.cover(k).alpha_minus + parity(orbit, k)
 
 
 def sigma_bar(orbit: OrbitData, k: int, sign: str) -> int:
@@ -305,10 +300,9 @@ def scene_from_dict(data: dict) -> Scene:
         for k_str, cd in orbit.field("covers", dict, {}).items():
             where = f"cover {k_str!r} of orbit {od.get('id')!r}"
             cover = JsonObject(cd, _COVER_KEYS, where, where)
-            try:
-                k = int(k_str)
-            except ValueError:
-                raise InputError(f"cover multiplicity {k_str!r} is not an integer") from None
+            k = int(k_str) if k_str.isascii() and k_str.isdigit() else None
+            if str(k) != k_str:  # int() alone reads "1_0" as 10 and " 2" as 2
+                raise InputError(f"cover multiplicity {k_str!r} is not a plain positive integer")
             covers[k] = CoverData(*(cover.required(a, int) for a in ("alpha_minus", "alpha_plus")))
         orbits.append(OrbitData(str(orbit.required("id", object)), covers))
     curves = []

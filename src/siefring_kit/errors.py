@@ -20,4 +20,4 @@ class InconsistencyError(SiefringKitError):
 
 class InvarianceError(SiefringKitError):
     """A quantity that must not depend on trivialization choices changed
-    under a twist.  Raised only by the audit."""
+    under a twist (audit), or an identity of the exact germ numbers failed."""

@@ -6,8 +6,9 @@ The local intersection number of two germs is the order of vanishing at
 z = 0 of the resultant eliminating the second curve's parameter; the
 double-point count of a single germ uses the same resultant applied to the
 divided differences (p(z)-p(w))/(z-w), (q(z)-q(w))/(z-w).  Everything on
-this path is computed in exact arithmetic, since the answers are integers
-and feed positivity arguments where an off-by-one is fatal.
+this path is computed in exact arithmetic, over the Gaussian integers
+after clearing denominators, since the answers are integers and feed
+positivity arguments where an off-by-one is fatal.
 
 A second, independent path perturbs the germ, locates the finitely many
 intersection parameters as polynomial roots via companion matrices, and
@@ -20,17 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import sympy
-from sympy import I, Poly, Rational, gcd as sym_gcd, symbols
+from sympy import I, Poly, Rational, symbols
 
-from .errors import InputError
+from .errors import InputError, InvarianceError
 from .jsonio import JsonObject, read_json, typed
 
 Z, W = symbols("z w")
-_DOMAIN = "QQ_I"
 
 ROOT_EDGE_TOL = 1e-6
 COEFF_TRIM_TOL = 1e-11
@@ -61,12 +61,9 @@ def _strip(coeffs: tuple) -> tuple:
     return coeffs[:last]
 
 
-def _order(coeffs: tuple):
-    """Order of vanishing at 0, or None for the zero polynomial."""
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            return i
-    return None
+def _coeff(coeffs: tuple, i: int):
+    """Coefficient of z^i, zero past the last term."""
+    return coeffs[i] if i < len(coeffs) else sympy.Integer(0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ class Germ:
         """True if p and q share no zero besides z = 0 (see
         ``_require_small_domain``); computed once, since every cell of an
         oracle ladder asks again."""
-        p, q = (Poly.from_list(f[::-1], W, domain=_DOMAIN) for f in (self.p, self.q))
+        p, q = (_poly({(e, 0): c for e, c in enumerate(f)}) for f in (self.p, self.q))
         return len(p.gcd(q).terms()) <= 1
 
     def numeric(self):
@@ -124,29 +121,28 @@ def monomial_germ(a: int, b: int) -> Germ:
 # -- exact polynomial helpers -------------------------------------------------
 
 
+def _poly(terms: dict) -> Poly:
+    """The Poly in gens (w, z) with terms {(w-exponent, z-exponent): coefficient},
+    denominators cleared so that exact arithmetic runs over ZZ_I; a nonzero
+    constant factor changes no order of vanishing."""
+    return Poly.from_dict(terms, W, Z, domain="QQ_I").clear_denoms(convert=True)[1]
+
+
 def _difference_poly(coeffs_u, coeffs_v) -> Poly:
-    """p_u(z) - p_v(w) as a Poly with gens (w, z) so resultants eliminate w."""
-    expr = sum((c * Z**i for i, c in enumerate(coeffs_u)), sympy.Integer(0))
-    expr -= sum((c * W**i for i, c in enumerate(coeffs_v)), sympy.Integer(0))
-    return Poly(expr, W, Z, domain=_DOMAIN)
+    """A multiple of p_u(z) - p_v(w), so resultants eliminate w."""
+    terms = {(0, i): c for i, c in enumerate(coeffs_u)}
+    terms.update({(j, 0): -c for j, c in enumerate(coeffs_v)})  # both constant terms are 0
+    return _poly(terms)
 
 
 def _divided_difference(coeffs) -> Poly:
-    """(f(z) - f(w)) / (z - w) as a Poly with gens (w, z)."""
-    expr = sympy.Integer(0)
-    for e, c in enumerate(coeffs):
-        if c == 0 or e == 0:
-            continue
-        expr += c * sum(Z**i * W ** (e - 1 - i) for i in range(e))
-    return Poly(expr, W, Z, domain=_DOMAIN)
+    """A multiple of (f(z) - f(w)) / (z - w)."""
+    return _poly({(e - 1 - i, i): c for e, c in enumerate(coeffs) for i in range(e)})
 
 
-def _order_in_z(poly: Poly):
-    """Order of vanishing in z at 0 of a Poly in gens (w, z) free of w."""
-    expr = poly.as_expr()
-    uni = Poly(expr, Z, domain=_DOMAIN)
-    coeffs = uni.all_coeffs()[::-1]
-    return _order(tuple(coeffs))
+def _z_order(res: Poly) -> int:
+    """Order of vanishing at z = 0 of a nonzero resultant."""
+    return min(m[-1] for m in res.monoms())
 
 
 _PAIR_DOMAIN = "second germ passes through the first germ's basepoint fiber away from 0"
@@ -171,20 +167,21 @@ def critical_order(u: Germ):
     The tangent is the coefficient pair of z^k, normalized so its first
     nonzero entry is 1.
     """
-    orders = [o for o in (_order(u.p), _order(u.q)) if o is not None]
-    k = min(orders)
-    a = u.p[k] if k < len(u.p) else sympy.Integer(0)
-    b = u.q[k] if k < len(u.q) else sympy.Integer(0)
+    k = min(_exponents(u))
+    a, b = _coeff(u.p, k), _coeff(u.q, k)
     if a != 0:
         return k, (sympy.Integer(1), sympy.simplify(b / a))
     return k, (sympy.Integer(0), sympy.Integer(1))
 
 
+def _exponents(u: Germ) -> list:
+    """Exponents of the nonzero terms of p and of q."""
+    return [e for f in (u.p, u.q) for e, c in enumerate(f) if c != 0]
+
+
 def cover_index(u: Germ) -> int:
     """Largest m with u(z) = v(z^m) for a polynomial germ v."""
-    exponents = [e for e, c in enumerate(u.p) if c != 0]
-    exponents += [e for e, c in enumerate(u.q) if c != 0]
-    return math.gcd(*exponents) if exponents else 0
+    return math.gcd(*_exponents(u))
 
 
 def is_simple(u: Germ) -> bool:
@@ -197,14 +194,9 @@ def change_coordinates(u: Germ, matrix) -> Germ:
     m00, m01, m10, m11 = (_to_gaussian(x) for x in (m00, m01, m10, m11))
     if m00 * m11 - m01 * m10 == 0:
         raise InputError("coordinate change matrix is singular")
-    size = max(len(u.p), len(u.q))
-    p = [sympy.Integer(0)] * size
-    q = [sympy.Integer(0)] * size
-    for i in range(size):
-        pc = u.p[i] if i < len(u.p) else 0
-        qc = u.q[i] if i < len(u.q) else 0
-        p[i] = sympy.expand(m00 * pc + m01 * qc)
-        q[i] = sympy.expand(m10 * pc + m11 * qc)
+    pq = [(_coeff(u.p, i), _coeff(u.q, i)) for i in range(max(len(u.p), len(u.q)))]
+    p = [sympy.expand(m00 * pc + m01 * qc) for pc, qc in pq]
+    q = [sympy.expand(m10 * pc + m11 * qc) for pc, qc in pq]
     return germ(p, q)
 
 
@@ -243,8 +235,7 @@ def normal_form(u: Germ) -> GermNormalForm:
     e with a nonzero coefficient and j*e not divisible by k.
     """
     k, _ = critical_order(u)
-    a = u.p[k] if k < len(u.p) else sympy.Integer(0)
-    b = u.q[k] if k < len(u.q) else sympy.Integer(0)
+    a, b = _coeff(u.p, k), _coeff(u.q, k)
     if a != 0:
         aligned = change_coordinates(u, ((1 / a, 0), (-b / a, 1)))
     else:
@@ -253,12 +244,9 @@ def normal_form(u: Germ) -> GermNormalForm:
     if aligned.p != p_mono:
         # the aligning shear is not unique: adding a multiple of the second
         # coordinate is still aligned, and may cancel the excess terms
-        size = max(len(aligned.p), len(aligned.q))
-        excess = [
-            (aligned.p[i] if i < len(aligned.p) else 0) - (p_mono[i] if i < len(p_mono) else 0)
-            for i in range(size)
-        ]
-        hat = [aligned.q[i] if i < len(aligned.q) else 0 for i in range(size)]
+        degrees = range(max(len(aligned.p), len(aligned.q)))
+        excess = [_coeff(aligned.p, i) - _coeff(p_mono, i) for i in degrees]
+        hat = [_coeff(aligned.q, i) for i in degrees]
         # solve excess + t * hat == 0 coefficientwise for a single scalar t
         solvable = all(e == 0 for e, h in zip(excess, hat) if h == 0)
         ratios = {sympy.simplify(-e / h) for e, h in zip(excess, hat) if h != 0}
@@ -274,12 +262,7 @@ def normal_form(u: Germ) -> GermNormalForm:
     orders = []
     for j in range(1, k):
         separating = [e for e in exponents if (j * e) % k != 0]
-        if not separating:
-            orders.append(None)
-        else:
-            e = min(separating)
-            assert e >= k + 1
-            orders.append(e - k)
+        orders.append(min(separating) - k if separating else None)
     return GermNormalForm(k, (a, b), tuple(orders))
 
 
@@ -289,11 +272,24 @@ def delta_from_normal_form(nf: GermNormalForm) -> int:
     if any(l is None for l in nf.branch_orders):
         raise InputError("not simple: germ has identical rotated branches")
     total = sum(nf.k + l - 1 for l in nf.branch_orders)
-    assert total % 2 == 0
+    if total % 2 != 0:
+        raise InputError(f"branch orders give an odd double-point total {total}")
     return total // 2
 
 
 # -- exact intersection numbers -----------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _pair_resultant(u: Germ, v: Germ) -> Poly:
+    """Res_w(p_u(z) - p_v(w), q_u(z) - q_v(w)) up to a constant, after the
+    refusals local_intersection and its oracle share; an oracle ladder asks
+    for the same pair in every cell."""
+    _require_small_domain(v, _PAIR_DOMAIN)
+    res = _difference_poly(u.p, v.p).resultant(_difference_poly(u.q, v.q))
+    if res.is_zero:
+        raise InputError("identical images / common branch: resultant vanishes identically")
+    return res
 
 
 def local_intersection(u: Germ, v: Germ) -> int:
@@ -303,15 +299,24 @@ def local_intersection(u: Germ, v: Germ) -> int:
     (p_u(z) - p_v(w), q_u(z) - q_v(w)); always >= 1, and equal to the
     algebraic count of intersections surviving near 0 after perturbation.
     """
-    _require_small_domain(v, _PAIR_DOMAIN)
-    b1 = _difference_poly(u.p, v.p)
-    b2 = _difference_poly(u.q, v.q)
-    res = b1.resultant(b2)
-    if res.is_zero:
-        raise InputError("identical images / common branch: resultant vanishes identically")
-    order = _order_in_z(res)
-    assert order is not None and order >= 1
+    order = _z_order(_pair_resultant(u, v))
+    if order < 1:
+        raise InvarianceError(f"exact germ invariant broken: intersection order {order} < 1")
     return order
+
+
+def _double_point_refusals(u: Germ):
+    """The refusals delta_local and its oracle share.  Returns delta for a
+    germ with a vanishing coordinate (0 when the other one f has f'(0) != 0,
+    else it has a curve of double points), None for the others."""
+    if not is_simple(u):
+        raise InputError("not simple: germ is a multiple cover")
+    if u.p and u.q:
+        _require_small_domain(u, _SELF_DOMAIN)
+        return None
+    if (u.p or u.q)[1] != 0:
+        return 0
+    raise InputError("non-isolated double points: a coordinate is constant")
 
 
 def delta_local(u: Germ) -> int:
@@ -321,31 +326,18 @@ def delta_local(u: Germ) -> int:
     p and q; zero exactly for immersed germs, and at least k(k-1)/2 when
     the vanishing order is k.
     """
-    if not is_simple(u):
-        raise InputError("not simple: germ is a multiple cover")
+    delta = _double_point_refusals(u)
     k, _ = critical_order(u)
-    p_dd = _divided_difference(u.p)
-    q_dd = _divided_difference(u.q)
-    if p_dd.is_zero or q_dd.is_zero:
-        # one coordinate is constant, so the common zero set is the zero set
-        # of the other divided difference; near the origin it is empty
-        # exactly when that difference does not vanish at (0, 0)
-        other = q_dd if p_dd.is_zero else p_dd
-        if not other.is_zero and other.as_expr().subs({Z: 0, W: 0}) != 0:
-            delta = 0
-        else:
-            raise InputError("non-isolated double points: a coordinate is constant")
-    else:
-        _require_small_domain(u, _SELF_DOMAIN)
-        res = p_dd.resultant(q_dd)
+    if delta is None:
+        res = _divided_difference(u.p).resultant(_divided_difference(u.q))
         if res.is_zero:
             raise InputError("non-isolated double points: divided differences share a component")
-        order = _order_in_z(res)
-        order = 0 if order is None else order
-        assert order % 2 == 0
+        order = _z_order(res)
+        if order % 2 != 0:
+            raise InvarianceError(f"exact germ invariant broken: odd double-point order {order}")
         delta = order // 2
-    assert (delta == 0) == (k == 1)
-    assert delta >= k * (k - 1) // 2
+    if (delta == 0) != (k == 1) or delta < k * (k - 1) // 2:  # zero iff immersed, >= k(k-1)/2
+        raise InvarianceError(f"exact germ invariant broken: delta {delta} at vanishing order {k}")
     return delta
 
 
@@ -358,11 +350,7 @@ def branched_cover(u: Germ, k: int) -> Germ:
         return u
 
     def stretch(coeffs):
-        out = [sympy.Integer(0)] * (k * (len(coeffs) - 1) + 1) if coeffs else []
-        for e, c in enumerate(coeffs):
-            if c != 0:
-                out[k * e] = c
-        return out
+        return [coeffs[e // k] if e % k == 0 else 0 for e in range(k * len(coeffs) - k + 1)]
 
     return germ(stretch(u.p), stretch(u.q))
 
@@ -503,15 +491,14 @@ def numeric_double_point_oracle(
     The germ is perturbed to (p(z), q(z) + eps z); ordered self-intersection
     parameter pairs are the roots of the resultant of the perturbed divided
     differences, counted inside |z| < radius via companion-matrix
-    eigenvalues and halved.  Must agree with delta_local on valid inputs,
-    and refuses the germs it refuses as a too large domain.
+    eigenvalues and halved.  Must agree with delta_local on valid inputs;
+    shares its exact refusals and its rule for a constant coordinate.
     """
-    if not is_simple(u):
-        raise InputError("not simple: germ is a multiple cover")
     if not (radius > 0):
         raise InputError("radius must be positive")
-    if u.p and u.q:  # neither divided difference vanishes, as in delta_local
-        _require_small_domain(u, _SELF_DOMAIN)
+    delta = _double_point_refusals(u)
+    if delta is not None:
+        return delta
     edge_tol = ROOT_EDGE_TOL / radius
     cp, cq = u.numeric()
     pdd = _numeric_divided_difference(cp)
@@ -548,16 +535,14 @@ def numeric_intersection_oracle(
     unperturbed germs have no intersection parameters with |z| <= radius
     apart from the origin, so for small eps the count equals the number of
     perturbed intersections in the bidisk.  Must agree with
-    local_intersection on valid inputs, and refuses the pairs it refuses
-    as a too large domain.
+    local_intersection on valid inputs, and shares its exact refusals
+    (too large a domain, identical images).
     """
     if not (radius > 0):
         raise InputError("radius must be positive")
-    _require_small_domain(v, _PAIR_DOMAIN)
-    # precondition checks are exact (shared components make the float
-    # resultant meaningless at any tolerance); the count itself stays float
-    if sym_gcd(_difference_poly(u.p, v.p), _difference_poly(u.q, v.q)).total_degree() > 0:
-        raise InputError("identical images / common branch: difference polynomials share a factor")
+    # the refusals are exact (shared components make the float resultant
+    # meaningless at any tolerance); the count itself stays float
+    _pair_resultant(u, v)
     edge_tol = ROOT_EDGE_TOL / radius
     cpu, cqu = u.numeric()
     cpv, cqv = v.numeric()

@@ -149,7 +149,6 @@ def spectral_covering_total(scene: Scene, u_id: str) -> int:
     for p in u.punctures:
         orbit = scene.orbit(p.orbit)
         total += sigma_bar(orbit, p.multiplicity, "-" if p.sign == "+" else "+")
-    assert total >= len(u.punctures)
     return total
 
 
@@ -218,7 +217,6 @@ def asymptotic_defect(entries) -> int:
             total += wind - alpha_bound
         else:
             raise InputError(f"sign must be '+' or '-', got {sign!r}")
-    assert total >= 0
     return total
 
 

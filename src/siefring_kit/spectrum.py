@@ -35,6 +35,8 @@ CLUSTER_TOL = 1e-8
 WINDING_GUARD = 0.05
 RESOLVED_SAMPLE_RATIO = 1e-8
 DEFAULT_CUTOFF = 32
+# the dense complex matrix has 2(2M + 1) rows: at most 67 MB at this cutoff
+MAX_CUTOFF = 512
 
 
 def _check_symmetric(mat, what: str) -> np.ndarray:
@@ -132,6 +134,8 @@ class OperatorDiscretization:
 def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorDiscretization:
     """Build the truncated operator matrix for the given loop."""
     M = int(mode_cutoff)
+    if M > MAX_CUTOFF:
+        raise InputError(f"cutoff too large: need mode_cutoff <= {MAX_CUTOFF}, got {M}")
     if M < loop.bandwidth + 4:
         raise InputError(
             f"cutoff below loop bandwidth: need mode_cutoff >= {loop.bandwidth + 4}, got {M}"

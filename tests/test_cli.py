@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -259,3 +262,48 @@ class TestMalformedInput:
         code, _, err = run(capsys, "spectrum", str(path))
         assert code == 1
         assert err.startswith("error: cannot read loop file")
+
+
+def _rename_cover(key):
+    def edit(data):
+        covers = data["orbits"][0]["covers"]
+        covers[key] = covers.pop("1")
+
+    return edit
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize("key", ["1_0", " 2", "+1", "01", "-1", "x"])
+    def test_cover_key_must_be_plain_integer(self, key, tmp_path, capsys):
+        # int() alone reads "1_0" as 10 and " 2" as 2
+        path = write(tmp_path / "scene.json", _planar_page(_rename_cover(key)))
+        code, out, err = run(capsys, "curve", path, "page")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cover multiplicity {key!r} is not a plain positive integer\n"
+
+    def test_cutoff_refused_before_allocating(self, tmp_path, capsys, monkeypatch):
+        from siefring_kit import spectrum
+
+        allocations = []
+        monkeypatch.setattr(spectrum.np, "zeros", lambda *a, **kw: allocations.append(a))
+        loop = write(tmp_path / "loop.json", LOOP_IDENTITY)
+        code, out, err = run(capsys, "spectrum", loop, "--cutoff", "1000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cutoff too large")
+        assert allocations == []
+
+    def test_broken_germ_invariant_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.germs, "_z_order", lambda res: 3)
+        a = write(tmp_path / "a.json", GERM_35)
+        code, out, err = run(capsys, "germ", "delta", a)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: exact germ invariant broken")
+
+    def test_import_leaves_sympy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        check = "import siefring_kit.cli, sys; assert 'sympy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", check], env=env, check=True)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import sympy
 
-from siefring_kit.errors import InputError
+from siefring_kit import germs
+from siefring_kit.errors import InputError, InvarianceError
 from siefring_kit.germs import (
+    GermNormalForm,
     branched_cover,
     change_coordinates,
     cover_index,
@@ -389,3 +391,56 @@ class TestOracleDomainRefusal:
         u = germ([0, 1], [0])
         assert delta_local(u) == 0
         assert numeric_double_point_oracle(u, 1e-3, 0.3) == 0
+
+    def test_constant_coordinate_immersed_on_either_axis(self):
+        # the oracle used to refuse (0, z) while answering its mirror (z, 0)
+        for u in (germ([0], [0, 1]), germ([0, 1], [0])):
+            assert delta_local(u) == 0
+            for radius, eps in self.LADDER:
+                assert numeric_double_point_oracle(u, epsilon=eps, radius=radius) == 0
+
+    def test_constant_coordinate_non_isolated_refused(self):
+        # (z^2 + z^3, 0) is 2:1 onto the p-axis near 0; the oracle used to
+        # answer 0
+        for u in (germ([0, 0, 1, 1], [0]), germ([0], [0, 0, 1, 1])):
+            with pytest.raises(InputError) as exact:
+                delta_local(u)
+            assert str(exact.value) == "non-isolated double points: a coordinate is constant"
+            for radius, eps in self.LADDER:
+                with pytest.raises(InputError) as oracle:
+                    numeric_double_point_oracle(u, epsilon=eps, radius=radius)
+                assert str(oracle.value) == str(exact.value)
+
+    def test_identical_images_refused_like_local_intersection(self):
+        u = germ([0, 1], [0, 0, 1])
+        for v in (u, reparametrize(u, 2), branched_cover(u, 2)):
+            with pytest.raises(InputError, match="identical images") as exact:
+                local_intersection(u, v)
+            for radius, eps in self.LADDER:
+                with pytest.raises(InputError) as oracle:
+                    numeric_intersection_oracle(u, v, epsilon=eps, radius=radius)
+                assert str(oracle.value) == str(exact.value)
+
+
+class TestExactInvariantGuards:
+    """Checks on computed results raise InvarianceError, also under -O."""
+
+    def test_odd_branch_total_refused(self):
+        nf = GermNormalForm(2, (1, 0), (2,))  # (2 + 2 - 1) is odd
+        with pytest.raises(InputError, match="odd double-point total 3"):
+            delta_from_normal_form(nf)
+
+    def test_broken_intersection_order(self, monkeypatch):
+        monkeypatch.setattr(germs, "_z_order", lambda res: 0)
+        with pytest.raises(InvarianceError, match="intersection order 0"):
+            local_intersection(germ([0, 1], [0]), germ([0], [0, 1]))
+
+    def test_broken_double_point_order(self, monkeypatch):
+        monkeypatch.setattr(germs, "_z_order", lambda res: 3)
+        with pytest.raises(InvarianceError, match="odd double-point order 3"):
+            delta_local(CUSP23)
+
+    def test_broken_delta_bounds(self, monkeypatch):
+        monkeypatch.setattr(germs, "_z_order", lambda res: 0)
+        with pytest.raises(InvarianceError, match="delta 0 at vanishing order 2"):
+            delta_local(CUSP23)
