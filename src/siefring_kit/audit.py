@@ -13,7 +13,7 @@ import numpy as np
 
 from . import intersection as xn
 from .core import Scene, TrivializationShift, euler_char, parity, shift_scene, sigma_bar
-from .errors import InconsistencyError
+from .errors import InconsistencyError, InputError
 
 SHIFT_RANGE = 5
 
@@ -54,6 +54,8 @@ def audit_scene(scene: Scene, shifts: int = 50, seed: int = 0) -> dict:
     pass.  Also checks that twisting by m and then -m restores the scene
     verbatim (the transformation law is a group action).
     """
+    if shifts < 0:
+        raise InputError(f"number of shifts must be nonnegative, got {shifts}")
     rng = np.random.default_rng(seed)
     baseline = _snapshot(scene)
     breaches = []

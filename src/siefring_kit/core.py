@@ -304,7 +304,7 @@ def scene_from_dict(data: dict) -> Scene:
             if str(k) != k_str:  # int() alone reads "1_0" as 10 and " 2" as 2
                 raise InputError(f"cover multiplicity {k_str!r} is not a plain positive integer")
             covers[k] = CoverData(*(cover.required(a, int) for a in ("alpha_minus", "alpha_plus")))
-        orbits.append(OrbitData(str(orbit.required("id", object)), covers))
+        orbits.append(OrbitData(orbit.required("id", str), covers))
     curves = []
     for cd in top.field("curves", list, []):
         curve = JsonObject(cd, _CURVE_KEYS, "curve", "curve")
@@ -312,11 +312,11 @@ def scene_from_dict(data: dict) -> Scene:
         for pd in curve.field("punctures", list, []):
             where = f"puncture of curve {cd.get('id')!r}"
             puncture = JsonObject(pd, _PUNCTURE_KEYS, where, where)
-            sign, orbit_id = (str(puncture.required(key, object)) for key in ("sign", "orbit"))
+            sign, orbit_id = (puncture.required(key, str) for key in ("sign", "orbit"))
             punctures.append(PunctureSpec(sign, orbit_id, puncture.required("multiplicity", int)))
         curves.append(
             CurveClass(
-                str(curve.required("id", object)),
+                curve.required("id", str),
                 curve.field("genus", int, 0),
                 tuple(punctures),
                 curve.required("rel_c1", int),
@@ -326,7 +326,7 @@ def scene_from_dict(data: dict) -> Scene:
     items = []
     for pd in top.field("pairing", list, []):
         entry = JsonObject(pd, _PAIRING_KEYS, "pairing entry", "pairing entry")
-        u, v = (str(entry.required(key, object)) for key in ("u", "v"))
+        u, v = (entry.required(key, str) for key in ("u", "v"))
         items.append((u, v, entry.required("bullet", int)))
     return Scene(tuple(orbits), tuple(curves), RelativePairing.from_items(items))
 

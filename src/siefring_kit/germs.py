@@ -404,6 +404,8 @@ def _sylvester(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
     return m
 
 
+# a radius or epsilon too large overflows the samples; _unit_roots refuses the result
+@np.errstate(over="ignore", invalid="ignore")
 def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float = 1.0) -> np.ndarray:
     """Resultant in w of two bivariate complex polynomials, rescaled.
 
@@ -445,6 +447,8 @@ def _unit_roots(coeffs: np.ndarray, edge_tol: float):
     COEFF_TRIM_TOL of the largest count as an exact root at 0, high-order
     ones are dropped; hit_edge flags a root within edge_tol of the circle."""
     scale = np.abs(coeffs).max()
+    if not np.isfinite(scale):
+        raise InputError("oracle resultant is not finite; shrink the radius or epsilon")
     if scale == 0:
         raise InputError("oracle resultant vanished identically")
     keep = np.flatnonzero(np.abs(coeffs) > COEFF_TRIM_TOL * scale)
@@ -462,6 +466,13 @@ def _embedded_radius_check(res0_scaled: np.ndarray, edge_tol: float, what: str):
         raise InputError(
             f"radius too large: {what} within the chosen disk; shrink the radius"
         )
+
+
+def _check_perturbation(epsilon: complex, radius: float) -> None:
+    if not (0 < radius < np.inf):
+        raise InputError(f"radius must be positive and finite, got {radius!r}")
+    if not np.isfinite(epsilon):
+        raise InputError(f"epsilon must be finite, got {epsilon!r}")
 
 
 def _redraw(draw, epsilon: complex, seed: int) -> int:
@@ -494,8 +505,7 @@ def numeric_double_point_oracle(
     eigenvalues and halved.  Must agree with delta_local on valid inputs;
     shares its exact refusals and its rule for a constant coordinate.
     """
-    if not (radius > 0):
-        raise InputError("radius must be positive")
+    _check_perturbation(epsilon, radius)
     delta = _double_point_refusals(u)
     if delta is not None:
         return delta
@@ -538,8 +548,7 @@ def numeric_intersection_oracle(
     local_intersection on valid inputs, and shares its exact refusals
     (too large a domain, identical images).
     """
-    if not (radius > 0):
-        raise InputError("radius must be positive")
+    _check_perturbation(epsilon, radius)
     # the refusals are exact (shared components make the float resultant
     # meaningless at any tolerance); the count itself stays float
     _pair_resultant(u, v)

@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import InputError
 
-_KINDS = {int: "an integer", float: "a finite number", list: "an array", dict: "an object"}
+_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}
 
 
 def read_json(path, what: str):
@@ -30,9 +36,8 @@ def read_json(path, what: str):
 
 
 def typed(value, kind, what: str):
-    """``value`` if it is a JSON value of ``kind``: a key of ``_KINDS``, or
-    ``object`` for any value.  A bool is no number and a float never an
-    integer, not even 1.0."""
+    """``value`` if it is a JSON value of ``kind``, a key of ``_KINDS``.
+    A bool is no number and a float never an integer, not even 1.0."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is int:
         ok = number and isinstance(value, int)

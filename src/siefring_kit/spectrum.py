@@ -184,22 +184,22 @@ class EigenPair:
     residual: float
 
 
-def _real_coefficients(column: np.ndarray, M: int) -> np.ndarray:
-    """Turn an eigenvector of the complexified operator into coefficients of
-    a real eigenfunction.
+def _real_coefficients(columns: np.ndarray, M: int) -> np.ndarray:
+    """Turn eigenvectors of the complexified operator (the columns) into
+    coefficients of real eigenfunctions, shape (columns, 2M+1, 2).
 
     The complexification of a real operator has conjugation-invariant
     eigenspaces for real eigenvalues, so Re(e^{i theta} F) is again an
     eigenfunction; theta is chosen to maximize its L^2 norm, which keeps it
     bounded away from zero.
     """
-    F = column.reshape(2 * M + 1, 2)
+    F = columns.T.reshape(-1, 2 * M + 1, 2)
     # bilinear pairing int <F, F> dt pairs mode n with mode -n
-    quad = np.sum(F * F[::-1, :])
-    theta = -np.angle(quad) / 2 if abs(quad) > 1e-14 else 0.0
-    G = np.exp(1j * theta) * F
+    quad = np.sum(F * F[:, ::-1, :], axis=(1, 2))
+    theta = np.where(np.abs(quad) > 1e-14, -np.angle(quad) / 2, 0.0)
+    G = np.exp(1j * theta)[:, None, None] * F
     # coefficients of Re g: (c_n + conj(c_{-n})) / 2
-    return (G + np.conj(G[::-1, :])) / 2
+    return (G + np.conj(G[:, ::-1, :])) / 2
 
 
 def evaluate_coefficients(coeffs: np.ndarray, ts) -> np.ndarray:
@@ -210,6 +210,14 @@ def evaluate_coefficients(coeffs: np.ndarray, ts) -> np.ndarray:
     phases = np.exp(2j * np.pi * np.outer(ns, ts))
     vals = np.tensordot(coeffs, phases, axes=(0, 0))  # (2, len(ts))
     return vals[0].real + 1j * vals[1].real
+
+
+def _on_grid(coeffs: np.ndarray, N: int) -> np.ndarray:
+    """Values on t_j = j/N of real trigonometric polynomials, shape
+    (..., N, 2), from coefficient blocks (..., 2M+1, 2) with
+    c_{-n} = conj(c_n) and M < N/2: one inverse real FFT."""
+    M = (coeffs.shape[-2] - 1) // 2
+    return N * np.fft.irfft(coeffs[..., M:, :], n=N, axis=-2)
 
 
 def winding(samples: np.ndarray) -> int:
@@ -231,40 +239,11 @@ def winding(samples: np.ndarray) -> int:
     return int(nearest)
 
 
-def _residual(op: OperatorDiscretization, coeffs: np.ndarray, lam: float, ts) -> float:
-    """Pointwise residual |A f - lam f| / max|f| using the exact operator.
-
-    The derivative of a trigonometric polynomial is computed exactly from
-    its coefficients and S(t) is evaluated pointwise, so this measures
-    truncation honestly rather than reusing the Galerkin matrix.
-    """
-    M = op.mode_cutoff
-    ns = np.arange(-M, M + 1)
-    dcoeffs = coeffs * (2j * np.pi * ns)[:, None]
-    phases = np.exp(2j * np.pi * np.outer(ns, ts))
-    f_vals = np.tensordot(coeffs, phases, axes=(0, 0)).real.T  # (len(ts), 2)
-    df_vals = np.tensordot(dcoeffs, phases, axes=(0, 0)).real.T
-    s_vals = op.loop(ts)
-    Af = -df_vals @ J0.T - np.einsum("tij,tj->ti", s_vals, f_vals)
-    err = np.abs(Af - lam * f_vals).max()
-    return err / max(np.abs(f_vals).max(), 1e-300)
-
-
 def _multiplicities(eigenvalues: np.ndarray) -> list[int]:
     """Cluster sizes with eigenvalues within CLUSTER_TOL*(1+|lam|) merged."""
-    mult = []
-    i = 0
-    while i < len(eigenvalues):
-        j = i
-        while (
-            j + 1 < len(eigenvalues)
-            and eigenvalues[j + 1] - eigenvalues[j] <= CLUSTER_TOL * (1 + abs(eigenvalues[j]))
-        ):
-            j += 1
-        size = j - i + 1
-        mult.extend([size] * size)
-        i = j + 1
-    return mult
+    gaps = np.diff(eigenvalues) > CLUSTER_TOL * (1 + np.abs(eigenvalues[:-1]))
+    sizes = np.diff(np.r_[np.flatnonzero(np.r_[True, gaps]), len(eigenvalues)])
+    return np.repeat(sizes, sizes).tolist()
 
 
 def resolved_band(op: OperatorDiscretization) -> float:
@@ -284,26 +263,29 @@ def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[Eigen
     M = op.mode_cutoff
     evals, evecs = op.eigh
     sel = np.flatnonzero((evals >= lo) & (evals <= hi))
-    selected = evals[sel]
-    mults = _multiplicities(selected)
+    lams = evals[sel]
     N = 8 * (2 * M + 1)
-    ts = np.arange(N) / N
-    pairs = []
-    for pos, i in enumerate(sel):
-        coeffs = _real_coefficients(evecs[:, i], M)
-        samples = evaluate_coefficients(coeffs, ts)
-        res = _residual(op, coeffs, evals[i], ts)
-        pairs.append(
-            EigenPair(
-                eigenvalue=float(evals[i]),
-                samples=samples,
-                winding=winding(samples),
-                multiplicity=mults[pos],
-                coeffs=coeffs,
-                residual=res,
-            )
+    coeffs = _real_coefficients(evecs[:, sel], M)
+    f = _on_grid(coeffs, N)  # (pairs, N, 2)
+    df = _on_grid(coeffs * (2j * np.pi * np.arange(-M, M + 1))[:, None], N)
+    # the residual |A f - lam f| / max|f| uses f' exact from the coefficients
+    # and S(t) sampled pointwise, so it measures truncation honestly rather
+    # than reusing the Galerkin matrix
+    Af = -df @ J0.T - np.einsum("tij,ptj->pti", op.loop(np.arange(N) / N), f)
+    residuals = np.abs(Af - lams[:, None, None] * f).max(axis=(1, 2))
+    residuals /= np.maximum(np.abs(f).max(axis=(1, 2)), 1e-300)
+    samples = f[..., 0] + 1j * f[..., 1]
+    return [
+        EigenPair(
+            eigenvalue=float(lam),
+            samples=samples[pos],
+            winding=winding(samples[pos]),
+            multiplicity=mult,
+            coeffs=coeffs[pos],
+            residual=float(residuals[pos]),
         )
-    return pairs
+        for pos, (lam, mult) in enumerate(zip(lams, _multiplicities(lams)))
+    ]
 
 
 @dataclass(frozen=True)
@@ -336,10 +318,10 @@ def alphas_from_spectrum(
     band = resolved_band(op)
     window = band / 2
     pairs = eigen_window(op, -window, window)
-    if not any(p.eigenvalue < 0 for p in pairs) or not any(p.eigenvalue > 0 for p in pairs):
-        raise InputError("window around 0 resolved no eigenvalues of both signs")
     neg = [p for p in pairs if p.eigenvalue < 0]
     pos = [p for p in pairs if p.eigenvalue > 0]
+    if not neg or not pos:
+        raise InputError("window around 0 resolved no eigenvalues of both signs")
     alpha_minus = neg[-1].winding
     alpha_plus = pos[0].winding
     counts: dict[int, int] = {}
@@ -363,12 +345,13 @@ def covering_multiplicity(pair: EigenPair, k: int, tol: float = 1e-6) -> int:
     best = 1
     scale = np.abs(pair.samples).max()
     N = len(pair.samples)
-    ts = np.arange(N) / N
+    M = (pair.coeffs.shape[0] - 1) // 2
+    ns = np.arange(-M, M + 1)
     for d in range(2, k + 1):
         if k % d != 0:
             continue
-        shifted = evaluate_coefficients(pair.coeffs, ts + 1.0 / d)
-        if np.abs(shifted - pair.samples).max() < tol * scale:
+        shifted = _on_grid(pair.coeffs * np.exp(2j * np.pi * ns / d)[:, None], N)
+        if np.abs(shifted[:, 0] + 1j * shifted[:, 1] - pair.samples).max() < tol * scale:
             best = d
     return best
 

@@ -109,6 +109,11 @@ class TestAuditCommand:
         assert code == 0
         assert json.loads(out)["breaches"] == []
 
+    def test_zero_shifts_is_a_trivial_pass(self, capsys):
+        code, out, _ = run(capsys, "audit", "planar_page", "--shifts", "0")
+        assert code == 0
+        assert json.loads(out) == {"breaches": [], "trials": 0}
+
     def test_breach_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli,
@@ -230,7 +235,7 @@ MALFORMED = {
     "genus_bool": (
         "curve", _planar_page(lambda d: d["curves"][0].update(genus=True)), ["page"], "'genus'"
     ),
-    "germ_float": ("germ", dict(GERM_35, q=GERM_35["q"][:-1] + [[1.9, 1, 0, 1]]), [], "1.9"),
+    "germ_float": ("germ delta", dict(GERM_35, q=GERM_35["q"][:-1] + [[1.9, 1, 0, 1]]), [], "1.9"),
     "loop_nan": (
         "spectrum", _loop_mode(cos=[[float("nan"), 0.0], [0.0, 1.0]]), [], "finite number"
     ),
@@ -241,6 +246,40 @@ MALFORMED = {
     "loop_ragged": ("spectrum", _loop_mode(cos=[[1.0, 0.0], [0.0]]), [], "2x2 matrix"),
     "loop_huge_int": ("spectrum", _loop_mode(cos=[[10**400, 0], [0, 1]]), [], "2x2 matrix"),
     "scene_orbits_not_array": ("curve", {"orbits": 5}, ["page"], "must be an array"),
+    "orbit_id_int": (
+        "curve", _planar_page(lambda d: d["orbits"][0].update(id=7)), ["page"], "must be a string"
+    ),
+    "curve_id_list": (
+        "curve",
+        _planar_page(lambda d: d["curves"][1].update(id=["u"])),
+        ["page"],
+        "must be a string, got ['u']",
+    ),
+    "sign_int": (
+        "curve",
+        _planar_page(lambda d: d["curves"][0]["punctures"][0].update(sign=1)),
+        ["page"],
+        "'sign'",
+    ),
+    "orbit_ref_int": (
+        "curve",
+        _planar_page(lambda d: d["curves"][0]["punctures"][0].update(orbit=1)),
+        ["page"],
+        "'orbit'",
+    ),
+    "pairing_u_list": (
+        "curve", _planar_page(lambda d: d["pairing"][0].update(u=["page"])), ["page"], "'u'"
+    ),
+    "pairing_v_null": (
+        "curve", _planar_page(lambda d: d["pairing"][0].update(v=None)), ["page"], "'v'"
+    ),
+    "audit_negative_shifts": (
+        "audit", _planar_page(lambda d: None), ["--shifts", "-3"], "must be nonnegative"
+    ),
+    "oracle_radius_inf": ("germ oracle", GERM_35, ["--radius", "inf"], "positive and finite"),
+    "oracle_radius_huge": ("germ oracle", GERM_35, ["--radius", "1e300"], "not finite"),
+    "oracle_epsilon_nan": ("germ oracle", GERM_35, ["--epsilon", "nan"], "must be finite"),
+    "oracle_epsilon_inf": ("germ oracle", GERM_35, ["--epsilon", "inf"], "must be finite"),
 }
 
 
@@ -249,12 +288,21 @@ class TestMalformedInput:
     def test_exits_one_with_error_line(self, defect, tmp_path, capsys):
         command, payload, rest, fragment = MALFORMED[defect]
         path = write(tmp_path / "input.json", payload)
-        argv = ["germ", "delta", path] if command == "germ" else [command, path, *rest]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *command.split(), path, *rest)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and fragment in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("defect", [d for d in sorted(MALFORMED) if d.startswith("oracle_")])
+    def test_pair_oracle_refuses_the_same(self, defect, tmp_path, capsys):
+        _, payload, rest, fragment = MALFORMED[defect]
+        a = write(tmp_path / "a.json", payload)
+        b = write(tmp_path / "b.json", GERM_46)
+        code, out, err = run(capsys, "germ", "oracle", a, b, *rest)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
 
     def test_undecodable_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "loop.json"

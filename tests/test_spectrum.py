@@ -3,6 +3,7 @@ import pytest
 
 from siefring_kit.errors import InputError
 from siefring_kit.spectrum import (
+    CLUSTER_TOL,
     DEFAULT_CUTOFF,
     SpectralLoop,
     Trajectory,
@@ -19,6 +20,8 @@ from siefring_kit.spectrum import (
     orbit_from_loop,
     spectrum_report,
     winding,
+    _multiplicities,
+    _on_grid,
 )
 
 TWO_PI = 2 * np.pi
@@ -74,6 +77,26 @@ class TestAssemble:
             [0.0, 0.0, TWO_PI, TWO_PI], abs=1e-9
         )
         assert all(p.multiplicity == 2 for p in pairs)
+
+    def test_clusters_match_pairwise_scan(self):
+        # reference: grow each cluster while the next gap is within tolerance
+        def scan(lams, tol=CLUSTER_TOL):
+            sizes, i = [], 0
+            while i < len(lams):
+                j = i
+                while j + 1 < len(lams) and lams[j + 1] - lams[j] <= tol * (1 + abs(lams[j])):
+                    j += 1
+                sizes += [j - i + 1] * (j - i + 1)
+                i = j + 1
+            return sizes
+
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n = int(rng.integers(0, 10))
+            base = rng.choice([-3.0, -1.0, 0.5, 2.0, 1e6], size=n)
+            jitter = rng.choice([0.0, 1e-9, 5e-9, 2e-8, 1e-3], size=n) * rng.random(n)
+            lams = np.sort(base + jitter)
+            assert _multiplicities(lams) == scan(lams)
 
 
 class TestConstantCoefficients:
@@ -265,6 +288,32 @@ class TestEigenfunctionQuality:
         n = len(p.samples)
         again = evaluate_coefficients(p.coeffs, np.arange(n) / n)
         assert np.allclose(again, p.samples)
+        rng = np.random.default_rng(34)
+        for _ in range(3):
+            for p in eigen_window(assemble(random_loop(rng, bandwidth=2), 32), -20.0, 20.0):
+                n = len(p.samples)
+                again = evaluate_coefficients(p.coeffs, np.arange(n) / n)
+                assert np.abs(again - p.samples).max() <= 1e-12 * np.abs(again).max()
+
+    def test_shifted_evaluation_off_the_grid(self):
+        # covering_multiplicity evaluates f(t + 1/d) on the sample grid from
+        # the coefficients; for d = 3 the shift falls between grid points
+        rng = np.random.default_rng(35)
+        k = 3
+        op = assemble(cover_operator(random_loop(rng, bandwidth=1), k), 24 * k)
+        pairs = eigen_window(op, -8.0 * k, 8.0 * k)
+        n = len(pairs[0].samples)
+        assert n % k != 0
+        ts = np.arange(n) / n
+        M = op.mode_cutoff
+        phase = np.exp(TWO_PI * 1j * np.arange(-M, M + 1) / k)[:, None]
+        for p in pairs:
+            reference = evaluate_coefficients(p.coeffs, ts + 1.0 / k)
+            shifted = _on_grid(p.coeffs * phase, n)
+            scale = np.abs(p.samples).max()
+            assert np.abs(shifted[:, 0] + 1j * shifted[:, 1] - reference).max() <= 1e-12 * scale
+            periodic = np.abs(reference - p.samples).max() < 1e-6 * scale
+            assert covering_multiplicity(p, k) == (k if periodic else 1)
 
 
 class TestIntegrator:
