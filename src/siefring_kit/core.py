@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .errors import InputError
 from .jsonio import JsonObject, read_json
 
-SIGNS = ("+", "-")
+# the factor of an end of each sign in every per-end sum
+SIGNS = {"+": 1, "-": -1}
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class PunctureSpec:
     multiplicity: int
 
     def __post_init__(self):
-        if self.sign not in SIGNS:
+        if not (isinstance(self.sign, str) and self.sign in SIGNS):
             raise InputError(f"puncture sign must be '+' or '-', got {self.sign!r}")
         if self.multiplicity < 1:
             raise InputError(f"puncture multiplicity must be >= 1, got {self.multiplicity}")
@@ -95,9 +96,6 @@ class CurveClass:
         if self.ambient_dim_half < 2:
             raise InputError(f"curve {self.id!r}: ambient_dim_half must be >= 2")
         object.__setattr__(self, "punctures", tuple(self.punctures))
-
-    def punctures_with_sign(self, sign: str) -> tuple[PunctureSpec, ...]:
-        return tuple(p for p in self.punctures if p.sign == sign)
 
 
 def _pair_key(u: str, v: str) -> tuple[str, str]:
@@ -190,14 +188,25 @@ class TrivializationShift:
     shifts: dict[str, int]
 
 
+def sign_factor(sign: str) -> int:
+    """The factor +1 of a positive end and -1 of a negative one."""
+    try:
+        return SIGNS[sign]
+    except (KeyError, TypeError):
+        raise InputError(f"sign must be '+' or '-', got {sign!r}") from None
+
+
 def alpha(orbit: OrbitData, k: int, sign: str) -> int:
     """Extremal winding alpha_sign of the k-fold cover."""
     cov = orbit.cover(k)
-    if sign == "+":
-        return cov.alpha_plus
-    if sign == "-":
-        return cov.alpha_minus
-    raise InputError(f"sign must be '+' or '-', got {sign!r}")
+    return cov.alpha_plus if sign_factor(sign) > 0 else cov.alpha_minus
+
+
+def end_bound(orbit: OrbitData, k: int, sign: str) -> int:
+    """Extremal winding that bounds an end of the given sign on the k-fold
+    cover: alpha_- at a positive end, alpha_+ at a negative one."""
+    cov = orbit.cover(k)
+    return cov.alpha_minus if sign_factor(sign) > 0 else cov.alpha_plus
 
 
 def parity(orbit: OrbitData, k: int) -> int:
@@ -217,11 +226,28 @@ def cz_index(orbit: OrbitData, k: int) -> int:
 def sigma_bar(orbit: OrbitData, k: int, sign: str) -> int:
     """Covering multiplicity gcd(k, alpha_sign) of the extremal eigenfunction.
 
-    The convention gcd(k, 0) = k makes a winding-0 extremal eigenfunction on
-    a k-fold cover count as fully multiply covered.
+    The convention gcd(k, 0) = k, which math.gcd already gives, makes a
+    winding-0 extremal eigenfunction on a k-fold cover count as fully multiply covered.
     """
-    a = alpha(orbit, k, sign)
-    return math.gcd(k, a) if a != 0 else k
+    return math.gcd(k, alpha(orbit, k, sign))
+
+
+def signed_ends(scene: Scene, curve: CurveClass):
+    """(factor, orbit, k, end bound) for every puncture of the curve, the
+    factor and the bound of its sign on the k-fold cover of its orbit."""
+    for p in curve.punctures:
+        orbit = scene.orbit(p.orbit)
+        yield sign_factor(p.sign), orbit, p.multiplicity, end_bound(orbit, p.multiplicity, p.sign)
+
+
+def shared_ends(u: CurveClass, v: CurveClass):
+    """(sign, orbit id, k, m) for every ordered pair of same-sign punctures
+    of u and v on covers k, m of one simple orbit, coincident pairs included
+    when u is v."""
+    for pu in u.punctures:
+        for pv in v.punctures:
+            if pu.sign == pv.sign and pu.orbit == pv.orbit:
+                yield pu.sign, pu.orbit, pu.multiplicity, pv.multiplicity
 
 
 def euler_char(curve: CurveClass) -> int:
@@ -253,11 +279,7 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
     )
 
     def c1_correction(curve: CurveClass) -> int:
-        total = 0
-        for p in curve.punctures:
-            term = p.multiplicity * m[p.orbit]
-            total += term if p.sign == "+" else -term
-        return total
+        return sum(s * k * m[orbit.id] for s, orbit, k, _ in signed_ends(scene, curve))
 
     curves = tuple(
         CurveClass(c.id, c.genus, c.punctures, c.rel_c1 + c1_correction(c), c.ambient_dim_half)
@@ -265,13 +287,7 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
     )
 
     def bullet_correction(u: CurveClass, v: CurveClass) -> int:
-        total = 0
-        for sign, sgn in (("+", 1), ("-", -1)):
-            for pu in u.punctures_with_sign(sign):
-                for pv in v.punctures_with_sign(sign):
-                    if pu.orbit == pv.orbit:
-                        total += sgn * m[pu.orbit] * pu.multiplicity * pv.multiplicity
-        return total
+        return sum(sign_factor(sign) * m[o] * k * k2 for sign, o, k, k2 in shared_ends(u, v))
 
     entries = {
         key: value + bullet_correction(scene.curve(key[0]), scene.curve(key[1]))

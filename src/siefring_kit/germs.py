@@ -96,12 +96,27 @@ class Germ:
         p, q = (_poly({(e, 0): c for e, c in enumerate(f)}) for f in (self.p, self.q))
         return len(p.gcd(q).terms()) <= 1
 
-    def numeric(self):
-        """Coefficient arrays as complex128, ascending in degree."""
-        return (
-            np.array([complex(c) for c in self.p], dtype=complex),
-            np.array([complex(c) for c in self.q], dtype=complex),
+    @cached_property
+    def numeric(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient arrays as complex128, ascending in degree; read-only
+        and computed once, since every cell of an oracle ladder asks again."""
+        arrays = tuple(
+            np.array([_complex128(c, f"z^{i} in {name}") for i, c in enumerate(f)], dtype=complex)
+            for name, f in (("p", self.p), ("q", self.q))
         )
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+
+def _complex128(c, where: str) -> complex:
+    """An exact coefficient as complex128; a nonzero real or imaginary part
+    that becomes 0.0 or non-finite would make the oracles count another germ."""
+    z = complex(c)
+    for exact, approx in zip(c.as_real_imag(), (z.real, z.imag)):
+        if exact != 0 and not (approx != 0 and math.isfinite(approx)):
+            raise InputError(f"germ coefficient of {where} is out of the range of complex128")
+    return z
 
 
 def germ(p, q) -> Germ:
@@ -510,7 +525,7 @@ def numeric_double_point_oracle(
     if delta is not None:
         return delta
     edge_tol = ROOT_EDGE_TOL / radius
-    cp, cq = u.numeric()
+    cp, cq = u.numeric
     pdd = _numeric_divided_difference(cp)
     qdd = _numeric_divided_difference(cq)
     res0 = numeric_resultant_w(pdd, qdd, circle=radius)
@@ -553,8 +568,8 @@ def numeric_intersection_oracle(
     # meaningless at any tolerance); the count itself stays float
     _pair_resultant(u, v)
     edge_tol = ROOT_EDGE_TOL / radius
-    cpu, cqu = u.numeric()
-    cpv, cqv = v.numeric()
+    cpu, cqu = u.numeric
+    cpv, cqv = v.numeric
     b1 = _numeric_difference(cpu, cpv)
     b2 = _numeric_difference(cqu, cqv)
     res0 = numeric_resultant_w(b1, b2, circle=radius)

@@ -11,16 +11,19 @@ decides when scene data is compatible with simple or embedded curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (
     CurveClass,
     Scene,
-    alpha,
     cz_index,
+    end_bound,
     euler_char,
     parity,
-    sigma_bar,
+    shared_ends,
+    sign_factor,
+    signed_ends,
 )
 from .errors import InconsistencyError, InputError
 
@@ -29,34 +32,24 @@ def omega_pair(scene: Scene, orbit_a: tuple[str, int], orbit_b: tuple[str, int],
     """Winding-bound term for a pair of punctures of the given sign.
 
     Zero when the punctures sit on distinct simple orbits; for covers k, m
-    of the same simple orbit it is min{-k a(m), -m a(k)} with a = alpha_-
-    when sign is '+', and min{+k a(m), +m a(k)} with a = alpha_+ when sign
-    is '-'.
+    of the same simple orbit it is min{-s k a(m), -s m a(k)} with s = +-1
+    and a = alpha_-+ the end bound of the sign.
     """
     (id_a, k), (id_b, m) = orbit_a, orbit_b
+    bound_k = end_bound(scene.orbit(id_a), k, sign)
+    bound_m = end_bound(scene.orbit(id_b), m, sign)
     if id_a != id_b:
-        # still validate the covers exist
-        scene.orbit(id_a).cover(k)
-        scene.orbit(id_b).cover(m)
         return 0
-    orbit = scene.orbit(id_a)
-    if sign == "+":
-        return min(-k * alpha(orbit, m, "-"), -m * alpha(orbit, k, "-"))
-    if sign == "-":
-        return min(k * alpha(orbit, m, "+"), m * alpha(orbit, k, "+"))
-    raise InputError(f"sign must be '+' or '-', got {sign!r}")
+    s = sign_factor(sign)
+    return min(-s * k * bound_m, -s * m * bound_k)
 
 
 def omega_self(scene: Scene, orbit_ref: tuple[str, int], sign: str) -> int:
     """Winding-bound term for one multiply-covered puncture against its own
     reparametrizations: -+(k-1) alpha_-+ plus (sigma_bar_-+ - 1)."""
     orbit_id, k = orbit_ref
-    orbit = scene.orbit(orbit_id)
-    if sign == "+":
-        return -(k - 1) * alpha(orbit, k, "-") + (sigma_bar(orbit, k, "-") - 1)
-    if sign == "-":
-        return (k - 1) * alpha(orbit, k, "+") + (sigma_bar(orbit, k, "+") - 1)
-    raise InputError(f"sign must be '+' or '-', got {sign!r}")
+    bound = end_bound(scene.orbit(orbit_id), k, sign)
+    return -sign_factor(sign) * (k - 1) * bound + (math.gcd(k, bound) - 1)
 
 
 def star(scene: Scene, u_id: str, v_id: str) -> int:
@@ -69,12 +62,8 @@ def star(scene: Scene, u_id: str, v_id: str) -> int:
     u = scene.curve(u_id)
     v = scene.curve(v_id)
     total = scene.pairing.get(u_id, v_id)
-    for sign in ("+", "-"):
-        for pu in u.punctures_with_sign(sign):
-            for pv in v.punctures_with_sign(sign):
-                total -= omega_pair(
-                    scene, (pu.orbit, pu.multiplicity), (pv.orbit, pv.multiplicity), sign
-                )
+    for sign, orbit_id, k, m in shared_ends(u, v):
+        total -= omega_pair(scene, (orbit_id, k), (orbit_id, m), sign)
     return total
 
 
@@ -97,25 +86,15 @@ def iota_infinity(scene: Scene, u_id: str, v_id: str, geometric_count: int) -> i
 def normal_chern(scene: Scene, u_id: str) -> int:
     """Normal Chern number: rel_c1 - chi + winding corrections at the ends."""
     u = scene.curve(u_id)
-    total = u.rel_c1 - euler_char(u)
-    for p in u.punctures:
-        orbit = scene.orbit(p.orbit)
-        if p.sign == "+":
-            total += alpha(orbit, p.multiplicity, "-")
-        else:
-            total -= alpha(orbit, p.multiplicity, "+")
-    return total
+    return u.rel_c1 - euler_char(u) + sum(s * bound for s, _, _, bound in signed_ends(scene, u))
 
 
 def fredholm_index(scene: Scene, u_id: str) -> int:
     """Index of the curve class: (n-3) chi + 2 rel_c1 + signed index sums."""
     u = scene.curve(u_id)
     n = u.ambient_dim_half
-    total = (n - 3) * euler_char(u) + 2 * u.rel_c1
-    for p in u.punctures:
-        mu = cz_index(scene.orbit(p.orbit), p.multiplicity)
-        total += mu if p.sign == "+" else -mu
-    return total
+    ends = sum(s * cz_index(orbit, k) for s, orbit, k, _ in signed_ends(scene, u))
+    return (n - 3) * euler_char(u) + 2 * u.rel_c1 + ends
 
 
 @dataclass(frozen=True)
@@ -144,12 +123,7 @@ def check_cn_index_relation(scene: Scene, u_id: str) -> CnIndexReport:
 def spectral_covering_total(scene: Scene, u_id: str) -> int:
     """Total spectral covering number: sum of sigma_bar_- over positive ends
     and sigma_bar_+ over negative ends; always at least #punctures."""
-    u = scene.curve(u_id)
-    total = 0
-    for p in u.punctures:
-        orbit = scene.orbit(p.orbit)
-        total += sigma_bar(orbit, p.multiplicity, "-" if p.sign == "+" else "+")
-    return total
+    return sum(math.gcd(k, bound) for _, _, k, bound in signed_ends(scene, scene.curve(u_id)))
 
 
 def adjunction_defect(scene: Scene, u_id: str) -> int:
@@ -203,20 +177,13 @@ def asymptotic_defect(entries) -> int:
     """
     total = 0
     for sign, alpha_bound, wind in entries:
-        if sign == "+":
-            if wind > alpha_bound:
-                raise InputError(
-                    f"winding exceeds a priori bound: {wind} > {alpha_bound} at a positive end"
-                )
-            total += alpha_bound - wind
-        elif sign == "-":
-            if wind < alpha_bound:
-                raise InputError(
-                    f"winding exceeds a priori bound: {wind} < {alpha_bound} at a negative end"
-                )
-            total += wind - alpha_bound
-        else:
-            raise InputError(f"sign must be '+' or '-', got {sign!r}")
+        s = sign_factor(sign)
+        if s * (alpha_bound - wind) < 0:
+            relation, end = (">", "positive") if s > 0 else ("<", "negative")
+            raise InputError(
+                f"winding exceeds a priori bound: {wind} {relation} {alpha_bound} at a {end} end"
+            )
+        total += s * (alpha_bound - wind)
     return total
 
 

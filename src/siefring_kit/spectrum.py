@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import CoverData, OrbitData
 from .errors import InputError
 from .jsonio import JsonObject, read_json, typed
 
@@ -485,8 +486,6 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
     cutoff is scaled with the cover so every requested spectrum stays
     resolved.
     """
-    from .core import CoverData, OrbitData
-
     table = {}
     for k in covers:
         record = alphas_from_spectrum(assemble(cover_operator(loop, k), mode_cutoff * k))

@@ -14,6 +14,12 @@ LOOP_IDENTITY = {
 
 GERM_35 = {"p": [[0, 1, 0, 1]] * 3 + [[1, 1, 0, 1]], "q": [[0, 1, 0, 1]] * 5 + [[1, 1, 0, 1]]}
 GERM_46 = {"p": [[0, 1, 0, 1]] * 4 + [[1, 1, 0, 1]], "q": [[0, 1, 0, 1]] * 6 + [[1, 1, 0, 1]]}
+# p = z^2, q = z^3 / 10^400 and q = 10^400 z^3: exact, but beyond complex128
+GERM_CUSP_TINY = {
+    "p": [[0, 1, 0, 1]] * 2 + [[1, 1, 0, 1]],
+    "q": [[0, 1, 0, 1]] * 3 + [[1, 10**400, 0, 1]],
+}
+GERM_CUSP_HUGE = dict(GERM_CUSP_TINY, q=[[0, 1, 0, 1]] * 3 + [[10**400, 1, 0, 1]])
 
 
 def write(path, payload):
@@ -141,6 +147,13 @@ class TestGermCommand:
         code, out, _ = run(capsys, "germ", "delta", a)
         assert code == 0
         assert out == "4\n"
+
+    def test_delta_exact_beyond_float_range(self, tmp_path, capsys):
+        # the oracle refuses this germ (see MALFORMED); the exact count does not
+        a = write(tmp_path / "a.json", GERM_CUSP_TINY)
+        code, out, _ = run(capsys, "germ", "delta", a)
+        assert code == 0
+        assert out == "1\n"
 
     def test_oracle_pair(self, tmp_path, capsys):
         a = write(tmp_path / "a.json", GERM_35)
@@ -280,6 +293,8 @@ MALFORMED = {
     "oracle_radius_huge": ("germ oracle", GERM_35, ["--radius", "1e300"], "not finite"),
     "oracle_epsilon_nan": ("germ oracle", GERM_35, ["--epsilon", "nan"], "must be finite"),
     "oracle_epsilon_inf": ("germ oracle", GERM_35, ["--epsilon", "inf"], "must be finite"),
+    "oracle_coefficient_underflow": ("germ oracle", GERM_CUSP_TINY, [], "complex128"),
+    "oracle_coefficient_overflow": ("germ oracle", GERM_CUSP_HUGE, [], "complex128"),
 }
 
 

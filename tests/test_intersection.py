@@ -71,6 +71,13 @@ class TestOmegaTerms:
         with pytest.raises(InputError, match="unknown cover"):
             xn.omega_pair(scene, ("g", 1), ("g", 3), "+")
 
+    def test_distinct_orbits_still_validated(self):
+        scene = orbit_scene({"a": {1: CoverData(3, 4)}, "b": {1: CoverData(-2, -2)}})
+        with pytest.raises(InputError, match="sign must be"):
+            xn.omega_pair(scene, ("a", 1), ("b", 1), "x")
+        with pytest.raises(InputError, match="unknown cover"):
+            xn.omega_pair(scene, ("a", 1), ("b", 2), "+")
+
     def test_self_term_simple(self):
         scene = orbit_scene({"g": {1: CoverData(7, 8)}})
         assert xn.omega_self(scene, ("g", 1), "+") == 0
@@ -352,6 +359,10 @@ class TestAsymptoticDefect:
             xn.asymptotic_defect([("+", 0, 1)])
         with pytest.raises(InputError, match="exceeds a priori bound"):
             xn.asymptotic_defect([("-", 0, -1)])
+
+    def test_invalid_sign(self):
+        with pytest.raises(InputError, match="sign must be"):
+            xn.asymptotic_defect([("x", 0, 0)])
 
     def test_total_zero_count_matches_normal_chern(self):
         # construct scenes where the zero count of a normal section splits as

@@ -1,6 +1,10 @@
 """Static checks over the package source."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import siefring_kit
@@ -17,3 +21,31 @@ def test_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+
+def test_traced_names_are_bound_by_the_cli_import():
+    # the traced benchmark run imports siefring_kit.cli alone, then wraps every
+    # name in perfbench/spans.py TRACED; a fresh interpreter keeps this
+    # process's own imports (sympy among them) out of the check
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
+    )
+    script = (
+        "import json, sys, siefring_kit.cli\n"
+        f"traced = {traced!r}\n"
+        "modules = {layer: sys.modules.get('siefring_kit.' + layer) for layer in traced}\n"
+        "print(json.dumps({layer: m and [n for n in traced[layer] if not hasattr(m, n)]\n"
+        "                  for layer, m in modules.items()}))\n"
+    )
+    package_root = Path(siefring_kit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    # null: the module is not imported; a list: the names it lacks
+    assert json.loads(done.stdout) == {layer: [] for layer in traced}
