@@ -18,8 +18,9 @@ the asymptotic-eigenvector picture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -104,6 +105,16 @@ def cover_operator(loop: SpectralLoop, k: int) -> SpectralLoop:
 
     Every eigenpair (lam, f) of the base operator yields the eigenpair
     (k lam, f(k .)) of the cover, with winding multiplied by k.
+
+    More generally the cover splits into Floquet (Bloch) blocks.  k S(k t)
+    couples only modes that differ by a multiple of k, so at cutoff M k its
+    matrix is block diagonal over the mode residues R mod k.  With
+    R / k = r / q in lowest terms and m = k / q, block R is m times block r
+    of the q-cover at cutoff M q, the block B(r, q) on the modes n = r
+    (mod q).  An eigenpair (mu, f) of B(r, q) is the eigenpair
+    (m mu, f(m .)) of the k-cover, with winding multiplied by m; B(q - r, q)
+    is the complex conjugate of B(r, q) and has the same eigenvalues and
+    windings.
     """
     if not (isinstance(k, int) and k >= 1):
         raise InputError(f"cover multiplicity must be a positive integer, got {k!r}")
@@ -116,36 +127,46 @@ def cover_operator(loop: SpectralLoop, k: int) -> SpectralLoop:
 class OperatorDiscretization:
     """Fourier-Galerkin truncation of the operator to modes |n| <= M.
 
-    The matrix acts on stacked coefficient blocks (c_{-M}, ..., c_M) with
-    c_n in C^2; it is Hermitian because truncation compresses a
-    self-adjoint operator onto a basis-closed subspace.
+    The matrix acts on stacked coefficient blocks (c_n) with c_n in C^2,
+    over the modes ``modes`` (all of -M..M when None, otherwise an
+    arithmetic progression the loop keeps invariant: a Floquet block).  It
+    is Hermitian because truncation compresses a self-adjoint operator onto
+    a basis-closed subspace.
     """
 
     loop: SpectralLoop
     mode_cutoff: int
     matrix: np.ndarray
+    modes: range | None = None
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors of ``matrix``, computed
-        once per discretization."""
-        return np.linalg.eigh(self.matrix)
+        once per discretization.  The eigenvectors are laid out over all
+        modes -M..M, zero off ``modes``."""
+        evals, evecs = np.linalg.eigh(self.matrix)
+        if self.modes is None:
+            return evals, evecs
+        M = self.mode_cutoff
+        full = np.zeros((2 * M + 1, 2, len(evals)), dtype=complex)
+        full[np.asarray(self.modes) + M] = evecs.reshape(len(self.modes), 2, -1)
+        return evals, full.reshape(2 * (2 * M + 1), -1)
 
 
-def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorDiscretization:
-    """Build the truncated operator matrix for the given loop."""
+def _checked_cutoff(mode_cutoff, bandwidth: int) -> int:
     M = int(mode_cutoff)
     if M > MAX_CUTOFF:
         raise InputError(f"cutoff too large: need mode_cutoff <= {MAX_CUTOFF}, got {M}")
-    if M < loop.bandwidth + 4:
+    if M < bandwidth + 4:
         raise InputError(
-            f"cutoff below loop bandwidth: need mode_cutoff >= {loop.bandwidth + 4}, got {M}"
+            f"cutoff below loop bandwidth: need mode_cutoff >= {bandwidth + 4}, got {M}"
         )
-    dim = 2 * (2 * M + 1)
-    A = np.zeros((dim, dim), dtype=complex)
-    for n in range(-M, M + 1):
-        b = 2 * (n + M)
-        A[b:b + 2, b:b + 2] += -2j * np.pi * n * J0
+    return M
+
+
+def _galerkin(loop: SpectralLoop, modes: range) -> np.ndarray:
+    """The operator's matrix on the modes of an arithmetic progression; every
+    coupling frequency of the loop must be a multiple of its step."""
     # complex Fourier coefficients of S: S_hat[nu] couples mode m to m + nu
     s_hat: dict[int, np.ndarray] = {}
     for n, c, d in loop.modes:
@@ -154,17 +175,36 @@ def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorD
         else:
             s_hat[n] = s_hat.get(n, 0) + (c - 1j * d) / 2
             s_hat[-n] = s_hat.get(-n, 0) + (c + 1j * d) / 2
+    size = len(modes)
+    # A[i, :, j, :] is the 2x2 block from mode modes[j] to mode modes[i]
+    A = np.zeros((size, 2, size, 2), dtype=complex)
+    idx = np.arange(size)
+    A[idx, :, idx, :] += (-2j * np.pi * np.asarray(modes))[:, None, None] * J0
     for nu, block in s_hat.items():
-        for m in range(-M, M + 1):
-            n2 = m + nu
-            if -M <= n2 <= M:
-                r, cidx = 2 * (n2 + M), 2 * (m + M)
-                A[r:r + 2, cidx:cidx + 2] += -block
+        shift = nu // modes.step
+        cols = idx[max(0, -shift):size - max(0, shift)]
+        A[cols + shift, :, cols, :] += -block
+    A = A.reshape(2 * size, 2 * size)
     deviation = np.max(np.abs(A - A.conj().T))
     scale = max(1.0, np.max(np.abs(A)))
     if deviation > HERMITIAN_TOL * scale:
         raise InputError(f"assembled matrix is not Hermitian (deviation {deviation:.2e})")
-    return OperatorDiscretization(loop, M, A)
+    return A
+
+
+def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorDiscretization:
+    """Build the truncated operator matrix for the given loop."""
+    M = _checked_cutoff(mode_cutoff, loop.bandwidth)
+    return OperatorDiscretization(loop, M, _galerkin(loop, range(-M, M + 1)))
+
+
+def _floquet_block(loop: SpectralLoop, mode_cutoff: int, r: int, q: int) -> OperatorDiscretization:
+    """Block B(r, q): the q-cover at cutoff M q on its modes n = r (mod q),
+    j in [-M, M] for r = 0 and j in [-M, M - 1] otherwise for n = q j + r."""
+    cover = cover_operator(loop, q)
+    Mq = mode_cutoff * q
+    modes = range(r - Mq, Mq + 1, q)
+    return OperatorDiscretization(cover, Mq, _galerkin(cover, modes), modes)
 
 
 @dataclass(frozen=True)
@@ -272,10 +312,15 @@ def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[Eigen
     # the residual |A f - lam f| / max|f| uses f' exact from the coefficients
     # and S(t) sampled pointwise, so it measures truncation honestly rather
     # than reusing the Galerkin matrix
-    Af = -df @ J0.T - np.einsum("tij,ptj->pti", op.loop(np.arange(N) / N), f)
-    residuals = np.abs(Af - lams[:, None, None] * f).max(axis=(1, 2))
+    S = op.loop(np.arange(N) / N)
+    f0, f1 = f[..., 0], f[..., 1]
+    lam = lams[:, None]
+    # A f - lam f by components, with -J0 f' = (f1', -f0')
+    r0 = df[..., 1] - (S[:, 0, 0] * f0 + S[:, 0, 1] * f1) - lam * f0
+    r1 = -df[..., 0] - (S[:, 1, 0] * f0 + S[:, 1, 1] * f1) - lam * f1
+    residuals = np.maximum(np.abs(r0).max(axis=1), np.abs(r1).max(axis=1))
     residuals /= np.maximum(np.abs(f).max(axis=(1, 2)), 1e-300)
-    samples = f[..., 0] + 1j * f[..., 1]
+    samples = f0 + 1j * f1
     return [
         EigenPair(
             eigenvalue=float(lam),
@@ -300,34 +345,22 @@ class AlphaRecord:
     cz: int
 
 
-def alphas_from_spectrum(
-    op: OperatorDiscretization, zero_tol: float = ZERO_EIGENVALUE_TOL
-) -> AlphaRecord:
-    """Extract alpha_-, alpha_+, parity and the index from the spectrum.
+def _alpha_record(eigenvalues: np.ndarray, window, zero_tol: float) -> AlphaRecord:
+    """The one rule from a spectrum to alpha_-, alpha_+, parity and index.
 
-    alpha_- is the winding of the largest negative eigenvalue and alpha_+
-    that of the smallest positive one (monotonicity of the winding makes
-    these the extrema over each half of the spectrum).  The double-count
-    property is asserted for all windings strictly inside the inspected
-    window as a consistency check on the discretization.  ``zero_tol`` is
-    the nondegeneracy threshold: any eigenvalue within it of 0 rejects the
-    operator as degenerate.
+    ``eigenvalues`` are all computed eigenvalues; ``window()`` returns the
+    eigenvalues in the half-band window, ascending, and their windings.
     """
-    evals = op.eigh[0]
-    if np.abs(evals).min() <= zero_tol:
+    if np.abs(eigenvalues).min() <= zero_tol:
         raise InputError("degenerate orbit: operator has an eigenvalue at 0")
-    band = resolved_band(op)
-    window = band / 2
-    pairs = eigen_window(op, -window, window)
-    neg = [p for p in pairs if p.eigenvalue < 0]
-    pos = [p for p in pairs if p.eigenvalue > 0]
-    if not neg or not pos:
+    lams, windings = window()
+    neg, pos = windings[lams < 0], windings[lams > 0]
+    if not len(neg) or not len(pos):
         raise InputError("window around 0 resolved no eigenvalues of both signs")
-    alpha_minus = neg[-1].winding
-    alpha_plus = pos[0].winding
+    alpha_minus, alpha_plus = int(neg[-1]), int(pos[0])
     counts: dict[int, int] = {}
-    for p in pairs:
-        counts[p.winding] = counts.get(p.winding, 0) + 1
+    for w in windings.tolist():
+        counts[w] = counts.get(w, 0) + 1
     interior = [w for w in counts if min(counts) < w < max(counts)]
     for w in interior:
         if counts[w] != 2:
@@ -338,7 +371,50 @@ def alphas_from_spectrum(
     p = alpha_plus - alpha_minus
     if p not in (0, 1):
         raise InputError(f"computed parity {p} is not 0 or 1; spectrum not resolved")
+    drops = np.flatnonzero(np.diff(windings) < 0)
+    if len(drops):
+        i = drops[0]
+        raise InputError(
+            f"winding {windings[i + 1]} follows winding {windings[i]} in ascending "
+            "eigenvalue; windings must not decrease, spectrum not resolved"
+        )
     return AlphaRecord(alpha_minus, alpha_plus, p, 2 * alpha_minus + p)
+
+
+def alphas_from_spectrum(
+    op: OperatorDiscretization, zero_tol: float = ZERO_EIGENVALUE_TOL
+) -> AlphaRecord:
+    """Extract alpha_-, alpha_+, parity and the index from the spectrum.
+
+    alpha_- is the winding of the largest negative eigenvalue and alpha_+
+    that of the smallest positive one (monotonicity of the winding makes
+    these the extrema over each half of the spectrum).  The double-count
+    property and the monotonicity of the winding are asserted over the
+    window of half the resolved band as a consistency check on the
+    discretization.  ``zero_tol`` is the nondegeneracy threshold: any
+    eigenvalue within it of 0 rejects the operator as degenerate.
+    """
+    return _alpha_record(op.eigh[0], lambda: _half_band_window(op), zero_tol)
+
+
+def _half_band_window(op: OperatorDiscretization) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and windings of the eigenpairs within half the resolved
+    band, ascending."""
+    half = resolved_band(op) / 2
+    pairs = eigen_window(op, -half, half)
+    return np.array([p.eigenvalue for p in pairs]), np.array([p.winding for p in pairs], int)
+
+
+def _cover_window(twists, block_window) -> tuple[np.ndarray, np.ndarray]:
+    """A cover's half-band window from the windows of its Floquet blocks:
+    ``twists`` lists (r, q, m, copies), each block's eigenvalues and
+    windings scaled by m and repeated ``copies`` times, sorted by
+    eigenvalue."""
+    windows = [(block_window(r, q), m, copies) for r, q, m, copies in twists]
+    lams = np.concatenate([np.tile(m * ls, copies) for (ls, _), m, copies in windows])
+    winds = np.concatenate([np.tile(m * ws, copies) for (_, ws), m, copies in windows])
+    order = np.argsort(lams, kind="stable")
+    return lams[order], winds[order]
 
 
 def covering_multiplicity(pair: EigenPair, k: int, tol: float = 1e-6) -> int:
@@ -480,14 +556,42 @@ def spectrum_report(loop: SpectralLoop, mode_cutoff: int, lo: float, hi: float) 
 def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int = DEFAULT_CUTOFF):
     """Build scene orbit data from a spectral model of the simple orbit.
 
-    For each requested multiplicity the cover operator k S(kt) is solved
-    and its extremal windings recorded; this is the computational route to
-    the winding table that scenes otherwise take as direct input.  The
-    cutoff is scaled with the cover so every requested spectrum stays
-    resolved.
+    For each requested multiplicity k the extremal windings of the cover
+    operator k S(kt) at cutoff M k are recorded; this is the computational
+    route to the winding table that scenes otherwise take as direct input.
+    The cover is solved through its Floquet splitting (see
+    ``cover_operator``): each residue R mod k with R / k = r / q in lowest
+    terms contributes the spectrum of B(r, q), eigenvalues and windings
+    times m = k / q, and B(q - r, q) contributes it again for r not in
+    {0, q / 2}.  Only the blocks with r <= q / 2 are decomposed, each once
+    for all covers, and the union of their spectra goes through the same
+    rule as ``alphas_from_spectrum`` of the full cover matrix.
     """
+    M = int(mode_cutoff)
+
+    @cache
+    def block(r, q):
+        return _floquet_block(loop, M, r, q)
+
+    @cache
+    def block_window(r, q):
+        return _half_band_window(block(r, q))
+
     table = {}
     for k in covers:
-        record = alphas_from_spectrum(assemble(cover_operator(loop, k), mode_cutoff * k))
+        _checked_cutoff(M * k, cover_operator(loop, k).bandwidth)
+        # (r, q, m, copies): block B(r, q) serves the residues R = m r and,
+        # conjugated, R = m (q - r) mod k
+        twists = [
+            (r, q, k // q, 1 if 2 * r in (0, q) else 2)
+            for q in range(1, k + 1)
+            if k % q == 0
+            for r in range(q // 2 + 1)
+            if math.gcd(r, q) == 1
+        ]
+        eigenvalues = np.concatenate([m * block(r, q).eigh[0] for r, q, m, _ in twists])
+        record = _alpha_record(
+            eigenvalues, partial(_cover_window, twists, block_window), ZERO_EIGENVALUE_TOL
+        )
         table[k] = CoverData(record.alpha_minus, record.alpha_plus)
     return OrbitData(orbit_id, table)

@@ -1,10 +1,15 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
+from siefring_kit import cli
 from siefring_kit.errors import InputError
 from siefring_kit.spectrum import (
     CLUSTER_TOL,
     DEFAULT_CUTOFF,
+    J0,
     SpectralLoop,
     Trajectory,
     alphas_from_spectrum,
@@ -35,6 +40,50 @@ def random_loop(rng, bandwidth=2, scale=1.0):
     modes = [(0, sym(), np.zeros((2, 2)))]
     modes += [(n, sym(), sym()) for n in range(1, bandwidth + 1)]
     return SpectralLoop(tuple(modes))
+
+
+def loop_matrix_reference(loop, M):
+    """The Galerkin matrix built one 2x2 block at a time: the reference for
+    assemble's vectorized builder."""
+    dim = 2 * (2 * M + 1)
+    A = np.zeros((dim, dim), dtype=complex)
+    for n in range(-M, M + 1):
+        b = 2 * (n + M)
+        A[b:b + 2, b:b + 2] += -2j * np.pi * n * J0
+    s_hat = {}
+    for n, c, d in loop.modes:
+        if n == 0:
+            s_hat[0] = s_hat.get(0, 0) + c.astype(complex)
+        else:
+            s_hat[n] = s_hat.get(n, 0) + (c - 1j * d) / 2
+            s_hat[-n] = s_hat.get(-n, 0) + (c + 1j * d) / 2
+    for nu, block in s_hat.items():
+        for m in range(-M, M + 1):
+            n2 = m + nu
+            if -M <= n2 <= M:
+                r, cidx = 2 * (n2 + M), 2 * (m + M)
+                A[r:r + 2, cidx:cidx + 2] += -block
+    return A
+
+
+def full_cover_table(loop, covers, M):
+    """Cover table from one dense matrix per cover, or the refusal message."""
+    try:
+        table = {}
+        for k in covers:
+            rec = alphas_from_spectrum(assemble(cover_operator(loop, k), M * k))
+            table[k] = (rec.alpha_minus, rec.alpha_plus)
+        return table
+    except InputError as exc:
+        return str(exc)
+
+
+def block_cover_table(loop, covers, M):
+    try:
+        orbit = orbit_from_loop("o", loop, covers, M)
+        return {k: (c.alpha_minus, c.alpha_plus) for k, c in orbit.cover_table.items()}
+    except InputError as exc:
+        return str(exc)
 
 
 class TestLoopValidation:
@@ -77,6 +126,15 @@ class TestAssemble:
             [0.0, 0.0, TWO_PI, TWO_PI], abs=1e-9
         )
         assert all(p.multiplicity == 2 for p in pairs)
+
+    def test_matrix_equals_blockwise_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            loop = random_loop(rng, int(rng.integers(0, 4)), float(rng.uniform(0.1, 4.0)))
+            k = int(rng.integers(1, 5))
+            cover = cover_operator(loop, k)
+            M = int(rng.integers(cover.bandwidth + 4, cover.bandwidth + 40))
+            assert np.array_equal(assemble(cover, M).matrix, loop_matrix_reference(cover, M))
 
     def test_clusters_match_pairwise_scan(self):
         # reference: grow each cluster while the next gap is within tolerance
@@ -281,6 +339,23 @@ class TestEigenfunctionQuality:
             mags = np.abs(p.samples)
             assert mags.min() > 1e-8 * mags.max()
 
+    def test_residuals_equal_einsum_reference(self):
+        rng = np.random.default_rng(22)
+        for _ in range(8):
+            loop = random_loop(rng, int(rng.integers(1, 4)), float(rng.uniform(0.5, 3.0)))
+            M = int(rng.choice([16, 24, 32]))
+            op = assemble(loop, M)
+            pairs = eigen_window(op, -30.0, 30.0)
+            N = len(pairs[0].samples)
+            coeffs = np.array([p.coeffs for p in pairs])
+            f = _on_grid(coeffs, N)
+            df = _on_grid(coeffs * (2j * np.pi * np.arange(-M, M + 1))[:, None], N)
+            Af = -df @ J0.T - np.einsum("tij,ptj->pti", loop(np.arange(N) / N), f)
+            lams = np.array([p.eigenvalue for p in pairs])
+            residuals = np.abs(Af - lams[:, None, None] * f).max(axis=(1, 2))
+            residuals /= np.maximum(np.abs(f).max(axis=(1, 2)), 1e-300)
+            assert np.array_equal(residuals, [p.residual for p in pairs])
+
     def test_evaluate_matches_samples(self):
         loop = constant_loop(np.eye(2))
         pairs = eigen_window(assemble(loop, 8), 0.0, TWO_PI)
@@ -425,3 +500,98 @@ class TestOneDecomposition:
         loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
         orbit_from_loop("o", loop, (1, 2, 3), 8)
         assert calls == {"eigh": 3, "eigvalsh": 0}
+
+
+class TestFloquetBlockCount:
+    """orbit_from_loop decomposes one block per reduced twist r/q with
+    r <= q/2, shared by every cover it serves."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "covers, blocks", [(range(1, 5), 4), ((6,), 4), (range(1, 17), 41)]
+    )
+    def test_blocks_per_call(self, eigh_calls, covers, blocks):
+        loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
+        orbit_from_loop("o", loop, covers, 8)
+        assert len(eigh_calls) == blocks
+        assert max(eigh_calls) == 2 * (2 * 8 + 1)
+
+
+class TestFloquetBlocks:
+    def test_block_path_matches_full_covers(self):
+        rng = np.random.default_rng(606)
+        tables = 0
+        for _ in range(60):
+            loop = random_loop(rng, int(rng.integers(1, 4)), float(rng.uniform(0.5, 4.0)))
+            lo = int(rng.integers(1, 7))
+            covers = tuple(range(lo, int(rng.integers(lo, 7)) + 1))
+            M = int(rng.choice([8, 16]))
+            expected = full_cover_table(loop, covers, M)
+            assert block_cover_table(loop, covers, M) == expected, (covers, M)
+            tables += isinstance(expected, dict)
+        assert tables >= 50
+
+    def test_refusals_match_full_covers(self):
+        loop = random_loop(np.random.default_rng(9), bandwidth=3, scale=0.5)
+        for covers, M in (((1, 2), 6), ((4, 1), 5), ((2, 17), 32), ((3,), 171)):
+            expected = full_cover_table(loop, covers, M)
+            assert isinstance(expected, str)
+            assert block_cover_table(loop, covers, M) == expected
+        with pytest.raises(InputError, match="cover multiplicity must be a positive integer"):
+            orbit_from_loop("o", loop, (1, 0), 8)
+
+    def test_constant_loop_covers(self):
+        for c in (np.eye(2), np.diag([-1.0, 1.0]), 2.5 * np.eye(2)):
+            loop = constant_loop(c)
+            covers = range(1, 7)
+            assert block_cover_table(loop, covers, 8) == full_cover_table(loop, covers, 8)
+
+    def test_large_covers(self):
+        loop = random_loop(np.random.default_rng(16), bandwidth=2)
+        start = time.perf_counter()
+        orbit = orbit_from_loop("o", loop, range(1, 17), 32)
+        elapsed = time.perf_counter() - start
+        assert sorted(orbit.cover_table) == list(range(1, 17))
+        assert elapsed < 20.0, f"covers 1..16 at cutoff 32 took {elapsed:.1f}s"
+        assert block_cover_table(loop, (7, 8), 16) == full_cover_table(loop, (7, 8), 16)
+
+
+class TestWindingMonotonicity:
+    """Under-resolved spectra whose windings decrease somewhere in the
+    window are refused by both feeders of the alpha rule."""
+
+    # at cutoff 8, cover 5, the windings read 3, 3, 5, 4, 4 near eigenvalue
+    # 0.24 with residuals above 1
+    LOOP = staticmethod(lambda: random_loop(np.random.default_rng(6), bandwidth=3, scale=8.0))
+    MESSAGE = "winding 4 follows winding 5 in ascending eigenvalue"
+
+    def test_cover_table_refused(self):
+        with pytest.raises(InputError, match=self.MESSAGE):
+            orbit_from_loop("o", self.LOOP(), (5,), 8)
+
+    def test_full_operator_refused(self):
+        op = assemble(cover_operator(self.LOOP(), 5), 40)
+        with pytest.raises(InputError, match=self.MESSAGE):
+            alphas_from_spectrum(op)
+
+    def test_spectrum_command_exits_one(self, tmp_path, capsys):
+        cover = cover_operator(self.LOOP(), 5)
+        path = tmp_path / "loop.json"
+        modes = [{"n": n, "cos": c.tolist(), "sin": d.tolist()} for n, c, d in cover.modes]
+        path.write_text(json.dumps({"modes": modes}), encoding="utf-8")
+        assert cli.main(["spectrum", str(path), "--cutoff", "40"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {self.MESSAGE}")
