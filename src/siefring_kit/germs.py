@@ -5,10 +5,30 @@ both vanishing at the origin, viewed as a map germ into complex 2-space.
 The local intersection number of two germs is the order of vanishing at
 z = 0 of the resultant eliminating the second curve's parameter; the
 double-point count of a single germ uses the same resultant applied to the
-divided differences (p(z)-p(w))/(z-w), (q(z)-q(w))/(z-w).  Everything on
-this path is computed in exact arithmetic, over the Gaussian integers
-after clearing denominators, since the answers are integers and feed
-positivity arguments where an off-by-one is fatal.
+divided differences (p(z)-p(w))/(z-w), (q(z)-q(w))/(z-w).  The answers are
+integers that feed positivity arguments where an off-by-one is fatal, so
+they are exact.
+
+The calculators use two facts about a resultant R(z): its order at 0 and
+whether it vanishes identically.  Both come from a certified
+multi-modular computation (Collins, J. ACM 18, 1971).  With denominators
+cleared the coefficients are Gaussian integers; modulo a prime p = 1 mod 4
+the map i -> iota, iota^2 = -1, reduces them to F_p, and R mod p follows
+from the Sylvester determinants at the N-th roots of unity and one inverse
+transform.  The order of R mod p is never below the order of R.  Each
+coefficient c of R has |c|^2 <= B, the product over the Sylvester rows of
+sum_j ||s_rj||_1^2, where ||.||_1 sums |re| + |im| over an entry's
+z-coefficients: |c| is at most the largest |R(z)| on |z| = 1, which
+Hadamard's inequality bounds by the product of the row lengths there.  A
+nonzero c that the maps for primes p_1 ... p_r all send to 0 lies in the
+prime ideals (p_j, i - iota_j) of norm p_j, so p_1 ... p_r divides its norm
+|c|^2.  Once the primes' product exceeds B, some prime therefore sees the
+lowest coefficient of R: the least order over the primes is the order of
+R, and R is zero iff it is zero modulo all of them.
+The w-degrees are exact over the Gaussian integers, and the Sylvester
+matrix of those formal degrees reduces modulo p to the matrix whose
+determinant is R mod p even where a leading coefficient vanishes mod p, so
+no prime is skipped.
 
 A second, independent path perturbs the germ, locates the finitely many
 intersection parameters as polynomial roots via companion matrices, and
@@ -25,12 +45,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import sympy
-from sympy import I, Poly, Rational, symbols
+from sympy import QQ_I, I, Rational
 
 from .errors import InputError, InvarianceError
 from .jsonio import JsonObject, read_json, typed
-
-Z, W = symbols("z w")
 
 ROOT_EDGE_TOL = 1e-6
 COEFF_TRIM_TOL = 1e-11
@@ -92,9 +110,13 @@ class Germ:
     def _far_zero_free(self) -> bool:
         """True if p and q share no zero besides z = 0 (see
         ``_require_small_domain``); computed once, since every cell of an
-        oracle ladder asks again."""
-        p, q = (_poly({(e, 0): c for e, c in enumerate(f)}) for f in (self.p, self.q))
-        return len(p.gcd(q).terms()) <= 1
+        oracle ladder asks again.  With the powers of z stripped, a zero
+        coordinate leaves the other's zeros, and otherwise the two share one
+        iff their resultant in z is 0."""
+        p, q = (f[_exponents_of(f)[0] :] if f else f for f in (self.p, self.q))
+        if not (p and q):
+            return len(_exponents_of(p or q)) == 1
+        return bool(_resultant(*({(e, 0): c for e, c in _parts(f)} for f in (p, q))))
 
     @cached_property
     def numeric(self) -> tuple[np.ndarray, np.ndarray]:
@@ -133,31 +155,247 @@ def monomial_germ(a: int, b: int) -> Germ:
     return germ(pa, qb)
 
 
-# -- exact polynomial helpers -------------------------------------------------
+# -- exact resultant orders, modulo primes -------------------------------------
+
+_MODULUS_LIMIT = 1 << 31  # residues below 2^31 keep every product of two inside int64
+_MIN_LOG_LENGTH = 12  # one prime table serves every transform length up to 2^12
+_WORK_CELLS = 1 << 15  # int64 cells in one batched work array
+_PRIME_TABLES: dict[int, list] = {}  # memo of _nth_prime, a fixed sequence per length
 
 
-def _poly(terms: dict) -> Poly:
-    """The Poly in gens (w, z) with terms {(w-exponent, z-exponent): coefficient},
-    denominators cleared so that exact arithmetic runs over ZZ_I; a nonzero
-    constant factor changes no order of vanishing."""
-    return Poly.from_dict(terms, W, Z, domain="QQ_I").clear_denoms(convert=True)[1]
+def _parts(coeffs) -> list:
+    """(exponent, (re, im)) of each nonzero coefficient, as exact rationals."""
+    return [(e, (g.x, g.y)) for e, g in enumerate(map(QQ_I.from_sympy, coeffs)) if g]
 
 
-def _difference_poly(coeffs_u, coeffs_v) -> Poly:
-    """A multiple of p_u(z) - p_v(w), so resultants eliminate w."""
-    terms = {(0, i): c for i, c in enumerate(coeffs_u)}
-    terms.update({(j, 0): -c for j, c in enumerate(coeffs_v)})  # both constant terms are 0
-    return _poly(terms)
+def _difference_terms(coeffs_u, coeffs_v) -> dict:
+    """Terms {(w-exponent, z-exponent): (re, im)} of p_u(z) - p_v(w)."""
+    terms = {(0, i): c for i, c in _parts(coeffs_u)}
+    terms.update({(j, 0): (-re, -im) for j, (re, im) in _parts(coeffs_v)})  # both p(0) are 0
+    return terms
 
 
-def _divided_difference(coeffs) -> Poly:
-    """A multiple of (f(z) - f(w)) / (z - w)."""
-    return _poly({(e - 1 - i, i): c for e, c in enumerate(coeffs) for i in range(e)})
+def _divided_difference_terms(coeffs) -> dict:
+    """Terms of (f(z) - f(w)) / (z - w)."""
+    return {(e - 1 - i, i): c for e, c in _parts(coeffs) for i in range(e)}
 
 
-def _z_order(res: Poly) -> int:
-    """Order of vanishing at z = 0 of a nonzero resultant."""
-    return min(m[-1] for m in res.monoms())
+def _integral(terms: dict) -> dict:
+    """The terms of a nonzero integer multiple of a polynomial with
+    Gaussian-rational terms, with no integer common factor; a constant
+    factor changes neither the order of a resultant nor whether it is 0."""
+    scale = math.lcm(*(x.denominator for xy in terms.values() for x in xy))
+    ints = {key: tuple(x.numerator * (scale // x.denominator) for x in xy) for key, xy in terms.items()}
+    content = math.gcd(*(x for xy in ints.values() for x in xy))
+    return {key: (re // content, im // content) for key, (re, im) in ints.items()}
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7, 61, which decides every n < 4759123141."""
+    if n < 2:
+        return False
+    for base in (2, 7, 61):
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 7, 61):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _nth_prime(log_length: int, index: int) -> tuple[int, int, int]:
+    """(p, iota, root) for the index-th prime p < 2^31 with p = 1 mod
+    2^log_length, counting down from 2^31; iota^2 = -1 and root has order
+    2^log_length modulo p.  The table grows on demand."""
+    table = _PRIME_TABLES.setdefault(log_length, [])
+    step = 1 << log_length
+    candidate = table[-1][0] - step if table else _MODULUS_LIMIT - step + 1
+    while len(table) <= index:
+        if candidate < step:
+            raise InputError(
+                f"resultant bound needs more than the {len(table)} primes below 2^31 "
+                f"that are 1 mod 2^{log_length}"
+            )
+        if _is_prime(candidate):
+            nonresidue = 2
+            while pow(nonresidue, candidate // 2, candidate) != candidate - 1:
+                nonresidue += 1
+            root = pow(nonresidue, candidate >> log_length, candidate)
+            table.append((candidate, pow(root, step // 4, candidate), root))
+        candidate -= step
+    return table[index]
+
+
+def _row_norms(terms: dict) -> int:
+    """Sum over w-exponents j of ||coefficient of w^j||_1^2: on |z| = 1 it
+    bounds the squared length of a Sylvester row of the polynomial."""
+    norms = {}
+    for (j, _), (re, im) in terms.items():
+        norms[j] = norms.get(j, 0) + abs(re) + abs(im)
+    return sum(v * v for v in norms.values())
+
+
+def _det_mod(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Determinants of the stacked matrices a[b] (entries in [0, mod[b]))
+    modulo mod[b].  Division-free elimination multiplies the rows below
+    pivot k by it, which scales the determinant by pivot_k^(n-1-k); one
+    batched Fermat inverse at the end removes that factor (and maps a
+    singular matrix's zero factor to zero)."""
+    batch, n, _ = a.shape
+    det = np.ones(batch, dtype=np.int64)
+    scale = np.ones(batch, dtype=np.int64)
+    leading = np.ones(batch, dtype=np.int64)  # product of the pivots so far
+    for k in range(n):
+        first = np.argmax(a[:, k:, k] != 0, axis=1)
+        swap = np.flatnonzero(first)
+        if len(swap):
+            src = k + first[swap]
+            a[swap, k], a[swap, src] = a[swap, src], a[swap, k]
+            det[swap] = mod[swap] - det[swap]
+        pivot = a[:, k, k]
+        scale = scale * leading % mod
+        leading = leading * pivot % mod
+        det = det * pivot % mod
+        if k + 1 < n:
+            a[:, k + 1 :, k:] = (
+                a[:, k + 1 :, k:] * pivot[:, None, None] - a[:, k + 1 :, k : k + 1] * a[:, k : k + 1, k:]
+            ) % mod[:, None, None]
+    inverse = np.ones(batch, dtype=np.int64)
+    exponent = mod - 2
+    while exponent.any():
+        odd = (exponent & 1).astype(bool)
+        inverse[odd] = inverse[odd] * scale[odd] % mod[odd]
+        scale = scale * scale % mod
+        exponent >>= 1
+    return det * inverse % mod
+
+
+def _sylvester_layout(f: dict, g: dict):
+    """Where each coefficient of f and g sits in the Sylvester matrix in w:
+    (n, [(terms, deg_w, deg_z, rows, columns, w-exponents)] for f then g,
+    a bound on deg_z of the determinant).  The rows are deg_w g shifted
+    copies of f's w-coefficients, then deg_w f copies of g's."""
+    (dwf, dzf), (dwg, dzg) = (tuple(max(e) for e in zip(*h)) for h in (f, g))
+    n = dwf + dwg
+    layout, degree = [], np.full((n, n), -1)
+    for h, dw, dz, copies, at in ((f, dwf, dzf, dwg, 0), (g, dwg, dzg, dwf, dwg)):
+        shift, j = np.repeat(np.arange(copies), dw + 1), np.tile(np.arange(dw + 1), copies)
+        layout.append((h, dw, dz, at + shift, shift + dw - j, j))
+        zdeg = np.full(dw + 1, -1)
+        for wexp, zexp in h:
+            zdeg[wexp] = max(zdeg[wexp], zexp)
+        degree[at + shift, shift + dw - j] = zdeg[j]
+    # the sum of the row maxima is dzf dwg + dzg dwf; the columns' can be less
+    return n, layout, int(min(degree.max(axis=a, initial=0).sum() for a in (0, 1)))
+
+
+def _certifying_primes(log_length: int, bound: int) -> list:
+    """The first primes of the table for transforms of length 2^log_length
+    whose product exceeds ``bound``."""
+    table_log = max(log_length, _MIN_LOG_LENGTH)
+    primes, product = [], 1
+    while product <= bound:
+        p, iota, root = _nth_prime(table_log, len(primes))
+        primes.append((p, iota, pow(root, 1 << (table_log - log_length), p)))
+        product *= p
+    return primes
+
+
+def _orders_modulo(primes: list, n: int, layout: list, log_length: int) -> list:
+    """Order at z = 0 of the resultant modulo each of ``primes`` where it is
+    not 0: its Sylvester matrices at the N = 2^log_length roots of unity,
+    their determinants, and the inverse transform up to the first nonzero
+    coefficient, all in batches of at most _WORK_CELLS cells."""
+    length = 1 << log_length
+    mod = np.array([p for p, _, _ in primes], dtype=np.int64)
+    # powers[j, t] = omega_j^t, omega_j of order N modulo the j-th prime
+    powers = np.ones((len(primes), length), dtype=np.int64)
+    omega = np.array([root for _, _, root in primes], dtype=np.int64)
+    width = 1
+    while width < length:
+        powers[:, width : 2 * width] = powers[:, :width] * omega[:, None] % mod[:, None]
+        omega, width = omega * omega % mod, 2 * width
+    rows = []
+    for h, dw, dz, row, col, j in layout:
+        coeffs = np.zeros((len(primes), dw + 1, dz + 1), dtype=np.int64)
+        for (wexp, zexp), (re, im) in h.items():
+            coeffs[:, wexp, zexp] = [(re + im * iota) % p for p, iota, _ in primes]
+        rows.append((coeffs, np.arange(dz + 1), row, col, j))
+    # values[j * N + s] = Res(omega_j^s) modulo the j-th prime
+    chunk = max(1, _WORK_CELLS // max([n * n] + [c[0].size for c, *_ in rows]))
+    values = np.empty(len(primes) * length, dtype=np.int64)
+    for lo in range(0, len(values), chunk):
+        prime, sample = np.divmod(np.arange(lo, min(lo + chunk, len(values))), length)
+        m = mod[prime]
+        a = np.zeros((len(prime), n, n), dtype=np.int64)
+        for coeffs, zexp, row, col, j in rows:
+            zpow = powers[prime[:, None], sample[:, None] * zexp % length]
+            at_sample = (coeffs[prime] * zpow[:, None, :] % m[:, None, None]).sum(axis=2) % m[:, None]
+            a[:, row, col] = at_sample[:, j]
+        values[lo : lo + len(prime)] = _det_mod(a, m)
+    values = values.reshape(len(primes), length)
+    # N times coefficient k of Res modulo prime j: sum_s values[j, s] omega_j^(-s k)
+    orders = dict.fromkeys(np.flatnonzero(values.any(axis=1)).tolist())
+    sample = np.arange(length)
+    step = max(1, _WORK_CELLS // values.size)
+    for lo in range(0, length, step):
+        if None not in orders.values():
+            break
+        k = np.arange(lo, min(lo + step, length))
+        twiddle = powers[:, -sample[:, None] * k % length]
+        low = (values[:, :, None] * twiddle % mod[:, None, None]).sum(axis=1) % mod[:, None]
+        for j, order in orders.items():
+            if order is None and low[j].any():
+                orders[j] = lo + int(np.argmax(low[j] != 0))
+    return list(orders.values())
+
+
+def _resultant(f: dict, g: dict) -> tuple:
+    """Orders at z = 0 of Res_w(f, g) modulo certifying primes, one for each
+    prime where it does not vanish, or its exact order alone where a closed
+    form gives it; empty iff Res_w vanishes identically.
+
+    f and g are terms {(w-exponent, z-exponent): (re, im)}, with no term for
+    a zero polynomial.  Modulo each prime p = 1 mod 4 (i maps to iota), the
+    Sylvester matrix in w is evaluated at the N-th roots of unity, N a power
+    of two above the z-degree bound, and one inverse transform of its
+    determinants gives the resultant's coefficients modulo p.  Primes are
+    taken until their product exceeds the squared Hadamard bound, which
+    certifies the least order and the zero test (see the module docstring).
+    """
+    f, g = _integral(f), _integral(g)
+    if not f or not g:
+        return ()
+    (dwf, _), (dwg, _) = max(f), max(g)
+    if dwf == 0 or dwg == 0:
+        # Res_w = +-f^(deg_w g) for a w-free f, +-g^(deg_w f) for a w-free g
+        base, power = (f, dwg) if dwf == 0 else (g, dwf)
+        return (power * min(i for _, i in base),)
+    n, layout, degree = _sylvester_layout(f, g)
+    log_length = degree.bit_length()
+    primes = _certifying_primes(log_length, _row_norms(f) ** dwg * _row_norms(g) ** dwf)
+    group = max(1, _WORK_CELLS >> log_length)
+    return tuple(
+        order
+        for lo in range(0, len(primes), group)
+        for order in _orders_modulo(primes[lo : lo + group], n, layout, log_length)
+    )
+
+
+def _z_order(res: tuple) -> int:
+    """Order of vanishing at z = 0 of a nonzero resultant, from its orders
+    modulo the certifying primes: none is below it, and one equals it."""
+    return min(res)
 
 
 _PAIR_DOMAIN = "second germ passes through the first germ's basepoint fiber away from 0"
@@ -189,9 +427,14 @@ def critical_order(u: Germ):
     return k, (sympy.Integer(0), sympy.Integer(1))
 
 
+def _exponents_of(coeffs: tuple) -> list:
+    """Exponents of the nonzero terms of one coordinate."""
+    return [e for e, c in enumerate(coeffs) if c != 0]
+
+
 def _exponents(u: Germ) -> list:
     """Exponents of the nonzero terms of p and of q."""
-    return [e for f in (u.p, u.q) for e, c in enumerate(f) if c != 0]
+    return _exponents_of(u.p) + _exponents_of(u.q)
 
 
 def cover_index(u: Germ) -> int:
@@ -296,13 +539,13 @@ def delta_from_normal_form(nf: GermNormalForm) -> int:
 
 
 @lru_cache(maxsize=256)
-def _pair_resultant(u: Germ, v: Germ) -> Poly:
-    """Res_w(p_u(z) - p_v(w), q_u(z) - q_v(w)) up to a constant, after the
-    refusals local_intersection and its oracle share; an oracle ladder asks
-    for the same pair in every cell."""
+def _pair_resultant(u: Germ, v: Germ) -> tuple:
+    """Res_w(p_u(z) - p_v(w), q_u(z) - q_v(w)) as ``_resultant`` gives it,
+    after the refusals local_intersection and its oracle share; an oracle
+    ladder asks for the same pair in every cell."""
     _require_small_domain(v, _PAIR_DOMAIN)
-    res = _difference_poly(u.p, v.p).resultant(_difference_poly(u.q, v.q))
-    if res.is_zero:
+    res = _resultant(_difference_terms(u.p, v.p), _difference_terms(u.q, v.q))
+    if not res:
         raise InputError("identical images / common branch: resultant vanishes identically")
     return res
 
@@ -344,8 +587,8 @@ def delta_local(u: Germ) -> int:
     delta = _double_point_refusals(u)
     k, _ = critical_order(u)
     if delta is None:
-        res = _divided_difference(u.p).resultant(_divided_difference(u.q))
-        if res.is_zero:
+        res = _resultant(_divided_difference_terms(u.p), _divided_difference_terms(u.q))
+        if not res:
             raise InputError("non-isolated double points: divided differences share a component")
         order = _z_order(res)
         if order % 2 != 0:

@@ -444,3 +444,197 @@ class TestExactInvariantGuards:
         monkeypatch.setattr(germs, "_z_order", lambda res: 0)
         with pytest.raises(InvarianceError, match="delta 0 at vanishing order 2"):
             delta_local(CUSP23)
+
+
+def _sympy_poly(terms, *gens):
+    """A QQ_I Poly from {exponents: coefficient}; the test oracle's builder."""
+    return sympy.Poly.from_dict(terms, *gens, domain="QQ_I")
+
+
+def _sympy_pair_resultant(u, v):
+    w, z = sympy.symbols("w z")
+
+    def difference(cu, cv):
+        terms = {(0, i): c for i, c in enumerate(cu)}
+        terms.update({(j, 0): -c for j, c in enumerate(cv) if j})
+        return _sympy_poly(terms, w, z)
+
+    return difference(u.p, v.p).resultant(difference(u.q, v.q))
+
+
+def _sympy_delta_resultant(u):
+    w, z = sympy.symbols("w z")
+
+    def divided(coeffs):
+        return _sympy_poly({(e - 1 - i, i): c for e, c in enumerate(coeffs) for i in range(e)}, w, z)
+
+    return divided(u.p).resultant(divided(u.q))
+
+
+def _sympy_far_zero_free(u):
+    z = sympy.Symbol("z")
+    p, q = (_sympy_poly({(e,): c for e, c in enumerate(f)}, z) for f in (u.p, u.q))
+    return len(sympy.gcd(p, q).terms()) <= 1
+
+
+def _engine_cases():
+    """Seeded (kind, germs) cases: axis pairs and their branched covers,
+    tangent pairs, simple germs, second germs with a zero coordinate (w-free
+    resultants), identical images and far-fiber domain refusals."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for ku in range(1, 4):
+        for kv in range(1, 4):
+            cases.append(("pair", axis_germ(rng, ku, 0, extra=3), axis_germ(rng, kv, 1, extra=3)))
+    for k, m in ((1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)):
+        u, v = axis_germ(rng, 1, 0, extra=3), axis_germ(rng, 1 + (k * m < 6), 1, extra=3)
+        cases.append(("pair", branched_cover(u, k), branched_cover(v, m)))
+    for _ in range(8):
+        cases.append(("pair", axis_germ(rng, 2, 0, extra=3), axis_germ(rng, 1, 0, extra=3)))
+    for _ in range(20):
+        cases.append(("delta", random_simple_germ(rng)))
+    for _ in range(8):
+        u, k = axis_germ(rng, int(rng.integers(1, 3)), 0, extra=3), int(rng.integers(1, 4))
+        cases.append(("pair", u, germ([0] * k + [1], [0]) if rng.random() < 0.5 else germ([0], [0] * k + [1])))
+    for _ in range(4):
+        u = axis_germ(rng, 1, 0, extra=3)
+        cases += [("pair", u, u), ("pair", u, branched_cover(u, 2))]
+    for r in (1, 2, -1, gaussian(0, 1)):
+        # p and q share the zero z = r besides 0
+        far = germ([0, -r, 1], [0, 0, -r, 1])
+        cases += [("pair", axis_germ(rng, 1, 0, extra=3), far), ("delta", far)]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def engine_cases():
+    """The cases with sympy's resultant of each, computed once."""
+    return [
+        (kind, gs, _sympy_pair_resultant(*gs) if kind == "pair" else _sympy_delta_resultant(*gs))
+        for kind, *gs in _engine_cases()
+    ]
+
+
+class TestModularResultantEngine:
+    """The certified modular engine against sympy's resultant and gcd."""
+
+    def test_orders_and_zero_tests_match_sympy(self, engine_cases):
+        assert len(engine_cases) >= 60
+        zero = 0
+        for kind, gs, ref in engine_cases:
+            if kind == "pair":
+                u, v = gs
+                terms = germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
+            else:
+                (u,) = gs
+                terms = germs._divided_difference_terms(u.p), germs._divided_difference_terms(u.q)
+            res = germs._resultant(*terms)
+            if ref.is_zero:
+                zero += 1
+                assert res == ()
+            else:
+                assert germs._z_order(res) == min(m[0] for m in ref.monoms())
+            for x in gs:
+                assert x._far_zero_free == _sympy_far_zero_free(x)
+        assert zero >= 8
+
+    def test_batch_size_changes_no_answer(self, engine_cases, monkeypatch):
+        # a few cells per batch splits the samples, the primes and the
+        # transform into many batches
+        terms = [
+            (germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q))
+            for kind, (u, v), _ in engine_cases[:9]
+        ]
+        expected = [germs._resultant(*t) for t in terms]
+        monkeypatch.setattr(germs, "_WORK_CELLS", 40)
+        assert [germs._resultant(*t) for t in terms] == expected
+
+    def test_refusals_match_sympy(self, engine_cases):
+        for kind, gs, ref in engine_cases:
+            if kind != "pair":
+                continue
+            u, v = gs
+            if not _sympy_far_zero_free(v):
+                expected = "germ domain too large"
+            elif ref.is_zero:
+                expected = "identical images"
+            else:
+                assert local_intersection(u, v) >= 1
+                continue
+            with pytest.raises(InputError, match=expected):
+                local_intersection(u, v)
+
+    @pytest.mark.parametrize(
+        "u, expected",
+        [
+            (germ([0], [0, 0, 3]), True),  # a zero coordinate and a monomial
+            (germ([0], [0, 1, 1]), False),  # the zero of z + z^2 at -1
+            (germ([0, 0, 1], [0]), True),
+            (germ([0, 0, 2], [0, 1, 1]), True),  # a monomial shares no zero
+            (germ([0, 1, 1], [0, 0, 1, 1]), False),
+        ],
+    )
+    def test_far_zero_rules(self, u, expected):
+        assert u._far_zero_free is expected
+        assert _sympy_far_zero_free(u) is expected
+
+    def test_w_free_closed_form(self):
+        # Res_w(z, -w) = z and Res_w(z, -2w^3) = -8 z^3
+        assert local_intersection(germ([0, 1], [0]), germ([0], [0, 1])) == 1
+        assert local_intersection(germ([0, 1], [0]), germ([0], [0, 0, 0, 2])) == 3
+        assert local_intersection(germ([0, 0, 1], [0]), germ([0], [0, 0, 0, 2])) == 6
+        # both free of w: Res_w = 1
+        assert germs._resultant({(0, 1): (1, 0)}, {(0, 2): (1, 0)}) == (0,)
+        w, z = sympy.symbols("w z")
+        assert _sympy_poly({(0, 1): 1}, w, z).resultant(_sympy_poly({(0, 2): 1}, w, z)).as_expr() == 1
+
+
+class TestModularCertification:
+    """Cases where the first prime alone gives a wrong answer."""
+
+    P = germs._nth_prime(germs._MIN_LOG_LENGTH, 0)[0]
+
+    def test_first_prime_alone_reads_too_high_an_order(self):
+        u, v = germ([0, 1], [0, 0, 1]), germ([0, 0, 1], [0, self.P])
+        z = sympy.Symbol("z")
+        assert _sympy_pair_resultant(u, v).as_expr() in {self.P**2 * z - z**4, z**4 - self.P**2 * z}
+        res = germs._resultant(germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q))
+        assert res[0] == 4 and len(res) > 1
+        assert local_intersection(u, v) == 1
+
+    def test_first_prime_alone_sees_a_zero_resultant(self):
+        u, v = germ([0, 1], [0]), germ([0, 0, 1], [0, self.P])
+        z = sympy.Symbol("z")
+        assert _sympy_pair_resultant(u, v).as_expr() == self.P**2 * z
+        assert local_intersection(u, v) == 1
+
+    @pytest.mark.parametrize("log_length", [12, 13, 16])
+    def test_prime_table(self, log_length):
+        for index in range(12):
+            p, iota, root = germs._nth_prime(log_length, index)
+            assert sympy.isprime(p) and p < 2**31
+            assert p % 2**log_length == 1
+            assert iota * iota % p == p - 1
+            assert pow(root, 2 ** (log_length - 1), p) == p - 1  # order exactly 2^log_length
+        assert len({germs._nth_prime(log_length, i)[0] for i in range(12)}) == 12
+
+    def test_miller_rabin_matches_sympy(self):
+        # strong pseudoprimes to some of the bases, Carmichael numbers, and
+        # numbers near 2^31
+        special = [2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 25326001, 3215031751]
+        near = range(2**31 - 2000, 2**31)
+        for n in [*range(3000), *special, *near]:
+            assert germs._is_prime(n) == sympy.isprime(n), n
+
+
+class TestLargeInputs:
+    def test_monomial_pair_closed_form(self):
+        # iota((z^a, z^b), (z^c, z^d)) = min(a d, b c)
+        assert local_intersection(monomial_germ(12, 13), monomial_germ(13, 12)) == 144
+
+    def test_huge_gaussian_coefficients(self):
+        big = 10**400
+        u = germ([0, 1, big], [0, 0, gaussian(1, 3)])
+        v = germ([0, 0, 1], [0, gaussian(big, 1)])
+        ref = _sympy_pair_resultant(u, v)
+        assert local_intersection(u, v) == min(m[0] for m in ref.monoms())
