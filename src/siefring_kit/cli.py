@@ -34,7 +34,7 @@ def _lazy_submodule(child: str):
     return sys.modules[name]
 
 
-# germs imports sympy (about 0.5 s), which only the germ subcommand needs
+# germs runs on first use, so only the germ subcommand pays for its import
 germs = _lazy_submodule("germs")
 
 GOLDEN_SCENES = ("closed_ruled", "orbit_cylinder", "planar_page", "nodal_split")

@@ -39,13 +39,13 @@ checked against each other throughout the test suite.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
-import sympy
-from sympy import QQ_I, I, Rational
 
 from .errors import InputError, InvarianceError
 from .jsonio import JsonObject, read_json, typed
@@ -55,21 +55,112 @@ COEFF_TRIM_TOL = 1e-11
 MAX_EPSILON_REDRAWS = 10
 
 
+def _fraction(value) -> Fraction:
+    """A rational number (int, Fraction or any registered numbers.Rational)
+    as a Fraction of ints; anything else is refused."""
+    if not isinstance(value, numbers.Rational):
+        raise InputError(f"coefficient {value!r} is not an exact Gaussian rational")
+    return Fraction(int(value.numerator), int(value.denominator))
+
+
+def _lifted(method):
+    """A binary method of GaussianRational that sees a rational operand as
+    one; an operand of another kind is left to its own methods."""
+
+    @wraps(method)
+    def lifted(self, other):
+        if isinstance(other, numbers.Rational):
+            other = gaussian(other)
+        elif not isinstance(other, GaussianRational):
+            return NotImplemented
+        return method(self, other)
+
+    return lifted
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class GaussianRational:
+    """The exact scalar re + i im, both parts Fractions.  With im = 0 it
+    equals, and hashes like, the int or Fraction re."""
+
+    re: Fraction
+    im: Fraction
+
+    @_lifted
+    def __add__(self, other):
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    @_lifted
+    def __sub__(self, other):
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    @_lifted
+    def __rsub__(self, other):
+        return other - self
+
+    @_lifted
+    def __mul__(self, other):
+        return GaussianRational(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    __rmul__ = __mul__
+
+    @_lifted
+    def __truediv__(self, other):
+        return self * other._inverse()
+
+    @_lifted
+    def __rtruediv__(self, other):
+        return other * self._inverse()
+
+    def _inverse(self):
+        norm = self.re * self.re + self.im * self.im  # ZeroDivisionError below for 0
+        return GaussianRational(self.re / norm, -self.im / norm)
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        return math.prod((self if n >= 0 else self._inverse(),) * abs(n), start=_ONE)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    @_lifted
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def _sympy_(self):
+        """The equal sympy expression.  Only sympy calls this hook (sympify),
+        so sympy is loaded already; the package itself never imports it."""
+        sympy = sys.modules["sympy"]
+        return sympy.Rational(self.re.numerator, self.re.denominator) + sympy.I * sympy.Rational(
+            self.im.numerator, self.im.denominator
+        )
+
+
+_ZERO = GaussianRational(Fraction(0), Fraction(0))
+_ONE = GaussianRational(Fraction(1), Fraction(0))
+
+
 def gaussian(re, im=0):
     """Exact Gaussian-rational scalar from rational real/imaginary parts."""
-    return Rational(re) + Rational(im) * I
+    return GaussianRational(_fraction(re), _fraction(im))
 
 
 def _to_gaussian(value):
-    if isinstance(value, (int, sympy.Integer)):
-        return sympy.Integer(value)
-    if isinstance(value, Fraction):
-        return Rational(value.numerator, value.denominator)
-    expr = sympy.sympify(value)
-    re, im = expr.as_real_imag()
-    if not (re.is_Rational and im.is_Rational):
-        raise InputError(f"coefficient {value!r} is not an exact Gaussian rational")
-    return re + im * I
+    return value if isinstance(value, GaussianRational) else gaussian(value)
 
 
 def _strip(coeffs: tuple) -> tuple:
@@ -81,15 +172,16 @@ def _strip(coeffs: tuple) -> tuple:
 
 def _coeff(coeffs: tuple, i: int):
     """Coefficient of z^i, zero past the last term."""
-    return coeffs[i] if i < len(coeffs) else sympy.Integer(0)
+    return coeffs[i] if i < len(coeffs) else _ZERO
 
 
 @dataclass(frozen=True)
 class Germ:
     """Polynomial map germ (p(z), q(z)) into C^2 with p(0) = q(0) = 0.
 
-    Coefficients are stored ascending in degree as exact Gaussian
-    rationals; at least one coordinate must be nonzero.
+    Coefficients are stored ascending in degree as GaussianRational; each
+    given one is a GaussianRational (see ``gaussian``) or a rational number,
+    anything else is refused.  At least one coordinate must be nonzero.
     """
 
     p: tuple
@@ -133,11 +225,13 @@ class Germ:
 
 def _complex128(c, where: str) -> complex:
     """An exact coefficient as complex128; a nonzero real or imaginary part
-    that becomes 0.0 or non-finite would make the oracles count another germ."""
-    z = complex(c)
-    for exact, approx in zip(c.as_real_imag(), (z.real, z.imag)):
-        if exact != 0 and not (approx != 0 and math.isfinite(approx)):
-            raise InputError(f"germ coefficient of {where} is out of the range of complex128")
+    that becomes 0.0 or overflows would make the oracles count another germ."""
+    try:
+        z = complex(c)
+    except OverflowError:  # float() of a Fraction past the largest double
+        z = None
+    if z is None or (c.re and not z.real) or (c.im and not z.imag):
+        raise InputError(f"germ coefficient of {where} is out of the range of complex128")
     return z
 
 
@@ -164,8 +258,8 @@ _PRIME_TABLES: dict[int, list] = {}  # memo of _nth_prime, a fixed sequence per 
 
 
 def _parts(coeffs) -> list:
-    """(exponent, (re, im)) of each nonzero coefficient, as exact rationals."""
-    return [(e, (g.x, g.y)) for e, g in enumerate(map(QQ_I.from_sympy, coeffs)) if g]
+    """(exponent, (re, im)) of each nonzero coefficient, as Fractions."""
+    return [(e, (c.re, c.im)) for e, c in enumerate(coeffs) if c]
 
 
 def _difference_terms(coeffs_u, coeffs_v) -> dict:
@@ -423,8 +517,8 @@ def critical_order(u: Germ):
     k = min(_exponents(u))
     a, b = _coeff(u.p, k), _coeff(u.q, k)
     if a != 0:
-        return k, (sympy.Integer(1), sympy.simplify(b / a))
-    return k, (sympy.Integer(0), sympy.Integer(1))
+        return k, (_ONE, b / a)
+    return k, (_ZERO, _ONE)
 
 
 def _exponents_of(coeffs: tuple) -> list:
@@ -453,8 +547,8 @@ def change_coordinates(u: Germ, matrix) -> Germ:
     if m00 * m11 - m01 * m10 == 0:
         raise InputError("coordinate change matrix is singular")
     pq = [(_coeff(u.p, i), _coeff(u.q, i)) for i in range(max(len(u.p), len(u.q)))]
-    p = [sympy.expand(m00 * pc + m01 * qc) for pc, qc in pq]
-    q = [sympy.expand(m10 * pc + m11 * qc) for pc, qc in pq]
+    p = [m00 * pc + m01 * qc for pc, qc in pq]
+    q = [m10 * pc + m11 * qc for pc, qc in pq]
     return germ(p, q)
 
 
@@ -463,8 +557,8 @@ def reparametrize(u: Germ, a) -> Germ:
     a = _to_gaussian(a)
     if a == 0:
         raise InputError("reparametrization scalar must be nonzero")
-    p = [sympy.expand(c * a**e) for e, c in enumerate(u.p)]
-    q = [sympy.expand(c * a**e) for e, c in enumerate(u.q)]
+    p = [c * a**e for e, c in enumerate(u.p)]
+    q = [c * a**e for e, c in enumerate(u.q)]
     return germ(p, q)
 
 
@@ -498,7 +592,7 @@ def normal_form(u: Germ) -> GermNormalForm:
         aligned = change_coordinates(u, ((1 / a, 0), (-b / a, 1)))
     else:
         aligned = change_coordinates(u, ((0, 1 / b), (1, 0)))
-    p_mono = tuple(sympy.Integer(c) for c in [0] * k + [1])
+    p_mono = (_ZERO,) * k + (_ONE,)
     if aligned.p != p_mono:
         # the aligning shear is not unique: adding a multiple of the second
         # coordinate is still aligned, and may cancel the excess terms
@@ -507,7 +601,7 @@ def normal_form(u: Germ) -> GermNormalForm:
         hat = [_coeff(aligned.q, i) for i in degrees]
         # solve excess + t * hat == 0 coefficientwise for a single scalar t
         solvable = all(e == 0 for e, h in zip(excess, hat) if h == 0)
-        ratios = {sympy.simplify(-e / h) for e, h in zip(excess, hat) if h != 0}
+        ratios = {-e / h for e, h in zip(excess, hat) if h != 0}
         if solvable and len(ratios) == 1:
             aligned = change_coordinates(aligned, ((1, ratios.pop()), (0, 1)))
         if aligned.p != p_mono:
@@ -848,13 +942,11 @@ def _coeff_from_json(entry):
     )
     if re_den == 0 or im_den == 0:
         raise InputError("germ coefficient has zero denominator")
-    return Rational(re_num, re_den) + Rational(im_num, im_den) * I
+    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
 
 
 def _coeff_to_json(c):
-    re, im = sympy.sympify(c).as_real_imag()
-    re, im = Rational(re), Rational(im)
-    return [int(re.p), int(re.q), int(im.p), int(im.q)]
+    return [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
 
 
 def germ_from_dict(data: dict) -> Germ:

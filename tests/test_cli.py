@@ -20,6 +20,9 @@ GERM_CUSP_TINY = {
     "q": [[0, 1, 0, 1]] * 3 + [[1, 10**400, 0, 1]],
 }
 GERM_CUSP_HUGE = dict(GERM_CUSP_TINY, q=[[0, 1, 0, 1]] * 3 + [[10**400, 1, 0, 1]])
+# the same beyond complex128 in the imaginary part: q = i z^3 / 10^400 and 10^400 i z^3
+GERM_CUSP_TINY_IMAG = dict(GERM_CUSP_TINY, q=[[0, 1, 0, 1]] * 3 + [[0, 1, 1, 10**400]])
+GERM_CUSP_HUGE_IMAG = dict(GERM_CUSP_TINY, q=[[0, 1, 0, 1]] * 3 + [[0, 1, 10**400, 1]])
 
 
 def write(path, payload):
@@ -295,6 +298,8 @@ MALFORMED = {
     "oracle_epsilon_inf": ("germ oracle", GERM_35, ["--epsilon", "inf"], "must be finite"),
     "oracle_coefficient_underflow": ("germ oracle", GERM_CUSP_TINY, [], "complex128"),
     "oracle_coefficient_overflow": ("germ oracle", GERM_CUSP_HUGE, [], "complex128"),
+    "oracle_coefficient_imag_underflow": ("germ oracle", GERM_CUSP_TINY_IMAG, [], "complex128"),
+    "oracle_coefficient_imag_overflow": ("germ oracle", GERM_CUSP_HUGE_IMAG, [], "complex128"),
 }
 
 
@@ -370,3 +375,18 @@ class TestStrictInputs:
         env = dict(os.environ, PYTHONPATH=src)
         check = "import siefring_kit.cli, sys; assert 'sympy' not in sys.modules"
         subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+    def test_germ_commands_leave_sympy_unloaded(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        a = write(tmp_path / "a.json", GERM_35)
+        b = write(tmp_path / "b.json", GERM_46)
+        check = (
+            "import sys, siefring_kit.germs, siefring_kit.cli as c\n"
+            f"codes = [c.main(['germ', 'iota', {a!r}, {b!r}]), c.main(['germ', 'delta', {a!r}]),\n"
+            f"         c.main(['germ', 'oracle', {a!r}, {b!r}])]\n"
+            "assert codes == [0, 0, 0] and 'sympy' not in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "18\n4\n18\n"

@@ -30,6 +30,7 @@ from siefring_kit.germs import (
 
 from germgen import (
     axis_germ,
+    rand_coeff,
     random_simple_germ,
     stabilized_delta_oracle,
     stabilized_pair_oracle,
@@ -52,6 +53,37 @@ class TestGermConstruction:
     def test_irrational_rejected(self):
         with pytest.raises(InputError, match="Gaussian rational"):
             germ([0, sympy.sqrt(2)], [0, 1])
+
+    # sympy.sqrt(2) is in test_irrational_rejected
+    @pytest.mark.parametrize("bad", [0.5, 1 + 2j, "1/2", sympy.I], ids=repr)
+    def test_inexact_or_unparsed_coefficient_rejected(self, bad):
+        with pytest.raises(InputError, match="Gaussian rational"):
+            germ([0, bad], [0, 1])
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (3, 3),
+            (Fraction(-2, 4), Fraction(-1, 2)),
+            (sympy.Rational(5, 7), Fraction(5, 7)),
+            (gaussian(1, Fraction(2, 3)), gaussian(1, Fraction(2, 3))),
+        ],
+        ids=repr,
+    )
+    def test_rational_coefficients_accepted(self, value, expected):
+        (c,) = germ([0, value], [0, 1]).p[1:]
+        assert c == expected and hash(c) == hash(expected)
+        assert isinstance(c.re, Fraction) and type(c.re.numerator) is int
+
+    def test_coefficient_arithmetic_is_exact(self):
+        a, b = gaussian(1, Fraction(-2, 3)), gaussian(Fraction(1, 2), 3)
+        assert a * b == gaussian(Fraction(5, 2), Fraction(8, 3))
+        assert (a / b) * b == a and 1 / (1 / a) == a and a**-2 * a**3 == a
+        assert 2 - a == -(a - 2) == gaussian(1, Fraction(2, 3))
+        assert a + Fraction(1, 2) - gaussian(0, -1) == gaussian(Fraction(3, 2), Fraction(1, 3))
+        assert complex(a) == complex(1, -2 / 3) and not gaussian(0) and gaussian(0, 1)
+        with pytest.raises(ZeroDivisionError):
+            a / 0
 
     def test_fraction_coefficients_accepted(self):
         u = germ([0, Fraction(1, 2)], [0, 0, gaussian(1, Fraction(-2, 3))])
@@ -238,6 +270,18 @@ class TestNormalForm:
         # excess z^3 + z^4 is not proportional to the second coordinate z^3
         with pytest.raises(InputError, match="monomial normal form"):
             normal_form(germ([0, 0, 1, 1, 1], [0, 0, 0, 1]))
+
+    def test_shear_ratio_compared_exactly(self):
+        # every -excess/hat ratio is (-1 + 3i)/10; sympy's simplify wrote
+        # i/(3 - i) as i(3 + i)/10, a second set element, and the germ was
+        # refused as not in monomial normal form
+        u = germ(
+            [0, 0, 1, gaussian(0, -1), gaussian(Fraction(1, 10), Fraction(-3, 10))],
+            [0, 0, 0, gaussian(3, -1), 1],
+        )
+        nf = normal_form(u)
+        assert (nf.k, nf.branch_orders) == (2, (1,))
+        assert delta_from_normal_form(nf) == delta_local(u) == 1
 
     def test_tangent_alignment_with_general_tangent(self):
         # (z^2 + z^3, z^2) has tangent [1:1]; aligning turns it into
@@ -444,6 +488,157 @@ class TestExactInvariantGuards:
         monkeypatch.setattr(germs, "_z_order", lambda res: 0)
         with pytest.raises(InvarianceError, match="delta 0 at vanishing order 2"):
             delta_local(CUSP23)
+
+
+def _sympy_number(c):
+    """A GaussianRational as a sympy number, built from its parts."""
+    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
+def _sympy_coeffs(coeffs) -> list:
+    return [_sympy_number(c) for c in coeffs]
+
+
+def _sympy_matrix(matrix) -> tuple:
+    return tuple(tuple(map(_sympy_number, row)) for row in matrix)
+
+
+def _sympy_strip(coeffs) -> list:
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def _sympy_coeff(coeffs, i):
+    return coeffs[i] if i < len(coeffs) else sympy.Integer(0)
+
+
+def _sympy_change_coordinates(p, q, matrix):
+    (m00, m01), (m10, m11) = (tuple(map(sympy.sympify, row)) for row in matrix)
+    pq = [(_sympy_coeff(p, i), _sympy_coeff(q, i)) for i in range(max(len(p), len(q)))]
+    return (
+        _sympy_strip([sympy.expand_complex(m00 * pc + m01 * qc) for pc, qc in pq]),
+        _sympy_strip([sympy.expand_complex(m10 * pc + m11 * qc) for pc, qc in pq]),
+    )
+
+
+def _sympy_critical_order(p, q):
+    k = min(e for f in (p, q) for e, c in enumerate(f) if c != 0)
+    a, b = _sympy_coeff(p, k), _sympy_coeff(q, k)
+    if a == 0:
+        return k, (sympy.Integer(0), sympy.Integer(1))
+    return k, (sympy.Integer(1), sympy.expand_complex(b / a))
+
+
+def _sympy_normal_form(p, q):
+    """(k, tangent, branch orders) on sympy numbers, or None where the
+    normal form is undefined; the algorithm of ``normal_form``."""
+    k, _ = _sympy_critical_order(p, q)
+    a, b = _sympy_coeff(p, k), _sympy_coeff(q, k)
+    p2, q2 = _sympy_change_coordinates(p, q, ((1 / a, 0), (-b / a, 1)) if a != 0 else ((0, 1 / b), (1, 0)))
+    mono = [0] * k + [1]
+    if p2 != mono:
+        degrees = range(max(len(p2), len(q2)))
+        excess = [_sympy_coeff(p2, i) - _sympy_coeff(mono, i) for i in degrees]
+        hat = [_sympy_coeff(q2, i) for i in degrees]
+        # expand_complex writes a number as re + i im, so equal ratios are one
+        # set element; simplify may write one number in two forms
+        ratios = {sympy.expand_complex(-e / h) for e, h in zip(excess, hat) if h != 0}
+        if all(e == 0 for e, h in zip(excess, hat) if h == 0) and len(ratios) == 1:
+            p2, q2 = _sympy_change_coordinates(p2, q2, ((1, ratios.pop()), (0, 1)))
+        if p2 != mono:
+            return None
+    exponents = [e for e, c in enumerate(q2) if c != 0]
+    orders = []
+    for j in range(1, k):
+        separating = [e for e in exponents if (j * e) % k != 0]
+        orders.append(min(separating) - k if separating else None)
+    return k, (a, b), tuple(orders)
+
+
+def _same(ours, ref) -> bool:
+    """A coefficient has the parts of a sympy number."""
+    return (ours.re, ours.im) == sympy.expand_complex(ref).as_real_imag()
+
+
+def _same_list(ours, ref) -> bool:
+    return len(ours) == len(ref) and all(_same(x, y) for x, y in zip(ours, ref))
+
+
+@pytest.fixture(scope="module")
+def sympy_cross_cases():
+    """200 seeded germs (simple normal forms and axis germs), each with an
+    invertible matrix and a nonzero scalar drawn from the same rng."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for i in range(200):
+        if i % 2:
+            u = axis_germ(rng, int(rng.integers(1, 4)), int(rng.integers(0, 2)))
+        else:
+            u = random_simple_germ(rng)
+        while True:
+            matrix = tuple(tuple(rand_coeff(rng) for _ in range(2)) for _ in range(2))
+            if matrix[0][0] * matrix[1][1] != matrix[0][1] * matrix[1][0]:
+                break
+        scalar = rand_coeff(rng)
+        while not scalar:
+            scalar = rand_coeff(rng)
+        cases.append((u, matrix, scalar))
+    return cases
+
+
+class TestSympyCrossCheck:
+    """Every coefficient operation of ``germs`` against the same computation
+    on sympy numbers, over seeded germs."""
+
+    def test_change_coordinates_matches_sympy(self, sympy_cross_cases):
+        for u, matrix, _ in sympy_cross_cases:
+            moved = change_coordinates(u, matrix)
+            p, q = _sympy_change_coordinates(_sympy_coeffs(u.p), _sympy_coeffs(u.q), _sympy_matrix(matrix))
+            assert _same_list(moved.p, p) and _same_list(moved.q, q)
+
+    def test_reparametrize_matches_sympy(self, sympy_cross_cases):
+        for u, _, scalar in sympy_cross_cases:
+            moved = reparametrize(u, scalar)
+            a = _sympy_number(scalar)
+            for ours, coeffs in ((moved.p, u.p), (moved.q, u.q)):
+                ref = [sympy.expand_complex(c * a**e) for e, c in enumerate(_sympy_coeffs(coeffs))]
+                assert _same_list(ours, _sympy_strip(ref))
+
+    def test_critical_order_and_normal_form_match_sympy(self, sympy_cross_cases):
+        refused = 0
+        for u, matrix, _ in sympy_cross_cases:
+            for x in (u, change_coordinates(u, matrix)):
+                p, q = _sympy_coeffs(x.p), _sympy_coeffs(x.q)
+                k, tangent = critical_order(x)
+                ref_k, ref_tangent = _sympy_critical_order(p, q)
+                assert k == ref_k and _same_list(tangent, ref_tangent)
+                ref = _sympy_normal_form(p, q)
+                if ref is None:
+                    refused += 1
+                    with pytest.raises(InputError, match="monomial normal form"):
+                        normal_form(x)
+                    continue
+                nf = normal_form(x)
+                assert (nf.k, nf.branch_orders) == (ref[0], ref[2]) and _same_list(nf.tangent, ref[1])
+        assert 0 < refused < len(sympy_cross_cases)
+
+    def test_germ_to_dict_matches_sympy(self, sympy_cross_cases):
+        for u, _, _ in sympy_cross_cases:
+            ref = {}
+            for key, coeffs in (("p", u.p), ("q", u.q)):
+                parts = (sympy.Rational(x) for c in _sympy_coeffs(coeffs) for x in c.as_real_imag())
+                flat = [int(n) for r in parts for n in (r.p, r.q)]
+                ref[key] = [flat[i : i + 4] for i in range(0, len(flat), 4)]
+            assert germ_to_dict(u) == ref
+            assert germ_from_dict(json.loads(json.dumps(ref))) == u
+
+    def test_numeric_is_bit_identical_to_sympy(self, sympy_cross_cases):
+        for u, matrix, scalar in sympy_cross_cases:
+            for x in (u, change_coordinates(u, matrix), reparametrize(u, scalar)):
+                for ours, coeffs in zip(x.numeric, (x.p, x.q)):
+                    ref = np.array([complex(c) for c in _sympy_coeffs(coeffs)], dtype=complex)
+                    assert ours.tobytes() == ref.tobytes()
 
 
 def _sympy_poly(terms, *gens):

@@ -23,6 +23,27 @@ def test_no_bare_assert():
     assert SOURCES and found == []
 
 
+def _imported_packages(node) -> set:
+    """Top-level packages an import statement names; none for a relative one."""
+    if isinstance(node, ast.Import):
+        return {alias.name.partition(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return {node.module.partition(".")[0]}
+    return set()
+
+
+def test_no_sympy_import():
+    # sympy is a test dependency only; an import inside a function counts too
+    package = Path(siefring_kit.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "sympy" in _imported_packages(node)
+    ]
+    assert package / "germs.py" in modules and found == []
+
 
 def test_traced_names_are_bound_by_the_cli_import():
     # the traced benchmark run imports siefring_kit.cli alone, then wraps every
