@@ -4,6 +4,15 @@ Subcommands parse scene/loop/germ files, dispatch to the computation
 modules, and emit deterministic JSON (or bare integers for the germ
 calculators).  Exit codes: 0 success, 1 input error, 2 scene
 inconsistency, 3 invariance breach or broken exact germ invariant.
+
+Only the subcommands that compute with numpy load it.  The layers that
+import numpy (``spectrum``, ``audit`` and ``germs``) are bound here by
+``_lazy_submodule`` and run on their first attribute access, so
+``closed``, ``curve`` and ``star`` start without numpy; every other layer
+is imported eagerly.  Names that must stay bound at module level:
+``audit_scene`` and ``germs``, which tests monkeypatch, and, after
+``import siefring_kit.cli``, a ``sys.modules`` entry for every layer the
+traced benchmark run wraps (``perfbench/spans.py`` ``TRACED``).
 """
 
 from __future__ import annotations
@@ -15,11 +24,9 @@ import sys
 from importlib import resources
 
 from . import closed, intersection
-from .audit import audit_scene
 from .core import Scene, load_scene
 from .errors import InconsistencyError, InputError, InvarianceError
 from .jsonio import canonical_dumps
-from .spectrum import load_loop, spectrum_report
 
 
 def _lazy_submodule(child: str):
@@ -34,8 +41,17 @@ def _lazy_submodule(child: str):
     return sys.modules[name]
 
 
-# germs runs on first use, so only the germ subcommand pays for its import
+# the numpy layers run on first use, so only their subcommands import numpy
+audit = _lazy_submodule("audit")
 germs = _lazy_submodule("germs")
+spectrum = _lazy_submodule("spectrum")
+
+
+def audit_scene(scene: Scene, shifts: int, seed: int) -> dict:
+    """``audit.audit_scene`` under a name of this module, which tests patch,
+    bound without running ``audit``."""
+    return audit.audit_scene(scene, shifts=shifts, seed=seed)
+
 
 GOLDEN_SCENES = ("closed_ruled", "orbit_cylinder", "planar_page", "nodal_split")
 
@@ -69,9 +85,16 @@ def _emit(obj) -> None:
     sys.stdout.write(canonical_dumps(obj))
 
 
+def _seed(args) -> int:
+    """``--seed``, refused when negative: numpy's generators take none."""
+    if args.seed < 0:
+        raise InputError(f"seed must be nonnegative, got {args.seed}")
+    return args.seed
+
+
 def _cmd_spectrum(args) -> int:
-    loop = load_loop(args.file)
-    report = spectrum_report(loop, args.cutoff, args.window[0], args.window[1])
+    loop = spectrum.load_loop(args.file)
+    report = spectrum.spectrum_report(loop, args.cutoff, args.window[0], args.window[1])
     _emit(report)
     return EXIT_OK
 
@@ -90,8 +113,9 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    seed = _seed(args)
     scene = _resolve_scene(args.scene)
-    report = audit_scene(scene, shifts=args.shifts, seed=args.seed)
+    report = audit_scene(scene, shifts=args.shifts, seed=seed)
     _emit(report)
     if report["breaches"]:
         raise InvarianceError(
@@ -102,17 +126,17 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_germ(args) -> int:
+    if args.germ_op == "oracle":
+        perturbation = {"epsilon": args.epsilon, "radius": args.radius, "seed": _seed(args)}
     u = germs.load_germ(args.a)  # the second file is read only where it is used
     if args.germ_op == "iota":
         value = germs.local_intersection(u, germs.load_germ(args.b))
     elif args.germ_op == "delta":
         value = germs.delta_local(u)
-    else:  # oracle
-        perturbation = {"epsilon": args.epsilon, "radius": args.radius, "seed": args.seed}
-        if args.b is not None:
-            value = germs.numeric_intersection_oracle(u, germs.load_germ(args.b), **perturbation)
-        else:
-            value = germs.numeric_double_point_oracle(u, **perturbation)
+    elif args.b is not None:  # oracle
+        value = germs.numeric_intersection_oracle(u, germs.load_germ(args.b), **perturbation)
+    else:
+        value = germs.numeric_double_point_oracle(u, **perturbation)
     sys.stdout.write(f"{value}\n")
     return EXIT_OK
 

@@ -3,15 +3,16 @@
 Input files are decoded by ``read_json`` and read through ``JsonObject``,
 which refuses unknown or missing keys and values of the wrong JSON type.
 Identical reports are byte-identical: keys are sorted, integers print
-unformatted, floats at 17 significant digits.
+unformatted, floats at 17 significant digits.  numpy integers, floats and
+arrays print like their Python values, yet this module does not import
+numpy: scene commands load no numpy at all.
 """
 
 from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
+import numbers
 
 from .errors import InputError
 
@@ -76,25 +77,33 @@ class JsonObject:
         return self.field(key, kind, None)
 
 
+def _is_array(value) -> bool:
+    """An array of one or more dimensions, told by the numpy array interface
+    it exports; a numpy scalar exports one of shape ()."""
+    return bool(getattr(value, "__array_interface__", {}).get("shape"))
+
+
 def _fmt(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not np.isfinite(x):
-            raise InputError(f"non-finite float {x} in report")
-        return format(x, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
         body = ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}" for k, v in items)
         return "{" + body + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    # numpy registers its integer and float scalars here, but not np.bool_;
+    # a Fraction is Real too, and stays refused as an exact non-integer
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        x = float(value)
+        if not math.isfinite(x):
+            raise InputError(f"non-finite float {x} in report")
+        return format(x, ".17g")
+    if isinstance(value, (list, tuple)) or _is_array(value):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     raise InputError(f"cannot serialize {type(value).__name__} deterministically")
 

@@ -3,9 +3,16 @@ import os
 import subprocess
 import sys
 
+import math
+import re
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from siefring_kit import cli
+from siefring_kit.errors import InputError
+from siefring_kit.germs import gaussian
 from siefring_kit.jsonio import canonical_dumps
 
 LOOP_IDENTITY = {
@@ -221,6 +228,51 @@ class TestDeterminism:
         assert text == '{"pi": 3.1415926535897931}\n'
 
 
+# canonical_dumps per value type: the exact text, or the InputError it raises;
+# numpy values are told by the numbers ABCs and the array interface, so
+# jsonio needs no numpy import
+DUMPS = {
+    "int64": (np.int64(-7), "-7\n"),
+    "uint8": (np.uint8(255), "255\n"),
+    "int64_max": (np.int64(2**63 - 1), "9223372036854775807\n"),
+    "float64": (np.float64(0.1), "0.10000000000000001\n"),
+    "float32": (np.float32(1.1), "1.1000000238418579\n"),
+    "float16": (np.float16(0.1), "0.0999755859375\n"),
+    "array_1d": (np.array([1, 2, 3]), "[1, 2, 3]\n"),
+    "array_float": (np.array([0.5, -0.0, 1e-300]), "[0.5, -0, 1e-300]\n"),
+    "array_2d": (np.array([[1, 2], [3, 4]]), "[[1, 2], [3, 4]]\n"),
+    "array_empty": (np.zeros(0), "[]\n"),
+    "nested": (
+        {"b": (np.int32(1), [np.float64(2.5)]), "a": None, 3: True},
+        '{"3": true, "a": null, "b": [1, [2.5]]}\n',
+    ),
+    "bool_": (np.bool_(True), InputError(f"cannot serialize {type(np.bool_(True)).__name__}")),
+    "array_bool": (np.array([True]), InputError("cannot serialize")),
+    "fraction": (Fraction(1, 2), InputError("cannot serialize Fraction deterministically")),
+    "fraction_integral": (Fraction(2), InputError("cannot serialize Fraction deterministically")),
+    "gaussian": (gaussian(1, 2), InputError("cannot serialize GaussianRational deterministically")),
+    "gaussian_real": (gaussian(1), InputError("cannot serialize GaussianRational deterministically")),
+    "complex": (1 + 2j, InputError("cannot serialize complex deterministically")),
+    "complex128": (np.complex128(1), InputError("cannot serialize complex128 deterministically")),
+    "array_0d": (np.array(5), InputError("cannot serialize ndarray deterministically")),
+    "nan": (math.nan, InputError("non-finite float nan in report")),
+    "inf": (-math.inf, InputError("non-finite float -inf in report")),
+    "float64_inf": (np.float64("inf"), InputError("non-finite float inf in report")),
+    "float32_nan": (np.float32("nan"), InputError("non-finite float nan in report")),
+}
+
+
+class TestCanonicalDumps:
+    @pytest.mark.parametrize("case", sorted(DUMPS))
+    def test_value_type(self, case):
+        value, expected = DUMPS[case]
+        if isinstance(expected, str):
+            assert canonical_dumps(value) == expected
+        else:
+            with pytest.raises(InputError, match="^" + re.escape(str(expected))):
+                canonical_dumps({"x": [value]})
+
+
 def _planar_page(edit):
     from siefring_kit.core import scene_to_dict
 
@@ -300,6 +352,10 @@ MALFORMED = {
     "oracle_coefficient_overflow": ("germ oracle", GERM_CUSP_HUGE, [], "complex128"),
     "oracle_coefficient_imag_underflow": ("germ oracle", GERM_CUSP_TINY_IMAG, [], "complex128"),
     "oracle_coefficient_imag_overflow": ("germ oracle", GERM_CUSP_HUGE_IMAG, [], "complex128"),
+    "audit_negative_seed": (
+        "audit", _planar_page(lambda d: None), ["--seed", "-1"], "seed must be nonnegative"
+    ),
+    "oracle_seed_negative": ("germ oracle", GERM_35, ["--seed", "-1"], "seed must be nonnegative"),
 }
 
 
@@ -375,6 +431,37 @@ class TestStrictInputs:
         env = dict(os.environ, PYTHONPATH=src)
         check = "import siefring_kit.cli, sys; assert 'sympy' not in sys.modules"
         subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+    def test_scene_commands_leave_numpy_unloaded(self, tmp_path, capsys):
+        # only spectrum, audit and germ compute with numpy; the rest must not load it
+        bad = write(tmp_path / "bad.json", MALFORMED["scene_missing_id"][1])
+        commands = [
+            ["closed", "cp2", "--degree", "4"],
+            ["closed", "adjunction", "--self-pairing", "4", "--c1", "6"],
+            ["closed", "nodal-split"],
+            ["curve", "planar_page", "page"],
+            ["star", "planar_page", "page", "binding_cylinder"],
+            ["curve", bad, "page"],
+            ["audit", "planar_page", "--seed", "-1"],
+        ]
+        expected = [run(capsys, *argv)[:2] for argv in commands]
+        assert [code for code, _ in expected] == [0, 0, 0, 0, 0, 1, 1]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        check = (
+            "import contextlib, io, json, sys, siefring_kit.cli as c\n"
+            "runs = []\n"
+            f"for argv in {commands!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        runs.append([c.main(argv), out.getvalue()])\n"
+            "print(json.dumps([runs, [m for m in ('numpy', 'sympy') if m in sys.modules]]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        runs, loaded = json.loads(done.stdout)
+        assert loaded == []
+        assert [tuple(r) for r in runs] == expected
 
     def test_germ_commands_leave_sympy_unloaded(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))

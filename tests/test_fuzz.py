@@ -1,7 +1,10 @@
-"""Fuzz test of the command line over mutated scene, loop and germ files.
+"""Fuzz test of the command line over mutated scene, loop and germ files,
+and over drawn values of its numeric options.
 
 Every input must end in exit code 0, 1, 2 or 3; no exception may escape
 ``cli.main``; and a nonzero exit prints one line, starting with ``error:``.
+An option value that argparse cannot parse is refused by argparse itself:
+exit 2, a usage line, and an error line naming the option.
 """
 
 import contextlib
@@ -133,3 +136,44 @@ def test_germ_commands(workdir, doc):
     _check(["germ", "delta", path])
     _check(["germ", "oracle", path])
     _check(["germ", "oracle", path, partner])
+
+
+def _check_options(argv):
+    """``_check``, or argparse's own refusal of an option value."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        lines = err.getvalue().splitlines()
+        assert exc.code == 2 and out.getvalue() == "", (argv, exc.code)
+        assert lines[0].startswith("usage: ") and ": error: argument" in lines[-1], (argv, lines)
+        return
+    _check(argv)
+
+
+# an audit runs one trial per shift, so the shift count stays small; every
+# other option is drawn from all of NUMBERS, huge integers included
+SHIFTS = NUMBERS.filter(lambda n: not isinstance(n, int) or n <= 3)
+
+
+@FUZZ
+@given(
+    seed=NUMBERS,
+    shifts=SHIFTS,
+    epsilon=NUMBERS,
+    radius=NUMBERS,
+    cutoff=NUMBERS,
+    degree=NUMBERS,
+    window=st.tuples(NUMBERS, NUMBERS),
+)
+def test_numeric_options(workdir, seed, shifts, epsilon, radius, cutoff, degree, window):
+    germ_a, germ_b = _write(workdir, GERM_A), str(workdir / "germ_b.json")
+    loop = workdir / "loop.json"
+    loop.write_text(json.dumps(LOOP), encoding="utf-8")
+    _check_options(["audit", "planar_page", f"--shifts={shifts}", f"--seed={seed}"])
+    oracle = [f"--epsilon={epsilon}", f"--radius={radius}", f"--seed={seed}"]
+    _check_options(["germ", "oracle", germ_a, *oracle])
+    _check_options(["germ", "oracle", germ_a, germ_b, *oracle])
+    _check_options(["spectrum", str(loop), f"--cutoff={cutoff}", "--window", *map(str, window)])
+    _check_options(["closed", "cp2", f"--degree={degree}"])
