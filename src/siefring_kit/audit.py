@@ -16,6 +16,8 @@ from .core import Scene, TrivializationShift, euler_char, parity, shift_scene, s
 from .errors import InconsistencyError, InputError
 
 SHIFT_RANGE = 5
+# the golden scenes take 2-5 s at this many trials (one 2-core Xeon VM)
+MAX_SHIFTS = 10_000
 
 
 def _defect_outcome(scene: Scene, curve_id: str):
@@ -56,6 +58,8 @@ def audit_scene(scene: Scene, shifts: int = 50, seed: int = 0) -> dict:
     """
     if shifts < 0:
         raise InputError(f"number of shifts must be nonnegative, got {shifts}")
+    if shifts > MAX_SHIFTS:
+        raise InputError(f"number of shifts too large: need shifts <= {MAX_SHIFTS}, got {shifts}")
     rng = np.random.default_rng(seed)
     baseline = _snapshot(scene)
     breaches = []

@@ -211,6 +211,12 @@ class Germ:
         return bool(_resultant(*({(e, 0): c for e, c in _parts(f)} for f in (p, q))))
 
     @cached_property
+    def exponents(self) -> tuple[int, ...]:
+        """Exponents of the nonzero terms of p, then of q; computed once,
+        since every cell of a double-point oracle ladder asks again."""
+        return tuple(_exponents_of(self.p) + _exponents_of(self.q))
+
+    @cached_property
     def numeric(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient arrays as complex128, ascending in degree; read-only
         and computed once, since every cell of an oracle ladder asks again."""
@@ -253,7 +259,7 @@ def monomial_germ(a: int, b: int) -> Germ:
 
 _MODULUS_LIMIT = 1 << 31  # residues below 2^31 keep every product of two inside int64
 _MIN_LOG_LENGTH = 12  # one prime table serves every transform length up to 2^12
-_WORK_CELLS = 1 << 15  # int64 cells in one batched work array
+_WORK_CELLS = 1 << 15  # int64 or complex128 cells in one batched work array
 _PRIME_TABLES: dict[int, list] = {}  # memo of _nth_prime, a fixed sequence per length
 
 
@@ -514,7 +520,7 @@ def critical_order(u: Germ):
     The tangent is the coefficient pair of z^k, normalized so its first
     nonzero entry is 1.
     """
-    k = min(_exponents(u))
+    k = min(u.exponents)
     a, b = _coeff(u.p, k), _coeff(u.q, k)
     if a != 0:
         return k, (_ONE, b / a)
@@ -526,14 +532,9 @@ def _exponents_of(coeffs: tuple) -> list:
     return [e for e, c in enumerate(coeffs) if c != 0]
 
 
-def _exponents(u: Germ) -> list:
-    """Exponents of the nonzero terms of p and of q."""
-    return _exponents_of(u.p) + _exponents_of(u.q)
-
-
 def cover_index(u: Germ) -> int:
     """Largest m with u(z) = v(z^m) for a polynomial germ v."""
-    return math.gcd(*_exponents(u))
+    return math.gcd(*u.exponents)
 
 
 def is_simple(u: Germ) -> bool:
@@ -733,27 +734,29 @@ def _numeric_difference(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _degree(b: np.ndarray, axis: int) -> int:
-    """Degree of B[i, j] (coefficient of z^i w^j) in z (axis 0) or w (axis
-    1), ignoring coefficients below COEFF_TRIM_TOL of the largest."""
-    scale = np.abs(b).max()
+def _degrees(b: np.ndarray) -> tuple[int, int]:
+    """Degrees in z and in w of B[i, j] (coefficient of z^i w^j), ignoring
+    coefficients below COEFF_TRIM_TOL of the largest; -1 where none is left."""
+    magnitude = np.abs(b)
+    scale = magnitude.max()
     if scale == 0:
-        return -1
-    lines = np.flatnonzero(np.abs(b).max(axis=1 - axis) > COEFF_TRIM_TOL * scale)
-    return int(lines[-1]) if len(lines) else -1
+        return -1, -1
+    large = magnitude > COEFF_TRIM_TOL * scale
+    lines = (np.flatnonzero(large.any(axis=axis)) for axis in (1, 0))
+    return tuple(int(line[-1]) if len(line) else -1 for line in lines)
 
 
-def _sylvester(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    """Sylvester matrix of two complex univariate polys (ascending coeffs)."""
-    d1, d2 = len(fc) - 1, len(gc) - 1
-    n = d1 + d2
-    m = np.zeros((n, n), dtype=complex)
-    f_desc, g_desc = fc[::-1], gc[::-1]
-    for r in range(d2):
-        m[r, r : r + d1 + 1] = f_desc
-    for r in range(d1):
-        m[d2 + r, r : r + d2 + 1] = g_desc
-    return m
+def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+    """Sylvester matrices in w of the polynomial pairs (f_rows[s], g_rows[s])
+    (ascending coefficients), stacked along the first axis: deg g shifted
+    copies of f's coefficients, then deg f copies of g's, each descending."""
+    (samples, wf), wg = f_rows.shape, g_rows.shape[1]  # deg + 1 in w
+    n = wf + wg - 2
+    out = np.zeros((samples, n, n), dtype=complex)
+    for rows, width, copies, at in ((f_rows, wf, wg - 1, 0), (g_rows, wg, wf - 1, wg - 1)):
+        shift, j = np.arange(copies)[:, None], np.arange(width)
+        out[:, at + shift, shift + j] = rows[:, None, width - 1 - j]
+    return out
 
 
 # a radius or epsilon too large overflows the samples; _unit_roots refuses the result
@@ -766,9 +769,14 @@ def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float = 1.0) -> 
     roots will be counted keeps the coefficients balanced even when many
     roots cluster inside it; on the unscaled unit circle the low-order
     coefficients of a tight degree-18 cluster drown in roundoff.
+
+    The Sylvester matrices at all the samples are stacked and go to one
+    batched determinant, in chunks of at most _WORK_CELLS entries; LAPACK
+    still factors each matrix on its own, so every value is the one a
+    determinant of that matrix alone gives.
     """
-    df, dg = _degree(bf, 1), _degree(bg, 1)
-    dfz, dgz = _degree(bf, 0), _degree(bg, 0)
+    dfz, df = _degrees(bf)
+    dgz, dg = _degrees(bg)
     if df < 0 or dg < 0:
         return np.zeros(1, dtype=complex)
     if df == 0 and dg == 0:
@@ -782,13 +790,17 @@ def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float = 1.0) -> 
     bound = dfz * dg + dgz * df
     samples = bound + 1
     zs = circle * np.exp(2j * np.pi * np.arange(samples) / samples)
-    values = np.empty(samples, dtype=complex)
     zpow_f = np.vander(zs, dfz + 1, increasing=True)  # (samples, dfz+1)
     zpow_g = np.vander(zs, dgz + 1, increasing=True)
     f_rows = zpow_f @ bf[: dfz + 1, : df + 1]  # (samples, df+1)
     g_rows = zpow_g @ bg[: dgz + 1, : dg + 1]
-    for s in range(samples):
-        values[s] = np.linalg.det(_sylvester(f_rows[s], g_rows[s]))
+    chunk = max(1, _WORK_CELLS // (df + dg) ** 2)
+    values = np.concatenate(
+        [
+            np.linalg.det(_sylvester_stack(f_rows[lo : lo + chunk], g_rows[lo : lo + chunk]))
+            for lo in range(0, samples, chunk)
+        ]
+    )
     # coefficients from values at the roots of unity: c_m = (1/n) sum_s v_s w^{-sm}
     return np.fft.fft(values) / samples
 

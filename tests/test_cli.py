@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siefring_kit import cli
+from siefring_kit import audit, cli
 from siefring_kit.errors import InputError
 from siefring_kit.germs import gaussian
 from siefring_kit.jsonio import canonical_dumps
@@ -129,6 +129,14 @@ class TestAuditCommand:
         code, out, _ = run(capsys, "audit", "planar_page", "--shifts", "0")
         assert code == 0
         assert json.loads(out) == {"breaches": [], "trials": 0}
+
+    def test_shift_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(audit, "MAX_SHIFTS", 2)
+        code, out, _ = run(capsys, "audit", "planar_page", "--shifts", "2")
+        assert code == 0 and json.loads(out)["trials"] == 2
+        code, out, err = run(capsys, "audit", "planar_page", "--shifts", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: number of shifts too large: need shifts <= 2, got 3\n"
 
     def test_breach_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -343,6 +351,9 @@ MALFORMED = {
     ),
     "audit_negative_shifts": (
         "audit", _planar_page(lambda d: None), ["--shifts", "-3"], "must be nonnegative"
+    ),
+    "audit_huge_shifts": (
+        "audit", _planar_page(lambda d: None), ["--shifts", "100000000000"], "shifts too large"
     ),
     "oracle_radius_inf": ("germ oracle", GERM_35, ["--radius", "inf"], "positive and finite"),
     "oracle_radius_huge": ("germ oracle", GERM_35, ["--radius", "1e300"], "not finite"),

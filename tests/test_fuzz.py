@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from siefring_kit import cli
+from siefring_kit import audit, cli
 from siefring_kit.core import scene_to_dict
 
 # p = z^2, q = z^3 and a partner with the same p
@@ -152,8 +152,9 @@ def _check_options(argv):
     _check(argv)
 
 
-# an audit runs one trial per shift, so shift draws above 3 are left out
-SHIFTS = NUMBERS.filter(lambda n: not isinstance(n, int) or n <= 3)
+# an audit runs one trial per shift, so shift draws from 4 up to the bound
+# are left out; the huge ones are refused before any trial
+SHIFTS = NUMBERS.filter(lambda n: not isinstance(n, int) or n <= 3 or n > audit.MAX_SHIFTS)
 
 
 def _options(**drawn):

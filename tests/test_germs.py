@@ -1,3 +1,4 @@
+import contextlib
 import json
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from siefring_kit.germs import (
 )
 
 from germgen import (
+    RADIUS_LADDER,
     axis_germ,
     rand_coeff,
     random_simple_germ,
@@ -127,6 +129,11 @@ class TestCoverDetection:
 
     def test_cover_of_branched_cover(self):
         assert cover_index(branched_cover(CUSP23, 3)) == 3
+
+    def test_exponents_computed_once_as_a_tuple(self):
+        u = germ([0, 0, 1], [0, 0, 0, 1, 0, gaussian(0, 1)])
+        assert u.exponents == (2, 3, 5) and u.exponents is u.exponents
+        assert critical_order(u)[0] == 2 and cover_index(u) == 1
 
 
 class TestLocalIntersection:
@@ -377,6 +384,126 @@ class TestNumericOracles:
         u = germ([0, 1], [0, 0, 1])
         with pytest.raises(InputError, match="identical images"):
             numeric_intersection_oracle(u, u, 1e-3, 0.3)
+
+
+def _reference_degree(b, axis):
+    scale = np.abs(b).max()
+    if scale == 0:
+        return -1
+    lines = np.flatnonzero(np.abs(b).max(axis=1 - axis) > germs.COEFF_TRIM_TOL * scale)
+    return int(lines[-1]) if len(lines) else -1
+
+
+def _reference_sylvester(fc, gc):
+    d1, d2 = len(fc) - 1, len(gc) - 1
+    m = np.zeros((d1 + d2, d1 + d2), dtype=complex)
+    for r in range(d2):
+        m[r, r : r + d1 + 1] = fc[::-1]
+    for r in range(d1):
+        m[d2 + r, r : r + d2 + 1] = gc[::-1]
+    return m
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_resultant_w(bf, bg, circle):
+    """numeric_resultant_w as one Sylvester matrix and one det call per sample."""
+    df, dg = _reference_degree(bf, 1), _reference_degree(bg, 1)
+    dfz, dgz = _reference_degree(bf, 0), _reference_degree(bg, 0)
+    if df < 0 or dg < 0:
+        return np.zeros(1, dtype=complex)
+    if df == 0 and dg == 0:
+        return np.ones(1, dtype=complex)
+    if df == 0 or dg == 0:
+        base, power = (bf[:, 0], dg) if df == 0 else (bg[:, 0], df)
+        scaled = base * circle ** np.arange(len(base))
+        out = np.polynomial.polynomial.polypow(scaled, power) if power > 0 else np.ones(1)
+        return np.asarray(out, dtype=complex)
+    samples = dfz * dg + dgz * df + 1
+    zs = circle * np.exp(2j * np.pi * np.arange(samples) / samples)
+    f_rows = np.vander(zs, dfz + 1, increasing=True) @ bf[: dfz + 1, : df + 1]
+    g_rows = np.vander(zs, dgz + 1, increasing=True) @ bg[: dgz + 1, : dg + 1]
+    values = np.empty(samples, dtype=complex)
+    for s in range(samples):
+        values[s] = np.linalg.det(_reference_sylvester(f_rows[s], g_rows[s]))
+    return np.fft.fft(values) / samples
+
+
+class TestStackedDeterminants:
+    """The stacked determinant against one det call per sample."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = []
+        stacked = germs.numeric_resultant_w
+
+        def recording(bf, bg, circle=1.0):
+            out = stacked(bf, bg, circle)
+            calls.append((bf.copy(), bg.copy(), circle, out))
+            return out
+
+        monkeypatch.setattr(germs, "numeric_resultant_w", recording)
+        return calls
+
+    @staticmethod
+    def _count_det(monkeypatch):
+        stacks = []
+        det = np.linalg.det
+
+        def counting(a):
+            stacks.append(a.shape)
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        return stacks
+
+    def test_oracle_ladders_match_the_per_sample_loop(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        rng = np.random.default_rng(300)
+        orders = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)] * 2
+        pairs = [(axis_germ(rng, ku, 0), axis_germ(rng, kv, 1)) for ku, kv in orders]
+        pairs.append((germ([0, 1], [0]), germ([0], [0, 0, 0, 2])))  # w-free difference of p
+        singles = [random_simple_germ(rng) for _ in range(8)] + [CUSP35]
+        for radius in RADIUS_LADDER:
+            # a redraw turns epsilon by a phase, as the complex one here does
+            for epsilon in (1e-2, 1e-5 * np.exp(2j), 1e-8):
+                for seed, (u, v) in enumerate(pairs):
+                    with contextlib.suppress(InputError):
+                        numeric_intersection_oracle(u, v, epsilon, radius, seed)
+                for seed, u in enumerate(singles):
+                    with contextlib.suppress(InputError):
+                        numeric_double_point_oracle(u, epsilon, radius, seed)
+        assert {circle for _, _, circle, _ in calls} == set(RADIUS_LADDER)
+        w_free = 0
+        for bf, bg, circle, out in calls:
+            assert np.array_equal(out, _reference_resultant_w(bf, bg, circle), equal_nan=True)
+            w_free += min(germs._degrees(bf)[1], germs._degrees(bg)[1]) == 0
+        # a pair's perturbed difference carries epsilon at z^0 w^0
+        turned = sum(bf[0, 0].imag != 0 for bf, *_ in calls)
+        assert w_free and turned and len(calls) - w_free > 400
+
+    def test_benchmark_sized_pair_takes_one_call(self, monkeypatch):
+        rng = np.random.default_rng(301)
+        u, v = axis_germ(rng, 2, 0), axis_germ(rng, 1, 1)
+        b1 = germs._numeric_difference(u.numeric[0], v.numeric[0])
+        b2 = germs._numeric_difference(u.numeric[1], v.numeric[1])
+        stacks = self._count_det(monkeypatch)
+        out = germs.numeric_resultant_w(b1, b2, 0.3)
+        ((samples, n, _),) = stacks
+        assert samples == len(out) > 1 and samples * n * n <= germs._WORK_CELLS
+
+    def test_high_degree_stack_is_chunked(self, monkeypatch):
+        rng = np.random.default_rng(302)
+        u = germ([0, 1] + [rand_coeff(rng) for _ in range(19)], [0, 0, 1] + [rand_coeff(rng) for _ in range(18)])
+        v = germ([0, 0, 1] + [rand_coeff(rng) for _ in range(18)], [0, 1] + [rand_coeff(rng) for _ in range(19)])
+        b1 = germs._numeric_difference(u.numeric[0], v.numeric[0])
+        b2 = germs._numeric_difference(u.numeric[1], v.numeric[1])
+        stacks = self._count_det(monkeypatch)
+        out = germs.numeric_resultant_w(b1, b2, 0.3)
+        monkeypatch.undo()
+        assert len(out) * stacks[0][1] ** 2 > germs._WORK_CELLS
+        assert len(stacks) > 1 and sum(s for s, _, _ in stacks) == len(out)
+        assert all(s * n * n <= germs._WORK_CELLS for s, n, _ in stacks)
+        assert np.array_equal(out, _reference_resultant_w(b1, b2, 0.3), equal_nan=True)
 
 
 class TestGermFiles:
