@@ -481,6 +481,22 @@ class TestStackedDeterminants:
         turned = sum(bf[0, 0].imag != 0 for bf, *_ in calls)
         assert w_free and turned and len(calls) - w_free > 400
 
+    @pytest.mark.parametrize(
+        "bf, bg",
+        [
+            ([[0, 0], [0, 0]], [[0, 1], [1, 0]]),  # a zero polynomial
+            ([[0], [1]], [[0], [0], [1]]),  # both free of w
+            ([[0, -1, 1e-14], [1, 0, 0]], [[0, 1], [0, 0], [1, 0]]),  # w^2 below the trim
+            ([[0, -1], [1, 0], [0, 1e-13j]], [[0, 1, 1], [1, 0, 0]]),  # z^2 w below the trim
+        ],
+        ids=["zero", "w-free", "trimmed-w", "trimmed-z"],
+    )
+    def test_closed_forms_and_trimmed_terms(self, bf, bg):
+        bf, bg = np.array(bf, dtype=complex), np.array(bg, dtype=complex)
+        for circle in RADIUS_LADDER:
+            out = germs.numeric_resultant_w(bf, bg, circle)
+            assert np.array_equal(out, _reference_resultant_w(bf, bg, circle))
+
     def test_benchmark_sized_pair_takes_one_call(self, monkeypatch):
         rng = np.random.default_rng(301)
         u, v = axis_germ(rng, 2, 0), axis_germ(rng, 1, 1)
@@ -493,8 +509,11 @@ class TestStackedDeterminants:
 
     def test_high_degree_stack_is_chunked(self, monkeypatch):
         rng = np.random.default_rng(302)
-        u = germ([0, 1] + [rand_coeff(rng) for _ in range(19)], [0, 0, 1] + [rand_coeff(rng) for _ in range(18)])
-        v = germ([0, 0, 1] + [rand_coeff(rng) for _ in range(18)], [0, 1] + [rand_coeff(rng) for _ in range(19)])
+        def tail(n):
+            return [rand_coeff(rng) for _ in range(n)]
+
+        u = germ([0, 1] + tail(19), [0, 0, 1] + tail(18))
+        v = germ([0, 0, 1] + tail(18), [0, 1] + tail(19))
         b1 = germs._numeric_difference(u.numeric[0], v.numeric[0])
         b2 = germs._numeric_difference(u.numeric[1], v.numeric[1])
         stacks = self._count_det(monkeypatch)
