@@ -2,8 +2,9 @@
 
 Subcommands parse scene/loop/germ files, dispatch to the computation
 modules, and emit deterministic JSON (or bare integers for the germ
-calculators).  Exit codes: 0 success, 1 input error, 2 scene
-inconsistency, 3 invariance breach or broken exact germ invariant.
+calculators).  Exit codes: 0 success, 1 input error (a malformed command
+line included), 2 scene inconsistency, 3 invariance breach or broken exact
+germ invariant.
 
 Only the subcommands that compute with numpy load it.  The layers that
 import numpy (``spectrum``, ``audit`` and ``germs``) are bound here by
@@ -126,6 +127,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_germ(args) -> int:
+    if args.germ_op == "iota" and args.b is None:
+        raise InputError("germ iota needs two germ files")
     if args.germ_op == "oracle":
         perturbation = {"epsilon": args.epsilon, "radius": args.radius, "seed": _seed(args)}
     u = germs.load_germ(args.a)  # the second file is read only where it is used
@@ -164,8 +167,16 @@ def _cmd_closed(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' included, that refuses a
+    malformed command line with ``InputError`` instead of exiting 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siefring-kit",
         description="Invariant calculators for punctured holomorphic curves",
     )
@@ -223,11 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "germ" and args.germ_op == "iota" and args.b is None:
-        parser.error("germ iota needs two germ files")
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InvarianceError as exc:
         print(f"error: {exc}", file=sys.stderr)

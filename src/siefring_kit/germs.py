@@ -761,7 +761,7 @@ def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
 
 # a radius or epsilon too large overflows the samples; _unit_roots refuses the result
 @np.errstate(over="ignore", invalid="ignore")
-def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float = 1.0) -> np.ndarray:
+def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float) -> np.ndarray:
     """Resultant in w of two bivariate complex polynomials, rescaled.
 
     Returns the ascending coefficients of R(circle * zeta) in zeta, where

@@ -19,8 +19,9 @@ the asymptotic-eigenvector picture.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -79,6 +80,11 @@ class SpectralLoop:
             if n == 0 and np.any(d != 0.0):
                 raise InputError("sin matrix of mode 0 has no effect and must be zero")
             checked.append((int(n), c, d))
+        # their magnitudes bound every entry of S(t); summed as Python floats,
+        # an overflow reads inf without a numpy warning
+        entries = [x for _, c, d in checked for x in np.concatenate([c, d]).ravel().tolist()]
+        if not math.isfinite(sum(map(abs, entries))):
+            raise InputError("loop overflows: its cos and sin entries sum beyond the float range")
         object.__setattr__(self, "modes", tuple(checked))
 
     @property
@@ -120,7 +126,9 @@ def cover_operator(loop: SpectralLoop, k: int) -> SpectralLoop:
         raise InputError(f"cover multiplicity must be a positive integer, got {k!r}")
     if k == 1:
         return loop
-    return SpectralLoop(tuple((k * n, k * c, k * d) for n, c, d in loop.modes))
+    # an entry beyond the float range reads inf, which the loop refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SpectralLoop(tuple((k * n, k * c, k * d) for n, c, d in loop.modes))
 
 
 @dataclass(frozen=True)
@@ -128,16 +136,16 @@ class OperatorDiscretization:
     """Fourier-Galerkin truncation of the operator to modes |n| <= M.
 
     The matrix acts on stacked coefficient blocks (c_n) with c_n in C^2,
-    over the modes ``modes`` (all of -M..M when None, otherwise an
-    arithmetic progression the loop keeps invariant: a Floquet block).  It
-    is Hermitian because truncation compresses a self-adjoint operator onto
-    a basis-closed subspace.
+    over the modes ``modes``: an arithmetic progression in -M..M that the
+    loop keeps invariant, all of -M..M or a Floquet block.  It is Hermitian
+    because truncation compresses a self-adjoint operator onto a
+    basis-closed subspace.
     """
 
     loop: SpectralLoop
     mode_cutoff: int
     matrix: np.ndarray
-    modes: range | None = None
+    modes: range
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,16 +153,31 @@ class OperatorDiscretization:
         once per discretization.  The eigenvectors are laid out over all
         modes -M..M, zero off ``modes``."""
         evals, evecs = np.linalg.eigh(self.matrix)
-        if self.modes is None:
-            return evals, evecs
         M = self.mode_cutoff
+        if len(self.modes) == 2 * M + 1:
+            return evals, evecs
         full = np.zeros((2 * M + 1, 2, len(evals)), dtype=complex)
         full[np.asarray(self.modes) + M] = evecs.reshape(len(self.modes), 2, -1)
         return evals, full.reshape(2 * (2 * M + 1), -1)
 
+    @cached_property
+    def half_band_window(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and windings of the eigenpairs within half the
+        resolved band, ascending, computed once per discretization."""
+        half = resolved_band(self) / 2
+        pairs = eigen_window(self, -half, half)
+        return np.array([p.eigenvalue for p in pairs]), np.array([p.winding for p in pairs], int)
+
+
+def _integer_cutoff(mode_cutoff) -> int:
+    """The cutoff as an int; a float or a bool is refused, not rounded."""
+    if isinstance(mode_cutoff, bool) or not isinstance(mode_cutoff, numbers.Integral):
+        raise InputError(f"cutoff must be an integer, got {mode_cutoff!r}")
+    return int(mode_cutoff)
+
 
 def _checked_cutoff(mode_cutoff, bandwidth: int) -> int:
-    M = int(mode_cutoff)
+    M = _integer_cutoff(mode_cutoff)
     if M > MAX_CUTOFF:
         raise InputError(f"cutoff too large: need mode_cutoff <= {MAX_CUTOFF}, got {M}")
     if M < bandwidth + 4:
@@ -193,9 +216,9 @@ def _galerkin(loop: SpectralLoop, modes: range) -> np.ndarray:
 
 
 def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorDiscretization:
-    """Build the truncated operator matrix for the given loop."""
-    M = _checked_cutoff(mode_cutoff, loop.bandwidth)
-    return OperatorDiscretization(loop, M, _galerkin(loop, range(-M, M + 1)))
+    """Build the truncated operator matrix for the given loop: block
+    B(0, 1), all modes -M..M."""
+    return _floquet_block(loop, _checked_cutoff(mode_cutoff, loop.bandwidth), 0, 1)
 
 
 def _floquet_block(loop: SpectralLoop, mode_cutoff: int, r: int, q: int) -> OperatorDiscretization:
@@ -345,15 +368,21 @@ class AlphaRecord:
     cz: int
 
 
-def _alpha_record(eigenvalues: np.ndarray, window, zero_tol: float) -> AlphaRecord:
+def _alpha_record(parts, zero_tol: float) -> AlphaRecord:
     """The one rule from a spectrum to alpha_-, alpha_+, parity and index.
 
-    ``eigenvalues`` are all computed eigenvalues; ``window()`` returns the
-    eigenvalues in the half-band window, ascending, and their windings.
+    ``parts`` lists (discretization, m, copies): the spectrum is the union
+    over the parts of each discretization's eigenvalues and windings times
+    m, taken ``copies`` times.  Every eigenvalue is checked against 0
+    before any half-band window is computed.
     """
-    if np.abs(eigenvalues).min() <= zero_tol:
+    if min(np.abs(m * op.eigh[0]).min() for op, m, _ in parts) <= zero_tol:
         raise InputError("degenerate orbit: operator has an eigenvalue at 0")
-    lams, windings = window()
+    windows = [(op.half_band_window, m, copies) for op, m, copies in parts]
+    lams = np.concatenate([np.tile(m * ls, copies) for (ls, _), m, copies in windows])
+    winds = np.concatenate([np.tile(m * ws, copies) for (_, ws), m, copies in windows])
+    order = np.argsort(lams, kind="stable")
+    lams, windings = lams[order], winds[order]
     neg, pos = windings[lams < 0], windings[lams > 0]
     if not len(neg) or not len(pos):
         raise InputError("window around 0 resolved no eigenvalues of both signs")
@@ -394,27 +423,7 @@ def alphas_from_spectrum(
     discretization.  ``zero_tol`` is the nondegeneracy threshold: any
     eigenvalue within it of 0 rejects the operator as degenerate.
     """
-    return _alpha_record(op.eigh[0], lambda: _half_band_window(op), zero_tol)
-
-
-def _half_band_window(op: OperatorDiscretization) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and windings of the eigenpairs within half the resolved
-    band, ascending."""
-    half = resolved_band(op) / 2
-    pairs = eigen_window(op, -half, half)
-    return np.array([p.eigenvalue for p in pairs]), np.array([p.winding for p in pairs], int)
-
-
-def _cover_window(twists, block_window) -> tuple[np.ndarray, np.ndarray]:
-    """A cover's half-band window from the windows of its Floquet blocks:
-    ``twists`` lists (r, q, m, copies), each block's eigenvalues and
-    windings scaled by m and repeated ``copies`` times, sorted by
-    eigenvalue."""
-    windows = [(block_window(r, q), m, copies) for r, q, m, copies in twists]
-    lams = np.concatenate([np.tile(m * ls, copies) for (ls, _), m, copies in windows])
-    winds = np.concatenate([np.tile(m * ws, copies) for (_, ws), m, copies in windows])
-    order = np.argsort(lams, kind="stable")
-    return lams[order], winds[order]
+    return _alpha_record([(op, 1, 1)], zero_tol)
 
 
 def covering_multiplicity(pair: EigenPair, k: int, tol: float = 1e-6) -> int:
@@ -567,31 +576,24 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
     for all covers, and the union of their spectra goes through the same
     rule as ``alphas_from_spectrum`` of the full cover matrix.
     """
-    M = int(mode_cutoff)
+    M = _integer_cutoff(mode_cutoff)
 
     @cache
     def block(r, q):
         return _floquet_block(loop, M, r, q)
 
-    @cache
-    def block_window(r, q):
-        return _half_band_window(block(r, q))
-
     table = {}
     for k in covers:
         _checked_cutoff(M * k, cover_operator(loop, k).bandwidth)
-        # (r, q, m, copies): block B(r, q) serves the residues R = m r and,
-        # conjugated, R = m (q - r) mod k
-        twists = [
-            (r, q, k // q, 1 if 2 * r in (0, q) else 2)
+        # block B(r, q), eigenvalues and windings times m = k / q, serves the
+        # residues R = m r and, conjugated, R = m (q - r) mod k
+        parts = [
+            (block(r, q), k // q, 1 if 2 * r in (0, q) else 2)
             for q in range(1, k + 1)
             if k % q == 0
             for r in range(q // 2 + 1)
             if math.gcd(r, q) == 1
         ]
-        eigenvalues = np.concatenate([m * block(r, q).eigh[0] for r, q, m, _ in twists])
-        record = _alpha_record(
-            eigenvalues, partial(_cover_window, twists, block_window), ZERO_EIGENVALUE_TOL
-        )
+        record = _alpha_record(parts, ZERO_EIGENVALUE_TOL)
         table[k] = CoverData(record.alpha_minus, record.alpha_plus)
     return OrbitData(orbit_id, table)

@@ -188,8 +188,9 @@ class TestGermCommand:
 
     def test_iota_needs_two_files(self, tmp_path, capsys):
         a = write(tmp_path / "a.json", GERM_35)
-        with pytest.raises(SystemExit):
-            cli.main(["germ", "iota", a])
+        code, out, err = run(capsys, "germ", "iota", a)
+        assert (code, out) == (1, "")
+        assert err == "error: germ iota needs two germ files\n"
 
 
 class TestClosedCommand:
@@ -321,6 +322,17 @@ MALFORMED = {
     ),
     "loop_ragged": ("spectrum", _loop_mode(cos=[[1.0, 0.0], [0.0]]), [], "2x2 matrix"),
     "loop_huge_int": ("spectrum", _loop_mode(cos=[[10**400, 0], [0, 1]]), [], "2x2 matrix"),
+    "loop_overflow": (
+        "spectrum",
+        {
+            "modes": [
+                {"n": 0, "cos": [[1e308, 0.0], [0.0, 1e308]]},
+                {"n": 1, "cos": [[1e308, 1e308], [1e308, 1e308]], "sin": [[1e308, 0.0], [0.0, -1e308]]},
+            ]
+        },
+        ["--cutoff", "8"],
+        "loop overflows",
+    ),
     "scene_orbits_not_array": ("curve", {"orbits": 5}, ["page"], "must be an array"),
     "orbit_id_int": (
         "curve", _planar_page(lambda d: d["orbits"][0].update(id=7)), ["page"], "must be a string"
@@ -370,6 +382,17 @@ MALFORMED = {
 }
 
 
+# (command line, a fragment of the error), with FILE a readable germ file;
+# each used to end in argparse's exit 2 after a usage line
+MALFORMED_COMMAND_LINES = {
+    "no_subcommand": ([], "the following arguments are required: command"),
+    "unknown_subcommand": (["bogus"], "invalid choice: 'bogus'"),
+    "audit_seed_float": (["audit", "planar_page", "--seed", "1.5"], "invalid int value: '1.5'"),
+    "spectrum_no_file": (["spectrum"], "the following arguments are required: file"),
+    "iota_one_file": (["germ", "iota", "FILE"], "germ iota needs two germ files"),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("defect", sorted(MALFORMED))
     def test_exits_one_with_error_line(self, defect, tmp_path, capsys):
@@ -380,6 +403,33 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and fragment in err
         assert "Traceback" not in err
+
+    def test_overflowing_loop_warns_nothing(self, tmp_path):
+        _, payload, rest, _ = MALFORMED["loop_overflow"]
+        path = write(tmp_path / "loop.json", payload)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "siefring_kit.cli", "spectrum", path, *rest]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: loop overflows: its cos and sin entries sum beyond the float range\n"
+        )
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COMMAND_LINES))
+    def test_command_line_exits_one_with_error_line(self, case, tmp_path, capsys):
+        argv, fragment = MALFORMED_COMMAND_LINES[case]
+        germ = write(tmp_path / "a.json", GERM_35)
+        code, out, err = run(capsys, *[germ if a == "FILE" else a for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["audit", "-h"], ["closed", "cp2", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ") and captured.err == ""
 
     @pytest.mark.parametrize("defect", [d for d in sorted(MALFORMED) if d.startswith("oracle_")])
     def test_pair_oracle_refuses_the_same(self, defect, tmp_path, capsys):

@@ -3,8 +3,8 @@ and over drawn values of its numeric options.
 
 Every input must end in exit code 0, 1, 2 or 3; no exception may escape
 ``cli.main``; and a nonzero exit prints one line, starting with ``error:``.
-An option value that argparse cannot parse is refused by argparse itself:
-exit 2, a usage line, and an error line naming the option.
+An option value that the parser cannot read ends in exit 1 and one error
+line naming the option.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from siefring_kit import audit, cli
 from siefring_kit.core import scene_to_dict
+from siefring_kit.errors import InputError
 
 # p = z^2, q = z^3 and a partner with the same p
 GERM_A = {"p": [[0, 1, 0, 1]] * 2 + [[1, 1, 0, 1]], "q": [[0, 1, 0, 1]] * 3 + [[1, 1, 0, 1]]}
@@ -139,15 +140,13 @@ def test_germ_commands(workdir, doc):
 
 
 def _check_options(argv):
-    """``_check``, or argparse's own refusal of an option value."""
-    out, err = io.StringIO(), io.StringIO()
+    """``_check``; an option value the parser refuses must end in exit 1."""
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            cli.build_parser().parse_args(argv)
-    except SystemExit as exc:
-        lines = err.getvalue().splitlines()
-        assert exc.code == 2 and out.getvalue() == "", (argv, exc.code)
-        assert lines[0].startswith("usage: ") and ": error: argument" in lines[-1], (argv, lines)
+        cli.build_parser().parse_args(argv)
+    except InputError:
+        code, out, err = _run(argv)
+        assert (code, out) == (1, ""), (argv, code)
+        assert err.startswith("error: argument") and err.count("\n") == 1, (argv, err)
         return
     _check(argv)
 
@@ -162,7 +161,7 @@ def _options(**drawn):
     return [f"--{name}={value}" for name, value in drawn.items() if value is not None]
 
 
-# most draws stop in argparse (a float for an int option), so options are
+# most draws stop in the parser (a float for an int option), so options are
 # also left out, and this test takes more examples than the file mutations,
 # to reach each computation often
 @settings(FUZZ, max_examples=150)

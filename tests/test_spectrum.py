@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -106,12 +107,44 @@ class TestLoopValidation:
         assert np.allclose(vals[0], np.eye(2))
         assert np.allclose(vals[1], 0.0, atol=1e-15)
 
+    def test_overflowing_loop_rejected(self, recwarn):
+        big = 1e308
+        modes = ((0, big * np.eye(2), np.zeros((2, 2))), (1, np.full((2, 2), big), np.diag([big, -big])))
+        with pytest.raises(InputError, match="loop overflows"):
+            SpectralLoop(modes)
+        # each entry alone and their sum within range: accepted, but not its
+        # double cover
+        loop = SpectralLoop(((0, np.diag([big, 0.0]), np.zeros((2, 2))),))
+        with pytest.raises(InputError, match="loop overflows"):
+            orbit_from_loop("o", loop, (2,), 8)
+        assert len(recwarn) == 0
+
 
 class TestAssemble:
     def test_cutoff_too_small(self):
         loop = random_loop(np.random.default_rng(0), bandwidth=3)
         with pytest.raises(InputError, match="cutoff below loop bandwidth"):
             assemble(loop, 6)
+
+    @pytest.mark.parametrize("cutoff", [8.9, 8.0, 8.5, True, "8", None])
+    def test_non_integral_cutoff_refused(self, cutoff):
+        loop = random_loop(np.random.default_rng(0), bandwidth=1)
+        message = f"cutoff must be an integer, got {cutoff!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            assemble(loop, cutoff)
+        with pytest.raises(InputError, match=re.escape(message)):
+            orbit_from_loop("o", loop, (1, 2), cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        loop = random_loop(np.random.default_rng(0), bandwidth=1)
+        assert assemble(loop, np.int64(8)).mode_cutoff == 8
+        table = orbit_from_loop("o", loop, (1, 2), np.int32(8)).cover_table
+        assert table == orbit_from_loop("o", loop, (1, 2), 8).cover_table
+
+    def test_full_operator_is_the_trivial_block(self):
+        op = assemble(random_loop(np.random.default_rng(3)), 12)
+        assert op.modes == range(-12, 13)
+        assert op.eigh[1].shape == (2 * 25, 2 * 25)
 
     def test_matrix_is_hermitian(self):
         op = assemble(random_loop(np.random.default_rng(1)), 16)
@@ -500,6 +533,36 @@ class TestOneDecomposition:
         loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
         orbit_from_loop("o", loop, (1, 2, 3), 8)
         assert calls == {"eigh": 3, "eigvalsh": 0}
+
+
+class TestOneWindowPerDiscretization:
+    """The half-band window the alpha rule reads is computed once per
+    discretization, however many alpha records read it."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        from siefring_kit import spectrum
+
+        calls = []
+        real = spectrum.eigen_window
+
+        def counted(op, lo, hi):
+            calls.append((op.mode_cutoff, op.modes.step))
+            return real(op, lo, hi)
+
+        monkeypatch.setattr(spectrum, "eigen_window", counted)
+        return calls
+
+    def test_alphas_from_spectrum_twice(self, windows):
+        op = assemble(random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5), 16)
+        assert alphas_from_spectrum(op) == alphas_from_spectrum(op)
+        assert windows == [(16, 1)]
+
+    def test_orbit_from_loop_one_per_block(self, windows):
+        loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
+        orbit_from_loop("o", loop, range(1, 5), 8)
+        # B(0, 1), B(1, 2), B(1, 3), B(1, 4)
+        assert sorted(windows) == [(8, 1), (16, 2), (24, 3), (32, 4)]
 
 
 class TestFloquetBlockCount:
