@@ -198,6 +198,15 @@ class Germ:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, hash((p, q)), computed once: every oracle cell
+        looks the germ up in the resultant and disk caches."""
+        return hash((self.p, self.q))
+
     @cached_property
     def _far_zero_free(self) -> bool:
         """True if p and q share no zero besides z = 0 (see
@@ -220,13 +229,18 @@ class Germ:
     def numeric(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient arrays as complex128, ascending in degree; read-only
         and computed once, since every cell of an oracle ladder asks again."""
-        arrays = tuple(
+        arrays = (
             np.array([_complex128(c, f"z^{i} in {name}") for i, c in enumerate(f)], dtype=complex)
             for name, f in (("p", self.p), ("q", self.q))
         )
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
+        return _read_only(*arrays)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: they are cached and shared by callers."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _complex128(c, where: str) -> complex:
@@ -759,7 +773,7 @@ def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-# a radius or epsilon too large overflows the samples; _unit_roots refuses the result
+# a radius or epsilon too large overflows the samples; _trimmed refuses the result
 @np.errstate(over="ignore", invalid="ignore")
 def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float) -> np.ndarray:
     """Resultant in w of two bivariate complex polynomials, rescaled.
@@ -805,11 +819,11 @@ def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float) -> np.nda
     return np.fft.fft(values) / samples
 
 
-def _unit_roots(coeffs: np.ndarray, edge_tol: float):
-    """(multiplicity at 0, nonzero roots, hit_edge) of a polynomial rescaled
-    so that the counting circle is |zeta| = 1.  Low-order coefficients below
+def _trimmed(coeffs: np.ndarray) -> tuple[int, np.ndarray]:
+    """(multiplicity at 0, kept coefficients) of a polynomial rescaled so
+    that the counting circle is |zeta| = 1.  Low-order coefficients below
     COEFF_TRIM_TOL of the largest count as an exact root at 0, high-order
-    ones are dropped; hit_edge flags a root within edge_tol of the circle."""
+    ones are dropped."""
     scale = np.abs(coeffs).max()
     if not np.isfinite(scale):
         raise InputError("oracle resultant is not finite; shrink the radius or epsilon")
@@ -817,15 +831,30 @@ def _unit_roots(coeffs: np.ndarray, edge_tol: float):
         raise InputError("oracle resultant vanished identically")
     keep = np.flatnonzero(np.abs(coeffs) > COEFF_TRIM_TOL * scale)
     first, last = int(keep[0]), int(keep[-1])
-    roots = np.roots(coeffs[first : last + 1][::-1])
-    return first, roots, bool(np.any(np.abs(np.abs(roots) - 1.0) < edge_tol))
+    return first, coeffs[first : last + 1]
+
+
+def _roots(kept: np.ndarray) -> np.ndarray:
+    """Roots of the ascending coefficients ``kept`` (both ends nonzero): the
+    eigenvalues of the companion matrix, built as np.roots builds it."""
+    p = kept[::-1]
+    if len(p) < 2:
+        return np.zeros(0)
+    companion = np.diag(np.ones(len(p) - 2, p.dtype), -1)
+    companion[0, :] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion)
+
+
+def _hits_edge(roots: np.ndarray, edge_tol: float) -> bool:
+    """True if a root lies within edge_tol of the counting circle."""
+    return bool(np.any(np.abs(np.abs(roots) - 1.0) < edge_tol))
 
 
 def _embedded_radius_check(res0_scaled: np.ndarray, edge_tol: float, what: str):
     """Reject a counting disk that contains unperturbed solution parameters."""
     if not np.any(res0_scaled):
         return  # resultant-zero cases are reported by the draws
-    _, roots, _ = _unit_roots(res0_scaled, edge_tol)
+    roots = _roots(_trimmed(res0_scaled)[1])
     if len(roots) and np.min(np.abs(roots)) <= 1.0 + edge_tol:
         raise InputError(
             f"radius too large: {what} within the chosen disk; shrink the radius"
@@ -837,6 +866,40 @@ def _check_perturbation(epsilon: complex, radius: float) -> None:
         raise InputError(f"radius must be positive and finite, got {radius!r}")
     if not np.isfinite(epsilon):
         raise InputError(f"epsilon must be finite, got {epsilon!r}")
+    if epsilon == 0:
+        raise InputError("epsilon must be nonzero")
+
+
+# The counting disk of one (germs, radius): the oracle's arrays, returned
+# once the unperturbed resultant on that circle passes the radius pre-check.
+# Every epsilon cell of a ladder shares it, and a ladder visits a few radii,
+# so a few disks are kept; a refusal is an exception, which lru_cache does
+# not store.  typed=True keeps a float radius and an equal int apart, since
+# each computes its own samples.
+
+
+@lru_cache(maxsize=32, typed=True)
+def _self_disk(u: Germ, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only divided differences of p and q, after the pre-check."""
+    cp, cq = u.numeric
+    pdd = _numeric_divided_difference(cp)
+    qdd = _numeric_divided_difference(cq)
+    res0 = numeric_resultant_w(pdd, qdd, circle=radius)
+    _embedded_radius_check(res0, ROOT_EDGE_TOL / radius, "germ has self-intersections")
+    return _read_only(pdd, qdd)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _pair_disk(u: Germ, v: Germ, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only differences p_u(z) - p_v(w) and q_u(z) - q_v(w), after the
+    pre-check."""
+    cpu, cqu = u.numeric
+    cpv, cqv = v.numeric
+    b1 = _numeric_difference(cpu, cpv)
+    b2 = _numeric_difference(cqu, cqv)
+    res0 = numeric_resultant_w(b1, b2, circle=radius)
+    _embedded_radius_check(res0, ROOT_EDGE_TOL / radius, "germs intersect away from the origin but")
+    return _read_only(b1, b2)
 
 
 def _redraw(draw, epsilon: complex, seed: int) -> int:
@@ -873,22 +936,19 @@ def numeric_double_point_oracle(
     delta = _double_point_refusals(u)
     if delta is not None:
         return delta
+    pdd, qdd = _self_disk(u, radius)
     edge_tol = ROOT_EDGE_TOL / radius
-    cp, cq = u.numeric
-    pdd = _numeric_divided_difference(cp)
-    qdd = _numeric_divided_difference(cq)
-    res0 = numeric_resultant_w(pdd, qdd, circle=radius)
-    _embedded_radius_check(res0, edge_tol, "germ has self-intersections")
 
     def draw(eps):
         # q(z) + eps z - (q(w) + eps w) divided by (z - w) adds the constant eps
         q_pert = qdd.copy()
         q_pert[0, 0] += eps
         res = numeric_resultant_w(pdd, q_pert, circle=radius)
-        zero_mult, roots, hit_edge = _unit_roots(res, edge_tol)
+        zero_mult, kept = _trimmed(res)
         if zero_mult:
             return "perturbed intersection parameters stuck at the origin"
-        if hit_edge:
+        roots = _roots(kept)
+        if _hits_edge(roots, edge_tol):
             return "radius on a root, retry"
         count = int(np.sum(np.abs(roots) < 1.0))
         if count % 2 != 0:
@@ -916,13 +976,8 @@ def numeric_intersection_oracle(
     # the refusals are exact (shared components make the float resultant
     # meaningless at any tolerance); the count itself stays float
     _pair_resultant(u, v)
+    b1, b2 = _pair_disk(u, v, radius)
     edge_tol = ROOT_EDGE_TOL / radius
-    cpu, cqu = u.numeric
-    cpv, cqv = v.numeric
-    b1 = _numeric_difference(cpu, cpv)
-    b2 = _numeric_difference(cqu, cqv)
-    res0 = numeric_resultant_w(b1, b2, circle=radius)
-    _embedded_radius_check(res0, edge_tol, "germs intersect away from the origin but")
 
     def draw(eps):
         # the resultant root z of a solution (z, w) does not see where w is,
@@ -933,8 +988,9 @@ def numeric_intersection_oracle(
         b1e = b1.copy()
         b1e[0, 0] += eps
         res_z = numeric_resultant_w(b1e, b2, circle=radius)
-        zero_mult, roots, hit_edge = _unit_roots(res_z, edge_tol)
-        if hit_edge:
+        zero_mult, kept = _trimmed(res_z)
+        roots = _roots(kept)
+        if _hits_edge(roots, edge_tol):
             return "radius on a root, retry"
         return zero_mult + int(np.sum(np.abs(roots) < 1.0))
 

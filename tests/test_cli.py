@@ -371,6 +371,12 @@ MALFORMED = {
     "oracle_radius_huge": ("germ oracle", GERM_35, ["--radius", "1e300"], "not finite"),
     "oracle_epsilon_nan": ("germ oracle", GERM_35, ["--epsilon", "nan"], "must be finite"),
     "oracle_epsilon_inf": ("germ oracle", GERM_35, ["--epsilon", "inf"], "must be finite"),
+    # no perturbation: the single oracle used to fail after 10 draws, the pair
+    # oracle to print the unperturbed order (test_pair_oracle_refuses_the_same)
+    "oracle_epsilon_zero": ("germ oracle", GERM_35, ["--epsilon", "0"], "epsilon must be nonzero"),
+    "oracle_epsilon_negative_zero": (
+        "germ oracle", GERM_35, ["--epsilon", "-0.0"], "epsilon must be nonzero"
+    ),
     "oracle_coefficient_underflow": ("germ oracle", GERM_CUSP_TINY, [], "complex128"),
     "oracle_coefficient_overflow": ("germ oracle", GERM_CUSP_HUGE, [], "complex128"),
     "oracle_coefficient_imag_underflow": ("germ oracle", GERM_CUSP_TINY_IMAG, [], "complex128"),

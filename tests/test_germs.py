@@ -30,6 +30,7 @@ from siefring_kit.germs import (
 )
 
 from germgen import (
+    EPSILON_LADDER,
     RADIUS_LADDER,
     axis_germ,
     rand_coeff,
@@ -523,6 +524,200 @@ class TestStackedDeterminants:
         assert len(stacks) > 1 and sum(s for s, _, _ in stacks) == len(out)
         assert all(s * n * n <= germs._WORK_CELLS for s, n, _ in stacks)
         assert np.array_equal(out, _reference_resultant_w(b1, b2, 0.3), equal_nan=True)
+
+
+def _reference_unit_roots(coeffs, edge_tol):
+    """(multiplicity at 0, np.roots of the kept coefficients, hit_edge)."""
+    scale = np.abs(coeffs).max()
+    if not np.isfinite(scale):
+        raise InputError("oracle resultant is not finite; shrink the radius or epsilon")
+    if scale == 0:
+        raise InputError("oracle resultant vanished identically")
+    keep = np.flatnonzero(np.abs(coeffs) > germs.COEFF_TRIM_TOL * scale)
+    first, last = int(keep[0]), int(keep[-1])
+    roots = np.roots(coeffs[first : last + 1][::-1])
+    return first, roots, bool(np.any(np.abs(np.abs(roots) - 1.0) < edge_tol))
+
+
+def _reference_radius_check(res0, edge_tol, what):
+    if not np.any(res0):
+        return
+    _, roots, _ = _reference_unit_roots(res0, edge_tol)
+    if len(roots) and np.min(np.abs(roots)) <= 1.0 + edge_tol:
+        raise InputError(f"radius too large: {what} within the chosen disk; shrink the radius")
+
+
+def _reference_check_perturbation(epsilon, radius):
+    if not (0 < radius < np.inf):
+        raise InputError(f"radius must be positive and finite, got {radius!r}")
+    if not np.isfinite(epsilon):
+        raise InputError(f"epsilon must be finite, got {epsilon!r}")
+
+
+def _reference_double_point_oracle(u, epsilon, radius, seed):
+    """numeric_double_point_oracle with res0, the pre-check and np.roots in every cell."""
+    _reference_check_perturbation(epsilon, radius)
+    delta = germs._double_point_refusals(u)
+    if delta is not None:
+        return delta
+    edge_tol = germs.ROOT_EDGE_TOL / radius
+    pdd, qdd = (germs._numeric_divided_difference(c) for c in u.numeric)
+    res0 = germs.numeric_resultant_w(pdd, qdd, circle=radius)
+    _reference_radius_check(res0, edge_tol, "germ has self-intersections")
+
+    def draw(eps):
+        q_pert = qdd.copy()
+        q_pert[0, 0] += eps
+        res = germs.numeric_resultant_w(pdd, q_pert, circle=radius)
+        zero_mult, roots, hit_edge = _reference_unit_roots(res, edge_tol)
+        if zero_mult:
+            return "perturbed intersection parameters stuck at the origin"
+        if hit_edge:
+            return "radius on a root, retry"
+        count = int(np.sum(np.abs(roots) < 1.0))
+        if count % 2 != 0:
+            return "unpaired intersection parameter (partner escaped the disk)"
+        return count // 2
+
+    return germs._redraw(draw, epsilon, seed)
+
+
+def _reference_intersection_oracle(u, v, epsilon, radius, seed):
+    """numeric_intersection_oracle with res0, the pre-check and np.roots in every cell."""
+    _reference_check_perturbation(epsilon, radius)
+    germs._pair_resultant(u, v)
+    edge_tol = germs.ROOT_EDGE_TOL / radius
+    b1 = germs._numeric_difference(u.numeric[0], v.numeric[0])
+    b2 = germs._numeric_difference(u.numeric[1], v.numeric[1])
+    res0 = germs.numeric_resultant_w(b1, b2, circle=radius)
+    _reference_radius_check(res0, edge_tol, "germs intersect away from the origin but")
+
+    def draw(eps):
+        b1e = b1.copy()
+        b1e[0, 0] += eps
+        res_z = germs.numeric_resultant_w(b1e, b2, circle=radius)
+        zero_mult, roots, hit_edge = _reference_unit_roots(res_z, edge_tol)
+        if hit_edge:
+            return "radius on a root, retry"
+        return zero_mult + int(np.sum(np.abs(roots) < 1.0))
+
+    return germs._redraw(draw, epsilon, seed)
+
+
+def _outcome(oracle, *args):
+    try:
+        return "value", oracle(*args)
+    except InputError as exc:
+        return "refused", str(exc)
+
+
+class TestCachedDisks:
+    """The oracles with a cached disk per (germs, radius) and roots only for
+    the draws that read them, against the per-cell reference bodies."""
+
+    RADII = (*RADIUS_LADDER, 5.0, 1e-300)
+    EPSILONS = (*EPSILON_LADDER, 1e-5 * np.exp(2j), 1e300)
+
+    @staticmethod
+    def _clear_disks():
+        germs._self_disk.cache_clear()
+        germs._pair_disk.cache_clear()
+
+    def test_every_cell_matches_the_reference(self, monkeypatch):
+        self._clear_disks()
+        checked_roots = []
+        companion = germs._roots
+
+        def compared(kept):
+            out = companion(kept)
+            assert np.array_equal(out, np.roots(kept[::-1]))
+            checked_roots.append(len(out))
+            return out
+
+        monkeypatch.setattr(germs, "_roots", compared)
+        rng = np.random.default_rng(400)
+        singles = [random_simple_germ(rng) for _ in range(60)]
+        pairs = [
+            (axis_germ(rng, int(rng.integers(1, 4)), 0), axis_germ(rng, int(rng.integers(1, 4)), 1))
+            for _ in range(60)
+        ]
+        cells = [
+            (numeric_double_point_oracle, _reference_double_point_oracle, (u,), seed)
+            for seed, u in enumerate(singles)
+        ] + [
+            (numeric_intersection_oracle, _reference_intersection_oracle, (u, v), seed)
+            for seed, (u, v) in enumerate(pairs)
+        ]
+        kinds = set()
+        for oracle, reference, germ_args, seed in cells:
+            for radius in self.RADII:
+                for epsilon in self.EPSILONS:
+                    args = (*germ_args, epsilon, radius, seed)
+                    ours, ref = _outcome(oracle, *args), _outcome(reference, *args)
+                    assert ours == ref and type(ours[1]) is type(ref[1]), args
+                    kind = ours[1].split(":")[0].split(";")[0] if ours[0] == "refused" else "value"
+                    kinds.add(kind)
+        # answers, radius refusals, overflow refusals and failed draws all occur
+        assert {"value", "radius too large", "oracle resultant is not finite", "oracle failed"} <= kinds
+        assert len(checked_roots) > 1000 and 0 in checked_roots
+
+    def test_one_radius_check_per_disk(self, monkeypatch):
+        self._clear_disks()
+        checks = []
+        check = germs._embedded_radius_check
+        monkeypatch.setattr(germs, "_embedded_radius_check", lambda *a: checks.append(a[2]) or check(*a))
+        for radius in (0.3, 0.15):
+            for epsilon in EPSILON_LADDER:
+                with contextlib.suppress(InputError):
+                    numeric_intersection_oracle(CUSP35, QUARTIC46, epsilon, radius)
+                with contextlib.suppress(InputError):
+                    numeric_double_point_oracle(CUSP35, epsilon, radius)
+        assert len(checks) == 4 and len(set(checks)) == 2
+        # a refusal is not cached: the refused radius is checked again
+        u = germ([0, 0, 1], [0, 0, 0, 1, 0, 1])
+        for _ in range(2):
+            with pytest.raises(InputError, match="radius too large"):
+                numeric_double_point_oracle(u, 1e-3, radius=2.5)
+        assert len(checks) == 6
+
+    def test_stuck_draws_find_no_roots(self, monkeypatch):
+        germs._self_disk(CUSP35, 0.3)  # the pre-check finds its roots beforehand
+        calls, trims = [], []
+        eigvals, trimmed = np.linalg.eigvals, germs._trimmed
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        monkeypatch.setattr(germs, "_trimmed", lambda c: trims.append(trimmed(c)) or trims[-1])
+        with pytest.raises(InputError, match="stuck at the origin after 10 draws"):
+            numeric_double_point_oracle(CUSP35, 1e-8, 0.3)
+        # every draw kept a polynomial with roots to find, and found none
+        assert len(trims) == 10 and all(first and len(kept) > 1 for first, kept in trims)
+        assert calls == []
+        assert numeric_double_point_oracle(CUSP35, 1e-3, 0.3) == 4 and calls
+
+    def test_disk_arrays_are_read_only(self):
+        disks = germs._pair_disk(CUSP35, QUARTIC46, 0.3), germs._self_disk(CUSP35, 0.3)
+        for a in (a for disk in disks for a in disk):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+
+    def test_germ_hash_is_cached_and_consistent(self):
+        u = germ([0, 0, 1], [0, 0, 0, gaussian(1, 2)])
+        twin = germ([0, 0, Fraction(3, 3), 0], [gaussian(0, 0), 0, 0, gaussian(Fraction(2, 2), 2)])
+        assert u is not twin and u == twin
+        assert "_hash" not in vars(u)
+        assert hash(u) == hash(twin) == hash((u.p, u.q))
+        assert vars(u)["_hash"] == hash(u)  # the first hash stored it
+        assert len({u, twin, CUSP23}) == 2
+
+    @pytest.mark.parametrize("epsilon", [0, 0.0, -0.0, 0j])
+    def test_zero_epsilon_refused(self, epsilon):
+        for oracle, germ_args in (
+            (numeric_double_point_oracle, (CUSP35,)),
+            (numeric_double_point_oracle, (germ([0, 1], [0]),)),  # answered before any draw
+            (numeric_intersection_oracle, (CUSP35, QUARTIC46)),
+        ):
+            with pytest.raises(InputError, match="^epsilon must be nonzero$"):
+                oracle(*germ_args, epsilon, 0.3)
 
 
 class TestGermFiles:
