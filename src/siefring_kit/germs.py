@@ -824,12 +824,13 @@ def _trimmed(coeffs: np.ndarray) -> tuple[int, np.ndarray]:
     that the counting circle is |zeta| = 1.  Low-order coefficients below
     COEFF_TRIM_TOL of the largest count as an exact root at 0, high-order
     ones are dropped."""
-    scale = np.abs(coeffs).max()
+    magnitude = np.abs(coeffs)
+    scale = magnitude.max()
     if not np.isfinite(scale):
         raise InputError("oracle resultant is not finite; shrink the radius or epsilon")
     if scale == 0:
         raise InputError("oracle resultant vanished identically")
-    keep = np.flatnonzero(np.abs(coeffs) > COEFF_TRIM_TOL * scale)
+    keep = np.flatnonzero(magnitude > COEFF_TRIM_TOL * scale)
     first, last = int(keep[0]), int(keep[-1])
     return first, coeffs[first : last + 1]
 
