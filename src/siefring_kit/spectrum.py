@@ -460,32 +460,86 @@ class DecayFit:
     residual: float
 
 
+# RK4 steps whose A values and step matrices are held at once: the transient
+# memory of an integration is bounded by this block, not by its length
+_ODE_BLOCK = 256
+
+
+def _matrices_at(A, ts: list, n: int) -> np.ndarray:
+    """A at each s of ``ts``, stacked; refused unless real, n x n and finite."""
+    values = [A(t) for t in ts]
+    try:
+        mats = np.asarray(values)
+    except (TypeError, ValueError):
+        mats = None
+    if mats is None or mats.shape != (len(ts), n, n) or mats.dtype.kind not in "biuf":
+        raise InputError(f"A(s) must be a real {n}x{n} matrix, as v0 has {n} entries")
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise InputError(f"A(s) is not finite at s = {ts[finite.argmin()]!r}")
+    return mats.astype(float, copy=False)
+
+
+def _propagate(P: np.ndarray, out: np.ndarray) -> None:
+    """out[i + 1] = P[i] out[i] for each step matrix in turn, written in place."""
+    v = out[0]
+    for p, row in zip(P, out[1:]):
+        v = p.dot(v, out=row)
+
+
 def integrate_linear_ode(A, v0, s0: float, s1: float, steps: int) -> Trajectory:
     """Fixed-step RK4 integration of v' = A(s) v on [s0, s1].
 
     ``A`` maps a parameter s to an n x n matrix (constant matrices are also
-    accepted directly).
+    accepted directly).  The samples are s_i = s0 + i h with h = (s1 - s0) /
+    steps.  On a linear field the classical RK4 step from s_i is one matrix,
+    v_{i+1} = P_i v_i with
+
+        P = I + h/6 (A1 + 2 K2 + 2 K3 + K4),    K2 = Am (I + h/2 A1),
+        K3 = Am (I + h/2 K2),                   K4 = A2 (I + h K3),
+
+    where A1, Am and A2 are A at s_i, s_i + h/2 and s_{i+1}.  The steps go
+    in blocks of ``_ODE_BLOCK``.  For each block A is called once at each
+    point s0 + j h/2 of its half-step grid, in grid order, the A values are
+    stacked, the step matrices built by batched products and then applied
+    in turn: 2 steps + ceil(steps / _ODE_BLOCK) calls of A in all, as
+    neighbouring blocks share an end point.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise InputError(f"integration steps must be an integer, got {steps!r}")
     if steps < 100:
         raise InputError(f"integration needs at least 100 steps, got {steps}")
+    # s1 - s0 is finite only when both ends are, and h with it
+    if not (isinstance(s0, numbers.Real) and isinstance(s1, numbers.Real)) or not math.isfinite(
+        float(s1) - float(s0)
+    ):
+        raise InputError(f"interval ends must be finite numbers, got s0={s0!r}, s1={s1!r}")
+    try:
+        v = np.asarray(v0, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
+        raise InputError("v0 must be a finite, non-empty vector of numbers")
     if not callable(A):
-        mat = np.asarray(A, dtype=float)
+        mat = A
         A = lambda s: mat  # noqa: E731
-    v = np.asarray(v0, dtype=float).copy()
-    h = (s1 - s0) / steps
-    ss = np.empty(steps + 1)
-    out = np.empty((steps + 1, len(v)))
-    ss[0] = s0
+    n, steps, s0 = len(v), int(steps), float(s0)
+    h = (float(s1) - s0) / steps
+    ss = np.arange(steps + 1, dtype=float)
+    ss *= h
+    ss += s0  # rounds as s0 + i * h does
+    out = np.empty((steps + 1, n))
     out[0] = v
-    for i in range(steps):
-        s = s0 + i * h
-        k1 = A(s) @ v
-        k2 = A(s + h / 2) @ (v + h / 2 * k1)
-        k3 = A(s + h / 2) @ (v + h / 2 * k2)
-        k4 = A(s + h) @ (v + h * k3)
-        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ss[i + 1] = s0 + (i + 1) * h
-        out[i + 1] = v
+    eye = np.eye(n)
+    for i0 in range(0, steps, _ODE_BLOCK):
+        i1 = min(i0 + _ODE_BLOCK, steps)
+        ts = (s0 + np.arange(2 * i0, 2 * i1 + 1) * (h / 2)).tolist()
+        mats = _matrices_at(A, ts, n)
+        a1, am, a2 = mats[:-1:2], mats[1::2], mats[2::2]
+        k2 = am + h / 2 * (am @ a1)
+        k3 = am + h / 2 * (am @ k2)
+        k4 = a2 + h * (a2 @ k3)
+        _propagate(eye + h / 6 * (a1 + 2 * k2 + 2 * k3 + k4), out[i0 : i1 + 1])
     return Trajectory(ss, out)
 
 
@@ -506,6 +560,8 @@ def fit_decay(trajectory) -> DecayFit:
         vals = np.array([np.asarray(b, dtype=float) for _, b in items])
     if len(s) < 20:
         raise InputError("trajectory unusable: need at least 20 samples")
+    if not (np.isfinite(s).all() and np.isfinite(vals).all()):
+        raise InputError("trajectory unusable: non-finite sample")
     if np.any(np.diff(s) <= 0):
         raise InputError("trajectory unusable: s-grid must be increasing")
     norms = np.linalg.norm(vals, axis=1)

@@ -1,6 +1,8 @@
 import json
+import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from siefring_kit.spectrum import (
     orbit_from_loop,
     spectrum_report,
     winding,
+    _ODE_BLOCK,
     _multiplicities,
     _on_grid,
 )
@@ -489,6 +492,178 @@ class TestFitDecay:
         pairs = [(float(si), np.array([np.exp(-si)])) for si in s]
         fit = fit_decay(pairs)
         assert abs(fit.lambda_fit + 1.0) < 1e-9
+
+
+
+def integrate_reference(A, v0, s0, s1, steps):
+    """Classical RK4 one vector step at a time, four calls of A per step: the
+    reference for integrate_linear_ode's step matrices."""
+    if not callable(A):
+        mat = np.asarray(A, dtype=float)
+        A = lambda s: mat  # noqa: E731
+    v = np.asarray(v0, dtype=float).copy()
+    h = (s1 - s0) / steps
+    ss = np.empty(steps + 1)
+    out = np.empty((steps + 1, len(v)))
+    ss[0] = s0
+    out[0] = v
+    for i in range(steps):
+        s = s0 + i * h
+        k1 = A(s) @ v
+        k2 = A(s + h / 2) @ (v + h / 2 * k1)
+        k3 = A(s + h / 2) @ (v + h / 2 * k2)
+        k4 = A(s + h) @ (v + h * k3)
+        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ss[i + 1] = s0 + (i + 1) * h
+        out[i + 1] = v
+    return Trajectory(ss, out)
+
+
+def decay_problem(rng):
+    """v' = (S + e^{-s} B) v with slowest rate and direction known, drawn as
+    in acceptance criterion 14: (A, v0, rate, direction)."""
+    dim = int(rng.integers(2, 5))
+    eigenvalues = [-0.5 - rng.uniform(0, 1.0)]
+    for _ in range(dim - 1):
+        eigenvalues.append(eigenvalues[-1] - rng.uniform(1.0, 1.5))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    S = q @ np.diag(eigenvalues) @ q.T
+    B = rng.normal(size=(dim, dim))
+    B = (B + B.T) / 2
+    v0 = rng.normal(size=dim)
+    if abs(v0 @ q[:, 0]) < 0.1:
+        v0 += 0.5 * q[:, 0]
+    return (lambda s: S + np.exp(-s) * B), v0, eigenvalues[0], q[:, 0]
+
+
+def assert_matches_reference(traj, ref):
+    assert np.array_equal(traj.s, ref.s)
+    scale = np.abs(ref.values).max(axis=1)
+    assert (np.abs(traj.values - ref.values).max(axis=1) <= 1e-12 * scale).all()
+
+
+class TestStepMatrices:
+    def test_decay_problems_match_vector_reference(self):
+        rng = np.random.default_rng(1313)
+        for _ in range(300):
+            A, v0, rate, _ = decay_problem(rng)
+            traj = integrate_linear_ode(A, v0, 0.0, 20.0, 400)
+            ref = integrate_reference(A, v0, 0.0, 20.0, 400)
+            assert_matches_reference(traj, ref)
+            fit, fit_ref = fit_decay(traj), fit_decay(ref)
+            assert abs(fit.lambda_fit - fit_ref.lambda_fit) <= 1e-12
+            assert np.abs(fit.direction_fit - fit_ref.direction_fit).max() <= 1e-12
+            assert abs(fit.lambda_fit - rate) < 1e-3
+
+    @pytest.mark.parametrize("steps, s0, s1", [(100, 0.0, 3.0), (257, 0.0, 3.0), (257, 2.0, -1.0)])
+    def test_constant_and_varying_match_reference(self, steps, s0, s1):
+        S = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.1], [0.0, 0.1, 0.5]])
+
+        def A(s):
+            return S + np.array([[np.sin(s), 0.0, 0.2], [0.0, np.cos(s), 0.0], [0.2, 0.0, 0.0]])
+
+        v0 = [1.0, -0.5, 0.25]
+        for field in (S, A):
+            traj = integrate_linear_ode(field, v0, s0, s1, steps)
+            assert_matches_reference(traj, integrate_reference(field, v0, s0, s1, steps))
+
+    def test_calls_A_only_at_half_step_points(self):
+        steps, s0, s1 = 3 * _ODE_BLOCK + 5, 0.5, 4.0
+        calls = []
+
+        def A(s):
+            calls.append(s)
+            return np.array([[-1.0, s], [0.0, -2.0]])
+
+        integrate_linear_ode(A, [1.0, 1.0], s0, s1, steps)
+        assert len(calls) <= 2 * steps + math.ceil(steps / _ODE_BLOCK)
+        h = (s1 - s0) / steps
+        grid = (s0 + np.arange(2 * steps + 1) * (h / 2)).tolist()
+        assert sorted(set(calls)) == grid
+
+    def test_transient_memory_is_bounded_by_the_block(self):
+        mat = np.diag([-1.0, -1.0, -0.5, -0.2])
+        mat[0, 1] = mat[1, 0] = 0.1
+        steps, n = 200_000, 4
+        tracemalloc.start()
+        try:
+            traj = integrate_linear_ode(lambda s: mat, np.ones(n), 0.0, 1.0, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.values.nbytes == (steps + 1) * n * 8
+        assert peak < 2 * traj.values.nbytes
+
+
+class TestIntegratorInputs:
+    @pytest.mark.parametrize("steps", [150.0, True, "150", None])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(InputError, match="steps must be an integer"):
+            integrate_linear_ode(np.zeros((1, 1)), [1.0], 0.0, 1.0, steps)
+
+    def test_numpy_integer_steps(self):
+        traj = integrate_linear_ode(np.zeros((1, 1)), [1.0], 0.0, 1.0, np.int64(150))
+        assert traj.values.shape == (151, 1)
+
+    @pytest.mark.parametrize(
+        "s0, s1", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), ("0", 1.0), (-1e308, 1e308)]
+    )
+    def test_interval_ends_must_be_finite(self, s0, s1):
+        with pytest.raises(InputError, match="interval ends must be finite"):
+            integrate_linear_ode(np.zeros((1, 1)), [1.0], s0, s1, 100)
+
+    @pytest.mark.parametrize("v0", [[np.nan, 1.0], [np.inf], [], [[1.0, 2.0]], 1.0, ["a"]])
+    def test_v0_must_be_a_finite_vector(self, v0):
+        with pytest.raises(InputError, match="v0 must be a finite, non-empty vector"):
+            integrate_linear_ode(np.zeros((2, 2)), v0, 0.0, 1.0, 100)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.zeros((3, 3)), np.zeros(2), 1.0, np.zeros((2, 2), dtype=complex), [["a", "b"], ["c", "d"]]],
+    )
+    def test_A_must_be_a_real_square_matrix(self, value):
+        with pytest.raises(InputError, match="must be a real 2x2 matrix"):
+            integrate_linear_ode(lambda s: value, [1.0, 0.0], 0.0, 1.0, 100)
+        with pytest.raises(InputError, match="must be a real 2x2 matrix"):
+            integrate_linear_ode(value, [1.0, 0.0], 0.0, 1.0, 100)
+
+    def test_A_of_changing_shape(self):
+        def A(s):
+            return np.zeros((2, 2)) if s < 0.5 else np.zeros((3, 3))
+
+        with pytest.raises(InputError, match="must be a real 2x2 matrix"):
+            integrate_linear_ode(A, [1.0, 0.0], 0.0, 1.0, 100)
+
+    def test_A_must_be_finite(self):
+        def A(s):
+            return np.diag([-1.0, np.nan if s > 3.0 else -2.0])
+
+        with pytest.raises(InputError, match=r"A\(s\) is not finite at s = 3.0"):
+            integrate_linear_ode(A, [1.0, 0.0], 0.0, 4.0, 1000)
+        with pytest.raises(InputError, match=r"A\(s\) is not finite at s = 0.0"):
+            integrate_linear_ode(np.diag([np.inf, 1.0]), [1.0, 0.0], 0.0, 1.0, 100)
+
+
+class TestFitDecayInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values(self, bad):
+        s = np.linspace(0.0, 5.0, 40)
+        vals = np.exp(-s)[:, None] * np.ones(2)
+        vals[25, 1] = bad
+        with pytest.raises(InputError, match="trajectory unusable: non-finite sample"):
+            fit_decay(Trajectory(s, vals))
+
+    def test_non_finite_grid_before_grid_check(self, capfd):
+        s = np.linspace(0.0, 5.0, 40)
+        s[30] = np.nan
+        vals = np.exp(-s)[:, None] * np.ones(2)
+        vals[30] = 1.0
+        with pytest.raises(InputError, match="trajectory unusable: non-finite sample"):
+            fit_decay(Trajectory(s, vals))
+        pairs = [(float(a), b) for a, b in zip(s, vals)]
+        with pytest.raises(InputError, match="trajectory unusable: non-finite sample"):
+            fit_decay(pairs)
+        assert capfd.readouterr().err == ""
 
 
 class TestLoopFiles:
