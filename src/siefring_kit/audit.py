@@ -4,7 +4,10 @@ Every quantity the theory declares trivialization-independent must be
 exactly unchanged when a scene is re-expressed through random twists.
 The audit recomputes them all after each random shift and reports any
 discrepancy; one breach means either corrupt scene data or a bug in the
-transformation law, and both are worth a hard stop.
+transformation law, and both are worth a hard stop.  Each invariant is
+computed once per twist: one walk over each curve's ends gives its index,
+c_N and spectral covering total, and each pairing entry's star is computed
+once, star(u,u) serving the adjunction defect as well.
 """
 
 from __future__ import annotations
@@ -20,32 +23,38 @@ SHIFT_RANGE = 5
 MAX_SHIFTS = 10_000
 
 
-def _defect_outcome(scene: Scene, curve_id: str):
+def _defect_outcome(curve, star_self: int, c_n: int, sigma_total: int):
     """Adjunction defect value, or the inconsistency it raises; both must be
     stable under shifts."""
     try:
-        return ("value", xn.adjunction_defect(scene, curve_id))
+        defect = xn.defect_from(curve.id, star_self, c_n, sigma_total, len(curve.punctures))
+        return ("value", defect)
     except InconsistencyError as exc:
         return ("inconsistent", str(exc))
 
 
 def _snapshot(scene: Scene) -> dict:
+    """Every invariant of the scene by its breach-report key, each computed once."""
     snap = {}
     for orbit in scene.orbits:
         for k in orbit.cover_table:
             snap[f"parity[{orbit.id}^{k}]"] = parity(orbit, k)
             snap[f"sigma_bar-[{orbit.id}^{k}]"] = sigma_bar(orbit, k, "-")
             snap[f"sigma_bar+[{orbit.id}^{k}]"] = sigma_bar(orbit, k, "+")
+    stars = {(u, v): xn.star(scene, u, v) for (u, v) in scene.pairing.entries}
     for curve in scene.curves:
         cid = curve.id
+        c_n, index, sigma_total = xn.end_sums(scene, curve)
         snap[f"chi[{cid}]"] = euler_char(curve)
-        snap[f"index[{cid}]"] = xn.fredholm_index(scene, cid)
-        snap[f"c_N[{cid}]"] = xn.normal_chern(scene, cid)
-        snap[f"sigma_bar_total[{cid}]"] = xn.spectral_covering_total(scene, cid)
-        if scene.pairing.has(cid, cid):
-            snap[f"adjunction_defect[{cid}]"] = _defect_outcome(scene, cid)
-    for (u, v) in scene.pairing.entries:
-        snap[f"star[{u},{v}]"] = xn.star(scene, u, v)
+        snap[f"index[{cid}]"] = index
+        snap[f"c_N[{cid}]"] = c_n
+        snap[f"sigma_bar_total[{cid}]"] = sigma_total
+        if (cid, cid) in stars:
+            snap[f"adjunction_defect[{cid}]"] = _defect_outcome(
+                curve, stars[cid, cid], c_n, sigma_total
+            )
+    for (u, v), value in stars.items():
+        snap[f"star[{u},{v}]"] = value
     return snap
 
 

@@ -82,6 +82,8 @@ class CurveClass:
     ``rel_c1`` is the first Chern number of the pulled-back tangent bundle
     relative to the baseline trivializations; like the pairing entries it
     is user input, since it cannot be derived from combinatorics alone.
+    The ends grouped by (sign, orbit id), each group the tuple of its
+    multiplicities in puncture order, are an attribute, not a field.
     """
 
     id: str
@@ -96,6 +98,11 @@ class CurveClass:
         if self.ambient_dim_half < 2:
             raise InputError(f"curve {self.id!r}: ambient_dim_half must be >= 2")
         object.__setattr__(self, "punctures", tuple(self.punctures))
+        groups = {}
+        for p in self.punctures:
+            key = (p.sign, p.orbit)
+            groups[key] = groups.get(key, ()) + (p.multiplicity,)
+        object.__setattr__(self, "_end_groups", groups)
 
 
 def _pair_key(u: str, v: str) -> tuple[str, str]:
@@ -243,11 +250,13 @@ def signed_ends(scene: Scene, curve: CurveClass):
 def shared_ends(u: CurveClass, v: CurveClass):
     """(sign, orbit id, k, m) for every ordered pair of same-sign punctures
     of u and v on covers k, m of one simple orbit, coincident pairs included
-    when u is v."""
-    for pu in u.punctures:
-        for pv in v.punctures:
-            if pu.sign == pv.sign and pu.orbit == pv.orbit:
-                yield pu.sign, pu.orbit, pu.multiplicity, pv.multiplicity
+    when u is v; only the end groups the two curves share are walked."""
+    v_groups = v._end_groups
+    for (sign, orbit_id), ks in u._end_groups.items():
+        ms = v_groups.get((sign, orbit_id), ())
+        for k in ks:
+            for m in ms:
+                yield sign, orbit_id, k, m
 
 
 def euler_char(curve: CurveClass) -> int:
@@ -278,21 +287,29 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
         for o in scene.orbits
     )
 
-    def c1_correction(curve: CurveClass) -> int:
-        return sum(s * k * m[orbit.id] for s, orbit, k, _ in signed_ends(scene, curve))
-
+    # both corrections are bilinear in the multiplicities, so they are sums
+    # over end groups: rel_c1 gains sum s m_o (sum k) over the groups of the
+    # curve, u . v gains sum s m_o (sum k_u)(sum k_v) over the groups u and v
+    # share, with s the sign factor and m_o the twist of the group's orbit
+    sums = {c.id: {key: sum(ks) for key, ks in c._end_groups.items()} for c in scene.curves}
+    weights = {
+        cid: {key: sign_factor(key[0]) * m[key[1]] * total for key, total in curve_sums.items()}
+        for cid, curve_sums in sums.items()
+    }
     curves = tuple(
-        CurveClass(c.id, c.genus, c.punctures, c.rel_c1 + c1_correction(c), c.ambient_dim_half)
+        CurveClass(
+            c.id, c.genus, c.punctures, c.rel_c1 + sum(weights[c.id].values()), c.ambient_dim_half
+        )
         for c in scene.curves
     )
 
-    def bullet_correction(u: CurveClass, v: CurveClass) -> int:
-        return sum(sign_factor(sign) * m[o] * k * k2 for sign, o, k, k2 in shared_ends(u, v))
-
-    entries = {
-        key: value + bullet_correction(scene.curve(key[0]), scene.curve(key[1]))
-        for key, value in scene.pairing.entries.items()
-    }
+    entries = {}
+    for (u, v), value in scene.pairing.entries.items():
+        v_sums = sums[v]
+        for key, w in weights[u].items():
+            if key in v_sums:
+                value += w * v_sums[key]
+        entries[u, v] = value
     return Scene(orbits, curves, RelativePairing(entries))
 
 

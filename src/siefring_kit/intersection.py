@@ -28,6 +28,12 @@ from .core import (
 from .errors import InconsistencyError, InputError
 
 
+def _omega(s: int, k: int, bound_k: int, m: int, bound_m: int) -> int:
+    """min{-s k a(m), -s m a(k)} for ends of factor s on covers k, m of one
+    simple orbit, a(k) and a(m) their end bounds."""
+    return min(-s * k * bound_m, -s * m * bound_k)
+
+
 def omega_pair(scene: Scene, orbit_a: tuple[str, int], orbit_b: tuple[str, int], sign: str) -> int:
     """Winding-bound term for a pair of punctures of the given sign.
 
@@ -40,8 +46,7 @@ def omega_pair(scene: Scene, orbit_a: tuple[str, int], orbit_b: tuple[str, int],
     bound_m = end_bound(scene.orbit(id_b), m, sign)
     if id_a != id_b:
         return 0
-    s = sign_factor(sign)
-    return min(-s * k * bound_m, -s * m * bound_k)
+    return _omega(sign_factor(sign), k, bound_k, m, bound_m)
 
 
 def omega_self(scene: Scene, orbit_ref: tuple[str, int], sign: str) -> int:
@@ -63,7 +68,9 @@ def star(scene: Scene, u_id: str, v_id: str) -> int:
     v = scene.curve(v_id)
     total = scene.pairing.get(u_id, v_id)
     for sign, orbit_id, k, m in shared_ends(u, v):
-        total -= omega_pair(scene, (orbit_id, k), (orbit_id, m), sign)
+        orbit = scene.orbit(orbit_id)
+        bound_k, bound_m = end_bound(orbit, k, sign), end_bound(orbit, m, sign)
+        total -= _omega(sign_factor(sign), k, bound_k, m, bound_m)
     return total
 
 
@@ -83,18 +90,32 @@ def iota_infinity(scene: Scene, u_id: str, v_id: str, geometric_count: int) -> i
     return hidden
 
 
+def end_sums(scene: Scene, u: CurveClass) -> tuple[int, int, int]:
+    """(c_N, index, sigma_bar total) of a curve from one walk over its ends.
+
+    c_N = rel_c1 - chi + sum of s * bound, index = (n-3) chi + 2 rel_c1 +
+    sum of s * CZ, sigma_bar total = sum of gcd(k, bound), where s is the
+    factor of an end's sign and bound its end bound on the k-fold cover.
+    """
+    bounds = cz_ends = sigma_total = 0
+    for s, orbit, k, bound in signed_ends(scene, u):
+        bounds += s * bound
+        cz_ends += s * cz_index(orbit, k)
+        sigma_total += math.gcd(k, bound)
+    chi = euler_char(u)
+    c_n = u.rel_c1 - chi + bounds
+    index = (u.ambient_dim_half - 3) * chi + 2 * u.rel_c1 + cz_ends
+    return c_n, index, sigma_total
+
+
 def normal_chern(scene: Scene, u_id: str) -> int:
     """Normal Chern number: rel_c1 - chi + winding corrections at the ends."""
-    u = scene.curve(u_id)
-    return u.rel_c1 - euler_char(u) + sum(s * bound for s, _, _, bound in signed_ends(scene, u))
+    return end_sums(scene, scene.curve(u_id))[0]
 
 
 def fredholm_index(scene: Scene, u_id: str) -> int:
     """Index of the curve class: (n-3) chi + 2 rel_c1 + signed index sums."""
-    u = scene.curve(u_id)
-    n = u.ambient_dim_half
-    ends = sum(s * cz_index(orbit, k) for s, orbit, k, _ in signed_ends(scene, u))
-    return (n - 3) * euler_char(u) + 2 * u.rel_c1 + ends
+    return end_sums(scene, scene.curve(u_id))[1]
 
 
 @dataclass(frozen=True)
@@ -115,30 +136,21 @@ def check_cn_index_relation(scene: Scene, u_id: str) -> CnIndexReport:
     if u.ambient_dim_half != 2:
         raise InputError("relation specific to dimension four (ambient_dim_half = 2)")
     even = sum(1 for p in u.punctures if parity(scene.orbit(p.orbit), p.multiplicity) == 0)
-    lhs = 2 * normal_chern(scene, u_id)
-    rhs = fredholm_index(scene, u_id) - 2 + 2 * u.genus + even
-    return CnIndexReport(lhs, rhs)
+    c_n, index, _ = end_sums(scene, u)
+    return CnIndexReport(2 * c_n, index - 2 + 2 * u.genus + even)
 
 
 def spectral_covering_total(scene: Scene, u_id: str) -> int:
     """Total spectral covering number: sum of sigma_bar_- over positive ends
     and sigma_bar_+ over negative ends; always at least #punctures."""
-    return sum(math.gcd(k, bound) for _, _, k, bound in signed_ends(scene, scene.curve(u_id)))
+    return end_sums(scene, scene.curve(u_id))[2]
 
 
-def adjunction_defect(scene: Scene, u_id: str) -> int:
-    """Homotopy-invariant double-point count delta + delta_infinity.
-
-    Solved from star(u,u) = 2(delta + delta_inf) + c_N + (sigma_bar - #punctures)
-    for a curve the user declares simple; an odd or negative numerator means
-    the scene cannot describe such a curve.
-    """
-    u = scene.curve(u_id)
-    numerator = (
-        star(scene, u_id, u_id)
-        - normal_chern(scene, u_id)
-        - (spectral_covering_total(scene, u_id) - len(u.punctures))
-    )
+def defect_from(u_id: str, star_self: int, c_n: int, sigma_total: int, n_punctures: int) -> int:
+    """delta + delta_inf of curve u_id from star(u,u), c_N, the sigma_bar
+    total and the number of punctures; an odd or negative numerator means
+    the scene cannot describe a simple curve."""
+    numerator = star_self - c_n - (sigma_total - n_punctures)
     if numerator % 2 != 0:
         raise InconsistencyError(f"inconsistent scene (parity): curve {u_id!r}")
     if numerator < 0:
@@ -146,6 +158,18 @@ def adjunction_defect(scene: Scene, u_id: str) -> int:
             f"inconsistent scene (positivity): data cannot represent a simple curve {u_id!r}"
         )
     return numerator // 2
+
+
+def adjunction_defect(scene: Scene, u_id: str) -> int:
+    """Homotopy-invariant double-point count delta + delta_infinity.
+
+    Solved from star(u,u) = 2(delta + delta_inf) + c_N + (sigma_bar - #punctures)
+    for a curve the user declares simple (see ``defect_from``).
+    """
+    u = scene.curve(u_id)
+    star_self = star(scene, u_id, u_id)
+    c_n, _, sigma_total = end_sums(scene, u)
+    return defect_from(u_id, star_self, c_n, sigma_total, len(u.punctures))
 
 
 @dataclass(frozen=True)
@@ -203,7 +227,8 @@ def automatic_transversality(scene: Scene, u_id: str) -> TransversalityReport:
     u = scene.curve(u_id)
     if u.ambient_dim_half != 2:
         raise InputError("criterion specific to dimension four (ambient_dim_half = 2)")
-    return TransversalityReport(fredholm_index(scene, u_id), normal_chern(scene, u_id))
+    c_n, index, _ = end_sums(scene, u)
+    return TransversalityReport(index, c_n)
 
 
 @dataclass(frozen=True)
@@ -294,17 +319,21 @@ def curve_report(scene: Scene, u_id: str) -> dict:
     scene; all other fields are total.
     """
     u = scene.curve(u_id)
+    c_n, index, sigma_total = end_sums(scene, u)
     report = {
         "curve": u_id,
         "chi": euler_char(u),
-        "index": fredholm_index(scene, u_id),
-        "c_N": normal_chern(scene, u_id),
-        "sigma_bar_total": spectral_covering_total(scene, u_id),
+        "index": index,
+        "c_N": c_n,
+        "sigma_bar_total": sigma_total,
         "foliation": foliation_criteria(scene, u_id).as_dict(),
     }
     if u.ambient_dim_half == 2:
-        report["automatic_transversality"] = automatic_transversality(scene, u_id).automatic
+        report["automatic_transversality"] = TransversalityReport(index, c_n).automatic
     if scene.pairing.has(u_id, u_id):
-        report["star_self"] = star(scene, u_id, u_id)
-        report["adjunction_defect"] = adjunction_defect(scene, u_id)
+        star_self = star(scene, u_id, u_id)
+        report["star_self"] = star_self
+        report["adjunction_defect"] = defect_from(
+            u_id, star_self, c_n, sigma_total, len(u.punctures)
+        )
     return report

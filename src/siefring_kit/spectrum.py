@@ -564,7 +564,16 @@ def fit_decay(trajectory) -> DecayFit:
         raise InputError("trajectory unusable: non-finite sample")
     if np.any(np.diff(s) <= 0):
         raise InputError("trajectory unusable: s-grid must be increasing")
-    norms = np.linalg.norm(vals, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vals, axis=1)
+        big = ~np.isfinite(norms)
+        if big.any():
+            # squares overflow above about 1e154: scale those samples by their
+            # largest entry, and only those, so every other norm stays bit-identical
+            scale = np.abs(vals[big]).max(axis=1)
+            norms[big] = scale * np.linalg.norm(vals[big] / scale[:, None], axis=1)
+    if not np.isfinite(norms).all():
+        raise InputError("trajectory unusable: norm overflow")
     if norms.min() <= 1e-290:
         raise InputError("trajectory unusable: norm underflow")
     half = len(s) // 2

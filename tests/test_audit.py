@@ -1,0 +1,376 @@
+"""The invariance audit against a per-pair reference, against broken
+transformation laws, and by the work one snapshot does."""
+
+import dataclasses
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from siefring_kit import audit, core
+from siefring_kit import intersection as xn
+from siefring_kit.core import (
+    CoverData,
+    CurveClass,
+    OrbitData,
+    PunctureSpec,
+    RelativePairing,
+    Scene,
+    cz_index,
+    end_bound,
+    euler_char,
+    parity,
+    shift_scene,
+    sign_factor,
+    sigma_bar,
+    signed_ends,
+)
+from siefring_kit.errors import InconsistencyError
+
+from scenegen import random_scene, random_shift
+
+# -- reference: every sum walks the punctures, one pair at a time ------------
+
+
+def ref_shared_ends(u, v):
+    for pu in u.punctures:
+        for pv in v.punctures:
+            if pu.sign == pv.sign and pu.orbit == pv.orbit:
+                yield pu.sign, pu.orbit, pu.multiplicity, pv.multiplicity
+
+
+def ref_shift_scene(scene, shift):
+    for oid in shift.shifts:
+        scene.orbit(oid)
+    m = {o.id: shift.shifts.get(o.id, 0) for o in scene.orbits}
+    orbits = tuple(
+        OrbitData(
+            o.id,
+            {
+                k: CoverData(c.alpha_minus - k * m[o.id], c.alpha_plus - k * m[o.id])
+                for k, c in o.cover_table.items()
+            },
+        )
+        for o in scene.orbits
+    )
+    curves = tuple(
+        dataclasses.replace(
+            c, rel_c1=c.rel_c1 + sum(s * k * m[o.id] for s, o, k, _ in signed_ends(scene, c))
+        )
+        for c in scene.curves
+    )
+    entries = {
+        (u, v): value
+        + sum(
+            sign_factor(sign) * m[oid] * k * k2
+            for sign, oid, k, k2 in ref_shared_ends(scene.curve(u), scene.curve(v))
+        )
+        for (u, v), value in scene.pairing.entries.items()
+    }
+    return Scene(orbits, curves, RelativePairing(entries))
+
+
+def ref_star(scene, u_id, v_id):
+    total = scene.pairing.get(u_id, v_id)
+    for sign, oid, k, m in ref_shared_ends(scene.curve(u_id), scene.curve(v_id)):
+        s, orbit = sign_factor(sign), scene.orbit(oid)
+        total -= min(-s * k * end_bound(orbit, m, sign), -s * m * end_bound(orbit, k, sign))
+    return total
+
+
+def ref_sums(scene, u):
+    ends = list(signed_ends(scene, u))
+    c_n = u.rel_c1 - euler_char(u) + sum(s * bound for s, _, _, bound in ends)
+    index = (
+        (u.ambient_dim_half - 3) * euler_char(u)
+        + 2 * u.rel_c1
+        + sum(s * cz_index(orbit, k) for s, orbit, k, _ in ends)
+    )
+    return c_n, index, sum(math.gcd(k, bound) for _, _, k, bound in ends)
+
+
+def ref_defect(scene, u_id):
+    u = scene.curve(u_id)
+    c_n, _, sigma_total = ref_sums(scene, u)
+    numerator = ref_star(scene, u_id, u_id) - c_n - (sigma_total - len(u.punctures))
+    if numerator % 2 != 0:
+        raise InconsistencyError(f"inconsistent scene (parity): curve {u_id!r}")
+    if numerator < 0:
+        raise InconsistencyError(
+            f"inconsistent scene (positivity): data cannot represent a simple curve {u_id!r}"
+        )
+    return numerator // 2
+
+
+def ref_curve_report(scene, u_id):
+    u = scene.curve(u_id)
+    c_n, index, sigma_total = ref_sums(scene, u)
+    report = {
+        "curve": u_id,
+        "chi": euler_char(u),
+        "index": index,
+        "c_N": c_n,
+        "sigma_bar_total": sigma_total,
+        "foliation": xn.foliation_criteria(scene, u_id).as_dict(),
+    }
+    if u.ambient_dim_half == 2:
+        report["automatic_transversality"] = index > c_n
+    if scene.pairing.has(u_id, u_id):
+        report["star_self"] = ref_star(scene, u_id, u_id)
+        report["adjunction_defect"] = ref_defect(scene, u_id)
+    return report
+
+
+def ref_snapshot(scene):
+    snap = {}
+    for orbit in scene.orbits:
+        for k in orbit.cover_table:
+            snap[f"parity[{orbit.id}^{k}]"] = parity(orbit, k)
+            snap[f"sigma_bar-[{orbit.id}^{k}]"] = sigma_bar(orbit, k, "-")
+            snap[f"sigma_bar+[{orbit.id}^{k}]"] = sigma_bar(orbit, k, "+")
+    for curve in scene.curves:
+        cid = curve.id
+        c_n, index, sigma_total = ref_sums(scene, curve)
+        snap[f"chi[{cid}]"] = euler_char(curve)
+        snap[f"index[{cid}]"] = index
+        snap[f"c_N[{cid}]"] = c_n
+        snap[f"sigma_bar_total[{cid}]"] = sigma_total
+        if scene.pairing.has(cid, cid):
+            try:
+                snap[f"adjunction_defect[{cid}]"] = ("value", ref_defect(scene, cid))
+            except InconsistencyError as exc:
+                snap[f"adjunction_defect[{cid}]"] = ("inconsistent", str(exc))
+    for (u, v) in scene.pairing.entries:
+        snap[f"star[{u},{v}]"] = ref_star(scene, u, v)
+    return snap
+
+
+def report_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except InconsistencyError as exc:
+        return str(exc)
+
+
+def without_rel_c1_law(scene, shift):
+    """A broken law: the windings and pairing entries move, rel_c1 does not."""
+    shifted = shift_scene(scene, shift)
+    curves = tuple(
+        dataclasses.replace(c, rel_c1=scene.curve(c.id).rel_c1) for c in shifted.curves
+    )
+    return Scene(shifted.orbits, curves, shifted.pairing)
+
+
+def without_bullet_law(scene, shift):
+    """A broken law: the windings and rel_c1 move, the pairing entries do not."""
+    shifted = shift_scene(scene, shift)
+    return Scene(shifted.orbits, shifted.curves, scene.pairing)
+
+
+# the benchmark's four scene sizes (orbits, curves, punctures per curve) as
+# maxima, then the property tests' default maxima
+SCENE_SIZES = ((3, 4, 4), (4, 5, 5), (5, 6, 5), (6, 8, 6), (3, 3, 4))
+
+
+def seeded_scenes(rng, count_per_size):
+    return [random_scene(rng, *size) for size in SCENE_SIZES for _ in range(count_per_size)]
+
+
+class TestGroupedEndsMatchPerPairReference:
+    def test_shift_star_and_reports_on_300_scenes(self):
+        rng = np.random.default_rng(41)
+        for scene in seeded_scenes(rng, 60):
+            shift = random_shift(rng, scene)
+            assert shift_scene(scene, shift) == ref_shift_scene(scene, shift)
+            ids = [c.id for c in scene.curves]
+            for u in ids:
+                assert report_or_error(xn.curve_report, scene, u) == report_or_error(
+                    ref_curve_report, scene, u
+                )
+                for v in ids:
+                    assert xn.star(scene, u, v) == ref_star(scene, u, v)
+                    assert Counter(core.shared_ends(scene.curve(u), scene.curve(v))) == Counter(
+                        ref_shared_ends(scene.curve(u), scene.curve(v))
+                    )
+
+    @pytest.mark.parametrize("law", [None, without_rel_c1_law, without_bullet_law])
+    def test_audit_report_on_300_scenes(self, monkeypatch, law):
+        # the reference audit runs the same trial loop with the per-pair law
+        # and snapshot; a broken law replaces the law on both sides, so the
+        # breaches it causes are compared too
+        rng = np.random.default_rng(43)
+        scenes = [(scene, int(rng.integers(0, 2**31))) for scene in seeded_scenes(rng, 60)]
+        if law is not None:
+            monkeypatch.setattr(audit, "shift_scene", law)
+        reports = [audit.audit_scene(scene, shifts=6, seed=seed) for scene, seed in scenes]
+        monkeypatch.setattr(audit, "shift_scene", law or ref_shift_scene)
+        monkeypatch.setattr(audit, "_snapshot", ref_snapshot)
+        refs = [audit.audit_scene(scene, shifts=6, seed=seed) for scene, seed in scenes]
+        assert reports == refs
+        breaches = sum(len(r["breaches"]) for r in reports)
+        assert (breaches == 0) == (law is None)
+
+
+# -- a broken law is caught ---------------------------------------------------
+
+
+def one_end_scene():
+    """One positive end on a simple odd orbit, alpha = (0, 1): index 0,
+    c_N = -1, star(u,u) = -1 and adjunction defect 0."""
+    orbit = OrbitData("g", {1: CoverData(0, 1)})
+    curve = CurveClass("u", 0, (PunctureSpec("+", "g", 1),), 0)
+    return Scene((orbit,), (curve,), RelativePairing({("u", "u"): -1}))
+
+
+def breach(trial, quantity, baseline, shifted, m):
+    return {
+        "trial": trial,
+        "quantity": quantity,
+        "baseline": baseline,
+        "shifted": shifted,
+        "twist": {"g": m},
+    }
+
+
+PARITY = "('inconsistent', \"inconsistent scene (parity): curve 'u'\")"
+POSITIVITY = (
+    "('inconsistent', \"inconsistent scene (positivity): data cannot represent "
+    "a simple curve 'u'\")"
+)
+
+
+class TestBrokenLawIsCaught:
+    # seed 0 draws the twists 4, 2, 0, -3, -2, -5 at the one orbit; with the
+    # true law all six trials pass
+    def test_true_law_passes(self):
+        assert audit.audit_scene(one_end_scene(), shifts=6, seed=0) == {
+            "trials": 6,
+            "breaches": [],
+        }
+
+    def test_law_without_rel_c1_correction(self, monkeypatch):
+        # a twist m leaves rel_c1 at 0 while the windings fall by m:
+        # index -2m, c_N -1 - m, defect numerator m
+        monkeypatch.setattr(audit, "shift_scene", without_rel_c1_law)
+        report = audit.audit_scene(one_end_scene(), shifts=6, seed=0)
+        assert report == {
+            "trials": 6,
+            "breaches": [
+                breach(0, "index[u]", "0", "-8", 4),
+                breach(0, "c_N[u]", "-1", "-5", 4),
+                breach(0, "adjunction_defect[u]", "('value', 0)", "('value', 2)", 4),
+                breach(1, "index[u]", "0", "-4", 2),
+                breach(1, "c_N[u]", "-1", "-3", 2),
+                breach(1, "adjunction_defect[u]", "('value', 0)", "('value', 1)", 2),
+                breach(3, "index[u]", "0", "6", -3),
+                breach(3, "c_N[u]", "-1", "2", -3),
+                breach(3, "adjunction_defect[u]", "('value', 0)", PARITY, -3),
+                breach(4, "index[u]", "0", "4", -2),
+                breach(4, "c_N[u]", "-1", "1", -2),
+                breach(4, "adjunction_defect[u]", "('value', 0)", POSITIVITY, -2),
+                breach(5, "index[u]", "0", "10", -5),
+                breach(5, "c_N[u]", "-1", "4", -5),
+                breach(5, "adjunction_defect[u]", "('value', 0)", PARITY, -5),
+            ],
+        }
+
+    def test_law_without_bullet_correction(self, monkeypatch):
+        # a twist m leaves u . u at -1 while omega(u, u) becomes m:
+        # star(u, u) -1 - m, defect numerator -m
+        monkeypatch.setattr(audit, "shift_scene", without_bullet_law)
+        report = audit.audit_scene(one_end_scene(), shifts=6, seed=0)
+        assert report == {
+            "trials": 6,
+            "breaches": [
+                breach(0, "adjunction_defect[u]", "('value', 0)", POSITIVITY, 4),
+                breach(0, "star[u,u]", "-1", "-5", 4),
+                breach(1, "adjunction_defect[u]", "('value', 0)", POSITIVITY, 2),
+                breach(1, "star[u,u]", "-1", "-3", 2),
+                breach(3, "adjunction_defect[u]", "('value', 0)", PARITY, -3),
+                breach(3, "star[u,u]", "-1", "2", -3),
+                breach(4, "adjunction_defect[u]", "('value', 0)", "('value', 1)", -2),
+                breach(4, "star[u,u]", "-1", "1", -2),
+                breach(5, "adjunction_defect[u]", "('value', 0)", PARITY, -5),
+                breach(5, "star[u,u]", "-1", "4", -5),
+            ],
+        }
+
+    def test_round_trip_breach(self, monkeypatch):
+        # a law that moves rel_c1 by the twist's absolute value is not a
+        # group action: m then -m leaves rel_c1 + 2|m|
+        def one_way_law(scene, shift):
+            shifted = shift_scene(scene, shift)
+            extra = abs(shift.shifts["g"])
+            curves = tuple(dataclasses.replace(c, rel_c1=c.rel_c1 + extra) for c in shifted.curves)
+            return Scene(shifted.orbits, curves, shifted.pairing)
+
+        monkeypatch.setattr(audit, "shift_scene", one_way_law)
+        report = audit.audit_scene(one_end_scene(), shifts=2, seed=0)
+        round_trips = [b for b in report["breaches"] if b["quantity"] == "shift round-trip"]
+        assert round_trips == [
+            {
+                "trial": trial,
+                "quantity": "shift round-trip",
+                "baseline": "original scene",
+                "shifted": "scene differs after shifting by m then -m",
+                "twist": {"g": m},
+            }
+            for trial, m in ((0, 4), (1, 2))
+        ]
+
+
+# -- the work of one snapshot and one shift, by call counts -------------------
+
+
+def benchmark_sized_scene():
+    """Six orbits and eight curves, the largest benchmark size; the seed gives
+    curves of 1-6 punctures sharing end groups."""
+    rng = np.random.default_rng(7)
+    while True:
+        scene = random_scene(rng, 6, 8, 6)
+        if len(scene.curves) == 8 and len(scene.orbits) == 6:
+            return scene
+
+
+class TestSnapshotCost:
+    def test_one_star_per_entry_and_one_end_walk_per_curve(self, monkeypatch):
+        scene = benchmark_sized_scene()
+        stars, walks = Counter(), Counter()
+        real_star, real_walk = xn.star, xn.signed_ends
+
+        def counted_star(scene, u_id, v_id):
+            stars[u_id, v_id] += 1
+            return real_star(scene, u_id, v_id)
+
+        def counted_walk(scene, curve):
+            walks[curve.id] += 1
+            return real_walk(scene, curve)
+
+        monkeypatch.setattr(xn, "star", counted_star)
+        monkeypatch.setattr(xn, "signed_ends", counted_walk)
+        audit._snapshot(scene)
+        assert len(scene.pairing.entries) == 36
+        assert stars == Counter(list(scene.pairing.entries))
+        assert walks == Counter(c.id for c in scene.curves)
+
+    def test_shift_walks_no_end_pairs(self, monkeypatch):
+        # both corrections come from end-group sums: neither the per-end
+        # walk nor the per-pair walk runs
+        scene = benchmark_sized_scene()
+        shift = random_shift(np.random.default_rng(0), scene)
+        calls = []
+
+        def walked(name):
+            def walk(*args):
+                calls.append(name)
+                return iter(())
+
+            return walk
+
+        for name in ("signed_ends", "shared_ends"):
+            monkeypatch.setattr(core, name, walked(name))
+        shifted = shift_scene(scene, shift)
+        monkeypatch.undo()
+        assert calls == []
+        assert shifted == ref_shift_scene(scene, shift)

@@ -3,6 +3,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +493,23 @@ class TestFitDecay:
         pairs = [(float(si), np.array([np.exp(-si)])) for si in s]
         fit = fit_decay(pairs)
         assert abs(fit.lambda_fit + 1.0) < 1e-9
+
+    def test_samples_whose_squares_overflow(self):
+        # the largest sample is 3.8e210, finite, but its square is not
+        s = np.linspace(0.0, 10.0, 40)
+        vals = 1e-50 * np.exp(60.0 * s)[:, None] * np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decay(Trajectory(s, vals))
+        assert abs(fit.lambda_fit - 60.0) < 1e-9
+        assert np.allclose(fit.direction_fit, np.ones(2) / math.sqrt(2.0))
+        assert fit.residual < 1e-9
+
+    def test_norm_overflow_refused(self):
+        s = np.linspace(0.0, 5.0, 40)
+        vals = np.full((40, 2), 1.5e308)
+        with pytest.raises(InputError, match="trajectory unusable: norm overflow"):
+            fit_decay(Trajectory(s, vals))
 
 
 def integrate_reference(A, v0, s0, s1, steps):
