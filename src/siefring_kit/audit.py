@@ -17,6 +17,7 @@ import numpy as np
 from . import intersection as xn
 from .core import Scene, TrivializationShift, euler_char, parity, shift_scene, sigma_bar
 from .errors import InconsistencyError, InputError
+from .jsonio import typed
 
 SHIFT_RANGE = 5
 # the golden scenes take 2-5 s at this many trials (one 2-core Xeon VM)
@@ -65,6 +66,7 @@ def audit_scene(scene: Scene, shifts: int = 50, seed: int = 0) -> dict:
     pass.  Also checks that twisting by m and then -m restores the scene
     verbatim (the transformation law is a group action).
     """
+    shifts = typed(shifts, int, "number of shifts")
     if shifts < 0:
         raise InputError(f"number of shifts must be nonnegative, got {shifts}")
     if shifts > MAX_SHIFTS:

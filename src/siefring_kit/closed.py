@@ -8,7 +8,7 @@ degenerating into a pair of exceptional spheres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import InconsistencyError, InputError
@@ -67,33 +67,18 @@ def disjointness_verdict(pairing: int) -> Disjointness:
 @dataclass(frozen=True)
 class NodalSplitResult:
     """Forced invariants of a two-component degeneration of a square-zero,
-    c1 = 2 sphere, or the reason the proposed split is impossible."""
+    c1 = 2 sphere; an impossible split is refused, so ``possible`` is true."""
 
     possible: bool
-    reason: str = ""
-    delta_plus: int | None = None
-    delta_minus: int | None = None
-    cross_pairing: int | None = None
-    self_pairing_plus: int | None = None
-    self_pairing_minus: int | None = None
-    verdict: str = ""
+    delta_plus: int
+    delta_minus: int
+    cross_pairing: int
+    self_pairing_plus: int
+    self_pairing_minus: int
+    verdict: str
 
     def as_dict(self) -> dict:
-        out = {"possible": self.possible}
-        if self.possible:
-            out.update(
-                {
-                    "delta_plus": self.delta_plus,
-                    "delta_minus": self.delta_minus,
-                    "cross_pairing": self.cross_pairing,
-                    "self_pairing_plus": self.self_pairing_plus,
-                    "self_pairing_minus": self.self_pairing_minus,
-                    "verdict": self.verdict,
-                }
-            )
-        else:
-            out["reason"] = self.reason
-        return out
+        return asdict(self)
 
 
 def analyze_nodal_split(
@@ -116,14 +101,6 @@ def analyze_nodal_split(
     if total_self != 0 or total_c1 != 2:
         raise InputError(
             "analysis is specialized to the square-zero, c1 = 2 degeneration pattern"
-        )
-    if (a, b) != (1, 1):
-        return NodalSplitResult(
-            possible=False,
-            reason=(
-                f"split {component_c1} violates c1 >= 1 for both components "
-                "together with c1(v+) + c1(v-) = 2"
-            ),
         )
     # c_N(v+-) = 1 - 2 = -1; expansion of 0 = [S].[S] gives
     # 2 delta(v+) + 2 delta(v-) + 2(v+.v- - 1) = 0 with every term >= 0.

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .jsonio import JsonObject, read_json
+from .jsonio import JsonObject, read_json, typed
 
 # the factor of an end of each sign in every per-end sum
 SIGNS = {"+": 1, "-": -1}
@@ -49,9 +49,14 @@ class OrbitData:
     cover_table: dict[int, CoverData]
 
     def __post_init__(self):
-        for k in self.cover_table:
-            if not (isinstance(k, int) and k >= 1):
-                raise InputError(f"orbit {self.id!r}: cover multiplicity {k!r} invalid")
+        what = f"orbit {self.id!r}: cover multiplicity"
+        table = {}
+        for k, cover in self.cover_table.items():
+            k = typed(k, int, what)
+            if k < 1:
+                raise InputError(f"{what} {k!r} invalid")
+            table[k] = cover
+        object.__setattr__(self, "cover_table", table)
 
     def cover(self, k: int) -> CoverData:
         try:
@@ -71,7 +76,7 @@ class PunctureSpec:
     def __post_init__(self):
         if not (isinstance(self.sign, str) and self.sign in SIGNS):
             raise InputError(f"puncture sign must be '+' or '-', got {self.sign!r}")
-        if self.multiplicity < 1:
+        if typed(self.multiplicity, int, "puncture multiplicity") < 1:
             raise InputError(f"puncture multiplicity must be >= 1, got {self.multiplicity}")
 
 

@@ -262,6 +262,7 @@ def germ(p, q) -> Germ:
 
 def monomial_germ(a: int, b: int) -> Germ:
     """The germ (z^a, z^b)."""
+    a, b = (typed(e, int, "monomial exponent") for e in (a, b))
     if a < 1 or b < 1:
         raise InputError("monomial exponents must be >= 1")
     pa = [0] * a + [1]
@@ -394,23 +395,31 @@ def _det_mod(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return det * inverse % mod
 
 
+def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+    """Sylvester matrices in w of the polynomial pairs (f_rows[s], g_rows[s])
+    (ascending coefficients, any dtype), stacked along the first axis: deg g
+    shifted copies of f's coefficients, then deg f copies of g's, each
+    descending; the exact engine, its degree bound and the oracle use it."""
+    (samples, wf), wg = f_rows.shape, g_rows.shape[1]  # deg + 1 in w
+    n = wf + wg - 2
+    out = np.zeros((samples, n, n), dtype=np.result_type(f_rows, g_rows))
+    for rows, width, copies, at in ((f_rows, wf, wg - 1, 0), (g_rows, wg, wf - 1, wg - 1)):
+        shift, j = np.arange(copies)[:, None], np.arange(width)
+        out[:, at + shift, shift + j] = rows[:, None, width - 1 - j]
+    return out
+
+
 def _sylvester_layout(f: dict, g: dict):
-    """Where each coefficient of f and g sits in the Sylvester matrix in w:
-    (n, [(terms, deg_w, deg_z, rows, columns, w-exponents)] for f then g,
-    a bound on deg_z of the determinant).  The rows are deg_w g shifted
-    copies of f's w-coefficients, then deg_w f copies of g's."""
-    (dwf, dzf), (dwg, dzg) = (tuple(max(e) for e in zip(*h)) for h in (f, g))
-    n = dwf + dwg
-    layout, degree = [], np.full((n, n), -1)
-    for h, dw, dz, copies, at in ((f, dwf, dzf, dwg, 0), (g, dwg, dzg, dwf, dwg)):
-        shift, j = np.repeat(np.arange(copies), dw + 1), np.tile(np.arange(dw + 1), copies)
-        layout.append((h, dw, dz, at + shift, shift + dw - j, j))
-        zdeg = np.full(dw + 1, -1)
-        for wexp, zexp in h:
-            zdeg[wexp] = max(zdeg[wexp], zexp)
-        degree[at + shift, shift + dw - j] = zdeg[j]
+    """(n, [(terms, deg_w, deg_z)] for f then g, a bound on deg_z of the
+    determinant) of the Sylvester matrix in w of f and g; the bound is read
+    off the stack ``_sylvester_stack`` makes of their rows of z-degrees."""
+    zdeg = [np.full(max(h)[0] + 1, -1) for h in (f, g)]
+    for h, row in zip((f, g), zdeg):
+        np.maximum.at(row, *np.array(list(h)).T)
+    degree = _sylvester_stack(*(row[None] for row in zdeg))[0]
+    layout = [(h, len(row) - 1, int(row.max())) for h, row in zip((f, g), zdeg)]
     # the sum of the row maxima is dzf dwg + dzg dwf; the columns' can be less
-    return n, layout, int(min(degree.max(axis=a, initial=0).sum() for a in (0, 1)))
+    return len(degree), layout, int(min(degree.max(axis=a, initial=0).sum() for a in (0, 1)))
 
 
 def _certifying_primes(log_length: int, bound: int) -> list:
@@ -439,24 +448,23 @@ def _orders_modulo(primes: list, n: int, layout: list, log_length: int) -> list:
     while width < length:
         powers[:, width : 2 * width] = powers[:, :width] * omega[:, None] % mod[:, None]
         omega, width = omega * omega % mod, 2 * width
-    rows = []
-    for h, dw, dz, row, col, j in layout:
+    polys = []
+    for h, dw, dz in layout:
         coeffs = np.zeros((len(primes), dw + 1, dz + 1), dtype=np.int64)
         for (wexp, zexp), (re, im) in h.items():
             coeffs[:, wexp, zexp] = [(re + im * iota) % p for p, iota, _ in primes]
-        rows.append((coeffs, np.arange(dz + 1), row, col, j))
+        polys.append((coeffs, np.arange(dz + 1)))
     # values[j * N + s] = Res(omega_j^s) modulo the j-th prime
-    chunk = max(1, _WORK_CELLS // max([n * n] + [c[0].size for c, *_ in rows]))
+    chunk = max(1, _WORK_CELLS // max([n * n] + [c.size for c, _ in polys]))
     values = np.empty(len(primes) * length, dtype=np.int64)
     for lo in range(0, len(values), chunk):
         prime, sample = np.divmod(np.arange(lo, min(lo + chunk, len(values))), length)
         m = mod[prime]
-        a = np.zeros((len(prime), n, n), dtype=np.int64)
-        for coeffs, zexp, row, col, j in rows:
-            zpow = powers[prime[:, None], sample[:, None] * zexp % length]
-            at_sample = (coeffs[prime] * zpow[:, None, :] % m[:, None, None]).sum(axis=2) % m[:, None]
-            a[:, row, col] = at_sample[:, j]
-        values[lo : lo + len(prime)] = _det_mod(a, m)
+        rows = []  # each polynomial's w-coefficients at the samples
+        for coeffs, zexp in polys:
+            zpow = powers[prime[:, None], sample[:, None] * zexp % length][:, None, :]
+            rows.append((coeffs[prime] * zpow % m[:, None, None]).sum(axis=2) % m[:, None])
+        values[lo : lo + len(prime)] = _det_mod(_sylvester_stack(*rows), m)
     values = values.reshape(len(primes), length)
     # N times coefficient k of Res modulo prime j: sum_s values[j, s] omega_j^(-s k)
     orders = dict.fromkeys(np.flatnonzero(values.any(axis=1)).tolist())
@@ -711,7 +719,8 @@ def delta_local(u: Germ) -> int:
 def branched_cover(u: Germ, k: int) -> Germ:
     """Precompose with z -> z^k.  Intersection numbers scale by the product
     of the two covering multiplicities."""
-    if not (isinstance(k, int) and k >= 1):
+    k = typed(k, int, "cover multiplicity")
+    if k < 1:
         raise InputError(f"cover multiplicity must be a positive integer, got {k!r}")
     if k == 1:
         return u
@@ -758,19 +767,6 @@ def _degrees(b: np.ndarray) -> tuple[int, int]:
     large = magnitude > COEFF_TRIM_TOL * scale
     lines = (np.flatnonzero(large.any(axis=axis)) for axis in (1, 0))
     return tuple(int(line[-1]) if len(line) else -1 for line in lines)
-
-
-def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
-    """Sylvester matrices in w of the polynomial pairs (f_rows[s], g_rows[s])
-    (ascending coefficients), stacked along the first axis: deg g shifted
-    copies of f's coefficients, then deg f copies of g's, each descending."""
-    (samples, wf), wg = f_rows.shape, g_rows.shape[1]  # deg + 1 in w
-    n = wf + wg - 2
-    out = np.zeros((samples, n, n), dtype=complex)
-    for rows, width, copies, at in ((f_rows, wf, wg - 1, 0), (g_rows, wg, wf - 1, wg - 1)):
-        shift, j = np.arange(copies)[:, None], np.arange(width)
-        out[:, at + shift, shift + j] = rows[:, None, width - 1 - j]
-    return out
 
 
 # a radius or epsilon too large overflows the samples; _trimmed refuses the result

@@ -37,12 +37,15 @@ def read_json(path, what: str):
 
 
 def typed(value, kind, what: str):
-    """``value`` if it is a JSON value of ``kind``, a key of ``_KINDS``.
-    A bool is no number and a float never an integer, not even 1.0."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """``value`` if it is a JSON value of ``kind``, a key of ``_KINDS``.  The one integer
+    rule: any ``numbers.Integral`` but a bool, returned as an int; a bool is no number."""
     if kind is int:
-        ok = number and isinstance(value, int)
+        if type(value) is int:
+            return value
+        ok = type(value) is not bool and isinstance(value, numbers.Integral)
+        value = int(value) if ok else value
     elif kind is float:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
         ok = number and (isinstance(value, int) or math.isfinite(value))
     else:
         ok = isinstance(value, kind)

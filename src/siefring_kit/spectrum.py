@@ -37,6 +37,7 @@ ZERO_EIGENVALUE_TOL = 1e-6
 CLUSTER_TOL = 1e-8
 WINDING_GUARD = 0.05
 RESOLVED_SAMPLE_RATIO = 1e-8
+PERIOD_TOL = 1e-6
 DEFAULT_CUTOFF = 32
 # the dense complex matrix has 2(2M + 1) rows: at most 67 MB at this cutoff
 MAX_CUTOFF = 512
@@ -68,10 +69,9 @@ class SpectralLoop:
     def __post_init__(self):
         seen = set()
         checked = []
-        for entry in self.modes:
-            n, c, d = entry
-            if not (isinstance(n, (int, np.integer)) and n >= 0):
-                raise InputError(f"mode frequency must be a nonnegative integer, got {n!r}")
+        for n, c, d in self.modes:
+            if typed(n, int, "mode frequency") < 0:
+                raise InputError(f"mode frequency must be a nonnegative integer, got {n}")
             if n in seen:
                 raise InputError(f"duplicate mode frequency {n}")
             seen.add(n)
@@ -122,7 +122,8 @@ def cover_operator(loop: SpectralLoop, k: int) -> SpectralLoop:
     is the complex conjugate of B(r, q) and has the same eigenvalues and
     windings.
     """
-    if not (isinstance(k, int) and k >= 1):
+    k = typed(k, int, "cover multiplicity")
+    if k < 1:
         raise InputError(f"cover multiplicity must be a positive integer, got {k!r}")
     if k == 1:
         return loop
@@ -169,15 +170,8 @@ class OperatorDiscretization:
         return np.array([p.eigenvalue for p in pairs]), np.array([p.winding for p in pairs], int)
 
 
-def _integer_cutoff(mode_cutoff) -> int:
-    """The cutoff as an int; a float or a bool is refused, not rounded."""
-    if isinstance(mode_cutoff, bool) or not isinstance(mode_cutoff, numbers.Integral):
-        raise InputError(f"cutoff must be an integer, got {mode_cutoff!r}")
-    return int(mode_cutoff)
-
-
 def _checked_cutoff(mode_cutoff, bandwidth: int) -> int:
-    M = _integer_cutoff(mode_cutoff)
+    M = typed(mode_cutoff, int, "cutoff")
     if M > MAX_CUTOFF:
         raise InputError(f"cutoff too large: need mode_cutoff <= {MAX_CUTOFF}, got {M}")
     if M < bandwidth + 4:
@@ -426,8 +420,8 @@ def alphas_from_spectrum(
     return _alpha_record([(op, 1, 1)], zero_tol)
 
 
-def covering_multiplicity(pair: EigenPair, k: int, tol: float = 1e-6) -> int:
-    """Largest divisor d of k with f(t + 1/d) = f(t) up to tol*max|f|."""
+def covering_multiplicity(pair: EigenPair, k: int) -> int:
+    """Largest divisor d of k with f(t + 1/d) = f(t) up to PERIOD_TOL * max|f|."""
     best = 1
     scale = np.abs(pair.samples).max()
     N = len(pair.samples)
@@ -437,7 +431,7 @@ def covering_multiplicity(pair: EigenPair, k: int, tol: float = 1e-6) -> int:
         if k % d != 0:
             continue
         shifted = _on_grid(pair.coeffs * np.exp(2j * np.pi * ns / d)[:, None], N)
-        if np.abs(shifted[:, 0] + 1j * shifted[:, 1] - pair.samples).max() < tol * scale:
+        if np.abs(shifted[:, 0] + 1j * shifted[:, 1] - pair.samples).max() < PERIOD_TOL * scale:
             best = d
     return best
 
@@ -463,6 +457,7 @@ class DecayFit:
 # RK4 steps whose A values and step matrices are held at once: the transient
 # memory of an integration is bounded by this block, not by its length
 _ODE_BLOCK = 256
+_RK4_SAFE_RADIUS = 2.6  # |R(z)| < 1 for Re z < 0, |z| <= 2.6 (|R(-2.6)| = 0.981)
 
 
 def _matrices_at(A, ts: list, n: int) -> np.ndarray:
@@ -478,6 +473,25 @@ def _matrices_at(A, ts: list, n: int) -> np.ndarray:
     if not finite.all():
         raise InputError(f"A(s) is not finite at s = {ts[finite.argmin()]!r}")
     return mats.astype(float, copy=False)
+
+
+def _check_stable(mats: np.ndarray, ts: list, h: float, span: float) -> None:
+    """Refuse a step that amplifies a decaying mode: an eigenvalue lam of some
+    A(s) with Re(h lam) < 0 and |R(h lam)| >= 1, R(z) = 1 + z + ... + z^4/24.
+    As |lam| <= ||A(s)||_inf, only A(s) with |h| ||A(s)||_inf > 2.6 can."""
+    norms = np.abs(mats).sum(axis=2).max(axis=1)
+    wide = np.flatnonzero(abs(h) * norms > _RK4_SAFE_RADIUS)
+    if not len(wide):
+        return
+    z = h * np.linalg.eigvals(mats[wide])
+    growth = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+    unstable = wide[((z.real < 0) & (growth >= 1)).any(axis=1)]
+    if len(unstable):
+        i = unstable[0]
+        raise InputError(
+            f"integration step unstable at s = {ts[i]!r}: RK4 with h = {h!r} amplifies a decaying "
+            f"mode of A(s); {math.ceil(span * norms[i] / _RK4_SAFE_RADIUS)} steps or more damp it"
+        )
 
 
 def _propagate(P: np.ndarray, out: np.ndarray) -> None:
@@ -503,10 +517,10 @@ def integrate_linear_ode(A, v0, s0: float, s1: float, steps: int) -> Trajectory:
     point s0 + j h/2 of its half-step grid, in grid order, the A values are
     stacked, the step matrices built by batched products and then applied
     in turn: 2 steps + ceil(steps / _ODE_BLOCK) calls of A in all, as
-    neighbouring blocks share an end point.
+    neighbouring blocks share an end point.  A block whose step amplifies a
+    decaying mode of A is refused, with a step count that damps it.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise InputError(f"integration steps must be an integer, got {steps!r}")
+    steps = typed(steps, int, "integration steps")
     if steps < 100:
         raise InputError(f"integration needs at least 100 steps, got {steps}")
     # s1 - s0 is finite only when both ends are, and h with it
@@ -523,7 +537,7 @@ def integrate_linear_ode(A, v0, s0: float, s1: float, steps: int) -> Trajectory:
     if not callable(A):
         mat = A
         A = lambda s: mat  # noqa: E731
-    n, steps, s0 = len(v), int(steps), float(s0)
+    n, s0 = len(v), float(s0)
     h = (float(s1) - s0) / steps
     ss = np.arange(steps + 1, dtype=float)
     ss *= h
@@ -535,6 +549,7 @@ def integrate_linear_ode(A, v0, s0: float, s1: float, steps: int) -> Trajectory:
         i1 = min(i0 + _ODE_BLOCK, steps)
         ts = (s0 + np.arange(2 * i0, 2 * i1 + 1) * (h / 2)).tolist()
         mats = _matrices_at(A, ts, n)
+        _check_stable(mats, ts, h, abs(float(s1) - s0))
         a1, am, a2 = mats[:-1:2], mats[1::2], mats[2::2]
         k2 = am + h / 2 * (am @ a1)
         k3 = am + h / 2 * (am @ k2)
@@ -641,7 +656,7 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
     for all covers, and the union of their spectra goes through the same
     rule as ``alphas_from_spectrum`` of the full cover matrix.
     """
-    M = _integer_cutoff(mode_cutoff)
+    M = typed(mode_cutoff, int, "cutoff")
 
     @cache
     def block(r, q):
@@ -649,6 +664,7 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
 
     table = {}
     for k in covers:
+        k = typed(k, int, "cover multiplicity")
         _checked_cutoff(M * k, cover_operator(loop, k).bandwidth)
         # block B(r, q), eigenvalues and windings times m = k / q, serves the
         # residues R = m r and, conjugated, R = m (q - r) mod k

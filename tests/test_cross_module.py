@@ -9,10 +9,15 @@ orbit-cylinder identities.
 import math
 
 import numpy as np
+import pytest
 
 from siefring_kit import intersection as xn
+from siefring_kit.audit import audit_scene
+from siefring_kit.cli import golden_scene
 from siefring_kit.core import (
+    CoverData,
     CurveClass,
+    OrbitData,
     PunctureSpec,
     RelativePairing,
     Scene,
@@ -20,6 +25,8 @@ from siefring_kit.core import (
     parity,
     sigma_bar,
 )
+from siefring_kit.errors import InputError
+from siefring_kit.germs import branched_cover, germ, monomial_germ
 from siefring_kit.spectrum import (
     SpectralLoop,
     alphas_from_spectrum,
@@ -28,6 +35,7 @@ from siefring_kit.spectrum import (
     cover_operator,
     covering_multiplicity,
     eigen_window,
+    integrate_linear_ode,
     orbit_from_loop,
 )
 
@@ -112,3 +120,74 @@ class TestCylinderSceneFromSpectra:
             assert xn.star(scene, f"cyl_{k}", f"cyl_{k}") == -k * p
             assert xn.fredholm_index(scene, f"cyl_{k}") == 0
             assert xn.check_cn_index_relation(scene, f"cyl_{k}").holds
+
+
+def _loop_modes(loop):
+    return [(n, c.tolist(), d.tolist()) for n, c, d in loop.modes]
+
+
+_BASE_LOOP = random_loop(np.random.default_rng(5))
+
+# every count argument: a valid count n and what the call with it gives,
+# reduced to plain values where the result holds arrays
+COUNT_ARGUMENTS = {
+    "integration steps": (
+        150,
+        lambda n: integrate_linear_ode(np.array([[-1.0]]), [1.0], 0.0, 1.0, n).values.tolist(),
+    ),
+    "spectral cover k": (2, lambda n: _loop_modes(cover_operator(_BASE_LOOP, n))),
+    "germ cover k": (2, lambda n: branched_cover(germ([0, 1], [0, 0, 1]), n)),
+    "mode frequency": (1, lambda n: _loop_modes(SpectralLoop(((n, np.eye(2), np.eye(2)),)))),
+    "orbit cover key": (2, lambda n: OrbitData("o", {n: CoverData(0, 1)})),
+    "orbit_from_loop covers": (2, lambda n: orbit_from_loop("o", _BASE_LOOP, (1, n), 8)),
+    "puncture multiplicity": (2, lambda n: PunctureSpec("+", "o", n)),
+    "audit shifts": (3, lambda n: audit_scene(golden_scene("planar_page"), n)),
+    "first monomial exponent": (2, lambda n: monomial_germ(n, 3)),
+    "second monomial exponent": (3, lambda n: monomial_germ(2, n)),
+}
+
+
+class TestCountArguments:
+    """One integer rule, ``jsonio.typed``, reads every count argument: a bool
+    or a float is refused, a numpy integer counts as the int it equals."""
+
+    @pytest.mark.parametrize("name", sorted(COUNT_ARGUMENTS))
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_bool_and_float_refused(self, name, bad):
+        _, call = COUNT_ARGUMENTS[name]
+        with pytest.raises(InputError, match="must be an integer, got"):
+            call(bad)
+
+    @pytest.mark.parametrize("name", sorted(COUNT_ARGUMENTS))
+    def test_numpy_integer_is_the_int(self, name):
+        n, call = COUNT_ARGUMENTS[name]
+        assert call(np.int64(n)) == call(n)
+
+    def test_orbit_cover_keys_are_ints(self):
+        covers = (np.int64(1), np.int32(2), np.uint8(3))
+        orbit = orbit_from_loop("o", _BASE_LOOP, covers, 8)
+        assert orbit == orbit_from_loop("o", _BASE_LOOP, (1, 2, 3), 8)
+        assert [type(k) for k in orbit.cover_table] == [int, int, int]
+        assert repr(orbit) == repr(orbit_from_loop("o", _BASE_LOOP, (1, 2, 3), 8))
+        table = OrbitData("o", {np.int64(2): CoverData(0, 1)}).cover_table
+        assert [type(k) for k in table] == [int]
+
+    def test_range_messages_kept(self):
+        with pytest.raises(InputError, match="cover multiplicity must be a positive integer, got 0"):
+            cover_operator(_BASE_LOOP, 0)
+        with pytest.raises(InputError, match="cover multiplicity must be a positive integer, got 0"):
+            branched_cover(germ([0, 1], [0, 0, 1]), np.int64(0))
+        with pytest.raises(InputError, match="cover multiplicity must be an integer, got 1.5"):
+            branched_cover(germ([0, 1], [0, 0, 1]), 1.5)
+        with pytest.raises(InputError, match="'o': cover multiplicity 0 invalid"):
+            OrbitData("o", {0: CoverData(0, 1)})
+        with pytest.raises(InputError, match="mode frequency must be a nonnegative integer, got -1"):
+            SpectralLoop(((np.int64(-1), np.eye(2), np.eye(2)),))
+        with pytest.raises(InputError, match="puncture multiplicity must be >= 1, got 0"):
+            PunctureSpec("+", "o", 0)
+        with pytest.raises(InputError, match="number of shifts must be nonnegative, got -1"):
+            audit_scene(golden_scene("planar_page"), np.int64(-1))
+        with pytest.raises(InputError, match="monomial exponents must be >= 1"):
+            monomial_germ(0, 3)
+        with pytest.raises(InputError, match="integration needs at least 100 steps, got 99"):
+            integrate_linear_ode(np.array([[-1.0]]), [1.0], 0.0, 1.0, np.int64(99))

@@ -1125,6 +1125,68 @@ class TestModularResultantEngine:
         assert _sympy_poly({(0, 1): 1}, w, z).resultant(_sympy_poly({(0, 2): 1}, w, z)).as_expr() == 1
 
 
+def _reference_sylvester_layout(f, g):
+    """Reference Sylvester layout as index arrays: (n, [(terms, deg_w, deg_z,
+    rows, columns, w-exponents)] for f then g, a bound on deg_z of the
+    determinant), each coefficient of w-exponent j at (rows, columns)."""
+    (dwf, dzf), (dwg, dzg) = (tuple(max(e) for e in zip(*h)) for h in (f, g))
+    n = dwf + dwg
+    layout, degree = [], np.full((n, n), -1)
+    for h, dw, dz, copies, at in ((f, dwf, dzf, dwg, 0), (g, dwg, dzg, dwf, dwg)):
+        shift, j = np.repeat(np.arange(copies), dw + 1), np.tile(np.arange(dw + 1), copies)
+        layout.append((h, dw, dz, at + shift, shift + dw - j, j))
+        zdeg = np.full(dw + 1, -1)
+        for wexp, zexp in h:
+            zdeg[wexp] = max(zdeg[wexp], zexp)
+        degree[at + shift, shift + dw - j] = zdeg[j]
+    return n, layout, int(min(degree.max(axis=a, initial=0).sum() for a in (0, 1)))
+
+
+def _sylvester_pairs(count, seed):
+    """Integral term pairs, both of positive w-degree, from seeded axis pairs,
+    their branched covers and simple germs' divided differences."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        kind = len(pairs) % 3
+        if kind == 0:
+            u = axis_germ(rng, int(rng.integers(1, 4)), 0, extra=3)
+            v = axis_germ(rng, int(rng.integers(1, 4)), 1, extra=3)
+        elif kind == 1:
+            u = branched_cover(axis_germ(rng, 1, 0, extra=3), int(rng.integers(1, 4)))
+            v = branched_cover(axis_germ(rng, 1, int(rng.integers(0, 2)), extra=3), 2)
+        if kind == 2:
+            u = random_simple_germ(rng)
+            terms = germs._divided_difference_terms(u.p), germs._divided_difference_terms(u.q)
+        else:
+            terms = germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
+        f, g = (germs._integral(t) for t in terms)
+        if f and g and max(f)[0] and max(g)[0]:
+            pairs.append((f, g))
+    return pairs
+
+
+class TestOneSylvesterBuilder:
+    """The modular engine lays its int64 Sylvester matrices out through
+    ``_sylvester_stack``, as the oracle does its complex ones."""
+
+    def test_matches_the_index_array_layout(self):
+        rng = np.random.default_rng(7)
+        for f, g in _sylvester_pairs(300, seed=2026):
+            n, layout, bound = germs._sylvester_layout(f, g)
+            ref_n, ref_layout, ref_bound = _reference_sylvester_layout(f, g)
+            assert (n, bound) == (ref_n, ref_bound)
+            assert layout == [x[:3] for x in ref_layout]
+            # w-coefficient rows of f and g at 4 samples, residues below 2^31
+            rows = [rng.integers(0, 2**31, size=(4, dw + 1)) for _, dw, _ in layout]
+            expected = np.zeros((4, n, n), dtype=np.int64)
+            for (_, _, _, row, col, j), values in zip(ref_layout, rows):
+                expected[:, row, col] = values[:, j]
+            stacked = germs._sylvester_stack(*rows)
+            assert stacked.dtype == np.int64
+            assert np.array_equal(stacked, expected)
+
+
 class TestModularCertification:
     """Cases where the first prime alone gives a wrong answer."""
 

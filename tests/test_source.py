@@ -70,3 +70,30 @@ def test_traced_names_are_bound_by_the_cli_import():
     assert done.returncode == 0, done.stderr
     # null: the module is not imported; a list: the names it lacks
     assert json.loads(done.stdout) == {layer: [] for layer in traced}
+
+
+def _integer_rules(node) -> bool:
+    """An integer test of its own: numbers.Integral, np.integer or an
+    isinstance against bool."""
+    if isinstance(node, ast.Attribute):
+        return ast.unparse(node) in {"numbers.Integral", "np.integer", "numpy.integer"}
+    if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+        return any(alias.name == "Integral" for alias in node.names)
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+        kinds = node.args[1]
+        names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(ast.unparse(name) == "bool" for name in names)
+    return False
+
+
+def test_one_integer_rule():
+    # what counts as an integer is decided by jsonio.typed alone
+    package = Path(siefring_kit.__file__).parent
+    modules = sorted(path for path in package.rglob("*.py") if path.name != "jsonio.py")
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _integer_rules(node)
+    ]
+    assert package / "spectrum.py" in modules and found == []

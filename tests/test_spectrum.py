@@ -661,6 +661,42 @@ class TestIntegratorInputs:
             integrate_linear_ode(np.diag([np.inf, 1.0]), [1.0, 0.0], 0.0, 1.0, 100)
 
 
+class TestStepStability:
+    def test_step_that_amplifies_a_decaying_mode_refused(self):
+        # h = 0.1 puts h lam = -4 where |R| = 5: the steps would end at 7.9e69
+        message = (
+            "integration step unstable at s = 0.0: RK4 with h = 0.1 amplifies a decaying "
+            "mode of A(s); 154 steps or more damp it"
+        )
+        with pytest.raises(InputError, match=re.escape(message)):
+            integrate_linear_ode(np.array([[-40.0]]), [1.0], 0.0, 10.0, 100)
+        traj = integrate_linear_ode(np.array([[-40.0]]), [1.0], 0.0, 10.0, 154)
+        assert 0 < traj.values[-1, 0] < 1
+        fit = fit_decay(integrate_linear_ode(np.array([[-40.0]]), [1.0], 0.0, 5.0, 2000))
+        assert fit.lambda_fit == pytest.approx(-40.0, rel=1e-6)
+
+    def test_refusal_names_the_first_unstable_point(self):
+        def A(s):
+            return np.diag([-1.0, -40.0 if s > 5.0 else -2.0])
+
+        with pytest.raises(InputError, match=r"unstable at s = 5\.05.*154 steps or more"):
+            integrate_linear_ode(A, [1.0, 1.0], 0.0, 10.0, 100)
+
+    @pytest.mark.parametrize("rate", [40.0, 0.0])
+    def test_growing_and_steady_fields_pass(self, rate):
+        # no mode decays, so a large step amplifies nothing RK4 should damp
+        traj = integrate_linear_ode(np.array([[rate, 0.0], [0.0, 0.0]]), [1.0, 1.0], 0.0, 10.0, 100)
+        assert traj.values[-1, 1] == 1.0
+
+    def test_rotation_in_a_decaying_field(self):
+        # eigenvalues -30 +- 30i: |h lam| = 4.2 at 100 steps, 2.1 at 200
+        A = np.array([[-30.0, 30.0], [-30.0, -30.0]])
+        with pytest.raises(InputError, match="unstable at s = 0.0"):
+            integrate_linear_ode(A, [1.0, 0.0], 0.0, 10.0, 100)
+        traj = integrate_linear_ode(A, [1.0, 0.0], 0.0, 10.0, 240)
+        assert np.abs(traj.values[-1]).max() < 1e-100
+
+
 class TestFitDecayInputs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values(self, bad):
