@@ -10,6 +10,7 @@ that must not depend on the trivialization are tested against
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -60,7 +61,7 @@ class OrbitData:
 
     def cover(self, k: int) -> CoverData:
         try:
-            return self.cover_table[k]
+            return self.cover_table[typed(k, int, "cover multiplicity")]
         except KeyError:
             raise InputError(f"unknown cover: orbit {self.id!r} has no multiplicity {k}") from None
 
@@ -87,8 +88,11 @@ class CurveClass:
     ``rel_c1`` is the first Chern number of the pulled-back tangent bundle
     relative to the baseline trivializations; like the pairing entries it
     is user input, since it cannot be derived from combinatorics alone.
-    The ends grouped by (sign, orbit id), each group the tuple of its
-    multiplicities in puncture order, are an attribute, not a field.
+
+    ``ends`` maps (sign, orbit id) to {cover k: number of ends}, each in
+    order of first appearance among the punctures; every per-end sum reads
+    it, one term per distinct cover weighted by its count.  It is an
+    attribute, not a field, so equality and repr see only the data.
     """
 
     id: str
@@ -103,11 +107,11 @@ class CurveClass:
         if self.ambient_dim_half < 2:
             raise InputError(f"curve {self.id!r}: ambient_dim_half must be >= 2")
         object.__setattr__(self, "punctures", tuple(self.punctures))
-        groups = {}
+        ends = {}
         for p in self.punctures:
-            key = (p.sign, p.orbit)
-            groups[key] = groups.get(key, ()) + (p.multiplicity,)
-        object.__setattr__(self, "_end_groups", groups)
+            covers = ends.setdefault((p.sign, p.orbit), {})
+            covers[p.multiplicity] = covers.get(p.multiplicity, 0) + 1
+        object.__setattr__(self, "ends", ends)
 
 
 def _pair_key(u: str, v: str) -> tuple[str, str]:
@@ -244,26 +248,6 @@ def sigma_bar(orbit: OrbitData, k: int, sign: str) -> int:
     return math.gcd(k, alpha(orbit, k, sign))
 
 
-def signed_ends(scene: Scene, curve: CurveClass):
-    """(factor, orbit, k, end bound) for every puncture of the curve, the
-    factor and the bound of its sign on the k-fold cover of its orbit."""
-    for p in curve.punctures:
-        orbit = scene.orbit(p.orbit)
-        yield sign_factor(p.sign), orbit, p.multiplicity, end_bound(orbit, p.multiplicity, p.sign)
-
-
-def shared_ends(u: CurveClass, v: CurveClass):
-    """(sign, orbit id, k, m) for every ordered pair of same-sign punctures
-    of u and v on covers k, m of one simple orbit, coincident pairs included
-    when u is v; only the end groups the two curves share are walked."""
-    v_groups = v._end_groups
-    for (sign, orbit_id), ks in u._end_groups.items():
-        ms = v_groups.get((sign, orbit_id), ())
-        for k in ks:
-            for m in ms:
-                yield sign, orbit_id, k, m
-
-
 def euler_char(curve: CurveClass) -> int:
     """Euler characteristic of the punctured domain: 2 - 2g - #punctures."""
     return 2 - 2 * curve.genus - len(curve.punctures)
@@ -295,8 +279,12 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
     # both corrections are bilinear in the multiplicities, so they are sums
     # over end groups: rel_c1 gains sum s m_o (sum k) over the groups of the
     # curve, u . v gains sum s m_o (sum k_u)(sum k_v) over the groups u and v
-    # share, with s the sign factor and m_o the twist of the group's orbit
-    sums = {c.id: {key: sum(ks) for key, ks in c._end_groups.items()} for c in scene.curves}
+    # share, with s the sign factor and m_o the twist of the group's orbit;
+    # sum k is each cover k of the group times its count
+    sums = {
+        c.id: {key: sum(map(operator.mul, ks, ks.values())) for key, ks in c.ends.items()}
+        for c in scene.curves
+    }
     weights = {
         cid: {key: sign_factor(key[0]) * m[key[1]] * total for key, total in curve_sums.items()}
         for cid, curve_sums in sums.items()

@@ -970,8 +970,10 @@ def numeric_intersection_oracle(
     (too large a domain, identical images).
     """
     _check_perturbation(epsilon, radius)
-    # the refusals are exact (shared components make the float resultant
-    # meaningless at any tolerance); the count itself stays float
+    # a coefficient out of complex128 range is refused before any exact work;
+    # the other refusals are exact (shared components make the float
+    # resultant meaningless at any tolerance), and the count stays float
+    u.numeric, v.numeric
     _pair_resultant(u, v)
     b1, b2 = _pair_disk(u, v, radius)
     edge_tol = ROOT_EDGE_TOL / radius

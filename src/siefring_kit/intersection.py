@@ -14,17 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    CurveClass,
-    Scene,
-    cz_index,
-    end_bound,
-    euler_char,
-    parity,
-    shared_ends,
-    sign_factor,
-    signed_ends,
-)
+from .core import CurveClass, Scene, cz_index, end_bound, euler_char, parity, sign_factor
 from .errors import InconsistencyError, InputError
 
 
@@ -62,15 +52,22 @@ def star(scene: Scene, u_id: str, v_id: str) -> int:
 
     Subtracts from the recorded relative intersection number the
     omega_pair term of every same-sign pair of punctures (ordered pairs,
-    including coincident ones when u = v).
+    including coincident ones when u = v): one term per pair of covers
+    (k, m) of an end group the two curves share, weighted by the product
+    of their counts.
     """
     u = scene.curve(u_id)
     v = scene.curve(v_id)
     total = scene.pairing.get(u_id, v_id)
-    for sign, orbit_id, k, m in shared_ends(u, v):
-        orbit = scene.orbit(orbit_id)
-        bound_k, bound_m = end_bound(orbit, k, sign), end_bound(orbit, m, sign)
-        total -= _omega(sign_factor(sign), k, bound_k, m, bound_m)
+    for (sign, orbit_id), u_covers in u.ends.items():
+        v_covers = v.ends.get((sign, orbit_id))
+        if v_covers is None:
+            continue
+        s, orbit = sign_factor(sign), scene.orbit(orbit_id)
+        for k, count_k in u_covers.items():
+            bound_k = end_bound(orbit, k, sign)
+            for m, count_m in v_covers.items():
+                total -= count_k * count_m * _omega(s, k, bound_k, m, end_bound(orbit, m, sign))
     return total
 
 
@@ -95,13 +92,17 @@ def end_sums(scene: Scene, u: CurveClass) -> tuple[int, int, int]:
 
     c_N = rel_c1 - chi + sum of s * bound, index = (n-3) chi + 2 rel_c1 +
     sum of s * CZ, sigma_bar total = sum of gcd(k, bound), where s is the
-    factor of an end's sign and bound its end bound on the k-fold cover.
+    factor of an end's sign and bound its end bound on the k-fold cover;
+    each distinct cover's term is weighted by its count of ends.
     """
     bounds = cz_ends = sigma_total = 0
-    for s, orbit, k, bound in signed_ends(scene, u):
-        bounds += s * bound
-        cz_ends += s * cz_index(orbit, k)
-        sigma_total += math.gcd(k, bound)
+    for (sign, orbit_id), covers in u.ends.items():
+        s, orbit = sign_factor(sign), scene.orbit(orbit_id)
+        for k, count in covers.items():
+            bound = end_bound(orbit, k, sign)
+            bounds += count * s * bound
+            cz_ends += count * s * cz_index(orbit, k)
+            sigma_total += count * math.gcd(k, bound)
     chi = euler_char(u)
     c_n = u.rel_c1 - chi + bounds
     index = (u.ambient_dim_half - 3) * chi + 2 * u.rel_c1 + cz_ends
@@ -263,10 +264,14 @@ def foliation_criteria(scene: Scene, u_id: str) -> FoliationReport:
     """Evaluate the four hypotheses under which index-2 embedded curves
     foliate a neighborhood: index 2, genus 0, all asymptotic orbits odd,
     punctures at pairwise-distinct simply covered orbits."""
-    u = scene.curve(u_id)
+    return _foliation(scene, scene.curve(u_id), fredholm_index(scene, u_id))
+
+
+def _foliation(scene: Scene, u: CurveClass, index: int) -> FoliationReport:
+    """The foliation criteria of a curve whose index is already known."""
     orbits_seen = [p.orbit for p in u.punctures]
     return FoliationReport(
-        index_is_two=fredholm_index(scene, u_id) == 2,
+        index_is_two=index == 2,
         genus_zero=u.genus == 0,
         all_odd=all(parity(scene.orbit(p.orbit), p.multiplicity) == 1 for p in u.punctures),
         distinct_simple_orbits=(
@@ -326,7 +331,7 @@ def curve_report(scene: Scene, u_id: str) -> dict:
         "index": index,
         "c_N": c_n,
         "sigma_bar_total": sigma_total,
-        "foliation": foliation_criteria(scene, u_id).as_dict(),
+        "foliation": _foliation(scene, u, index).as_dict(),
     }
     if u.ambient_dim_half == 2:
         report["automatic_transversality"] = TransversalityReport(index, c_n).automatic

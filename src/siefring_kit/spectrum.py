@@ -581,12 +581,14 @@ def fit_decay(trajectory) -> DecayFit:
         raise InputError("trajectory unusable: s-grid must be increasing")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(vals, axis=1)
-        big = ~np.isfinite(norms)
-        if big.any():
-            # squares overflow above about 1e154: scale those samples by their
-            # largest entry, and only those, so every other norm stays bit-identical
-            scale = np.abs(vals[big]).max(axis=1)
-            norms[big] = scale * np.linalg.norm(vals[big] / scale[:, None], axis=1)
+        # squares overflow above about 1e154 and underflow below about 1e-154:
+        # scale those samples by their largest entry, and only those, so every
+        # other norm stays bit-identical
+        extreme = ~np.isfinite(norms) | (norms < 1e-150)
+        if extreme.any():
+            scale = np.abs(vals[extreme]).max(axis=1)
+            scale[scale == 0.0] = 1.0  # a zero sample keeps its zero norm
+            norms[extreme] = scale * np.linalg.norm(vals[extreme] / scale[:, None], axis=1)
     if not np.isfinite(norms).all():
         raise InputError("trajectory unusable: norm overflow")
     if norms.min() <= 1e-290:

@@ -17,20 +17,33 @@ from siefring_kit.core import (
     PunctureSpec,
     RelativePairing,
     Scene,
-    cz_index,
     end_bound,
     euler_char,
     parity,
     shift_scene,
     sign_factor,
     sigma_bar,
-    signed_ends,
 )
 from siefring_kit.errors import InconsistencyError
 
 from scenegen import random_scene, random_shift
 
 # -- reference: every sum walks the punctures, one pair at a time ------------
+
+
+def ref_factor(sign):
+    return 1 if sign == "+" else -1
+
+
+def ref_signed_ends(scene, curve):
+    """(factor, orbit id, k, end bound, CZ index) for every puncture, read
+    off the cover table: alpha_- bounds a positive end, alpha_+ a negative
+    one, and CZ = alpha_- + alpha_+."""
+    for p in curve.punctures:
+        cover = scene.orbit(p.orbit).cover_table[p.multiplicity]
+        bound = cover.alpha_minus if p.sign == "+" else cover.alpha_plus
+        cz = cover.alpha_minus + cover.alpha_plus
+        yield ref_factor(p.sign), p.orbit, p.multiplicity, bound, cz
 
 
 def ref_shared_ends(u, v):
@@ -56,14 +69,14 @@ def ref_shift_scene(scene, shift):
     )
     curves = tuple(
         dataclasses.replace(
-            c, rel_c1=c.rel_c1 + sum(s * k * m[o.id] for s, o, k, _ in signed_ends(scene, c))
+            c, rel_c1=c.rel_c1 + sum(s * k * m[o] for s, o, k, _, _ in ref_signed_ends(scene, c))
         )
         for c in scene.curves
     )
     entries = {
         (u, v): value
         + sum(
-            sign_factor(sign) * m[oid] * k * k2
+            ref_factor(sign) * m[oid] * k * k2
             for sign, oid, k, k2 in ref_shared_ends(scene.curve(u), scene.curve(v))
         )
         for (u, v), value in scene.pairing.entries.items()
@@ -80,14 +93,14 @@ def ref_star(scene, u_id, v_id):
 
 
 def ref_sums(scene, u):
-    ends = list(signed_ends(scene, u))
-    c_n = u.rel_c1 - euler_char(u) + sum(s * bound for s, _, _, bound in ends)
+    ends = list(ref_signed_ends(scene, u))
+    c_n = u.rel_c1 - euler_char(u) + sum(s * bound for s, _, _, bound, _ in ends)
     index = (
         (u.ambient_dim_half - 3) * euler_char(u)
         + 2 * u.rel_c1
-        + sum(s * cz_index(orbit, k) for s, orbit, k, _ in ends)
+        + sum(s * cz for s, _, _, _, cz in ends)
     )
-    return c_n, index, sum(math.gcd(k, bound) for _, _, k, bound in ends)
+    return c_n, index, sum(math.gcd(k, bound) for _, _, k, bound, _ in ends)
 
 
 def ref_defect(scene, u_id):
@@ -188,11 +201,17 @@ class TestGroupedEndsMatchPerPairReference:
                 assert report_or_error(xn.curve_report, scene, u) == report_or_error(
                     ref_curve_report, scene, u
                 )
+                # the counted index, expanded by its counts, is the punctures' multiset
+                ends = scene.curve(u).ends
+                assert all(n >= 1 for covers in ends.values() for n in covers.values())
+                assert sorted(
+                    (sign, oid, k)
+                    for (sign, oid), covers in ends.items()
+                    for k, n in covers.items()
+                    for _ in range(n)
+                ) == sorted((p.sign, p.orbit, p.multiplicity) for p in scene.curve(u).punctures)
                 for v in ids:
                     assert xn.star(scene, u, v) == ref_star(scene, u, v)
-                    assert Counter(core.shared_ends(scene.curve(u), scene.curve(v))) == Counter(
-                        ref_shared_ends(scene.curve(u), scene.curve(v))
-                    )
 
     @pytest.mark.parametrize("law", [None, without_rel_c1_law, without_bullet_law])
     def test_audit_report_on_300_scenes(self, monkeypatch, law):
@@ -337,40 +356,78 @@ class TestSnapshotCost:
     def test_one_star_per_entry_and_one_end_walk_per_curve(self, monkeypatch):
         scene = benchmark_sized_scene()
         stars, walks = Counter(), Counter()
-        real_star, real_walk = xn.star, xn.signed_ends
+        real_star, real_sums = xn.star, xn.end_sums
 
         def counted_star(scene, u_id, v_id):
             stars[u_id, v_id] += 1
             return real_star(scene, u_id, v_id)
 
-        def counted_walk(scene, curve):
+        def counted_sums(scene, curve):
             walks[curve.id] += 1
-            return real_walk(scene, curve)
+            return real_sums(scene, curve)
 
         monkeypatch.setattr(xn, "star", counted_star)
-        monkeypatch.setattr(xn, "signed_ends", counted_walk)
+        monkeypatch.setattr(xn, "end_sums", counted_sums)
         audit._snapshot(scene)
         assert len(scene.pairing.entries) == 36
         assert stars == Counter(list(scene.pairing.entries))
         assert walks == Counter(c.id for c in scene.curves)
 
     def test_shift_walks_no_end_pairs(self, monkeypatch):
-        # both corrections come from end-group sums: neither the per-end
-        # walk nor the per-pair walk runs
+        # both corrections come from sums over each curve's counted ends:
+        # no end bound is looked up
         scene = benchmark_sized_scene()
         shift = random_shift(np.random.default_rng(0), scene)
         calls = []
 
-        def walked(name):
-            def walk(*args):
-                calls.append(name)
-                return iter(())
+        def counted_bound(*args):
+            calls.append(args)
+            return end_bound(*args)
 
-            return walk
-
-        for name in ("signed_ends", "shared_ends"):
-            monkeypatch.setattr(core, name, walked(name))
+        monkeypatch.setattr(core, "end_bound", counted_bound)
         shifted = shift_scene(scene, shift)
         monkeypatch.undo()
         assert calls == []
         assert shifted == ref_shift_scene(scene, shift)
+
+
+def many_end_scene(ends=1000, covers=4):
+    """One curve with ``ends`` ends on one orbit, both signs and ``covers``
+    covers of each in turn: 2 * covers distinct (sign, k) groups."""
+    orbit = OrbitData("g", {k: CoverData(k - 1, k) for k in range(1, covers + 1)})
+    punctures = tuple(
+        PunctureSpec("+-"[i % 2], "g", 1 + (i // 2) % covers) for i in range(ends)
+    )
+    curve = CurveClass("u", 0, punctures, 0)
+    return Scene((orbit,), (curve,), RelativePairing({("u", "u"): 0}))
+
+
+class TestCountedEnds:
+    def test_star_walks_distinct_covers_in_a_1000_end_audit(self, monkeypatch):
+        # a star walks each pair of distinct covers once, not each of the
+        # 1000^2 / 2 same-sign pairs of ends; counted, not timed
+        scene = many_end_scene()
+        distinct = sum(len(covers) for covers in scene.curve("u").ends.values())
+        assert distinct == 8
+        stars, omegas = [], []
+        real_star, real_omega = xn.star, xn._omega
+
+        def counted_star(*args):
+            stars.append(args[1:])
+            return real_star(*args)
+
+        def counted_omega(*args):
+            omegas.append(args)
+            return real_omega(*args)
+
+        monkeypatch.setattr(xn, "star", counted_star)
+        monkeypatch.setattr(xn, "_omega", counted_omega)
+        report = audit.audit_scene(scene, shifts=5, seed=0)
+        assert report == {"trials": 5, "breaches": []}
+        assert len(stars) == 6  # the baseline and one per twist
+        assert 0 < len(omegas) <= len(stars) * distinct**2
+
+    def test_counted_star_matches_the_pair_walk(self):
+        scene = many_end_scene(ends=60, covers=3)
+        assert xn.star(scene, "u", "u") == ref_star(scene, "u", "u")
+        assert xn.end_sums(scene, scene.curve("u")) == ref_sums(scene, scene.curve("u"))

@@ -163,6 +163,16 @@ class TestCountArguments:
         n, call = COUNT_ARGUMENTS[name]
         assert call(np.int64(n)) == call(n)
 
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_cover_lookup_refuses_bool_and_float(self, bad):
+        # True and 1.0 equal the key 1, so a dict lookup alone answers them
+        orbit = OrbitData("o", {1: CoverData(0, 1), 2: CoverData(1, 1)})
+        with pytest.raises(InputError, match="cover multiplicity must be an integer, got"):
+            orbit.cover(bad)
+        with pytest.raises(InputError, match="cover multiplicity must be an integer, got"):
+            sigma_bar(orbit, bad, "+")
+        assert orbit.cover(np.int64(2)) == orbit.cover(2) == CoverData(1, 1)
+
     def test_orbit_cover_keys_are_ints(self):
         covers = (np.int64(1), np.int32(2), np.uint8(3))
         orbit = orbit_from_loop("o", _BASE_LOOP, covers, 8)

@@ -807,6 +807,35 @@ class TestOracleDomainRefusal:
                 assert str(oracle.value) == str(exact.value)
 
 
+class TestOracleRangeRefusal:
+    """The pair oracle reads both germs as complex128 before any exact
+    resultant, so a coefficient out of range is refused at once."""
+
+    HUGE = germ([0, 0, 1], [0, 0, 0, Fraction(10**401, 3)])
+    TINY = germ([0, 0, 1], [0, 0, 0, gaussian(0, Fraction(3, 10**401))])
+
+    @pytest.mark.parametrize("name", ["HUGE", "TINY"])
+    def test_refused_before_any_exact_resultant(self, monkeypatch, name):
+        def no_exact_work(*args):
+            raise AssertionError("exact resultant computed before the range refusal")
+
+        germs._pair_resultant.cache_clear()
+        monkeypatch.setattr(germs, "_orders_modulo", no_exact_work)
+        u = getattr(self, name)
+        for pair in ((u, QUARTIC46), (QUARTIC46, u)):
+            with pytest.raises(InputError, match="out of the range of complex128"):
+                numeric_intersection_oracle(*pair)
+
+    def test_both_refusals_give_the_range_message(self):
+        # identical images, which local_intersection refuses, and a
+        # coefficient complex128 cannot hold: the range refusal comes first
+        u = germ([0, 1], [0, 0, 10**400])
+        with pytest.raises(InputError, match="identical images"):
+            local_intersection(u, u)
+        with pytest.raises(InputError, match="germ coefficient of z\\^2 in q is out of the range"):
+            numeric_intersection_oracle(u, u)
+
+
 class TestExactInvariantGuards:
     """Checks on computed results raise InvarianceError, also under -O."""
 

@@ -594,3 +594,25 @@ class TestCurveReport:
         scene = odd_orbit_scene()
         with pytest.raises(InconsistencyError):
             xn.curve_report(scene, "cyl_2")
+
+    def test_one_end_walk_per_report(self, monkeypatch):
+        # the foliation clauses read the index the report already has
+        scene = random_scene(np.random.default_rng(5), 4, 5, 5)
+        walks = []
+        real_sums = xn.end_sums
+
+        def counted_sums(scene, curve):
+            walks.append(curve.id)
+            return real_sums(scene, curve)
+
+        monkeypatch.setattr(xn, "end_sums", counted_sums)
+        for curve in scene.curves:
+            walks.clear()
+            try:
+                report = xn.curve_report(scene, curve.id)
+            except InconsistencyError:
+                report = None
+            assert walks == [curve.id]
+            if report is not None:
+                criteria = xn.foliation_criteria(scene, curve.id)
+                assert report["foliation"] == criteria.as_dict()

@@ -505,6 +505,41 @@ class TestFitDecay:
         assert np.allclose(fit.direction_fit, np.ones(2) / math.sqrt(2.0))
         assert fit.residual < 1e-9
 
+    def test_samples_whose_squares_underflow(self):
+        # e^(-40 s) reaches 1.9e-174 at s = 10, finite and far above the
+        # 1e-290 floor, but its square is 0.0
+        traj = integrate_linear_ode(np.array([[-40.0]]), [1.0], 0.0, 10.0, 4000)
+        assert traj.values.min() > 1e-174
+        fit = fit_decay(traj)
+        assert fit.lambda_fit == pytest.approx(-40.0, rel=1e-6)
+        assert fit.direction_fit.tolist() == [1.0]
+        # a two-entry sample below 1e-154 keeps the norm of its scaled copy
+        s = np.linspace(0.0, 10.0, 40)
+        vals = 1e-150 * np.exp(-30.0 * s)[:, None] * np.array([3.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_decay(Trajectory(s, vals))
+        assert abs(fit.lambda_fit + 30.0) < 1e-9
+        assert np.allclose(fit.direction_fit, [0.6, 0.8])
+        assert fit.residual < 1e-9
+
+    def test_small_samples_rescaled_alone(self):
+        # a sample above the rescaling threshold keeps np.linalg.norm's norm
+        # bit for bit, so the fit of a trajectory without small samples is
+        # the plain least-squares fit of log np.linalg.norm
+        s = np.linspace(0.0, 10.0, 40)
+        vals = np.exp(-3.0 * s)[:, None] * np.array([0.3, -0.7])
+        norms = np.linalg.norm(vals, axis=1)
+        slope, _ = np.polyfit(s[20:], np.log(norms[20:]), 1)
+        assert fit_decay(Trajectory(s, vals)).lambda_fit == float(slope)
+
+    def test_zero_sample_still_refused(self):
+        s = np.linspace(0.0, 5.0, 40)
+        vals = np.exp(-s)[:, None] * np.ones(2)
+        vals[30] = 0.0
+        with pytest.raises(InputError, match="trajectory unusable: norm underflow"):
+            fit_decay(Trajectory(s, vals))
+
     def test_norm_overflow_refused(self):
         s = np.linspace(0.0, 5.0, 40)
         vals = np.full((40, 2), 1.5e308)
