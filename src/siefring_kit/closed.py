@@ -12,10 +12,17 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import InconsistencyError, InputError
+from .jsonio import typed
+
+
+def _counts(**named) -> list:
+    """The named count arguments, each read through ``typed``."""
+    return [typed(value, int, name) for name, value in named.items()]
 
 
 def vdim_closed(n: int, g: int, c1A: int) -> int:
     """Virtual dimension (n-3)(2-2g) + 2 c1(A) of a genus-g moduli space."""
+    n, g, c1A = _counts(n=n, g=g, c1A=c1A)
     if n < 2:
         raise InputError(f"ambient half-dimension must be >= 2, got {n}")
     if g < 0:
@@ -25,6 +32,7 @@ def vdim_closed(n: int, g: int, c1A: int) -> int:
 
 def cn_closed(c1A: int, genus: int) -> int:
     """Normal Chern number c1(A) - chi of a closed genus-g curve."""
+    c1A, genus = _counts(c1A=c1A, genus=genus)
     if genus < 0:
         raise InputError(f"genus must be >= 0, got {genus}")
     return c1A - (2 - 2 * genus)
@@ -37,7 +45,7 @@ def delta_closed(self_pairing: int, c1A: int, genus: int) -> int:
     An odd or negative right-hand side cannot occur for holomorphic curves
     and is raised as an inconsistency.
     """
-    numerator = self_pairing - cn_closed(c1A, genus)
+    numerator = typed(self_pairing, int, "self_pairing") - cn_closed(c1A, genus)
     if numerator % 2 != 0 or numerator < 0:
         raise InconsistencyError(
             "inconsistent with a simple J-holomorphic curve: "
@@ -55,6 +63,7 @@ def disjointness_verdict(pairing: int) -> Disjointness:
     """Positivity of intersections for curves with non-identical images:
     zero pairing forces disjointness, positive forces intersections,
     negative is impossible."""
+    pairing = typed(pairing, int, "pairing")
     if pairing < 0:
         raise InconsistencyError(
             f"negative homological pairing {pairing} violates positivity of intersections"
@@ -93,7 +102,8 @@ def analyze_nodal_split(
     delta(v+-) = 0, v+.v- = 1 and v+-.v+- = -1: a pair of exceptional
     spheres meeting once, transversely.
     """
-    a, b = component_c1
+    total_self, total_c1 = _counts(total_self=total_self, total_c1=total_c1)
+    a, b = (typed(c, int, "component_c1 entry") for c in component_c1)
     if a + b != total_c1:
         raise InputError(f"component Chern numbers {component_c1} do not sum to {total_c1}")
     if a < 1 or b < 1:
@@ -120,12 +130,13 @@ def analyze_nodal_split(
 
 def delta_closed_inverse(delta: int, c1A: int, genus: int) -> int:
     """Self-pairing forced by the adjunction formula: 2 delta + c_N."""
-    return 2 * delta + cn_closed(c1A, genus)
+    return 2 * typed(delta, int, "delta") + cn_closed(c1A, genus)
 
 
 def double_cover_contradiction(total_self: int = 0, k: int = 2, component_c1: int = 1) -> str:
     """Why a square-zero sphere cannot be a k-fold cover of a c1 = 1 sphere:
     adjunction on the underlying simple curve has odd right-hand side."""
+    total_self, k, component_c1 = _counts(total_self=total_self, k=k, component_c1=component_c1)
     if k < 2:
         raise InputError("covering multiplicity must be >= 2 for a multiple cover")
     rhs_parity = (component_c1 - 2) % 2
@@ -144,9 +155,9 @@ def double_cover_contradiction(total_self: int = 0, k: int = 2, component_c1: in
 def cp2_degree_table(degree: int) -> dict:
     """Adjunction data of a degree-d sphere in the projective plane:
     [u].[u] = d^2, c1 = 3d, delta = (d-1)(d-2)/2, embedded iff d <= 2."""
-    if degree < 1:
-        raise InputError(f"degree must be >= 1, got {degree}")
-    d = degree
+    d = typed(degree, int, "degree")
+    if d < 1:
+        raise InputError(f"degree must be >= 1, got {d}")
     delta = delta_closed(d * d, 3 * d, 0)
     return {
         "degree": d,

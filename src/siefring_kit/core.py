@@ -77,7 +77,8 @@ class PunctureSpec:
     def __post_init__(self):
         if not (isinstance(self.sign, str) and self.sign in SIGNS):
             raise InputError(f"puncture sign must be '+' or '-', got {self.sign!r}")
-        if typed(self.multiplicity, int, "puncture multiplicity") < 1:
+        object.__setattr__(self, "multiplicity", typed(self.multiplicity, int, "puncture multiplicity"))
+        if self.multiplicity < 1:
             raise InputError(f"puncture multiplicity must be >= 1, got {self.multiplicity}")
 
 
@@ -102,6 +103,11 @@ class CurveClass:
     ambient_dim_half: int = 2
 
     def __post_init__(self):
+        try:  # every shift rebuilds each curve, so the message is formatted only on a refusal
+            for name in ("genus", "rel_c1", "ambient_dim_half"):
+                object.__setattr__(self, name, typed(getattr(self, name), int, name))
+        except InputError as exc:
+            raise InputError(f"curve {self.id!r}: {exc}") from None
         if self.genus < 0:
             raise InputError(f"curve {self.id!r}: genus must be >= 0")
         if self.ambient_dim_half < 2:

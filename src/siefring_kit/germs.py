@@ -15,7 +15,9 @@ multi-modular computation (Collins, J. ACM 18, 1971).  With denominators
 cleared the coefficients are Gaussian integers; modulo a prime p = 1 mod 4
 the map i -> iota, iota^2 = -1, reduces them to F_p, and R mod p follows
 from the Sylvester determinants at the N-th roots of unity and one inverse
-transform.  The order of R mod p is never below the order of R.  Each
+transform.  Each prime is one pass: its determinants are taken in int64,
+batched over the samples, and its transform stops at the first nonzero
+coefficient.  The order of R mod p is never below the order of R.  Each
 coefficient c of R has |c|^2 <= B, the product over the Sylvester rows of
 sum_j ||s_rj||_1^2, where ||.||_1 sums |re| + |im| over an entry's
 z-coefficients: |c| is at most the largest |R(z)| on |z| = 1, which
@@ -360,12 +362,12 @@ def _row_norms(terms: dict) -> int:
     return sum(v * v for v in norms.values())
 
 
-def _det_mod(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Determinants of the stacked matrices a[b] (entries in [0, mod[b]))
-    modulo mod[b].  Division-free elimination multiplies the rows below
-    pivot k by it, which scales the determinant by pivot_k^(n-1-k); one
-    batched Fermat inverse at the end removes that factor (and maps a
-    singular matrix's zero factor to zero)."""
+def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Determinants modulo p of the stacked matrices a[b] (entries in
+    [0, p)).  Division-free elimination multiplies the rows below pivot k
+    by it, which scales the determinant by pivot_k^(n-1-k); one batched
+    Fermat inverse at the end removes that factor (and maps a singular
+    matrix's zero factor to zero)."""
     batch, n, _ = a.shape
     det = np.ones(batch, dtype=np.int64)
     scale = np.ones(batch, dtype=np.int64)
@@ -376,23 +378,21 @@ def _det_mod(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
         if len(swap):
             src = k + first[swap]
             a[swap, k], a[swap, src] = a[swap, src], a[swap, k]
-            det[swap] = mod[swap] - det[swap]
+            det[swap] = p - det[swap]
         pivot = a[:, k, k]
-        scale = scale * leading % mod
-        leading = leading * pivot % mod
-        det = det * pivot % mod
+        scale = scale * leading % p
+        leading = leading * pivot % p
+        det = det * pivot % p
         if k + 1 < n:
             a[:, k + 1 :, k:] = (
                 a[:, k + 1 :, k:] * pivot[:, None, None] - a[:, k + 1 :, k : k + 1] * a[:, k : k + 1, k:]
-            ) % mod[:, None, None]
+            ) % p
     inverse = np.ones(batch, dtype=np.int64)
-    exponent = mod - 2
-    while exponent.any():
-        odd = (exponent & 1).astype(bool)
-        inverse[odd] = inverse[odd] * scale[odd] % mod[odd]
-        scale = scale * scale % mod
-        exponent >>= 1
-    return det * inverse % mod
+    for bit in f"{p - 2:b}":  # scale^(p-2), most significant bit first
+        inverse = inverse * inverse % p
+        if bit == "1":
+            inverse = inverse * scale % p
+    return det * inverse % p
 
 
 def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
@@ -434,52 +434,43 @@ def _certifying_primes(log_length: int, bound: int) -> list:
     return primes
 
 
-def _orders_modulo(primes: list, n: int, layout: list, log_length: int) -> list:
-    """Order at z = 0 of the resultant modulo each of ``primes`` where it is
-    not 0: its Sylvester matrices at the N = 2^log_length roots of unity,
-    their determinants, and the inverse transform up to the first nonzero
-    coefficient, all in batches of at most _WORK_CELLS cells."""
+def _order_modulo(prime: tuple, n: int, layout: list, log_length: int):
+    """Order at z = 0 of the resultant modulo ``prime`` = (p, iota, omega),
+    or None where it is 0 modulo p: its Sylvester matrices at the N =
+    2^log_length powers of omega, their determinants, and the inverse
+    transform up to the first nonzero coefficient, all in batches of at
+    most _WORK_CELLS cells."""
+    p, iota, omega = prime
     length = 1 << log_length
-    mod = np.array([p for p, _, _ in primes], dtype=np.int64)
-    # powers[j, t] = omega_j^t, omega_j of order N modulo the j-th prime
-    powers = np.ones((len(primes), length), dtype=np.int64)
-    omega = np.array([root for _, _, root in primes], dtype=np.int64)
+    powers = np.ones(length, dtype=np.int64)  # powers[t] = omega^t
     width = 1
     while width < length:
-        powers[:, width : 2 * width] = powers[:, :width] * omega[:, None] % mod[:, None]
-        omega, width = omega * omega % mod, 2 * width
+        powers[width : 2 * width] = powers[:width] * omega % p
+        omega, width = omega * omega % p, 2 * width
     polys = []
     for h, dw, dz in layout:
-        coeffs = np.zeros((len(primes), dw + 1, dz + 1), dtype=np.int64)
+        coeffs = np.zeros((dw + 1, dz + 1), dtype=np.int64)
         for (wexp, zexp), (re, im) in h.items():
-            coeffs[:, wexp, zexp] = [(re + im * iota) % p for p, iota, _ in primes]
+            coeffs[wexp, zexp] = (re + im * iota) % p
         polys.append((coeffs, np.arange(dz + 1)))
-    # values[j * N + s] = Res(omega_j^s) modulo the j-th prime
+    # values[s] = Res(omega^s) modulo p
     chunk = max(1, _WORK_CELLS // max([n * n] + [c.size for c, _ in polys]))
-    values = np.empty(len(primes) * length, dtype=np.int64)
-    for lo in range(0, len(values), chunk):
-        prime, sample = np.divmod(np.arange(lo, min(lo + chunk, len(values))), length)
-        m = mod[prime]
-        rows = []  # each polynomial's w-coefficients at the samples
-        for coeffs, zexp in polys:
-            zpow = powers[prime[:, None], sample[:, None] * zexp % length][:, None, :]
-            rows.append((coeffs[prime] * zpow % m[:, None, None]).sum(axis=2) % m[:, None])
-        values[lo : lo + len(prime)] = _det_mod(_sylvester_stack(*rows), m)
-    values = values.reshape(len(primes), length)
-    # N times coefficient k of Res modulo prime j: sum_s values[j, s] omega_j^(-s k)
-    orders = dict.fromkeys(np.flatnonzero(values.any(axis=1)).tolist())
-    sample = np.arange(length)
-    step = max(1, _WORK_CELLS // values.size)
+    values = np.empty(length, dtype=np.int64)
+    for lo in range(0, length, chunk):
+        sample = np.arange(lo, min(lo + chunk, length))[:, None, None]
+        # each polynomial's w-coefficients at the samples
+        rows = [(coeffs * powers[sample * zexp % length] % p).sum(axis=2) % p for coeffs, zexp in polys]
+        values[lo : lo + chunk] = _det_mod(_sylvester_stack(*rows), p)
+    if not values.any():
+        return None
+    # N times coefficient k of Res modulo p: sum_s values[s] omega^(-s k)
+    sample = np.arange(length)[:, None]
+    step = max(1, _WORK_CELLS // length)
     for lo in range(0, length, step):
-        if None not in orders.values():
-            break
         k = np.arange(lo, min(lo + step, length))
-        twiddle = powers[:, -sample[:, None] * k % length]
-        low = (values[:, :, None] * twiddle % mod[:, None, None]).sum(axis=1) % mod[:, None]
-        for j, order in orders.items():
-            if order is None and low[j].any():
-                orders[j] = lo + int(np.argmax(low[j] != 0))
-    return list(orders.values())
+        low = (values[:, None] * powers[-sample * k % length] % p).sum(axis=0) % p
+        if low.any():
+            return lo + int(np.argmax(low != 0))
 
 
 def _resultant(f: dict, g: dict) -> tuple:
@@ -506,12 +497,8 @@ def _resultant(f: dict, g: dict) -> tuple:
     n, layout, degree = _sylvester_layout(f, g)
     log_length = degree.bit_length()
     primes = _certifying_primes(log_length, _row_norms(f) ** dwg * _row_norms(g) ** dwf)
-    group = max(1, _WORK_CELLS >> log_length)
-    return tuple(
-        order
-        for lo in range(0, len(primes), group)
-        for order in _orders_modulo(primes[lo : lo + group], n, layout, log_length)
-    )
+    orders = (_order_modulo(prime, n, layout, log_length) for prime in primes)
+    return tuple(order for order in orders if order is not None)
 
 
 def _z_order(res: tuple) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .core import CurveClass, Scene, cz_index, end_bound, euler_char, parity, sign_factor
 from .errors import InconsistencyError, InputError
+from .jsonio import typed
 
 
 def _omega(s: int, k: int, bound_k: int, m: int, bound_m: int) -> int:
@@ -77,6 +78,7 @@ def iota_infinity(scene: Scene, u_id: str, v_id: str, geometric_count: int) -> i
     A negative result means the supplied data cannot come from holomorphic
     curves with non-identical images, and is reported as an inconsistency.
     """
+    geometric_count = typed(geometric_count, int, "geometric intersection count")
     if geometric_count < 0:
         raise InputError("geometric intersection count must be >= 0")
     hidden = star(scene, u_id, v_id) - geometric_count

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from siefring_kit.closed import (
@@ -6,6 +7,7 @@ from siefring_kit.closed import (
     cn_closed,
     cp2_degree_table,
     delta_closed,
+    delta_closed_inverse,
     disjointness_verdict,
     double_cover_contradiction,
     vdim_closed,
@@ -127,3 +129,59 @@ class TestCp2Table:
 
     def test_conic_embedded(self):
         assert cp2_degree_table(2)["embedded"] is True
+
+
+# (function, valid integer arguments); the nodal split's component pair is
+# passed as its two entries
+COUNT_CALLS = {
+    "vdim_closed": (vdim_closed, (3, 1, 2)),
+    "cn_closed": (cn_closed, (2, 1)),
+    "delta_closed": (delta_closed, (4, 6, 0)),
+    "delta_closed_inverse": (delta_closed_inverse, (1, 6, 0)),
+    "disjointness_verdict": (disjointness_verdict, (1,)),
+    "analyze_nodal_split": (lambda s, c1, a, b: analyze_nodal_split(s, c1, (a, b)).as_dict(), (0, 2, 1, 1)),
+    "double_cover_contradiction": (double_cover_contradiction, (0, 2, 1)),
+    "cp2_degree_table": (cp2_degree_table, (3,)),
+}
+COUNT_CASES = [(name, i) for name, (_, args) in COUNT_CALLS.items() for i in range(len(args))]
+
+
+def _call_with(name, i, value):
+    """The named call with its i-th count argument replaced by value."""
+    f, args = COUNT_CALLS[name]
+    return f(*args[:i], value, *args[i + 1 :])
+
+
+class TestCountArguments:
+    """Every count argument is read through ``typed``: a bool or a float is
+    refused, a numpy integer counts as the int it equals."""
+
+    @pytest.mark.parametrize("name, i", COUNT_CASES)
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_bool_and_float_refused(self, name, i, bad):
+        with pytest.raises(InputError, match=rf"must be an integer, got {bad!r}"):
+            _call_with(name, i, bad)
+
+    @pytest.mark.parametrize("name, i", COUNT_CASES)
+    def test_numpy_integer_is_the_int(self, name, i):
+        f, args = COUNT_CALLS[name]
+        # repr tells np.int64(3) from 3, also inside a dict
+        assert repr(_call_with(name, i, np.int64(args[i]))) == repr(f(*args))
+
+    def test_cp2_degree_is_an_int(self):
+        assert cp2_degree_table(np.int64(3))["degree"] == 3
+        assert type(cp2_degree_table(np.int64(3))["degree"]) is int
+        with pytest.raises(InputError, match="degree must be an integer, got True"):
+            cp2_degree_table(True)
+
+    def test_range_messages_kept(self):
+        with pytest.raises(InputError, match="ambient half-dimension must be >= 2, got 1"):
+            vdim_closed(np.int64(1), 0, 2)
+        with pytest.raises(InputError, match="genus must be >= 0, got -1"):
+            cn_closed(2, np.int64(-1))
+        with pytest.raises(InputError, match="degree must be >= 1, got 0"):
+            cp2_degree_table(np.int64(0))
+        with pytest.raises(InputError, match="covering multiplicity must be >= 2"):
+            double_cover_contradiction(0, np.int64(1))
+        with pytest.raises(InputError, match=r"component Chern numbers \(2, 1\) do not sum to 2"):
+            analyze_nodal_split(0, 2, (2, 1))

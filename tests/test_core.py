@@ -143,6 +143,38 @@ class TestShiftScene:
             shift_scene(demo_scene(), TrivializationShift({"nope": 1}))
 
 
+class TestCountFields:
+    """Count fields are read through ``typed`` and keep the int it returns."""
+
+    def test_numpy_multiplicity_shifts_to_json(self):
+        orbits = (OrbitData("o", {1: CoverData(0, 1), 2: CoverData(1, 1)}),)
+        curve = CurveClass("u", 0, (PunctureSpec("+", "o", np.int64(2)),), 0)
+        assert type(curve.punctures[0].multiplicity) is int
+        shifted = shift_scene(Scene(orbits, (curve,), RelativePairing({})), TrivializationShift({"o": 1}))
+        assert type(shifted.curve("u").rel_c1) is int
+        assert scene_from_dict(json.loads(json.dumps(scene_to_dict(shifted)))) == shifted
+
+    @pytest.mark.parametrize("name", ["genus", "rel_c1", "ambient_dim_half"])
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_curve_fields_refuse_bool_and_float(self, name, bad):
+        fields = dict(genus=0, rel_c1=0, ambient_dim_half=2) | {name: bad}
+        with pytest.raises(InputError, match=rf"curve 'u': {name} must be an integer, got {bad!r}"):
+            CurveClass("u", punctures=(), **fields)
+
+    def test_curve_fields_store_ints(self):
+        curve = CurveClass("u", np.int64(1), (), np.int32(-2), np.int64(3))
+        assert [type(x) for x in (curve.genus, curve.rel_c1, curve.ambient_dim_half)] == [int] * 3
+        assert repr(curve) == repr(CurveClass("u", 1, (), -2, 3))
+
+    def test_range_messages_kept(self):
+        with pytest.raises(InputError, match="curve 'u': genus must be >= 0"):
+            CurveClass("u", np.int64(-1), (), 0)
+        with pytest.raises(InputError, match="curve 'u': ambient_dim_half must be >= 2"):
+            CurveClass("u", 0, (), 0, 1)
+        with pytest.raises(InputError, match="puncture multiplicity must be >= 1, got 0"):
+            PunctureSpec("+", "o", np.int64(0))
+
+
 class TestSceneValidation:
     def test_missing_cover_rejected(self):
         orbits = (OrbitData("a", {1: CoverData(0, 1)}),)

@@ -820,7 +820,7 @@ class TestOracleRangeRefusal:
             raise AssertionError("exact resultant computed before the range refusal")
 
         germs._pair_resultant.cache_clear()
-        monkeypatch.setattr(germs, "_orders_modulo", no_exact_work)
+        monkeypatch.setattr(germs, "_order_modulo", no_exact_work)
         u = getattr(self, name)
         for pair in ((u, QUARTIC46), (QUARTIC46, u)):
             with pytest.raises(InputError, match="out of the range of complex128"):
@@ -1252,6 +1252,44 @@ class TestModularCertification:
         near = range(2**31 - 2000, 2**31)
         for n in [*range(3000), *special, *near]:
             assert germs._is_prime(n) == sympy.isprime(n), n
+
+
+def _det_mod_stacks(p, count, seed):
+    """Stacks of 1 to 4 matrices with entries in [0, p), sizes 1x1 to 8x8,
+    each matrix dense, sparse (zero pivots force row swaps), with a zero
+    column, or singular (one row a multiple of another)."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for index in range(count):
+        n = index % 8 + 1
+        a = rng.integers(0, p, size=(int(rng.integers(1, 5)), n, n))
+        for m in a:
+            kind = rng.integers(4)
+            if kind == 1:
+                m[rng.random((n, n)) < 0.5] = 0
+            elif kind == 2:
+                m[:, rng.integers(n)] = 0
+            elif kind == 3 and n > 1:
+                i, j = rng.choice(n, size=2, replace=False)
+                m[j] = m[i] * int(rng.integers(p)) % p
+        stacks.append(a)
+    return stacks
+
+
+class TestModularDeterminant:
+    """``_det_mod`` against sympy's exact determinant reduced modulo p."""
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_matches_sympy(self, index):
+        p = germs._nth_prime(germs._MIN_LOG_LENGTH, index)[0]
+        swaps = zero_columns = singular = 0
+        for a in _det_mod_stacks(p, 150, seed=index):
+            expected = [int(sympy.Matrix(m.tolist()).det()) % p for m in a]
+            assert germs._det_mod(a.copy(), p).tolist() == expected
+            swaps += int(np.sum((a[:, 0, 0] == 0) & a[:, :, 0].any(axis=1)))
+            zero_columns += int(np.sum((~a.any(axis=1)).any(axis=1)))
+            singular += expected.count(0)
+        assert min(swaps, zero_columns, singular) >= 20
 
 
 class TestLargeInputs:

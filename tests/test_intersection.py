@@ -200,6 +200,21 @@ class TestIotaInfinity:
         with pytest.raises(InconsistencyError, match="negative hidden count"):
             xn.iota_infinity(scene, "u", "v", 1)
 
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_count_refuses_bool_and_float(self, bad):
+        curves = (CurveClass("u", 0, (), 0), CurveClass("v", 0, (), 0))
+        scene = Scene((), curves, RelativePairing({("u", "v"): 3}))
+        with pytest.raises(InputError, match=rf"geometric intersection count must be an integer, got {bad!r}"):
+            xn.iota_infinity(scene, "u", "v", bad)
+
+    def test_numpy_count_is_the_int(self):
+        curves = (CurveClass("u", 0, (), 0), CurveClass("v", 0, (), 0))
+        scene = Scene((), curves, RelativePairing({("u", "v"): 3}))
+        hidden = xn.iota_infinity(scene, "u", "v", np.int64(1))
+        assert hidden == 2 and type(hidden) is int
+        with pytest.raises(InputError, match="geometric intersection count must be >= 0"):
+            xn.iota_infinity(scene, "u", "v", np.int64(-1))
+
 
 class TestNormalChern:
     def test_closed_curve(self):

@@ -45,6 +45,20 @@ def test_no_sympy_import():
     assert package / "germs.py" in modules and found == []
 
 
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # the declared runtime is numpy alone: scipy, sympy or any other package
+    # installed beside it must not be imported, inside a function neither
+    package = Path(siefring_kit.__file__).parent
+    allowed = sys.stdlib_module_names | {"numpy", "siefring_kit"}
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}: {name}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in sorted(_imported_packages(node) - allowed)
+    ]
+    assert found == []
+
+
 def test_traced_names_are_bound_by_the_cli_import():
     # the traced benchmark run imports siefring_kit.cli alone, then wraps every
     # name in perfbench/spans.py TRACED; a fresh interpreter keeps this
