@@ -28,7 +28,13 @@ class CoverData:
     alpha_plus: int
 
     def __post_init__(self):
-        p = self.alpha_plus - self.alpha_minus
+        alpha_minus = typed(self.alpha_minus, int, "alpha_minus")
+        alpha_plus = typed(self.alpha_plus, int, "alpha_plus")
+        # every shift rebuilds each cover, and typed returns an int it is given as is
+        if alpha_minus is not self.alpha_minus or alpha_plus is not self.alpha_plus:
+            object.__setattr__(self, "alpha_minus", alpha_minus)
+            object.__setattr__(self, "alpha_plus", alpha_plus)
+        p = alpha_plus - alpha_minus
         if p not in (0, 1):
             raise InputError(
                 "cover data violates nondegeneracy: alpha_plus - alpha_minus "
@@ -125,14 +131,18 @@ def _pair_key(u: str, v: str) -> tuple[str, str]:
 
 
 def _symmetric_table(pairs) -> dict[tuple[str, str], int]:
-    """Table keyed by sorted curve pairs from ((u, v), value) pairs; the
-    same pair given twice must carry the same value."""
+    """Table keyed by sorted curve pairs from ((u, v), value) pairs, each
+    value read through ``typed``; the same pair given twice must carry the
+    same value."""
     table = {}
     for (u, v), value in pairs:
-        key = _pair_key(u, v)
-        if key in table and table[key] != value:
+        key = (u, v) if u <= v else (v, u)  # _pair_key, inline: every shift rebuilds the table
+        try:  # every shift rebuilds the table, so the message is formatted only on a refusal
+            value = typed(value, int, "value")
+        except InputError as exc:
+            raise InputError(f"pairing entry for {key}: {exc}") from None
+        if table.setdefault(key, value) != value:
             raise InputError(f"conflicting pairing entries for {key}")
-        table[key] = int(value)
     return table
 
 

@@ -14,23 +14,25 @@ whether it vanishes identically.  Both come from a certified
 multi-modular computation (Collins, J. ACM 18, 1971).  With denominators
 cleared the coefficients are Gaussian integers; modulo a prime p = 1 mod 4
 the map i -> iota, iota^2 = -1, reduces them to F_p, and R mod p follows
-from the Sylvester determinants at the N-th roots of unity and one inverse
-transform.  Each prime is one pass: its determinants are taken in int64,
-batched over the samples, and its transform stops at the first nonzero
-coefficient.  The order of R mod p is never below the order of R.  Each
-coefficient c of R has |c|^2 <= B, the product over the Sylvester rows of
-sum_j ||s_rj||_1^2, where ||.||_1 sums |re| + |im| over an entry's
-z-coefficients: |c| is at most the largest |R(z)| on |z| = 1, which
-Hadamard's inequality bounds by the product of the row lengths there.  A
-nonzero c that the maps for primes p_1 ... p_r all send to 0 lies in the
-prime ideals (p_j, i - iota_j) of norm p_j, so p_1 ... p_r divides its norm
-|c|^2.  Once the primes' product exceeds B, some prime therefore sees the
-lowest coefficient of R: the least order over the primes is the order of
-R, and R is zero iff it is zero modulo all of them.
-The w-degrees are exact over the Gaussian integers, and the Sylvester
-matrix of those formal degrees reduces modulo p to the matrix whose
-determinant is R mod p even where a leading coefficient vanishes mod p, so
-no prime is skipped.
+from its values at the N-th roots of unity and one inverse transform.  Each
+prime is one pass: its values are taken in int64 by the Euclidean remainder
+sequence of the two w-polynomials (Collins, J. ACM 14, 1967), batched over
+the samples, and its transform stops at the first nonzero coefficient.  The
+order of R mod p is never below the order of R.  Each coefficient c of R
+has |c|^2 <= B, the product over the Sylvester rows of sum_j ||s_rj||_1^2,
+where ||.||_1 sums |re| + |im| over an entry's z-coefficients: |c| is at
+most the largest |R(z)| on |z| = 1, which Hadamard's inequality bounds by
+the product of the row lengths there.  A nonzero c that the maps for
+primes p_1 ... p_r all send to 0 lies in the prime ideals (p_j, i - iota_j)
+of norm p_j, so p_1 ... p_r divides its norm |c|^2.  Once the primes'
+product exceeds B, some prime therefore sees the lowest coefficient of R:
+the least order over the primes is the order of R, and R is zero iff it
+is zero modulo all of them.
+The w-degrees are exact over the Gaussian integers and serve as formal
+degrees modulo p.  Where a leading coefficient vanishes mod p at a sample,
+the remainder sequence drops it by Res_{m,n}(f, g) = f_m Res_{m,n-1}(f, g),
+the expansion of the Sylvester determinant of those formal degrees along
+its first column, so every value is R mod p and no prime is skipped.
 
 A second, independent path perturbs the germ, locates the finitely many
 intersection parameters as polynomial roots via companion matrices, and
@@ -362,44 +364,79 @@ def _row_norms(terms: dict) -> int:
     return sum(v * v for v in norms.values())
 
 
-def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Determinants modulo p of the stacked matrices a[b] (entries in
-    [0, p)).  Division-free elimination multiplies the rows below pivot k
-    by it, which scales the determinant by pivot_k^(n-1-k); one batched
-    Fermat inverse at the end removes that factor (and maps a singular
-    matrix's zero factor to zero)."""
-    batch, n, _ = a.shape
-    det = np.ones(batch, dtype=np.int64)
-    scale = np.ones(batch, dtype=np.int64)
-    leading = np.ones(batch, dtype=np.int64)  # product of the pivots so far
-    for k in range(n):
-        first = np.argmax(a[:, k:, k] != 0, axis=1)
-        swap = np.flatnonzero(first)
-        if len(swap):
-            src = k + first[swap]
-            a[swap, k], a[swap, src] = a[swap, src], a[swap, k]
-            det[swap] = p - det[swap]
-        pivot = a[:, k, k]
-        scale = scale * leading % p
-        leading = leading * pivot % p
-        det = det * pivot % p
-        if k + 1 < n:
-            a[:, k + 1 :, k:] = (
-                a[:, k + 1 :, k:] * pivot[:, None, None] - a[:, k + 1 :, k : k + 1] * a[:, k : k + 1, k:]
-            ) % p
-    inverse = np.ones(batch, dtype=np.int64)
-    for bit in f"{p - 2:b}":  # scale^(p-2), most significant bit first
-        inverse = inverse * inverse % p
-        if bit == "1":
-            inverse = inverse * scale % p
-    return det * inverse % p
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses modulo p of the units x (entries in [1, p)), by Montgomery's
+    trick: one pow(., -1, p) of their product, then prefix products."""
+    xs = x.tolist()
+    before = [1]  # before[i] = x[0] ... x[i-1]
+    for v in xs:
+        before.append(before[-1] * v % p)
+    inverse = pow(before.pop(), -1, p)  # of x[0] ... x[i] as i falls
+    out = []
+    for v, prefix in zip(reversed(xs), reversed(before)):
+        out.append(inverse * prefix % p)
+        inverse = inverse * v % p
+    return np.array(out[::-1], dtype=np.int64)
+
+
+def _resultant_mod(f_rows: np.ndarray, g_rows: np.ndarray, p: int) -> np.ndarray:
+    """Res_{m,n}(f_rows[s], g_rows[s]) modulo p for every sample s, the
+    determinant of ``_sylvester_stack(f_rows, g_rows)``: ascending
+    w-coefficients in [0, p) of formal degrees m and n, the row widths
+    less one.  A Euclidean remainder sequence on descending rows keeps both
+    degrees uniform over a group of samples:
+
+    - Res_{m,n}(f, g) = (-1)^(mn) Res_{n,m}(g, f), which makes m >= n;
+    - Res_{m,0}(f, g) = g_0^m;
+    - a leading coefficient g_n that is 0 at every sample drops, since the
+      Sylvester matrix's first column is then (f_m, 0, ..., 0):
+      Res_{m,n}(f, g) = f_m Res_{m,n-1}(f, g);
+    - a leading coefficient l = g_n that is nonzero at every sample takes
+      one fraction-free pseudo-remainder r = l^(m-n+1) f mod g, of formal
+      degree n - 1: Res_{m,n}(f, g) = (-1)^(mn) Res_{n,n-1}(g, r) /
+      l^((m-n+1)(n-1));
+    - a group whose samples differ there splits by that mask.
+
+    Each step lowers the second degree by one, so the denominator needs no
+    powers: l^(m-n+1) joins a running product, ``pending``, by which each of
+    the n - 1 later steps multiplies it.  It is a product of nonzero leading
+    coefficients, a unit, and one batched inverse at the end removes it."""
+    values, scales = np.empty((2, len(f_rows)), dtype=np.int64)
+    one = np.ones(len(f_rows), dtype=np.int64)
+    work = [(np.arange(len(f_rows)), f_rows[:, ::-1], g_rows[:, ::-1], one, one, one)]
+    while work:
+        at, f, g, value, scale, pending = work.pop()
+        m, n = f.shape[1] - 1, g.shape[1] - 1
+        if m < n:
+            f, g, m, n = g, f, n, m
+            value = -value % p if m * n % 2 else value
+        if n == 0:
+            for _ in range(m):
+                value = value * g[:, 0] % p
+            values[at], scales[at] = value, scale
+            continue
+        lead = g[:, 0]
+        zero = lead == 0
+        if zero.any() and not zero.all():
+            work += [(at[s], f[s], g[s], value[s], scale[s], pending[s]) for s in (zero, ~zero)]
+            continue
+        scale = scale * pending % p
+        if zero[0]:  # and so at every sample
+            work.append((at, f, g[:, 1:], value * f[:, 0] % p, scale, pending))
+            continue
+        for _ in range(m - n + 1):
+            r = lead[:, None] * f[:, 1:]
+            r[:, :n] -= f[:, :1] * g[:, 1:]
+            f, pending = r % p, pending * lead % p
+        work.append((at, g, f, -value % p if m * n % 2 else value, scale, pending))
+    return values * _inverse_mod(scales, p) % p
 
 
 def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
     """Sylvester matrices in w of the polynomial pairs (f_rows[s], g_rows[s])
     (ascending coefficients, any dtype), stacked along the first axis: deg g
     shifted copies of f's coefficients, then deg f copies of g's, each
-    descending; the exact engine, its degree bound and the oracle use it."""
+    descending; the exact engine's z-degree bound and the oracle use it."""
     (samples, wf), wg = f_rows.shape, g_rows.shape[1]  # deg + 1 in w
     n = wf + wg - 2
     out = np.zeros((samples, n, n), dtype=np.result_type(f_rows, g_rows))
@@ -434,12 +471,16 @@ def _certifying_primes(log_length: int, bound: int) -> list:
     return primes
 
 
-def _order_modulo(prime: tuple, n: int, layout: list, log_length: int):
+def _order_modulo(prime: tuple, layout: list, log_length: int):
     """Order at z = 0 of the resultant modulo ``prime`` = (p, iota, omega),
-    or None where it is 0 modulo p: its Sylvester matrices at the N =
-    2^log_length powers of omega, their determinants, and the inverse
-    transform up to the first nonzero coefficient, all in batches of at
-    most _WORK_CELLS cells."""
+    or None where it is 0 modulo p: the w-coefficients of both polynomials
+    at the N = 2^log_length powers of omega, their resultants of formal
+    degrees deg_w f and deg_w g by ``_resultant_mod`` (a coefficient that
+    vanishes there is dropped, see the module docstring), and the inverse
+    transform up to the first nonzero coefficient.  Each array holds at
+    most _WORK_CELLS cells: a batch has as many samples as the larger
+    coefficient array fits, so every remainder work array, at most
+    deg_w + 1 cells a sample, fits too."""
     p, iota, omega = prime
     length = 1 << log_length
     powers = np.ones(length, dtype=np.int64)  # powers[t] = omega^t
@@ -454,13 +495,13 @@ def _order_modulo(prime: tuple, n: int, layout: list, log_length: int):
             coeffs[wexp, zexp] = (re + im * iota) % p
         polys.append((coeffs, np.arange(dz + 1)))
     # values[s] = Res(omega^s) modulo p
-    chunk = max(1, _WORK_CELLS // max([n * n] + [c.size for c, _ in polys]))
+    chunk = max(1, _WORK_CELLS // max(c.size for c, _ in polys))
     values = np.empty(length, dtype=np.int64)
     for lo in range(0, length, chunk):
         sample = np.arange(lo, min(lo + chunk, length))[:, None, None]
         # each polynomial's w-coefficients at the samples
         rows = [(coeffs * powers[sample * zexp % length] % p).sum(axis=2) % p for coeffs, zexp in polys]
-        values[lo : lo + chunk] = _det_mod(_sylvester_stack(*rows), p)
+        values[lo : lo + chunk] = _resultant_mod(*rows, p)
     if not values.any():
         return None
     # N times coefficient k of Res modulo p: sum_s values[s] omega^(-s k)
@@ -480,11 +521,11 @@ def _resultant(f: dict, g: dict) -> tuple:
 
     f and g are terms {(w-exponent, z-exponent): (re, im)}, with no term for
     a zero polynomial.  Modulo each prime p = 1 mod 4 (i maps to iota), the
-    Sylvester matrix in w is evaluated at the N-th roots of unity, N a power
-    of two above the z-degree bound, and one inverse transform of its
-    determinants gives the resultant's coefficients modulo p.  Primes are
-    taken until their product exceeds the squared Hadamard bound, which
-    certifies the least order and the zero test (see the module docstring).
+    resultant in w is evaluated at the N-th roots of unity, N a power of two
+    above the z-degree bound, and one inverse transform of those values
+    gives its coefficients modulo p.  Primes are taken until their product
+    exceeds the squared Hadamard bound, which certifies the least order and
+    the zero test (see the module docstring).
     """
     f, g = _integral(f), _integral(g)
     if not f or not g:
@@ -494,10 +535,10 @@ def _resultant(f: dict, g: dict) -> tuple:
         # Res_w = +-f^(deg_w g) for a w-free f, +-g^(deg_w f) for a w-free g
         base, power = (f, dwg) if dwf == 0 else (g, dwf)
         return (power * min(i for _, i in base),)
-    n, layout, degree = _sylvester_layout(f, g)
+    _, layout, degree = _sylvester_layout(f, g)
     log_length = degree.bit_length()
     primes = _certifying_primes(log_length, _row_norms(f) ** dwg * _row_norms(g) ** dwf)
-    orders = (_order_modulo(prime, n, layout, log_length) for prime in primes)
+    orders = (_order_modulo(prime, layout, log_length) for prime in primes)
     return tuple(order for order in orders if order is not None)
 
 

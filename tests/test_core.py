@@ -166,6 +166,32 @@ class TestCountFields:
         assert [type(x) for x in (curve.genus, curve.rel_c1, curve.ambient_dim_half)] == [int] * 3
         assert repr(curve) == repr(CurveClass("u", 1, (), -2, 3))
 
+    @pytest.mark.parametrize("alphas", [(0.5, 1.5), (True, True), (0, 1.0)])
+    def test_cover_data_refuses_bool_and_float(self, alphas):
+        name, bad = next((n, a) for n, a in zip(("alpha_minus", "alpha_plus"), alphas) if type(a) is not int)
+        with pytest.raises(InputError, match=rf"^{name} must be an integer, got {bad!r}$"):
+            CoverData(*alphas)
+
+    def test_cover_data_stores_ints(self):
+        cover = CoverData(np.int64(-1), np.int32(0))
+        assert [type(x) for x in (cover.alpha_minus, cover.alpha_plus)] == [int, int]
+        assert repr(cover) == repr(CoverData(-1, 0))
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_pairing_entries_refuse_bool_and_float(self, bad):
+        message = rf"^pairing entry for \('u', 'v'\): value must be an integer, got {bad!r}$"
+        with pytest.raises(InputError, match=message):
+            RelativePairing({("v", "u"): bad})
+        with pytest.raises(InputError, match=message):
+            RelativePairing.from_items([("u", "v", bad)])
+
+    def test_pairing_entries_store_ints(self):
+        pairing = RelativePairing.from_items([("v", "u", np.int64(-2)), ("u", "u", np.int32(1))])
+        assert pairing.entries == {("u", "v"): -2, ("u", "u"): 1}
+        assert all(type(value) is int for value in pairing.entries.values())
+        with pytest.raises(InputError, match="conflicting pairing entries"):
+            RelativePairing.from_items([("u", "v", 1), ("v", "u", np.int64(2))])
+
     def test_range_messages_kept(self):
         with pytest.raises(InputError, match="curve 'u': genus must be >= 0"):
             CurveClass("u", np.int64(-1), (), 0)

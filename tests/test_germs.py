@@ -1196,7 +1196,8 @@ def _sylvester_pairs(count, seed):
 
 
 class TestOneSylvesterBuilder:
-    """The modular engine lays its int64 Sylvester matrices out through
+    """The exact engine's z-degree bound and the reference determinant
+    ``_det_mod`` lay their int64 Sylvester matrices out through
     ``_sylvester_stack``, as the oracle does its complex ones."""
 
     def test_matches_the_index_array_layout(self):
@@ -1254,6 +1255,39 @@ class TestModularCertification:
             assert germs._is_prime(n) == sympy.isprime(n), n
 
 
+def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Reference determinants modulo p of the stacked matrices a[b] (entries
+    in [0, p)).  Division-free elimination multiplies the rows below pivot k
+    by it, which scales the determinant by pivot_k^(n-1-k); one batched
+    Fermat inverse at the end removes that factor (and maps a singular
+    matrix's zero factor to zero)."""
+    batch, n, _ = a.shape
+    det = np.ones(batch, dtype=np.int64)
+    scale = np.ones(batch, dtype=np.int64)
+    leading = np.ones(batch, dtype=np.int64)  # product of the pivots so far
+    for k in range(n):
+        first = np.argmax(a[:, k:, k] != 0, axis=1)
+        swap = np.flatnonzero(first)
+        if len(swap):
+            src = k + first[swap]
+            a[swap, k], a[swap, src] = a[swap, src], a[swap, k]
+            det[swap] = p - det[swap]
+        pivot = a[:, k, k]
+        scale = scale * leading % p
+        leading = leading * pivot % p
+        det = det * pivot % p
+        if k + 1 < n:
+            a[:, k + 1 :, k:] = (
+                a[:, k + 1 :, k:] * pivot[:, None, None] - a[:, k + 1 :, k : k + 1] * a[:, k : k + 1, k:]
+            ) % p
+    inverse = np.ones(batch, dtype=np.int64)
+    for bit in f"{p - 2:b}":  # scale^(p-2), most significant bit first
+        inverse = inverse * inverse % p
+        if bit == "1":
+            inverse = inverse * scale % p
+    return det * inverse % p
+
+
 def _det_mod_stacks(p, count, seed):
     """Stacks of 1 to 4 matrices with entries in [0, p), sizes 1x1 to 8x8,
     each matrix dense, sparse (zero pivots force row swaps), with a zero
@@ -1277,7 +1311,8 @@ def _det_mod_stacks(p, count, seed):
 
 
 class TestModularDeterminant:
-    """``_det_mod`` against sympy's exact determinant reduced modulo p."""
+    """The reference ``_det_mod`` against sympy's exact determinant reduced
+    modulo p."""
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_matches_sympy(self, index):
@@ -1285,17 +1320,73 @@ class TestModularDeterminant:
         swaps = zero_columns = singular = 0
         for a in _det_mod_stacks(p, 150, seed=index):
             expected = [int(sympy.Matrix(m.tolist()).det()) % p for m in a]
-            assert germs._det_mod(a.copy(), p).tolist() == expected
+            assert _det_mod(a.copy(), p).tolist() == expected
             swaps += int(np.sum((a[:, 0, 0] == 0) & a[:, :, 0].any(axis=1)))
             zero_columns += int(np.sum((~a.any(axis=1)).any(axis=1)))
             singular += expected.count(0)
         assert min(swaps, zero_columns, singular) >= 20
 
 
+def _remainder_stacks(p, count, seed):
+    """(f_rows, g_rows) pairs of 1 to 64 samples, ascending w-coefficients
+    in [0, p) of formal degrees 1 to 8 each, so that m < n and m >= n both
+    occur.  Each polynomial is dense, sparse, has its leading coefficient
+    0 at every sample or at some, or is 0 at some samples."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for _ in range(count):
+        samples = int(rng.integers(1, 65))
+        pair = [rng.integers(0, p, size=(samples, int(rng.integers(2, 10)))) for _ in range(2)]
+        for rows in pair:
+            kind, some = rng.integers(5), rng.random(samples) < 0.5
+            if kind == 1:
+                rows[rng.random(rows.shape) < 0.5] = 0
+            elif kind == 2:
+                rows[:, -1] = 0
+            elif kind == 3:
+                rows[some, -1] = 0
+            elif kind == 4:
+                rows[some] = 0
+        stacks.append(pair)
+    return stacks
+
+
+class TestRemainderSequence:
+    """``_resultant_mod`` equals the determinant of the Sylvester matrix of
+    the same formal degrees, taken by the reference ``_det_mod``."""
+
+    PRIMES = [germs._nth_prime(germs._MIN_LOG_LENGTH, i)[0] for i in range(2)] + [7, 13]
+
+    def test_matches_the_sylvester_determinant(self):
+        swapped = drops = splits = zero_polys = 0
+        for index, p in enumerate(self.PRIMES):
+            for f, g in _remainder_stacks(p, 100, seed=index):
+                expected = _det_mod(germs._sylvester_stack(f, g), p)
+                assert np.array_equal(germs._resultant_mod(f, g, p), expected)
+                # the first step: the divisor is the polynomial of the lower
+                # formal degree, and its leading coefficient drops where it is
+                # 0 at every sample, or splits the samples where only at some
+                swapped += f.shape[1] < g.shape[1]
+                lead = (g if f.shape[1] >= g.shape[1] else f)[:, -1] == 0
+                drops += bool(lead.all())
+                splits += bool(lead.any() and not lead.all())
+                zero_polys += any((~h.any(axis=1)).any() for h in (f, g))
+        assert min(swapped, drops, splits, zero_polys) >= 20
+
+
 class TestLargeInputs:
     def test_monomial_pair_closed_form(self):
         # iota((z^a, z^b), (z^c, z^d)) = min(a d, b c)
         assert local_intersection(monomial_germ(12, 13), monomial_germ(13, 12)) == 144
+
+    def test_53_by_53_sylvester_pair(self):
+        # min(24 * 27, 25 * 26) = 24^2 + 3 * 24
+        u, v = monomial_germ(24, 25), monomial_germ(26, 27)
+        n, _, _ = germs._sylvester_layout(
+            germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
+        )
+        assert n == 53
+        assert local_intersection(u, v) == 648
 
     def test_huge_gaussian_coefficients(self):
         big = 10**400
