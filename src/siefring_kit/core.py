@@ -5,6 +5,14 @@ intersection numbers, all measured against a fixed baseline trivialization
 of each simple orbit.  Everything here is immutable; derived quantities
 that must not depend on the trivialization are tested against
 ``shift_scene``, which re-expresses a scene in a twisted trivialization.
+
+Outside data enters through the validating constructors alone: every
+class checks its fields in ``__post_init__``, and ``scene_from_dict``
+builds through them.  ``shift_scene`` is the one exception.  A twist by
+integers moves every winding of a cover by the same integer, so it keeps
+each cover's parity, the cover keys and every puncture, and it maps ints
+to ints; the shift of a valid scene is therefore valid, and it is built
+by ``_trusted`` without checking it again.
 """
 
 from __future__ import annotations
@@ -40,6 +48,16 @@ class CoverData:
                 "cover data violates nondegeneracy: alpha_plus - alpha_minus "
                 f"must be 0 or 1, got {p}"
             )
+
+    def end_bound(self, s: int) -> int:
+        """The winding that bounds an end of factor s on this cover:
+        alpha_- at a positive end, alpha_+ at a negative one."""
+        return self.alpha_minus if s > 0 else self.alpha_plus
+
+    def cz_index(self) -> int:
+        """Conley-Zehnder index relative to the baseline: 2 alpha_- plus the
+        parity, which is alpha_- + alpha_+."""
+        return self.alpha_minus + self.alpha_plus
 
 
 @dataclass(frozen=True)
@@ -191,11 +209,18 @@ class Scene:
             raise InputError("duplicate curve ids in scene")
         object.__setattr__(self, "_orbit_index", orbits)
         object.__setattr__(self, "_curve_index", curves)
+        # each distinct (orbit, cover) is checked once, at its first puncture
+        # in curve and puncture order, so the first defect is the one reported
+        checked = set()
         for c in self.curves:
             for p in c.punctures:
+                end = (p.orbit, p.multiplicity)
+                if end in checked:
+                    continue
                 if p.orbit not in orbits:
                     raise InputError(f"curve {c.id!r} references unknown orbit {p.orbit!r}")
                 orbits[p.orbit].cover(p.multiplicity)  # raises if the cover is missing
+                checked.add(end)
         for (u, v) in self.pairing.entries:
             if u not in curves or v not in curves:
                 raise InputError(f"pairing references unknown curve in pair ({u!r}, {v!r})")
@@ -237,8 +262,7 @@ def alpha(orbit: OrbitData, k: int, sign: str) -> int:
 def end_bound(orbit: OrbitData, k: int, sign: str) -> int:
     """Extremal winding that bounds an end of the given sign on the k-fold
     cover: alpha_- at a positive end, alpha_+ at a negative one."""
-    cov = orbit.cover(k)
-    return cov.alpha_minus if sign_factor(sign) > 0 else cov.alpha_plus
+    return orbit.cover(k).end_bound(sign_factor(sign))
 
 
 def parity(orbit: OrbitData, k: int) -> int:
@@ -252,7 +276,7 @@ def cz_index(orbit: OrbitData, k: int) -> int:
 
     Computed as 2*alpha_minus + parity, which equals 2*alpha_plus - parity.
     """
-    return 2 * orbit.cover(k).alpha_minus + parity(orbit, k)
+    return orbit.cover(k).cz_index()
 
 
 def sigma_bar(orbit: OrbitData, k: int, sign: str) -> int:
@@ -269,6 +293,16 @@ def euler_char(curve: CurveClass) -> int:
     return 2 - 2 * curve.genus - len(curve.punctures)
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose attributes are
+    exactly ``fields``, attributes that are not fields included, built
+    without ``__init__`` or ``__post_init__``.  Only ``shift_scene`` may
+    call it; outside data goes through the validating constructors."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
     """Re-express a scene after adding twists to baseline trivializations.
 
@@ -276,21 +310,31 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
     cover by k*m; rel_c1 and the pairing entries transform so that every
     trivialization-independent quantity (index, normal Chern number, the
     star-pairing, spectral covering numbers) is fixed exactly.
-    """
-    for oid in shift.shifts:
-        scene.orbit(oid)  # raises on unknown ids
-    m = {o.id: shift.shifts.get(o.id, 0) for o in scene.orbits}
 
-    orbits = tuple(
-        OrbitData(
-            o.id,
-            {
-                k: CoverData(c.alpha_minus - k * m[o.id], c.alpha_plus - k * m[o.id])
-                for k, c in o.cover_table.items()
-            },
-        )
-        for o in scene.orbits
-    )
+    Each twist must name an orbit of the scene and be an integer (read by
+    ``typed``); both are refused before anything is built.  The result is
+    then built without validating it again: integer twists keep each
+    cover's parity alpha_+ - alpha_-, the cover keys and every puncture, and
+    map ints to ints, so the shift of a valid scene is valid.  It reuses
+    each curve's punctures and end index and the pairing's normalized keys,
+    and computes only the windings, rel_c1 and the pairing values.
+    """
+    m = {o.id: 0 for o in scene.orbits}
+    for oid, twist in shift.shifts.items():
+        scene.orbit(oid)  # raises on unknown ids
+        try:  # the message is formatted only on a refusal
+            m[oid] = typed(twist, int, "twist")
+        except InputError as exc:
+            raise InputError(f"orbit {oid!r}: {exc}") from None
+
+    orbits = []
+    for o in scene.orbits:
+        t = m[o.id]
+        covers = {
+            k: _trusted(CoverData, alpha_minus=c.alpha_minus - k * t, alpha_plus=c.alpha_plus - k * t)
+            for k, c in o.cover_table.items()
+        }
+        orbits.append(_trusted(OrbitData, id=o.id, cover_table=covers))
 
     # both corrections are bilinear in the multiplicities, so they are sums
     # over end groups: rel_c1 gains sum s m_o (sum k) over the groups of the
@@ -302,15 +346,21 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
         for c in scene.curves
     }
     weights = {
-        cid: {key: sign_factor(key[0]) * m[key[1]] * total for key, total in curve_sums.items()}
+        cid: {key: SIGNS[key[0]] * m[key[1]] * total for key, total in curve_sums.items()}
         for cid, curve_sums in sums.items()
     }
-    curves = tuple(
-        CurveClass(
-            c.id, c.genus, c.punctures, c.rel_c1 + sum(weights[c.id].values()), c.ambient_dim_half
+    curves = [
+        _trusted(
+            CurveClass,
+            id=c.id,
+            genus=c.genus,
+            punctures=c.punctures,
+            rel_c1=c.rel_c1 + sum(weights[c.id].values()),
+            ambient_dim_half=c.ambient_dim_half,
+            ends=c.ends,
         )
         for c in scene.curves
-    )
+    ]
 
     entries = {}
     for (u, v), value in scene.pairing.entries.items():
@@ -319,7 +369,14 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
             if key in v_sums:
                 value += w * v_sums[key]
         entries[u, v] = value
-    return Scene(orbits, curves, RelativePairing(entries))
+    return _trusted(
+        Scene,
+        orbits=tuple(orbits),
+        curves=tuple(curves),
+        pairing=_trusted(RelativePairing, entries=entries),
+        _orbit_index={o.id: o for o in orbits},
+        _curve_index={c.id: c for c in curves},
+    )
 
 
 # -- scene file format -------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CurveClass, Scene, cz_index, end_bound, euler_char, parity, sign_factor
+from .core import SIGNS, CurveClass, Scene, end_bound, euler_char, parity, sign_factor
 from .errors import InconsistencyError, InputError
 from .jsonio import typed
 
@@ -64,11 +64,13 @@ def star(scene: Scene, u_id: str, v_id: str) -> int:
         v_covers = v.ends.get((sign, orbit_id))
         if v_covers is None:
             continue
-        s, orbit = sign_factor(sign), scene.orbit(orbit_id)
+        # the keys of ends hold valid signs and a scene holds every cover its
+        # curves' ends name, so each bound is read off the cover table
+        s, table = SIGNS[sign], scene.orbit(orbit_id).cover_table
         for k, count_k in u_covers.items():
-            bound_k = end_bound(orbit, k, sign)
+            bound_k = table[k].end_bound(s)
             for m, count_m in v_covers.items():
-                total -= count_k * count_m * _omega(s, k, bound_k, m, end_bound(orbit, m, sign))
+                total -= count_k * count_m * _omega(s, k, bound_k, m, table[m].end_bound(s))
     return total
 
 
@@ -99,11 +101,13 @@ def end_sums(scene: Scene, u: CurveClass) -> tuple[int, int, int]:
     """
     bounds = cz_ends = sigma_total = 0
     for (sign, orbit_id), covers in u.ends.items():
-        s, orbit = sign_factor(sign), scene.orbit(orbit_id)
+        # as in star, the sign is valid and the scene holds the cover
+        s, table = SIGNS[sign], scene.orbit(orbit_id).cover_table
         for k, count in covers.items():
-            bound = end_bound(orbit, k, sign)
+            cover = table[k]
+            bound = cover.end_bound(s)
             bounds += count * s * bound
-            cz_ends += count * s * cz_index(orbit, k)
+            cz_ends += count * s * cover.cz_index()
             sigma_total += count * math.gcd(k, bound)
     chi = euler_char(u)
     c_n = u.rel_c1 - chi + bounds

@@ -17,6 +17,7 @@ from siefring_kit.core import (
     PunctureSpec,
     RelativePairing,
     Scene,
+    TrivializationShift,
     end_bound,
     euler_char,
     parity,
@@ -24,7 +25,7 @@ from siefring_kit.core import (
     sign_factor,
     sigma_bar,
 )
-from siefring_kit.errors import InconsistencyError
+from siefring_kit.errors import InconsistencyError, InputError
 
 from scenegen import random_scene, random_shift
 
@@ -431,3 +432,82 @@ class TestCountedEnds:
         scene = many_end_scene(ends=60, covers=3)
         assert xn.star(scene, "u", "u") == ref_star(scene, "u", "u")
         assert xn.end_sums(scene, scene.curve("u")) == ref_sums(scene, scene.curve("u"))
+
+
+# -- the shift builds without validating; it must equal what validates ---------
+
+
+def validated(scene):
+    """The scene rebuilt field by field through the validating constructors."""
+    orbits = tuple(
+        OrbitData(o.id, {k: CoverData(c.alpha_minus, c.alpha_plus) for k, c in o.cover_table.items()})
+        for o in scene.orbits
+    )
+    curves = tuple(
+        CurveClass(c.id, c.genus, c.punctures, c.rel_c1, c.ambient_dim_half) for c in scene.curves
+    )
+    return Scene(orbits, curves, RelativePairing(dict(scene.pairing.entries)))
+
+
+def objects(scene):
+    """Every object of a scene, in a fixed order."""
+    yield scene
+    yield scene.pairing
+    yield from scene.orbits
+    yield from (c for o in scene.orbits for c in o.cover_table.values())
+    yield from scene.curves
+
+
+class TestTrustedShift:
+    def test_equals_the_validating_rebuild_on_300_scenes(self):
+        rng = np.random.default_rng(47)
+        for scene in seeded_scenes(rng, 60):
+            shifted = shift_scene(scene, random_shift(rng, scene))
+            rebuilt = core.scene_from_dict(core.scene_to_dict(shifted))
+            for other in (rebuilt, validated(shifted)):
+                assert shifted == other
+                assert repr(shifted) == repr(other)
+                assert [c.ends for c in shifted.curves] == [c.ends for c in other.curves]
+                assert shifted._orbit_index == other._orbit_index
+                assert shifted._curve_index == other._curve_index
+                # the same attributes on every object, fields or not
+                assert [type(x) for x in objects(shifted)] == [type(x) for x in objects(other)]
+                assert [vars(x).keys() for x in objects(shifted)] == [
+                    vars(x).keys() for x in objects(other)
+                ]
+            # the indices name the scene's own objects
+            assert all(shifted.orbit(o.id) is o for o in shifted.orbits)
+            assert all(shifted.curve(c.id) is c for c in shifted.curves)
+            numbers = [c.rel_c1 for c in shifted.curves] + list(shifted.pairing.entries.values())
+            numbers += [
+                a for o in shifted.orbits for c in o.cover_table.values() for a in vars(c).values()
+            ]
+            assert {type(x) for x in numbers} <= {int}
+
+    def test_shift_then_its_inverse_gives_back_the_scene(self):
+        rng = np.random.default_rng(53)
+        for scene in seeded_scenes(rng, 60):
+            shift = random_shift(rng, scene)
+            back = shift_scene(
+                shift_scene(scene, shift), TrivializationShift({k: -v for k, v in shift.shifts.items()})
+            )
+            assert back == scene
+            assert repr(back) == repr(scene)
+            assert [c.ends for c in back.curves] == [c.ends for c in scene.curves]
+
+    def test_a_refused_twist_builds_nothing(self, monkeypatch):
+        built = []
+        real = core._trusted
+
+        def counted(cls, **fields):
+            built.append(cls)
+            return real(cls, **fields)
+
+        monkeypatch.setattr(core, "_trusted", counted)
+        scene = one_end_scene()
+        for twist in ({"nope": 1}, {"g": True}, {"g": "1"}, {"g": 1.5}):
+            with pytest.raises(InputError):
+                shift_scene(scene, TrivializationShift(twist))
+        assert built == []
+        shift_scene(scene, TrivializationShift({"g": 1}))
+        assert built == [CoverData, OrbitData, CurveClass, RelativePairing, Scene]

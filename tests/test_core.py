@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,21 @@ class TestShiftScene:
         with pytest.raises(InputError, match="unknown orbit"):
             shift_scene(demo_scene(), TrivializationShift({"nope": 1}))
 
+    @pytest.mark.parametrize(
+        "twist, shown", [(True, "True"), ("1", "'1'"), (1.5, "1.5"), (2.0, "2.0")]
+    )
+    def test_twists_are_read_as_integers(self, twist, shown):
+        # a bool is no number, and the string and float twists are refused
+        # by the twist's own message, before any winding moves
+        message = f"orbit 'a': twist must be an integer, got {shown}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            shift_scene(demo_scene(), TrivializationShift({"a": twist}))
+
+    def test_numpy_twist_is_read_as_an_int(self):
+        out = shift_scene(demo_scene(), TrivializationShift({"a": np.int64(2)}))
+        assert out == shift_scene(demo_scene(), TrivializationShift({"a": 2}))
+        assert [type(a) for a in vars(out.orbit("a").cover(2)).values()] == [int, int]
+
 
 class TestCountFields:
     """Count fields are read through ``typed`` and keep the int it returns."""
@@ -216,6 +232,35 @@ class TestSceneValidation:
     def test_pairing_symmetry_via_key_normalization(self):
         scene = demo_scene()
         assert scene.pairing.get("v", "u") == scene.pairing.get("u", "v")
+
+    def test_first_defect_in_puncture_order_is_reported(self):
+        # two defects: curve u's second puncture names a missing cover, v's
+        # first an unknown orbit; the punctures are walked in order
+        orbits = (OrbitData("a", {1: CoverData(0, 1)}),)
+        u = CurveClass("u", 0, (PunctureSpec("+", "a", 1), PunctureSpec("-", "a", 3)), 0)
+        v = CurveClass("v", 0, (PunctureSpec("+", "zz", 1), PunctureSpec("+", "a", 3)), 0)
+        message = "unknown cover: orbit 'a' has no multiplicity 3"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Scene(orbits, (u, v), RelativePairing({}))
+        message = "curve 'v' references unknown orbit 'zz'"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Scene(orbits, (v, u), RelativePairing({}))
+
+    def test_each_distinct_cover_checked_once(self, monkeypatch):
+        scene = random_scene(np.random.default_rng(3), 4, 8, 6)
+        punctures = [p for c in scene.curves for p in c.punctures]
+        distinct = {(p.orbit, p.multiplicity) for p in punctures}
+        assert len(punctures) > len(distinct)
+        calls = []
+        real = OrbitData.cover
+
+        def counted(orbit, k):
+            calls.append((orbit.id, k))
+            return real(orbit, k)
+
+        monkeypatch.setattr(OrbitData, "cover", counted)
+        assert Scene(scene.orbits, scene.curves, scene.pairing) == scene
+        assert sorted(calls) == sorted(distinct)
 
     def test_duplicate_ids_rejected(self):
         o = OrbitData("a", {1: CoverData(0, 0)})

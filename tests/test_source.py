@@ -111,3 +111,29 @@ def test_one_integer_rule():
         if _integer_rules(node)
     ]
     assert package / "spectrum.py" in modules and found == []
+
+
+def _uses(node, name: str):
+    """Line numbers where ``node`` names ``name``: a name, an attribute, an
+    import alias, or a string constant as ``getattr`` would take it."""
+    for sub in ast.walk(node):
+        if (
+            (isinstance(sub, ast.Name) and sub.id == name)
+            or (isinstance(sub, ast.Attribute) and sub.attr == name)
+            or (isinstance(sub, ast.alias) and name in (sub.name, sub.asname))
+            or (isinstance(sub, ast.Constant) and sub.value == name)
+        ):
+            yield getattr(sub, "lineno", node.lineno)
+
+
+def test_trusted_builder_only_in_shift_scene():
+    # core._trusted builds objects without validating them; only the shift of
+    # a valid scene may use it, so no input reader gets a second path
+    package = Path(siefring_kit.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)  # the top-level def or class, if any
+            if not (path.name == "core.py" and owner == "_trusted"):
+                found += [(path.name, owner, line) for line in _uses(node, "_trusted")]
+    assert found and {(module, owner) for module, owner, _ in found} == {("core.py", "shift_scene")}, found
