@@ -164,10 +164,15 @@ class OperatorDiscretization:
     @cached_property
     def half_band_window(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and windings of the eigenpairs within half the
-        resolved band, ascending, computed once per discretization."""
+        resolved band, ascending, computed once per discretization.
+
+        They equal the eigenvalues and windings ``eigen_window`` gives on
+        that window, from the same samples.  The alpha rule reads nothing
+        else, so the window skips what only an ``EigenPair`` holds: no
+        loop sampling, no residual, no multiplicities."""
         half = resolved_band(self) / 2
-        pairs = eigen_window(self, -half, half)
-        return np.array([p.eigenvalue for p in pairs]), np.array([p.winding for p in pairs], int)
+        lams, _, f = _window(self, -half, half)
+        return lams, _windings(f[..., 0] + 1j * f[..., 1])
 
 
 def _checked_cutoff(mode_cutoff, bandwidth: int) -> int:
@@ -215,10 +220,10 @@ def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorD
     return _floquet_block(loop, _checked_cutoff(mode_cutoff, loop.bandwidth), 0, 1)
 
 
-def _floquet_block(loop: SpectralLoop, mode_cutoff: int, r: int, q: int) -> OperatorDiscretization:
-    """Block B(r, q): the q-cover at cutoff M q on its modes n = r (mod q),
-    j in [-M, M] for r = 0 and j in [-M, M - 1] otherwise for n = q j + r."""
-    cover = cover_operator(loop, q)
+def _floquet_block(cover: SpectralLoop, mode_cutoff: int, r: int, q: int) -> OperatorDiscretization:
+    """Block B(r, q) of the q-cover ``cover`` (``cover_operator(loop, q)``)
+    at cutoff M q, on its modes n = r (mod q): j in [-M, M] for r = 0 and
+    j in [-M, M - 1] otherwise for n = q j + r."""
     Mq = mode_cutoff * q
     modes = range(r - Mq, Mq + 1, q)
     return OperatorDiscretization(cover, Mq, _galerkin(cover, modes), modes)
@@ -278,23 +283,39 @@ def _on_grid(coeffs: np.ndarray, N: int) -> np.ndarray:
     return N * np.fft.irfft(coeffs[..., M:, :], n=N, axis=-2)
 
 
-def winding(samples: np.ndarray) -> int:
-    """Winding number of a nowhere-zero loop of complex samples.
+def _windings(samples: np.ndarray) -> np.ndarray:
+    """Winding numbers of nowhere-zero loops of complex samples, one loop
+    per row, in one pass over the stack.
 
-    Sums principal-branch angle increments between consecutive samples and
-    divides by 2 pi; the accumulated value must land within the rounding
-    guard of an integer.
+    Each row sums the principal-branch angle increments between consecutive
+    samples and divides by 2 pi; the accumulated value must land within the
+    rounding guard of an integer.  The first row that fails is refused with
+    its message: samples too close to zero (an infinite sample reads so
+    too), a NaN sample, or an accumulated value off the integers.
     """
     samples = np.asarray(samples, dtype=complex)
     mags = np.abs(samples)
-    if mags.min() <= RESOLVED_SAMPLE_RATIO * mags.max():
-        raise InputError("eigenfunction not resolved: samples pass too close to zero")
-    ratios = np.roll(samples, -1) / samples
-    total = np.angle(ratios).sum() / (2 * np.pi)
-    nearest = round(total)
-    if abs(total - nearest) > WINDING_GUARD:
-        raise InputError(f"grid too coarse: winding accumulated to {total}, not an integer")
-    return int(nearest)
+    unresolved = mags.min(axis=1) <= RESOLVED_SAMPLE_RATIO * mags.max(axis=1)
+    # a zero sample divides by zero only in a row refused as unresolved
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.roll(samples, -1, axis=1) / samples
+    totals = np.angle(ratios).sum(axis=1) / (2 * np.pi)
+    nearest = np.round(totals)
+    failed = unresolved | ~(np.abs(totals - nearest) <= WINDING_GUARD)
+    if failed.any():
+        i = int(failed.argmax())
+        if unresolved[i]:
+            raise InputError("eigenfunction not resolved: samples pass too close to zero")
+        if np.isnan(totals[i]):
+            raise InputError("eigenfunction not resolved: samples are not finite")
+        raise InputError(f"grid too coarse: winding accumulated to {totals[i]}, not an integer")
+    return nearest.astype(int)
+
+
+def winding(samples: np.ndarray) -> int:
+    """Winding number of a nowhere-zero loop of complex samples, read by
+    ``_windings`` as a stack of one row."""
+    return int(_windings(np.reshape(samples, (1, -1)))[0])
 
 
 def _multiplicities(eigenvalues: np.ndarray) -> list[int]:
@@ -309,8 +330,25 @@ def resolved_band(op: OperatorDiscretization) -> float:
     return np.pi * op.mode_cutoff
 
 
+def _window(op: OperatorDiscretization, lo: float, hi: float):
+    """The eigenvalues in [lo, hi], ascending, the real coefficients of
+    their eigenfunctions (shape (pairs, 2M+1, 2)) and the eigenfunctions'
+    values on t_j = j/N, N = 8(2M+1) (shape (pairs, N, 2)): what
+    ``eigen_window`` and ``half_band_window`` share."""
+    M = op.mode_cutoff
+    evals, evecs = op.eigh
+    sel = np.flatnonzero((evals >= lo) & (evals <= hi))
+    coeffs = _real_coefficients(evecs[:, sel], M)
+    return evals[sel], coeffs, _on_grid(coeffs, 8 * (2 * M + 1))
+
+
 def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[EigenPair]:
-    """All eigenpairs with eigenvalue in [lo, hi], sorted ascending."""
+    """All eigenpairs with eigenvalue in [lo, hi], sorted ascending.
+
+    Beside eigenvalues and windings, each pair holds its samples,
+    coefficients, multiplicity and residual, the last from the loop
+    sampled on the grid: the callers that list or re-evaluate eigenpairs
+    read these, while the alpha rule reads ``half_band_window``."""
     if not lo < hi:
         raise InputError(f"window requires lo < hi, got ({lo}, {hi})")
     band = resolved_band(op)
@@ -319,12 +357,8 @@ def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[Eigen
             f"window exceeds resolution: need |lo|, |hi| <= {band:.6g} at cutoff {op.mode_cutoff}"
         )
     M = op.mode_cutoff
-    evals, evecs = op.eigh
-    sel = np.flatnonzero((evals >= lo) & (evals <= hi))
-    lams = evals[sel]
-    N = 8 * (2 * M + 1)
-    coeffs = _real_coefficients(evecs[:, sel], M)
-    f = _on_grid(coeffs, N)  # (pairs, N, 2)
+    lams, coeffs, f = _window(op, lo, hi)  # f: (pairs, N, 2)
+    N = f.shape[-2]
     df = _on_grid(coeffs * (2j * np.pi * np.arange(-M, M + 1))[:, None], N)
     # the residual |A f - lam f| / max|f| uses f' exact from the coefficients
     # and S(t) sampled pointwise, so it measures truncation honestly rather
@@ -338,11 +372,12 @@ def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[Eigen
     residuals = np.maximum(np.abs(r0).max(axis=1), np.abs(r1).max(axis=1))
     residuals /= np.maximum(np.abs(f).max(axis=(1, 2)), 1e-300)
     samples = f0 + 1j * f1
+    windings = _windings(samples).tolist()
     return [
         EigenPair(
             eigenvalue=float(lam),
             samples=samples[pos],
-            winding=winding(samples[pos]),
+            winding=windings[pos],
             multiplicity=mult,
             coeffs=coeffs[pos],
             residual=float(residuals[pos]),
@@ -656,18 +691,21 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
     times m = k / q, and B(q - r, q) contributes it again for r not in
     {0, q / 2}.  Only the blocks with r <= q / 2 are decomposed, each once
     for all covers, and the union of their spectra goes through the same
-    rule as ``alphas_from_spectrum`` of the full cover matrix.
+    rule as ``alphas_from_spectrum`` of the full cover matrix.  Each
+    q-cover operator is built once, for the cutoff check of cover q and
+    for every block B(r, q).
     """
     M = typed(mode_cutoff, int, "cutoff")
+    cover = cache(lambda q: cover_operator(loop, q))
 
     @cache
     def block(r, q):
-        return _floquet_block(loop, M, r, q)
+        return _floquet_block(cover(q), M, r, q)
 
     table = {}
     for k in covers:
         k = typed(k, int, "cover multiplicity")
-        _checked_cutoff(M * k, cover_operator(loop, k).bandwidth)
+        _checked_cutoff(M * k, cover(k).bandwidth)
         # block B(r, q), eigenvalues and windings times m = k / q, serves the
         # residues R = m r and, conjugated, R = m (q - r) mod k
         parts = [

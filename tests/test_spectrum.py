@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siefring_kit import cli
+from siefring_kit import cli, spectrum
 from siefring_kit.errors import InputError
 from siefring_kit.spectrum import (
     CLUSTER_TOL,
@@ -30,8 +30,10 @@ from siefring_kit.spectrum import (
     spectrum_report,
     winding,
     _ODE_BLOCK,
+    _floquet_block,
     _multiplicities,
     _on_grid,
+    _windings,
 )
 
 TWO_PI = 2 * np.pi
@@ -272,6 +274,88 @@ class TestWinding:
         op = assemble(constant_loop(np.eye(2)), 16)
         pairs = eigen_window(op, -2.0, 0.0)  # just the lambda = -1 pair
         assert [p.winding for p in pairs] == [0, 0]
+
+    def test_nan_sample_refused(self):
+        with pytest.raises(InputError, match="eigenfunction not resolved: samples are not finite"):
+            winding(np.array([1, np.nan, 1j]))
+
+    def test_infinite_sample_reads_as_unresolved(self):
+        with pytest.raises(InputError, match="samples pass too close to zero"):
+            winding(np.array([1, np.inf, 1j]))
+
+
+def winding_reference(samples) -> int:
+    """The per-loop winding rule, one loop at a time: the reference for
+    the vectorized ``_windings``.  It reads the guards off the module, so
+    a test that tightens one tightens both."""
+    samples = np.asarray(samples, dtype=complex)
+    mags = np.abs(samples)
+    if mags.min() <= spectrum.RESOLVED_SAMPLE_RATIO * mags.max():
+        raise InputError("eigenfunction not resolved: samples pass too close to zero")
+    ratios = np.roll(samples, -1) / samples
+    total = np.angle(ratios).sum() / (2 * np.pi)
+    nearest = round(total)
+    if abs(total - nearest) > spectrum.WINDING_GUARD:
+        raise InputError(f"grid too coarse: winding accumulated to {total}, not an integer")
+    return int(nearest)
+
+
+def sample_stack(rng) -> np.ndarray:
+    """1-6 loops of 3-64 complex samples each: smooth loops of winding
+    -4..4, noise, constants and unresolved noise (one sample at or near 0),
+    each scaled by 10^-3..10^3."""
+    rows, n = int(rng.integers(1, 7)), int(rng.integers(3, 65))
+    ts = np.arange(n) / n
+    stack = np.empty((rows, n), dtype=complex)
+    for i in range(rows):
+        kind = rng.choice(["smooth", "noise", "constant", "unresolved"], p=[0.45, 0.2, 0.15, 0.2])
+        if kind == "constant":
+            row = np.full(n, complex(*rng.normal(size=2)))
+        elif kind == "smooth":
+            radius = 1 + 0.6 * np.cos(TWO_PI * int(rng.integers(1, 4)) * ts + rng.uniform(0, 6))
+            row = radius * np.exp(1j * (TWO_PI * int(rng.integers(-4, 5)) * ts + rng.uniform(0, 6)))
+        else:
+            row = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if kind == "unresolved":
+                row[rng.integers(n)] = rng.choice([0.0, 1e-9, 1e-12])
+        stack[i] = row * 10.0 ** int(rng.integers(-3, 4))
+    return stack
+
+
+class TestVectorizedWindings:
+    """``_windings`` reads a stack of loops as the per-loop reference reads
+    each row in turn: the same windings, or the first failing row's
+    message."""
+
+    def test_matches_the_per_row_reference(self, monkeypatch):
+        rng = np.random.default_rng(2204)
+        seen = {"passed": 0, "unresolved": 0, "off-integer": 0, "first failure past row 0": 0}
+        # a closed loop's principal increments sum to a multiple of 2 pi up to
+        # rounding, so only a guard tightened below rounding reaches the
+        # off-integer refusal
+        for guard in (spectrum.WINDING_GUARD, 4e-16, 0.0):
+            monkeypatch.setattr(spectrum, "WINDING_GUARD", guard)
+            for _ in range(110):
+                stack = sample_stack(rng)
+                expected, failing = [], None
+                for i, row in enumerate(stack):
+                    try:
+                        expected.append(winding_reference(row))
+                    except InputError as exc:
+                        expected, failing = str(exc), i
+                        break
+                if failing is None:
+                    got = _windings(stack)
+                    assert got.tolist() == expected and got.dtype.kind == "i"
+                    assert [winding(row) for row in stack] == expected
+                    seen["passed"] += 1
+                    continue
+                with pytest.raises(InputError) as refusal:
+                    _windings(stack)
+                assert str(refusal.value) == expected
+                seen["unresolved" if "not resolved" in expected else "off-integer"] += 1
+                seen["first failure past row 0"] += failing > 0
+        assert min(seen.values()) >= 40, seen
 
 
 class TestWindingTheorem:
@@ -800,20 +884,19 @@ class TestOneDecomposition:
 
 class TestOneWindowPerDiscretization:
     """The half-band window the alpha rule reads is computed once per
-    discretization, however many alpha records read it."""
+    discretization, however many alpha records read it: one call of the
+    window helper that ``half_band_window`` shares with ``eigen_window``."""
 
     @pytest.fixture
     def windows(self, monkeypatch):
-        from siefring_kit import spectrum
-
         calls = []
-        real = spectrum.eigen_window
+        real = spectrum._window
 
         def counted(op, lo, hi):
             calls.append((op.mode_cutoff, op.modes.step))
             return real(op, lo, hi)
 
-        monkeypatch.setattr(spectrum, "eigen_window", counted)
+        monkeypatch.setattr(spectrum, "_window", counted)
         return calls
 
     def test_alphas_from_spectrum_twice(self, windows):
@@ -826,6 +909,51 @@ class TestOneWindowPerDiscretization:
         orbit_from_loop("o", loop, range(1, 5), 8)
         # B(0, 1), B(1, 2), B(1, 3), B(1, 4)
         assert sorted(windows) == [(8, 1), (16, 2), (24, 3), (32, 4)]
+
+
+class TestHalfBandWindow:
+    """The alpha rule's window holds eigenvalues and windings only: it
+    samples no loop, and each cover operator is built once per call."""
+
+    def test_equals_eigen_window_on_the_same_window(self):
+        rng = np.random.default_rng(2206)
+        for _ in range(30):
+            loop = random_loop(rng, int(rng.integers(1, 4)), float(rng.uniform(0.5, 4.0)))
+            q = int(rng.integers(1, 5))
+            op = _floquet_block(cover_operator(loop, q), int(rng.choice([8, 16])), int(rng.integers(q)), q)
+            half = np.pi * op.mode_cutoff / 2
+            pairs = eigen_window(op, -half, half)
+            lams, winds = op.half_band_window
+            assert np.array_equal(lams, [p.eigenvalue for p in pairs])
+            assert winds.tolist() == [p.winding for p in pairs]
+
+    def test_orbit_from_loop_samples_no_loop(self, monkeypatch):
+        calls = []
+        real = SpectralLoop.__call__
+
+        def counted(self, ts):
+            calls.append(len(ts))
+            return real(self, ts)
+
+        monkeypatch.setattr(SpectralLoop, "__call__", counted)
+        loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
+        orbit_from_loop("o", loop, range(1, 5), 8)
+        assert calls == []
+        eigen_window(assemble(loop, 8), -1.0, 1.0)  # the residual samples the loop
+        assert calls == [8 * 17]
+
+    def test_orbit_from_loop_builds_each_cover_once(self, monkeypatch):
+        calls = []
+        real = spectrum.cover_operator
+
+        def counted(loop, k):
+            calls.append(k)
+            return real(loop, k)
+
+        monkeypatch.setattr(spectrum, "cover_operator", counted)
+        loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
+        orbit_from_loop("o", loop, range(1, 5), 8)
+        assert sorted(calls) == [1, 2, 3, 4]
 
 
 class TestFloquetBlockCount:
