@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import intersection as xn
-from .core import Scene, TrivializationShift, euler_char, parity, shift_scene, sigma_bar
+from .core import Scene, TrivializationShift, euler_char, shift_scene
 from .errors import InconsistencyError, InputError
-from .jsonio import typed
+from .jsonio import read_seed, typed
 
 SHIFT_RANGE = 5
 # the golden scenes take 2-5 s at this many trials (one 2-core Xeon VM)
@@ -38,10 +38,10 @@ def _snapshot(scene: Scene) -> dict:
     """Every invariant of the scene by its breach-report key, each computed once."""
     snap = {}
     for orbit in scene.orbits:
-        for k in orbit.cover_table:
-            snap[f"parity[{orbit.id}^{k}]"] = parity(orbit, k)
-            snap[f"sigma_bar-[{orbit.id}^{k}]"] = sigma_bar(orbit, k, "-")
-            snap[f"sigma_bar+[{orbit.id}^{k}]"] = sigma_bar(orbit, k, "+")
+        for k, cover in orbit.cover_table.items():
+            snap[f"parity[{orbit.id}^{k}]"] = cover.parity()
+            snap[f"sigma_bar-[{orbit.id}^{k}]"] = cover.sigma_bar(k, -1)
+            snap[f"sigma_bar+[{orbit.id}^{k}]"] = cover.sigma_bar(k, 1)
     stars = {(u, v): xn.star(scene, u, v) for (u, v) in scene.pairing.entries}
     for curve in scene.curves:
         cid = curve.id
@@ -71,7 +71,7 @@ def audit_scene(scene: Scene, shifts: int = 50, seed: int = 0) -> dict:
         raise InputError(f"number of shifts must be nonnegative, got {shifts}")
     if shifts > MAX_SHIFTS:
         raise InputError(f"number of shifts too large: need shifts <= {MAX_SHIFTS}, got {shifts}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(read_seed(seed))
     baseline = _snapshot(scene)
     breaches = []
     for trial in range(shifts):

@@ -27,7 +27,7 @@ from importlib import resources
 from . import closed, intersection
 from .core import Scene, load_scene
 from .errors import InconsistencyError, InputError, InvarianceError
-from .jsonio import canonical_dumps
+from .jsonio import canonical_dumps, read_seed
 
 
 def _lazy_submodule(child: str):
@@ -87,10 +87,8 @@ def _emit(obj) -> None:
 
 
 def _seed(args) -> int:
-    """``--seed``, refused when negative: numpy's generators take none."""
-    if args.seed < 0:
-        raise InputError(f"seed must be nonnegative, got {args.seed}")
-    return args.seed
+    """``--seed``, read before any file, so its refusal comes first."""
+    return read_seed(args.seed)
 
 
 def _cmd_spectrum(args) -> int:

@@ -30,34 +30,46 @@ SIGNS = {"+": 1, "-": -1}
 
 @dataclass(frozen=True)
 class CoverData:
-    """Extremal winding numbers of one cover of a simple orbit."""
+    """Extremal winding numbers of one cover of a simple orbit and every
+    per-cover rule; the module functions of the same names read them."""
 
     alpha_minus: int
     alpha_plus: int
 
     def __post_init__(self):
-        alpha_minus = typed(self.alpha_minus, int, "alpha_minus")
-        alpha_plus = typed(self.alpha_plus, int, "alpha_plus")
-        # every shift rebuilds each cover, and typed returns an int it is given as is
-        if alpha_minus is not self.alpha_minus or alpha_plus is not self.alpha_plus:
-            object.__setattr__(self, "alpha_minus", alpha_minus)
-            object.__setattr__(self, "alpha_plus", alpha_plus)
-        p = alpha_plus - alpha_minus
+        object.__setattr__(self, "alpha_minus", typed(self.alpha_minus, int, "alpha_minus"))
+        object.__setattr__(self, "alpha_plus", typed(self.alpha_plus, int, "alpha_plus"))
+        p = self.parity()
         if p not in (0, 1):
             raise InputError(
                 "cover data violates nondegeneracy: alpha_plus - alpha_minus "
                 f"must be 0 or 1, got {p}"
             )
 
+    def alpha(self, s: int) -> int:
+        """The extremal winding alpha_s of factor s: alpha_+ for s > 0,
+        alpha_- for s < 0."""
+        return self.alpha_plus if s > 0 else self.alpha_minus
+
     def end_bound(self, s: int) -> int:
         """The winding that bounds an end of factor s on this cover:
         alpha_- at a positive end, alpha_+ at a negative one."""
-        return self.alpha_minus if s > 0 else self.alpha_plus
+        return self.alpha(-s)
+
+    def parity(self) -> int:
+        """alpha_+ - alpha_-, 0 or 1 on a valid cover."""
+        return self.alpha_plus - self.alpha_minus
 
     def cz_index(self) -> int:
         """Conley-Zehnder index relative to the baseline: 2 alpha_- plus the
         parity, which is alpha_- + alpha_+."""
         return self.alpha_minus + self.alpha_plus
+
+    def sigma_bar(self, k: int, s: int) -> int:
+        """Covering multiplicity gcd(k, alpha_s) of the extremal eigenfunction
+        of factor s, this being the k-fold cover.  gcd(k, 0) = k, as math.gcd
+        gives, counts a winding-0 eigenfunction as fully multiply covered."""
+        return math.gcd(k, self.alpha(s))
 
 
 @dataclass(frozen=True)
@@ -127,11 +139,9 @@ class CurveClass:
     ambient_dim_half: int = 2
 
     def __post_init__(self):
-        try:  # every shift rebuilds each curve, so the message is formatted only on a refusal
-            for name in ("genus", "rel_c1", "ambient_dim_half"):
-                object.__setattr__(self, name, typed(getattr(self, name), int, name))
-        except InputError as exc:
-            raise InputError(f"curve {self.id!r}: {exc}") from None
+        for name in ("genus", "rel_c1", "ambient_dim_half"):
+            value = typed(getattr(self, name), int, f"curve {self.id!r}: {name}")
+            object.__setattr__(self, name, value)
         if self.genus < 0:
             raise InputError(f"curve {self.id!r}: genus must be >= 0")
         if self.ambient_dim_half < 2:
@@ -154,11 +164,8 @@ def _symmetric_table(pairs) -> dict[tuple[str, str], int]:
     same value."""
     table = {}
     for (u, v), value in pairs:
-        key = (u, v) if u <= v else (v, u)  # _pair_key, inline: every shift rebuilds the table
-        try:  # every shift rebuilds the table, so the message is formatted only on a refusal
-            value = typed(value, int, "value")
-        except InputError as exc:
-            raise InputError(f"pairing entry for {key}: {exc}") from None
+        key = _pair_key(u, v)
+        value = typed(value, int, f"pairing entry for {key}: value")
         if table.setdefault(key, value) != value:
             raise InputError(f"conflicting pairing entries for {key}")
     return table
@@ -255,8 +262,7 @@ def sign_factor(sign: str) -> int:
 
 def alpha(orbit: OrbitData, k: int, sign: str) -> int:
     """Extremal winding alpha_sign of the k-fold cover."""
-    cov = orbit.cover(k)
-    return cov.alpha_plus if sign_factor(sign) > 0 else cov.alpha_minus
+    return orbit.cover(k).alpha(sign_factor(sign))
 
 
 def end_bound(orbit: OrbitData, k: int, sign: str) -> int:
@@ -267,8 +273,7 @@ def end_bound(orbit: OrbitData, k: int, sign: str) -> int:
 
 def parity(orbit: OrbitData, k: int) -> int:
     """Parity of the k-fold cover: alpha_plus - alpha_minus, always 0 or 1."""
-    cov = orbit.cover(k)
-    return cov.alpha_plus - cov.alpha_minus
+    return orbit.cover(k).parity()
 
 
 def cz_index(orbit: OrbitData, k: int) -> int:
@@ -280,12 +285,8 @@ def cz_index(orbit: OrbitData, k: int) -> int:
 
 
 def sigma_bar(orbit: OrbitData, k: int, sign: str) -> int:
-    """Covering multiplicity gcd(k, alpha_sign) of the extremal eigenfunction.
-
-    The convention gcd(k, 0) = k, which math.gcd already gives, makes a
-    winding-0 extremal eigenfunction on a k-fold cover count as fully multiply covered.
-    """
-    return math.gcd(k, alpha(orbit, k, sign))
+    """Covering multiplicity gcd(k, alpha_sign) of the extremal eigenfunction."""
+    return orbit.cover(k).sigma_bar(k, sign_factor(sign))
 
 
 def euler_char(curve: CurveClass) -> int:
@@ -322,10 +323,7 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
     m = {o.id: 0 for o in scene.orbits}
     for oid, twist in shift.shifts.items():
         scene.orbit(oid)  # raises on unknown ids
-        try:  # the message is formatted only on a refusal
-            m[oid] = typed(twist, int, "twist")
-        except InputError as exc:
-            raise InputError(f"orbit {oid!r}: {exc}") from None
+        m[oid] = typed(twist, int, f"orbit {oid!r}: twist")
 
     orbits = []
     for o in scene.orbits:

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache, wraps
 import numpy as np
 
 from .errors import InputError, InvarianceError
-from .jsonio import JsonObject, read_json, typed
+from .jsonio import JsonObject, read_json, read_seed, typed
 
 ROOT_EDGE_TOL = 1e-6
 COEFF_TRIM_TOL = 1e-11
@@ -957,6 +957,7 @@ def numeric_double_point_oracle(
     eigenvalues and halved.  Must agree with delta_local on valid inputs;
     shares its exact refusals and its rule for a constant coordinate.
     """
+    seed = read_seed(seed)
     _check_perturbation(epsilon, radius)
     delta = _double_point_refusals(u)
     if delta is not None:
@@ -997,6 +998,7 @@ def numeric_intersection_oracle(
     local_intersection on valid inputs, and shares its exact refusals
     (too large a domain, identical images).
     """
+    seed = read_seed(seed)
     _check_perturbation(epsilon, radius)
     # a coefficient out of complex128 range is refused before any exact work;
     # the other refusals are exact (shared components make the float

@@ -11,7 +11,6 @@ decides when scene data is compatible with simple or embedded curves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import SIGNS, CurveClass, Scene, end_bound, euler_char, parity, sign_factor
@@ -44,8 +43,8 @@ def omega_self(scene: Scene, orbit_ref: tuple[str, int], sign: str) -> int:
     """Winding-bound term for one multiply-covered puncture against its own
     reparametrizations: -+(k-1) alpha_-+ plus (sigma_bar_-+ - 1)."""
     orbit_id, k = orbit_ref
-    bound = end_bound(scene.orbit(orbit_id), k, sign)
-    return -sign_factor(sign) * (k - 1) * bound + (math.gcd(k, bound) - 1)
+    cover, s = scene.orbit(orbit_id).cover(k), sign_factor(sign)
+    return -s * (k - 1) * cover.end_bound(s) + (cover.sigma_bar(k, -s) - 1)
 
 
 def star(scene: Scene, u_id: str, v_id: str) -> int:
@@ -105,10 +104,9 @@ def end_sums(scene: Scene, u: CurveClass) -> tuple[int, int, int]:
         s, table = SIGNS[sign], scene.orbit(orbit_id).cover_table
         for k, count in covers.items():
             cover = table[k]
-            bound = cover.end_bound(s)
-            bounds += count * s * bound
+            bounds += count * s * cover.end_bound(s)
             cz_ends += count * s * cover.cz_index()
-            sigma_total += count * math.gcd(k, bound)
+            sigma_total += count * cover.sigma_bar(k, -s)
     chi = euler_char(u)
     c_n = u.rel_c1 - chi + bounds
     index = (u.ambient_dim_half - 3) * chi + 2 * u.rel_c1 + cz_ends
@@ -193,6 +191,8 @@ def relative_adjunction_check(
     scene: Scene, u_id: str, delta: int, iota_tau_infty: int
 ) -> RelAdjunctionReport:
     """Check u .tau u = 2 delta + rel_c1 - chi + iota_tau_infty exactly."""
+    delta = typed(delta, int, "delta")
+    iota_tau_infty = typed(iota_tau_infty, int, "iota_tau_infty")
     u = scene.curve(u_id)
     lhs = scene.pairing.get(u_id, u_id)
     rhs = 2 * delta + u.rel_c1 - euler_char(u) + iota_tau_infty
@@ -209,6 +209,8 @@ def asymptotic_defect(entries) -> int:
     total = 0
     for sign, alpha_bound, wind in entries:
         s = sign_factor(sign)
+        alpha_bound = typed(alpha_bound, int, "alpha bound")
+        wind = typed(wind, int, "winding")
         if s * (alpha_bound - wind) < 0:
             relation, end = (">", "positive") if s > 0 else ("<", "negative")
             raise InputError(

@@ -54,6 +54,15 @@ def typed(value, kind, what: str):
     return value
 
 
+def read_seed(value) -> int:
+    """A random seed: an integer, read by ``typed``, that numpy's generators
+    take, so nonnegative."""
+    seed = typed(value, int, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 class JsonObject:
     """One object of an input file with typed access to its fields;
     ``where`` names it in errors, ``what`` where it is not an object."""

@@ -511,3 +511,48 @@ class TestTrustedShift:
         assert built == []
         shift_scene(scene, TrivializationShift({"g": 1}))
         assert built == [CoverData, OrbitData, CurveClass, RelativePairing, Scene]
+
+
+# -- the snapshot reads each cover once; seeds follow the integer rule ---------
+
+
+class TestSnapshotReadsEachCover:
+    def test_no_cover_lookup_and_no_module_reader(self, monkeypatch):
+        # each CoverData is read off the cover table once, as star and
+        # end_sums read it: no OrbitData.cover, alpha, parity or sigma_bar call
+        scene = benchmark_sized_scene()
+        shifted = shift_scene(scene, random_shift(np.random.default_rng(5), scene))
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(OrbitData, "cover", counted("cover", OrbitData.cover))
+        for name in ("alpha", "parity", "sigma_bar"):
+            monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
+        snaps = [audit._snapshot(s) for s in (scene, shifted)]
+        monkeypatch.undo()
+        assert calls == Counter()
+        assert snaps == [ref_snapshot(scene), ref_snapshot(shifted)]
+
+
+class TestSeedIsAnInteger:
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(InputError) as err:
+            audit.audit_scene(one_end_scene(), shifts=1, seed=seed)
+        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_refused_with_the_cli_message(self, seed):
+        with pytest.raises(InputError) as err:
+            audit.audit_scene(one_end_scene(), shifts=1, seed=seed)
+        assert str(err.value) == f"seed must be nonnegative, got {int(seed)}"
+
+    def test_numpy_integer_seed_is_the_int(self):
+        scene = benchmark_sized_scene()
+        assert audit.audit_scene(scene, 3, np.int64(5)) == audit.audit_scene(scene, 3, 5)

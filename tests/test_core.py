@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from siefring_kit.core import (
+    SIGNS,
     CoverData,
     CurveClass,
     OrbitData,
@@ -12,7 +13,9 @@ from siefring_kit.core import (
     RelativePairing,
     Scene,
     TrivializationShift,
+    alpha,
     cz_index,
+    end_bound,
     euler_char,
     parity,
     scene_from_dict,
@@ -80,6 +83,55 @@ class TestSigmaBar:
         o = OrbitData("g", {3: CoverData(6, 7)})
         assert sigma_bar(o, 3, "-") == 3  # 3 | 6
         assert sigma_bar(o, 3, "+") == 1  # gcd(3, 7)
+
+
+def raw_gcd(k, a):
+    """The largest d dividing both k and a, by trial: gcd(k, 0) = k."""
+    return max(d for d in range(1, k + 1) if k % d == 0 and a % d == 0)
+
+
+class TestCoverRules:
+    """Every per-cover rule is a CoverData method, and each module function
+    of the same name reads it through OrbitData.cover."""
+
+    def test_methods_match_the_raw_formulas_on_300_scenes(self):
+        rng = np.random.default_rng(67)
+        seen = set()
+        for _ in range(300):
+            scene = random_scene(rng, 4, 2, 2)
+            for orbit in scene.orbits:
+                for k, c in orbit.cover_table.items():
+                    am, ap = c.alpha_minus, c.alpha_plus
+                    assert (c.alpha(1), c.alpha(-1)) == (ap, am)
+                    assert (c.end_bound(1), c.end_bound(-1)) == (am, ap)
+                    assert c.parity() == ap - am
+                    assert c.cz_index() == 2 * am + c.parity() == 2 * ap - c.parity()
+                    assert c.sigma_bar(k, -1) == raw_gcd(k, am)
+                    assert c.sigma_bar(k, 1) == raw_gcd(k, ap)
+                    if am == 0:
+                        assert c.sigma_bar(k, -1) == k
+                    for sign, s in SIGNS.items():
+                        assert alpha(orbit, k, sign) == c.alpha(s)
+                        assert end_bound(orbit, k, sign) == c.end_bound(s)
+                        assert sigma_bar(orbit, k, sign) == c.sigma_bar(k, s)
+                    assert parity(orbit, k) == c.parity()
+                    assert cz_index(orbit, k) == c.cz_index()
+                    if k > 1:
+                        seen.add((am == 0, c.sigma_bar(k, -1) == k, c.parity()))
+        # on multiple covers: winding 0 at both parities, k dividing a nonzero
+        # winding, and k prime to it
+        assert {(True, True, 0), (True, True, 1), (False, True, 0), (False, False, 1)} <= seen
+
+    @pytest.mark.parametrize("reader", [alpha, end_bound, sigma_bar])
+    def test_signed_readers_look_up_the_cover_first(self, reader):
+        o = orbit(0, 1)
+        with pytest.raises(InputError, match="unknown cover"):
+            reader(o, 2, "x")
+        with pytest.raises(InputError, match="cover multiplicity must be an integer, got True"):
+            reader(o, True, "x")
+        with pytest.raises(InputError, match="sign must be '\\+' or '-', got 'x'"):
+            reader(o, 1, "x")
+        assert reader(o, np.int64(1), "+") == reader(o, 1, "+")
 
 
 class TestEulerChar:

@@ -1394,3 +1394,33 @@ class TestLargeInputs:
         v = germ([0, 0, 1], [0, gaussian(big, 1)])
         ref = _sympy_pair_resultant(u, v)
         assert local_intersection(u, v) == min(m[0] for m in ref.monoms())
+
+
+ORACLES = {
+    "delta": lambda seed, radius=0.3: numeric_double_point_oracle(CUSP23, 1e-3, radius, seed),
+    "pair": lambda seed, radius=0.3: numeric_intersection_oracle(
+        germ([0, 1], [0]), germ([0], [0, 1]), 1e-3, radius, seed
+    ),
+}
+
+
+class TestOracleSeed:
+    """Both oracles read the seed by the integer rule before any other check,
+    and refuse a negative one with the message of ``--seed``."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("seed", [1.5, True, "0"])
+    def test_non_integer_seed_refused(self, name, seed):
+        with pytest.raises(InputError) as err:
+            ORACLES[name](seed)
+        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_negative_seed_refused_before_the_radius(self, name):
+        with pytest.raises(InputError) as err:
+            ORACLES[name](-1, radius=-1.0)
+        assert str(err.value) == "seed must be nonnegative, got -1"
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_numpy_integer_seed_is_the_int(self, name):
+        assert ORACLES[name](np.int64(4)) == ORACLES[name](4) == {"delta": 1, "pair": 1}[name]

@@ -418,6 +418,50 @@ class TestAsymptoticDefect:
             assert z_interior + z_infty == xn.normal_chern(scene, "u")
 
 
+class TestIntegerArguments:
+    """Bounds, windings, delta and iota_tau_infty are read by the integer rule:
+    a float, a bool or a NaN is refused, not computed with."""
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (("+", 1.5, 1), "alpha bound must be an integer, got 1.5"),
+            (("+", True, 0), "alpha bound must be an integer, got True"),
+            (("-", 0, float("nan")), "winding must be an integer, got nan"),
+            (("+", 2, 1.0), "winding must be an integer, got 1.0"),
+        ],
+    )
+    def test_asymptotic_defect_refuses(self, entry, message):
+        with pytest.raises(InputError) as err:
+            xn.asymptotic_defect([("+", 0, 0), entry])
+        assert str(err.value) == message
+
+    def test_asymptotic_defect_reads_numpy_integers(self):
+        entries = [("+", np.int64(0), np.int32(-2)), ("-", np.int64(1), 3)]
+        assert xn.asymptotic_defect(entries) == xn.asymptotic_defect([("+", 0, -2), ("-", 1, 3)]) == 4
+
+    @pytest.mark.parametrize(
+        "delta, iota, message",
+        [
+            (0.5, 1.5, "delta must be an integer, got 0.5"),
+            (0, 1.5, "iota_tau_infty must be an integer, got 1.5"),
+            (True, 0, "delta must be an integer, got True"),
+            (0, False, "iota_tau_infty must be an integer, got False"),
+        ],
+    )
+    def test_relative_adjunction_check_refuses(self, delta, iota, message):
+        scene = Scene((), (CurveClass("u", 0, (), 2),), RelativePairing({("u", "u"): 0}))
+        with pytest.raises(InputError) as err:
+            xn.relative_adjunction_check(scene, "u", delta=delta, iota_tau_infty=iota)
+        assert str(err.value) == message
+
+    def test_relative_adjunction_check_reads_numpy_integers(self):
+        scene = Scene((), (CurveClass("u", 0, (), 2),), RelativePairing({("u", "u"): 0}))
+        report = xn.relative_adjunction_check(scene, "u", delta=np.int64(1), iota_tau_infty=np.int8(-2))
+        assert report == xn.relative_adjunction_check(scene, "u", delta=1, iota_tau_infty=-2)
+        assert (report.rhs, type(report.rhs)) == (0, int)
+
+
 class TestAutomaticTransversality:
     def test_planar_page(self):
         table = {1: CoverData(0, 1)}

@@ -137,3 +137,30 @@ def test_trusted_builder_only_in_shift_scene():
             if not (path.name == "core.py" and owner == "_trusted"):
                 found += [(path.name, owner, line) for line in _uses(node, "_trusted")]
     assert found and {(module, owner) for module, owner, _ in found} == {("core.py", "shift_scene")}, found
+
+
+def _cover_rules(node) -> bool:
+    """alpha_plus - alpha_minus, alpha_minus + alpha_plus (either operand
+    order) or math.gcd: the parity, CZ and sigma_bar rules of a cover."""
+    if isinstance(node, ast.Attribute) and ast.unparse(node) == "math.gcd":
+        return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        names = [getattr(side, "attr", getattr(side, "id", None)) for side in (node.left, node.right)]
+        if isinstance(node.op, ast.Sub):
+            return names == ["alpha_plus", "alpha_minus"]
+        return set(names) == {"alpha_minus", "alpha_plus"}
+    return False
+
+
+def test_cover_rules_only_in_cover_data():
+    # the scene layer states parity, CZ and sigma_bar once, in CoverData, so
+    # intersection and audit read them and cannot restate the gcd
+    package = Path(siefring_kit.__file__).parent
+    found = []
+    for name in ("core.py", "intersection.py", "audit.py"):
+        for node in ast.parse((package / name).read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            found += [(name, owner) for sub in ast.walk(node) if _cover_rules(sub)]
+    assert sorted(set(found)) == [("core.py", "CoverData")], found
+    for name in ("intersection.py", "audit.py"):
+        assert list(_uses(ast.parse((package / name).read_text(encoding="utf-8")), "gcd")) == []

@@ -1049,3 +1049,50 @@ class TestWindingMonotonicity:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {self.MESSAGE}")
+
+
+class TestCoverMultiplicityArgument:
+    """``covering_multiplicity`` reads k as ``cover_operator`` does."""
+
+    @staticmethod
+    def pair():
+        op = assemble(cover_operator(random_loop(np.random.default_rng(13), bandwidth=1), 2), 48)
+        return next(p for p in eigen_window(op, -16.0, 16.0) if p.multiplicity == 1)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (True, "cover multiplicity must be an integer, got True"),
+            (2.0, "cover multiplicity must be an integer, got 2.0"),
+            (0, "cover multiplicity must be a positive integer, got 0"),
+            (np.int64(-2), "cover multiplicity must be a positive integer, got -2"),
+        ],
+    )
+    def test_refused_with_the_cover_operator_message(self, k, message):
+        with pytest.raises(InputError) as err:
+            covering_multiplicity(self.pair(), k)
+        assert str(err.value) == message
+        with pytest.raises(InputError) as err:
+            cover_operator(constant_loop(np.eye(2)), k)
+        assert str(err.value) == message
+
+    def test_numpy_integer_is_the_int(self):
+        pair = self.pair()
+        for k in (1, 2, 4):
+            assert covering_multiplicity(pair, np.int64(k)) == covering_multiplicity(pair, k)
+
+
+class TestAlphaRecordFromCoverData:
+    def test_parity_and_index_are_the_cover_rules(self):
+        # the spectral alpha rule takes parity and CZ from CoverData, whose
+        # rules the scene layer reads too
+        rng = np.random.default_rng(29)
+        parities = set()
+        for _ in range(20):
+            loop = random_loop(rng, bandwidth=2)
+            record = alphas_from_spectrum(assemble(loop, 16))
+            cover = spectrum.CoverData(record.alpha_minus, record.alpha_plus)
+            assert (record.parity, record.cz) == (cover.parity(), cover.cz_index())
+            assert record.cz == 2 * record.alpha_minus + record.parity
+            parities.add(record.parity)
+        assert parities == {0, 1}
