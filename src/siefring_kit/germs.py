@@ -437,13 +437,20 @@ def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
     (ascending coefficients, any dtype), stacked along the first axis: deg g
     shifted copies of f's coefficients, then deg f copies of g's, each
     descending; the exact engine's z-degree bound and the oracle use it."""
-    (samples, wf), wg = f_rows.shape, g_rows.shape[1]  # deg + 1 in w
-    n = wf + wg - 2
-    out = np.zeros((samples, n, n), dtype=np.result_type(f_rows, g_rows))
-    for rows, width, copies, at in ((f_rows, wf, wg - 1, 0), (g_rows, wg, wf - 1, wg - 1)):
-        shift, j = np.arange(copies)[:, None], np.arange(width)
-        out[:, at + shift, shift + j] = rows[:, None, width - 1 - j]
+    n = f_rows.shape[1] + g_rows.shape[1] - 2
+    out = np.zeros((len(f_rows), n, n), dtype=np.result_type(f_rows, g_rows))
+    for which, rows in enumerate((f_rows, g_rows)):
+        _place_rows(out, rows, which)
     return out
+
+
+def _place_rows(out: np.ndarray, rows: np.ndarray, which: int) -> None:
+    """Lay f's rows (which 0) or g's (which 1) into the Sylvester stack
+    ``out`` where _sylvester_stack puts them: deg + 1 = width wide, as many
+    copies as the other polynomial's degree, g's after f's."""
+    width = rows.shape[1]
+    shift, j = np.arange(out.shape[1] + 1 - width)[:, None], np.arange(width)
+    out[:, which * (width - 1) + shift, shift + j] = rows[:, None, width - 1 - j]
 
 
 def _sylvester_layout(f: dict, g: dict):
@@ -797,8 +804,6 @@ def _degrees(b: np.ndarray) -> tuple[int, int]:
     return tuple(int(line[-1]) if len(line) else -1 for line in lines)
 
 
-# a radius or epsilon too large overflows the samples; _trimmed refuses the result
-@np.errstate(over="ignore", invalid="ignore")
 def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float) -> np.ndarray:
     """Resultant in w of two bivariate complex polynomials, rescaled.
 
@@ -811,36 +816,89 @@ def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float) -> np.nda
     The Sylvester matrices at all the samples are stacked and go to one
     batched determinant, in chunks of at most _WORK_CELLS entries; LAPACK
     still factors each matrix on its own, so every value is the one a
-    determinant of that matrix alone gives.
+    determinant of that matrix alone gives.  The work is that of a
+    _ResultantPlan built for the two arrays.
     """
-    dfz, df = _degrees(bf)
-    dgz, dg = _degrees(bg)
-    if df < 0 or dg < 0:
-        return np.zeros(1, dtype=complex)
-    if df == 0 and dg == 0:
-        return np.ones(1, dtype=complex)
-    if df == 0 or dg == 0:
+    return _ResultantPlan(bf, bg, circle).resultant()
+
+
+class _ResultantPlan:
+    """numeric_resultant_w of (bf, bg) on one circle, with the work that a
+    change of one polynomial's z^0 w^0 coefficient leaves alone done once.
+
+    The oracles perturb by adding epsilon there, to g's divided difference
+    (``moving`` 1) or to f's difference (``moving`` 0).  The plan holds both
+    degrees, the samples' z-powers and a Sylvester stack of both row sets.
+    A draw with |b00 + epsilon| at most ``room``, the largest entry of the
+    moving array without b00, has the plan's degrees whenever the plan's own
+    b00 is within ``room`` (``steady``): the largest entry still sets the
+    trim scale, and index 0 raises no last index.  Such a draw recomputes
+    the moving rows by the same product and lays them into a copy of the
+    stack; any other draw is planned afresh, as numeric_resultant_w would.
+    """
+
+    # a radius or epsilon too large overflows the samples; _trimmed refuses the result
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float, moving: int = 1):
+        self.arrays, self.circle, self.moving = (bf, bg), circle, moving
+        magnitude = np.abs(self.arrays[moving])
+        magnitude[0, 0] = 0
+        self.room = magnitude.max()
+        self.steady = np.abs(self.arrays[moving][0, 0]) <= self.room
+        self.degrees = [_degrees(bf), _degrees(bg)]
+        (dfz, df), (dgz, dg) = self.degrees
+        self.stack = None
+        if min(df, dg) <= 0:
+            return  # a closed form; nothing to sample
+        self.samples = samples = dfz * dg + dgz * df + 1
+        zs = circle * np.exp(2j * np.pi * np.arange(samples) / samples)
+        # (samples, deg_z + 1) each; a column of a wider vander may differ in its last bit
+        self.zpow = [np.vander(zs, dz + 1, increasing=True) for dz, _ in self.degrees]
+        self.stack = _sylvester_stack(*map(self._rows, self.arrays, (0, 1)))
+        self.chunk = max(1, _WORK_CELLS // (df + dg) ** 2)
+
+    def _rows(self, b: np.ndarray, which: int) -> np.ndarray:
+        """The values at the samples of the w-coefficients of ``b``, in the
+        place of polynomial ``which``: (samples, deg_w + 1)."""
+        dz, dw = self.degrees[which]
+        return self.zpow[which] @ b[: dz + 1, : dw + 1]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def resultant(self, epsilon: complex | None = None) -> np.ndarray:
+        """numeric_resultant_w of the arrays, with ``epsilon`` added to the
+        moving one's z^0 w^0 coefficient unless it is None."""
+        arrays = self.arrays
+        if epsilon is not None:
+            arrays = list(arrays)
+            arrays[self.moving] = b = arrays[self.moving].copy()
+            b[0, 0] += epsilon
+            if not (self.steady and np.abs(b[0, 0]) <= self.room):
+                return _ResultantPlan(*arrays, self.circle, self.moving).resultant()
+        if self.stack is None:
+            return self._closed_form(*arrays)
+        rows = None if epsilon is None else self._rows(arrays[self.moving], self.moving)
+        values = []
+        for lo in range(0, self.samples, self.chunk):
+            stack = self.stack[lo : lo + self.chunk]
+            if rows is not None:
+                stack = stack.copy()
+                _place_rows(stack, rows[lo : lo + self.chunk], self.moving)
+            values.append(np.linalg.det(stack))
+        # coefficients from values at the roots of unity: c_m = (1/n) sum_s v_s w^{-sm}
+        return np.fft.fft(np.concatenate(values)) / self.samples
+
+    def _closed_form(self, bf: np.ndarray, bg: np.ndarray) -> np.ndarray:
+        """The resultant where a polynomial is zero or free of w."""
+        (_, df), (_, dg) = self.degrees
+        if df < 0 or dg < 0:
+            return np.zeros(1, dtype=complex)
+        if df == 0 and dg == 0:
+            return np.ones(1, dtype=complex)
         # Res(f, g) = f^{deg g} when f is free of w
         base, power = (bf[:, 0], dg) if df == 0 else (bg[:, 0], df)
-        scaled = base * circle ** np.arange(len(base))
+        scaled = base * self.circle ** np.arange(len(base))
         out = np.polynomial.polynomial.polypow(scaled, power) if power > 0 else np.ones(1)
         return np.asarray(out, dtype=complex)
-    bound = dfz * dg + dgz * df
-    samples = bound + 1
-    zs = circle * np.exp(2j * np.pi * np.arange(samples) / samples)
-    zpow_f = np.vander(zs, dfz + 1, increasing=True)  # (samples, dfz+1)
-    zpow_g = np.vander(zs, dgz + 1, increasing=True)
-    f_rows = zpow_f @ bf[: dfz + 1, : df + 1]  # (samples, df+1)
-    g_rows = zpow_g @ bg[: dgz + 1, : dg + 1]
-    chunk = max(1, _WORK_CELLS // (df + dg) ** 2)
-    values = np.concatenate(
-        [
-            np.linalg.det(_sylvester_stack(f_rows[lo : lo + chunk], g_rows[lo : lo + chunk]))
-            for lo in range(0, samples, chunk)
-        ]
-    )
-    # coefficients from values at the roots of unity: c_m = (1/n) sum_s v_s w^{-sm}
-    return np.fft.fft(values) / samples
 
 
 def _trimmed(coeffs: np.ndarray) -> tuple[int, np.ndarray]:
@@ -887,6 +945,8 @@ def _embedded_radius_check(res0_scaled: np.ndarray, edge_tol: float, what: str):
 
 
 def _check_perturbation(epsilon: complex, radius: float) -> None:
+    typed(radius, numbers.Real, "radius")
+    typed(epsilon, numbers.Complex, "epsilon")
     if not (0 < radius < np.inf):
         raise InputError(f"radius must be positive and finite, got {radius!r}")
     if not np.isfinite(epsilon):
@@ -896,35 +956,53 @@ def _check_perturbation(epsilon: complex, radius: float) -> None:
 
 
 # The counting disk of one (germs, radius): the oracle's arrays, returned
-# once the unperturbed resultant on that circle passes the radius pre-check.
-# Every epsilon cell of a ladder shares it, and a ladder visits a few radii,
-# so a few disks are kept; a refusal is an exception, which lru_cache does
-# not store.  typed=True keeps a float radius and an equal int apart, since
-# each computes its own samples.
+# once the unperturbed resultant on that circle passes the radius pre-check,
+# and the resultant plan that this check and every draw on the circle
+# evaluate.  Every epsilon cell of a ladder shares them, and a ladder visits
+# a few radii, so a few disks are kept; a refusal is an exception, which
+# lru_cache does not store.  typed=True keeps a float radius and an equal
+# int apart, since each computes its own samples.
+
+
+@lru_cache(maxsize=32, typed=True)
+def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
+    """The resultant plan of a disk, on read-only arrays: the divided
+    differences of u's p and q with epsilon at q's z^0 w^0, or, given v, the
+    differences p_u(z) - p_v(w) and q_u(z) - q_v(w) with epsilon at p's."""
+    if v is None:
+        arrays, moving = (_numeric_divided_difference(c) for c in u.numeric), 1
+    else:
+        arrays, moving = (_numeric_difference(a, b) for a, b in zip(u.numeric, v.numeric)), 0
+    return _ResultantPlan(*_read_only(*arrays), radius, moving)
 
 
 @lru_cache(maxsize=32, typed=True)
 def _self_disk(u: Germ, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only divided differences of p and q, after the pre-check."""
-    cp, cq = u.numeric
-    pdd = _numeric_divided_difference(cp)
-    qdd = _numeric_divided_difference(cq)
-    res0 = numeric_resultant_w(pdd, qdd, circle=radius)
-    _embedded_radius_check(res0, ROOT_EDGE_TOL / radius, "germ has self-intersections")
-    return _read_only(pdd, qdd)
+    plan = _disk_plan(u, None, radius)
+    _embedded_radius_check(plan.resultant(), ROOT_EDGE_TOL / radius, "germ has self-intersections")
+    return plan.arrays
 
 
 @lru_cache(maxsize=32, typed=True)
 def _pair_disk(u: Germ, v: Germ, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only differences p_u(z) - p_v(w) and q_u(z) - q_v(w), after the
     pre-check."""
-    cpu, cqu = u.numeric
-    cpv, cqv = v.numeric
-    b1 = _numeric_difference(cpu, cpv)
-    b2 = _numeric_difference(cqu, cqv)
-    res0 = numeric_resultant_w(b1, b2, circle=radius)
-    _embedded_radius_check(res0, ROOT_EDGE_TOL / radius, "germs intersect away from the origin but")
-    return _read_only(b1, b2)
+    plan = _disk_plan(u, v, radius)
+    what = "germs intersect away from the origin but"
+    _embedded_radius_check(plan.resultant(), ROOT_EDGE_TOL / radius, what)
+    return plan.arrays
+
+
+def _turns(epsilon: complex, seed: int):
+    """epsilon, then epsilon turned by seeded random phases, MAX_EPSILON_REDRAWS
+    in all.  The generator is made at the first turn, so a cell that its
+    first draw answers makes none."""
+    epsilon = complex(epsilon)
+    yield epsilon
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_EPSILON_REDRAWS - 1):
+        yield epsilon * np.exp(2j * np.pi * rng.random())
 
 
 def _redraw(draw, epsilon: complex, seed: int) -> int:
@@ -934,11 +1012,7 @@ def _redraw(draw, epsilon: complex, seed: int) -> int:
     seeded random phase; a draw returns its count, or the reason it failed
     as a string, which is reported if every draw fails.
     """
-    rng = np.random.default_rng(seed)
-    for attempt in range(MAX_EPSILON_REDRAWS):
-        eps = complex(epsilon) if attempt == 0 else complex(epsilon) * np.exp(
-            2j * np.pi * rng.random()
-        )
+    for eps in _turns(epsilon, seed):
         result = draw(eps)
         if not isinstance(result, str):
             return result
@@ -962,15 +1036,13 @@ def numeric_double_point_oracle(
     delta = _double_point_refusals(u)
     if delta is not None:
         return delta
-    pdd, qdd = _self_disk(u, radius)
+    _self_disk(u, radius)
+    plan = _disk_plan(u, None, radius)
     edge_tol = ROOT_EDGE_TOL / radius
 
     def draw(eps):
         # q(z) + eps z - (q(w) + eps w) divided by (z - w) adds the constant eps
-        q_pert = qdd.copy()
-        q_pert[0, 0] += eps
-        res = numeric_resultant_w(pdd, q_pert, circle=radius)
-        zero_mult, kept = _trimmed(res)
+        zero_mult, kept = _trimmed(plan.resultant(eps))
         if zero_mult:
             return "perturbed intersection parameters stuck at the origin"
         roots = _roots(kept)
@@ -1005,7 +1077,8 @@ def numeric_intersection_oracle(
     # resultant meaningless at any tolerance), and the count stays float
     u.numeric, v.numeric
     _pair_resultant(u, v)
-    b1, b2 = _pair_disk(u, v, radius)
+    _pair_disk(u, v, radius)
+    plan = _disk_plan(u, v, radius)
     edge_tol = ROOT_EDGE_TOL / radius
 
     def draw(eps):
@@ -1014,10 +1087,7 @@ def numeric_intersection_oracle(
         # |z| <= radius and w anywhere, so for small eps every perturbed
         # solution counted here lies in the bidisk; roots deflated to 0
         # are perturbed solutions too
-        b1e = b1.copy()
-        b1e[0, 0] += eps
-        res_z = numeric_resultant_w(b1e, b2, circle=radius)
-        zero_mult, kept = _trimmed(res_z)
+        zero_mult, kept = _trimmed(plan.resultant(eps))
         roots = _roots(kept)
         if _hits_edge(roots, edge_tol):
             return "radius on a root, retry"

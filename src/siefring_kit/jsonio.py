@@ -22,6 +22,8 @@ _KINDS = {
     str: "a string",
     list: "an array",
     dict: "an object",
+    numbers.Real: "a real number",
+    numbers.Complex: "a complex number",
 }
 
 
@@ -37,8 +39,9 @@ def read_json(path, what: str):
 
 
 def typed(value, kind, what: str):
-    """``value`` if it is a JSON value of ``kind``, a key of ``_KINDS``.  The one integer
-    rule: any ``numbers.Integral`` but a bool, returned as an int; a bool is no number."""
+    """``value`` if it is a JSON value of ``kind``, or a number of the ``numbers`` kind,
+    a key of ``_KINDS``.  The one integer rule: any ``numbers.Integral`` but a bool,
+    returned as an int; a bool is no number."""
     if kind is int:
         if type(value) is int:
             return value
@@ -48,7 +51,7 @@ def typed(value, kind, what: str):
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         ok = number and (isinstance(value, int) or math.isfinite(value))
     else:
-        ok = isinstance(value, kind)
+        ok = isinstance(value, kind) and not isinstance(value, bool)
     if not ok:
         raise InputError(f"{what} must be {_KINDS[kind]}, got {value!r}")
     return value

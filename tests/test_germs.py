@@ -434,15 +434,21 @@ class TestStackedDeterminants:
 
     @staticmethod
     def _record(monkeypatch):
+        """(bf, bg, circle, out) of every plan evaluation: each draw with
+        epsilon added to its moving array, each pre-check and each plan a
+        draw off the plan's degrees builds afresh."""
         calls = []
-        stacked = germs.numeric_resultant_w
+        evaluate = germs._ResultantPlan.resultant
 
-        def recording(bf, bg, circle=1.0):
-            out = stacked(bf, bg, circle)
-            calls.append((bf.copy(), bg.copy(), circle, out))
+        def recording(plan, epsilon=None):
+            out = evaluate(plan, epsilon)
+            arrays = [a.copy() for a in plan.arrays]
+            if epsilon is not None:
+                arrays[plan.moving][0, 0] += epsilon
+            calls.append((*arrays, plan.circle, out))
             return out
 
-        monkeypatch.setattr(germs, "numeric_resultant_w", recording)
+        monkeypatch.setattr(germs._ResultantPlan, "resultant", recording)
         return calls
 
     @staticmethod
@@ -524,6 +530,129 @@ class TestStackedDeterminants:
         assert len(stacks) > 1 and sum(s for s, _, _ in stacks) == len(out)
         assert all(s * n * n <= germs._WORK_CELLS for s, n, _ in stacks)
         assert np.array_equal(out, _reference_resultant_w(b1, b2, 0.3), equal_nan=True)
+
+
+def _perturbed(plan, epsilon):
+    """The plan's arrays with epsilon added at the moving one's z^0 w^0."""
+    arrays = [a.copy() for a in plan.arrays]
+    arrays[plan.moving][0, 0] += epsilon
+    return arrays
+
+
+class TestResultantPlan:
+    """A disk's plan does the epsilon-free work once; a draw redoes only the
+    perturbed rows, the determinants and the transform.  Counted in calls."""
+
+    @staticmethod
+    def _disks():
+        rng = np.random.default_rng(303)
+        quartic = germ([0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, gaussian(1, 2), Fraction(-1, 3)])
+        # a benchmark-sized axis pair (p moves) and a k = 4 simple germ (q moves)
+        return [(axis_germ(rng, 2, 0), axis_germ(rng, 1, 1)), (quartic, None)]
+
+    @pytest.mark.parametrize("disk", [0, 1], ids=["pair", "k4-single"])
+    def test_draws_reuse_the_plan(self, monkeypatch, disk):
+        u, v = self._disks()[disk]
+        vanders, degrees = [], []
+        vander, degrees_of = np.vander, germs._degrees
+        monkeypatch.setattr(np, "vander", lambda *a, **k: vanders.append(a[1]) or vander(*a, **k))
+        monkeypatch.setattr(germs, "_degrees", lambda b: degrees.append(b) or degrees_of(b))
+        plan = germs._disk_plan.__wrapped__(u, v, 0.15)  # built afresh, not from the cache
+        assert len(vanders) == 2 and len(degrees) == 2 and plan.steady
+        fixed = plan.arrays[1 - plan.moving]
+        vanders.clear(), degrees.clear()
+        outs = [plan.resultant(epsilon) for epsilon in EPSILON_LADDER]
+        assert len(outs) == 7 and vanders == [] and degrees == []
+        # too large an epsilon sets the trim scale: the draw is planned afresh,
+        # and leaves the moving polynomial a constant
+        outs.append(plan.resultant(1e300))
+        assert len(degrees) == 2 and any(b is fixed for b in degrees)
+        assert degrees_of(degrees[plan.moving]) == (0, 0)
+        monkeypatch.undo()
+        for epsilon, out in zip((*EPSILON_LADDER, 1e300), outs):
+            ref = _reference_resultant_w(*_perturbed(plan, epsilon), 0.15)
+            assert np.array_equal(out, ref, equal_nan=True)
+
+    def test_a_dominant_b00_plans_every_draw_afresh(self):
+        # b00 = 2 sets the trim scale and drops the 1.5e-11 w^2 term, which
+        # the draw at epsilon = -1.5 keeps: the draws cannot use these degrees
+        bf = np.array([[0, -1], [1, 0], [0, 1]], dtype=complex)
+        bg = np.array([[2, 0, 1.5e-11], [0, 1, 0], [1, 0, 0]], dtype=complex)
+        plan = germs._ResultantPlan(bf, bg, 0.3)
+        assert not plan.steady and plan.degrees[1] == (2, 1)
+        for epsilon in (-1.5, 1e-3):
+            out = plan.resultant(epsilon)
+            assert np.array_equal(out, _reference_resultant_w(*_perturbed(plan, epsilon), 0.3))
+
+    def test_the_disk_check_reads_the_plan(self, monkeypatch):
+        u, v = self._disks()[0]
+        germs._pair_disk.cache_clear()
+        germs._disk_plan.cache_clear()
+        built = []
+        plan_class = germs._ResultantPlan
+        monkeypatch.setattr(germs, "_ResultantPlan", lambda *a: built.append(a[-1]) or plan_class(*a))
+        for epsilon in EPSILON_LADDER:
+            assert numeric_intersection_oracle(u, v, epsilon, 0.15) == 2
+        # one plan for the disk's check and all seven cells, with p moving
+        assert built == [0]
+        assert germs._disk_plan.cache_info().maxsize == germs._pair_disk.cache_info().maxsize == 32
+
+
+class TestRedrawTurns:
+    """The seeded generator of the redraw phases is made at the first redraw."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        made, epsilons = [], []
+        default_rng, evaluate = np.random.default_rng, germs._ResultantPlan.resultant
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or default_rng(seed))
+        monkeypatch.setattr(
+            germs._ResultantPlan, "resultant", lambda plan, eps=None: epsilons.append(eps) or evaluate(plan, eps)
+        )
+        return made, epsilons
+
+    def test_a_first_draw_answer_makes_no_generator(self, monkeypatch):
+        made, epsilons = self._count(monkeypatch)
+        assert numeric_double_point_oracle(CUSP35, 1e-3, 0.3, seed=3) == 4
+        assert numeric_intersection_oracle(CUSP35, QUARTIC46, 1e-3, 0.3, seed=3) == 18
+        assert made == [] and [e for e in epsilons if e is not None] == [1e-3, 1e-3]
+
+    def test_a_stuck_cell_turns_epsilon_as_before(self, monkeypatch):
+        made, epsilons = self._count(monkeypatch)
+        with pytest.raises(InputError, match="stuck at the origin after 10 draws"):
+            numeric_double_point_oracle(CUSP35, 1e-8, 0.3, seed=5)
+        assert made == [5]
+        rng = np.random.default_rng(5)
+        turned = [complex(1e-8) * np.exp(2j * np.pi * rng.random()) for _ in range(9)]
+        assert [e for e in epsilons if e is not None] == [1e-8, *turned]
+
+
+class TestOracleArguments:
+    """A bool or a value that is no number is refused, not read as one."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"epsilon": True}, "epsilon must be a complex number, got True"),
+            ({"epsilon": None}, "epsilon must be a complex number, got None"),
+            ({"radius": True}, "radius must be a real number, got True"),
+            ({"radius": "0.3"}, "radius must be a real number, got '0.3'"),
+        ],
+        ids=["epsilon-bool", "epsilon-none", "radius-bool", "radius-string"],
+    )
+    @pytest.mark.parametrize("oracle", ["double-point", "intersection"])
+    def test_refused(self, kwargs, message, oracle):
+        if oracle == "double-point":
+            call = lambda: numeric_double_point_oracle(germ([0, 0, 1], [0, 0, 0, 1, 0, 1]), **kwargs)
+        else:
+            call = lambda: numeric_intersection_oracle(CUSP35, QUARTIC46, **kwargs)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            call()
+
+    def test_numbers_still_read(self):
+        u = germ([0, 0, 1], [0, 0, 0, 1, 0, 1])
+        assert numeric_double_point_oracle(u, np.complex64(1e-3), np.float32(0.3)) == 1
+        assert numeric_intersection_oracle(CUSP35, QUARTIC46, 1e-3 + 0j, np.float64(0.3)) == 18
 
 
 def _reference_unit_roots(coeffs, edge_tol):

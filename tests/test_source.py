@@ -164,3 +164,18 @@ def test_cover_rules_only_in_cover_data():
     assert sorted(set(found)) == [("core.py", "CoverData")], found
     for name in ("intersection.py", "audit.py"):
         assert list(_uses(ast.parse((package / name).read_text(encoding="utf-8")), "gcd")) == []
+
+
+def test_one_oracle_resultant_path():
+    # the oracle samples, factors and transforms its resultant in one place,
+    # _ResultantPlan, so a second resultant path cannot come back beside it
+    source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
+    found = {}
+    for node in source.body:
+        owner = getattr(node, "name", None)
+        for name in ("det", "vander", "fft"):
+            # np.fft.fft names fft twice on one line
+            found.setdefault(name, set()).update((owner, line) for line in _uses(node, name))
+    assert {name: [owner for owner, _ in sites] for name, sites in found.items()} == {
+        name: ["_ResultantPlan"] for name in ("det", "vander", "fft")
+    }, found
