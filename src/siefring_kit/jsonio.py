@@ -39,9 +39,9 @@ def read_json(path, what: str):
 
 
 def typed(value, kind, what: str):
-    """``value`` if it is a JSON value of ``kind``, or a number of the ``numbers`` kind,
-    a key of ``_KINDS``.  The one integer rule: any ``numbers.Integral`` but a bool,
-    returned as an int; a bool is no number."""
+    """``value`` if it is a JSON value of ``kind``, a key of ``_KINDS``, or for
+    ``numbers.Real`` and ``numbers.Complex`` a number of that kind.  The one integer
+    rule: any ``numbers.Integral`` but a bool, returned as an int; a bool is no number."""
     if kind is int:
         if type(value) is int:
             return value

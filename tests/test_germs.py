@@ -429,6 +429,13 @@ def _reference_resultant_w(bf, bg, circle):
     return np.fft.fft(values) / samples
 
 
+def _perturbed(plan, epsilon):
+    """The plan's arrays with epsilon added at the moving one's z^0 w^0."""
+    arrays = [a.copy() for a in plan.arrays]
+    arrays[plan.moving][0, 0] += epsilon
+    return arrays
+
+
 class TestStackedDeterminants:
     """The stacked determinant against one det call per sample."""
 
@@ -442,9 +449,7 @@ class TestStackedDeterminants:
 
         def recording(plan, epsilon=None):
             out = evaluate(plan, epsilon)
-            arrays = [a.copy() for a in plan.arrays]
-            if epsilon is not None:
-                arrays[plan.moving][0, 0] += epsilon
+            arrays = plan.arrays if epsilon is None else _perturbed(plan, epsilon)
             calls.append((*arrays, plan.circle, out))
             return out
 
@@ -532,13 +537,6 @@ class TestStackedDeterminants:
         assert np.array_equal(out, _reference_resultant_w(b1, b2, 0.3), equal_nan=True)
 
 
-def _perturbed(plan, epsilon):
-    """The plan's arrays with epsilon added at the moving one's z^0 w^0."""
-    arrays = [a.copy() for a in plan.arrays]
-    arrays[plan.moving][0, 0] += epsilon
-    return arrays
-
-
 class TestResultantPlan:
     """A disk's plan does the epsilon-free work once; a draw redoes only the
     perturbed rows, the determinants and the transform.  Counted in calls."""
@@ -560,7 +558,8 @@ class TestResultantPlan:
         plan = germs._disk_plan.__wrapped__(u, v, 0.15)  # built afresh, not from the cache
         assert len(vanders) == 2 and len(degrees) == 2 and plan.steady
         fixed = plan.arrays[1 - plan.moving]
-        vanders.clear(), degrees.clear()
+        vanders.clear()
+        degrees.clear()
         outs = [plan.resultant(epsilon) for epsilon in EPSILON_LADDER]
         assert len(outs) == 7 and vanders == [] and degrees == []
         # too large an epsilon sets the trim scale: the draw is planned afresh,
