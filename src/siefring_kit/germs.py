@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache, wraps
 import numpy as np
 
 from .errors import InputError, InvarianceError
-from .jsonio import JsonObject, read_json, read_seed, typed
+from .jsonio import JsonObject, read_json, read_multiplicity, read_seed, typed
 
 ROOT_EDGE_TOL = 1e-6
 COEFF_TRIM_TOL = 1e-11
@@ -754,9 +754,7 @@ def delta_local(u: Germ) -> int:
 def branched_cover(u: Germ, k: int) -> Germ:
     """Precompose with z -> z^k.  Intersection numbers scale by the product
     of the two covering multiplicities."""
-    k = typed(k, int, "cover multiplicity")
-    if k < 1:
-        raise InputError(f"cover multiplicity must be a positive integer, got {k!r}")
+    k = read_multiplicity(k)
     if k == 1:
         return u
 
@@ -944,61 +942,62 @@ def _embedded_radius_check(res0_scaled: np.ndarray, edge_tol: float, what: str):
         )
 
 
-def _check_perturbation(epsilon: complex, radius: float) -> None:
+def _number(value, kind):
+    """``value`` as a ``kind``, float or complex; infinite past the float range."""
+    try:
+        return kind(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        return kind(math.inf)
+
+
+def _shown(value) -> str:
+    """repr of a number, or its type for an int too long for str."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{type(value).__name__} of more than {sys.get_int_max_str_digits()} digits"
+
+
+def _check_perturbation(epsilon, radius) -> tuple[float, complex]:
+    """The radius as a float and epsilon as a complex, as every later step
+    reads them; refused unless finite, the radius unless positive, epsilon
+    if zero."""
     typed(radius, numbers.Real, "radius")
     typed(epsilon, numbers.Complex, "epsilon")
-    if not (0 < radius < np.inf):
-        raise InputError(f"radius must be positive and finite, got {radius!r}")
-    if not np.isfinite(epsilon):
-        raise InputError(f"epsilon must be finite, got {epsilon!r}")
-    if epsilon == 0:
+    r, e = _number(radius, float), _number(epsilon, complex)
+    if not (0 < r < np.inf):
+        raise InputError(f"radius must be positive and finite, got {_shown(radius)}")
+    if not np.isfinite(e):
+        raise InputError(f"epsilon must be finite, got {_shown(epsilon)}")
+    if e == 0:
         raise InputError("epsilon must be nonzero")
+    return r, e
 
 
-# The counting disk of one (germs, radius): the oracle's arrays, returned
-# once the unperturbed resultant on that circle passes the radius pre-check,
-# and the resultant plan that this check and every draw on the circle
-# evaluate.  Every epsilon cell of a ladder shares them, and a ladder visits
-# a few radii, so a few disks are kept; a refusal is an exception, which
-# lru_cache does not store.  typed=True keeps a float radius and an equal
-# int apart, since each computes its own samples.
-
-
-@lru_cache(maxsize=32, typed=True)
+@lru_cache(maxsize=32)
 def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
-    """The resultant plan of a disk, on read-only arrays: the divided
+    """The counting disk of one (germs, radius): the resultant plan, on
+    read-only arrays, that the radius pre-check and every draw on the circle
+    evaluate, returned once the check passes.  The arrays are the divided
     differences of u's p and q with epsilon at q's z^0 w^0, or, given v, the
-    differences p_u(z) - p_v(w) and q_u(z) - q_v(w) with epsilon at p's."""
+    differences p_u(z) - p_v(w) and q_u(z) - q_v(w) with epsilon at p's.  The
+    cells of a ladder share a disk and a ladder visits a few radii, so a few
+    disks are kept; a refusal is an exception, which lru_cache does not store."""
     if v is None:
         arrays, moving = (_numeric_divided_difference(c) for c in u.numeric), 1
+        what = "germ has self-intersections"
     else:
         arrays, moving = (_numeric_difference(a, b) for a, b in zip(u.numeric, v.numeric)), 0
-    return _ResultantPlan(*_read_only(*arrays), radius, moving)
-
-
-@lru_cache(maxsize=32, typed=True)
-def _self_disk(u: Germ, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only divided differences of p and q, after the pre-check."""
-    plan = _disk_plan(u, None, radius)
-    _embedded_radius_check(plan.resultant(), ROOT_EDGE_TOL / radius, "germ has self-intersections")
-    return plan.arrays
-
-
-@lru_cache(maxsize=32, typed=True)
-def _pair_disk(u: Germ, v: Germ, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only differences p_u(z) - p_v(w) and q_u(z) - q_v(w), after the
-    pre-check."""
-    plan = _disk_plan(u, v, radius)
-    what = "germs intersect away from the origin but"
+        what = "germs intersect away from the origin but"
+    plan = _ResultantPlan(*_read_only(*arrays), radius, moving)
     _embedded_radius_check(plan.resultant(), ROOT_EDGE_TOL / radius, what)
-    return plan.arrays
+    return plan
 
 
 def _turns(epsilon: complex, seed: int):
     """epsilon, then epsilon turned by seeded random phases, MAX_EPSILON_REDRAWS
     in all.  The generator is made at the first turn, so a cell that its
     first draw answers makes none."""
-    epsilon = complex(epsilon)
     yield epsilon
     rng = np.random.default_rng(seed)
     for _ in range(MAX_EPSILON_REDRAWS - 1):
@@ -1032,11 +1031,10 @@ def numeric_double_point_oracle(
     shares its exact refusals and its rule for a constant coordinate.
     """
     seed = read_seed(seed)
-    _check_perturbation(epsilon, radius)
+    radius, epsilon = _check_perturbation(epsilon, radius)
     delta = _double_point_refusals(u)
     if delta is not None:
         return delta
-    _self_disk(u, radius)
     plan = _disk_plan(u, None, radius)
     edge_tol = ROOT_EDGE_TOL / radius
 
@@ -1071,13 +1069,12 @@ def numeric_intersection_oracle(
     (too large a domain, identical images).
     """
     seed = read_seed(seed)
-    _check_perturbation(epsilon, radius)
+    radius, epsilon = _check_perturbation(epsilon, radius)
     # a coefficient out of complex128 range is refused before any exact work;
     # the other refusals are exact (shared components make the float
     # resultant meaningless at any tolerance), and the count stays float
     u.numeric, v.numeric
     _pair_resultant(u, v)
-    _pair_disk(u, v, radius)
     plan = _disk_plan(u, v, radius)
     edge_tol = ROOT_EDGE_TOL / radius
 

@@ -66,6 +66,14 @@ def read_seed(value) -> int:
     return seed
 
 
+def read_multiplicity(value) -> int:
+    """A cover multiplicity k >= 1, read by ``typed``."""
+    k = typed(value, int, "cover multiplicity")
+    if k < 1:
+        raise InputError(f"cover multiplicity must be a positive integer, got {k!r}")
+    return k
+
+
 class JsonObject:
     """One object of an input file with typed access to its fields;
     ``where`` names it in errors, ``what`` where it is not an object."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import CoverData, OrbitData
 from .errors import InputError
-from .jsonio import JsonObject, read_json, typed
+from .jsonio import JsonObject, read_json, read_multiplicity, typed
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -106,14 +106,6 @@ def constant_loop(matrix) -> SpectralLoop:
     return SpectralLoop(((0, _check_symmetric(matrix, "constant matrix"), np.zeros((2, 2))),))
 
 
-def _multiplicity(k) -> int:
-    """A cover multiplicity k >= 1, read by ``typed``."""
-    k = typed(k, int, "cover multiplicity")
-    if k < 1:
-        raise InputError(f"cover multiplicity must be a positive integer, got {k!r}")
-    return k
-
-
 def cover_operator(loop: SpectralLoop, k: int) -> SpectralLoop:
     """Model operator of the k-fold covered orbit: t -> k * S(k t).
 
@@ -130,7 +122,7 @@ def cover_operator(loop: SpectralLoop, k: int) -> SpectralLoop:
     is the complex conjugate of B(r, q) and has the same eigenvalues and
     windings.
     """
-    k = _multiplicity(k)
+    k = read_multiplicity(k)
     if k == 1:
         return loop
     # an entry beyond the float range reads inf, which the loop refuses
@@ -464,7 +456,7 @@ def alphas_from_spectrum(
 
 def covering_multiplicity(pair: EigenPair, k: int) -> int:
     """Largest divisor d of k with f(t + 1/d) = f(t) up to PERIOD_TOL * max|f|."""
-    k = _multiplicity(k)
+    k = read_multiplicity(k)
     best = 1
     scale = np.abs(pair.samples).max()
     N = len(pair.samples)
@@ -712,7 +704,7 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
 
     table = {}
     for k in covers:
-        k = _multiplicity(k)
+        k = read_multiplicity(k)
         _checked_cutoff(M * k, cover(k).bandwidth)
         # block B(r, q), eigenvalues and windings times m = k / q, serves the
         # residues R = m r and, conjugated, R = m (q - r) mod k

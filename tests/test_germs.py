@@ -583,18 +583,24 @@ class TestResultantPlan:
             out = plan.resultant(epsilon)
             assert np.array_equal(out, _reference_resultant_w(*_perturbed(plan, epsilon), 0.3))
 
-    def test_the_disk_check_reads_the_plan(self, monkeypatch):
-        u, v = self._disks()[0]
-        germs._pair_disk.cache_clear()
+    @pytest.mark.parametrize("disk", [0, 1], ids=["pair", "k4-single"])
+    def test_the_disk_check_reads_the_plan(self, monkeypatch, disk):
+        u, v = self._disks()[disk]
+        if v is None:
+            germ_args, oracle, reference = (u,), numeric_double_point_oracle, _reference_double_point_oracle
+        else:
+            germ_args, oracle, reference = (u, v), numeric_intersection_oracle, _reference_intersection_oracle
         germs._disk_plan.cache_clear()
         built = []
         plan_class = germs._ResultantPlan
         monkeypatch.setattr(germs, "_ResultantPlan", lambda *a: built.append(a[-1]) or plan_class(*a))
-        for epsilon in EPSILON_LADDER:
-            assert numeric_intersection_oracle(u, v, epsilon, 0.15) == 2
-        # one plan for the disk's check and all seven cells, with p moving
-        assert built == [0]
-        assert germs._disk_plan.cache_info().maxsize == germs._pair_disk.cache_info().maxsize == 32
+        outcomes = [_outcome(oracle, *germ_args, epsilon, 0.15) for epsilon in EPSILON_LADDER]
+        # one plan for the disk's check and all seven cells, with p or q moving
+        assert built == [0 if v is not None else 1]
+        assert germs._disk_plan.cache_info().maxsize == 32
+        monkeypatch.undo()
+        assert outcomes == [_outcome(reference, *germ_args, epsilon, 0.15, 0) for epsilon in EPSILON_LADDER]
+        assert ("value", 2 if v is not None else 6) in outcomes
 
 
 class TestRedrawTurns:
@@ -652,6 +658,64 @@ class TestOracleArguments:
         u = germ([0, 0, 1], [0, 0, 0, 1, 0, 1])
         assert numeric_double_point_oracle(u, np.complex64(1e-3), np.float32(0.3)) == 1
         assert numeric_intersection_oracle(CUSP35, QUARTIC46, 1e-3 + 0j, np.float64(0.3)) == 18
+
+    ORACLES = {
+        "double-point": lambda **kwargs: numeric_double_point_oracle(CUSP35, **kwargs),
+        "intersection": lambda **kwargs: numeric_intersection_oracle(CUSP35, QUARTIC46, **kwargs),
+    }
+
+    @pytest.mark.parametrize(
+        "kwargs, floats",
+        [
+            ({"radius": Fraction(3, 10)}, {"radius": 0.3}),
+            ({"epsilon": Fraction(1, 1000)}, {"epsilon": 1e-3}),
+            ({"epsilon": 2**70}, {"epsilon": 2.0**70}),
+        ],
+        ids=["radius-fraction", "epsilon-fraction", "epsilon-int-past-int64"],
+    )
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_exact_numbers_read_as_floats(self, kwargs, floats, oracle):
+        # these raised numpy's UFuncTypeError or a bare TypeError
+        call = self.ORACLES[oracle]
+        assert _outcome(lambda: call(**kwargs)) == _outcome(lambda: call(**floats))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"radius": 10**400}, f"radius must be positive and finite, got {10**400}"),
+            ({"radius": -(10**400)}, f"radius must be positive and finite, got {-(10**400)}"),
+            ({"epsilon": 10**400}, f"epsilon must be finite, got {10**400}"),
+            ({"radius": Fraction(10**400, 3)}, f"radius must be positive and finite, got {Fraction(10**400, 3)!r}"),
+            ({"radius": 10**5000}, "radius must be positive and finite, got int of more than 4300 digits"),
+            ({"epsilon": -(10**5000)}, "epsilon must be finite, got int of more than 4300 digits"),
+        ],
+        ids=["radius-int", "radius-negative-int", "epsilon-int", "radius-fraction", "radius-long-int", "epsilon-long-int"],
+    )
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_past_the_float_range_refused(self, kwargs, message, oracle):
+        # a bare OverflowError, or a ValueError from formatting an int past
+        # str's 4300-digit limit in the message
+        with pytest.raises(InputError) as info:
+            self.ORACLES[oracle](**kwargs)
+        assert str(info.value) == message
+
+    def test_an_int_radius_reads_as_its_float(self, monkeypatch):
+        # p_u - p_v = z^45 is free of w, so the disk's resultant is a closed
+        # form of radius**k z^k, whose 3**45 overflowed int64 at radius 3
+        u, v = germ([0] * 45 + [1], [0, 1]), germ([0], [0, 0, 1])
+        runs = []
+        evaluate = germs._ResultantPlan.resultant
+        monkeypatch.setattr(
+            germs._ResultantPlan, "resultant", lambda plan, eps=None: runs[-1].append(evaluate(plan, eps)) or runs[-1][-1]
+        )
+        counts = []
+        for radius in (3, 3.0):
+            germs._disk_plan.cache_clear()
+            runs.append([])
+            counts.append(numeric_intersection_oracle(u, v, 1e-3, radius))
+        assert counts[0] == counts[1] and len(runs[0]) == len(runs[1]) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        assert np.abs(runs[0][0]).max() > 1e42
 
 
 def _reference_unit_roots(coeffs, edge_tol):
@@ -748,8 +812,7 @@ class TestCachedDisks:
 
     @staticmethod
     def _clear_disks():
-        germs._self_disk.cache_clear()
-        germs._pair_disk.cache_clear()
+        germs._disk_plan.cache_clear()
 
     def test_every_cell_matches_the_reference(self, monkeypatch):
         self._clear_disks()
@@ -809,7 +872,7 @@ class TestCachedDisks:
         assert len(checks) == 6
 
     def test_stuck_draws_find_no_roots(self, monkeypatch):
-        germs._self_disk(CUSP35, 0.3)  # the pre-check finds its roots beforehand
+        germs._disk_plan(CUSP35, None, 0.3)  # the pre-check finds its roots beforehand
         calls, trims = [], []
         eigvals, trimmed = np.linalg.eigvals, germs._trimmed
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
@@ -822,7 +885,7 @@ class TestCachedDisks:
         assert numeric_double_point_oracle(CUSP35, 1e-3, 0.3) == 4 and calls
 
     def test_disk_arrays_are_read_only(self):
-        disks = germs._pair_disk(CUSP35, QUARTIC46, 0.3), germs._self_disk(CUSP35, 0.3)
+        disks = germs._disk_plan(CUSP35, QUARTIC46, 0.3).arrays, germs._disk_plan(CUSP35, None, 0.3).arrays
         for a in (a for disk in disks for a in disk):
             assert not a.flags.writeable
             with pytest.raises(ValueError):

@@ -179,3 +179,21 @@ def test_one_oracle_resultant_path():
     assert {name: [owner for owner, _ in sites] for name, sites in found.items()} == {
         name: ["_ResultantPlan"] for name in ("det", "vander", "fft")
     }, found
+
+
+def test_one_counting_disk():
+    # the radius pre-check runs where a disk is planned, and that plan is the
+    # one cache per disk, so a second disk cache cannot come back beside it
+    source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
+    found = {"_embedded_radius_check": set(), "lru_cache": set(), "cache": set()}
+    for node in source.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            continue
+        owner = getattr(node, "name", None)
+        for name, owners in found.items():
+            owners.update(owner for _ in _uses(node, name))
+    assert found == {
+        "_embedded_radius_check": {"_disk_plan"},
+        "lru_cache": {"_pair_resultant", "_disk_plan"},
+        "cache": set(),
+    }, found
