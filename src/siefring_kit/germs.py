@@ -958,20 +958,22 @@ def _shown(value) -> str:
         return f"{type(value).__name__} of more than {sys.get_int_max_str_digits()} digits"
 
 
-def _check_perturbation(epsilon, radius) -> tuple[float, complex]:
-    """The radius as a float and epsilon as a complex, as every later step
+def _check_perturbation(epsilon, radius) -> tuple[complex, float]:
+    """Epsilon as a complex and the radius as a float, as every later step
     reads them; refused unless finite, the radius unless positive, epsilon
-    if zero."""
+    if zero, and either if it is nonzero but underflows to a float zero."""
     typed(radius, numbers.Real, "radius")
     typed(epsilon, numbers.Complex, "epsilon")
-    r, e = _number(radius, float), _number(epsilon, complex)
+    e, r = _number(epsilon, complex), _number(radius, float)
     if not (0 < r < np.inf):
-        raise InputError(f"radius must be positive and finite, got {_shown(radius)}")
+        rule = "positive as a float" if r == 0 < radius else "positive and finite"
+        raise InputError(f"radius must be {rule}, got {_shown(radius)}")
     if not np.isfinite(e):
         raise InputError(f"epsilon must be finite, got {_shown(epsilon)}")
     if e == 0:
-        raise InputError("epsilon must be nonzero")
-    return r, e
+        got = f" as a float, got {_shown(epsilon)}" if epsilon != 0 else ""
+        raise InputError(f"epsilon must be nonzero{got}")
+    return e, r
 
 
 @lru_cache(maxsize=32)
@@ -1031,7 +1033,7 @@ def numeric_double_point_oracle(
     shares its exact refusals and its rule for a constant coordinate.
     """
     seed = read_seed(seed)
-    radius, epsilon = _check_perturbation(epsilon, radius)
+    epsilon, radius = _check_perturbation(epsilon, radius)
     delta = _double_point_refusals(u)
     if delta is not None:
         return delta
@@ -1069,7 +1071,7 @@ def numeric_intersection_oracle(
     (too large a domain, identical images).
     """
     seed = read_seed(seed)
-    radius, epsilon = _check_perturbation(epsilon, radius)
+    epsilon, radius = _check_perturbation(epsilon, radius)
     # a coefficient out of complex128 range is refused before any exact work;
     # the other refusals are exact (shared components make the float
     # resultant meaningless at any tolerance), and the count stays float

@@ -583,6 +583,14 @@ class TestResultantPlan:
             out = plan.resultant(epsilon)
             assert np.array_equal(out, _reference_resultant_w(*_perturbed(plan, epsilon), 0.3))
 
+    STUCK = "oracle failed: perturbed intersection parameters stuck at the origin after 10 draws"
+    # per cell of EPSILON_LADDER at radius 0.15; the k = 4 germ's six double
+    # points leave the disk at epsilon 1e-2 and 1e-3 and stay stuck at 1e-7 on
+    LADDER_OUTCOMES = [
+        [("value", 2)] * 7,
+        [("value", 0)] * 2 + [("value", 6)] * 3 + [("refused", STUCK)] * 2,
+    ]
+
     @pytest.mark.parametrize("disk", [0, 1], ids=["pair", "k4-single"])
     def test_the_disk_check_reads_the_plan(self, monkeypatch, disk):
         u, v = self._disks()[disk]
@@ -598,9 +606,9 @@ class TestResultantPlan:
         # one plan for the disk's check and all seven cells, with p or q moving
         assert built == [0 if v is not None else 1]
         assert germs._disk_plan.cache_info().maxsize == 32
+        assert outcomes == self.LADDER_OUTCOMES[disk]
         monkeypatch.undo()
         assert outcomes == [_outcome(reference, *germ_args, epsilon, 0.15, 0) for epsilon in EPSILON_LADDER]
-        assert ("value", 2 if v is not None else 6) in outcomes
 
 
 class TestRedrawTurns:
@@ -695,6 +703,21 @@ class TestOracleArguments:
     def test_past_the_float_range_refused(self, kwargs, message, oracle):
         # a bare OverflowError, or a ValueError from formatting an int past
         # str's 4300-digit limit in the message
+        with pytest.raises(InputError) as info:
+            self.ORACLES[oracle](**kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"radius": Fraction(1, 10**400)}, f"radius must be positive as a float, got {Fraction(1, 10**400)!r}"),
+            ({"epsilon": Fraction(1, 10**400)}, f"epsilon must be nonzero as a float, got {Fraction(1, 10**400)!r}"),
+            ({"radius": Fraction(-1, 10**400)}, f"radius must be positive and finite, got {Fraction(-1, 10**400)!r}"),
+        ],
+        ids=["radius", "epsilon", "negative-radius"],
+    )
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_a_nonzero_number_that_underflows_is_refused_as_such(self, kwargs, message, oracle):
         with pytest.raises(InputError) as info:
             self.ORACLES[oracle](**kwargs)
         assert str(info.value) == message
