@@ -56,7 +56,10 @@ from .jsonio import JsonObject, read_json, read_multiplicity, read_seed, typed
 
 ROOT_EDGE_TOL = 1e-6
 COEFF_TRIM_TOL = 1e-11
+# draws per cell, redrawn only for a root on the circle or an unpaired parameter;
+# at z = 0 the resultant is ~ epsilon**(a-1) times a product: |epsilon| sets it, not the phase
 MAX_EPSILON_REDRAWS = 10
+STUCK_AT_THE_ORIGIN = "perturbed intersection parameters stuck at the origin"
 
 
 def _fraction(value) -> Fraction:
@@ -838,7 +841,8 @@ class _ResultantPlan:
     # a radius or epsilon too large overflows the samples; _trimmed refuses the result
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float, moving: int = 1):
-        self.arrays, self.circle, self.moving = (bf, bg), circle, moving
+        # a float circle: an int's powers in _closed_form wrap int64 past 3**39
+        self.arrays, self.circle, self.moving = (bf, bg), float(circle), moving
         magnitude = np.abs(self.arrays[moving])
         magnitude[0, 0] = 0
         self.room = magnitude.max()
@@ -998,8 +1002,9 @@ def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
 
 def _turns(epsilon: complex, seed: int):
     """epsilon, then epsilon turned by seeded random phases, MAX_EPSILON_REDRAWS
-    in all.  The generator is made at the first turn, so a cell that its
-    first draw answers makes none."""
+    in all.  The turns serve a root on the circle and an unpaired parameter,
+    the failures a phase can move.  The generator is made at the first turn,
+    so a cell that its first draw answers or ends makes none."""
     yield epsilon
     rng = np.random.default_rng(seed)
     for _ in range(MAX_EPSILON_REDRAWS - 1):
@@ -1011,12 +1016,19 @@ def _redraw(draw, epsilon: complex, seed: int) -> int:
 
     The first draw uses epsilon itself, each later one epsilon turned by a
     seeded random phase; a draw returns its count, or the reason it failed
-    as a string, which is reported if every draw fails.
+    as a string.  A draw stuck at the origin (STUCK_AT_THE_ORIGIN) ends the
+    cell at once, since its resultant's low-order size moves with |epsilon|
+    and not with the phase; any other failure is redrawn, and the last one
+    is reported if every draw fails.
     """
-    for eps in _turns(epsilon, seed):
+    for draws, eps in enumerate(_turns(epsilon, seed), 1):
         result = draw(eps)
         if not isinstance(result, str):
             return result
+        if result == STUCK_AT_THE_ORIGIN:
+            raise InputError(
+                f"oracle failed: {result} at draw {draws}; a turn of epsilon's phase cannot move them"
+            )
         last_failure = result
     raise InputError(f"oracle failed: {last_failure} after {MAX_EPSILON_REDRAWS} draws")
 
@@ -1044,7 +1056,7 @@ def numeric_double_point_oracle(
         # q(z) + eps z - (q(w) + eps w) divided by (z - w) adds the constant eps
         zero_mult, kept = _trimmed(plan.resultant(eps))
         if zero_mult:
-            return "perturbed intersection parameters stuck at the origin"
+            return STUCK_AT_THE_ORIGIN
         roots = _roots(kept)
         if _hits_edge(roots, edge_tol):
             return "radius on a root, retry"

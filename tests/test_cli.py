@@ -186,6 +186,17 @@ class TestGermCommand:
         assert code == 0
         assert out == "4\n"
 
+    def test_oracle_single_stuck_at_the_origin(self, tmp_path, capsys):
+        # at epsilon 1e-8 the perturbed double points of (z^3, z^5) stay at 0
+        # to the trim; the first draw ends the cell with its own refusal
+        a = write(tmp_path / "a.json", GERM_35)
+        code, out, err = run(capsys, "germ", "oracle", a, "--epsilon", "1e-8")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: oracle failed: perturbed intersection parameters stuck at the origin"
+            " at draw 1; a turn of epsilon's phase cannot move them\n"
+        )
+
     def test_iota_needs_two_files(self, tmp_path, capsys):
         a = write(tmp_path / "a.json", GERM_35)
         code, out, err = run(capsys, "germ", "iota", a)

@@ -475,6 +475,9 @@ class TestStackedDeterminants:
         pairs = [(axis_germ(rng, ku, 0), axis_germ(rng, kv, 1)) for ku, kv in orders]
         pairs.append((germ([0, 1], [0]), germ([0], [0, 0, 0, 2])))  # w-free difference of p
         singles = [random_simple_germ(rng) for _ in range(8)] + [CUSP35]
+        # more pairs, drawn after the rest: a stuck single now makes one draw
+        # where it made ten, and the count below still asks for over 400
+        pairs += [(axis_germ(rng, ku, 0), axis_germ(rng, kv, 1)) for ku, kv in orders]
         for radius in RADIUS_LADDER:
             # a redraw turns epsilon by a phase, as the complex one here does
             for epsilon in (1e-2, 1e-5 * np.exp(2j), 1e-8):
@@ -583,7 +586,24 @@ class TestResultantPlan:
             out = plan.resultant(epsilon)
             assert np.array_equal(out, _reference_resultant_w(*_perturbed(plan, epsilon), 0.3))
 
-    STUCK = "oracle failed: perturbed intersection parameters stuck at the origin after 10 draws"
+    def test_an_int_circle_reads_as_its_float(self):
+        # (z^45, z) against (0, z^2): p's difference is free of w, so the
+        # resultant is a closed form whose 3**45 wrapped int64 at circle 3
+        u, v = germ([0] * 45 + [1], [0, 1]), germ([0], [0, 0, 1])
+        closed = [germs._numeric_difference(a, b) for a, b in zip(u.numeric, v.numeric)]
+        sampled = [germs._numeric_divided_difference(c) for c in CUSP35.numeric]
+        for arrays, circle in ((closed, 3), (sampled, 1)):
+            out = germs.numeric_resultant_w(*arrays, circle)
+            assert np.array_equal(out, germs.numeric_resultant_w(*arrays, float(circle)))
+            plan, twin = germs._ResultantPlan(*arrays, circle), germs._ResultantPlan(*arrays, float(circle))
+            assert type(plan.circle) is float
+            assert np.array_equal(plan.resultant(1e-3), twin.resultant(1e-3))
+        assert np.abs(germs.numeric_resultant_w(*closed, 3)).max() > 1e42
+
+    STUCK = (
+        "oracle failed: perturbed intersection parameters stuck at the origin at draw 1;"
+        " a turn of epsilon's phase cannot move them"
+    )
     # per cell of EPSILON_LADDER at radius 0.15; the k = 4 germ's six double
     # points leave the disk at epsilon 1e-2 and 1e-3 and stay stuck at 1e-7 on
     LADDER_OUTCOMES = [
@@ -630,14 +650,39 @@ class TestRedrawTurns:
         assert numeric_intersection_oracle(CUSP35, QUARTIC46, 1e-3, 0.3, seed=3) == 18
         assert made == [] and [e for e in epsilons if e is not None] == [1e-3, 1e-3]
 
-    def test_a_stuck_cell_turns_epsilon_as_before(self, monkeypatch):
+    def test_a_stuck_cell_makes_one_draw_and_no_generator(self, monkeypatch):
         made, epsilons = self._count(monkeypatch)
-        with pytest.raises(InputError, match="stuck at the origin after 10 draws"):
+        with pytest.raises(InputError, match="stuck at the origin at draw 1; a turn of epsilon's phase"):
             numeric_double_point_oracle(CUSP35, 1e-8, 0.3, seed=5)
-        assert made == [5]
-        rng = np.random.default_rng(5)
-        turned = [complex(1e-8) * np.exp(2j * np.pi * rng.random()) for _ in range(9)]
-        assert [e for e in epsilons if e is not None] == [1e-8, *turned]
+        assert made == [] and [e for e in epsilons if e is not None] == [1e-8]
+
+
+class TestStuckCellsStayStuck:
+    """The premise of ending a stuck cell at its first draw: at z = 0 the
+    resultant is about epsilon**(a-1) times a product, so no turn of
+    epsilon's phase frees the cell.  Counted in cells, with no clock."""
+
+    def test_every_turned_phase_of_a_stuck_cell_is_stuck(self):
+        rng = np.random.default_rng(2426)
+        stuck = turned = 0
+        for seed in range(200):
+            u = random_simple_germ(rng, max_k=5)
+            for radius in RADIUS_LADDER:
+                try:
+                    plan = germs._disk_plan(u, None, radius)
+                except InputError:
+                    continue  # the radius pre-check refuses before any draw
+                for epsilon in EPSILON_LADDER:
+                    first, *turns = germs._turns(complex(epsilon), seed)
+                    if not germs._trimmed(plan.resultant(first))[0]:
+                        continue
+                    stuck += 1
+                    for eps in turns:
+                        assert germs._trimmed(plan.resultant(eps))[0], (u, radius, epsilon, eps)
+                    turned += len(turns)
+                    with pytest.raises(InputError, match="stuck at the origin at draw 1;"):
+                        numeric_double_point_oracle(u, epsilon, radius, seed)
+        assert stuck > 300 and turned == 9 * stuck
 
 
 class TestOracleArguments:
@@ -900,10 +945,11 @@ class TestCachedDisks:
         eigvals, trimmed = np.linalg.eigvals, germs._trimmed
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
         monkeypatch.setattr(germs, "_trimmed", lambda c: trims.append(trimmed(c)) or trims[-1])
-        with pytest.raises(InputError, match="stuck at the origin after 10 draws"):
+        with pytest.raises(InputError, match="stuck at the origin at draw 1;"):
             numeric_double_point_oracle(CUSP35, 1e-8, 0.3)
-        # every draw kept a polynomial with roots to find, and found none
-        assert len(trims) == 10 and all(first and len(kept) > 1 for first, kept in trims)
+        # the one draw kept a polynomial with roots to find, and found none
+        ((first, kept),) = trims
+        assert first and len(kept) > 1
         assert calls == []
         assert numeric_double_point_oracle(CUSP35, 1e-3, 0.3) == 4 and calls
 

@@ -197,3 +197,18 @@ def test_one_counting_disk():
         "lru_cache": {"_pair_resultant", "_disk_plan"},
         "cache": set(),
     }, found
+
+
+def test_one_stuck_reason():
+    # the double-point draw returns the stuck reason and _redraw ends a cell
+    # on it: both read one constant, spelled once in the package
+    from siefring_kit import germs
+
+    package = Path(siefring_kit.__file__).parent
+    spelled = sum(path.read_text(encoding="utf-8").count(germs.STUCK_AT_THE_ORIGIN) for path in SOURCES)
+    owners = {
+        getattr(node, "name", None)
+        for node in ast.parse((package / "germs.py").read_text(encoding="utf-8")).body
+        for _ in _uses(node, "STUCK_AT_THE_ORIGIN")
+    }
+    assert spelled == 1 and owners == {None, "numeric_double_point_oracle", "_redraw"}, (spelled, owners)
