@@ -475,8 +475,8 @@ class TestStackedDeterminants:
         pairs = [(axis_germ(rng, ku, 0), axis_germ(rng, kv, 1)) for ku, kv in orders]
         pairs.append((germ([0, 1], [0]), germ([0], [0, 0, 0, 2])))  # w-free difference of p
         singles = [random_simple_germ(rng) for _ in range(8)] + [CUSP35]
-        # more pairs, drawn after the rest: a stuck single now makes one draw
-        # where it made ten, and the count below still asks for over 400
+        # more pairs, drawn after the rest: a stuck single makes one draw, and
+        # the count below asks for over 400 evaluations
         pairs += [(axis_germ(rng, ku, 0), axis_germ(rng, kv, 1)) for ku, kv in orders]
         for radius in RADIUS_LADDER:
             # a redraw turns epsilon by a phase, as the complex one here does
