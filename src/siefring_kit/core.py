@@ -128,8 +128,10 @@ class CurveClass:
 
     ``ends`` maps (sign, orbit id) to {cover k: number of ends}, each in
     order of first appearance among the punctures; every per-end sum reads
-    it, one term per distinct cover weighted by its count.  It is an
-    attribute, not a field, so equality and repr see only the data.
+    it, one term per distinct cover weighted by its count.  ``end_sums``
+    maps each such group to its sum k * count, which a twist of the group's
+    orbit scales (``shift_scene``).  Both are attributes, not fields, so
+    equality and repr see only the data.
     """
 
     id: str
@@ -152,6 +154,8 @@ class CurveClass:
             covers = ends.setdefault((p.sign, p.orbit), {})
             covers[p.multiplicity] = covers.get(p.multiplicity, 0) + 1
         object.__setattr__(self, "ends", ends)
+        sums = {key: sum(map(operator.mul, ks, ks.values())) for key, ks in ends.items()}
+        object.__setattr__(self, "end_sums", sums)
 
 
 def _pair_key(u: str, v: str) -> tuple[str, str]:
@@ -317,8 +321,9 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
     then built without validating it again: integer twists keep each
     cover's parity alpha_+ - alpha_-, the cover keys and every puncture, and
     map ints to ints, so the shift of a valid scene is valid.  It reuses
-    each curve's punctures and end index and the pairing's normalized keys,
-    and computes only the windings, rel_c1 and the pairing values.
+    each curve's punctures, end index and end sums and the pairing's
+    normalized keys, and computes only the windings, rel_c1 and the pairing
+    values.
     """
     m = {o.id: 0 for o in scene.orbits}
     for oid, twist in shift.shifts.items():
@@ -338,11 +343,8 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
     # over end groups: rel_c1 gains sum s m_o (sum k) over the groups of the
     # curve, u . v gains sum s m_o (sum k_u)(sum k_v) over the groups u and v
     # share, with s the sign factor and m_o the twist of the group's orbit;
-    # sum k is each cover k of the group times its count
-    sums = {
-        c.id: {key: sum(map(operator.mul, ks, ks.values())) for key, ks in c.ends.items()}
-        for c in scene.curves
-    }
+    # sum k is each cover k of the group times its count (``end_sums``)
+    sums = {c.id: c.end_sums for c in scene.curves}
     weights = {
         cid: {key: SIGNS[key[0]] * m[key[1]] * total for key, total in curve_sums.items()}
         for cid, curve_sums in sums.items()
@@ -356,6 +358,7 @@ def shift_scene(scene: Scene, shift: TrivializationShift) -> Scene:
             rel_c1=c.rel_c1 + sum(weights[c.id].values()),
             ambient_dim_half=c.ambient_dim_half,
             ends=c.ends,
+            end_sums=c.end_sums,
         )
         for c in scene.curves
     ]

@@ -28,6 +28,14 @@ of norm p_j, so p_1 ... p_r divides its norm |c|^2.  Once the primes'
 product exceeds B, some prime therefore sees the lowest coefficient of R:
 the least order over the primes is the order of R, and R is zero iff it
 is zero modulo all of them.
+Most resultants need one prime.  Over the Puiseux series in z, R =
+lc_f^dg lc_g^df prod (a_i - b_j) over the roots in w, the valuations of
+the roots are the slopes of each polynomial's Newton polygon (Newton-
+Puiseux; Walker, Algebraic Curves, ch. IV), and v(a - b) >= min(v(a),
+v(b)), so these give a lower bound L on the order of R.  If the first
+prime reads order L, its coefficient L of R is nonzero mod p, so R is
+nonzero and its order is at most L, hence exactly L; otherwise the
+primes are taken up to the Hadamard bound as above.
 The w-degrees are exact over the Gaussian integers and serve as formal
 degrees modulo p.  Where a leading coefficient vanishes mod p at a sample,
 the remainder sequence drops it by Res_{m,n}(f, g) = f_m Res_{m,n-1}(f, g),
@@ -172,7 +180,7 @@ def _to_gaussian(value):
 
 def _strip(coeffs: tuple) -> tuple:
     last = len(coeffs)
-    while last > 0 and coeffs[last - 1] == 0:
+    while last > 0 and not coeffs[last - 1]:
         last -= 1
     return coeffs[:last]
 
@@ -200,7 +208,7 @@ class Germ:
         if not p and not q:
             raise InputError("germ is constant: both coordinates vanish identically")
         for name, coeffs in (("p", p), ("q", q)):
-            if coeffs and coeffs[0] != 0:
+            if coeffs and coeffs[0]:
                 raise InputError(f"germ coordinate {name} does not vanish at 0")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -469,16 +477,58 @@ def _sylvester_layout(f: dict, g: dict):
     return len(degree), layout, int(min(degree.max(axis=a, initial=0).sum() for a in (0, 1)))
 
 
+def _prime(log_length: int, index: int) -> tuple[int, int, int]:
+    """(p, iota, omega) for the index-th prime of the table that serves
+    transforms of length 2^log_length; omega has order 2^log_length."""
+    table_log = max(log_length, _MIN_LOG_LENGTH)
+    p, iota, root = _nth_prime(table_log, index)
+    return p, iota, pow(root, 1 << (table_log - log_length), p)
+
+
 def _certifying_primes(log_length: int, bound: int) -> list:
     """The first primes of the table for transforms of length 2^log_length
     whose product exceeds ``bound``."""
-    table_log = max(log_length, _MIN_LOG_LENGTH)
     primes, product = [], 1
     while product <= bound:
-        p, iota, root = _nth_prime(table_log, len(primes))
-        primes.append((p, iota, pow(root, 1 << (table_log - log_length), p)))
-        product *= p
+        primes.append(_prime(log_length, len(primes)))
+        product *= primes[-1][0]
     return primes
+
+
+def _newton_polygon(h: dict) -> tuple[int, int, list]:
+    """(ord_z of the leading w-coefficient, the number of roots at w = 0,
+    [(count, valuation)] of the other roots in w) of the terms ``h``.  The
+    lower convex hull of the points (j, least z-exponent of the coefficient
+    of w^j) has an edge of width m and slope s for m roots of valuation -s
+    (Newton-Puiseux); the least j counts the roots at w = 0."""
+    least = {}
+    for j, i in h:
+        least[j] = min(i, least.get(j, i))
+    hull = []
+    for j, i in sorted(least.items()):
+        # the last vertex goes while it lies on or above the chord to (j, i)
+        while len(hull) > 1:
+            (ja, ia), (jb, ib) = hull[-2:]
+            if (jb - ja) * (i - ia) > (ib - ia) * (j - ja):
+                break
+            hull.pop()
+        hull.append((j, i))
+    edges = [(j1 - j0, Fraction(i0 - i1, j1 - j0)) for (j0, i0), (j1, i1) in zip(hull, hull[1:])]
+    return hull[-1][1], hull[0][0], edges
+
+
+def _order_bound(f: dict, g: dict):
+    """A lower bound on ord_z Res_w(f, g), or None where f and g share the
+    root w = 0, so that Res_w is 0.  Res_w = lc_f^dg lc_g^df prod (a_i - b_j)
+    over the roots a_i of f and b_j of g, and v(a - b) >= min(v(a), v(b)); a
+    root at w = 0 has infinite valuation, so it takes the other's."""
+    (lf, zf, rf), (lg, zg, rg) = _newton_polygon(f), _newton_polygon(g)
+    if zf and zg:
+        return None
+    (df, _), (dg, _) = max(f), max(g)
+    total = dg * lf + df * lg + zf * sum(n * v for n, v in rg) + zg * sum(m * v for m, v in rf)
+    total += sum(m * n * min(v, u) for m, v in rf for n, u in rg)
+    return math.ceil(total)
 
 
 def _order_modulo(prime: tuple, layout: list, log_length: int):
@@ -527,15 +577,19 @@ def _order_modulo(prime: tuple, layout: list, log_length: int):
 def _resultant(f: dict, g: dict) -> tuple:
     """Orders at z = 0 of Res_w(f, g) modulo certifying primes, one for each
     prime where it does not vanish, or its exact order alone where a closed
-    form gives it; empty iff Res_w vanishes identically.
+    form or the first prime gives it; empty iff Res_w vanishes identically.
 
     f and g are terms {(w-exponent, z-exponent): (re, im)}, with no term for
     a zero polynomial.  Modulo each prime p = 1 mod 4 (i maps to iota), the
     resultant in w is evaluated at the N-th roots of unity, N a power of two
     above the z-degree bound, and one inverse transform of those values
-    gives its coefficients modulo p.  Primes are taken until their product
-    exceeds the squared Hadamard bound, which certifies the least order and
-    the zero test (see the module docstring).
+    gives its coefficients modulo p.  The first prime's order alone is
+    returned where it meets the Newton-polygon bound ``_order_bound``, which
+    certifies it; otherwise primes are taken until their product exceeds
+    the squared Hadamard bound, which certifies the least order and the
+    zero test (see the module docstring).  The first prime's pass serves
+    both, and the Hadamard bound is formed only where the first falls short.
+    Where f and g share the root w = 0, Res_w is 0 and no prime is taken.
     """
     f, g = _integral(f), _integral(g)
     if not f or not g:
@@ -545,10 +599,16 @@ def _resultant(f: dict, g: dict) -> tuple:
         # Res_w = +-f^(deg_w g) for a w-free f, +-g^(deg_w f) for a w-free g
         base, power = (f, dwg) if dwf == 0 else (g, dwf)
         return (power * min(i for _, i in base),)
+    bound = _order_bound(f, g)
+    if bound is None:
+        return ()
     _, layout, degree = _sylvester_layout(f, g)
     log_length = degree.bit_length()
+    first = _order_modulo(_prime(log_length, 0), layout, log_length)
+    if first == bound:
+        return (first,)
     primes = _certifying_primes(log_length, _row_norms(f) ** dwg * _row_norms(g) ** dwf)
-    orders = (_order_modulo(prime, layout, log_length) for prime in primes)
+    orders = (first, *(_order_modulo(prime, layout, log_length) for prime in primes[1:]))
     return tuple(order for order in orders if order is not None)
 
 
@@ -582,14 +642,14 @@ def critical_order(u: Germ):
     """
     k = min(u.exponents)
     a, b = _coeff(u.p, k), _coeff(u.q, k)
-    if a != 0:
+    if a:
         return k, (_ONE, b / a)
     return k, (_ZERO, _ONE)
 
 
 def _exponents_of(coeffs: tuple) -> list:
     """Exponents of the nonzero terms of one coordinate."""
-    return [e for e, c in enumerate(coeffs) if c != 0]
+    return [e for e, c in enumerate(coeffs) if c]
 
 
 def cover_index(u: Germ) -> int:
@@ -727,7 +787,7 @@ def _double_point_refusals(u: Germ):
     if u.p and u.q:
         _require_small_domain(u, _SELF_DOMAIN)
         return None
-    if (u.p or u.q)[1] != 0:
+    if (u.p or u.q)[1]:
         return 0
     raise InputError("non-isolated double points: a coordinate is constant")
 

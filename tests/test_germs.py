@@ -1515,6 +1515,184 @@ class TestModularCertification:
             assert germs._is_prime(n) == sympy.isprime(n), n
 
 
+def _terms_of(kind, gs):
+    """The two w-polynomials whose resultant local_intersection (kind
+    "pair") or delta_local (kind "delta") reads."""
+    if kind == "pair":
+        u, v = gs
+        return germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
+    (u,) = gs
+    return germs._divided_difference_terms(u.p), germs._divided_difference_terms(u.q)
+
+
+def _hadamard_primes(f, g):
+    """(layout, transform log-length, every certifying prime) of integral f
+    and g, as the full certification takes them."""
+    (dwf, _), (dwg, _) = max(f), max(g)
+    _, layout, degree = germs._sylvester_layout(f, g)
+    log_length = degree.bit_length()
+    bound = germs._row_norms(f) ** dwg * germs._row_norms(g) ** dwf
+    return layout, log_length, germs._certifying_primes(log_length, bound)
+
+
+def _full_certification(f, g):
+    """The least order over every certifying prime, or None where the
+    resultant is 0 modulo all of them: the answer without the bound."""
+    layout, log_length, primes = _hadamard_primes(f, g)
+    orders = [germs._order_modulo(p, layout, log_length) for p in primes]
+    return min((o for o in orders if o is not None), default=None)
+
+
+def _sampled_resultants(count_each):
+    """Integral (f, g) pairs, both of positive w-degree, of seeded simple
+    germs (rng 2424, k <= 5) and axis pairs, tangent or transverse (rng
+    2425), ``count_each`` germs or pairs of each."""
+    rng, rng2 = np.random.default_rng(2424), np.random.default_rng(2425)
+    cases = [("delta", (random_simple_germ(rng, max_k=5),)) for _ in range(count_each)]
+    for _ in range(count_each):
+        u = axis_germ(rng2, int(rng2.integers(1, 4)), 0)
+        cases.append(("pair", (u, axis_germ(rng2, int(rng2.integers(1, 4)), int(rng2.integers(0, 2))))))
+    out = []
+    for kind, gs in cases:
+        f, g = (germs._integral(t) for t in _terms_of(kind, gs))
+        if f and g and max(f)[0] and max(g)[0]:
+            out.append((f, g))
+    return out
+
+
+class TestNewtonPolygonBound:
+    """The Newton-polygon lower bound on ord_z Res_w, and the resultants
+    that the first prime certifies against it."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = germs._order_modulo
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(germs, "_order_modulo", counted)
+        return calls
+
+    def test_never_above_sympys_order(self, engine_cases):
+        checked = 0
+        for kind, gs, ref in engine_cases:
+            f, g = (germs._integral(t) for t in _terms_of(kind, gs))
+            if not (f and g):
+                continue
+            bound = germs._order_bound(f, g)
+            if ref.is_zero:
+                continue
+            checked += 1
+            assert bound is not None and bound <= min(m[0] for m in ref.monoms())
+        assert checked >= 50
+
+    def test_never_above_the_full_certification(self):
+        cases = _sampled_resultants(300)
+        assert len(cases) >= 500
+        equal = 0
+        for f, g in cases:
+            exact = _full_certification(f, g)
+            res = germs._resultant(f, g)
+            if exact is None:
+                assert res == ()
+                continue
+            bound = germs._order_bound(f, g)
+            assert bound <= exact
+            assert germs._z_order(res) == exact
+            equal += bound == exact
+        assert equal >= 0.9 * len(cases)
+
+    def test_newton_polygon_slopes(self):
+        # z^4 w + z w^3 + w^4: hull (1, 4), (3, 1), (4, 0); one root at w = 0,
+        # two of valuation 3/2 and one of valuation 1
+        assert germs._newton_polygon({(1, 4): 1, (3, 1): 1, (4, 0): 1}) == (
+            0, 1, [(2, Fraction(3, 2)), (1, 1)]
+        )
+        # z^4 + z^2 w^2 + w^3: (2, 2) lies above the chord, three roots of valuation 4/3
+        assert germs._newton_polygon({(0, 4): 1, (2, 2): 1, (3, 0): 1}) == (0, 0, [(3, Fraction(4, 3))])
+        # z w - 1: a root 1/z of valuation -1, leading coefficient of order 1
+        assert germs._newton_polygon({(1, 1): 1, (0, 0): 1}) == (1, 0, [(1, -1)])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_polynomial_with_roots_at_w_zero(self, monkeypatch, k):
+        # with u = (0, z^k), p_u(z) - p_v(w) = -p_v(w) has ord p_v roots at w = 0
+        u = germ([0], [0] * k + [1])
+        calls = self._counted(monkeypatch)
+        for a in (1, 2, 3):
+            v = germ([0] * a + [1, 2], [0] * (a + 1) + [3])
+            f, g = (germs._integral(t) for t in _terms_of("pair", (u, v)))
+            assert germs._newton_polygon(f)[1] == a
+            calls.clear()
+            assert germs._resultant(f, g) == (germs._order_bound(f, g),) == (a * k,)
+            assert len(calls) == 1
+            ref = _sympy_pair_resultant(u, v)
+            assert min(m[0] for m in ref.monoms()) == a * k
+            assert local_intersection(u, v) == local_intersection(v, u) == a * k
+
+    def test_shared_roots_at_w_zero_give_no_bound(self, monkeypatch):
+        # f = w z + w and g = w^2 + 3 w z^2 share the root w = 0: Res_w = 0
+        f, g = {(1, 1): (1, 0), (1, 0): (1, 0)}, {(2, 0): (1, 0), (1, 2): (3, 0)}
+        assert germs._order_bound(f, g) is None
+        calls = self._counted(monkeypatch)
+        assert germs._resultant(f, g) == ()
+        assert calls == []
+        w, z = sympy.symbols("w z")
+        fs, gs = (_sympy_poly({e: sympy.Integer(c[0]) for e, c in h.items()}, w, z) for h in (f, g))
+        assert fs.resultant(gs).is_zero
+
+    def test_one_pass_per_resultant(self, monkeypatch):
+        # transverse axis pairs and their branched covers, shaped as the
+        # germ-exact benchmark's, are certified at the first prime; a simple
+        # germ's divided differences take one pass where their order meets
+        # the bound and the whole certification where it does not
+        rng = np.random.default_rng(2426)
+        calls = self._counted(monkeypatch)
+        for ku in range(1, 4):
+            for kv in range(1, 4):
+                for k, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
+                    u = branched_cover(axis_germ(rng, ku, 0), k)
+                    v = axis_germ(rng, kv, 1)
+                    while not v._far_zero_free:  # a far zero adds to the order
+                        v = axis_germ(rng, kv, 1)
+                    calls.clear()
+                    res = germs._resultant(*_terms_of("pair", (u, branched_cover(v, m))))
+                    assert (res, len(calls)) == ((k * m * ku * kv,), 1)
+        singles = first = 0
+        while singles < 60:
+            f, g = (germs._integral(t) for t in _terms_of("delta", (random_simple_germ(rng),)))
+            if not (max(f)[0] and max(g)[0]):
+                continue  # a closed form: no pass
+            singles += 1
+            calls.clear()
+            res = germs._resultant(f, g)
+            if germs._z_order(res) == germs._order_bound(f, g):
+                assert (res, len(calls)) == ((germs._z_order(res),), 1)
+                first += 1
+            else:
+                assert calls == _hadamard_primes(f, g)[2]
+        assert first >= 50
+
+    def test_big_coefficients_take_one_pass(self, monkeypatch):
+        # 10^200 coefficients that share no integer factor and an 18 x 18
+        # Sylvester matrix: the Hadamard bound asks for more than 750 primes
+        big = 10**200
+        u = germ([0, 1, big + 1], [0, 0, big + 3])
+        v = germ([0, 0] + [big + 7 * j for j in range(1, 9)], [0, 0, 0] + [big - 11 * j for j in range(1, 8)])
+        f, g = (germs._integral(t) for t in _terms_of("pair", (u, v)))
+        (dwf, _), (dwg, _) = max(f), max(g)
+        assert germs._sylvester_layout(f, g)[0] == 18
+        assert germs._row_norms(f) ** dwg * germs._row_norms(g) ** dwf > 2 ** (31 * 750)
+        germs._pair_resultant.cache_clear()
+        calls = self._counted(monkeypatch)
+        # one pass for v's far-zero test, one for the pair
+        assert local_intersection(u, v) == 3
+        assert len(calls) == 2
+        assert min(m[0] for m in _sympy_pair_resultant(u, v).monoms()) == 3
+
+
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Reference determinants modulo p of the stacked matrices a[b] (entries
     in [0, p)).  Division-free elimination multiplies the rows below pivot k

@@ -212,3 +212,17 @@ def test_one_stuck_reason():
         for _ in _uses(node, "STUCK_AT_THE_ORIGIN")
     }
     assert spelled == 1 and owners == {None, "numeric_double_point_oracle", "_redraw"}, (spelled, owners)
+
+
+def test_one_certification_path():
+    # the exact engine certifies an order in one place, _resultant: the first
+    # prime against the Newton-polygon bound, then the Hadamard prime set, so
+    # no caller reads a prime's order or the bound on its own
+    package = Path(siefring_kit.__file__).parent
+    found = {"_order_modulo": set(), "_order_bound": set()}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            for name, owners in found.items():
+                owners.update((path.name, owner) for _ in _uses(node, name))
+    assert found == {name: {("germs.py", "_resultant")} for name in found}, found
