@@ -10,32 +10,38 @@ integers that feed positivity arguments where an off-by-one is fatal, so
 they are exact.
 
 The calculators use two facts about a resultant R(z): its order at 0 and
-whether it vanishes identically.  Both come from a certified
+whether it vanishes identically.  Most resultants are settled by their
+Newton polygons in w alone (Newton-Puiseux; Walker, Algebraic Curves,
+ch. IV).  Over the Puiseux series in z, R = lc_f^dg lc_g^df prod (a_i -
+b_j) over the roots in w; an edge of width m and slope -v stands for m
+roots of valuation v, and v(a - b) >= min(v(a), v(b)), which gives a lower
+bound L on the order of R.  A root c z^v + ... makes the terms on its
+edge the lowest in z, so the leading coefficients c of the roots of
+valuation v are the roots of the edge polynomial E(c) = sum a_ji
+c^(j - j0) over those terms, and v(a - b) exceeds the min only where a and
+b share both v and c.  So where, for every v with an edge in both
+polygons, the two edge polynomials have a nonzero resultant, R is nonzero
+and of order exactly L.  That resultant has Gaussian-integer coefficients;
+its image modulo one prime p = 1 mod 4, where i maps to iota with iota^2 =
+-1, is the resultant of the images, and a nonzero image proves it nonzero.
+Every other case, a shared leading coefficient, an R that vanishes
+identically or an edge resultant that p divides, takes a certified
 multi-modular computation (Collins, J. ACM 18, 1971).  With denominators
-cleared the coefficients are Gaussian integers; modulo a prime p = 1 mod 4
-the map i -> iota, iota^2 = -1, reduces them to F_p, and R mod p follows
-from its values at the N-th roots of unity and one inverse transform.  Each
-prime is one pass: its values are taken in int64 by the Euclidean remainder
-sequence of the two w-polynomials (Collins, J. ACM 14, 1967), batched over
-the samples, and its transform stops at the first nonzero coefficient.  The
-order of R mod p is never below the order of R.  Each coefficient c of R
-has |c|^2 <= B, the product over the Sylvester rows of sum_j ||s_rj||_1^2,
-where ||.||_1 sums |re| + |im| over an entry's z-coefficients: |c| is at
-most the largest |R(z)| on |z| = 1, which Hadamard's inequality bounds by
-the product of the row lengths there.  A nonzero c that the maps for
-primes p_1 ... p_r all send to 0 lies in the prime ideals (p_j, i - iota_j)
-of norm p_j, so p_1 ... p_r divides its norm |c|^2.  Once the primes'
-product exceeds B, some prime therefore sees the lowest coefficient of R:
-the least order over the primes is the order of R, and R is zero iff it
-is zero modulo all of them.
-Most resultants need one prime.  Over the Puiseux series in z, R =
-lc_f^dg lc_g^df prod (a_i - b_j) over the roots in w, the valuations of
-the roots are the slopes of each polynomial's Newton polygon (Newton-
-Puiseux; Walker, Algebraic Curves, ch. IV), and v(a - b) >= min(v(a),
-v(b)), so these give a lower bound L on the order of R.  If the first
-prime reads order L, its coefficient L of R is nonzero mod p, so R is
-nonzero and its order is at most L, hence exactly L; otherwise the
-primes are taken up to the Hadamard bound as above.
+cleared the coefficients are Gaussian integers, reduced to F_p as above,
+and R mod p follows from its values at the N-th roots of unity and one
+inverse transform.  Each prime is one pass: its values are taken in int64
+by the Euclidean remainder sequence of the two w-polynomials (Collins,
+J. ACM 14, 1967), batched over the samples, and its transform stops at the
+first nonzero coefficient.  The order of R mod p is never below the order
+of R.  Each coefficient c of R has |c|^2 <= B, the product over the
+Sylvester rows of sum_j ||s_rj||_1^2, where ||.||_1 sums |re| + |im| over
+an entry's z-coefficients: |c| is at most the largest |R(z)| on |z| = 1,
+which Hadamard's inequality bounds by the product of the row lengths
+there.  A nonzero c that the maps for primes p_1 ... p_r all send to 0
+lies in the prime ideals (p_j, i - iota_j) of norm p_j, so p_1 ... p_r
+divides its norm |c|^2.  Once the primes' product exceeds B, some prime
+therefore sees the lowest coefficient of R: the least order over the
+primes is the order of R, and R is zero iff it is zero modulo all of them.
 The w-degrees are exact over the Gaussian integers and serve as formal
 degrees modulo p.  Where a leading coefficient vanishes mod p at a sample,
 the remainder sequence drops it by Res_{m,n}(f, g) = f_m Res_{m,n-1}(f, g),
@@ -477,30 +483,23 @@ def _sylvester_layout(f: dict, g: dict):
     return len(degree), layout, int(min(degree.max(axis=a, initial=0).sum() for a in (0, 1)))
 
 
-def _prime(log_length: int, index: int) -> tuple[int, int, int]:
-    """(p, iota, omega) for the index-th prime of the table that serves
-    transforms of length 2^log_length; omega has order 2^log_length."""
-    table_log = max(log_length, _MIN_LOG_LENGTH)
-    p, iota, root = _nth_prime(table_log, index)
-    return p, iota, pow(root, 1 << (table_log - log_length), p)
-
-
 def _certifying_primes(log_length: int, bound: int) -> list:
-    """The first primes of the table for transforms of length 2^log_length
-    whose product exceeds ``bound``."""
+    """(p, iota, omega) for the first primes of the table for transforms of
+    length 2^log_length whose product exceeds ``bound``; omega has order
+    2^log_length."""
+    table_log = max(log_length, _MIN_LOG_LENGTH)
     primes, product = [], 1
     while product <= bound:
-        primes.append(_prime(log_length, len(primes)))
-        product *= primes[-1][0]
+        p, iota, root = _nth_prime(table_log, len(primes))
+        primes.append((p, iota, pow(root, 1 << (table_log - log_length), p)))
+        product *= p
     return primes
 
 
-def _newton_polygon(h: dict) -> tuple[int, int, list]:
-    """(ord_z of the leading w-coefficient, the number of roots at w = 0,
-    [(count, valuation)] of the other roots in w) of the terms ``h``.  The
-    lower convex hull of the points (j, least z-exponent of the coefficient
-    of w^j) has an edge of width m and slope s for m roots of valuation -s
-    (Newton-Puiseux); the least j counts the roots at w = 0."""
+def _lower_hull(h: dict) -> tuple[dict, list]:
+    """(least, hull) of the terms ``h``: least[j] is the least z-exponent of
+    the coefficient of w^j, and hull the vertices (j, least[j]) of the lower
+    convex hull of those points, ascending in j."""
     least = {}
     for j, i in h:
         least[j] = min(i, least.get(j, i))
@@ -513,15 +512,44 @@ def _newton_polygon(h: dict) -> tuple[int, int, list]:
                 break
             hull.pop()
         hull.append((j, i))
+    return least, hull
+
+
+def _newton_polygon(h: dict) -> tuple[int, int, list]:
+    """(ord_z of the leading w-coefficient, the number of roots at w = 0,
+    [(count, valuation)] of the other roots in w) of the terms ``h``.  An
+    edge of the lower hull (``_lower_hull``) of width m and slope s stands
+    for m roots of valuation -s (Newton-Puiseux); the least j counts the
+    roots at w = 0."""
+    _, hull = _lower_hull(h)
     edges = [(j1 - j0, Fraction(i0 - i1, j1 - j0)) for (j0, i0), (j1, i1) in zip(hull, hull[1:])]
     return hull[-1][1], hull[0][0], edges
+
+
+def _edge_polynomials(h: dict) -> dict:
+    """{valuation: ascending coefficients of E(c)} over the edges of the
+    Newton polygon of the integral terms ``h``: E(c) = sum a_ji c^(j - j0)
+    over the terms a_ji w^j z^i on the edge from (j0, i0).  A root c z^v +
+    ... of valuation v makes those terms the lowest in z, so E's roots are
+    the leading coefficients of the roots of valuation v."""
+    least, hull = _lower_hull(h)
+    edges = {}
+    for (j0, i0), (j1, i1) in zip(hull, hull[1:]):
+        coeffs = [(0, 0)] * (j1 - j0 + 1)
+        for j in range(j0, j1 + 1):
+            if j in least and (least[j] - i0) * (j1 - j0) == (i1 - i0) * (j - j0):
+                coeffs[j - j0] = h[j, least[j]]
+        edges[Fraction(i0 - i1, j1 - j0)] = coeffs
+    return edges
 
 
 def _order_bound(f: dict, g: dict):
     """A lower bound on ord_z Res_w(f, g), or None where f and g share the
     root w = 0, so that Res_w is 0.  Res_w = lc_f^dg lc_g^df prod (a_i - b_j)
     over the roots a_i of f and b_j of g, and v(a - b) >= min(v(a), v(b)); a
-    root at w = 0 has infinite valuation, so it takes the other's."""
+    root at w = 0 has infinite valuation, so it takes the other's.  Where
+    the edges are apart (``_edges_apart``), every such v(a - b) is the min,
+    and the bound is the order."""
     (lf, zf, rf), (lg, zg, rg) = _newton_polygon(f), _newton_polygon(g)
     if zf and zg:
         return None
@@ -529,6 +557,26 @@ def _order_bound(f: dict, g: dict):
     total = dg * lf + df * lg + zf * sum(n * v for n, v in rg) + zg * sum(m * v for m, v in rf)
     total += sum(m * n * min(v, u) for m, v in rf for n, u in rg)
     return math.ceil(total)
+
+
+def _edges_apart(f: dict, g: dict) -> bool:
+    """True if no root of f has both the valuation and the leading
+    coefficient of a root of g, read off the integral terms: for every
+    valuation with an edge in both Newton polygons, the resultant of the
+    two edge polynomials is nonzero modulo the table's first prime, so
+    nonzero over the Gaussian integers.  Then, where f and g share no root
+    w = 0 (``_order_bound`` is not None), v(a_i - b_j) = min(v(a_i),
+    v(b_j)) in every factor of Res_w, which is nonzero and of order
+    ``_order_bound``.  False also where p divides such a resultant."""
+    p, iota, _ = _nth_prime(_MIN_LOG_LENGTH, 0)
+    edges_f = _edge_polynomials(f)
+    for valuation, eg in _edge_polynomials(g).items():
+        if valuation in edges_f:
+            pair = (edges_f[valuation], eg)
+            rows = (np.array([[(re + im * iota) % p for re, im in e]], dtype=np.int64) for e in pair)
+            if not _resultant_mod(*rows, p)[0]:
+                return False
+    return True
 
 
 def _order_modulo(prime: tuple, layout: list, log_length: int):
@@ -577,19 +625,19 @@ def _order_modulo(prime: tuple, layout: list, log_length: int):
 def _resultant(f: dict, g: dict) -> tuple:
     """Orders at z = 0 of Res_w(f, g) modulo certifying primes, one for each
     prime where it does not vanish, or its exact order alone where a closed
-    form or the first prime gives it; empty iff Res_w vanishes identically.
+    form or the Newton polygons give it; empty iff Res_w vanishes
+    identically.
 
     f and g are terms {(w-exponent, z-exponent): (re, im)}, with no term for
-    a zero polynomial.  Modulo each prime p = 1 mod 4 (i maps to iota), the
-    resultant in w is evaluated at the N-th roots of unity, N a power of two
-    above the z-degree bound, and one inverse transform of those values
-    gives its coefficients modulo p.  The first prime's order alone is
-    returned where it meets the Newton-polygon bound ``_order_bound``, which
-    certifies it; otherwise primes are taken until their product exceeds
-    the squared Hadamard bound, which certifies the least order and the
-    zero test (see the module docstring).  The first prime's pass serves
-    both, and the Hadamard bound is formed only where the first falls short.
-    Where f and g share the root w = 0, Res_w is 0 and no prime is taken.
+    a zero polynomial.  Where the edges of the two Newton polygons are apart
+    (``_edges_apart``), the bound ``_order_bound`` is the order, and no
+    prime pass is taken.  Otherwise, modulo each prime p = 1 mod 4 (i maps
+    to iota), the resultant in w is evaluated at the N-th roots of unity, N
+    a power of two above the z-degree bound, and one inverse transform of
+    those values gives its coefficients modulo p; primes are taken until
+    their product exceeds the squared Hadamard bound, which certifies the
+    least order and the zero test (see the module docstring).  Where f and
+    g share the root w = 0, Res_w is 0 and no prime is taken.
     """
     f, g = _integral(f), _integral(g)
     if not f or not g:
@@ -602,13 +650,12 @@ def _resultant(f: dict, g: dict) -> tuple:
     bound = _order_bound(f, g)
     if bound is None:
         return ()
+    if _edges_apart(f, g):
+        return (bound,)
     _, layout, degree = _sylvester_layout(f, g)
     log_length = degree.bit_length()
-    first = _order_modulo(_prime(log_length, 0), layout, log_length)
-    if first == bound:
-        return (first,)
     primes = _certifying_primes(log_length, _row_norms(f) ** dwg * _row_norms(g) ** dwf)
-    orders = (first, *(_order_modulo(prime, layout, log_length) for prime in primes[1:]))
+    orders = (_order_modulo(prime, layout, log_length) for prime in primes)
     return tuple(order for order in orders if order is not None)
 
 

@@ -1482,12 +1482,19 @@ class TestModularCertification:
 
     P = germs._nth_prime(germs._MIN_LOG_LENGTH, 0)[0]
 
-    def test_first_prime_alone_reads_too_high_an_order(self):
+    def test_first_prime_alone_reads_too_high_an_order(self, monkeypatch):
+        # the edges of this pair are apart, which certifies its order
+        # outright; with the edge check refusing, the Hadamard prime set
+        # must correct the first prime's order
         u, v = germ([0, 1], [0, 0, 1]), germ([0, 0, 1], [0, self.P])
         z = sympy.Symbol("z")
         assert _sympy_pair_resultant(u, v).as_expr() in {self.P**2 * z - z**4, z**4 - self.P**2 * z}
-        res = germs._resultant(germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q))
+        terms = germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
+        assert germs._resultant(*terms) == (1,)
+        monkeypatch.setattr(germs, "_edges_apart", lambda f, g: False)
+        res = germs._resultant(*terms)
         assert res[0] == 4 and len(res) > 1
+        germs._pair_resultant.cache_clear()
         assert local_intersection(u, v) == 1
 
     def test_first_prime_alone_sees_a_zero_resultant(self):
@@ -1562,7 +1569,7 @@ def _sampled_resultants(count_each):
 
 class TestNewtonPolygonBound:
     """The Newton-polygon lower bound on ord_z Res_w, and the resultants
-    that the first prime certifies against it."""
+    that it certifies where the edges are apart."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -1627,7 +1634,7 @@ class TestNewtonPolygonBound:
             assert germs._newton_polygon(f)[1] == a
             calls.clear()
             assert germs._resultant(f, g) == (germs._order_bound(f, g),) == (a * k,)
-            assert len(calls) == 1
+            assert calls == []
             ref = _sympy_pair_resultant(u, v)
             assert min(m[0] for m in ref.monoms()) == a * k
             assert local_intersection(u, v) == local_intersection(v, u) == a * k
@@ -1645,9 +1652,10 @@ class TestNewtonPolygonBound:
 
     def test_one_pass_per_resultant(self, monkeypatch):
         # transverse axis pairs and their branched covers, shaped as the
-        # germ-exact benchmark's, are certified at the first prime; a simple
-        # germ's divided differences take one pass where their order meets
-        # the bound and the whole certification where it does not
+        # germ-exact benchmark's, are certified by their Newton-polygon
+        # edges with no prime pass; a simple germ's divided differences take
+        # no pass where the edges are apart and the whole Hadamard prime set
+        # where they are not
         rng = np.random.default_rng(2426)
         calls = self._counted(monkeypatch)
         for ku in range(1, 4):
@@ -1659,8 +1667,8 @@ class TestNewtonPolygonBound:
                         v = axis_germ(rng, kv, 1)
                     calls.clear()
                     res = germs._resultant(*_terms_of("pair", (u, branched_cover(v, m))))
-                    assert (res, len(calls)) == ((k * m * ku * kv,), 1)
-        singles = first = 0
+                    assert (res, calls) == ((k * m * ku * kv,), [])
+        singles = certified = 0
         while singles < 60:
             f, g = (germs._integral(t) for t in _terms_of("delta", (random_simple_germ(rng),)))
             if not (max(f)[0] and max(g)[0]):
@@ -1668,14 +1676,14 @@ class TestNewtonPolygonBound:
             singles += 1
             calls.clear()
             res = germs._resultant(f, g)
-            if germs._z_order(res) == germs._order_bound(f, g):
-                assert (res, len(calls)) == ((germs._z_order(res),), 1)
-                first += 1
+            if germs._edges_apart(f, g):
+                assert (res, calls) == ((germs._order_bound(f, g),), [])
+                certified += 1
             else:
                 assert calls == _hadamard_primes(f, g)[2]
-        assert first >= 50
+        assert certified >= 50
 
-    def test_big_coefficients_take_one_pass(self, monkeypatch):
+    def test_big_coefficients_take_no_pass(self, monkeypatch):
         # 10^200 coefficients that share no integer factor and an 18 x 18
         # Sylvester matrix: the Hadamard bound asks for more than 750 primes
         big = 10**200
@@ -1687,10 +1695,90 @@ class TestNewtonPolygonBound:
         assert germs._row_norms(f) ** dwg * germs._row_norms(g) ** dwf > 2 ** (31 * 750)
         germs._pair_resultant.cache_clear()
         calls = self._counted(monkeypatch)
-        # one pass for v's far-zero test, one for the pair
+        # v's far-zero test and the pair are both certified by their edges
         assert local_intersection(u, v) == 3
-        assert len(calls) == 2
+        assert calls == []
         assert min(m[0] for m in _sympy_pair_resultant(u, v).monoms()) == 3
+
+
+def _sympy_resultant_order(f, g):
+    """sympy's z-order of Res_w of integral terms f and g, or None where
+    the resultant is 0."""
+    w, z = sympy.symbols("w z")
+    fs, gs = (_sympy_poly({e: sympy.Integer(re) + sympy.I * im for e, (re, im) in h.items()}, w, z) for h in (f, g))
+    ref = fs.resultant(gs)
+    return None if ref.is_zero else min(m[0] for m in ref.monoms())
+
+
+class TestEdgeCertificate:
+    """Orders certified by the Newton-polygon edges, ``_edges_apart``: exact
+    wherever the edges are apart, and taken from the whole Hadamard prime
+    set wherever they are not."""
+
+    def test_certified_orders_are_exact(self):
+        cases = _sampled_resultants(300)
+        certified = 0
+        for f, g in cases:
+            bound = germs._order_bound(f, g)
+            if bound is not None and germs._edges_apart(f, g):
+                certified += 1
+                assert bound == _full_certification(f, g)
+                assert germs._resultant(f, g) == (bound,)
+        assert certified >= 0.95 * len(cases)
+
+    @pytest.mark.parametrize(
+        "u, bound, order",
+        [
+            (germ([0, 0, 1], [0, 0, 0, 0, gaussian(Fraction(2, 3), 1), gaussian(Fraction(-1, 2), -2)]), 3, 4),
+            (germ([0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, -3, Fraction(-2, 3), 1]), 15, 16),
+        ],
+    )
+    def test_roots_agreeing_beyond_the_leading_term_fall_back(self, monkeypatch, u, bound, order):
+        # the divided differences have roots that agree in valuation and
+        # leading coefficient, so the order exceeds the Newton-polygon bound
+        f, g = (germs._integral(t) for t in _terms_of("delta", (u,)))
+        assert germs._order_bound(f, g) == bound and not germs._edges_apart(f, g)
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        res = germs._resultant(f, g)
+        assert calls == _hadamard_primes(f, g)[2]
+        assert germs._z_order(res) == _sympy_resultant_order(f, g) == order
+        ref = _sympy_delta_resultant(u)
+        assert min(m[0] for m in ref.monoms()) == order
+        assert delta_local(u) == order // 2
+
+    def test_an_identically_zero_resultant(self, monkeypatch):
+        # w^2 - 1 against 1 - w^2: each is its own edge polynomial, and the
+        # two share both roots
+        f, g = {(2, 0): (1, 0), (0, 0): (-1, 0)}, {(2, 0): (-1, 0), (0, 0): (1, 0)}
+        assert germs._order_bound(f, g) == 0 and not germs._edges_apart(f, g)
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        assert germs._resultant(f, g) == ()
+        assert calls == _hadamard_primes(f, g)[2]
+        assert _sympy_resultant_order(f, g) is None
+
+    @pytest.mark.parametrize(
+        "g, apart",
+        [
+            ({(2, 0): (1, 0), (0, 1): (-4, 0)}, True),  # w^2 - 4 z: +-2 against +-1
+            ({(2, 0): (1, 0), (0, 1): (1, 0)}, True),  # w^2 + z: +-i against +-1
+            ({(2, 0): (1, 0), (0, 1): (-1, 0), (0, 2): (1, 0)}, False),  # w^2 - z + z^2: +-1, order 4
+            ({(4, 0): (1, 0), (0, 2): (-1, 0)}, False),  # w^4 - z^2 = (w^2 - z)(w^2 + z): Res_w = 0
+        ],
+    )
+    def test_half_integer_valuations_in_pairs(self, monkeypatch, g, apart):
+        # w^2 - z has the roots +-z^(1/2): an edge of slope -1/2 whose edge
+        # polynomial c^2 - 1 gives the leading coefficients +-1
+        f = {(2, 0): (1, 0), (0, 1): (-1, 0)}
+        assert germs._edge_polynomials(f) == {Fraction(1, 2): [(-1, 0), (0, 0), (1, 0)]}
+        assert germs._edges_apart(f, g) == apart
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        res = germs._resultant(f, g)
+        ref = _sympy_resultant_order(f, g)
+        if apart:
+            assert (res, calls) == ((germs._order_bound(f, g),), []) == ((ref,), [])
+        else:
+            assert calls == _hadamard_primes(f, g)[2]
+            assert (germs._z_order(res) if res else None) == ref
 
 
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -1825,6 +1913,14 @@ class TestLargeInputs:
         )
         assert n == 53
         assert local_intersection(u, v) == 648
+
+    def test_degree_80_pair_takes_no_pass(self, monkeypatch):
+        # f = z^80 - w^82 and g = z^81 - w^83 have edges of valuations 40/41
+        # and 81/83 and no common one, so the edges certify 80 * 83 = 6640
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        germs._pair_resultant.cache_clear()
+        assert local_intersection(monomial_germ(80, 81), monomial_germ(82, 83)) == 6640
+        assert calls == []
 
     def test_huge_gaussian_coefficients(self):
         big = 10**400

@@ -215,11 +215,12 @@ def test_one_stuck_reason():
 
 
 def test_one_certification_path():
-    # the exact engine certifies an order in one place, _resultant: the first
-    # prime against the Newton-polygon bound, then the Hadamard prime set, so
-    # no caller reads a prime's order or the bound on its own
+    # the exact engine certifies an order in one place, _resultant: the
+    # Newton-polygon bound where the edge check finds the edges apart, else
+    # the Hadamard prime set, so no caller reads a prime's order, the bound
+    # or the edge check on its own
     package = Path(siefring_kit.__file__).parent
-    found = {"_order_modulo": set(), "_order_bound": set()}
+    found = {"_order_modulo": set(), "_order_bound": set(), "_edges_apart": set()}
     for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(node, "name", None)
