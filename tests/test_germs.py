@@ -1742,8 +1742,6 @@ class TestEdgeCertificate:
         res = germs._resultant(f, g)
         assert calls == _hadamard_primes(f, g)[2]
         assert germs._z_order(res) == _sympy_resultant_order(f, g) == order
-        ref = _sympy_delta_resultant(u)
-        assert min(m[0] for m in ref.monoms()) == order
         assert delta_local(u) == order // 2
 
     def test_an_identically_zero_resultant(self, monkeypatch):
