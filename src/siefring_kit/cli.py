@@ -7,24 +7,28 @@ line included), 2 scene inconsistency, 3 invariance breach or broken exact
 germ invariant.
 
 Only the subcommands that compute with numpy load it.  The layers that
-import numpy (``spectrum``, ``audit`` and ``germs``) are bound here by
+use numpy (``spectrum``, ``audit`` and ``germs``) are bound here by
 ``_lazy_submodule`` and run on their first attribute access, so
 ``closed``, ``curve`` and ``star`` start without numpy; every other layer
-is imported eagerly.  Names that must stay bound at module level:
-``audit_scene`` and ``germs``, which tests monkeypatch, and, after
-``import siefring_kit.cli``, a ``sys.modules`` entry for every layer the
-traced benchmark run wraps (``perfbench/spans.py`` ``TRACED``).
+is imported eagerly.  ``spectrum`` and ``audit`` import numpy when they
+run; ``germs`` binds it through the same lazy import, so ``germ iota``
+and ``germ delta`` load it only where the Newton-polygon edges cannot
+certify an order, and ``germ oracle`` always.  Names that must stay
+bound at module level: ``audit_scene`` and ``germs``, which tests
+monkeypatch, and, after ``import siefring_kit.cli``, a ``sys.modules``
+entry for every layer the traced benchmark run wraps
+(``perfbench/spans.py`` ``TRACED``).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import sys
 from importlib import resources
 
 from . import closed, intersection
+from ._lazy import lazy_import
 from .core import Scene, load_scene
 from .errors import InconsistencyError, InputError, InvarianceError
 from .jsonio import canonical_dumps, read_seed
@@ -32,14 +36,7 @@ from .jsonio import canonical_dumps, read_seed
 
 def _lazy_submodule(child: str):
     """The package's module ``child``, run on its first attribute access."""
-    name = f"{__package__}.{child}"
-    if name not in sys.modules:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[name] = module = importlib.util.module_from_spec(spec)
-        setattr(sys.modules[__package__], child, module)
-        spec.loader.exec_module(module)
-    return sys.modules[name]
+    return lazy_import(f"{__package__}.{child}")
 
 
 # the numpy layers run on first use, so only their subcommands import numpy

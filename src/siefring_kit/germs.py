@@ -24,6 +24,9 @@ polygons, the two edge polynomials have a nonzero resultant, R is nonzero
 and of order exactly L.  That resultant has Gaussian-integer coefficients;
 its image modulo one prime p = 1 mod 4, where i maps to iota with iota^2 =
 -1, is the resultant of the images, and a nonzero image proves it nonzero.
+Those orders take a few Python ints and no numpy, which is bound lazily
+and runs on first numeric use: Germ.numeric, the oracles and the
+fallback below.
 Every other case, a shared leading coefficient, an R that vanishes
 identically or an edge resultant that p divides, takes a certified
 multi-modular computation (Collins, J. ACM 18, 1971).  With denominators
@@ -63,10 +66,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 
-import numpy as np
-
+from ._lazy import lazy_import
+from ._modular import _nth_prime, _scalar_resultant_mod
 from .errors import InputError, InvarianceError
 from .jsonio import JsonObject, read_json, read_multiplicity, read_seed, typed
+
+np = lazy_import("numpy")  # run on first numeric use; see the module docstring
 
 ROOT_EDGE_TOL = 1e-6
 COEFF_TRIM_TOL = 1e-11
@@ -293,10 +298,8 @@ def monomial_germ(a: int, b: int) -> Germ:
 
 # -- exact resultant orders, modulo primes -------------------------------------
 
-_MODULUS_LIMIT = 1 << 31  # residues below 2^31 keep every product of two inside int64
 _MIN_LOG_LENGTH = 12  # one prime table serves every transform length up to 2^12
 _WORK_CELLS = 1 << 15  # int64 or complex128 cells in one batched work array
-_PRIME_TABLES: dict[int, list] = {}  # memo of _nth_prime, a fixed sequence per length
 
 
 def _parts(coeffs) -> list:
@@ -324,52 +327,6 @@ def _integral(terms: dict) -> dict:
     ints = {key: tuple(x.numerator * (scale // x.denominator) for x in xy) for key, xy in terms.items()}
     content = math.gcd(*(x for xy in ints.values() for x in xy))
     return {key: (re // content, im // content) for key, (re, im) in ints.items()}
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 7, 61, which decides every n < 4759123141."""
-    if n < 2:
-        return False
-    for base in (2, 7, 61):
-        if n % base == 0:
-            return n == base
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for base in (2, 7, 61):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _nth_prime(log_length: int, index: int) -> tuple[int, int, int]:
-    """(p, iota, root) for the index-th prime p < 2^31 with p = 1 mod
-    2^log_length, counting down from 2^31; iota^2 = -1 and root has order
-    2^log_length modulo p.  The table grows on demand."""
-    table = _PRIME_TABLES.setdefault(log_length, [])
-    step = 1 << log_length
-    candidate = table[-1][0] - step if table else _MODULUS_LIMIT - step + 1
-    while len(table) <= index:
-        if candidate < step:
-            raise InputError(
-                f"resultant bound needs more than the {len(table)} primes below 2^31 "
-                f"that are 1 mod 2^{log_length}"
-            )
-        if _is_prime(candidate):
-            nonresidue = 2
-            while pow(nonresidue, candidate // 2, candidate) != candidate - 1:
-                nonresidue += 1
-            root = pow(nonresidue, candidate >> log_length, candidate)
-            table.append((candidate, pow(root, step // 4, candidate), root))
-        candidate -= step
-    return table[index]
 
 
 def _row_norms(terms: dict) -> int:
@@ -497,14 +454,19 @@ def _certifying_primes(log_length: int, bound: int) -> list:
 
 
 def _lower_hull(h: dict) -> tuple[dict, list]:
-    """(least, hull) of the terms ``h``: least[j] is the least z-exponent of
-    the coefficient of w^j, and hull the vertices (j, least[j]) of the lower
-    convex hull of those points, ascending in j."""
-    least = {}
-    for j, i in h:
-        least[j] = min(i, least.get(j, i))
+    """(lowest, hull), the Newton polygon of the terms ``h``: lowest[j] =
+    (i, a_ji) is the term of least z-exponent in the coefficient of w^j,
+    and hull the vertices (j, i) of the lower convex hull of those points,
+    ascending in j.  An edge of width m and z-drop d stands for m roots in w
+    of valuation d / m (Newton-Puiseux); the first vertex's j counts the
+    roots at w = 0, and the last vertex's i is the order of the leading
+    w-coefficient."""
+    lowest = {}
+    for (j, i), c in h.items():
+        if j not in lowest or i < lowest[j][0]:
+            lowest[j] = i, c
     hull = []
-    for j, i in sorted(least.items()):
+    for j, (i, _) in sorted(lowest.items()):
         # the last vertex goes while it lies on or above the chord to (j, i)
         while len(hull) > 1:
             (ja, ia), (jb, ib) = hull[-2:]
@@ -512,69 +474,66 @@ def _lower_hull(h: dict) -> tuple[dict, list]:
                 break
             hull.pop()
         hull.append((j, i))
-    return least, hull
+    return lowest, hull
 
 
-def _newton_polygon(h: dict) -> tuple[int, int, list]:
-    """(ord_z of the leading w-coefficient, the number of roots at w = 0,
-    [(count, valuation)] of the other roots in w) of the terms ``h``.  An
-    edge of the lower hull (``_lower_hull``) of width m and slope s stands
-    for m roots of valuation -s (Newton-Puiseux); the least j counts the
-    roots at w = 0."""
-    _, hull = _lower_hull(h)
-    edges = [(j1 - j0, Fraction(i0 - i1, j1 - j0)) for (j0, i0), (j1, i1) in zip(hull, hull[1:])]
-    return hull[-1][1], hull[0][0], edges
-
-
-def _edge_polynomials(h: dict) -> dict:
-    """{valuation: ascending coefficients of E(c)} over the edges of the
-    Newton polygon of the integral terms ``h``: E(c) = sum a_ji c^(j - j0)
-    over the terms a_ji w^j z^i on the edge from (j0, i0).  A root c z^v +
-    ... of valuation v makes those terms the lowest in z, so E's roots are
-    the leading coefficients of the roots of valuation v."""
-    least, hull = _lower_hull(h)
+def _edge_polynomials(polygon: tuple) -> dict:
+    """{(d, m): ascending coefficients of E(c)} over the edges of a Newton
+    polygon (``_lower_hull``) of integral terms, keyed by the valuation d / m
+    in lowest terms: E(c) = sum a_ji c^(j - j0) over the terms a_ji w^j z^i
+    on the edge from (j0, i0).  A root c z^v + ... of valuation v makes
+    those terms the lowest in z, so E's roots are the leading coefficients
+    of the roots of valuation v."""
+    lowest, hull = polygon
     edges = {}
     for (j0, i0), (j1, i1) in zip(hull, hull[1:]):
-        coeffs = [(0, 0)] * (j1 - j0 + 1)
+        width, drop = j1 - j0, i0 - i1
+        coeffs = [(0, 0)] * (width + 1)
         for j in range(j0, j1 + 1):
-            if j in least and (least[j] - i0) * (j1 - j0) == (i1 - i0) * (j - j0):
-                coeffs[j - j0] = h[j, least[j]]
-        edges[Fraction(i0 - i1, j1 - j0)] = coeffs
+            if j in lowest and (i0 - lowest[j][0]) * width == drop * (j - j0):
+                coeffs[j - j0] = lowest[j][1]
+        k = math.gcd(drop, width)
+        edges[drop // k, width // k] = coeffs
     return edges
 
 
-def _order_bound(f: dict, g: dict):
-    """A lower bound on ord_z Res_w(f, g), or None where f and g share the
-    root w = 0, so that Res_w is 0.  Res_w = lc_f^dg lc_g^df prod (a_i - b_j)
-    over the roots a_i of f and b_j of g, and v(a - b) >= min(v(a), v(b)); a
-    root at w = 0 has infinite valuation, so it takes the other's.  Where
-    the edges are apart (``_edges_apart``), every such v(a - b) is the min,
-    and the bound is the order."""
-    (lf, zf, rf), (lg, zg, rg) = _newton_polygon(f), _newton_polygon(g)
+def _order_bound(polygon_f: tuple, polygon_g: tuple):
+    """A lower bound on ord_z Res_w(f, g) from the Newton polygons of f and
+    g (``_lower_hull``), or None where f and g share the root w = 0, so that
+    Res_w is 0.  Res_w = lc_f^dg lc_g^df prod (a_i - b_j) over the roots a_i
+    of f and b_j of g, and v(a - b) >= min(v(a), v(b)); a root at w = 0 has
+    infinite valuation, so it takes the other's.  The m roots of an edge of
+    f of z-drop d against the n of an edge of g of z-drop e give the
+    integer m n min(d / m, e / n) = min(n d, m e).  Where the edges are
+    apart (``_edges_apart``), every such v(a - b) is the min, and the bound
+    is the order."""
+    (_, hull_f), (_, hull_g) = polygon_f, polygon_g
+    (zf, first_f), (df, lf) = hull_f[0], hull_f[-1]
+    (zg, first_g), (dg, lg) = hull_g[0], hull_g[-1]
     if zf and zg:
         return None
-    (df, _), (dg, _) = max(f), max(g)
-    total = dg * lf + df * lg + zf * sum(n * v for n, v in rg) + zg * sum(m * v for m, v in rf)
-    total += sum(m * n * min(v, u) for m, v in rf for n, u in rg)
-    return math.ceil(total)
+    edges_f, edges_g = ([(j1 - j0, i0 - i1) for (j0, i0), (j1, i1) in zip(h, h[1:])] for h in (hull_f, hull_g))
+    # the roots at w = 0 of one against all roots of the other: their drops telescope
+    total = dg * lf + df * lg + zf * (first_g - lg) + zg * (first_f - lf)
+    return total + sum(min(n * d, m * e) for m, d in edges_f for n, e in edges_g)
 
 
-def _edges_apart(f: dict, g: dict) -> bool:
+def _edges_apart(polygon_f: tuple, polygon_g: tuple) -> bool:
     """True if no root of f has both the valuation and the leading
-    coefficient of a root of g, read off the integral terms: for every
-    valuation with an edge in both Newton polygons, the resultant of the
-    two edge polynomials is nonzero modulo the table's first prime, so
-    nonzero over the Gaussian integers.  Then, where f and g share no root
-    w = 0 (``_order_bound`` is not None), v(a_i - b_j) = min(v(a_i),
-    v(b_j)) in every factor of Res_w, which is nonzero and of order
-    ``_order_bound``.  False also where p divides such a resultant."""
+    coefficient of a root of g, read off the Newton polygons of the
+    integral terms (``_lower_hull``): for every valuation with an edge in
+    both, the resultant of the two edge polynomials is nonzero modulo the
+    table's first prime, so nonzero over the Gaussian integers.  Then, where
+    f and g share no root w = 0 (``_order_bound`` is not None), v(a_i -
+    b_j) = min(v(a_i), v(b_j)) in every factor of Res_w, which is nonzero
+    and of order ``_order_bound``.  False also where p divides such a
+    resultant."""
     p, iota, _ = _nth_prime(_MIN_LOG_LENGTH, 0)
-    edges_f = _edge_polynomials(f)
-    for valuation, eg in _edge_polynomials(g).items():
+    edges_f = _edge_polynomials(polygon_f)
+    for valuation, eg in _edge_polynomials(polygon_g).items():
         if valuation in edges_f:
-            pair = (edges_f[valuation], eg)
-            rows = (np.array([[(re + im * iota) % p for re, im in e]], dtype=np.int64) for e in pair)
-            if not _resultant_mod(*rows, p)[0]:
+            pair = ([(re + im * iota) % p for re, im in e] for e in (edges_f[valuation], eg))
+            if not _scalar_resultant_mod(*pair, p):
                 return False
     return True
 
@@ -647,10 +606,11 @@ def _resultant(f: dict, g: dict) -> tuple:
         # Res_w = +-f^(deg_w g) for a w-free f, +-g^(deg_w f) for a w-free g
         base, power = (f, dwg) if dwf == 0 else (g, dwf)
         return (power * min(i for _, i in base),)
-    bound = _order_bound(f, g)
+    polygons = _lower_hull(f), _lower_hull(g)
+    bound = _order_bound(*polygons)
     if bound is None:
         return ()
-    if _edges_apart(f, g):
+    if _edges_apart(*polygons):
         return (bound,)
     _, layout, degree = _sylvester_layout(f, g)
     log_length = degree.bit_length()
@@ -945,26 +905,26 @@ class _ResultantPlan:
     stack; any other draw is planned afresh, as numeric_resultant_w would.
     """
 
-    # a radius or epsilon too large overflows the samples; _trimmed refuses the result
-    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float, moving: int = 1):
-        # a float circle: an int's powers in _closed_form wrap int64 past 3**39
-        self.arrays, self.circle, self.moving = (bf, bg), float(circle), moving
-        magnitude = np.abs(self.arrays[moving])
-        magnitude[0, 0] = 0
-        self.room = magnitude.max()
-        self.steady = np.abs(self.arrays[moving][0, 0]) <= self.room
-        self.degrees = [_degrees(bf), _degrees(bg)]
-        (dfz, df), (dgz, dg) = self.degrees
-        self.stack = None
-        if min(df, dg) <= 0:
-            return  # a closed form; nothing to sample
-        self.samples = samples = dfz * dg + dgz * df + 1
-        zs = circle * np.exp(2j * np.pi * np.arange(samples) / samples)
-        # (samples, deg_z + 1) each; a column of a wider vander may differ in its last bit
-        self.zpow = [np.vander(zs, dz + 1, increasing=True) for dz, _ in self.degrees]
-        self.stack = _sylvester_stack(*map(self._rows, self.arrays, (0, 1)))
-        self.chunk = max(1, _WORK_CELLS // (df + dg) ** 2)
+        # a radius or epsilon too large overflows the samples; _trimmed refuses the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a float circle: an int's powers in _closed_form wrap int64 past 3**39
+            self.arrays, self.circle, self.moving = (bf, bg), float(circle), moving
+            magnitude = np.abs(self.arrays[moving])
+            magnitude[0, 0] = 0
+            self.room = magnitude.max()
+            self.steady = np.abs(self.arrays[moving][0, 0]) <= self.room
+            self.degrees = [_degrees(bf), _degrees(bg)]
+            (dfz, df), (dgz, dg) = self.degrees
+            self.stack = None
+            if min(df, dg) <= 0:
+                return  # a closed form; nothing to sample
+            self.samples = samples = dfz * dg + dgz * df + 1
+            zs = circle * np.exp(2j * np.pi * np.arange(samples) / samples)
+            # (samples, deg_z + 1) each; a column of a wider vander may differ in its last bit
+            self.zpow = [np.vander(zs, dz + 1, increasing=True) for dz, _ in self.degrees]
+            self.stack = _sylvester_stack(*map(self._rows, self.arrays, (0, 1)))
+            self.chunk = max(1, _WORK_CELLS // (df + dg) ** 2)
 
     def _rows(self, b: np.ndarray, which: int) -> np.ndarray:
         """The values at the samples of the w-coefficients of ``b``, in the
@@ -972,29 +932,29 @@ class _ResultantPlan:
         dz, dw = self.degrees[which]
         return self.zpow[which] @ b[: dz + 1, : dw + 1]
 
-    @np.errstate(over="ignore", invalid="ignore")
     def resultant(self, epsilon: complex | None = None) -> np.ndarray:
         """numeric_resultant_w of the arrays, with ``epsilon`` added to the
         moving one's z^0 w^0 coefficient unless it is None."""
-        arrays = self.arrays
-        if epsilon is not None:
-            arrays = list(arrays)
-            arrays[self.moving] = b = arrays[self.moving].copy()
-            b[0, 0] += epsilon
-            if not (self.steady and np.abs(b[0, 0]) <= self.room):
-                return _ResultantPlan(*arrays, self.circle, self.moving).resultant()
-        if self.stack is None:
-            return self._closed_form(*arrays)
-        rows = None if epsilon is None else self._rows(arrays[self.moving], self.moving)
-        values = []
-        for lo in range(0, self.samples, self.chunk):
-            stack = self.stack[lo : lo + self.chunk]
-            if rows is not None:
-                stack = stack.copy()
-                _place_rows(stack, rows[lo : lo + self.chunk], self.moving)
-            values.append(np.linalg.det(stack))
-        # coefficients from values at the roots of unity: c_m = (1/n) sum_s v_s w^{-sm}
-        return np.fft.fft(np.concatenate(values)) / self.samples
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays = self.arrays
+            if epsilon is not None:
+                arrays = list(arrays)
+                arrays[self.moving] = b = arrays[self.moving].copy()
+                b[0, 0] += epsilon
+                if not (self.steady and np.abs(b[0, 0]) <= self.room):
+                    return _ResultantPlan(*arrays, self.circle, self.moving).resultant()
+            if self.stack is None:
+                return self._closed_form(*arrays)
+            rows = None if epsilon is None else self._rows(arrays[self.moving], self.moving)
+            values = []
+            for lo in range(0, self.samples, self.chunk):
+                stack = self.stack[lo : lo + self.chunk]
+                if rows is not None:
+                    stack = stack.copy()
+                    _place_rows(stack, rows[lo : lo + self.chunk], self.moving)
+                values.append(np.linalg.det(stack))
+            # coefficients from values at the roots of unity: c_m = (1/n) sum_s v_s w^{-sm}
+            return np.fft.fft(np.concatenate(values)) / self.samples
 
     def _closed_form(self, bf: np.ndarray, bg: np.ndarray) -> np.ndarray:
         """The resultant where a polynomial is zero or free of w."""

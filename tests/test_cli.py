@@ -541,6 +541,48 @@ class TestStrictInputs:
         assert loaded == []
         assert [tuple(r) for r in runs] == expected
 
+    def test_exact_germ_commands_run_no_numpy_code(self, tmp_path, capsys):
+        # germs binds numpy lazily: an order the Newton-polygon edges certify
+        # and a refused file run none of it, while the Hadamard fallback and
+        # the oracle do.  A lazy placeholder may stand under "numpy", so the
+        # test is whether numpy._core was imported
+        a, b = write(tmp_path / "a.json", GERM_35), write(tmp_path / "b.json", GERM_46)
+        bad = write(tmp_path / "bad.json", MALFORMED["germ_float"][1])
+        # (z^3, z^4) against (z^3, z^4 + z^5): tangent, so the edges cannot certify
+        one, zero = [1, 1, 0, 1], [0, 1, 0, 1]
+        c = write(tmp_path / "c.json", {"p": [zero] * 3 + [one], "q": [zero] * 4 + [one]})
+        d = write(tmp_path / "d.json", {"p": [zero] * 3 + [one], "q": [zero] * 4 + [one, one]})
+        exact = [["germ", "iota", a, b], ["germ", "delta", a], ["germ", "delta", bad]]
+        numeric = [["germ", "iota", c, d], ["germ", "oracle", a, b]]
+        expected = [run(capsys, *argv)[:2] for argv in exact + numeric]
+        assert expected == [(0, "18\n"), (0, "4\n"), (1, ""), (0, "13\n"), (0, "18\n")]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        check = (
+            "import contextlib, io, json, sys, siefring_kit.germs\n"
+            "bare = 'numpy._core' in sys.modules\n"
+            "import siefring_kit.cli as c\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        runs.append([c.main(argv), out.getvalue()])\n"
+            "    runs[-1].append('numpy._core' in sys.modules)\n"
+            "print(json.dumps([bare, runs]))\n"
+        )
+
+        def fresh(commands):
+            done = subprocess.run(
+                [sys.executable, "-c", check, json.dumps(commands)], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)
+
+        # the oracle runs in an interpreter of its own, since numpy stays loaded
+        (bare, runs), (_, oracle) = fresh(exact + numeric[:1]), fresh(numeric[1:])
+        assert not bare
+        assert [tuple(r[:2]) for r in runs + oracle] == expected
+        assert [r[2] for r in runs + oracle] == [False, False, False, True, True]
+
     def test_germ_commands_leave_sympy_unloaded(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from siefring_kit import germs
+from siefring_kit import _modular, germs
 from siefring_kit.errors import InputError, InvarianceError
 from siefring_kit.germs import (
     GermNormalForm,
@@ -1519,7 +1519,7 @@ class TestModularCertification:
         special = [2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 25326001, 3215031751]
         near = range(2**31 - 2000, 2**31)
         for n in [*range(3000), *special, *near]:
-            assert germs._is_prime(n) == sympy.isprime(n), n
+            assert _modular._is_prime(n) == sympy.isprime(n), n
 
 
 def _terms_of(kind, gs):
@@ -1567,6 +1567,16 @@ def _sampled_resultants(count_each):
     return out
 
 
+def _bound(f, g):
+    """``_order_bound`` of integral terms f and g, from their Newton polygons."""
+    return germs._order_bound(germs._lower_hull(f), germs._lower_hull(g))
+
+
+def _apart(f, g):
+    """``_edges_apart`` of integral terms f and g, from their Newton polygons."""
+    return germs._edges_apart(germs._lower_hull(f), germs._lower_hull(g))
+
+
 class TestNewtonPolygonBound:
     """The Newton-polygon lower bound on ord_z Res_w, and the resultants
     that it certifies where the edges are apart."""
@@ -1589,7 +1599,7 @@ class TestNewtonPolygonBound:
             f, g = (germs._integral(t) for t in _terms_of(kind, gs))
             if not (f and g):
                 continue
-            bound = germs._order_bound(f, g)
+            bound = _bound(f, g)
             if ref.is_zero:
                 continue
             checked += 1
@@ -1606,22 +1616,31 @@ class TestNewtonPolygonBound:
             if exact is None:
                 assert res == ()
                 continue
-            bound = germs._order_bound(f, g)
+            bound = _bound(f, g)
             assert bound <= exact
             assert germs._z_order(res) == exact
             equal += bound == exact
         assert equal >= 0.9 * len(cases)
 
     def test_newton_polygon_slopes(self):
+        # (hull, (width, z-drop) of each edge, valuations d / m in lowest
+        # terms): an edge of width m and z-drop d stands for m roots of
+        # valuation d / m, the first j counts the roots at w = 0 and the last
+        # i is the order of the leading w-coefficient
+        def polygon(h):
+            lowest, hull = germs._lower_hull(h)
+            edges = [(j1 - j0, i0 - i1) for (j0, i0), (j1, i1) in zip(hull, hull[1:])]
+            return hull, edges, set(germs._edge_polynomials((lowest, hull)))
+
         # z^4 w + z w^3 + w^4: hull (1, 4), (3, 1), (4, 0); one root at w = 0,
         # two of valuation 3/2 and one of valuation 1
-        assert germs._newton_polygon({(1, 4): 1, (3, 1): 1, (4, 0): 1}) == (
-            0, 1, [(2, Fraction(3, 2)), (1, 1)]
+        assert polygon({(1, 4): 1, (3, 1): 1, (4, 0): 1}) == (
+            [(1, 4), (3, 1), (4, 0)], [(2, 3), (1, 1)], {(3, 2), (1, 1)}
         )
         # z^4 + z^2 w^2 + w^3: (2, 2) lies above the chord, three roots of valuation 4/3
-        assert germs._newton_polygon({(0, 4): 1, (2, 2): 1, (3, 0): 1}) == (0, 0, [(3, Fraction(4, 3))])
+        assert polygon({(0, 4): 1, (2, 2): 1, (3, 0): 1}) == ([(0, 4), (3, 0)], [(3, 4)], {(4, 3)})
         # z w - 1: a root 1/z of valuation -1, leading coefficient of order 1
-        assert germs._newton_polygon({(1, 1): 1, (0, 0): 1}) == (1, 0, [(1, -1)])
+        assert polygon({(1, 1): 1, (0, 0): 1}) == ([(0, 0), (1, 1)], [(1, -1)], {(-1, 1)})
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a_polynomial_with_roots_at_w_zero(self, monkeypatch, k):
@@ -1631,9 +1650,9 @@ class TestNewtonPolygonBound:
         for a in (1, 2, 3):
             v = germ([0] * a + [1, 2], [0] * (a + 1) + [3])
             f, g = (germs._integral(t) for t in _terms_of("pair", (u, v)))
-            assert germs._newton_polygon(f)[1] == a
+            assert germs._lower_hull(f)[1][0][0] == a  # the first j: a roots at w = 0
             calls.clear()
-            assert germs._resultant(f, g) == (germs._order_bound(f, g),) == (a * k,)
+            assert germs._resultant(f, g) == (_bound(f, g),) == (a * k,)
             assert calls == []
             ref = _sympy_pair_resultant(u, v)
             assert min(m[0] for m in ref.monoms()) == a * k
@@ -1642,7 +1661,7 @@ class TestNewtonPolygonBound:
     def test_shared_roots_at_w_zero_give_no_bound(self, monkeypatch):
         # f = w z + w and g = w^2 + 3 w z^2 share the root w = 0: Res_w = 0
         f, g = {(1, 1): (1, 0), (1, 0): (1, 0)}, {(2, 0): (1, 0), (1, 2): (3, 0)}
-        assert germs._order_bound(f, g) is None
+        assert _bound(f, g) is None
         calls = self._counted(monkeypatch)
         assert germs._resultant(f, g) == ()
         assert calls == []
@@ -1676,8 +1695,8 @@ class TestNewtonPolygonBound:
             singles += 1
             calls.clear()
             res = germs._resultant(f, g)
-            if germs._edges_apart(f, g):
-                assert (res, calls) == ((germs._order_bound(f, g),), [])
+            if _apart(f, g):
+                assert (res, calls) == ((_bound(f, g),), [])
                 certified += 1
             else:
                 assert calls == _hadamard_primes(f, g)[2]
@@ -1719,8 +1738,8 @@ class TestEdgeCertificate:
         cases = _sampled_resultants(300)
         certified = 0
         for f, g in cases:
-            bound = germs._order_bound(f, g)
-            if bound is not None and germs._edges_apart(f, g):
+            bound = _bound(f, g)
+            if bound is not None and _apart(f, g):
                 certified += 1
                 assert bound == _full_certification(f, g)
                 assert germs._resultant(f, g) == (bound,)
@@ -1737,7 +1756,7 @@ class TestEdgeCertificate:
         # the divided differences have roots that agree in valuation and
         # leading coefficient, so the order exceeds the Newton-polygon bound
         f, g = (germs._integral(t) for t in _terms_of("delta", (u,)))
-        assert germs._order_bound(f, g) == bound and not germs._edges_apart(f, g)
+        assert _bound(f, g) == bound and not _apart(f, g)
         calls = TestNewtonPolygonBound._counted(monkeypatch)
         res = germs._resultant(f, g)
         assert calls == _hadamard_primes(f, g)[2]
@@ -1748,7 +1767,7 @@ class TestEdgeCertificate:
         # w^2 - 1 against 1 - w^2: each is its own edge polynomial, and the
         # two share both roots
         f, g = {(2, 0): (1, 0), (0, 0): (-1, 0)}, {(2, 0): (-1, 0), (0, 0): (1, 0)}
-        assert germs._order_bound(f, g) == 0 and not germs._edges_apart(f, g)
+        assert _bound(f, g) == 0 and not _apart(f, g)
         calls = TestNewtonPolygonBound._counted(monkeypatch)
         assert germs._resultant(f, g) == ()
         assert calls == _hadamard_primes(f, g)[2]
@@ -1767,13 +1786,13 @@ class TestEdgeCertificate:
         # w^2 - z has the roots +-z^(1/2): an edge of slope -1/2 whose edge
         # polynomial c^2 - 1 gives the leading coefficients +-1
         f = {(2, 0): (1, 0), (0, 1): (-1, 0)}
-        assert germs._edge_polynomials(f) == {Fraction(1, 2): [(-1, 0), (0, 0), (1, 0)]}
-        assert germs._edges_apart(f, g) == apart
+        assert germs._edge_polynomials(germs._lower_hull(f)) == {(1, 2): [(-1, 0), (0, 0), (1, 0)]}
+        assert _apart(f, g) == apart
         calls = TestNewtonPolygonBound._counted(monkeypatch)
         res = germs._resultant(f, g)
         ref = _sympy_resultant_order(f, g)
         if apart:
-            assert (res, calls) == ((germs._order_bound(f, g),), []) == ((ref,), [])
+            assert (res, calls) == ((_bound(f, g),), []) == ((ref,), [])
         else:
             assert calls == _hadamard_primes(f, g)[2]
             assert (germs._z_order(res) if res else None) == ref
@@ -1897,8 +1916,21 @@ class TestRemainderSequence:
                 zero_polys += any((~h.any(axis=1)).any() for h in (f, g))
         assert min(swapped, drops, splits, zero_polys) >= 20
 
-
-class TestLargeInputs:
+    def test_scalar_sequence_matches_the_batched_one(self):
+        # the edge check's one-pair sequence in Python ints, on every sample
+        # of further stacks: the small primes make zero leading coefficients
+        # common, so drops come at every depth of the sequence
+        pairs = swapped = drops = 0
+        for index, p in enumerate(self.PRIMES):
+            for f, g in _remainder_stacks(p, 170, seed=10 + index):
+                expected = _det_mod(germs._sylvester_stack(f, g), p)
+                assert np.array_equal(germs._resultant_mod(f, g, p), expected)
+                for fs, gs, value in zip(f.tolist(), g.tolist(), expected.tolist()):
+                    assert germs._scalar_resultant_mod(fs, gs, p) == value
+                    pairs += 1
+                    swapped += len(fs) < len(gs)
+                    drops += (gs if len(fs) >= len(gs) else fs)[-1] == 0
+        assert pairs >= 20_000 and min(swapped, drops) >= 1000, (pairs, swapped, drops)
     def test_monomial_pair_closed_form(self):
         # iota((z^a, z^b), (z^c, z^d)) = min(a d, b c)
         assert local_intersection(monomial_germ(12, 13), monomial_germ(13, 12)) == 144
