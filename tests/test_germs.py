@@ -1931,6 +1931,9 @@ class TestRemainderSequence:
                     swapped += len(fs) < len(gs)
                     drops += (gs if len(fs) >= len(gs) else fs)[-1] == 0
         assert pairs >= 20_000 and min(swapped, drops) >= 1000, (pairs, swapped, drops)
+
+
+class TestLargeInputs:
     def test_monomial_pair_closed_form(self):
         # iota((z^a, z^b), (z^c, z^d)) = min(a d, b c)
         assert local_intersection(monomial_germ(12, 13), monomial_germ(13, 12)) == 144
