@@ -6,15 +6,16 @@ calculators).  Exit codes: 0 success, 1 input error (a malformed command
 line included), 2 scene inconsistency, 3 invariance breach or broken exact
 germ invariant.
 
-Only the subcommands that compute with numpy load it.  The layers that
-use numpy (``spectrum``, ``audit`` and ``germs``) are bound here by
-``_lazy_submodule`` and run on their first attribute access, so
-``closed``, ``curve`` and ``star`` start without numpy; every other layer
-is imported eagerly.  ``spectrum`` and ``audit`` import numpy when they
-run; ``germs`` binds it through the same lazy import, so ``germ iota``
-and ``germ delta`` load it only where the Newton-polygon edges cannot
-certify an order, and ``germ oracle`` always.  Names that must stay
-bound at module level: ``audit_scene`` and ``germs``, which tests
+A subcommand runs only the layers it uses: every layer (``audit``,
+``closed``, ``core``, ``germs``, ``intersection`` and ``spectrum``) is
+bound here by ``_lazy_submodule`` and runs on its first attribute
+access, and only ``errors`` and ``jsonio`` are imported eagerly.  So
+``closed`` and ``germ`` run no scene code, and only the subcommands that
+compute with numpy load it: ``spectrum`` and ``audit`` import it when
+they run, and ``germs`` binds it through the same lazy import, so ``germ
+iota`` and ``germ delta`` load it only where the Newton-polygon edges
+cannot certify an order, and ``germ oracle`` always.  Names that must
+stay bound at module level: ``audit_scene`` and ``germs``, which tests
 monkeypatch, and, after ``import siefring_kit.cli``, a ``sys.modules``
 entry for every layer the traced benchmark run wraps
 (``perfbench/spans.py`` ``TRACED``).
@@ -27,9 +28,7 @@ import os
 import sys
 from importlib import resources
 
-from . import closed, intersection
 from ._lazy import lazy_import
-from .core import Scene, load_scene
 from .errors import InconsistencyError, InputError, InvarianceError
 from .jsonio import canonical_dumps, read_seed
 
@@ -39,13 +38,16 @@ def _lazy_submodule(child: str):
     return lazy_import(f"{__package__}.{child}")
 
 
-# the numpy layers run on first use, so only their subcommands import numpy
+# every layer runs on first use, so a subcommand imports only the layers it uses
 audit = _lazy_submodule("audit")
+closed = _lazy_submodule("closed")
+core = _lazy_submodule("core")
 germs = _lazy_submodule("germs")
+intersection = _lazy_submodule("intersection")
 spectrum = _lazy_submodule("spectrum")
 
 
-def audit_scene(scene: Scene, shifts: int, seed: int) -> dict:
+def audit_scene(scene: core.Scene, shifts: int, seed: int) -> dict:
     """``audit.audit_scene`` under a name of this module, which tests patch,
     bound without running ``audit``."""
     return audit.audit_scene(scene, shifts=shifts, seed=seed)
@@ -59,18 +61,18 @@ EXIT_INCONSISTENT = 2
 EXIT_INVARIANCE = 3
 
 
-def golden_scene(name: str) -> Scene:
+def golden_scene(name: str) -> core.Scene:
     """Load one of the scenes shipped with the package."""
     if name not in GOLDEN_SCENES:
         raise InputError(f"unknown golden scene {name!r}; choose from {GOLDEN_SCENES}")
     with resources.as_file(resources.files("siefring_kit").joinpath(f"scenes/{name}.json")) as path:
-        return load_scene(path)
+        return core.load_scene(path)
 
 
-def _resolve_scene(ref: str) -> Scene:
+def _resolve_scene(ref: str) -> core.Scene:
     """A scene argument is a file path, or the name of a shipped scene."""
     if os.path.exists(ref):
-        return load_scene(ref)
+        return core.load_scene(ref)
     if ref in GOLDEN_SCENES:
         return golden_scene(ref)
     raise InputError(
