@@ -11,14 +11,15 @@ A subcommand runs only the layers it uses: every layer (``audit``,
 bound here by ``_lazy_submodule`` and runs on its first attribute
 access, and only ``errors`` and ``jsonio`` are imported eagerly.  So
 ``closed`` and ``germ`` run no scene code, and only the subcommands that
-compute with numpy load it: ``spectrum`` and ``audit`` import it when
-they run, and ``germs`` binds it through the same lazy import, so ``germ
-iota`` and ``germ delta`` load it only where the Newton-polygon edges
-cannot certify an order, and ``germ oracle`` always.  Names that must
-stay bound at module level: ``audit_scene`` and ``germs``, which tests
-monkeypatch, and, after ``import siefring_kit.cli``, a ``sys.modules``
-entry for every layer the traced benchmark run wraps
-(``perfbench/spans.py`` ``TRACED``).
+compute with numpy load it.  ``audit`` draws its twists from the
+standard library and never does; ``spectrum`` and ``germs`` bind numpy
+through the same lazy import, so ``spectrum`` loads it, and ``core``,
+only once a loop file passes the JSON rules, ``germ iota`` and ``germ
+delta`` only where the Newton-polygon edges cannot certify an order, and
+``germ oracle`` always.  Names that must stay bound at module level:
+``audit_scene`` and ``germs``, which tests monkeypatch, and, after
+``import siefring_kit.cli``, a ``sys.modules`` entry for every layer the
+traced benchmark run wraps (``perfbench/spans.py`` ``TRACED``).
 """
 
 from __future__ import annotations

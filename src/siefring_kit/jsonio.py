@@ -58,8 +58,9 @@ def typed(value, kind, what: str):
 
 
 def read_seed(value) -> int:
-    """A random seed: an integer, read by ``typed``, that numpy's generators
-    take, so nonnegative."""
+    """A random seed: an integer, read by ``typed``, and nonnegative, as
+    numpy's generators require.  The germ oracles seed numpy with it and
+    ``audit_scene`` the standard library's ``random.Random``."""
     seed = typed(value, int, "seed")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")

@@ -14,6 +14,10 @@ eigenfunction windings, the extremal windings on either side of zero, and
 the induced data of covered orbits; it also contains a small linear-ODE
 integrator and an exponential-decay fitter used as an independent check on
 the asymptotic-eigenvector picture.
+
+numpy and ``core`` are bound lazily and run on first use, so a loop file
+that the JSON rules of ``loop_from_dict`` refuse is refused before either
+is imported.
 """
 
 from __future__ import annotations
@@ -23,13 +27,12 @@ import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-import numpy as np
-
-from .core import CoverData, OrbitData
+from ._lazy import lazy_import
 from .errors import InputError
 from .jsonio import JsonObject, read_json, read_multiplicity, typed
 
-J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+np = lazy_import("numpy")
+core = lazy_import(f"{__package__}.core")
 
 SYMMETRY_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
@@ -41,6 +44,22 @@ PERIOD_TOL = 1e-6
 DEFAULT_CUTOFF = 32
 # the dense complex matrix has 2(2M + 1) rows: at most 67 MB at this cutoff
 MAX_CUTOFF = 512
+
+
+@cache
+def _standard_j() -> np.ndarray:
+    """J0, the standard complex structure on R^2, built on first use."""
+    return np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def __getattr__(name):
+    """``J0``, and the names ``CoverData`` and ``OrbitData`` of ``core``, read
+    on first use, so importing this module runs neither numpy nor ``core``."""
+    if name == "J0":
+        return _standard_j()
+    if name in ("CoverData", "OrbitData"):
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_symmetric(mat, what: str) -> np.ndarray:
@@ -199,7 +218,7 @@ def _galerkin(loop: SpectralLoop, modes: range) -> np.ndarray:
     # A[i, :, j, :] is the 2x2 block from mode modes[j] to mode modes[i]
     A = np.zeros((size, 2, size, 2), dtype=complex)
     idx = np.arange(size)
-    A[idx, :, idx, :] += (-2j * np.pi * np.asarray(modes))[:, None, None] * J0
+    A[idx, :, idx, :] += (-2j * np.pi * np.asarray(modes))[:, None, None] * _standard_j()
     for nu, block in s_hat.items():
         shift = nu // modes.step
         cols = idx[max(0, -shift):size - max(0, shift)]
@@ -434,7 +453,7 @@ def _alpha_record(parts, zero_tol: float) -> AlphaRecord:
             f"winding {windings[i + 1]} follows winding {windings[i]} in ascending "
             "eigenvalue; windings must not decrease, spectrum not resolved"
         )
-    cover = CoverData(alpha_minus, alpha_plus)
+    cover = core.CoverData(alpha_minus, alpha_plus)
     return AlphaRecord(alpha_minus, alpha_plus, cover.parity(), cover.cz_index())
 
 
@@ -716,5 +735,5 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
             if math.gcd(r, q) == 1
         ]
         record = _alpha_record(parts, ZERO_EIGENVALUE_TOL)
-        table[k] = CoverData(record.alpha_minus, record.alpha_plus)
-    return OrbitData(orbit_id, table)
+        table[k] = core.CoverData(record.alpha_minus, record.alpha_plus)
+    return core.OrbitData(orbit_id, table)

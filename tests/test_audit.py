@@ -3,6 +3,7 @@ transformation laws, and by the work one snapshot does."""
 
 import dataclasses
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -261,7 +262,7 @@ POSITIVITY = (
 
 
 class TestBrokenLawIsCaught:
-    # seed 0 draws the twists 4, 2, 0, -3, -2, -5 at the one orbit; with the
+    # seed 0 draws the twists 1, 1, -5, -1, 3, 2 at the one orbit; with the
     # true law all six trials pass
     def test_true_law_passes(self):
         assert audit.audit_scene(one_end_scene(), shifts=6, seed=0) == {
@@ -271,54 +272,62 @@ class TestBrokenLawIsCaught:
 
     def test_law_without_rel_c1_correction(self, monkeypatch):
         # a twist m leaves rel_c1 at 0 while the windings fall by m:
-        # index -2m, c_N -1 - m, defect numerator m
+        # index -2m, c_N -1 - m, defect numerator m, which is odd (parity)
+        # for m = 1, -5, -1, 3 and gives the value m / 2 = 1 for m = 2
         monkeypatch.setattr(audit, "shift_scene", without_rel_c1_law)
         report = audit.audit_scene(one_end_scene(), shifts=6, seed=0)
         assert report == {
             "trials": 6,
             "breaches": [
-                breach(0, "index[u]", "0", "-8", 4),
-                breach(0, "c_N[u]", "-1", "-5", 4),
-                breach(0, "adjunction_defect[u]", "('value', 0)", "('value', 2)", 4),
-                breach(1, "index[u]", "0", "-4", 2),
-                breach(1, "c_N[u]", "-1", "-3", 2),
-                breach(1, "adjunction_defect[u]", "('value', 0)", "('value', 1)", 2),
-                breach(3, "index[u]", "0", "6", -3),
-                breach(3, "c_N[u]", "-1", "2", -3),
-                breach(3, "adjunction_defect[u]", "('value', 0)", PARITY, -3),
-                breach(4, "index[u]", "0", "4", -2),
-                breach(4, "c_N[u]", "-1", "1", -2),
-                breach(4, "adjunction_defect[u]", "('value', 0)", POSITIVITY, -2),
-                breach(5, "index[u]", "0", "10", -5),
-                breach(5, "c_N[u]", "-1", "4", -5),
-                breach(5, "adjunction_defect[u]", "('value', 0)", PARITY, -5),
+                breach(0, "index[u]", "0", "-2", 1),
+                breach(0, "c_N[u]", "-1", "-2", 1),
+                breach(0, "adjunction_defect[u]", "('value', 0)", PARITY, 1),
+                breach(1, "index[u]", "0", "-2", 1),
+                breach(1, "c_N[u]", "-1", "-2", 1),
+                breach(1, "adjunction_defect[u]", "('value', 0)", PARITY, 1),
+                breach(2, "index[u]", "0", "10", -5),
+                breach(2, "c_N[u]", "-1", "4", -5),
+                breach(2, "adjunction_defect[u]", "('value', 0)", PARITY, -5),
+                breach(3, "index[u]", "0", "2", -1),
+                breach(3, "c_N[u]", "-1", "0", -1),
+                breach(3, "adjunction_defect[u]", "('value', 0)", PARITY, -1),
+                breach(4, "index[u]", "0", "-6", 3),
+                breach(4, "c_N[u]", "-1", "-4", 3),
+                breach(4, "adjunction_defect[u]", "('value', 0)", PARITY, 3),
+                breach(5, "index[u]", "0", "-4", 2),
+                breach(5, "c_N[u]", "-1", "-3", 2),
+                breach(5, "adjunction_defect[u]", "('value', 0)", "('value', 1)", 2),
             ],
         }
 
     def test_law_without_bullet_correction(self, monkeypatch):
         # a twist m leaves u . u at -1 while omega(u, u) becomes m:
-        # star(u, u) -1 - m, defect numerator -m
+        # star(u, u) -1 - m, defect numerator -m, which is odd (parity) for
+        # m = 1, -5, -1, 3 and negative (positivity) for m = 2
         monkeypatch.setattr(audit, "shift_scene", without_bullet_law)
         report = audit.audit_scene(one_end_scene(), shifts=6, seed=0)
         assert report == {
             "trials": 6,
             "breaches": [
-                breach(0, "adjunction_defect[u]", "('value', 0)", POSITIVITY, 4),
-                breach(0, "star[u,u]", "-1", "-5", 4),
-                breach(1, "adjunction_defect[u]", "('value', 0)", POSITIVITY, 2),
-                breach(1, "star[u,u]", "-1", "-3", 2),
-                breach(3, "adjunction_defect[u]", "('value', 0)", PARITY, -3),
-                breach(3, "star[u,u]", "-1", "2", -3),
-                breach(4, "adjunction_defect[u]", "('value', 0)", "('value', 1)", -2),
-                breach(4, "star[u,u]", "-1", "1", -2),
-                breach(5, "adjunction_defect[u]", "('value', 0)", PARITY, -5),
-                breach(5, "star[u,u]", "-1", "4", -5),
+                breach(0, "adjunction_defect[u]", "('value', 0)", PARITY, 1),
+                breach(0, "star[u,u]", "-1", "-2", 1),
+                breach(1, "adjunction_defect[u]", "('value', 0)", PARITY, 1),
+                breach(1, "star[u,u]", "-1", "-2", 1),
+                breach(2, "adjunction_defect[u]", "('value', 0)", PARITY, -5),
+                breach(2, "star[u,u]", "-1", "4", -5),
+                breach(3, "adjunction_defect[u]", "('value', 0)", PARITY, -1),
+                breach(3, "star[u,u]", "-1", "0", -1),
+                breach(4, "adjunction_defect[u]", "('value', 0)", PARITY, 3),
+                breach(4, "star[u,u]", "-1", "-4", 3),
+                breach(5, "adjunction_defect[u]", "('value', 0)", POSITIVITY, 2),
+                breach(5, "star[u,u]", "-1", "-3", 2),
             ],
         }
 
     def test_round_trip_breach(self, monkeypatch):
         # a law that moves rel_c1 by the twist's absolute value is not a
-        # group action: m then -m leaves rel_c1 + 2|m|
+        # group action: m then -m leaves rel_c1 + 2|m|, so every nonzero
+        # twist breaks the round trip, the negative one of trial 2 too
         def one_way_law(scene, shift):
             shifted = shift_scene(scene, shift)
             extra = abs(shift.shifts["g"])
@@ -326,7 +335,7 @@ class TestBrokenLawIsCaught:
             return Scene(shifted.orbits, curves, shifted.pairing)
 
         monkeypatch.setattr(audit, "shift_scene", one_way_law)
-        report = audit.audit_scene(one_end_scene(), shifts=2, seed=0)
+        report = audit.audit_scene(one_end_scene(), shifts=3, seed=0)
         round_trips = [b for b in report["breaches"] if b["quantity"] == "shift round-trip"]
         assert round_trips == [
             {
@@ -336,8 +345,30 @@ class TestBrokenLawIsCaught:
                 "shifted": "scene differs after shifting by m then -m",
                 "twist": {"g": m},
             }
-            for trial, m in ((0, 4), (1, 2))
+            for trial, m in ((0, 1), (1, 1), (2, -5))
         ]
+
+
+class TestTwistGenerator:
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_twists_are_standard_library_draws_in_orbit_order(self, monkeypatch, seed):
+        # each trial draws one twist per orbit from random.Random(seed), in
+        # the scene's orbit order; shift_scene sees it, then its negative
+        scene = benchmark_sized_scene()
+        shifts = []
+
+        def recorded(scene, shift):
+            shifts.append(dict(shift.shifts))
+            return shift_scene(scene, shift)
+
+        monkeypatch.setattr(audit, "shift_scene", recorded)
+        assert audit.audit_scene(scene, shifts=4, seed=seed)["breaches"] == []
+        rng = random.Random(seed)
+        ids = [o.id for o in scene.orbits]
+        expected = [{oid: rng.randint(-5, 5) for oid in ids} for _ in range(4)]
+        assert len(ids) == 6
+        assert [list(twist.items()) for twist in shifts[0::2]] == [list(t.items()) for t in expected]
+        assert shifts[1::2] == [{oid: -m for oid, m in t.items()} for t in expected]
 
 
 # -- the work of one snapshot and one shift, by call counts -------------------

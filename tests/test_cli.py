@@ -511,7 +511,7 @@ class TestStrictInputs:
         subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
     def test_scene_commands_leave_numpy_unloaded(self, tmp_path, capsys):
-        # only spectrum, audit and germ compute with numpy; the rest must not load it
+        # only spectrum and germ compute with numpy; the rest must not load it
         bad = write(tmp_path / "bad.json", MALFORMED["scene_missing_id"][1])
         commands = [
             ["closed", "cp2", "--degree", "4"],
@@ -521,9 +521,10 @@ class TestStrictInputs:
             ["star", "planar_page", "page", "binding_cylinder"],
             ["curve", bad, "page"],
             ["audit", "planar_page", "--seed", "-1"],
+            ["audit", "planar_page", "--shifts", "5", "--seed", "3"],
         ]
         expected = [run(capsys, *argv)[:2] for argv in commands]
-        assert [code for code, _ in expected] == [0, 0, 0, 0, 0, 1, 1]
+        assert [code for code, _ in expected] == [0, 0, 0, 0, 0, 1, 1, 0]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         check = (
@@ -582,6 +583,45 @@ class TestStrictInputs:
         assert not bare
         assert [tuple(r[:2]) for r in runs + oracle] == expected
         assert [r[2] for r in runs + oracle] == [False, False, False, True, True]
+
+    def test_refused_loop_files_run_no_numpy_or_scene_code(self, tmp_path, capsys):
+        # spectrum binds numpy and core lazily: a loop file that the JSON
+        # rules refuse exits 1 before either runs, while a well-formed loop
+        # runs both.  Lazy placeholders may stand under both names, so the
+        # test is whether numpy._core was imported and core's module run
+        refused = {
+            "must be a finite number, got nan": _loop_mode(cos=[[float("nan"), 0.0], [0.0, 1.0]]),
+            "unknown key 'tan'": _loop_mode(tan=[[1.0, 0.0], [0.0, 1.0]]),
+            "'n' in loop mode must be an integer": _loop_mode(n=1.5),
+            "'cos' in loop mode must be an array, got 0.0": _loop_mode(cos=[[1.0, 0.0], 0.0]),
+        }
+        paths = [write(tmp_path / f"bad{i}.json", loop) for i, loop in enumerate(refused.values())]
+        good = write(tmp_path / "good.json", LOOP_IDENTITY)
+        commands = [["spectrum", path] for path in paths] + [["spectrum", good]]
+        results = [run(capsys, *argv) for argv in commands]
+        assert [code for code, _, _ in results] == [1, 1, 1, 1, 0]
+        assert all(fragment in err for fragment, (_, _, err) in zip(refused, results))
+        expected = [result[:2] for result in results]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        check = (
+            "import contextlib, io, json, sys, types, siefring_kit.cli as c\n"
+            "def ran(name):\n"
+            "    return type(sys.modules.get(name)) is types.ModuleType\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        runs.append([c.main(argv), out.getvalue()])\n"
+            "    runs[-1] += ['numpy._core' in sys.modules, ran('siefring_kit.core')]\n"
+            "print(json.dumps(runs))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", check, json.dumps(commands)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        runs = json.loads(done.stdout)
+        assert [tuple(r[:2]) for r in runs] == expected
+        assert [r[2:] for r in runs] == [[False, False]] * 4 + [[True, True]]
 
     def test_germ_commands_leave_sympy_unloaded(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -227,3 +227,20 @@ def test_one_certification_path():
             for name, owners in found.items():
                 owners.update((path.name, owner) for _ in _uses(node, name))
     assert found == {name: {("germs.py", "_resultant")} for name in found}, found
+
+
+def test_integer_layers_import_no_numpy():
+    # audit draws its twists from the standard library and names no numpy;
+    # spectrum binds numpy and core lazily, so importing it, or refusing a
+    # loop file by the JSON rules, runs neither
+    package = Path(siefring_kit.__file__).parent
+    audit = ast.parse((package / "audit.py").read_text(encoding="utf-8"))
+    assert [line for name in ("numpy", "np") for line in _uses(audit, name)] == []
+    spectrum = ast.parse((package / "spectrum.py").read_text(encoding="utf-8"))
+    eager = [
+        f"spectrum.py:{node.lineno}: {ast.unparse(node)}"
+        for node in spectrum.body
+        if "numpy" in _imported_packages(node)
+        or (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core")
+    ]
+    assert eager == []
