@@ -31,7 +31,7 @@ from ._lazy import lazy_import
 from .errors import InputError
 from .jsonio import JsonObject, read_json, read_multiplicity, typed
 
-np = lazy_import("numpy")
+np = lazy_import("numpy")  # run on first numeric use; see the module docstring
 core = lazy_import(f"{__package__}.core")
 
 SYMMETRY_TOL = 1e-12
@@ -47,7 +47,7 @@ MAX_CUTOFF = 512
 
 
 @cache
-def _standard_j() -> np.ndarray:
+def _j0() -> np.ndarray:
     """J0, the standard complex structure on R^2, built on first use."""
     return np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -56,7 +56,7 @@ def __getattr__(name):
     """``J0``, and the names ``CoverData`` and ``OrbitData`` of ``core``, read
     on first use, so importing this module runs neither numpy nor ``core``."""
     if name == "J0":
-        return _standard_j()
+        return _j0()
     if name in ("CoverData", "OrbitData"):
         return getattr(core, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -218,7 +218,7 @@ def _galerkin(loop: SpectralLoop, modes: range) -> np.ndarray:
     # A[i, :, j, :] is the 2x2 block from mode modes[j] to mode modes[i]
     A = np.zeros((size, 2, size, 2), dtype=complex)
     idx = np.arange(size)
-    A[idx, :, idx, :] += (-2j * np.pi * np.asarray(modes))[:, None, None] * _standard_j()
+    A[idx, :, idx, :] += (-2j * np.pi * np.asarray(modes))[:, None, None] * _j0()
     for nu, block in s_hat.items():
         shift = nu // modes.step
         cols = idx[max(0, -shift):size - max(0, shift)]
