@@ -21,21 +21,29 @@ valuation v are the roots of the edge polynomial E(c) = sum a_ji
 c^(j - j0) over those terms, and v(a - b) exceeds the min only where a and
 b share both v and c.  So where, for every v with an edge in both
 polygons, the two edge polynomials have a nonzero resultant, R is nonzero
-and of order exactly L.  That resultant has Gaussian-integer coefficients;
-its image modulo one prime p = 1 mod 4, where i maps to iota with iota^2 =
--1, is the resultant of the images, and a nonzero image proves it nonzero.
-Those orders take a few Python ints and no numpy, which is bound lazily
-and runs on first numeric use: Germ.numeric, the oracles and the
+and of order exactly L.  That resultant is read off the terms as given:
+modulo one prime p = 1 mod 4, where i maps to iota with iota^2 = -1, each
+Gaussian-rational coefficient reduces from its numerators and denominators
+while p divides no denominator, the image of the resultant is the
+resultant of the images, and a nonzero image proves it nonzero.
+The same certificate settles the domain check, which refuses a germ whose
+coordinates share a zero besides z = 0: the valuation-0 edge polynomials
+are those coordinates with their powers of z stripped (of the second germ
+for a pair), so edges apart prove that they share no such zero.  The
+check, a gcd over Q(i) by Euclid, runs only where the certificate does not
+answer, and then before anything else, so its refusal still comes first.
+A certified order takes a few Python ints and no numpy, which is bound
+lazily and runs on first numeric use: Germ.numeric, the oracles and the
 fallback below.
 Every other case, a shared leading coefficient, an R that vanishes
-identically or an edge resultant that p divides, takes a certified
-multi-modular computation (Collins, J. ACM 18, 1971).  With denominators
-cleared the coefficients are Gaussian integers, reduced to F_p as above,
-and R mod p follows from its values at the N-th roots of unity and one
-inverse transform.  Each prime is one pass: its values are taken in int64
-by the Euclidean remainder sequence of the two w-polynomials (Collins,
-J. ACM 14, 1967), batched over the samples, and its transform stops at the
-first nonzero coefficient.  The order of R mod p is never below the order
+identically or an edge resultant or denominator that p divides, takes a
+certified multi-modular computation (Collins, J. ACM 18, 1971).  With
+denominators cleared the coefficients are Gaussian integers, reduced to
+F_p as above, and R mod p follows from its values at the N-th roots of
+unity and one inverse transform.  Each prime is one pass: its values are
+taken in int64 by the Euclidean remainder sequence of the two
+w-polynomials (Collins, J. ACM 14, 1967), batched over the samples, and
+its transform stops at the first nonzero coefficient.  The order of R mod p is never below the order
 of R.  Each coefficient c of R has |c|^2 <= B, the product over the
 Sylvester rows of sum_j ||s_rj||_1^2, where ||.||_1 sums |re| + |im| over
 an entry's z-coefficients: |c| is at most the largest |R(z)| on |z| = 1,
@@ -59,6 +67,7 @@ checked against each other throughout the test suite.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import sys
@@ -201,6 +210,20 @@ def _coeff(coeffs: tuple, i: int):
     return coeffs[i] if i < len(coeffs) else _ZERO
 
 
+def _gcd(f: tuple, g: tuple) -> tuple:
+    """A gcd over Q(i) of two nonzero polynomials, ascending coefficients
+    with no trailing zero, by Euclid's remainder sequence; a remainder of
+    lower degree than its divisor swaps the two."""
+    while g:
+        r, n = list(f), len(g) - 1
+        for top in range(len(f) - 1, n - 1, -1):  # r[top] goes to 0 and is dropped
+            q = r[top] / g[n]
+            for k in range(n):
+                r[top - n + k] -= q * g[k]
+        f, g = g, _strip(tuple(r[:n]))
+    return f
+
+
 @dataclass(frozen=True)
 class Germ:
     """Polynomial map germ (p(z), q(z)) into C^2 with p(0) = q(0) = 0.
@@ -239,11 +262,18 @@ class Germ:
         ``_require_small_domain``); computed once, since every cell of an
         oracle ladder asks again.  With the powers of z stripped, a zero
         coordinate leaves the other's zeros, and otherwise the two share one
-        iff their resultant in z is 0."""
+        iff their gcd over Q(i) is not a constant.  A resultant that is
+        nonzero modulo the edge check's prime (``_residues``) proves the gcd
+        constant in a few Python ints; Euclid in exact arithmetic decides
+        the rest.  No numpy either way."""
         p, q = (f[_exponents_of(f)[0] :] if f else f for f in (self.p, self.q))
         if not (p and q):
             return len(_exponents_of(p or q)) == 1
-        return bool(_resultant(*({(e, 0): c for e, c in _parts(f)} for f in (p, q))))
+        prime, iota, _ = _nth_prime(_MIN_LOG_LENGTH, 0)
+        with contextlib.suppress(ValueError):
+            if _scalar_resultant_mod(*(_residues([(c.re, c.im) for c in f], prime, iota) for f in (p, q)), prime):
+                return True
+        return len(_gcd(p, q)) == 1
 
     @cached_property
     def exponents(self) -> tuple[int, ...]:
@@ -479,9 +509,9 @@ def _lower_hull(h: dict) -> tuple[dict, list]:
 
 def _edge_polynomials(polygon: tuple) -> dict:
     """{(d, m): ascending coefficients of E(c)} over the edges of a Newton
-    polygon (``_lower_hull``) of integral terms, keyed by the valuation d / m
-    in lowest terms: E(c) = sum a_ji c^(j - j0) over the terms a_ji w^j z^i
-    on the edge from (j0, i0).  A root c z^v + ... of valuation v makes
+    polygon (``_lower_hull``), keyed by the valuation d / m in lowest
+    terms: E(c) = sum a_ji c^(j - j0) over the terms a_ji w^j z^i on the
+    edge from (j0, i0).  A root c z^v + ... of valuation v makes
     those terms the lowest in z, so E's roots are the leading coefficients
     of the roots of valuation v."""
     lowest, hull = polygon
@@ -518,21 +548,36 @@ def _order_bound(polygon_f: tuple, polygon_g: tuple):
     return total + sum(min(n * d, m * e) for m, d in edges_f for n, e in edges_g)
 
 
+def _residues(coeffs, p: int, iota: int) -> list:
+    """Gaussian rationals (re, im) modulo p, i mapped to iota, each from its
+    numerators and denominators: a ring map where p divides no denominator,
+    and a ValueError (no inverse) where it divides one."""
+    return [
+        (re.numerator * im.denominator + iota * im.numerator * re.denominator)
+        * pow(re.denominator * im.denominator, -1, p)
+        % p
+        for re, im in coeffs
+    ]
+
+
 def _edges_apart(polygon_f: tuple, polygon_g: tuple) -> bool:
     """True if no root of f has both the valuation and the leading
-    coefficient of a root of g, read off the Newton polygons of the
-    integral terms (``_lower_hull``): for every valuation with an edge in
-    both, the resultant of the two edge polynomials is nonzero modulo the
-    table's first prime, so nonzero over the Gaussian integers.  Then, where
-    f and g share no root w = 0 (``_order_bound`` is not None), v(a_i -
-    b_j) = min(v(a_i), v(b_j)) in every factor of Res_w, which is nonzero
-    and of order ``_order_bound``.  False also where p divides such a
-    resultant."""
+    coefficient of a root of g, read off the Newton polygons of the terms as
+    given (``_lower_hull``): for every valuation with an edge in both, the
+    resultant of the two edge polynomials is nonzero modulo the table's
+    first prime p (``_residues``), so nonzero over Q(i).  Then, where f and
+    g share no root w = 0 (``_order_bound`` is not None), v(a_i - b_j) =
+    min(v(a_i), v(b_j)) in every factor of Res_w, which is nonzero and of
+    order ``_order_bound``.  False also where p divides such a resultant or
+    an edge coefficient's denominator."""
     p, iota, _ = _nth_prime(_MIN_LOG_LENGTH, 0)
     edges_f = _edge_polynomials(polygon_f)
     for valuation, eg in _edge_polynomials(polygon_g).items():
         if valuation in edges_f:
-            pair = ([(re + im * iota) % p for re, im in e] for e in (edges_f[valuation], eg))
+            try:
+                pair = [_residues(e, p, iota) for e in (edges_f[valuation], eg)]
+            except ValueError:
+                return False
             if not _scalar_resultant_mod(*pair, p):
                 return False
     return True
@@ -581,37 +626,51 @@ def _order_modulo(prime: tuple, layout: list, log_length: int):
             return lo + int(np.argmax(low != 0))
 
 
-def _resultant(f: dict, g: dict) -> tuple:
+def _resultant(f: dict, g: dict, domain: tuple | None = None) -> tuple:
     """Orders at z = 0 of Res_w(f, g) modulo certifying primes, one for each
     prime where it does not vanish, or its exact order alone where a closed
     form or the Newton polygons give it; empty iff Res_w vanishes
     identically.
 
-    f and g are terms {(w-exponent, z-exponent): (re, im)}, with no term for
-    a zero polynomial.  Where the edges of the two Newton polygons are apart
-    (``_edges_apart``), the bound ``_order_bound`` is the order, and no
-    prime pass is taken.  Otherwise, modulo each prime p = 1 mod 4 (i maps
-    to iota), the resultant in w is evaluated at the N-th roots of unity, N
-    a power of two above the z-degree bound, and one inverse transform of
-    those values gives its coefficients modulo p; primes are taken until
-    their product exceeds the squared Hadamard bound, which certifies the
-    least order and the zero test (see the module docstring).  Where f and
-    g share the root w = 0, Res_w is 0 and no prime is taken.
+    f and g are terms {(w-exponent, z-exponent): (re, im)}, rational, with
+    no term for a zero polynomial.  Where both have positive w-degree and
+    the edges of their Newton polygons, read off the terms as given, are
+    apart (``_edges_apart``), the bound ``_order_bound`` is the order, and
+    nothing else is computed.  Every other answer first runs
+    ``_require_small_domain(*domain)`` where ``domain`` = (germ, detail) is
+    given, so its refusal comes before any other.  The certificate needs no
+    such check: the valuation-0 edge polynomials of the pair differences are
+    the second germ's coordinates with their powers of z stripped, -p_v(c) /
+    c^a and -q_v(c) / c^b, and those of a germ's divided differences are
+    p(c) / c^a and q(c) / c^b, so a nonzero edge resultant proves that the
+    two share no zero besides 0; a monomial coordinate has no such edge and
+    no such zero, and a zero one takes a closed form, which runs the check.
+    Where f and g share the root w = 0, Res_w is 0.  Otherwise, with
+    denominators cleared (``_integral``), modulo each prime p = 1 mod 4 (i
+    maps to iota), the resultant in w is evaluated at the N-th roots of
+    unity, N a power of two above the z-degree bound, and one inverse
+    transform of those values gives its coefficients modulo p; primes are
+    taken until their product exceeds the squared Hadamard bound, which
+    certifies the least order and the zero test (see the module docstring).
     """
-    f, g = _integral(f), _integral(g)
+    if f and g:
+        (dwf, _), (dwg, _) = max(f), max(g)
+        if dwf and dwg:
+            polygons = _lower_hull(f), _lower_hull(g)
+            bound = _order_bound(*polygons)
+            if bound is not None and _edges_apart(*polygons):
+                return (bound,)
+    if domain:
+        _require_small_domain(*domain)
     if not f or not g:
         return ()
-    (dwf, _), (dwg, _) = max(f), max(g)
     if dwf == 0 or dwg == 0:
         # Res_w = +-f^(deg_w g) for a w-free f, +-g^(deg_w f) for a w-free g
         base, power = (f, dwg) if dwf == 0 else (g, dwf)
         return (power * min(i for _, i in base),)
-    polygons = _lower_hull(f), _lower_hull(g)
-    bound = _order_bound(*polygons)
     if bound is None:
         return ()
-    if _edges_apart(*polygons):
-        return (bound,)
+    f, g = _integral(f), _integral(g)
     _, layout, degree = _sylvester_layout(f, g)
     log_length = degree.bit_length()
     primes = _certifying_primes(log_length, _row_norms(f) ** dwg * _row_norms(g) ** dwf)
@@ -632,7 +691,9 @@ _SELF_DOMAIN = "germ has self-intersection parameters in the z = 0 fiber away fr
 def _require_small_domain(u: Germ, detail: str) -> None:
     """Refuse a germ whose p and q share a zero besides z = 0: a parameter
     mapped to the origin away from 0, which the resultants would count as
-    if it were at 0.  The exact calculators and the oracles refuse alike."""
+    if it were at 0.  The exact calculators and the oracles refuse alike:
+    the oracles up front, the exact ones wherever the edge certificate does
+    not answer and before anything else (see ``_resultant``)."""
     if not u._far_zero_free:
         raise InputError(f"germ domain too large, rescale input: {detail}")
 
@@ -763,10 +824,9 @@ def delta_from_normal_form(nf: GermNormalForm) -> int:
 @lru_cache(maxsize=256)
 def _pair_resultant(u: Germ, v: Germ) -> tuple:
     """Res_w(p_u(z) - p_v(w), q_u(z) - q_v(w)) as ``_resultant`` gives it,
-    after the refusals local_intersection and its oracle share; an oracle
-    ladder asks for the same pair in every cell."""
-    _require_small_domain(v, _PAIR_DOMAIN)
-    res = _resultant(_difference_terms(u.p, v.p), _difference_terms(u.q, v.q))
+    after the refusals local_intersection and its oracle share, v's domain
+    first; an oracle ladder asks for the same pair in every cell."""
+    res = _resultant(_difference_terms(u.p, v.p), _difference_terms(u.q, v.q), (v, _PAIR_DOMAIN))
     if not res:
         raise InputError("identical images / common branch: resultant vanishes identically")
     return res
@@ -785,14 +845,17 @@ def local_intersection(u: Germ, v: Germ) -> int:
     return order
 
 
-def _double_point_refusals(u: Germ):
+def _double_point_refusals(u: Germ, domain: bool = True):
     """The refusals delta_local and its oracle share.  Returns delta for a
     germ with a vanishing coordinate (0 when the other one f has f'(0) != 0,
-    else it has a curve of double points), None for the others."""
+    else it has a curve of double points), None for the others, whose domain
+    is checked here unless ``domain`` is False: delta_local leaves that to
+    ``_resultant``."""
     if not is_simple(u):
         raise InputError("not simple: germ is a multiple cover")
     if u.p and u.q:
-        _require_small_domain(u, _SELF_DOMAIN)
+        if domain:
+            _require_small_domain(u, _SELF_DOMAIN)
         return None
     if (u.p or u.q)[1]:
         return 0
@@ -806,10 +869,10 @@ def delta_local(u: Germ) -> int:
     p and q; zero exactly for immersed germs, and at least k(k-1)/2 when
     the vanishing order is k.
     """
-    delta = _double_point_refusals(u)
+    delta = _double_point_refusals(u, domain=False)
     k, _ = critical_order(u)
     if delta is None:
-        res = _resultant(_divided_difference_terms(u.p), _divided_difference_terms(u.q))
+        res = _resultant(_divided_difference_terms(u.p), _divided_difference_terms(u.q), (u, _SELF_DOMAIN))
         if not res:
             raise InputError("non-isolated double points: divided differences share a component")
         order = _z_order(res)

@@ -584,6 +584,40 @@ class TestStrictInputs:
         assert [tuple(r[:2]) for r in runs + oracle] == expected
         assert [r[2] for r in runs + oracle] == [False, False, False, True, True]
 
+    def test_far_zero_germ_commands_run_no_numpy_code(self, tmp_path, capsys):
+        # v = (z - z^2, z^2 - z^3) maps z = 1 to the origin: the edges of
+        # neither resultant are apart, and the domain check that refuses it
+        # is a gcd over Q(i), so neither refusal imports numpy
+        one, zero, minus = [1, 1, 0, 1], [0, 1, 0, 1], [-1, 1, 0, 1]
+        u = write(tmp_path / "u.json", {"p": [zero, one], "q": [zero, zero, one]})
+        v = write(tmp_path / "v.json", {"p": [zero, one, minus], "q": [zero, zero, one, minus]})
+        commands = [["germ", "iota", u, v], ["germ", "delta", v]]
+        expected = [run(capsys, *argv) for argv in commands]
+        assert expected == [
+            (1, "", "error: germ domain too large, rescale input: second germ passes through "
+             "the first germ's basepoint fiber away from 0\n"),
+            (1, "", "error: germ domain too large, rescale input: germ has self-intersection "
+             "parameters in the z = 0 fiber away from 0\n"),
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        check = (
+            "import contextlib, io, json, sys, siefring_kit.cli as c\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = c.main(argv)\n"
+            "    runs.append([code, out.getvalue(), err.getvalue(), 'numpy._core' in sys.modules])\n"
+            "print(json.dumps(runs))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", check, json.dumps(commands)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        runs = json.loads(done.stdout)
+        assert [tuple(r[:3]) for r in runs] == expected
+        assert [r[3] for r in runs] == [False, False]
+
     def test_refused_loop_files_run_no_numpy_or_scene_code(self, tmp_path, capsys):
         # spectrum binds numpy and core lazily: a loop file that the JSON
         # rules refuse exits 1 before either runs, while a well-formed loop

@@ -1798,6 +1798,293 @@ class TestEdgeCertificate:
             assert (germs._z_order(res) if res else None) == ref
 
 
+def _times(*factors) -> list:
+    """The product of polynomials given as ascending coefficient lists."""
+    out = [1]
+    for f in factors:
+        out = [
+            sum((out[i] * f[k - i] for i in range(min(len(out), k + 1)) if k - i < len(f)), start=0)
+            for k in range(len(out) + len(f) - 1)
+        ]
+    return out
+
+
+def _compose(f, inner) -> list:
+    """f(inner(z)), ascending coefficients, by Horner's rule."""
+    out = [0]
+    for c in reversed(f):
+        out = _times(out, inner)
+        out[0] += c
+    return out
+
+
+def _unit_polynomial(rng, degree) -> list:
+    """Random coefficients of the given degree with a nonzero constant term
+    and a nonzero leading one."""
+    coeffs = [rand_coeff(rng) for _ in range(degree + 1)]
+    for i in (0, degree):
+        while not coeffs[i]:
+            coeffs[i] = rand_coeff(rng)
+    return coeffs
+
+
+SHARED_FACTORS = ([-1, 1], [-2, 1], [1, 1], [gaussian(0, -1), 1], [Fraction(-1, 2), 1], [1, 0, 1], [-2, 0, 1])
+
+
+def _far_zero_germ(rng):
+    """(z^a f(z) s(z), z^b f(z) t(z)) for a shared factor f: z - c with c in
+    {1, 2, -1, i, 1/2}, z^2 + 1 or z^2 - 2 (zeros outside Q(i)), so that p
+    and q share a zero besides 0."""
+    shared = SHARED_FACTORS[int(rng.integers(len(SHARED_FACTORS)))]
+    a, b = (int(x) for x in rng.integers(1, 4, size=2))
+    s, t = (_unit_polynomial(rng, int(rng.integers(0, 3))) for _ in range(2))
+    return germ([0] * a + _times(shared, s), [0] * b + _times(shared, t))
+
+
+def _domain_cases(count):
+    """Seeded germs, a quarter of each kind: far-zero germs, axis germs,
+    simple germs, and germs whose coordinates have a factor besides z^k or
+    vanish (a zero coordinate beside a monomial or not)."""
+    rng = np.random.default_rng(2433)
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 4
+        if kind == 0:
+            cases.append(_far_zero_germ(rng))
+        elif kind == 1:
+            cases.append(axis_germ(rng, int(rng.integers(1, 4)), int(rng.integers(0, 2))))
+        elif kind == 2:
+            cases.append(random_simple_germ(rng))
+        else:
+            k = int(rng.integers(1, 4))
+            f = [0] * k + _unit_polynomial(rng, int(rng.integers(0, 3)))
+            g = [0] * int(rng.integers(1, 4)) + _unit_polynomial(rng, int(rng.integers(0, 3)))
+            cases.append(germ(f, g) if rng.random() < 0.5 else germ(f, [0]) if rng.random() < 0.5 else germ([0], f))
+    return cases
+
+
+class TestFarZeroByEuclid:
+    """``Germ._far_zero_free`` is a gcd over Q(i), taken by Euclid on the
+    coordinates with their powers of z stripped: no resultant, no prime."""
+
+    @pytest.mark.parametrize("modular", [True, False])
+    def test_matches_sympys_gcd(self, engine_cases, monkeypatch, modular):
+        # with the modular resultant held at 0, Euclid decides every germ
+        if not modular:
+            monkeypatch.setattr(germs, "_scalar_resultant_mod", lambda f, g, p: 0)
+        germs_seen = [x for _, gs, _ in engine_cases for x in gs] + _domain_cases(300)
+        verdicts = [germs.Germ(x.p, x.q)._far_zero_free for x in germs_seen]
+        assert verdicts == [_sympy_far_zero_free(x) for x in germs_seen]
+        assert 60 <= verdicts.count(False) <= len(verdicts) - 100
+
+    def test_a_refused_germ_takes_no_prime(self, monkeypatch):
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        rng = np.random.default_rng(2434)
+        u = germ([0, 1], [0, 0, 1])
+        for _ in range(40):
+            far = _far_zero_germ(rng)
+            assert not _sympy_far_zero_free(far)
+            germs._pair_resultant.cache_clear()
+            with pytest.raises(InputError, match="germ domain too large"):
+                local_intersection(u, far)
+            if is_simple(far):
+                with pytest.raises(InputError, match="germ domain too large"):
+                    delta_local(far)
+        assert calls == []
+
+    def test_shared_zeros_outside_q_i(self):
+        # z^2 - 2 and z^2 + 1 have no root in Q(i) or none in Q; z^2 - 2
+        # times z - 1 against z^2 - 2 times z + 1 share the irrational zeros
+        assert not germ([0, -2, 0, 1], [0, 0, -2, 0, 1])._far_zero_free
+        assert not germ(_times([0, -2, 0, 1], [-1, 1]), _times([0, 0, -2, 0, 1], [1, 1]))._far_zero_free
+        assert germ([0, -2, 0, 1], [0, 0, 2, 0, 1])._far_zero_free
+        assert not germ([0, 1, 0, 1], [0, 0, 0, 1, 0, 1])._far_zero_free
+
+
+def _logged(monkeypatch, names=("_require_small_domain", "_integral", "_order_modulo")) -> list:
+    """The names of the given germs functions in the order they are called."""
+    log = []
+    for name in names:
+        real = getattr(germs, name)
+
+        def logged(*args, _real=real, _name=name):
+            log.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(germs, name, logged)
+    return log
+
+
+def _certified(f, g) -> bool:
+    """True if the Newton-polygon edges give the order of Res_w of f and g."""
+    return bool(f and g and max(f)[0] and max(g)[0] and _bound(f, g) is not None and _apart(f, g))
+
+
+def _newton_polygon_singles():
+    """The 60 simple germs of ``TestNewtonPolygonBound.test_one_pass_per_resultant``,
+    drawn from its generator after its axis pairs."""
+    rng = np.random.default_rng(2426)
+    for ku in range(1, 4):
+        for kv in range(1, 4):
+            for k, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
+                axis_germ(rng, ku, 0)
+                v = axis_germ(rng, kv, 1)
+                while not v._far_zero_free:
+                    v = axis_germ(rng, kv, 1)
+    singles = []
+    while len(singles) < 60:
+        u = random_simple_germ(rng)
+        f, g = (germs._integral(t) for t in _terms_of("delta", (u,)))
+        if max(f)[0] and max(g)[0]:
+            singles.append(u)
+    return singles
+
+
+def _seeded_axis_pairs(count):
+    """Axis pairs, tangent or transverse, and transverse branched covers."""
+    rng = np.random.default_rng(2435)
+    pairs = []
+    for i in range(count):
+        ku, kv = (int(x) for x in rng.integers(1, 4, size=2))
+        if i % 3 == 2:
+            k, m = (int(x) for x in rng.integers(1, 3, size=2))
+            pairs.append((branched_cover(axis_germ(rng, ku, 0), k), branched_cover(axis_germ(rng, kv, 1), m)))
+        else:
+            pairs.append((axis_germ(rng, ku, 0), axis_germ(rng, kv, int(rng.integers(0, 2)))))
+    return pairs
+
+
+def _value_or_refusal(call):
+    """The value of call(), or the (type, message) of the InputError or
+    InvarianceError it raises."""
+    try:
+        return call()
+    except (InputError, InvarianceError) as exc:
+        return type(exc), str(exc)
+
+
+def _domain_refusal(detail):
+    return InputError, f"germ domain too large, rescale input: {detail}"
+
+
+def _reference_intersection(u, v):
+    """local_intersection with v's domain checked first, by sympy's gcd,
+    and then the resultant."""
+    if not _sympy_far_zero_free(v):
+        return _domain_refusal(germs._PAIR_DOMAIN)
+    res = germs._resultant(*_terms_of("pair", (u, v)))
+    if not res:
+        return InputError, "identical images / common branch: resultant vanishes identically"
+    return min(res)
+
+
+def _reference_delta(u):
+    """delta_local with the refusals in their order: a multiple cover, a
+    zero coordinate's closed form, the domain, then the resultant."""
+    if not is_simple(u):
+        return InputError, "not simple: germ is a multiple cover"
+    if not (u.p and u.q):
+        return 0 if (u.p or u.q)[1] else (InputError, "non-isolated double points: a coordinate is constant")
+    if not _sympy_far_zero_free(u):
+        return _domain_refusal(germs._SELF_DOMAIN)
+    res = germs._resultant(*_terms_of("delta", (u,)))
+    if not res:
+        return InputError, "non-isolated double points: divided differences share a component"
+    return min(res) // 2
+
+
+def _outcome_cases():
+    """Seeded pairs and single germs: axis pairs, far-zero germs built as
+    z^a f(z) s(z), zero coordinates, shared components (equal images,
+    reparametrized and branched covers, a germ composed with z + z^2) and
+    germs that are not simple."""
+    rng = np.random.default_rng(2436)
+    pairs, singles = [], []
+    for i in range(160):
+        u = axis_germ(rng, int(rng.integers(1, 4)), 0)
+        kind = i % 8
+        if kind < 3:
+            v = axis_germ(rng, int(rng.integers(1, 4)), int(rng.integers(0, 2)))
+        elif kind == 3:
+            v = _far_zero_germ(rng)
+        elif kind == 4:
+            k = int(rng.integers(1, 4))
+            mono = [0] * k + [rand_coeff(rng) or 1]
+            zero_other = rng.random() < 0.5
+            v = germ([0], mono) if zero_other else germ(mono, [0])
+            if rng.random() < 0.5:  # the nonzero coordinate with a second term
+                v = germ(v.p + (1,), v.q) if v.p else germ(v.p, v.q + (1,))
+            if rng.random() < 0.3:
+                u = germ([0], u.q) if u.q else u
+        elif kind == 5:
+            v = (u, reparametrize(u, 2), branched_cover(u, 2))[int(rng.integers(3))]
+        elif kind == 6:
+            v = germ(*(_compose(f, [0, 1, 1]) for f in (u.p, u.q)))  # z + z^2 vanishes at -1 too
+        else:
+            v = _far_zero_germ(rng) if rng.random() < 0.5 else random_simple_germ(rng)
+        pairs.append((u, v))
+    for i in range(160):
+        kind = i % 4
+        if kind == 0:
+            singles.append(_far_zero_germ(rng))
+        elif kind == 1:
+            singles.append(random_simple_germ(rng, max_k=5))
+        elif kind == 2:
+            k = int(rng.integers(1, 4))
+            f = [0] * k + _unit_polynomial(rng, int(rng.integers(0, 3)))
+            singles.append(germ(f, [0]) if rng.random() < 0.5 else germ([0], f))
+        else:
+            singles.append(branched_cover(random_simple_germ(rng), int(rng.integers(1, 3))))
+    return pairs, singles
+
+
+class TestDeferredDomainCheck:
+    """An order the Newton-polygon edges certify runs no domain check and
+    clears no denominator: a nonzero valuation-0 edge resultant proves the
+    domain small.  Every other answer checks the domain first."""
+
+    def test_certified_orders_check_nothing_else(self, monkeypatch):
+        singles, pairs = _newton_polygon_singles(), _seeded_axis_pairs(300)
+        assert len(singles) == 60
+        terms = [("delta", (u,)) for u in singles] + [("pair", gs) for gs in pairs]
+        certified = [_certified(*(germs._integral(t) for t in _terms_of(kind, gs))) for kind, gs in terms]
+        log = _logged(monkeypatch)
+        seen = {"certified": 0, "refused": 0, "passes": 0}
+        for (kind, gs), sure in zip(terms, certified):
+            germs._pair_resultant.cache_clear()
+            log.clear()
+            answer = _value_or_refusal(lambda: local_intersection(*gs) if kind == "pair" else delta_local(*gs))
+            if sure:
+                seen["certified"] += 1
+                assert isinstance(answer, int) and log == []
+                continue
+            assert log[0] == "_require_small_domain", (kind, gs, log)
+            seen["refused"] += isinstance(answer, tuple)
+            seen["passes"] += "_order_modulo" in log
+        assert seen["certified"] >= 250 and seen["refused"] >= 20 and seen["passes"] >= 3, seen
+
+    def test_outcomes_match_the_domain_first_reference(self):
+        pairs, singles = _outcome_cases()
+        assert len(pairs) + len(singles) >= 300
+        got = []
+        for u, v in pairs:
+            germs._pair_resultant.cache_clear()
+            got.append(_value_or_refusal(lambda: local_intersection(u, v)))
+            assert got[-1] == _reference_intersection(u, v), (u, v)
+        for u in singles:
+            got.append(_value_or_refusal(lambda: delta_local(u)))
+            assert got[-1] == _reference_delta(u), u
+        # every refusal occurs, and a third of the inputs are answered
+        refusals = {m.split(":")[0] for m in (x[1] for x in got if isinstance(x, tuple))}
+        assert refusals == {
+            "germ domain too large, rescale input",
+            "identical images / common branch",
+            "not simple",
+            "non-isolated double points",
+        }
+        assert sum(isinstance(x, int) for x in got) >= 100
+
+
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Reference determinants modulo p of the stacked matrices a[b] (entries
     in [0, p)).  Division-free elimination multiplies the rows below pivot k

@@ -229,6 +229,27 @@ def test_one_certification_path():
     assert found == {name: {("germs.py", "_resultant")} for name in found}, found
 
 
+def test_prime_engine_read_only_by_the_fallback():
+    # the Hadamard fallback alone clears denominators and lays out primes:
+    # _integral, _sylvester_layout, _certifying_primes and _row_norms are
+    # read in _resultant only, after the edge certificate and the domain
+    # check, and the far-zero check is a gcd that takes no resultant
+    package = Path(siefring_kit.__file__).parent
+    names = ("_integral", "_sylvester_layout", "_certifying_primes", "_row_norms")
+    found = {name: set() for name in names}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            for name, owners in found.items():
+                owners.update((path.name, owner) for _ in _uses(node, name))
+    assert found == {name: {("germs.py", "_resultant")} for name in names}, found
+    germs = ast.parse((package / "germs.py").read_text(encoding="utf-8"))
+    (far_zero,) = [
+        node for node in ast.walk(germs) if isinstance(node, ast.FunctionDef) and node.name == "_far_zero_free"
+    ]
+    assert list(_uses(far_zero, "_resultant")) == []
+
+
 def test_integer_layers_import_no_numpy():
     # audit draws its twists from the standard library and names no numpy;
     # spectrum binds numpy and core lazily, so importing it, or refusing a
