@@ -1216,8 +1216,11 @@ def numeric_intersection_oracle(
     epsilon, radius = _check_perturbation(epsilon, radius)
     # a coefficient out of complex128 range is refused before any exact work;
     # the other refusals are exact (shared components make the float
-    # resultant meaningless at any tolerance), and the count stays float
+    # resultant meaningless at any tolerance), and the count stays float.
+    # The domain is checked up front: a refusal is not cached, and every
+    # cell of a ladder asks again
     u.numeric, v.numeric
+    _require_small_domain(v, _PAIR_DOMAIN)
     _pair_resultant(u, v)
     plan = _disk_plan(u, v, radius)
     edge_tol = ROOT_EDGE_TOL / radius

@@ -1803,7 +1803,7 @@ def _times(*factors) -> list:
     out = [1]
     for f in factors:
         out = [
-            sum((out[i] * f[k - i] for i in range(min(len(out), k + 1)) if k - i < len(f)), start=0)
+            sum((out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f)), start=0)
             for k in range(len(out) + len(f) - 1)
         ]
     return out
@@ -1864,8 +1864,9 @@ def _domain_cases(count):
 
 
 class TestFarZeroByEuclid:
-    """``Germ._far_zero_free`` is a gcd over Q(i), taken by Euclid on the
-    coordinates with their powers of z stripped: no resultant, no prime."""
+    """``Germ._far_zero_free`` reads the coordinates with their powers of z
+    stripped: a resultant modulo one prime, else a gcd over Q(i) by Euclid.
+    It takes no ``_resultant``, no prime pass and no numpy."""
 
     @pytest.mark.parametrize("modular", [True, False])
     def test_matches_sympys_gcd(self, engine_cases, monkeypatch, modular):
@@ -2062,6 +2063,23 @@ class TestDeferredDomainCheck:
             seen["refused"] += isinstance(answer, tuple)
             seen["passes"] += "_order_modulo" in log
         assert seen["certified"] >= 250 and seen["refused"] >= 20 and seen["passes"] >= 3, seen
+
+    def test_the_oracles_refuse_a_domain_before_any_resultant(self, monkeypatch):
+        # a refusal is not cached, so every cell of an oracle ladder checks
+        # the domain again: up front, before any exact resultant
+        log = _logged(monkeypatch, ("_resultant",))
+        rng = np.random.default_rng(2437)
+        u = germ([0, 1], [0, 0, 1])
+        for _ in range(12):
+            far = _far_zero_germ(rng)
+            germs._pair_resultant.cache_clear()
+            for eps in (1e-3, 1e-4):
+                with pytest.raises(InputError, match="germ domain too large"):
+                    numeric_intersection_oracle(u, far, epsilon=eps)
+                if is_simple(far):
+                    with pytest.raises(InputError, match="germ domain too large"):
+                        numeric_double_point_oracle(far, epsilon=eps)
+        assert log == []
 
     def test_outcomes_match_the_domain_first_reference(self):
         pairs, singles = _outcome_cases()
