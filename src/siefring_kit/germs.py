@@ -270,8 +270,9 @@ class Germ:
         if not (p and q):
             return len(_exponents_of(p or q)) == 1
         prime, iota, _ = _nth_prime(_MIN_LOG_LENGTH, 0)
-        with contextlib.suppress(ValueError):
-            if _scalar_resultant_mod(*(_residues([(c.re, c.im) for c in f], prime, iota) for f in (p, q)), prime):
+        with contextlib.suppress(ValueError):  # the prime divides a denominator
+            residues = (_residues([(c.re, c.im) for c in f], prime, iota) for f in (p, q))
+            if _scalar_resultant_mod(*residues, prime):
                 return True
         return len(_gcd(p, q)) == 1
 
@@ -511,9 +512,9 @@ def _edge_polynomials(polygon: tuple) -> dict:
     """{(d, m): ascending coefficients of E(c)} over the edges of a Newton
     polygon (``_lower_hull``), keyed by the valuation d / m in lowest
     terms: E(c) = sum a_ji c^(j - j0) over the terms a_ji w^j z^i on the
-    edge from (j0, i0).  A root c z^v + ... of valuation v makes
-    those terms the lowest in z, so E's roots are the leading coefficients
-    of the roots of valuation v."""
+    edge from (j0, i0).  A root c z^v + ... of valuation v makes those
+    terms the lowest in z, so E's roots are the leading coefficients of the
+    roots of valuation v."""
     lowest, hull = polygon
     edges = {}
     for (j0, i0), (j1, i1) in zip(hull, hull[1:]):
