@@ -1,67 +1,17 @@
-"""Arithmetic modulo the word-size primes of the exact germ engine: the
-prime table and the resultant of one pair of polynomials, in Python ints.
-``germs`` takes its primes here and keeps the batched int64 engine."""
+"""Arithmetic modulo one word-size prime, in Python ints: the prime of the
+Newton-polygon edge check and the far-zero check of ``germs``, and the
+resultant of one pair of polynomials modulo it."""
 
-from __future__ import annotations
-
-from .errors import InputError
-
-_MODULUS_LIMIT = 1 << 31  # residues below 2^31 keep every product of two inside int64
-_PRIME_TABLES: dict[int, list] = {}  # memo of _nth_prime, a fixed sequence per length
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 7, 61, which decides every n < 4759123141."""
-    if n < 2:
-        return False
-    for base in (2, 7, 61):
-        if n % base == 0:
-            return n == base
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for base in (2, 7, 61):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _nth_prime(log_length: int, index: int) -> tuple[int, int, int]:
-    """(p, iota, root) for the index-th prime p < 2^31 with p = 1 mod
-    2^log_length, counting down from 2^31; iota^2 = -1 and root has order
-    2^log_length modulo p.  The table grows on demand."""
-    table = _PRIME_TABLES.setdefault(log_length, [])
-    step = 1 << log_length
-    candidate = table[-1][0] - step if table else _MODULUS_LIMIT - step + 1
-    while len(table) <= index:
-        if candidate < step:
-            raise InputError(
-                f"resultant bound needs more than the {len(table)} primes below 2^31 "
-                f"that are 1 mod 2^{log_length}"
-            )
-        if _is_prime(candidate):
-            nonresidue = 2
-            while pow(nonresidue, candidate // 2, candidate) != candidate - 1:
-                nonresidue += 1
-            root = pow(nonresidue, candidate >> log_length, candidate)
-            table.append((candidate, pow(root, step // 4, candidate), root))
-        candidate -= step
-    return table[index]
+PRIME = 2147389441  # 1 mod 4, so that -1 has a square root modulo it
+IOTA = 815951605  # IOTA^2 = -1 modulo PRIME: the image of i
 
 
 def _scalar_resultant_mod(f: list, g: list, p: int) -> int:
-    """``_resultant_mod`` of one pair in Python ints (ascending coefficients
-    in [0, p), formal degrees the lengths less one), by the same rules but
-    with monic remainders: Res_{m,n}(f, g) = (-1)^(mn) g_n^(m-n+1)
-    Res_{n,n-1}(g, f mod g).  Every step keeps m >= n, so only the first
-    can swap."""
+    """Res_{m,n}(f, g) modulo p of ascending coefficients in [0, p) of
+    formal degrees m and n, the lengths less one, by a remainder sequence:
+    a leading g_n = 0 drops, Res_{m,n}(f, g) = f_m Res_{m,n-1}(f, g), and
+    otherwise Res_{m,n}(f, g) = (-1)^(mn) g_n^(m-n+1) Res_{n,n-1}(g, f mod
+    g).  Every step keeps m >= n, so only the first can swap."""
     value = 1
     if len(f) < len(g):
         f, g, value = g, f, (-1) ** ((len(f) - 1) * (len(g) - 1))

@@ -32,32 +32,23 @@ are those coordinates with their powers of z stripped (of the second germ
 for a pair), so edges apart prove that they share no such zero.  The
 check, a gcd over Q(i) by Euclid, runs only where the certificate does not
 answer, and then before anything else, so its refusal still comes first.
-A certified order takes a few Python ints and no numpy, which is bound
-lazily and runs on first numeric use: Germ.numeric, the oracles and the
-fallback below.
 Every other case, a shared leading coefficient, an R that vanishes
-identically or an edge resultant or denominator that p divides, takes a
-certified multi-modular computation (Collins, J. ACM 18, 1971).  With
-denominators cleared the coefficients are Gaussian integers, reduced to
-F_p as above, and R mod p follows from its values at the N-th roots of
-unity and one inverse transform.  Each prime is one pass: its values are
-taken in int64 by the Euclidean remainder sequence of the two
-w-polynomials (Collins, J. ACM 14, 1967), batched over the samples, and
-its transform stops at the first nonzero coefficient.  The order of R mod p is never below the order
-of R.  Each coefficient c of R has |c|^2 <= B, the product over the
-Sylvester rows of sum_j ||s_rj||_1^2, where ||.||_1 sums |re| + |im| over
-an entry's z-coefficients: |c| is at most the largest |R(z)| on |z| = 1,
-which Hadamard's inequality bounds by the product of the row lengths
-there.  A nonzero c that the maps for primes p_1 ... p_r all send to 0
-lies in the prime ideals (p_j, i - iota_j) of norm p_j, so p_1 ... p_r
-divides its norm |c|^2.  Once the primes' product exceeds B, some prime
-therefore sees the lowest coefficient of R: the least order over the
-primes is the order of R, and R is zero iff it is zero modulo all of them.
-The w-degrees are exact over the Gaussian integers and serve as formal
-degrees modulo p.  Where a leading coefficient vanishes mod p at a sample,
-the remainder sequence drops it by Res_{m,n}(f, g) = f_m Res_{m,n-1}(f, g),
-the expansion of the Sylvester determinant of those formal degrees along
-its first column, so every value is R mod p and no prime is skipped.
+identically or an edge resultant or denominator that p divides, takes
+Fulton's intersection algorithm (W. Fulton, Algebraic Curves, sec. 3.3)
+over the fiber z = 0.  Where the leading w-coefficient of f or of g is a
+nonzero constant, the order of R is J(f, g), the sum of the intersection
+multiplicities at the points (0, w0), and J is infinite where R = 0.  J
+is unchanged by f -> a f - A g for any polynomial A and any a with a(0, w)
+a nonzero constant; J(z^k h, g) = k deg g(0, w) + J(h, g); and J(f, g) = 0
+where f(0, w) is a nonzero constant.  So the algorithm divides in w by a
+divisor whose leading coefficient is nonzero at z = 0, or else by its
+Weierstrass polynomial, and takes out powers of z; the w-degrees fall, so
+it ends.  Terms of high z-order cannot move a small J, so they are dropped
+below a precision that grows up to D + 1, D = deg_z f deg_w g + deg_z g
+deg_w f the largest order of a nonzero R: a J that reaches it proves
+R = 0.  All of it is exact, in ints and Fractions, with no prime, no
+factoring, no field extension and no numpy, which is bound lazily and runs
+on first numeric use: Germ.numeric and the oracles.
 
 A second, independent path perturbs the germ, locates the finitely many
 intersection parameters as polynomial roots via companion matrices, and
@@ -76,7 +67,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 
 from ._lazy import lazy_import
-from ._modular import _nth_prime, _scalar_resultant_mod
+from ._modular import IOTA, PRIME, _scalar_resultant_mod
 from .errors import InputError, InvarianceError
 from .jsonio import JsonObject, read_json, read_multiplicity, read_seed, typed
 
@@ -269,10 +260,9 @@ class Germ:
         p, q = (f[_exponents_of(f)[0] :] if f else f for f in (self.p, self.q))
         if not (p and q):
             return len(_exponents_of(p or q)) == 1
-        prime, iota, _ = _nth_prime(_MIN_LOG_LENGTH, 0)
         with contextlib.suppress(ValueError):  # the prime divides a denominator
-            residues = (_residues([(c.re, c.im) for c in f], prime, iota) for f in (p, q))
-            if _scalar_resultant_mod(*residues, prime):
+            residues = (_residues([(c.re, c.im) for c in f]) for f in (p, q))
+            if _scalar_resultant_mod(*residues, PRIME):
                 return True
         return len(_gcd(p, q)) == 1
 
@@ -327,10 +317,9 @@ def monomial_germ(a: int, b: int) -> Germ:
     return germ(pa, qb)
 
 
-# -- exact resultant orders, modulo primes -------------------------------------
+# -- exact resultant orders ------------------------------------------------------
 
-_MIN_LOG_LENGTH = 12  # one prime table serves every transform length up to 2^12
-_WORK_CELLS = 1 << 15  # int64 or complex128 cells in one batched work array
+
 
 
 def _parts(coeffs) -> list:
@@ -348,140 +337,6 @@ def _difference_terms(coeffs_u, coeffs_v) -> dict:
 def _divided_difference_terms(coeffs) -> dict:
     """Terms of (f(z) - f(w)) / (z - w)."""
     return {(e - 1 - i, i): c for e, c in _parts(coeffs) for i in range(e)}
-
-
-def _integral(terms: dict) -> dict:
-    """The terms of a nonzero integer multiple of a polynomial with
-    Gaussian-rational terms, with no integer common factor; a constant
-    factor changes neither the order of a resultant nor whether it is 0."""
-    scale = math.lcm(*(x.denominator for xy in terms.values() for x in xy))
-    ints = {key: tuple(x.numerator * (scale // x.denominator) for x in xy) for key, xy in terms.items()}
-    content = math.gcd(*(x for xy in ints.values() for x in xy))
-    return {key: (re // content, im // content) for key, (re, im) in ints.items()}
-
-
-def _row_norms(terms: dict) -> int:
-    """Sum over w-exponents j of ||coefficient of w^j||_1^2: on |z| = 1 it
-    bounds the squared length of a Sylvester row of the polynomial."""
-    norms = {}
-    for (j, _), (re, im) in terms.items():
-        norms[j] = norms.get(j, 0) + abs(re) + abs(im)
-    return sum(v * v for v in norms.values())
-
-
-def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Inverses modulo p of the units x (entries in [1, p)), by Montgomery's
-    trick: one pow(., -1, p) of their product, then prefix products."""
-    xs = x.tolist()
-    before = [1]  # before[i] = x[0] ... x[i-1]
-    for v in xs:
-        before.append(before[-1] * v % p)
-    inverse = pow(before.pop(), -1, p)  # of x[0] ... x[i] as i falls
-    out = []
-    for v, prefix in zip(reversed(xs), reversed(before)):
-        out.append(inverse * prefix % p)
-        inverse = inverse * v % p
-    return np.array(out[::-1], dtype=np.int64)
-
-
-def _resultant_mod(f_rows: np.ndarray, g_rows: np.ndarray, p: int) -> np.ndarray:
-    """Res_{m,n}(f_rows[s], g_rows[s]) modulo p for every sample s, the
-    determinant of ``_sylvester_stack(f_rows, g_rows)``: ascending
-    w-coefficients in [0, p) of formal degrees m and n, the row widths
-    less one.  A Euclidean remainder sequence on descending rows keeps both
-    degrees uniform over a group of samples:
-
-    - Res_{m,n}(f, g) = (-1)^(mn) Res_{n,m}(g, f), which makes m >= n;
-    - Res_{m,0}(f, g) = g_0^m;
-    - a leading coefficient g_n that is 0 at every sample drops, since the
-      Sylvester matrix's first column is then (f_m, 0, ..., 0):
-      Res_{m,n}(f, g) = f_m Res_{m,n-1}(f, g);
-    - a leading coefficient l = g_n that is nonzero at every sample takes
-      one fraction-free pseudo-remainder r = l^(m-n+1) f mod g, of formal
-      degree n - 1: Res_{m,n}(f, g) = (-1)^(mn) Res_{n,n-1}(g, r) /
-      l^((m-n+1)(n-1));
-    - a group whose samples differ there splits by that mask.
-
-    Each step lowers the second degree by one, so the denominator needs no
-    powers: l^(m-n+1) joins a running product, ``pending``, by which each of
-    the n - 1 later steps multiplies it.  It is a product of nonzero leading
-    coefficients, a unit, and one batched inverse at the end removes it."""
-    values, scales = np.empty((2, len(f_rows)), dtype=np.int64)
-    one = np.ones(len(f_rows), dtype=np.int64)
-    work = [(np.arange(len(f_rows)), f_rows[:, ::-1], g_rows[:, ::-1], one, one, one)]
-    while work:
-        at, f, g, value, scale, pending = work.pop()
-        m, n = f.shape[1] - 1, g.shape[1] - 1
-        if m < n:
-            f, g, m, n = g, f, n, m
-            value = -value % p if m * n % 2 else value
-        if n == 0:
-            for _ in range(m):
-                value = value * g[:, 0] % p
-            values[at], scales[at] = value, scale
-            continue
-        lead = g[:, 0]
-        zero = lead == 0
-        if zero.any() and not zero.all():
-            work += [(at[s], f[s], g[s], value[s], scale[s], pending[s]) for s in (zero, ~zero)]
-            continue
-        scale = scale * pending % p
-        if zero[0]:  # and so at every sample
-            work.append((at, f, g[:, 1:], value * f[:, 0] % p, scale, pending))
-            continue
-        for _ in range(m - n + 1):
-            r = lead[:, None] * f[:, 1:]
-            r[:, :n] -= f[:, :1] * g[:, 1:]
-            f, pending = r % p, pending * lead % p
-        work.append((at, g, f, -value % p if m * n % 2 else value, scale, pending))
-    return values * _inverse_mod(scales, p) % p
-
-
-def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
-    """Sylvester matrices in w of the polynomial pairs (f_rows[s], g_rows[s])
-    (ascending coefficients, any dtype), stacked along the first axis: deg g
-    shifted copies of f's coefficients, then deg f copies of g's, each
-    descending; the exact engine's z-degree bound and the oracle use it."""
-    n = f_rows.shape[1] + g_rows.shape[1] - 2
-    out = np.zeros((len(f_rows), n, n), dtype=np.result_type(f_rows, g_rows))
-    for which, rows in enumerate((f_rows, g_rows)):
-        _place_rows(out, rows, which)
-    return out
-
-
-def _place_rows(out: np.ndarray, rows: np.ndarray, which: int) -> None:
-    """Lay f's rows (which 0) or g's (which 1) into the Sylvester stack
-    ``out`` where _sylvester_stack puts them: deg + 1 = width wide, as many
-    copies as the other polynomial's degree, g's after f's."""
-    width = rows.shape[1]
-    shift, j = np.arange(out.shape[1] + 1 - width)[:, None], np.arange(width)
-    out[:, which * (width - 1) + shift, shift + j] = rows[:, None, width - 1 - j]
-
-
-def _sylvester_layout(f: dict, g: dict):
-    """(n, [(terms, deg_w, deg_z)] for f then g, a bound on deg_z of the
-    determinant) of the Sylvester matrix in w of f and g; the bound is read
-    off the stack ``_sylvester_stack`` makes of their rows of z-degrees."""
-    zdeg = [np.full(max(h)[0] + 1, -1) for h in (f, g)]
-    for h, row in zip((f, g), zdeg):
-        np.maximum.at(row, *np.array(list(h)).T)
-    degree = _sylvester_stack(*(row[None] for row in zdeg))[0]
-    layout = [(h, len(row) - 1, int(row.max())) for h, row in zip((f, g), zdeg)]
-    # the sum of the row maxima is dzf dwg + dzg dwf; the columns' can be less
-    return len(degree), layout, int(min(degree.max(axis=a, initial=0).sum() for a in (0, 1)))
-
-
-def _certifying_primes(log_length: int, bound: int) -> list:
-    """(p, iota, omega) for the first primes of the table for transforms of
-    length 2^log_length whose product exceeds ``bound``; omega has order
-    2^log_length."""
-    table_log = max(log_length, _MIN_LOG_LENGTH)
-    primes, product = [], 1
-    while product <= bound:
-        p, iota, root = _nth_prime(table_log, len(primes))
-        primes.append((p, iota, pow(root, 1 << (table_log - log_length), p)))
-        product *= p
-    return primes
 
 
 def _lower_hull(h: dict) -> tuple[dict, list]:
@@ -549,14 +404,14 @@ def _order_bound(polygon_f: tuple, polygon_g: tuple):
     return total + sum(min(n * d, m * e) for m, d in edges_f for n, e in edges_g)
 
 
-def _residues(coeffs, p: int, iota: int) -> list:
-    """Gaussian rationals (re, im) modulo p, i mapped to iota, each from its
-    numerators and denominators: a ring map where p divides no denominator,
-    and a ValueError (no inverse) where it divides one."""
+def _residues(coeffs) -> list:
+    """Gaussian rationals (re, im) modulo PRIME, i mapped to IOTA, each from
+    its numerators and denominators: a ring map where PRIME divides no
+    denominator, and a ValueError (no inverse) where it divides one."""
     return [
-        (re.numerator * im.denominator + iota * im.numerator * re.denominator)
-        * pow(re.denominator * im.denominator, -1, p)
-        % p
+        (re.numerator * im.denominator + IOTA * im.numerator * re.denominator)
+        * pow(re.denominator * im.denominator, -1, PRIME)
+        % PRIME
         for re, im in coeffs
     ]
 
@@ -565,73 +420,137 @@ def _edges_apart(polygon_f: tuple, polygon_g: tuple) -> bool:
     """True if no root of f has both the valuation and the leading
     coefficient of a root of g, read off the Newton polygons of the terms as
     given (``_lower_hull``): for every valuation with an edge in both, the
-    resultant of the two edge polynomials is nonzero modulo the table's
-    first prime p (``_residues``), so nonzero over Q(i).  Then, where f and
+    resultant of the two edge polynomials is nonzero modulo the prime
+    p = PRIME (``_residues``), so nonzero over Q(i).  Then, where f and
     g share no root w = 0 (``_order_bound`` is not None), v(a_i - b_j) =
     min(v(a_i), v(b_j)) in every factor of Res_w, which is nonzero and of
     order ``_order_bound``.  False also where p divides such a resultant or
     an edge coefficient's denominator."""
-    p, iota, _ = _nth_prime(_MIN_LOG_LENGTH, 0)
     edges_f = _edge_polynomials(polygon_f)
     for valuation, eg in _edge_polynomials(polygon_g).items():
         if valuation in edges_f:
             try:
-                pair = [_residues(e, p, iota) for e in (edges_f[valuation], eg)]
+                pair = [_residues(e) for e in (edges_f[valuation], eg)]
             except ValueError:
                 return False
-            if not _scalar_resultant_mod(*pair, p):
+            if not _scalar_resultant_mod(*pair, PRIME):
                 return False
     return True
 
 
-def _order_modulo(prime: tuple, layout: list, log_length: int):
-    """Order at z = 0 of the resultant modulo ``prime`` = (p, iota, omega),
-    or None where it is 0 modulo p: the w-coefficients of both polynomials
-    at the N = 2^log_length powers of omega, their resultants of formal
-    degrees deg_w f and deg_w g by ``_resultant_mod`` (a coefficient that
-    vanishes there is dropped, see the module docstring), and the inverse
-    transform up to the first nonzero coefficient.  Each array holds at
-    most _WORK_CELLS cells: a batch has as many samples as the larger
-    coefficient array fits, so every remainder work array, at most
-    deg_w + 1 cells a sample, fits too."""
-    p, iota, omega = prime
-    length = 1 << log_length
-    powers = np.ones(length, dtype=np.int64)  # powers[t] = omega^t
-    width = 1
-    while width < length:
-        powers[width : 2 * width] = powers[:width] * omega % p
-        omega, width = omega * omega % p, 2 * width
-    polys = []
-    for h, dw, dz in layout:
-        coeffs = np.zeros((dw + 1, dz + 1), dtype=np.int64)
-        for (wexp, zexp), (re, im) in h.items():
-            coeffs[wexp, zexp] = (re + im * iota) % p
-        polys.append((coeffs, np.arange(dz + 1)))
-    # values[s] = Res(omega^s) modulo p
-    chunk = max(1, _WORK_CELLS // max(c.size for c, _ in polys))
-    values = np.empty(length, dtype=np.int64)
-    for lo in range(0, length, chunk):
-        sample = np.arange(lo, min(lo + chunk, length))[:, None, None]
-        # each polynomial's w-coefficients at the samples
-        rows = [(coeffs * powers[sample * zexp % length] % p).sum(axis=2) % p for coeffs, zexp in polys]
-        values[lo : lo + chunk] = _resultant_mod(*rows, p)
-    if not values.any():
-        return None
-    # N times coefficient k of Res modulo p: sum_s values[s] omega^(-s k)
-    sample = np.arange(length)[:, None]
-    step = max(1, _WORK_CELLS // length)
-    for lo in range(0, length, step):
-        k = np.arange(lo, min(lo + step, length))
-        low = (values[:, None] * powers[-sample * k % length] % p).sum(axis=0) % p
-        if low.any():
-            return lo + int(np.argmax(low != 0))
+def _exact(x):
+    """A rational as an int where it is one: int arithmetic is the fast
+    path of Fulton's algorithm, whose terms are mostly integers."""
+    return x.numerator if x.denominator == 1 else x
 
 
-def _resultant(f: dict, g: dict, domain: tuple | None = None) -> tuple:
-    """Orders at z = 0 of Res_w(f, g) modulo certifying primes, one for each
-    prime where it does not vanish, or its exact order alone where a closed
-    form or the Newton polygons give it; empty iff Res_w vanishes
-    identically.
+def _rows(terms: dict) -> dict:
+    """Terms {(w-exponent, z-exponent): (re, im)} as rows {j: {i: (re, im)}}."""
+    rows = {}
+    for (j, i), (re, im) in terms.items():
+        rows.setdefault(j, {})[i] = _exact(re), _exact(im)
+    return rows
+
+
+def _quotient(x: tuple, y: tuple) -> tuple:
+    """x / y for Gaussian rationals (re, im), y nonzero."""
+    (a, b), (c, d) = x, y
+    norm = c * c + d * d
+    return _exact(Fraction(a * c + b * d) / norm), _exact(Fraction(b * c - a * d) / norm)
+
+
+def _subtract(h: dict, q: tuple, shift: int, g: dict, precision: int) -> None:
+    """h -= x z^i w^shift g in place, for q = (i, x) and x = (re, im),
+    leaving out the terms of z-order ``precision`` or more and the terms
+    and rows that cancel."""
+    di, (qa, qb) = q
+    for j, row in g.items():
+        target = h.setdefault(j + shift, {})
+        for i, (ga, gb) in row.items():
+            if i + di >= precision:
+                continue
+            a, b = target.pop(i + di, (0, 0))
+            if qb:
+                a, b = a - (qa * ga - qb * gb), b - (qa * gb + qb * ga)
+            else:
+                a, b = a - qa * ga, b - qa * gb
+            if a or b:
+                target[i + di] = a, b
+        if not target:
+            del h[j + shift]
+
+
+def _remainder(h: dict, g: dict, precision: int) -> dict:
+    """h modulo g in w, g's leading w-coefficient c(z) nonzero at z = 0:
+    whole division where c is a constant, else the pseudo-remainder, which
+    multiplies h by c once per step."""
+    n = max(g)
+    lead = g[n]
+    for top in range(max(h), n - 1, -1):
+        if top not in h:
+            continue
+        if lead.keys() == {0}:
+            row = {i: _quotient(x, lead[0]) for i, x in h[top].items()}
+        else:
+            h, row = {}, h
+            for i, (a, b) in lead.items():
+                _subtract(h, (i, (-a, -b)), 0, row, precision)
+            row = row[top]
+        for q in row.items():  # cancels the row top of h
+            _subtract(h, q, top - n, g, precision)
+    return h
+
+
+def _weierstrass(h: dict, s: int, precision: int) -> dict:
+    """The monic W of w-degree s = deg h(0, w) that divides h modulo
+    z^precision, with h = u W and u(0, w) the constant u_0: from W = h(0, w)
+    / u_0, W += (h mod W) / u_0 until h mod W is 0, each pass raising its
+    z-order, since the quotient is u_0 at z = 0."""
+    u0 = h[s][0]
+    w = {j: {0: _quotient(row[0], u0)} for j, row in h.items() if 0 in row}
+    while rest := _remainder({j: dict(row) for j, row in h.items()}, w, precision):
+        _subtract(w, (0, _quotient((-1, 0), u0)), 0, rest, precision)
+    return w
+
+
+def _fiber_order(f: dict, g: dict) -> int | None:
+    """ord_z Res_w(f, g) by Fulton's algorithm (see the module docstring),
+    or None where Res_w vanishes identically, for terms as ``_resultant``
+    takes them, both of positive w-degree, one with a constant leading
+    w-coefficient.  A pair that differs from (f, g) by multiples of z^P,
+    P > J, has the same J (an ideal of colength n holds the n-th power of
+    the maximal ideal; Fulton sec. 2.9), and one with J >= P has J >= P.
+    So each pass drops the terms of z-order at least the precision less the
+    J counted so far, and the precision doubles from 8 up to D + 1, so that
+    a small J, the common case, keeps few terms."""
+    limit = sum(max(i for _, i in a) * max(j for j, _ in b) for a, b in ((f, g), (g, f)))
+    precision = 8
+    while True:
+        pair, total = [_rows(f), _rows(g)], 0
+        while True:
+            kept = min(precision, limit + 1) - total  # no term is left once J reaches it
+            pair = [{j: r for j, row in h.items() if (r := {i: x for i, x in row.items() if i < kept})} for h in pair]
+            degrees = [max((j for j, row in h.items() if 0 in row), default=-1) for h in pair]
+            if 0 in degrees:
+                return total
+            if max(degrees) < 0 or not all(pair):
+                break
+            if min(degrees) < 0:
+                at = degrees.index(-1)
+                k = min(min(row) for row in pair[at].values())
+                total += k * degrees[1 - at]
+                pair[at] = {j: {i - k: x for i, x in row.items()} for j, row in pair[at].items()}
+                continue
+            pair = [_weierstrass(h, s, kept) if max(h) > s else h for h, s in zip(pair, degrees)]
+            at = int(max(pair[0]) < max(pair[1]))
+            pair[at] = _remainder(pair[at], pair[1 - at], kept)
+        if precision > limit:
+            return None
+        precision *= 2
+
+
+def _resultant(f: dict, g: dict, domain: tuple | None = None) -> int | None:
+    """ord_z Res_w(f, g), or None iff Res_w vanishes identically.
 
     f and g are terms {(w-exponent, z-exponent): (re, im)}, rational, with
     no term for a zero polynomial.  Where both have positive w-degree and
@@ -646,13 +565,11 @@ def _resultant(f: dict, g: dict, domain: tuple | None = None) -> tuple:
     p(c) / c^a and q(c) / c^b, so a nonzero edge resultant proves that the
     two share no zero besides 0; a monomial coordinate has no such edge and
     no such zero, and a zero one takes a closed form, which runs the check.
-    Where f and g share the root w = 0, Res_w is 0.  Otherwise, with
-    denominators cleared (``_integral``), modulo each prime p = 1 mod 4 (i
-    maps to iota), the resultant in w is evaluated at the N-th roots of
-    unity, N a power of two above the z-degree bound, and one inverse
-    transform of those values gives its coefficients modulo p; primes are
-    taken until their product exceeds the squared Hadamard bound, which
-    certifies the least order and the zero test (see the module docstring).
+    Where f and g share the root w = 0, Res_w is 0.  Otherwise Fulton's
+    algorithm gives the order (``_fiber_order``), which needs a constant
+    leading w-coefficient: every caller's f and g have one, -lc p_v and
+    -lc q_v for a pair's differences, the top coefficients of p and q for a
+    germ's divided differences.
     """
     if f and g:
         (dwf, _), (dwg, _) = max(f), max(g)
@@ -660,29 +577,18 @@ def _resultant(f: dict, g: dict, domain: tuple | None = None) -> tuple:
             polygons = _lower_hull(f), _lower_hull(g)
             bound = _order_bound(*polygons)
             if bound is not None and _edges_apart(*polygons):
-                return (bound,)
+                return bound
     if domain:
         _require_small_domain(*domain)
     if not f or not g:
-        return ()
+        return None
     if dwf == 0 or dwg == 0:
         # Res_w = +-f^(deg_w g) for a w-free f, +-g^(deg_w f) for a w-free g
         base, power = (f, dwg) if dwf == 0 else (g, dwf)
-        return (power * min(i for _, i in base),)
+        return power * min(i for _, i in base)
     if bound is None:
-        return ()
-    f, g = _integral(f), _integral(g)
-    _, layout, degree = _sylvester_layout(f, g)
-    log_length = degree.bit_length()
-    primes = _certifying_primes(log_length, _row_norms(f) ** dwg * _row_norms(g) ** dwf)
-    orders = (_order_modulo(prime, layout, log_length) for prime in primes)
-    return tuple(order for order in orders if order is not None)
-
-
-def _z_order(res: tuple) -> int:
-    """Order of vanishing at z = 0 of a nonzero resultant, from its orders
-    modulo the certifying primes: none is below it, and one equals it."""
-    return min(res)
+        return None
+    return _fiber_order(f, g)
 
 
 _PAIR_DOMAIN = "second germ passes through the first germ's basepoint fiber away from 0"
@@ -823,14 +729,13 @@ def delta_from_normal_form(nf: GermNormalForm) -> int:
 
 
 @lru_cache(maxsize=256)
-def _pair_resultant(u: Germ, v: Germ) -> tuple:
-    """Res_w(p_u(z) - p_v(w), q_u(z) - q_v(w)) as ``_resultant`` gives it,
-    after the refusals local_intersection and its oracle share, v's domain
-    first; an oracle ladder asks for the same pair in every cell."""
-    res = _resultant(_difference_terms(u.p, v.p), _difference_terms(u.q, v.q), (v, _PAIR_DOMAIN))
-    if not res:
-        raise InputError("identical images / common branch: resultant vanishes identically")
-    return res
+def _pair_resultant(u: Germ, v: Germ) -> int | None:
+    """The order at z = 0 of Res_w(p_u(z) - p_v(w), q_u(z) - q_v(w)), or
+    None where it vanishes identically, as ``_resultant`` gives it after v's
+    domain check; an oracle ladder asks for the same pair in every cell.  A
+    domain refusal is an exception, which lru_cache does not store, and a
+    zero resultant is stored like an order, so it is proved once."""
+    return _resultant(_difference_terms(u.p, v.p), _difference_terms(u.q, v.q), (v, _PAIR_DOMAIN))
 
 
 def local_intersection(u: Germ, v: Germ) -> int:
@@ -840,7 +745,9 @@ def local_intersection(u: Germ, v: Germ) -> int:
     (p_u(z) - p_v(w), q_u(z) - q_v(w)); always >= 1, and equal to the
     algebraic count of intersections surviving near 0 after perturbation.
     """
-    order = _z_order(_pair_resultant(u, v))
+    order = _pair_resultant(u, v)
+    if order is None:
+        raise InputError("identical images / common branch: resultant vanishes identically")
     if order < 1:
         raise InvarianceError(f"exact germ invariant broken: intersection order {order} < 1")
     return order
@@ -873,10 +780,9 @@ def delta_local(u: Germ) -> int:
     delta = _double_point_refusals(u, domain=False)
     k, _ = critical_order(u)
     if delta is None:
-        res = _resultant(_divided_difference_terms(u.p), _divided_difference_terms(u.q), (u, _SELF_DOMAIN))
-        if not res:
+        order = _resultant(_divided_difference_terms(u.p), _divided_difference_terms(u.q), (u, _SELF_DOMAIN))
+        if order is None:
             raise InputError("non-isolated double points: divided differences share a component")
-        order = _z_order(res)
         if order % 2 != 0:
             raise InvarianceError(f"exact germ invariant broken: odd double-point order {order}")
         delta = order // 2
@@ -934,6 +840,30 @@ def _degrees(b: np.ndarray) -> tuple[int, int]:
     large = magnitude > COEFF_TRIM_TOL * scale
     lines = (np.flatnonzero(large.any(axis=axis)) for axis in (1, 0))
     return tuple(int(line[-1]) if len(line) else -1 for line in lines)
+
+
+_WORK_CELLS = 1 << 15  # complex128 cells in one batched work array
+
+
+def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+    """Sylvester matrices in w of the polynomial pairs (f_rows[s], g_rows[s])
+    (ascending coefficients, any dtype), stacked along the first axis: deg g
+    shifted copies of f's coefficients, then deg f copies of g's, each
+    descending; the oracle's resultants are their determinants."""
+    n = f_rows.shape[1] + g_rows.shape[1] - 2
+    out = np.zeros((len(f_rows), n, n), dtype=np.result_type(f_rows, g_rows))
+    for which, rows in enumerate((f_rows, g_rows)):
+        _place_rows(out, rows, which)
+    return out
+
+
+def _place_rows(out: np.ndarray, rows: np.ndarray, which: int) -> None:
+    """Lay f's rows (which 0) or g's (which 1) into the Sylvester stack
+    ``out`` where _sylvester_stack puts them: deg + 1 = width wide, as many
+    copies as the other polynomial's degree, g's after f's."""
+    width = rows.shape[1]
+    shift, j = np.arange(out.shape[1] + 1 - width)[:, None], np.arange(width)
+    out[:, which * (width - 1) + shift, shift + j] = rows[:, None, width - 1 - j]
 
 
 def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float) -> np.ndarray:
@@ -1222,7 +1152,7 @@ def numeric_intersection_oracle(
     # cell of a ladder asks again
     u.numeric, v.numeric
     _require_small_domain(v, _PAIR_DOMAIN)
-    _pair_resultant(u, v)
+    local_intersection(u, v)
     plan = _disk_plan(u, v, radius)
     edge_tol = ROOT_EDGE_TOL / radius
 

@@ -497,7 +497,7 @@ class TestStrictInputs:
         assert allocations == []
 
     def test_broken_germ_invariant_exits_three(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli.germs, "_z_order", lambda res: 3)
+        monkeypatch.setattr(cli.germs, "_resultant", lambda f, g, domain=None: 3)
         a = write(tmp_path / "a.json", GERM_35)
         code, out, err = run(capsys, "germ", "delta", a)
         assert code == 3
@@ -543,10 +543,10 @@ class TestStrictInputs:
         assert [tuple(r) for r in runs] == expected
 
     def test_exact_germ_commands_run_no_numpy_code(self, tmp_path, capsys):
-        # germs binds numpy lazily: an order the Newton-polygon edges certify
-        # and a refused file run none of it, while the Hadamard fallback and
-        # the oracle do.  A lazy placeholder may stand under "numpy", so the
-        # test is whether numpy._core was imported
+        # germs binds numpy lazily: an order the Newton-polygon edges certify,
+        # one from Fulton's algorithm, a zero resultant and a refused file run
+        # none of it, while the oracle does.  A lazy placeholder may stand
+        # under "numpy", so the test is whether numpy._core was imported
         a, b = write(tmp_path / "a.json", GERM_35), write(tmp_path / "b.json", GERM_46)
         bad = write(tmp_path / "bad.json", MALFORMED["germ_float"][1])
         # (z^3, z^4) against (z^3, z^4 + z^5): tangent, so the edges cannot certify
@@ -554,9 +554,10 @@ class TestStrictInputs:
         c = write(tmp_path / "c.json", {"p": [zero] * 3 + [one], "q": [zero] * 4 + [one]})
         d = write(tmp_path / "d.json", {"p": [zero] * 3 + [one], "q": [zero] * 4 + [one, one]})
         exact = [["germ", "iota", a, b], ["germ", "delta", a], ["germ", "delta", bad]]
-        numeric = [["germ", "iota", c, d], ["germ", "oracle", a, b]]
+        exact += [["germ", "iota", c, d], ["germ", "iota", a, a]]
+        numeric = [["germ", "oracle", a, b]]
         expected = [run(capsys, *argv)[:2] for argv in exact + numeric]
-        assert expected == [(0, "18\n"), (0, "4\n"), (1, ""), (0, "13\n"), (0, "18\n")]
+        assert expected == [(0, "18\n"), (0, "4\n"), (1, ""), (0, "13\n"), (1, ""), (0, "18\n")]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         check = (
             "import contextlib, io, json, sys, siefring_kit.germs\n"
@@ -579,10 +580,10 @@ class TestStrictInputs:
             return json.loads(done.stdout)
 
         # the oracle runs in an interpreter of its own, since numpy stays loaded
-        (bare, runs), (_, oracle) = fresh(exact + numeric[:1]), fresh(numeric[1:])
+        (bare, runs), (_, oracle) = fresh(exact), fresh(numeric)
         assert not bare
         assert [tuple(r[:2]) for r in runs + oracle] == expected
-        assert [r[2] for r in runs + oracle] == [False, False, False, True, True]
+        assert [r[2] for r in runs + oracle] == [False, False, False, False, False, True]
 
     def test_far_zero_germ_commands_run_no_numpy_code(self, tmp_path, capsys):
         # v = (z - z^2, z^2 - z^3) maps z = 1 to the origin: the edges of

@@ -1066,6 +1066,19 @@ class TestOracleDomainRefusal:
                     numeric_intersection_oracle(u, v, epsilon=eps, radius=radius)
                 assert str(oracle.value) == str(exact.value)
 
+    def test_identical_images_proved_once_per_ladder(self, monkeypatch):
+        # the zero resultant is cached like an order, and the refusal raised
+        # outside the cache: the whole radius x epsilon ladder takes one call
+        # of Fulton's algorithm
+        u = germ([0, 1, 0, 2], [0, 0, 1, 0, 3])
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        germs._pair_resultant.cache_clear()
+        for radius in RADIUS_LADDER:
+            for eps in EPSILON_LADDER:
+                with pytest.raises(InputError, match="identical images"):
+                    numeric_intersection_oracle(u, reparametrize(u, 1), epsilon=eps, radius=radius)
+        assert calls == [None]
+
 
 class TestOracleRangeRefusal:
     """The pair oracle reads both germs as complex128 before any exact
@@ -1080,7 +1093,7 @@ class TestOracleRangeRefusal:
             raise AssertionError("exact resultant computed before the range refusal")
 
         germs._pair_resultant.cache_clear()
-        monkeypatch.setattr(germs, "_order_modulo", no_exact_work)
+        monkeypatch.setattr(germs, "_resultant", no_exact_work)
         u = getattr(self, name)
         for pair in ((u, QUARTIC46), (QUARTIC46, u)):
             with pytest.raises(InputError, match="out of the range of complex128"):
@@ -1105,17 +1118,17 @@ class TestExactInvariantGuards:
             delta_from_normal_form(nf)
 
     def test_broken_intersection_order(self, monkeypatch):
-        monkeypatch.setattr(germs, "_z_order", lambda res: 0)
+        monkeypatch.setattr(germs, "_pair_resultant", lambda u, v: 0)
         with pytest.raises(InvarianceError, match="intersection order 0"):
             local_intersection(germ([0, 1], [0]), germ([0], [0, 1]))
 
     def test_broken_double_point_order(self, monkeypatch):
-        monkeypatch.setattr(germs, "_z_order", lambda res: 3)
+        monkeypatch.setattr(germs, "_resultant", lambda f, g, domain=None: 3)
         with pytest.raises(InvarianceError, match="odd double-point order 3"):
             delta_local(CUSP23)
 
     def test_broken_delta_bounds(self, monkeypatch):
-        monkeypatch.setattr(germs, "_z_order", lambda res: 0)
+        monkeypatch.setattr(germs, "_resultant", lambda f, g, domain=None: 0)
         with pytest.raises(InvarianceError, match="delta 0 at vanishing order 2"):
             delta_local(CUSP23)
 
@@ -1341,38 +1354,25 @@ def engine_cases():
 
 
 class TestModularResultantEngine:
-    """The certified modular engine against sympy's resultant and gcd."""
+    """The exact resultant orders and the far-zero check against sympy's
+    resultant and gcd."""
 
     def test_orders_and_zero_tests_match_sympy(self, engine_cases):
+        # every row through _resultant, and every row of positive w-degrees
+        # through Fulton's algorithm itself, whether the edges certify it or not
         assert len(engine_cases) >= 60
-        zero = 0
+        zero = fulton = 0
         for kind, gs, ref in engine_cases:
-            if kind == "pair":
-                u, v = gs
-                terms = germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
-            else:
-                (u,) = gs
-                terms = germs._divided_difference_terms(u.p), germs._divided_difference_terms(u.q)
-            res = germs._resultant(*terms)
-            if ref.is_zero:
-                zero += 1
-                assert res == ()
-            else:
-                assert germs._z_order(res) == min(m[0] for m in ref.monoms())
+            terms = _terms_of(kind, gs)
+            expected = None if ref.is_zero else min(m[0] for m in ref.monoms())
+            zero += expected is None
+            assert germs._resultant(*terms) == expected
+            if all(h and max(h)[0] for h in terms):
+                fulton += 1
+                assert germs._fiber_order(*terms) == expected
             for x in gs:
                 assert x._far_zero_free == _sympy_far_zero_free(x)
-        assert zero >= 8
-
-    def test_batch_size_changes_no_answer(self, engine_cases, monkeypatch):
-        # a few cells per batch splits the samples, the primes and the
-        # transform into many batches
-        terms = [
-            (germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q))
-            for kind, (u, v), _ in engine_cases[:9]
-        ]
-        expected = [germs._resultant(*t) for t in terms]
-        monkeypatch.setattr(germs, "_WORK_CELLS", 40)
-        assert [germs._resultant(*t) for t in terms] == expected
+        assert zero >= 8 and fulton >= 45
 
     def test_refusals_match_sympy(self, engine_cases):
         for kind, gs, ref in engine_cases:
@@ -1409,31 +1409,26 @@ class TestModularResultantEngine:
         assert local_intersection(germ([0, 1], [0]), germ([0], [0, 0, 0, 2])) == 3
         assert local_intersection(germ([0, 0, 1], [0]), germ([0], [0, 0, 0, 2])) == 6
         # both free of w: Res_w = 1
-        assert germs._resultant({(0, 1): (1, 0)}, {(0, 2): (1, 0)}) == (0,)
+        assert germs._resultant({(0, 1): (1, 0)}, {(0, 2): (1, 0)}) == 0
         w, z = sympy.symbols("w z")
         assert _sympy_poly({(0, 1): 1}, w, z).resultant(_sympy_poly({(0, 2): 1}, w, z)).as_expr() == 1
 
 
 def _reference_sylvester_layout(f, g):
-    """Reference Sylvester layout as index arrays: (n, [(terms, deg_w, deg_z,
-    rows, columns, w-exponents)] for f then g, a bound on deg_z of the
-    determinant), each coefficient of w-exponent j at (rows, columns)."""
-    (dwf, dzf), (dwg, dzg) = (tuple(max(e) for e in zip(*h)) for h in (f, g))
-    n = dwf + dwg
-    layout, degree = [], np.full((n, n), -1)
-    for h, dw, dz, copies, at in ((f, dwf, dzf, dwg, 0), (g, dwg, dzg, dwf, dwg)):
+    """Reference Sylvester layout in w as index arrays: (n, [(deg_w, rows,
+    columns, w-exponents)] for f then g), each coefficient of w-exponent j
+    at (rows, columns)."""
+    dwf, dwg = max(f)[0], max(g)[0]
+    layout = []
+    for dw, copies, at in ((dwf, dwg, 0), (dwg, dwf, dwg)):
         shift, j = np.repeat(np.arange(copies), dw + 1), np.tile(np.arange(dw + 1), copies)
-        layout.append((h, dw, dz, at + shift, shift + dw - j, j))
-        zdeg = np.full(dw + 1, -1)
-        for wexp, zexp in h:
-            zdeg[wexp] = max(zdeg[wexp], zexp)
-        degree[at + shift, shift + dw - j] = zdeg[j]
-    return n, layout, int(min(degree.max(axis=a, initial=0).sum() for a in (0, 1)))
+        layout.append((dw, at + shift, shift + dw - j, j))
+    return dwf + dwg, layout
 
 
 def _sylvester_pairs(count, seed):
-    """Integral term pairs, both of positive w-degree, from seeded axis pairs,
-    their branched covers and simple germs' divided differences."""
+    """Term pairs, both of positive w-degree, from seeded axis pairs, their
+    branched covers and simple germs' divided differences."""
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < count:
@@ -1449,28 +1444,25 @@ def _sylvester_pairs(count, seed):
             terms = germs._divided_difference_terms(u.p), germs._divided_difference_terms(u.q)
         else:
             terms = germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
-        f, g = (germs._integral(t) for t in terms)
+        f, g = terms
         if f and g and max(f)[0] and max(g)[0]:
             pairs.append((f, g))
     return pairs
 
 
 class TestOneSylvesterBuilder:
-    """The exact engine's z-degree bound and the reference determinant
-    ``_det_mod`` lay their int64 Sylvester matrices out through
-    ``_sylvester_stack``, as the oracle does its complex ones."""
+    """The reference determinant ``_det_mod`` lays its int64 Sylvester
+    matrices out through ``_sylvester_stack``, as the oracle does its complex
+    ones."""
 
     def test_matches_the_index_array_layout(self):
         rng = np.random.default_rng(7)
         for f, g in _sylvester_pairs(300, seed=2026):
-            n, layout, bound = germs._sylvester_layout(f, g)
-            ref_n, ref_layout, ref_bound = _reference_sylvester_layout(f, g)
-            assert (n, bound) == (ref_n, ref_bound)
-            assert layout == [x[:3] for x in ref_layout]
+            n, ref_layout = _reference_sylvester_layout(f, g)
             # w-coefficient rows of f and g at 4 samples, residues below 2^31
-            rows = [rng.integers(0, 2**31, size=(4, dw + 1)) for _, dw, _ in layout]
+            rows = [rng.integers(0, 2**31, size=(4, dw + 1)) for dw, *_ in ref_layout]
             expected = np.zeros((4, n, n), dtype=np.int64)
-            for (_, _, _, row, col, j), values in zip(ref_layout, rows):
+            for (_, row, col, j), values in zip(ref_layout, rows):
                 expected[:, row, col] = values[:, j]
             stacked = germs._sylvester_stack(*rows)
             assert stacked.dtype == np.int64
@@ -1478,22 +1470,23 @@ class TestOneSylvesterBuilder:
 
 
 class TestModularCertification:
-    """Cases where the first prime alone gives a wrong answer."""
+    """Cases where the edge check's prime alone gives a wrong answer."""
 
-    P = germs._nth_prime(germs._MIN_LOG_LENGTH, 0)[0]
+    P = _modular.PRIME
 
     def test_first_prime_alone_reads_too_high_an_order(self, monkeypatch):
         # the edges of this pair are apart, which certifies its order
-        # outright; with the edge check refusing, the Hadamard prime set
-        # must correct the first prime's order
+        # outright; modulo P the resultant is -z^4, of order 4.  With the
+        # edge check refusing, Fulton's algorithm, which takes no prime,
+        # reads the order 1
         u, v = germ([0, 1], [0, 0, 1]), germ([0, 0, 1], [0, self.P])
         z = sympy.Symbol("z")
         assert _sympy_pair_resultant(u, v).as_expr() in {self.P**2 * z - z**4, z**4 - self.P**2 * z}
         terms = germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
-        assert germs._resultant(*terms) == (1,)
+        assert germs._resultant(*terms) == 1
         monkeypatch.setattr(germs, "_edges_apart", lambda f, g: False)
-        res = germs._resultant(*terms)
-        assert res[0] == 4 and len(res) > 1
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        assert germs._resultant(*terms) == 1 and len(calls) == 1
         germs._pair_resultant.cache_clear()
         assert local_intersection(u, v) == 1
 
@@ -1503,23 +1496,10 @@ class TestModularCertification:
         assert _sympy_pair_resultant(u, v).as_expr() == self.P**2 * z
         assert local_intersection(u, v) == 1
 
-    @pytest.mark.parametrize("log_length", [12, 13, 16])
-    def test_prime_table(self, log_length):
-        for index in range(12):
-            p, iota, root = germs._nth_prime(log_length, index)
-            assert sympy.isprime(p) and p < 2**31
-            assert p % 2**log_length == 1
-            assert iota * iota % p == p - 1
-            assert pow(root, 2 ** (log_length - 1), p) == p - 1  # order exactly 2^log_length
-        assert len({germs._nth_prime(log_length, i)[0] for i in range(12)}) == 12
-
-    def test_miller_rabin_matches_sympy(self):
-        # strong pseudoprimes to some of the bases, Carmichael numbers, and
-        # numbers near 2^31
-        special = [2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 25326001, 3215031751]
-        near = range(2**31 - 2000, 2**31)
-        for n in [*range(3000), *special, *near]:
-            assert _modular._is_prime(n) == sympy.isprime(n), n
+    def test_the_edge_prime(self):
+        # a prime p = 1 mod 4 below 2^31, and a square root of -1 for i
+        assert sympy.isprime(self.P) and self.P < 2**31 and self.P % 4 == 1
+        assert _modular.IOTA**2 % self.P == self.P - 1
 
 
 def _terms_of(kind, gs):
@@ -1532,28 +1512,10 @@ def _terms_of(kind, gs):
     return germs._divided_difference_terms(u.p), germs._divided_difference_terms(u.q)
 
 
-def _hadamard_primes(f, g):
-    """(layout, transform log-length, every certifying prime) of integral f
-    and g, as the full certification takes them."""
-    (dwf, _), (dwg, _) = max(f), max(g)
-    _, layout, degree = germs._sylvester_layout(f, g)
-    log_length = degree.bit_length()
-    bound = germs._row_norms(f) ** dwg * germs._row_norms(g) ** dwf
-    return layout, log_length, germs._certifying_primes(log_length, bound)
-
-
-def _full_certification(f, g):
-    """The least order over every certifying prime, or None where the
-    resultant is 0 modulo all of them: the answer without the bound."""
-    layout, log_length, primes = _hadamard_primes(f, g)
-    orders = [germs._order_modulo(p, layout, log_length) for p in primes]
-    return min((o for o in orders if o is not None), default=None)
-
-
 def _sampled_resultants(count_each):
-    """Integral (f, g) pairs, both of positive w-degree, of seeded simple
-    germs (rng 2424, k <= 5) and axis pairs, tangent or transverse (rng
-    2425), ``count_each`` germs or pairs of each."""
+    """(f, g) term pairs, both of positive w-degree, of seeded simple germs
+    (rng 2424, k <= 5) and axis pairs, tangent or transverse (rng 2425),
+    ``count_each`` germs or pairs of each."""
     rng, rng2 = np.random.default_rng(2424), np.random.default_rng(2425)
     cases = [("delta", (random_simple_germ(rng, max_k=5),)) for _ in range(count_each)]
     for _ in range(count_each):
@@ -1561,19 +1523,19 @@ def _sampled_resultants(count_each):
         cases.append(("pair", (u, axis_germ(rng2, int(rng2.integers(1, 4)), int(rng2.integers(0, 2))))))
     out = []
     for kind, gs in cases:
-        f, g = (germs._integral(t) for t in _terms_of(kind, gs))
+        f, g = _terms_of(kind, gs)
         if f and g and max(f)[0] and max(g)[0]:
             out.append((f, g))
     return out
 
 
 def _bound(f, g):
-    """``_order_bound`` of integral terms f and g, from their Newton polygons."""
+    """``_order_bound`` of terms f and g, from their Newton polygons."""
     return germs._order_bound(germs._lower_hull(f), germs._lower_hull(g))
 
 
 def _apart(f, g):
-    """``_edges_apart`` of integral terms f and g, from their Newton polygons."""
+    """``_edges_apart`` of terms f and g, from their Newton polygons."""
     return germs._edges_apart(germs._lower_hull(f), germs._lower_hull(g))
 
 
@@ -1583,20 +1545,21 @@ class TestNewtonPolygonBound:
 
     @staticmethod
     def _counted(monkeypatch):
+        """The list of the orders ``_fiber_order`` returns, one per call."""
         calls = []
-        real = germs._order_modulo
+        real = germs._fiber_order
 
-        def counted(*args):
-            calls.append(args[0])
-            return real(*args)
+        def counted(f, g):
+            calls.append(real(f, g))
+            return calls[-1]
 
-        monkeypatch.setattr(germs, "_order_modulo", counted)
+        monkeypatch.setattr(germs, "_fiber_order", counted)
         return calls
 
     def test_never_above_sympys_order(self, engine_cases):
         checked = 0
         for kind, gs, ref in engine_cases:
-            f, g = (germs._integral(t) for t in _terms_of(kind, gs))
+            f, g = _terms_of(kind, gs)
             if not (f and g):
                 continue
             bound = _bound(f, g)
@@ -1607,20 +1570,25 @@ class TestNewtonPolygonBound:
         assert checked >= 50
 
     def test_never_above_the_full_certification(self):
+        # the order from Fulton's algorithm, refereed by sympy wherever the
+        # edges do not certify it (TestEdgeCertificate referees the rest)
         cases = _sampled_resultants(300)
         assert len(cases) >= 500
-        equal = 0
+        equal = refereed = 0
         for f, g in cases:
-            exact = _full_certification(f, g)
-            res = germs._resultant(f, g)
+            if _certified(f, g):
+                exact = _bound(f, g)
+            else:
+                refereed += 1
+                exact = germs._fiber_order(f, g)
+                assert exact == _sympy_resultant_order(f, g)
+            assert germs._resultant(f, g) == exact
             if exact is None:
-                assert res == ()
                 continue
             bound = _bound(f, g)
             assert bound <= exact
-            assert germs._z_order(res) == exact
             equal += bound == exact
-        assert equal >= 0.9 * len(cases)
+        assert equal >= 0.9 * len(cases) and refereed >= 5
 
     def test_newton_polygon_slopes(self):
         # (hull, (width, z-drop) of each edge, valuations d / m in lowest
@@ -1649,10 +1617,10 @@ class TestNewtonPolygonBound:
         calls = self._counted(monkeypatch)
         for a in (1, 2, 3):
             v = germ([0] * a + [1, 2], [0] * (a + 1) + [3])
-            f, g = (germs._integral(t) for t in _terms_of("pair", (u, v)))
+            f, g = _terms_of("pair", (u, v))
             assert germs._lower_hull(f)[1][0][0] == a  # the first j: a roots at w = 0
             calls.clear()
-            assert germs._resultant(f, g) == (_bound(f, g),) == (a * k,)
+            assert germs._resultant(f, g) == _bound(f, g) == a * k
             assert calls == []
             ref = _sympy_pair_resultant(u, v)
             assert min(m[0] for m in ref.monoms()) == a * k
@@ -1663,7 +1631,7 @@ class TestNewtonPolygonBound:
         f, g = {(1, 1): (1, 0), (1, 0): (1, 0)}, {(2, 0): (1, 0), (1, 2): (3, 0)}
         assert _bound(f, g) is None
         calls = self._counted(monkeypatch)
-        assert germs._resultant(f, g) == ()
+        assert germs._resultant(f, g) is None
         assert calls == []
         w, z = sympy.symbols("w z")
         fs, gs = (_sympy_poly({e: sympy.Integer(c[0]) for e, c in h.items()}, w, z) for h in (f, g))
@@ -1672,9 +1640,9 @@ class TestNewtonPolygonBound:
     def test_one_pass_per_resultant(self, monkeypatch):
         # transverse axis pairs and their branched covers, shaped as the
         # germ-exact benchmark's, are certified by their Newton-polygon
-        # edges with no prime pass; a simple germ's divided differences take
-        # no pass where the edges are apart and the whole Hadamard prime set
-        # where they are not
+        # edges with no call of Fulton's algorithm; a simple germ's divided
+        # differences take none where the edges are apart and one where they
+        # are not
         rng = np.random.default_rng(2426)
         calls = self._counted(monkeypatch)
         for ku in range(1, 4):
@@ -1686,32 +1654,31 @@ class TestNewtonPolygonBound:
                         v = axis_germ(rng, kv, 1)
                     calls.clear()
                     res = germs._resultant(*_terms_of("pair", (u, branched_cover(v, m))))
-                    assert (res, calls) == ((k * m * ku * kv,), [])
+                    assert (res, calls) == (k * m * ku * kv, [])
         singles = certified = 0
         while singles < 60:
-            f, g = (germs._integral(t) for t in _terms_of("delta", (random_simple_germ(rng),)))
+            f, g = _terms_of("delta", (random_simple_germ(rng),))
             if not (max(f)[0] and max(g)[0]):
-                continue  # a closed form: no pass
+                continue  # a closed form: no call
             singles += 1
             calls.clear()
             res = germs._resultant(f, g)
             if _apart(f, g):
-                assert (res, calls) == ((_bound(f, g),), [])
+                assert (res, calls) == (_bound(f, g), [])
                 certified += 1
             else:
-                assert calls == _hadamard_primes(f, g)[2]
-        assert certified >= 50
+                assert calls == [res] == [_sympy_resultant_order(f, g)]
+        assert 50 <= certified < singles
 
     def test_big_coefficients_take_no_pass(self, monkeypatch):
         # 10^200 coefficients that share no integer factor and an 18 x 18
-        # Sylvester matrix: the Hadamard bound asks for more than 750 primes
+        # Sylvester matrix: certified by the edges, with no call of Fulton's
+        # algorithm
         big = 10**200
         u = germ([0, 1, big + 1], [0, 0, big + 3])
         v = germ([0, 0] + [big + 7 * j for j in range(1, 9)], [0, 0, 0] + [big - 11 * j for j in range(1, 8)])
-        f, g = (germs._integral(t) for t in _terms_of("pair", (u, v)))
-        (dwf, _), (dwg, _) = max(f), max(g)
-        assert germs._sylvester_layout(f, g)[0] == 18
-        assert germs._row_norms(f) ** dwg * germs._row_norms(g) ** dwf > 2 ** (31 * 750)
+        f, g = _terms_of("pair", (u, v))
+        assert max(f)[0] + max(g)[0] == 18
         germs._pair_resultant.cache_clear()
         calls = self._counted(monkeypatch)
         # v's far-zero test and the pair are both certified by their edges
@@ -1721,28 +1688,33 @@ class TestNewtonPolygonBound:
 
 
 def _sympy_resultant_order(f, g):
-    """sympy's z-order of Res_w of integral terms f and g, or None where
-    the resultant is 0."""
+    """sympy's z-order of Res_w of terms f and g, or None where the
+    resultant is 0."""
     w, z = sympy.symbols("w z")
-    fs, gs = (_sympy_poly({e: sympy.Integer(re) + sympy.I * im for e, (re, im) in h.items()}, w, z) for h in (f, g))
+    fs, gs = (
+        _sympy_poly({e: sympy.Rational(re) + sympy.I * sympy.Rational(im) for e, (re, im) in h.items()}, w, z)
+        for h in (f, g)
+    )
     ref = fs.resultant(gs)
     return None if ref.is_zero else min(m[0] for m in ref.monoms())
 
 
 class TestEdgeCertificate:
     """Orders certified by the Newton-polygon edges, ``_edges_apart``: exact
-    wherever the edges are apart, and taken from the whole Hadamard prime
-    set wherever they are not."""
+    wherever the edges are apart, and taken from one call of Fulton's
+    algorithm wherever they are not."""
 
     def test_certified_orders_are_exact(self):
+        # two exact paths that share no code: the edge bound and Fulton's
+        # algorithm
         cases = _sampled_resultants(300)
         certified = 0
         for f, g in cases:
             bound = _bound(f, g)
             if bound is not None and _apart(f, g):
                 certified += 1
-                assert bound == _full_certification(f, g)
-                assert germs._resultant(f, g) == (bound,)
+                assert bound == germs._fiber_order(f, g)
+                assert germs._resultant(f, g) == bound
         assert certified >= 0.95 * len(cases)
 
     @pytest.mark.parametrize(
@@ -1755,12 +1727,11 @@ class TestEdgeCertificate:
     def test_roots_agreeing_beyond_the_leading_term_fall_back(self, monkeypatch, u, bound, order):
         # the divided differences have roots that agree in valuation and
         # leading coefficient, so the order exceeds the Newton-polygon bound
-        f, g = (germs._integral(t) for t in _terms_of("delta", (u,)))
+        f, g = _terms_of("delta", (u,))
         assert _bound(f, g) == bound and not _apart(f, g)
         calls = TestNewtonPolygonBound._counted(monkeypatch)
         res = germs._resultant(f, g)
-        assert calls == _hadamard_primes(f, g)[2]
-        assert germs._z_order(res) == _sympy_resultant_order(f, g) == order
+        assert calls == [res] == [_sympy_resultant_order(f, g)] == [order]
         assert delta_local(u) == order // 2
 
     def test_an_identically_zero_resultant(self, monkeypatch):
@@ -1769,8 +1740,8 @@ class TestEdgeCertificate:
         f, g = {(2, 0): (1, 0), (0, 0): (-1, 0)}, {(2, 0): (-1, 0), (0, 0): (1, 0)}
         assert _bound(f, g) == 0 and not _apart(f, g)
         calls = TestNewtonPolygonBound._counted(monkeypatch)
-        assert germs._resultant(f, g) == ()
-        assert calls == _hadamard_primes(f, g)[2]
+        assert germs._resultant(f, g) is None
+        assert calls == [None]
         assert _sympy_resultant_order(f, g) is None
 
     @pytest.mark.parametrize(
@@ -1792,10 +1763,40 @@ class TestEdgeCertificate:
         res = germs._resultant(f, g)
         ref = _sympy_resultant_order(f, g)
         if apart:
-            assert (res, calls) == ((_bound(f, g),), []) == ((ref,), [])
+            assert (res, calls) == (_bound(f, g), []) == (ref, [])
         else:
-            assert calls == _hadamard_primes(f, g)[2]
-            assert (germs._z_order(res) if res else None) == ref
+            assert calls == [res] == [ref]
+
+    def test_structured_germs_match_sympy(self):
+        # (z^k, z^e (c0 + c1 z)): the simple ones whose edges are apart give
+        # the bound, and the 28 others, roots of unity outside Q(i) among
+        # their shared edge roots, sympy's order
+        refereed = 0
+        for k in range(2, 9):
+            for e in (2 * k, 2 * k + 1, 3 * k):
+                for c0, c1 in ((1, 0), (1, 1), (0, 1), (2, -1)):
+                    u = germ([0] * k + [1], [0] * e + [c0, c1])
+                    if not is_simple(u):
+                        continue
+                    f, g = _terms_of("delta", (u,))
+                    order = germs._fiber_order(f, g)
+                    if _certified(f, g):
+                        assert order == _bound(f, g)
+                    else:
+                        refereed += 1
+                        assert order == _sympy_resultant_order(f, g)
+                    assert delta_local(u) == order // 2
+        assert refereed == 28
+
+    def test_shared_edge_roots_outside_q_i(self, monkeypatch):
+        # the divided differences of (z^3, z^6 + z^7) have edges whose
+        # polynomials share the roots of c^2 + c + 1, which lie outside Q(i)
+        u = germ([0, 0, 0, 1], [0] * 6 + [1, 1])
+        f, g = _terms_of("delta", (u,))
+        assert not _apart(f, g)
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        assert delta_local(u) == 6
+        assert calls == [12] == [_sympy_resultant_order(f, g)]
 
 
 def _times(*factors) -> list:
@@ -1866,7 +1867,7 @@ def _domain_cases(count):
 class TestFarZeroByEuclid:
     """``Germ._far_zero_free`` reads the coordinates with their powers of z
     stripped: a resultant modulo one prime, else a gcd over Q(i) by Euclid.
-    It takes no ``_resultant``, no prime pass and no numpy."""
+    It takes no ``_resultant``, no call of Fulton's algorithm and no numpy."""
 
     @pytest.mark.parametrize("modular", [True, False])
     def test_matches_sympys_gcd(self, engine_cases, monkeypatch, modular):
@@ -1902,7 +1903,7 @@ class TestFarZeroByEuclid:
         assert not germ([0, 1, 0, 1], [0, 0, 0, 1, 0, 1])._far_zero_free
 
 
-def _logged(monkeypatch, names=("_require_small_domain", "_integral", "_order_modulo")) -> list:
+def _logged(monkeypatch, names=("_require_small_domain", "_fiber_order")) -> list:
     """The names of the given germs functions in the order they are called."""
     log = []
     for name in names:
@@ -1935,7 +1936,7 @@ def _newton_polygon_singles():
     singles = []
     while len(singles) < 60:
         u = random_simple_germ(rng)
-        f, g = (germs._integral(t) for t in _terms_of("delta", (u,)))
+        f, g = _terms_of("delta", (u,))
         if max(f)[0] and max(g)[0]:
             singles.append(u)
     return singles
@@ -1974,9 +1975,9 @@ def _reference_intersection(u, v):
     if not _sympy_far_zero_free(v):
         return _domain_refusal(germs._PAIR_DOMAIN)
     res = germs._resultant(*_terms_of("pair", (u, v)))
-    if not res:
+    if res is None:
         return InputError, "identical images / common branch: resultant vanishes identically"
-    return min(res)
+    return res
 
 
 def _reference_delta(u):
@@ -1989,9 +1990,9 @@ def _reference_delta(u):
     if not _sympy_far_zero_free(u):
         return _domain_refusal(germs._SELF_DOMAIN)
     res = germs._resultant(*_terms_of("delta", (u,)))
-    if not res:
+    if res is None:
         return InputError, "non-isolated double points: divided differences share a component"
-    return min(res) // 2
+    return res // 2
 
 
 def _outcome_cases():
@@ -2040,15 +2041,15 @@ def _outcome_cases():
 
 
 class TestDeferredDomainCheck:
-    """An order the Newton-polygon edges certify runs no domain check and
-    clears no denominator: a nonzero valuation-0 edge resultant proves the
+    """An order the Newton-polygon edges certify runs no domain check and no
+    Fulton's algorithm: a nonzero valuation-0 edge resultant proves the
     domain small.  Every other answer checks the domain first."""
 
     def test_certified_orders_check_nothing_else(self, monkeypatch):
         singles, pairs = _newton_polygon_singles(), _seeded_axis_pairs(300)
         assert len(singles) == 60
         terms = [("delta", (u,)) for u in singles] + [("pair", gs) for gs in pairs]
-        certified = [_certified(*(germs._integral(t) for t in _terms_of(kind, gs))) for kind, gs in terms]
+        certified = [_certified(*_terms_of(kind, gs)) for kind, gs in terms]
         log = _logged(monkeypatch)
         seen = {"certified": 0, "refused": 0, "passes": 0}
         for (kind, gs), sure in zip(terms, certified):
@@ -2061,7 +2062,7 @@ class TestDeferredDomainCheck:
                 continue
             assert log[0] == "_require_small_domain", (kind, gs, log)
             seen["refused"] += isinstance(answer, tuple)
-            seen["passes"] += "_order_modulo" in log
+            seen["passes"] += "_fiber_order" in log
         assert seen["certified"] >= 250 and seen["refused"] >= 20 and seen["passes"] >= 3, seen
 
     def test_the_oracles_refuse_a_domain_before_any_resultant(self, monkeypatch):
@@ -2101,6 +2102,10 @@ class TestDeferredDomainCheck:
             "non-isolated double points",
         }
         assert sum(isinstance(x, int) for x in got) >= 100
+
+
+# the edge check's prime and the next prime below 2^31 that is 1 mod 2^12
+PRIMES = [_modular.PRIME, 2147377153]
 
 
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -2164,7 +2169,7 @@ class TestModularDeterminant:
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_matches_sympy(self, index):
-        p = germs._nth_prime(germs._MIN_LOG_LENGTH, index)[0]
+        p = PRIMES[index]
         swaps = zero_columns = singular = 0
         for a in _det_mod_stacks(p, 150, seed=index):
             expected = [int(sympy.Matrix(m.tolist()).det()) % p for m in a]
@@ -2200,42 +2205,24 @@ def _remainder_stacks(p, count, seed):
 
 
 class TestRemainderSequence:
-    """``_resultant_mod`` equals the determinant of the Sylvester matrix of
-    the same formal degrees, taken by the reference ``_det_mod``."""
-
-    PRIMES = [germs._nth_prime(germs._MIN_LOG_LENGTH, i)[0] for i in range(2)] + [7, 13]
+    """``_scalar_resultant_mod`` equals the determinant of the Sylvester
+    matrix of the same formal degrees, taken by the reference ``_det_mod``."""
 
     def test_matches_the_sylvester_determinant(self):
-        swapped = drops = splits = zero_polys = 0
-        for index, p in enumerate(self.PRIMES):
-            for f, g in _remainder_stacks(p, 100, seed=index):
-                expected = _det_mod(germs._sylvester_stack(f, g), p)
-                assert np.array_equal(germs._resultant_mod(f, g, p), expected)
-                # the first step: the divisor is the polynomial of the lower
-                # formal degree, and its leading coefficient drops where it is
-                # 0 at every sample, or splits the samples where only at some
-                swapped += f.shape[1] < g.shape[1]
-                lead = (g if f.shape[1] >= g.shape[1] else f)[:, -1] == 0
-                drops += bool(lead.all())
-                splits += bool(lead.any() and not lead.all())
-                zero_polys += any((~h.any(axis=1)).any() for h in (f, g))
-        assert min(swapped, drops, splits, zero_polys) >= 20
-
-    def test_scalar_sequence_matches_the_batched_one(self):
         # the edge check's one-pair sequence in Python ints, on every sample
-        # of further stacks: the small primes make zero leading coefficients
+        # of seeded stacks: the small primes make zero leading coefficients
         # common, so drops come at every depth of the sequence
-        pairs = swapped = drops = 0
-        for index, p in enumerate(self.PRIMES):
+        pairs = swapped = drops = zero_polys = 0
+        for index, p in enumerate(PRIMES + [7, 13]):
             for f, g in _remainder_stacks(p, 170, seed=10 + index):
                 expected = _det_mod(germs._sylvester_stack(f, g), p)
-                assert np.array_equal(germs._resultant_mod(f, g, p), expected)
                 for fs, gs, value in zip(f.tolist(), g.tolist(), expected.tolist()):
                     assert germs._scalar_resultant_mod(fs, gs, p) == value
                     pairs += 1
                     swapped += len(fs) < len(gs)
                     drops += (gs if len(fs) >= len(gs) else fs)[-1] == 0
-        assert pairs >= 20_000 and min(swapped, drops) >= 1000, (pairs, swapped, drops)
+                    zero_polys += not (any(fs) and any(gs))
+        assert pairs >= 20_000 and min(swapped, drops, zero_polys) >= 1000, (pairs, swapped, drops, zero_polys)
 
 
 class TestLargeInputs:
@@ -2246,10 +2233,8 @@ class TestLargeInputs:
     def test_53_by_53_sylvester_pair(self):
         # min(24 * 27, 25 * 26) = 24^2 + 3 * 24
         u, v = monomial_germ(24, 25), monomial_germ(26, 27)
-        n, _, _ = germs._sylvester_layout(
-            germs._difference_terms(u.p, v.p), germs._difference_terms(u.q, v.q)
-        )
-        assert n == 53
+        f, g = _terms_of("pair", (u, v))
+        assert max(f)[0] + max(g)[0] == 53
         assert local_intersection(u, v) == 648
 
     def test_degree_80_pair_takes_no_pass(self, monkeypatch):
@@ -2259,6 +2244,17 @@ class TestLargeInputs:
         germs._pair_resultant.cache_clear()
         assert local_intersection(monomial_germ(80, 81), monomial_germ(82, 83)) == 6640
         assert calls == []
+
+    def test_tangent_pair_takes_one_fiber_order(self, monkeypatch):
+        # (z^a, z^(a+1)) against (z^a, z^(a+1) + z^(a+2)): the differences'
+        # edges of valuation 1 share c = 1, so one call of Fulton's algorithm
+        # gives the order a(a + 1) + 1
+        a = 80
+        u, v = germ([0] * a + [1], [0] * (a + 1) + [1]), germ([0] * a + [1], [0] * (a + 1) + [1, 1])
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        germs._pair_resultant.cache_clear()
+        assert local_intersection(u, v) == a * (a + 1) + 1 == 6481
+        assert calls == [6481]
 
     def test_huge_gaussian_coefficients(self):
         big = 10**400

@@ -215,12 +215,12 @@ def test_one_stuck_reason():
 
 
 def test_one_certification_path():
-    # the exact engine certifies an order in one place, _resultant: the
+    # the exact orders are settled in one place, _resultant: the
     # Newton-polygon bound where the edge check finds the edges apart, else
-    # the Hadamard prime set, so no caller reads a prime's order, the bound
-    # or the edge check on its own
+    # Fulton's algorithm, so no caller reads the bound, the edge check or
+    # the algorithm on its own
     package = Path(siefring_kit.__file__).parent
-    found = {"_order_modulo": set(), "_order_bound": set(), "_edges_apart": set()}
+    found = {"_fiber_order": set(), "_order_bound": set(), "_edges_apart": set()}
     for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(node, "name", None)
@@ -230,19 +230,22 @@ def test_one_certification_path():
 
 
 def test_prime_engine_read_only_by_the_fallback():
-    # the Hadamard fallback alone clears denominators and lays out primes:
-    # _integral, _sylvester_layout, _certifying_primes and _row_norms are
-    # read in _resultant only, after the edge certificate and the domain
-    # check, and the far-zero check is a gcd that takes no resultant
+    # one prime is left: the edge check and the far-zero check read it
+    # through _residues and the scalar resultant, and nothing else does;
+    # Fulton's algorithm takes no prime, and the far-zero check is a gcd
+    # that takes no resultant
     package = Path(siefring_kit.__file__).parent
-    names = ("_integral", "_sylvester_layout", "_certifying_primes", "_row_norms")
-    found = {name: set() for name in names}
+    found = {"PRIME": set(), "IOTA": set()}
     for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(node, "name", None)
             for name, owners in found.items():
                 owners.update((path.name, owner) for _ in _uses(node, name))
-    assert found == {name: {("germs.py", "_resultant")} for name in names}, found
+    assert found == {
+        "PRIME": {("_modular.py", None), ("germs.py", None), ("germs.py", "_residues"),
+                  ("germs.py", "_edges_apart"), ("germs.py", "Germ")},
+        "IOTA": {("_modular.py", None), ("germs.py", None), ("germs.py", "_residues")},
+    }, found
     germs = ast.parse((package / "germs.py").read_text(encoding="utf-8"))
     (far_zero,) = [
         node for node in ast.walk(germs) if isinstance(node, ast.FunctionDef) and node.name == "_far_zero_free"
