@@ -2206,15 +2206,18 @@ def _remainder_stacks(p, count, seed):
 
 class TestRemainderSequence:
     """``_scalar_resultant_mod`` equals the determinant of the Sylvester
-    matrix of the same formal degrees, taken by the reference ``_det_mod``."""
+    matrix of the same formal degrees, taken by the batched reference
+    ``_det_mod`` over each stack."""
 
-    def test_matches_the_sylvester_determinant(self):
-        # the edge check's one-pair sequence in Python ints, on every sample
-        # of seeded stacks: the small primes make zero leading coefficients
-        # common, so drops come at every depth of the sequence
-        pairs = swapped = drops = zero_polys = 0
-        for index, p in enumerate(PRIMES + [7, 13]):
-            for f, g in _remainder_stacks(p, 170, seed=10 + index):
+    @staticmethod
+    def _compare(primes, seed):
+        """(pairs, swapped, drops, zero polynomials, zero resultants of two
+        polynomials with nonzero leading coefficients) over 170 seeded stacks
+        a prime, each sample's sequence checked against its stack's row of
+        ``_det_mod``."""
+        pairs = swapped = drops = zero_polys = singular = 0
+        for index, p in enumerate(primes):
+            for f, g in _remainder_stacks(p, 170, seed=seed + index):
                 expected = _det_mod(germs._sylvester_stack(f, g), p)
                 for fs, gs, value in zip(f.tolist(), g.tolist(), expected.tolist()):
                     assert germs._scalar_resultant_mod(fs, gs, p) == value
@@ -2222,7 +2225,21 @@ class TestRemainderSequence:
                     swapped += len(fs) < len(gs)
                     drops += (gs if len(fs) >= len(gs) else fs)[-1] == 0
                     zero_polys += not (any(fs) and any(gs))
-        assert pairs >= 20_000 and min(swapped, drops, zero_polys) >= 1000, (pairs, swapped, drops, zero_polys)
+                    singular += value == 0 and fs[-1] != 0 and gs[-1] != 0
+        return pairs, swapped, drops, zero_polys, singular
+
+    def test_matches_the_sylvester_determinant(self):
+        # the edge check's prime and the next: zero leading coefficients come
+        # from the stacks' shapes, at the first step of the sequence
+        pairs, *counts, _ = self._compare(PRIMES, seed=10)
+        assert pairs >= 10_000 and min(counts) >= 1000, (pairs, counts)
+
+    def test_scalar_sequence_matches_the_batched_one(self):
+        # the small primes make zero leading coefficients common, so drops
+        # come at every depth of the sequence, and common roots modulo p
+        # make zero resultants of polynomials whose leads are nonzero
+        pairs, *counts, singular = self._compare([7, 13], seed=12)
+        assert pairs >= 10_000 and min(counts) >= 1000 and singular >= 200, (pairs, counts, singular)
 
 
 class TestLargeInputs:
