@@ -159,7 +159,16 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        """hash(re) for im = 0, else hash((re, im)), as on the Fraction
+        parts.  A part with denominator 1 is hashed as its int numerator,
+        since hash(Fraction(n, 1)) == hash(n) by Python's numeric hash, and
+        the int hash spares Fraction.__hash__'s modular inverse."""
+        re, im = self.re, self.im
+        if re.denominator == 1:
+            re = re.numerator
+        if im.denominator == 1:
+            im = im.numerator
+        return hash((re, im)) if im else hash(re)
 
     def __bool__(self):
         return bool(self.re or self.im)
@@ -682,7 +691,7 @@ def normal_form(u: Germ) -> GermNormalForm:
     coordinate: the j-th rotated branch separates at the smallest exponent
     e with a nonzero coefficient and j*e not divisible by k.
     """
-    k, _ = critical_order(u)
+    k = min(u.exponents)  # critical_order's k, without its tangent
     a, b = _coeff(u.p, k), _coeff(u.q, k)
     if a != 0:
         aligned = change_coordinates(u, ((1 / a, 0), (-b / a, 1)))
@@ -775,10 +784,11 @@ def delta_local(u: Germ) -> int:
 
     Half the intersection multiplicity at 0 of the divided differences of
     p and q; zero exactly for immersed germs, and at least k(k-1)/2 when
-    the vanishing order is k.
+    the vanishing order is k.  k is read off the exponents, so no tangent
+    (a division in Q(i)) is computed.
     """
     delta = _double_point_refusals(u, domain=False)
-    k, _ = critical_order(u)
+    k = min(u.exponents)  # critical_order's k, without its tangent
     if delta is None:
         order = _resultant(_divided_difference_terms(u.p), _divided_difference_terms(u.q), (u, _SELF_DOMAIN))
         if order is None:
@@ -793,13 +803,14 @@ def delta_local(u: Germ) -> int:
 
 def branched_cover(u: Germ, k: int) -> Germ:
     """Precompose with z -> z^k.  Intersection numbers scale by the product
-    of the two covering multiplicities."""
+    of the two covering multiplicities.  The gaps are the shared zero, so
+    the cover builds no new scalar."""
     k = read_multiplicity(k)
     if k == 1:
         return u
 
     def stretch(coeffs):
-        return [coeffs[e // k] if e % k == 0 else 0 for e in range(k * len(coeffs) - k + 1)]
+        return [coeffs[e // k] if e % k == 0 else _ZERO for e in range(k * len(coeffs) - k + 1)]
 
     return germ(stretch(u.p), stretch(u.q))
 

@@ -2309,3 +2309,126 @@ class TestOracleSeed:
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_numpy_integer_seed_is_the_int(self, name):
         assert ORACLES[name](np.int64(4)) == ORACLES[name](4) == {"delta": 1, "pair": 1}[name]
+
+
+def _newton_bound_simple_germs():
+    """The 60 simple germs that ``TestNewtonPolygonBound::
+    test_one_pass_per_resultant`` checks: rng 2426 replayed through its
+    axis pairs, then its simple germs of positive w-degrees."""
+    rng = np.random.default_rng(2426)
+    for ku in range(1, 4):
+        for kv in range(1, 4):
+            for _ in range(4):
+                axis_germ(rng, ku, 0)
+                v = axis_germ(rng, kv, 1)
+                while not v._far_zero_free:
+                    v = axis_germ(rng, kv, 1)
+    singles = []
+    while len(singles) < 60:
+        u = random_simple_germ(rng)
+        f, g = _terms_of("delta", (u,))
+        if max(f)[0] and max(g)[0]:
+            singles.append(u)
+    return singles
+
+
+def _counted_inverses(monkeypatch):
+    """A one-element list counting calls of ``GaussianRational._inverse``,
+    the one division of Q(i)."""
+    calls = [0]
+    real = germs.GaussianRational._inverse
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(germs.GaussianRational, "_inverse", counted)
+    return calls
+
+
+class TestNoDiscardedWork:
+    """delta_local and normal_form read the vanishing order off the
+    exponents and compute no tangent they would drop; branched_cover fills
+    its gaps with the shared zero.  Counted, not timed."""
+
+    @staticmethod
+    def _simple_germs():
+        rng = np.random.default_rng(3301)
+        return _newton_bound_simple_germs() + [random_simple_germ(rng, max_k=5) for _ in range(100)]
+
+    def test_delta_local_divides_nothing(self, monkeypatch):
+        singles = self._simple_germs()
+        # the values by a path of their own, the branch orders of the normal form
+        expected = [delta_from_normal_form(normal_form(u)) for u in singles]
+        calls = _counted_inverses(monkeypatch)
+        assert [delta_local(u) for u in singles] == expected
+        assert calls == [0]
+        assert sum(critical_order(u)[0] > 1 for u in singles) >= 100  # most have a tangent to skip
+
+    def test_normal_form_divides_only_for_its_shear(self, monkeypatch):
+        # the shear ((1/a, 0), (-b/a, 1)) takes two inverses, and
+        # ((0, 1/b), (1, 0)) one where the tangent is the second axis
+        singles = self._simple_germs()
+        swapped = [germ(u.q, u.p) for u in singles]
+        expected = [(normal_form(u).k, normal_form(u).branch_orders) for u in singles]
+        calls = _counted_inverses(monkeypatch)
+        for us, per_germ in ((singles, 2), (swapped, 1)):
+            calls[0] = 0
+            assert [(nf.k, nf.branch_orders) for nf in map(normal_form, us)] == expected
+            assert calls == [per_germ * len(us)]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_branched_cover_builds_no_scalar(self, monkeypatch, k):
+        rng = np.random.default_rng(3302 + k)
+        bases = [random_simple_germ(rng, max_k=5) for _ in range(30)]
+        bases += [axis_germ(rng, int(rng.integers(1, 4)), int(rng.integers(0, 2))) for _ in range(30)]
+
+        def int_zero_stretch(coeffs):
+            return [coeffs[e // k] if e % k == 0 else 0 for e in range(k * len(coeffs) - k + 1)]
+
+        expected = [germ(int_zero_stretch(u.p), int_zero_stretch(u.q)) for u in bases]
+        made = []
+        real = germs.gaussian
+        monkeypatch.setattr(germs, "gaussian", lambda *parts: made.append(parts) or real(*parts))
+        covers = [branched_cover(u, k) for u in bases]
+        assert made == []
+        for cover, want in zip(covers, expected):
+            assert cover == want and hash(cover) == hash(want)
+            gaps = [c for f in (cover.p, cover.q) for e, c in enumerate(f) if e % k]
+            assert gaps and all(c is germs._ZERO for c in gaps)
+
+
+class TestGaussianHash:
+    """GaussianRational hashes as its Fraction parts do: hash(re) for im = 0,
+    else hash((re, im)), so it equals, and hashes like, an equal int or
+    Fraction."""
+
+    @staticmethod
+    def _part(rng):
+        kind = int(rng.integers(0, 5))
+        n, d = int(rng.integers(-50, 51)), int(rng.integers(2, 30))
+        big = 10**400 + int(rng.integers(0, 1000))
+        return [
+            Fraction(0),
+            Fraction(n),  # integral, negative too
+            Fraction(n, d),  # fractional
+            Fraction(n or 1) * big,  # an integral part of size 10^400
+            Fraction(n or 1, big),  # a denominator of size 10^400
+        ][kind]
+
+    def test_hash_is_the_fraction_parts_hash(self):
+        rng = np.random.default_rng(3303)
+        values = [gaussian(self._part(rng), self._part(rng)) for _ in range(600)]
+        values += [gaussian(re, 0) for re in (0, 1, -1, -2, 2**61 - 1, 2**61, -(2**61))]
+        for c in values:
+            assert hash(c) == (hash(c.re) if c.im == 0 else hash((c.re, c.im))), c
+        integral = sum(c.re.denominator == 1 and c.im.denominator == 1 for c in values)
+        assert integral >= 100 and sum(c.im == 0 for c in values) >= 100
+        assert any(abs(c.re) > 10**399 for c in values) and any(c.re.denominator > 10**399 for c in values)
+
+    def test_mixed_type_lookups(self):
+        assert {gaussian(2): 1}[2] == 1
+        assert {Fraction(1, 3): 1}[gaussian(Fraction(1, 3))] == 1
+        assert gaussian(2) in {2}
+        assert gaussian(-1) in {-1} and gaussian(Fraction(-5, 2)) in {Fraction(-5, 2)}
+        assert {gaussian(3, 4): 1}.get(gaussian(Fraction(6, 2), Fraction(8, 2))) == 1

@@ -268,3 +268,35 @@ def test_integer_layers_import_no_numpy():
         or (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core")
     ]
     assert eager == []
+
+
+def _discarded_tangents(tree) -> list:
+    """Lines of the calls of ``critical_order`` whose tangent is dropped:
+    a ``_`` in the tangent's unpacking slot, or a ``[0]`` subscript."""
+
+    def is_call(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "critical_order"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_call(node.value):
+            tangents = [t.elts[1] for t in node.targets if isinstance(t, (ast.Tuple, ast.List)) and len(t.elts) == 2]
+            if any(isinstance(t, ast.Name) and t.id == "_" for t in tangents):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and is_call(node.value):
+            if isinstance(node.slice, ast.Constant) and node.slice.value == 0:
+                found.append(node.lineno)
+    return found
+
+
+def test_no_discarded_tangent():
+    # critical_order divides in Q(i) for the tangent; a caller that needs
+    # only the vanishing order reads min(u.exponents)
+    sample = "k, _ = critical_order(u)\nk = germs.critical_order(u)[0]\nk, t = critical_order(u)\n_, t = critical_order(u)\n"
+    assert _discarded_tangents(ast.parse(sample)) == [1, 2]
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _discarded_tangents(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert SOURCES and found == []
