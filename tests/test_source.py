@@ -280,7 +280,8 @@ def _discarded_tangents(tree) -> list:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and is_call(node.value):
-            tangents = [t.elts[1] for t in node.targets if isinstance(t, (ast.Tuple, ast.List)) and len(t.elts) == 2]
+            pairs = [t for t in node.targets if isinstance(t, (ast.Tuple, ast.List)) and len(t.elts) == 2]
+            tangents = [t.elts[1] for t in pairs]
             if any(isinstance(t, ast.Name) and t.id == "_" for t in tangents):
                 found.append(node.lineno)
         elif isinstance(node, ast.Subscript) and is_call(node.value):
@@ -292,7 +293,12 @@ def _discarded_tangents(tree) -> list:
 def test_no_discarded_tangent():
     # critical_order divides in Q(i) for the tangent; a caller that needs
     # only the vanishing order reads min(u.exponents)
-    sample = "k, _ = critical_order(u)\nk = germs.critical_order(u)[0]\nk, t = critical_order(u)\n_, t = critical_order(u)\n"
+    sample = (
+        "k, _ = critical_order(u)\n"
+        "k = germs.critical_order(u)[0]\n"
+        "k, t = critical_order(u)\n"
+        "_, t = critical_order(u)\n"
+    )
     assert _discarded_tangents(ast.parse(sample)) == [1, 2]
     found = [
         f"{path.name}:{line}"
