@@ -24,14 +24,17 @@ polygons, the two edge polynomials have a nonzero resultant, R is nonzero
 and of order exactly L.  That resultant is read off the terms as given:
 modulo one prime p = 1 mod 4, where i maps to iota with iota^2 = -1, each
 Gaussian-rational coefficient reduces from its numerators and denominators
-while p divides no denominator, the image of the resultant is the
-resultant of the images, and a nonzero image proves it nonzero.
+(_residues) while p divides no denominator, the image of the resultant is
+the resultant of the images, and a nonzero image proves it nonzero
+(_nonzero_resultant_mod, the one modular test).
 The same certificate settles the domain check, which refuses a germ whose
 coordinates share a zero besides z = 0: the valuation-0 edge polynomials
 are those coordinates with their powers of z stripped (of the second germ
 for a pair), so edges apart prove that they share no such zero.  The
-check, a gcd over Q(i) by Euclid, runs only where the certificate does not
-answer, and then before anything else, so its refusal still comes first.
+check, the same modular test on the two coordinates and else a gcd over
+Q(i) by Euclid on Fulton's division (_remainder), runs only where the
+certificate does not answer, and then before anything else, so its refusal
+still comes first.
 Every other case, a shared leading coefficient, an R that vanishes
 identically or an edge resultant or denominator that p divides, takes
 Fulton's intersection algorithm (W. Fulton, Algebraic Curves, sec. 3.3)
@@ -58,7 +61,6 @@ checked against each other throughout the test suite.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import sys
@@ -210,20 +212,6 @@ def _coeff(coeffs: tuple, i: int):
     return coeffs[i] if i < len(coeffs) else _ZERO
 
 
-def _gcd(f: tuple, g: tuple) -> tuple:
-    """A gcd over Q(i) of two nonzero polynomials, ascending coefficients
-    with no trailing zero, by Euclid's remainder sequence; a remainder of
-    lower degree than its divisor swaps the two."""
-    while g:
-        r, n = list(f), len(g) - 1
-        for top in range(len(f) - 1, n - 1, -1):  # r[top] goes to 0 and is dropped
-            q = r[top] / g[n]
-            for k in range(n):
-                r[top - n + k] -= q * g[k]
-        f, g = g, _strip(tuple(r[:n]))
-    return f
-
-
 @dataclass(frozen=True)
 class Germ:
     """Polynomial map germ (p(z), q(z)) into C^2 with p(0) = q(0) = 0.
@@ -263,17 +251,20 @@ class Germ:
         oracle ladder asks again.  With the powers of z stripped, a zero
         coordinate leaves the other's zeros, and otherwise the two share one
         iff their gcd over Q(i) is not a constant.  A resultant that is
-        nonzero modulo the edge check's prime (``_residues``) proves the gcd
-        constant in a few Python ints; Euclid in exact arithmetic decides
-        the rest.  No numpy either way."""
+        nonzero modulo the edge check's prime (``_nonzero_resultant_mod``)
+        proves the gcd constant in a few Python ints; Euclid decides the
+        rest, on rows {e: {0: (re, im)}} of Fulton's division ``_remainder``,
+        where a remainder of lower degree than its divisor swaps the two.
+        No numpy either way."""
         p, q = (f[_exponents_of(f)[0] :] if f else f for f in (self.p, self.q))
         if not (p and q):
             return len(_exponents_of(p or q)) == 1
-        with contextlib.suppress(ValueError):  # the prime divides a denominator
-            residues = (_residues([(c.re, c.im) for c in f]) for f in (p, q))
-            if _scalar_resultant_mod(*residues, PRIME):
-                return True
-        return len(_gcd(p, q)) == 1
+        if _nonzero_resultant_mod(*([(c.re, c.im) for c in f] for f in (p, q))):
+            return True
+        f, g = ({e: {0: x} for e, x in _parts(h)} for h in (p, q))
+        while g:
+            f, g = g, _remainder(f, g, 1)
+        return max(f) == 0
 
     @cached_property
     def exponents(self) -> tuple[int, ...]:
@@ -331,9 +322,16 @@ def monomial_germ(a: int, b: int) -> Germ:
 
 
 
+def _exact(x):
+    """A rational as an int where it is one: int arithmetic is the fast
+    path of Fulton's algorithm, whose terms are mostly integers."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _parts(coeffs) -> list:
-    """(exponent, (re, im)) of each nonzero coefficient, as Fractions."""
-    return [(e, (c.re, c.im)) for e, c in enumerate(coeffs) if c]
+    """(exponent, (re, im)) of each nonzero coefficient, each part an int
+    where it is one (``_exact``)."""
+    return [(e, (_exact(c.re), _exact(c.im))) for e, c in enumerate(coeffs) if c]
 
 
 def _difference_terms(coeffs_u, coeffs_v) -> dict:
@@ -425,39 +423,40 @@ def _residues(coeffs) -> list:
     ]
 
 
+def _nonzero_resultant_mod(f: list, g: list) -> bool:
+    """True if the resultant of f and g, ascending coefficients (re, im)
+    over Q(i), is nonzero modulo PRIME (``_residues``), which proves it
+    nonzero; False where PRIME divides it or a denominator."""
+    try:
+        f, g = _residues(f), _residues(g)
+    except ValueError:
+        return False
+    return _scalar_resultant_mod(f, g, PRIME) != 0
+
+
 def _edges_apart(polygon_f: tuple, polygon_g: tuple) -> bool:
     """True if no root of f has both the valuation and the leading
     coefficient of a root of g, read off the Newton polygons of the terms as
     given (``_lower_hull``): for every valuation with an edge in both, the
     resultant of the two edge polynomials is nonzero modulo the prime
-    p = PRIME (``_residues``), so nonzero over Q(i).  Then, where f and
+    (``_nonzero_resultant_mod``), so nonzero over Q(i).  Then, where f and
     g share no root w = 0 (``_order_bound`` is not None), v(a_i - b_j) =
     min(v(a_i), v(b_j)) in every factor of Res_w, which is nonzero and of
-    order ``_order_bound``.  False also where p divides such a resultant or
-    an edge coefficient's denominator."""
+    order ``_order_bound``.  False also where the prime divides such a
+    resultant or an edge coefficient's denominator."""
     edges_f = _edge_polynomials(polygon_f)
-    for valuation, eg in _edge_polynomials(polygon_g).items():
-        if valuation in edges_f:
-            try:
-                pair = [_residues(e) for e in (edges_f[valuation], eg)]
-            except ValueError:
-                return False
-            if not _scalar_resultant_mod(*pair, PRIME):
-                return False
-    return True
-
-
-def _exact(x):
-    """A rational as an int where it is one: int arithmetic is the fast
-    path of Fulton's algorithm, whose terms are mostly integers."""
-    return x.numerator if x.denominator == 1 else x
+    return all(
+        _nonzero_resultant_mod(edges_f[valuation], eg)
+        for valuation, eg in _edge_polynomials(polygon_g).items()
+        if valuation in edges_f
+    )
 
 
 def _rows(terms: dict) -> dict:
     """Terms {(w-exponent, z-exponent): (re, im)} as rows {j: {i: (re, im)}}."""
     rows = {}
-    for (j, i), (re, im) in terms.items():
-        rows.setdefault(j, {})[i] = _exact(re), _exact(im)
+    for (j, i), x in terms.items():
+        rows.setdefault(j, {})[i] = x
     return rows
 
 
@@ -877,27 +876,20 @@ def _place_rows(out: np.ndarray, rows: np.ndarray, which: int) -> None:
     out[:, which * (width - 1) + shift, shift + j] = rows[:, None, width - 1 - j]
 
 
-def numeric_resultant_w(bf: np.ndarray, bg: np.ndarray, circle: float) -> np.ndarray:
-    """Resultant in w of two bivariate complex polynomials, rescaled.
+class _ResultantPlan:
+    """The resultant in w of two bivariate complex polynomials bf and bg,
+    rescaled to one circle, with the work that a change of one polynomial's
+    z^0 w^0 coefficient leaves alone done once.
 
-    Returns the ascending coefficients of R(circle * zeta) in zeta, where
-    R(z) = Res_w.  Sampling the Sylvester determinant on the circle where
-    roots will be counted keeps the coefficients balanced even when many
-    roots cluster inside it; on the unscaled unit circle the low-order
-    coefficients of a tight degree-18 cluster drown in roundoff.
-
+    ``resultant`` returns the ascending coefficients of R(circle * zeta) in
+    zeta, where R(z) = Res_w.  Sampling the Sylvester determinant on the
+    circle where roots will be counted keeps the coefficients balanced even
+    when many roots cluster inside it; on the unscaled unit circle the
+    low-order coefficients of a tight degree-18 cluster drown in roundoff.
     The Sylvester matrices at all the samples are stacked and go to one
     batched determinant, in chunks of at most _WORK_CELLS entries; LAPACK
     still factors each matrix on its own, so every value is the one a
-    determinant of that matrix alone gives.  The work is that of a
-    _ResultantPlan built for the two arrays.
-    """
-    return _ResultantPlan(bf, bg, circle).resultant()
-
-
-class _ResultantPlan:
-    """numeric_resultant_w of (bf, bg) on one circle, with the work that a
-    change of one polynomial's z^0 w^0 coefficient leaves alone done once.
+    determinant of that matrix alone gives.
 
     The oracles perturb by adding epsilon there, to g's divided difference
     (``moving`` 1) or to f's difference (``moving`` 0).  The plan holds both
@@ -907,7 +899,7 @@ class _ResultantPlan:
     b00 is within ``room`` (``steady``): the largest entry still sets the
     trim scale, and index 0 raises no last index.  Such a draw recomputes
     the moving rows by the same product and lays them into a copy of the
-    stack; any other draw is planned afresh, as numeric_resultant_w would.
+    stack; any other draw is planned afresh.
     """
 
     def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float, moving: int = 1):
@@ -938,7 +930,7 @@ class _ResultantPlan:
         return self.zpow[which] @ b[: dz + 1, : dw + 1]
 
     def resultant(self, epsilon: complex | None = None) -> np.ndarray:
-        """numeric_resultant_w of the arrays, with ``epsilon`` added to the
+        """The resultant of the arrays, with ``epsilon`` added to the
         moving one's z^0 w^0 coefficient unless it is None."""
         with np.errstate(over="ignore", invalid="ignore"):
             arrays = self.arrays

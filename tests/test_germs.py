@@ -407,7 +407,7 @@ def _reference_sylvester(fc, gc):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reference_resultant_w(bf, bg, circle):
-    """numeric_resultant_w as one Sylvester matrix and one det call per sample."""
+    """``_ResultantPlan.resultant`` as one Sylvester matrix and one det call per sample."""
     df, dg = _reference_degree(bf, 1), _reference_degree(bg, 1)
     dfz, dgz = _reference_degree(bf, 0), _reference_degree(bg, 0)
     if df < 0 or dg < 0:
@@ -509,7 +509,7 @@ class TestStackedDeterminants:
     def test_closed_forms_and_trimmed_terms(self, bf, bg):
         bf, bg = np.array(bf, dtype=complex), np.array(bg, dtype=complex)
         for circle in RADIUS_LADDER:
-            out = germs.numeric_resultant_w(bf, bg, circle)
+            out = germs._ResultantPlan(bf, bg, circle).resultant()
             assert np.array_equal(out, _reference_resultant_w(bf, bg, circle))
 
     def test_benchmark_sized_pair_takes_one_call(self, monkeypatch):
@@ -518,7 +518,7 @@ class TestStackedDeterminants:
         b1 = germs._numeric_difference(u.numeric[0], v.numeric[0])
         b2 = germs._numeric_difference(u.numeric[1], v.numeric[1])
         stacks = self._count_det(monkeypatch)
-        out = germs.numeric_resultant_w(b1, b2, 0.3)
+        out = germs._ResultantPlan(b1, b2, 0.3).resultant()
         ((samples, n, _),) = stacks
         assert samples == len(out) > 1 and samples * n * n <= germs._WORK_CELLS
 
@@ -532,7 +532,7 @@ class TestStackedDeterminants:
         b1 = germs._numeric_difference(u.numeric[0], v.numeric[0])
         b2 = germs._numeric_difference(u.numeric[1], v.numeric[1])
         stacks = self._count_det(monkeypatch)
-        out = germs.numeric_resultant_w(b1, b2, 0.3)
+        out = germs._ResultantPlan(b1, b2, 0.3).resultant()
         monkeypatch.undo()
         assert len(out) * stacks[0][1] ** 2 > germs._WORK_CELLS
         assert len(stacks) > 1 and sum(s for s, _, _ in stacks) == len(out)
@@ -593,12 +593,12 @@ class TestResultantPlan:
         closed = [germs._numeric_difference(a, b) for a, b in zip(u.numeric, v.numeric)]
         sampled = [germs._numeric_divided_difference(c) for c in CUSP35.numeric]
         for arrays, circle in ((closed, 3), (sampled, 1)):
-            out = germs.numeric_resultant_w(*arrays, circle)
-            assert np.array_equal(out, germs.numeric_resultant_w(*arrays, float(circle)))
+            out = germs._ResultantPlan(*arrays, circle).resultant()
+            assert np.array_equal(out, germs._ResultantPlan(*arrays, float(circle)).resultant())
             plan, twin = germs._ResultantPlan(*arrays, circle), germs._ResultantPlan(*arrays, float(circle))
             assert type(plan.circle) is float
             assert np.array_equal(plan.resultant(1e-3), twin.resultant(1e-3))
-        assert np.abs(germs.numeric_resultant_w(*closed, 3)).max() > 1e42
+        assert np.abs(germs._ResultantPlan(*closed, 3).resultant()).max() > 1e42
 
     STUCK = (
         "oracle failed: perturbed intersection parameters stuck at the origin at draw 1;"
@@ -822,13 +822,13 @@ def _reference_double_point_oracle(u, epsilon, radius, seed):
         return delta
     edge_tol = germs.ROOT_EDGE_TOL / radius
     pdd, qdd = (germs._numeric_divided_difference(c) for c in u.numeric)
-    res0 = germs.numeric_resultant_w(pdd, qdd, circle=radius)
+    res0 = germs._ResultantPlan(pdd, qdd, radius).resultant()
     _reference_radius_check(res0, edge_tol, "germ has self-intersections")
 
     def draw(eps):
         q_pert = qdd.copy()
         q_pert[0, 0] += eps
-        res = germs.numeric_resultant_w(pdd, q_pert, circle=radius)
+        res = germs._ResultantPlan(pdd, q_pert, radius).resultant()
         zero_mult, roots, hit_edge = _reference_unit_roots(res, edge_tol)
         if zero_mult:
             return "perturbed intersection parameters stuck at the origin"
@@ -849,13 +849,13 @@ def _reference_intersection_oracle(u, v, epsilon, radius, seed):
     edge_tol = germs.ROOT_EDGE_TOL / radius
     b1 = germs._numeric_difference(u.numeric[0], v.numeric[0])
     b2 = germs._numeric_difference(u.numeric[1], v.numeric[1])
-    res0 = germs.numeric_resultant_w(b1, b2, circle=radius)
+    res0 = germs._ResultantPlan(b1, b2, radius).resultant()
     _reference_radius_check(res0, edge_tol, "germs intersect away from the origin but")
 
     def draw(eps):
         b1e = b1.copy()
         b1e[0, 0] += eps
-        res_z = germs.numeric_resultant_w(b1e, b2, circle=radius)
+        res_z = germs._ResultantPlan(b1e, b2, radius).resultant()
         zero_mult, roots, hit_edge = _reference_unit_roots(res_z, edge_tol)
         if hit_edge:
             return "radius on a root, retry"

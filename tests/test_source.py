@@ -229,28 +229,53 @@ def test_one_certification_path():
     assert found == {name: {("germs.py", "_resultant")} for name in found}, found
 
 
-def test_prime_engine_read_only_by_the_fallback():
-    # one prime is left: the edge check and the far-zero check read it
-    # through _residues and the scalar resultant, and nothing else does;
-    # Fulton's algorithm takes no prime, and the far-zero check is a gcd
-    # that takes no resultant
+def _owners(names) -> dict:
+    """{name: {(file, top-level definition or None)}} of every package
+    module line that names each of ``names``."""
     package = Path(siefring_kit.__file__).parent
-    found = {"PRIME": set(), "IOTA": set()}
+    found = {name: set() for name in names}
     for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(node, "name", None)
             for name, owners in found.items():
                 owners.update((path.name, owner) for _ in _uses(node, name))
-    assert found == {
+    return found
+
+
+def _germs_function(name):
+    """The one definition of ``name`` in germs.py, a method included."""
+    germs = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
+    (node,) = [node for node in ast.walk(germs) if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def test_prime_engine_read_only_by_the_fallback():
+    # one prime is left, read in one place: _nonzero_resultant_mod maps
+    # both polynomials through _residues and takes the scalar resultant,
+    # and the edge check and the far-zero check call it; Fulton's algorithm
+    # takes no prime, and the far-zero check takes no _resultant
+    assert _owners(("PRIME", "IOTA")) == {
         "PRIME": {("_modular.py", None), ("germs.py", None), ("germs.py", "_residues"),
-                  ("germs.py", "_edges_apart"), ("germs.py", "Germ")},
+                  ("germs.py", "_nonzero_resultant_mod")},
         "IOTA": {("_modular.py", None), ("germs.py", None), ("germs.py", "_residues")},
-    }, found
-    germs = ast.parse((package / "germs.py").read_text(encoding="utf-8"))
-    (far_zero,) = [
-        node for node in ast.walk(germs) if isinstance(node, ast.FunctionDef) and node.name == "_far_zero_free"
-    ]
-    assert list(_uses(far_zero, "_resultant")) == []
+    }
+    assert list(_uses(_germs_function("_far_zero_free"), "_resultant")) == []
+
+
+def test_one_division_over_q_i():
+    # one polynomial division over Q(i), Fulton's _remainder: Euclid in the
+    # far-zero check runs on it, and only it and _weierstrass divide
+    # Gaussian rationals by _quotient
+    package = Path(siefring_kit.__file__).parent
+    defined = {
+        node.name
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_remainder" in defined and "_gcd" not in defined
+    assert _owners(("_quotient",)) == {"_quotient": {("germs.py", "_remainder"), ("germs.py", "_weierstrass")}}
+    assert list(_uses(_germs_function("_far_zero_free"), "_remainder"))
 
 
 def test_integer_layers_import_no_numpy():
