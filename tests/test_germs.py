@@ -980,6 +980,67 @@ class TestCachedDisks:
                 oracle(*germ_args, epsilon, 0.3)
 
 
+RETRY = "radius on a root, retry"
+UNPAIRED = "unpaired intersection parameter (partner escaped the disk)"
+
+
+class TestRedrawBranches:
+    """Cells whose first draw puts a root on the counting circle: the radius
+    is |z| for a root z of that draw's resultant on the disk of radius 0.3.
+    A turn of epsilon's phase moves the roots, and a later draw answers
+    (rescued) or every draw fails (exhausted).  The draws are counted by
+    patching ``_redraw``, and each outcome is the per-cell reference's."""
+
+    EPSILON = 1e-3
+
+    @staticmethod
+    def _draws(monkeypatch) -> list:
+        """What each draw of the oracles returns, in order: a count or the
+        reason it failed."""
+        draws = []
+        redraw = germs._redraw
+
+        def logged(draw, epsilon, seed):
+            return redraw(lambda eps: draws.append(draw(eps)) or draws[-1], epsilon, seed)
+
+        monkeypatch.setattr(germs, "_redraw", logged)
+        return draws
+
+    def _radius_on_a_root(self, u, v, index) -> float:
+        """|z| for the index-th smallest root z of the first draw's resultant."""
+        _, kept = germs._trimmed(germs._disk_plan(u, v, 0.3).resultant(self.EPSILON))
+        return 0.3 * float(np.sort(np.abs(germs._roots(kept)))[index])
+
+    @pytest.mark.parametrize(
+        "u, v, index, draws",
+        [
+            # answered by the last draw, after eight unpaired parameters
+            (germ([0, 0, 0, 1, 1], [0, 0, 0, 0, 1, 2]), None, 4, [RETRY] + [UNPAIRED] * 8 + [3]),
+            # (z^2, z^3 + eps z) has its double points at z^2 = -eps, on the
+            # circle |z| = |eps|^(1/2) whatever the phase
+            (CUSP23, None, 0, [RETRY] * 10),
+            (germ([0, 1, 1], [0, 0, 0, 1]), germ([0, 0, 1], [0, 1, 1]), 0, [RETRY, 1]),
+            (germ([0, 1], [0, 0, 1]), germ([0, 0, 1], [0, 1, 0, 1]), 0, [RETRY] * 10),
+        ],
+        ids=["double-point-rescued", "double-point-exhausted", "pair-rescued", "pair-exhausted"],
+    )
+    def test_redrawn_cell(self, monkeypatch, u, v, index, draws):
+        radius = self._radius_on_a_root(u, v, index)
+        if v is None:
+            oracle, reference, args = numeric_double_point_oracle, _reference_double_point_oracle, (u,)
+        else:
+            oracle, reference, args = numeric_intersection_oracle, _reference_intersection_oracle, (u, v)
+        log = self._draws(monkeypatch)
+        ours = _outcome(oracle, *args, self.EPSILON, radius, 0)
+        assert log == draws and len(draws) > 1
+        monkeypatch.undo()
+        assert ours == _outcome(reference, *args, self.EPSILON, radius, 0)
+        if isinstance(draws[-1], str):
+            assert ours == ("refused", f"oracle failed: {draws[-1]} after {germs.MAX_EPSILON_REDRAWS} draws")
+        else:
+            assert ours == ("value", draws[-1])
+
+
 class TestGermFiles:
     def test_round_trip(self):
         u = germ([0, Fraction(1, 2), gaussian(0, Fraction(2, 3))], [0, 0, 1])
@@ -1495,6 +1556,20 @@ class TestModularCertification:
         z = sympy.Symbol("z")
         assert _sympy_pair_resultant(u, v).as_expr() == self.P**2 * z
         assert local_intersection(u, v) == 1
+
+    def test_a_denominator_the_prime_divides(self, monkeypatch):
+        # 1/P has no residue modulo P, so the modular test answers False:
+        # the edge check sends the pair to Fulton's algorithm, and the
+        # far-zero check of v to Euclid
+        u, v = germ([0, 1], [0, 1]), germ([0, Fraction(1, self.P)], [0, 2])
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        germs._pair_resultant.cache_clear()
+        assert local_intersection(u, v) == 1 and len(calls) == 1
+        divisions = []
+        remainder = germs._remainder
+        monkeypatch.setattr(germs, "_remainder", lambda h, g, kept: divisions.append(kept) or remainder(h, g, kept))
+        assert germs.Germ(v.p, v.q)._far_zero_free and divisions == [1]
+        assert _sympy_far_zero_free(v)
 
     def test_the_edge_prime(self):
         # a prime p = 1 mod 4 below 2^31, and a square root of -1 for i
