@@ -43,28 +43,10 @@ __all__ = [
 ]
 
 
-_CORE_NAMES = frozenset(
-    {
-        "CoverData",
-        "CurveClass",
-        "OrbitData",
-        "PunctureSpec",
-        "RelativePairing",
-        "Scene",
-        "TrivializationShift",
-        "cz_index",
-        "euler_char",
-        "load_scene",
-        "parity",
-        "shift_scene",
-        "sigma_bar",
-    }
-)
-
-
 def __getattr__(name):
-    """A scene name of ``core``, imported on its first use."""
-    if name not in _CORE_NAMES:
+    """A scene name of ``core``, imported on its first use: the names of
+    ``__all__`` not bound above."""
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import core
 

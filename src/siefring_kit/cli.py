@@ -8,7 +8,7 @@ germ invariant.
 
 A subcommand runs only the layers it uses: every layer (``audit``,
 ``closed``, ``core``, ``germs``, ``intersection`` and ``spectrum``) is
-bound here by ``_lazy_submodule`` and runs on its first attribute
+bound here by ``_lazy.lazy_import`` and runs on its first attribute
 access, and only ``errors`` and ``jsonio`` are imported eagerly.  So
 ``closed`` and ``germ`` run no scene code, and only the subcommands that
 compute with numpy load it.  ``audit`` draws its twists from the
@@ -34,18 +34,13 @@ from .errors import InconsistencyError, InputError, InvarianceError
 from .jsonio import canonical_dumps, read_seed
 
 
-def _lazy_submodule(child: str):
-    """The package's module ``child``, run on its first attribute access."""
-    return lazy_import(f"{__package__}.{child}")
-
-
 # every layer runs on first use, so a subcommand imports only the layers it uses
-audit = _lazy_submodule("audit")
-closed = _lazy_submodule("closed")
-core = _lazy_submodule("core")
-germs = _lazy_submodule("germs")
-intersection = _lazy_submodule("intersection")
-spectrum = _lazy_submodule("spectrum")
+audit = lazy_import(f"{__package__}.audit")
+closed = lazy_import(f"{__package__}.closed")
+core = lazy_import(f"{__package__}.core")
+germs = lazy_import(f"{__package__}.germs")
+intersection = lazy_import(f"{__package__}.intersection")
+spectrum = lazy_import(f"{__package__}.spectrum")
 
 
 def audit_scene(scene: core.Scene, shifts: int, seed: int) -> dict:

@@ -818,10 +818,8 @@ def branched_cover(u: Germ, k: int) -> Germ:
 
 
 def _numeric_divided_difference(coeffs: np.ndarray) -> np.ndarray:
-    """2D array B[i, j] = coefficient of z^i w^j of (f(z)-f(w))/(z-w)."""
+    """2D array B[i, j] = coefficient of z^i w^j of (f(z)-f(w))/(z-w), f not constant."""
     deg = len(coeffs) - 1
-    if deg < 1:
-        return np.zeros((1, 1), dtype=complex)
     out = np.zeros((deg, deg), dtype=complex)
     for e in range(1, deg + 1):
         c = coeffs[e]
@@ -958,13 +956,10 @@ class _ResultantPlan:
         (_, df), (_, dg) = self.degrees
         if df < 0 or dg < 0:
             return np.zeros(1, dtype=complex)
-        if df == 0 and dg == 0:
-            return np.ones(1, dtype=complex)
-        # Res(f, g) = f^{deg g} when f is free of w
+        # Res(f, g) = f^{deg g} when f is free of w; a zeroth power is [1]
         base, power = (bf[:, 0], dg) if df == 0 else (bg[:, 0], df)
         scaled = base * self.circle ** np.arange(len(base))
-        out = np.polynomial.polynomial.polypow(scaled, power) if power > 0 else np.ones(1)
-        return np.asarray(out, dtype=complex)
+        return np.asarray(np.polynomial.polynomial.polypow(scaled, power), dtype=complex)
 
 
 def _trimmed(coeffs: np.ndarray) -> tuple[int, np.ndarray]:

@@ -38,7 +38,6 @@ SYMMETRY_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-6
 CLUSTER_TOL = 1e-8
-WINDING_GUARD = 0.05
 RESOLVED_SAMPLE_RATIO = 1e-8
 PERIOD_TOL = 1e-6
 DEFAULT_CUTOFF = 32
@@ -253,7 +252,7 @@ class EigenPair:
     ``samples`` are the values of the eigenfunction on the uniform grid
     t_j = j/N, encoded as complex numbers x + i y; ``coeffs`` are its
     complex Fourier coefficients (shape (2M+1, 2)), kept so that the
-    eigenfunction can be re-evaluated at arbitrary parameters.
+    eigenfunction can be shifted along the circle (``covering_multiplicity``).
     """
 
     eigenvalue: float
@@ -282,16 +281,6 @@ def _real_coefficients(columns: np.ndarray, M: int) -> np.ndarray:
     return (G + np.conj(G[:, ::-1, :])) / 2
 
 
-def evaluate_coefficients(coeffs: np.ndarray, ts) -> np.ndarray:
-    """Evaluate a coefficient block at parameters ts; returns complex x+iy."""
-    M = (coeffs.shape[0] - 1) // 2
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    ns = np.arange(-M, M + 1)
-    phases = np.exp(2j * np.pi * np.outer(ns, ts))
-    vals = np.tensordot(coeffs, phases, axes=(0, 0))  # (2, len(ts))
-    return vals[0].real + 1j * vals[1].real
-
-
 def _on_grid(coeffs: np.ndarray, N: int) -> np.ndarray:
     """Values on t_j = j/N of real trigonometric polynomials, shape
     (..., N, 2), from coefficient blocks (..., 2M+1, 2) with
@@ -305,10 +294,11 @@ def _windings(samples: np.ndarray) -> np.ndarray:
     per row, in one pass over the stack.
 
     Each row sums the principal-branch angle increments between consecutive
-    samples and divides by 2 pi; the accumulated value must land within the
-    rounding guard of an integer.  The first row that fails is refused with
-    its message: samples too close to zero (an infinite sample reads so
-    too), a NaN sample, or an accumulated value off the integers.
+    samples and divides by 2 pi, rounded to the nearest integer.  The loop
+    is closed, so the ratios of consecutive samples multiply to 1 and the
+    increments sum to 2 pi n up to rounding.  The first row that fails is
+    refused with its message: samples too close to zero (an infinite
+    sample reads so too) or a NaN sample.
     """
     samples = np.asarray(samples, dtype=complex)
     mags = np.abs(samples)
@@ -317,16 +307,12 @@ def _windings(samples: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.roll(samples, -1, axis=1) / samples
     totals = np.angle(ratios).sum(axis=1) / (2 * np.pi)
-    nearest = np.round(totals)
-    failed = unresolved | ~(np.abs(totals - nearest) <= WINDING_GUARD)
+    failed = unresolved | ~np.isfinite(totals)
     if failed.any():
-        i = int(failed.argmax())
-        if unresolved[i]:
+        if unresolved[failed.argmax()]:
             raise InputError("eigenfunction not resolved: samples pass too close to zero")
-        if np.isnan(totals[i]):
-            raise InputError("eigenfunction not resolved: samples are not finite")
-        raise InputError(f"grid too coarse: winding accumulated to {totals[i]}, not an integer")
-    return nearest.astype(int)
+        raise InputError("eigenfunction not resolved: samples are not finite")
+    return np.round(totals).astype(int)
 
 
 def winding(samples: np.ndarray) -> int:

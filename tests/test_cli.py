@@ -324,6 +324,12 @@ MALFORMED = {
         "curve", _planar_page(lambda d: d["curves"][0].update(genus=True)), ["page"], "'genus'"
     ),
     "germ_float": ("germ delta", dict(GERM_35, q=GERM_35["q"][:-1] + [[1.9, 1, 0, 1]]), [], "1.9"),
+    "germ_zero_denominator": (
+        "germ delta",
+        dict(GERM_35, q=GERM_35["q"][:-1] + [[1, 0, 0, 1]]),
+        [],
+        "error: germ coefficient has zero denominator\n",
+    ),
     "loop_nan": (
         "spectrum", _loop_mode(cos=[[float("nan"), 0.0], [0.0, 1.0]]), [], "finite number"
     ),
@@ -464,6 +470,14 @@ class TestMalformedInput:
         code, _, err = run(capsys, "spectrum", str(path))
         assert code == 1
         assert err.startswith("error: cannot read loop file")
+
+    def test_unknown_golden_scene(self):
+        with pytest.raises(InputError) as refusal:
+            cli.golden_scene("nope")
+        assert str(refusal.value) == (
+            "unknown golden scene 'nope'; choose from "
+            "('closed_ruled', 'orbit_cylinder', 'planar_page', 'nodal_split')"
+        )
 
 
 def _rename_cover(key):

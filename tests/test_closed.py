@@ -87,6 +87,17 @@ class TestNodalSplit:
         message = double_cover_contradiction(total_self=0, k=2, component_c1=1)
         assert "parity contradiction" in message
 
+    def test_double_cover_other_verdicts(self):
+        assert double_cover_contradiction(total_self=2) == (
+            "homology class not divisible: [u].[u] = 2 is not a multiple of 4"
+        )
+        assert double_cover_contradiction(component_c1=2) == "no contradiction from parity alone"
+
+    def test_other_degeneration_refused(self):
+        with pytest.raises(InputError) as refusal:
+            analyze_nodal_split(total_self=1)
+        assert str(refusal.value) == "analysis is specialized to the square-zero, c1 = 2 degeneration pattern"
+
     def test_full_chain_reproduces_component_table(self):
         # the deduced invariants satisfy the adjunction identities they came from
         result = analyze_nodal_split(0, 2, (1, 1))

@@ -1,9 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import siefring_kit
+from siefring_kit import core
 from siefring_kit.core import (
     SIGNS,
     CoverData,
@@ -319,6 +325,17 @@ class TestSceneValidation:
         with pytest.raises(InputError, match="duplicate orbit"):
             Scene((o, o), (), RelativePairing({}))
 
+    def test_duplicate_curve_ids_rejected(self):
+        u = CurveClass("u", 0, (), 0)
+        with pytest.raises(InputError) as refusal:
+            Scene((), (u, u), RelativePairing({}))
+        assert str(refusal.value) == "duplicate curve ids in scene"
+
+    def test_unknown_puncture_sign_rejected(self):
+        with pytest.raises(InputError) as refusal:
+            PunctureSpec("x", "o", 1)
+        assert str(refusal.value) == "puncture sign must be '+' or '-', got 'x'"
+
 
 class TestSceneFiles:
     def test_round_trip(self):
@@ -346,3 +363,29 @@ class TestSceneFiles:
     def test_json_serializable(self):
         text = json.dumps(scene_to_dict(demo_scene()))
         assert scene_from_dict(json.loads(text)) == demo_scene()
+
+
+class TestPackageNames:
+    """The scene names of ``__all__`` that the package reads from ``core``
+    on first use."""
+
+    def test_core_names_are_the_core_objects(self):
+        served = [name for name in siefring_kit.__all__ if name not in vars(siefring_kit)]
+        assert len(served) == 13
+        for name in served:
+            assert getattr(siefring_kit, name) is getattr(core, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError) as refusal:
+            siefring_kit.no_such_name
+        assert str(refusal.value) == "module 'siefring_kit' has no attribute 'no_such_name'"
+        assert not hasattr(siefring_kit, "_CORE_NAMES")
+
+    def test_package_import_runs_no_core(self):
+        package_root = Path(siefring_kit.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(package_root))
+        script = "import sys, siefring_kit; print('siefring_kit.core' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

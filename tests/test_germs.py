@@ -201,6 +201,16 @@ class TestLocalIntersection:
             change_coordinates(u, matrix), change_coordinates(v, matrix)
         ) == base
 
+    def test_singular_coordinate_change_refused(self):
+        with pytest.raises(InputError) as refusal:
+            change_coordinates(CUSP23, ((1, 2), (gaussian(0, 1), gaussian(0, 2))))
+        assert str(refusal.value) == "coordinate change matrix is singular"
+
+    def test_zero_reparametrization_refused(self):
+        with pytest.raises(InputError) as refusal:
+            reparametrize(CUSP23, 0)
+        assert str(refusal.value) == "reparametrization scalar must be nonzero"
+
 
 class TestDeltaLocal:
     def test_immersed(self):

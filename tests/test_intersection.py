@@ -483,6 +483,12 @@ class TestAutomaticTransversality:
         assert (report.index, report.normal_chern) == (0, 1)
         assert not report.automatic
 
+    def test_dimension_six_refused(self):
+        scene = Scene((), (CurveClass("u", 0, (), 3, ambient_dim_half=3),), RelativePairing({}))
+        with pytest.raises(InputError) as refusal:
+            xn.automatic_transversality(scene, "u")
+        assert str(refusal.value) == "criterion specific to dimension four (ambient_dim_half = 2)"
+
 
 class TestFoliationCriteria:
     def planar_scene(self, multiplicity=1, repeat_orbit=False):

@@ -331,3 +331,14 @@ def test_no_discarded_tangent():
         for line in _discarded_tangents(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert SOURCES and found == []
+
+
+def test_one_grid_evaluator_and_no_winding_guard():
+    # eigenfunctions reach their samples by one inverse real FFT, _on_grid;
+    # a closed loop's angle increments sum to 2 pi n up to rounding, so no
+    # off-integer refusal is kept beside the resolution one
+    assert _owners(("irfft",)) == {"irfft": {("spectrum.py", "_on_grid")}}
+    package = Path(siefring_kit.__file__).parent
+    files = [path for path in package.rglob("*") if path.is_file() and "__pycache__" not in path.parts]
+    assert package / "spectrum.py" in files
+    assert [path.name for path in files if b"grid too coarse" in path.read_bytes()] == []

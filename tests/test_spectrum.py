@@ -22,7 +22,6 @@ from siefring_kit.spectrum import (
     cover_operator,
     covering_multiplicity,
     eigen_window,
-    evaluate_coefficients,
     fit_decay,
     integrate_linear_ode,
     loop_from_dict,
@@ -37,6 +36,18 @@ from siefring_kit.spectrum import (
 )
 
 TWO_PI = 2 * np.pi
+
+
+def evaluate_coefficients(coeffs: np.ndarray, ts) -> np.ndarray:
+    """Evaluate a coefficient block at parameters ts; returns complex x+iy.
+    A direct sum over the modes: the reference for the package's one
+    evaluator, the inverse real FFT of ``_on_grid``."""
+    M = (coeffs.shape[0] - 1) // 2
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ns = np.arange(-M, M + 1)
+    phases = np.exp(2j * np.pi * np.outer(ns, ts))
+    vals = np.tensordot(coeffs, phases, axes=(0, 0))  # (2, len(ts))
+    return vals[0].real + 1j * vals[1].real
 
 
 def random_loop(rng, bandwidth=2, scale=1.0):
@@ -286,18 +297,14 @@ class TestWinding:
 
 def winding_reference(samples) -> int:
     """The per-loop winding rule, one loop at a time: the reference for
-    the vectorized ``_windings``.  It reads the guards off the module, so
-    a test that tightens one tightens both."""
+    the vectorized ``_windings``.  It reads the resolution guard off the
+    module."""
     samples = np.asarray(samples, dtype=complex)
     mags = np.abs(samples)
     if mags.min() <= spectrum.RESOLVED_SAMPLE_RATIO * mags.max():
         raise InputError("eigenfunction not resolved: samples pass too close to zero")
     ratios = np.roll(samples, -1) / samples
-    total = np.angle(ratios).sum() / (2 * np.pi)
-    nearest = round(total)
-    if abs(total - nearest) > spectrum.WINDING_GUARD:
-        raise InputError(f"grid too coarse: winding accumulated to {total}, not an integer")
-    return int(nearest)
+    return int(round(np.angle(ratios).sum() / (2 * np.pi)))
 
 
 def sample_stack(rng) -> np.ndarray:
@@ -327,34 +334,29 @@ class TestVectorizedWindings:
     each row in turn: the same windings, or the first failing row's
     message."""
 
-    def test_matches_the_per_row_reference(self, monkeypatch):
+    def test_matches_the_per_row_reference(self):
         rng = np.random.default_rng(2204)
-        seen = {"passed": 0, "unresolved": 0, "off-integer": 0, "first failure past row 0": 0}
-        # a closed loop's principal increments sum to a multiple of 2 pi up to
-        # rounding, so only a guard tightened below rounding reaches the
-        # off-integer refusal
-        for guard in (spectrum.WINDING_GUARD, 4e-16, 0.0):
-            monkeypatch.setattr(spectrum, "WINDING_GUARD", guard)
-            for _ in range(110):
-                stack = sample_stack(rng)
-                expected, failing = [], None
-                for i, row in enumerate(stack):
-                    try:
-                        expected.append(winding_reference(row))
-                    except InputError as exc:
-                        expected, failing = str(exc), i
-                        break
-                if failing is None:
-                    got = _windings(stack)
-                    assert got.tolist() == expected and got.dtype.kind == "i"
-                    assert [winding(row) for row in stack] == expected
-                    seen["passed"] += 1
-                    continue
-                with pytest.raises(InputError) as refusal:
-                    _windings(stack)
-                assert str(refusal.value) == expected
-                seen["unresolved" if "not resolved" in expected else "off-integer"] += 1
-                seen["first failure past row 0"] += failing > 0
+        seen = {"passed": 0, "unresolved": 0, "first failure past row 0": 0}
+        for _ in range(110):
+            stack = sample_stack(rng)
+            expected, failing = [], None
+            for i, row in enumerate(stack):
+                try:
+                    expected.append(winding_reference(row))
+                except InputError as exc:
+                    expected, failing = str(exc), i
+                    break
+            if failing is None:
+                got = _windings(stack)
+                assert got.tolist() == expected and got.dtype.kind == "i"
+                assert [winding(row) for row in stack] == expected
+                seen["passed"] += 1
+                continue
+            with pytest.raises(InputError) as refusal:
+                _windings(stack)
+            assert str(refusal.value) == expected
+            seen["unresolved"] += 1
+            seen["first failure past row 0"] += failing > 0
         assert min(seen.values()) >= 40, seen
 
 
@@ -837,6 +839,12 @@ class TestFitDecayInputs:
             fit_decay(pairs)
         assert capfd.readouterr().err == ""
 
+    def test_grid_stepping_back(self):
+        s = np.linspace(0.0, 5.0, 40)
+        s[20] = s[19] - 0.01
+        with pytest.raises(InputError, match=r"^trajectory unusable: s-grid must be increasing$"):
+            fit_decay(Trajectory(s, np.exp(-s)[:, None] * np.ones(2)))
+
 
 class TestLoopFiles:
     def test_round_trip_and_report(self):
@@ -1096,3 +1104,27 @@ class TestAlphaRecordFromCoverData:
             assert record.cz == 2 * record.alpha_minus + record.parity
             parities.add(record.parity)
         assert parities == {0, 1}
+
+
+class _StubDiscretization:
+    """A discretization whose spectrum is given: every eigenvalue, and the
+    half-band window of eigenvalues with their windings."""
+
+    def __init__(self, eigenvalues, windings):
+        lams = np.array(eigenvalues, dtype=float)
+        self.eigh = (lams, None)
+        self.half_band_window = (lams, np.array(windings))
+
+
+class TestAlphaRecordRefusals:
+    def test_interior_winding_counted_other_than_twice(self):
+        op = _StubDiscretization([-3, -2, -1, 1, 2, 3], [-1, 0, 0, 0, 1, 1])
+        message = "winding 0 appears 3 times in the resolved window; discretization is inconsistent"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            spectrum._alpha_record([(op, 1, 1)], 1e-6)
+
+    def test_parity_off_zero_and_one(self):
+        op = _StubDiscretization([-2, -1, 1, 2], [-1, -1, 1, 1])
+        message = "computed parity 2 is not 0 or 1; spectrum not resolved"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            spectrum._alpha_record([(op, 1, 1)], 1e-6)
