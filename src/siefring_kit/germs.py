@@ -69,7 +69,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 
 from ._lazy import lazy_import
-from ._modular import IOTA, PRIME, _scalar_resultant_mod
 from .errors import InputError, InvarianceError
 from .jsonio import JsonObject, read_json, read_multiplicity, read_seed, typed
 
@@ -81,6 +80,8 @@ COEFF_TRIM_TOL = 1e-11
 # at z = 0 the resultant is ~ epsilon**(a-1) times a product: |epsilon| sets it, not the phase
 MAX_EPSILON_REDRAWS = 10
 STUCK_AT_THE_ORIGIN = "perturbed intersection parameters stuck at the origin"
+PRIME = 2147389441  # 1 mod 4, so that -1 has a square root modulo it
+IOTA = 815951605  # IOTA^2 = -1 modulo PRIME: the image of i
 
 
 def _fraction(value) -> Fraction:
@@ -409,6 +410,30 @@ def _order_bound(polygon_f: tuple, polygon_g: tuple):
     # the roots at w = 0 of one against all roots of the other: their drops telescope
     total = dg * lf + df * lg + zf * (first_g - lg) + zg * (first_f - lf)
     return total + sum(min(n * d, m * e) for m, d in edges_f for n, e in edges_g)
+
+
+def _scalar_resultant_mod(f: list, g: list, p: int) -> int:
+    """Res_{m,n}(f, g) modulo p of ascending coefficients in [0, p) of
+    formal degrees m and n, the lengths less one, by a remainder sequence:
+    a leading g_n = 0 drops, Res_{m,n}(f, g) = f_m Res_{m,n-1}(f, g), and
+    otherwise Res_{m,n}(f, g) = (-1)^(mn) g_n^(m-n+1) Res_{n,n-1}(g, f mod
+    g).  Every step keeps m >= n, so only the first can swap."""
+    value = 1
+    if len(f) < len(g):
+        f, g, value = g, f, (-1) ** ((len(f) - 1) * (len(g) - 1))
+    while len(g) > 1:
+        m, n, lead = len(f) - 1, len(g) - 1, g[-1]
+        if not lead:
+            value, g = value * f[-1] % p, g[:-1]
+            continue
+        inverse, r = pow(lead, -1, p), list(f)
+        for top in range(m, n - 1, -1):  # r[top] goes to 0 and is dropped
+            q = r[top] * inverse % p
+            for k in range(n):
+                r[top - n + k] -= q * g[k]
+        value = value * (-1) ** (m * n) * pow(lead, m - n + 1, p) % p
+        f, g = g, [c % p for c in r[:n]]
+    return value * pow(g[0], len(f) - 1, p) % p
 
 
 def _residues(coeffs) -> list:
@@ -761,17 +786,15 @@ def local_intersection(u: Germ, v: Germ) -> int:
     return order
 
 
-def _double_point_refusals(u: Germ, domain: bool = True):
+def _double_point_refusals(u: Germ):
     """The refusals delta_local and its oracle share.  Returns delta for a
     germ with a vanishing coordinate (0 when the other one f has f'(0) != 0,
     else it has a curve of double points), None for the others, whose domain
-    is checked here unless ``domain`` is False: delta_local leaves that to
+    each caller checks next: the oracle up front, delta_local through
     ``_resultant``."""
     if not is_simple(u):
         raise InputError("not simple: germ is a multiple cover")
     if u.p and u.q:
-        if domain:
-            _require_small_domain(u, _SELF_DOMAIN)
         return None
     if (u.p or u.q)[1]:
         return 0
@@ -786,12 +809,15 @@ def delta_local(u: Germ) -> int:
     the vanishing order is k.  k is read off the exponents, so no tangent
     (a division in Q(i)) is computed.
     """
-    delta = _double_point_refusals(u, domain=False)
+    delta = _double_point_refusals(u)
     k = min(u.exponents)  # critical_order's k, without its tangent
     if delta is None:
         order = _resultant(_divided_difference_terms(u.p), _divided_difference_terms(u.q), (u, _SELF_DOMAIN))
+        # a simple germ whose divided differences share a component has p, q
+        # in C[phi], deg phi >= 2: a monomial phi fails is_simple, and any
+        # other has a root besides 0, which the domain check refuses first
         if order is None:
-            raise InputError("non-isolated double points: divided differences share a component")
+            raise InvarianceError("exact germ invariant broken: divided differences share a component")
         if order % 2 != 0:
             raise InvarianceError(f"exact germ invariant broken: odd double-point order {order}")
         delta = order // 2
@@ -1108,6 +1134,7 @@ def numeric_double_point_oracle(
     delta = _double_point_refusals(u)
     if delta is not None:
         return delta
+    _require_small_domain(u, _SELF_DOMAIN)
     plan = _disk_plan(u, None, radius)
     edge_tol = ROOT_EDGE_TOL / radius
 

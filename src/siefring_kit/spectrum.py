@@ -15,9 +15,12 @@ the induced data of covered orbits; it also contains a small linear-ODE
 integrator and an exponential-decay fitter used as an independent check on
 the asymptotic-eigenvector picture.
 
-numpy and ``core`` are bound lazily and run on first use, so a loop file
-that the JSON rules of ``loop_from_dict`` refuse is refused before either
-is imported.
+Each matrix of a loop is read exactly symmetric (``_check_symmetric``), so
+the Galerkin matrix is exactly Hermitian and every cover k S(k t) of an
+accepted loop is accepted too.  numpy and ``core`` are bound lazily and run
+on first use, so a loop file that the JSON rules of ``loop_from_dict``
+refuse is refused before either is imported; the module forwards no name
+of either.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ np = lazy_import("numpy")  # run on first numeric use; see the module docstring
 core = lazy_import(f"{__package__}.core")
 
 SYMMETRY_TOL = 1e-12
-HERMITIAN_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-6
 CLUSTER_TOL = 1e-8
 RESOLVED_SAMPLE_RATIO = 1e-8
@@ -45,31 +47,20 @@ DEFAULT_CUTOFF = 32
 MAX_CUTOFF = 512
 
 
-@cache
-def _j0() -> np.ndarray:
-    """J0, the standard complex structure on R^2, built on first use."""
-    return np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def __getattr__(name):
-    """``J0``, and the names ``CoverData`` and ``OrbitData`` of ``core``, read
-    on first use, so importing this module runs neither numpy nor ``core``."""
-    if name == "J0":
-        return _j0()
-    if name in ("CoverData", "OrbitData"):
-        return getattr(core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _check_symmetric(mat, what: str) -> np.ndarray:
+    """A fresh float copy of ``mat``, refused unless 2x2 and symmetric within
+    SYMMETRY_TOL, with its upper off-diagonal entry copied from the lower one:
+    exactly symmetric, so every cover k C is too, and an exactly symmetric
+    matrix comes back bit for bit."""
     try:
-        m = np.asarray(mat, dtype=float)
+        m = np.array(mat, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be a 2x2 matrix of numbers") from None
     if m.shape != (2, 2):
         raise InputError(f"{what} must be a 2x2 matrix, got shape {m.shape}")
     if abs(m[0, 1] - m[1, 0]) > SYMMETRY_TOL:
         raise InputError(f"asymmetric mode supplied: {what} is not symmetric")
+    m[0, 1] = m[1, 0]
     return m
 
 
@@ -217,17 +208,15 @@ def _galerkin(loop: SpectralLoop, modes: range) -> np.ndarray:
     # A[i, :, j, :] is the 2x2 block from mode modes[j] to mode modes[i]
     A = np.zeros((size, 2, size, 2), dtype=complex)
     idx = np.arange(size)
-    A[idx, :, idx, :] += (-2j * np.pi * np.asarray(modes))[:, None, None] * _j0()
+    # -2 pi i n J0 on each mode n, J0 = [[0, -1], [1, 0]]
+    spin = 2j * np.pi * np.asarray(modes)
+    A[idx, 0, idx, 1] += spin
+    A[idx, 1, idx, 0] -= spin
     for nu, block in s_hat.items():
         shift = nu // modes.step
         cols = idx[max(0, -shift):size - max(0, shift)]
         A[cols + shift, :, cols, :] += -block
-    A = A.reshape(2 * size, 2 * size)
-    deviation = np.max(np.abs(A - A.conj().T))
-    scale = max(1.0, np.max(np.abs(A)))
-    if deviation > HERMITIAN_TOL * scale:
-        raise InputError(f"assembled matrix is not Hermitian (deviation {deviation:.2e})")
-    return A
+    return A.reshape(2 * size, 2 * size)
 
 
 def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorDiscretization:
@@ -400,7 +389,7 @@ class AlphaRecord:
     cz: int
 
 
-def _alpha_record(parts, zero_tol: float) -> AlphaRecord:
+def _alpha_record(parts) -> AlphaRecord:
     """The one rule from a spectrum to alpha_-, alpha_+, parity and index.
 
     ``parts`` lists (discretization, m, copies): the spectrum is the union
@@ -408,7 +397,7 @@ def _alpha_record(parts, zero_tol: float) -> AlphaRecord:
     m, taken ``copies`` times.  Every eigenvalue is checked against 0
     before any half-band window is computed.
     """
-    if min(np.abs(m * op.eigh[0]).min() for op, m, _ in parts) <= zero_tol:
+    if min(np.abs(m * op.eigh[0]).min() for op, m, _ in parts) <= ZERO_EIGENVALUE_TOL:
         raise InputError("degenerate orbit: operator has an eigenvalue at 0")
     windows = [(op.half_band_window, m, copies) for op, m, copies in parts]
     lams = np.concatenate([np.tile(m * ls, copies) for (ls, _), m, copies in windows])
@@ -443,9 +432,7 @@ def _alpha_record(parts, zero_tol: float) -> AlphaRecord:
     return AlphaRecord(alpha_minus, alpha_plus, cover.parity(), cover.cz_index())
 
 
-def alphas_from_spectrum(
-    op: OperatorDiscretization, zero_tol: float = ZERO_EIGENVALUE_TOL
-) -> AlphaRecord:
+def alphas_from_spectrum(op: OperatorDiscretization) -> AlphaRecord:
     """Extract alpha_-, alpha_+, parity and the index from the spectrum.
 
     alpha_- is the winding of the largest negative eigenvalue and alpha_+
@@ -453,10 +440,10 @@ def alphas_from_spectrum(
     these the extrema over each half of the spectrum).  The double-count
     property and the monotonicity of the winding are asserted over the
     window of half the resolved band as a consistency check on the
-    discretization.  ``zero_tol`` is the nondegeneracy threshold: any
-    eigenvalue within it of 0 rejects the operator as degenerate.
+    discretization.  Any eigenvalue within ZERO_EIGENVALUE_TOL of 0 rejects
+    the operator as degenerate.
     """
-    return _alpha_record([(op, 1, 1)], zero_tol)
+    return _alpha_record([(op, 1, 1)])
 
 
 def covering_multiplicity(pair: EigenPair, k: int) -> int:
@@ -598,21 +585,17 @@ def integrate_linear_ode(A, v0, s0: float, s1: float, steps: int) -> Trajectory:
     return Trajectory(ss, out)
 
 
-def fit_decay(trajectory) -> DecayFit:
+def fit_decay(trajectory: Trajectory) -> DecayFit:
     """Fit the exponential rate of a decaying trajectory v(s) ~ e^{lam s} v_+.
 
     The rate is the least-squares slope of log|v(s)| over the last half of
     the samples (the early samples carry the transient and are discarded);
     the direction is the normalized final sample, and the residual is the
-    worst deviation of log|v| from the fitted line over the last half.
+    worst deviation of log|v| from the fitted line over the last half.  The
+    samples come as a ``Trajectory``, as ``integrate_linear_ode`` returns them.
     """
-    if isinstance(trajectory, Trajectory):
-        s = np.asarray(trajectory.s, dtype=float)
-        vals = np.asarray(trajectory.values, dtype=float)
-    else:
-        items = list(trajectory)
-        s = np.array([float(a) for a, _ in items])
-        vals = np.array([np.asarray(b, dtype=float) for _, b in items])
+    s = np.asarray(trajectory.s, dtype=float)
+    vals = np.asarray(trajectory.values, dtype=float)
     if len(s) < 20:
         raise InputError("trajectory unusable: need at least 20 samples")
     if not (np.isfinite(s).all() and np.isfinite(vals).all()):
@@ -720,6 +703,6 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
             for r in range(q // 2 + 1)
             if math.gcd(r, q) == 1
         ]
-        record = _alpha_record(parts, ZERO_EIGENVALUE_TOL)
+        record = _alpha_record(parts)
         table[k] = core.CoverData(record.alpha_minus, record.alpha_plus)
     return core.OrbitData(orbit_id, table)

@@ -518,6 +518,13 @@ class TestStrictInputs:
         assert out == ""
         assert err.startswith("error: exact germ invariant broken")
 
+    def test_shared_component_guard_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.germs, "_resultant", lambda f, g, domain=None: None)
+        a = write(tmp_path / "a.json", GERM_35)
+        code, out, err = run(capsys, "germ", "delta", a)
+        assert (code, out) == (3, "")
+        assert err == "error: exact germ invariant broken: divided differences share a component\n"
+
     def test_import_leaves_sympy_unloaded(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)

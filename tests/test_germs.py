@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from siefring_kit import _modular, germs
+from siefring_kit import germs
 from siefring_kit.errors import InputError, InvarianceError
 from siefring_kit.germs import (
     GermNormalForm,
@@ -830,6 +830,7 @@ def _reference_double_point_oracle(u, epsilon, radius, seed):
     delta = germs._double_point_refusals(u)
     if delta is not None:
         return delta
+    germs._require_small_domain(u, germs._SELF_DOMAIN)
     edge_tol = germs.ROOT_EDGE_TOL / radius
     pdd, qdd = (germs._numeric_divided_difference(c) for c in u.numeric)
     res0 = germs._ResultantPlan(pdd, qdd, radius).resultant()
@@ -1102,6 +1103,18 @@ class TestOracleDomainRefusal:
                 numeric_double_point_oracle(u, epsilon=eps, radius=radius)
             assert str(oracle.value) == str(exact.value)
 
+    def test_cover_of_a_far_zero_germ_refused_as_not_simple(self):
+        # both paths refuse a multiple cover before they check its domain:
+        # the double cover of a germ whose p and q share z = 1
+        u = branched_cover(germ([0, 0, 1, -1], [0, 0, 0, 1, -1]), 2)
+        with pytest.raises(InputError) as exact:
+            delta_local(u)
+        assert str(exact.value) == "not simple: germ is a multiple cover"
+        for radius, eps in self.LADDER:
+            with pytest.raises(InputError) as oracle:
+                numeric_double_point_oracle(u, epsilon=eps, radius=radius)
+            assert str(oracle.value) == str(exact.value)
+
     def test_zero_coordinate_not_refused(self):
         # delta_local skips the domain check when a coordinate vanishes
         u = germ([0, 1], [0])
@@ -1196,6 +1209,14 @@ class TestExactInvariantGuards:
     def test_broken_double_point_order(self, monkeypatch):
         monkeypatch.setattr(germs, "_resultant", lambda f, g, domain=None: 3)
         with pytest.raises(InvarianceError, match="odd double-point order 3"):
+            delta_local(CUSP23)
+
+    def test_shared_component_of_a_simple_germ(self, monkeypatch):
+        # a simple germ that passes the domain check has divided differences
+        # with no shared component, so a zero resultant is a broken invariant
+        monkeypatch.setattr(germs, "_resultant", lambda f, g, domain=None: None)
+        message = "exact germ invariant broken: divided differences share a component"
+        with pytest.raises(InvarianceError, match=f"^{message}$"):
             delta_local(CUSP23)
 
     def test_broken_delta_bounds(self, monkeypatch):
@@ -1543,7 +1564,7 @@ class TestOneSylvesterBuilder:
 class TestModularCertification:
     """Cases where the edge check's prime alone gives a wrong answer."""
 
-    P = _modular.PRIME
+    P = germs.PRIME
 
     def test_first_prime_alone_reads_too_high_an_order(self, monkeypatch):
         # the edges of this pair are apart, which certifies its order
@@ -1584,7 +1605,7 @@ class TestModularCertification:
     def test_the_edge_prime(self):
         # a prime p = 1 mod 4 below 2^31, and a square root of -1 for i
         assert sympy.isprime(self.P) and self.P < 2**31 and self.P % 4 == 1
-        assert _modular.IOTA**2 % self.P == self.P - 1
+        assert germs.IOTA**2 % self.P == self.P - 1
 
 
 def _terms_of(kind, gs):
@@ -2190,7 +2211,7 @@ class TestDeferredDomainCheck:
 
 
 # the edge check's prime and the next prime below 2^31 that is 1 mod 2^12
-PRIMES = [_modular.PRIME, 2147377153]
+PRIMES = [germs.PRIME, 2147377153]
 
 
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -2516,3 +2537,14 @@ class TestGaussianHash:
         assert gaussian(2) in {2}
         assert gaussian(-1) in {-1} and gaussian(Fraction(-5, 2)) in {Fraction(-5, 2)}
         assert {gaussian(3, 4): 1}.get(gaussian(Fraction(6, 2), Fraction(8, 2))) == 1
+
+
+class TestGaussianPower:
+    def test_integer_exponents(self):
+        assert gaussian(0, 1) ** 2 == -1 and gaussian(1, 1) ** 0 == 1
+        assert gaussian(1, 1) ** -1 == gaussian(Fraction(1, 2), Fraction(-1, 2))
+
+    @pytest.mark.parametrize("exponent", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+    def test_non_integer_exponent_refused(self, exponent):
+        with pytest.raises(TypeError):
+            gaussian(1, 1) ** exponent

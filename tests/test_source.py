@@ -255,9 +255,8 @@ def test_prime_engine_read_only_by_the_fallback():
     # and the edge check and the far-zero check call it; Fulton's algorithm
     # takes no prime, and the far-zero check takes no _resultant
     assert _owners(("PRIME", "IOTA")) == {
-        "PRIME": {("_modular.py", None), ("germs.py", None), ("germs.py", "_residues"),
-                  ("germs.py", "_nonzero_resultant_mod")},
-        "IOTA": {("_modular.py", None), ("germs.py", None), ("germs.py", "_residues")},
+        "PRIME": {("germs.py", None), ("germs.py", "_residues"), ("germs.py", "_nonzero_resultant_mod")},
+        "IOTA": {("germs.py", None), ("germs.py", "_residues")},
     }
     assert list(_uses(_germs_function("_far_zero_free"), "_resultant")) == []
 
@@ -342,3 +341,25 @@ def test_one_grid_evaluator_and_no_winding_guard():
     files = [path for path in package.rglob("*") if path.is_file() and "__pycache__" not in path.parts]
     assert package / "spectrum.py" in files
     assert [path.name for path in files if b"grid too coarse" in path.read_bytes()] == []
+
+
+def test_no_module_getattr_beside_the_package():
+    # the package reads its scene names from core on first use; no other
+    # module forwards names it does not define
+    found = [
+        path.name
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    ]
+    assert found == ["__init__.py"], found
+
+
+def test_no_hermitian_refusal():
+    # C and D are read exactly symmetric, so the assembled matrix is
+    # exactly Hermitian and no tolerance or refusal checks it
+    package = Path(siefring_kit.__file__).parent
+    files = [path for path in package.rglob("*") if path.is_file() and "__pycache__" not in path.parts]
+    assert package / "spectrum.py" in files
+    spelled = [path.name for path in files for word in (b"HERMITIAN_TOL", b"not Hermitian") if word in path.read_bytes()]
+    assert spelled == []

@@ -8,12 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from siefring_kit import cli, spectrum
+from siefring_kit import cli, core, spectrum
 from siefring_kit.errors import InputError
 from siefring_kit.spectrum import (
     CLUSTER_TOL,
     DEFAULT_CUTOFF,
-    J0,
     SpectralLoop,
     Trajectory,
     alphas_from_spectrum,
@@ -36,6 +35,7 @@ from siefring_kit.spectrum import (
 )
 
 TWO_PI = 2 * np.pi
+J0 = np.array([[0.0, -1.0], [1.0, 0.0]])  # the standard complex structure on R^2
 
 
 def evaluate_coefficients(coeffs: np.ndarray, ts) -> np.ndarray:
@@ -108,6 +108,31 @@ class TestLoopValidation:
     def test_asymmetric_mode_rejected(self):
         with pytest.raises(InputError, match="asymmetric mode"):
             SpectralLoop(((0, [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),))
+
+    def test_symmetric_within_the_tolerance_read_as_its_lower_entry(self):
+        # |C01 - C10| = 8e-13 passes at cover 1; read as given, the cover 2C
+        # would differ by 1.6e-12, past the tolerance, and refuse a mode the
+        # user never gave
+        z = np.zeros((2, 2))
+        c = np.array([[1.0, 0.3 + 8e-13], [0.3, 2.0]])
+        given = c.copy()
+        loop = SpectralLoop(((0, np.diag([1.0, 2.0]), z), (1, c, z)))
+        assert np.array_equal(c, given)  # the caller's matrix is not written
+        read = loop.modes[1][1]
+        assert read[0, 1] == read[1, 0] == 0.3 and read is not c
+        table = orbit_from_loop("o", loop, [1, 2], 8).cover_table
+        assert set(table) == {1, 2}
+        for k in (1, 2):
+            A = assemble(cover_operator(loop, k), 8 * k).matrix
+            assert np.array_equal(A, A.conj().T)
+
+    def test_symmetric_matrix_read_bit_for_bit(self):
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            a = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-8, 9)
+            c = (a + a.T) / 2
+            loop = SpectralLoop(((1, c, c.T),))
+            assert loop.modes[0][1].tobytes() == c.tobytes() == loop.modes[0][2].tobytes()
 
     def test_duplicate_frequency_rejected(self):
         z = np.zeros((2, 2))
@@ -416,11 +441,9 @@ class TestCoverOperator:
         assert (rec.alpha_minus, rec.alpha_plus) == (0, 1)
 
     def test_degeneracy_threshold_configurable(self):
-        # an eigenvalue at 0.01 passes the default gate but a coarse one rejects it
+        # an eigenvalue at 0.01 passes the default gate
         op = assemble(constant_loop((TWO_PI - 0.01) * np.eye(2)), DEFAULT_CUTOFF)
         assert alphas_from_spectrum(op).alpha_plus == 1
-        with pytest.raises(InputError, match="degenerate orbit"):
-            alphas_from_spectrum(op, zero_tol=0.1)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_cover_eigenpairs(self, k):
@@ -573,12 +596,6 @@ class TestFitDecay:
         s = np.linspace(0, 1, 10)
         with pytest.raises(InputError, match="trajectory unusable"):
             fit_decay(Trajectory(s, np.ones((10, 2))))
-
-    def test_accepts_pair_list(self):
-        s = np.linspace(0.0, 5.0, 40)
-        pairs = [(float(si), np.array([np.exp(-si)])) for si in s]
-        fit = fit_decay(pairs)
-        assert abs(fit.lambda_fit + 1.0) < 1e-9
 
     def test_samples_whose_squares_overflow(self):
         # the largest sample is 3.8e210, finite, but its square is not
@@ -834,9 +851,6 @@ class TestFitDecayInputs:
         vals[30] = 1.0
         with pytest.raises(InputError, match="trajectory unusable: non-finite sample"):
             fit_decay(Trajectory(s, vals))
-        pairs = [(float(a), b) for a, b in zip(s, vals)]
-        with pytest.raises(InputError, match="trajectory unusable: non-finite sample"):
-            fit_decay(pairs)
         assert capfd.readouterr().err == ""
 
     def test_grid_stepping_back(self):
@@ -1099,7 +1113,7 @@ class TestAlphaRecordFromCoverData:
         for _ in range(20):
             loop = random_loop(rng, bandwidth=2)
             record = alphas_from_spectrum(assemble(loop, 16))
-            cover = spectrum.CoverData(record.alpha_minus, record.alpha_plus)
+            cover = core.CoverData(record.alpha_minus, record.alpha_plus)
             assert (record.parity, record.cz) == (cover.parity(), cover.cz_index())
             assert record.cz == 2 * record.alpha_minus + record.parity
             parities.add(record.parity)
@@ -1121,10 +1135,10 @@ class TestAlphaRecordRefusals:
         op = _StubDiscretization([-3, -2, -1, 1, 2, 3], [-1, 0, 0, 0, 1, 1])
         message = "winding 0 appears 3 times in the resolved window; discretization is inconsistent"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            spectrum._alpha_record([(op, 1, 1)], 1e-6)
+            spectrum._alpha_record([(op, 1, 1)])
 
     def test_parity_off_zero_and_one(self):
         op = _StubDiscretization([-2, -1, 1, 2], [-1, -1, 1, 1])
         message = "computed parity 2 is not 0 or 1; spectrum not resolved"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            spectrum._alpha_record([(op, 1, 1)], 1e-6)
+            spectrum._alpha_record([(op, 1, 1)])
