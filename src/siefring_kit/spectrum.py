@@ -19,8 +19,7 @@ Each matrix of a loop is read exactly symmetric (``_check_symmetric``), so
 the Galerkin matrix is exactly Hermitian and every cover k S(k t) of an
 accepted loop is accepted too.  numpy and ``core`` are bound lazily and run
 on first use, so a loop file that the JSON rules of ``loop_from_dict``
-refuse is refused before either is imported; the module forwards no name
-of either.
+refuse is refused before either is imported.
 """
 
 from __future__ import annotations
