@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from importlib import resources
 
@@ -162,7 +163,12 @@ def _cmd_closed(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser, its subcommands' included, that refuses a
-    malformed command line with ``InputError`` instead of exiting 2."""
+    malformed command line with ``InputError`` instead of exiting 2, and
+    reads -1e1 as a number, where argparse's pattern saw an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise InputError(message)

@@ -35,12 +35,12 @@ check, the same modular test on the two coordinates and else a gcd over
 Q(i) by Euclid on Fulton's division (_remainder), runs only where the
 certificate does not answer, and then before anything else, so its refusal
 still comes first.
-Every other case, a shared leading coefficient, an R that vanishes
-identically or an edge resultant or denominator that p divides, takes
-Fulton's intersection algorithm (W. Fulton, Algebraic Curves, sec. 3.3)
-over the fiber z = 0.  Where the leading w-coefficient of f or of g is a
-nonzero constant, the order of R is J(f, g), the sum of the intersection
-multiplicities at the points (0, w0), and J is infinite where R = 0.  J
+Every other case, a w-free f or g, a shared leading coefficient, an R
+that vanishes identically or an edge resultant or denominator that p
+divides, takes Fulton's intersection algorithm (W. Fulton, Algebraic
+Curves, sec. 3.3) over the fiber z = 0.  Where f or g has a nonzero
+constant leading w-coefficient, the order of R is J(f, g), the sum of
+the intersection numbers at the points (0, w0), infinite where R = 0.  J
 is unchanged by f -> a f - A g for any polynomial A and any a with a(0, w)
 a nonzero constant; J(z^k h, g) = k deg g(0, w) + J(h, g); and J(f, g) = 0
 where f(0, w) is a nonzero constant.  So the algorithm divides in w by a
@@ -549,7 +549,7 @@ def _weierstrass(h: dict, s: int, precision: int) -> dict:
 def _fiber_order(f: dict, g: dict) -> int | None:
     """ord_z Res_w(f, g) by Fulton's algorithm (see the module docstring),
     or None where Res_w vanishes identically, for terms as ``_resultant``
-    takes them, both of positive w-degree, one with a constant leading
+    takes them, one of f and g with a nonzero constant leading
     w-coefficient.  A pair that differs from (f, g) by multiples of z^P,
     P > J, has the same J (an ideal of colength n holds the n-th power of
     the maximal ideal; Fulton sec. 2.9), and one with J >= P has J >= P.
@@ -586,10 +586,13 @@ def _resultant(f: dict, g: dict, domain: tuple | None = None) -> int | None:
     """ord_z Res_w(f, g), or None iff Res_w vanishes identically.
 
     f and g are terms {(w-exponent, z-exponent): (re, im)}, rational, with
-    no term for a zero polynomial.  Where both have positive w-degree and
-    the edges of their Newton polygons, read off the terms as given, are
-    apart (``_edges_apart``), the bound ``_order_bound`` is the order, and
-    nothing else is computed.  Every other answer first runs
+    no term for a zero polynomial, and one of them has a nonzero constant
+    leading w-coefficient: -lc p_v or -lc q_v for a pair's differences, the
+    top coefficient of p or q for a germ's divided differences.  Where both
+    have positive w-degree, share no root w = 0 (``_order_bound`` is not
+    None) and the edges of their Newton polygons, read off the terms as
+    given, are apart (``_edges_apart``), the bound is the order, and nothing
+    else is computed.  Every other answer first runs
     ``_require_small_domain(*domain)`` where ``domain`` = (germ, detail) is
     given, so its refusal comes before any other.  The certificate needs no
     such check: the valuation-0 edge polynomials of the pair differences are
@@ -597,31 +600,18 @@ def _resultant(f: dict, g: dict, domain: tuple | None = None) -> int | None:
     c^a and -q_v(c) / c^b, and those of a germ's divided differences are
     p(c) / c^a and q(c) / c^b, so a nonzero edge resultant proves that the
     two share no zero besides 0; a monomial coordinate has no such edge and
-    no such zero, and a zero one takes a closed form, which runs the check.
-    Where f and g share the root w = 0, Res_w is 0.  Otherwise Fulton's
-    algorithm gives the order (``_fiber_order``), which needs a constant
-    leading w-coefficient: every caller's f and g have one, -lc p_v and
-    -lc q_v for a pair's differences, the top coefficients of p and q for a
-    germ's divided differences.
+    no such zero, and a zero one leaves a w-free difference, which the
+    certificate does not take.  Then Fulton's algorithm gives the order
+    (``_fiber_order``), or None for an empty difference.
     """
-    if f and g:
-        (dwf, _), (dwg, _) = max(f), max(g)
-        if dwf and dwg:
-            polygons = _lower_hull(f), _lower_hull(g)
-            bound = _order_bound(*polygons)
-            if bound is not None and _edges_apart(*polygons):
-                return bound
+    if f and g and max(f)[0] and max(g)[0]:
+        polygons = _lower_hull(f), _lower_hull(g)
+        bound = _order_bound(*polygons)
+        if bound is not None and _edges_apart(*polygons):
+            return bound
     if domain:
         _require_small_domain(*domain)
-    if not f or not g:
-        return None
-    if dwf == 0 or dwg == 0:
-        # Res_w = +-f^(deg_w g) for a w-free f, +-g^(deg_w f) for a w-free g
-        base, power = (f, dwg) if dwf == 0 else (g, dwf)
-        return power * min(i for _, i in base)
-    if bound is None:
-        return None
-    return _fiber_order(f, g)
+    return _fiber_order(f, g) if f and g else None
 
 
 _PAIR_DOMAIN = "second germ passes through the first germ's basepoint fiber away from 0"

@@ -203,6 +203,39 @@ class TestGermCommand:
         assert (code, out) == (1, "")
         assert err == "error: germ iota needs two germ files\n"
 
+    @pytest.mark.parametrize("germs", [("u", "v"), ("single",)])
+    def test_oracle_resultant_underflow_exits_one(self, tmp_path, capsys, germs):
+        # coefficients 10^-150 at epsilon 1e-200: the perturbed resultant
+        # underflows to 0 on the whole circle, and the oracle refuses it
+        a = [1, 10**150, 0, 1]
+        payloads = {
+            "u": {"p": [[0, 1, 0, 1], a], "q": [[0, 1, 0, 1]] * 2 + [a]},
+            "v": {"p": [[0, 1, 0, 1]] * 2 + [a], "q": [[0, 1, 0, 1], a]},
+            "single": {"p": [[0, 1, 0, 1]] * 2 + [a], "q": [[0, 1, 0, 1]] * 3 + [a]},
+        }
+        files = [write(tmp_path / f"{name}.json", payloads[name]) for name in germs]
+        code, out, err = run(capsys, "germ", "oracle", *files, "--epsilon", "1e-200")
+        assert (code, out, err) == (1, "", "error: oracle resultant vanished identically\n")
+
+
+class TestNegativeNumbers:
+    """A negative number in scientific notation is read as a value, as its
+    plain spelling is; argparse's own pattern took it for an option, and the
+    command exited 1 with "expected 2 arguments"."""
+
+    def test_window_with_an_exponent(self, tmp_path, capsys):
+        loop = write(tmp_path / "loop.json", LOOP_IDENTITY)
+        plain = run(capsys, "spectrum", loop, "--window", "-10", "10")
+        assert plain[0] == 0
+        assert run(capsys, "spectrum", loop, "--window", "-1e1", "10") == plain
+
+    def test_epsilon_with_an_exponent(self, tmp_path, capsys):
+        a = write(tmp_path / "a.json", GERM_35)
+        b = write(tmp_path / "b.json", GERM_46)
+        plain = run(capsys, "germ", "oracle", a, b, "--epsilon", "-0.001")
+        assert plain == (0, "18\n", "")
+        assert run(capsys, "germ", "oracle", a, b, "--epsilon", "-1e-3") == plain
+
 
 class TestClosedCommand:
     def test_cp2_degree_three(self, capsys):
@@ -413,6 +446,9 @@ MALFORMED_COMMAND_LINES = {
     "audit_seed_float": (["audit", "planar_page", "--seed", "1.5"], "invalid int value: '1.5'"),
     "spectrum_no_file": (["spectrum"], "the following arguments are required: file"),
     "iota_one_file": (["germ", "iota", "FILE"], "germ iota needs two germ files"),
+    # a dashed word that is no number stays an option (see TestNegativeNumbers)
+    "window_not_a_number": (["spectrum", "FILE", "--window", "-1e1x", "10"], "--window: expected 2 arguments"),
+    "window_minus_inf": (["spectrum", "FILE", "--window", "-inf", "10"], "--window: expected 2 arguments"),
 }
 
 

@@ -1192,6 +1192,18 @@ class TestOracleRangeRefusal:
         with pytest.raises(InputError, match="germ coefficient of z\\^2 in q is out of the range"):
             numeric_intersection_oracle(u, u)
 
+    def test_resultant_that_underflows_is_refused(self):
+        # coefficients 10^-150 and epsilon 1e-200: every sample of the
+        # perturbed resultant underflows to 0, which the oracles refuse
+        # rather than count; the exact orders are 1 and 1
+        a = Fraction(1, 10**150)
+        u, v, single = germ([0, a], [0, 0, a]), germ([0, 0, a], [0, a]), germ([0, 0, a], [0, 0, 0, a])
+        assert (local_intersection(u, v), delta_local(single)) == (1, 1)
+        with pytest.raises(InputError, match="^oracle resultant vanished identically$"):
+            numeric_intersection_oracle(u, v, epsilon=1e-200)
+        with pytest.raises(InputError, match="^oracle resultant vanished identically$"):
+            numeric_double_point_oracle(single, epsilon=1e-200)
+
 
 class TestExactInvariantGuards:
     """Checks on computed results raise InvarianceError, also under -O."""
@@ -1495,15 +1507,21 @@ class TestModularResultantEngine:
         assert u._far_zero_free is expected
         assert _sympy_far_zero_free(u) is expected
 
-    def test_w_free_closed_form(self):
-        # Res_w(z, -w) = z and Res_w(z, -2w^3) = -8 z^3
-        assert local_intersection(germ([0, 1], [0]), germ([0], [0, 1])) == 1
-        assert local_intersection(germ([0, 1], [0]), germ([0], [0, 0, 0, 2])) == 3
-        assert local_intersection(germ([0, 0, 1], [0]), germ([0], [0, 0, 0, 2])) == 6
-        # both free of w: Res_w = 1
-        assert germs._resultant({(0, 1): (1, 0)}, {(0, 2): (1, 0)}) == 0
-        w, z = sympy.symbols("w z")
-        assert _sympy_poly({(0, 1): 1}, w, z).resultant(_sympy_poly({(0, 2): 1}, w, z)).as_expr() == 1
+    def test_w_free_closed_form(self, monkeypatch):
+        # Res_w(z, -w) = z and Res_w(z, -2w^3) = -8 z^3: a w-free f = z^k h
+        # against g with a constant leading w-coefficient has order k deg_w g,
+        # which Fulton's algorithm gives in one call
+        calls = TestNewtonPolygonBound._counted(monkeypatch)
+        for u, v, order in (
+            (germ([0, 1], [0]), germ([0], [0, 1]), 1),
+            (germ([0, 1], [0]), germ([0], [0, 0, 0, 2]), 3),
+            (germ([0, 0, 1], [0]), germ([0], [0, 0, 0, 2]), 6),
+        ):
+            germs._pair_resultant.cache_clear()
+            calls.clear()
+            assert local_intersection(u, v) == order
+            assert calls == [order]
+            assert min(m[0] for m in _sympy_pair_resultant(u, v).monoms()) == order
 
 
 def _reference_sylvester_layout(f, g):
@@ -1738,7 +1756,7 @@ class TestNewtonPolygonBound:
         assert _bound(f, g) is None
         calls = self._counted(monkeypatch)
         assert germs._resultant(f, g) is None
-        assert calls == []
+        assert calls == [None]  # Fulton's algorithm finds the shared component
         w, z = sympy.symbols("w z")
         fs, gs = (_sympy_poly({e: sympy.Integer(c[0]) for e, c in h.items()}, w, z) for h in (f, g))
         assert fs.resultant(gs).is_zero
@@ -1765,7 +1783,7 @@ class TestNewtonPolygonBound:
         while singles < 60:
             f, g = _terms_of("delta", (random_simple_germ(rng),))
             if not (max(f)[0] and max(g)[0]):
-                continue  # a closed form: no call
+                continue  # w-free: no certificate
             singles += 1
             calls.clear()
             res = germs._resultant(f, g)

@@ -227,6 +227,18 @@ def test_one_certification_path():
             for name, owners in found.items():
                 owners.update((path.name, owner) for _ in _uses(node, name))
     assert found == {name: {("germs.py", "_resultant")} for name in found}, found
+    # and _resultant answers with the certified bound, Fulton's algorithm or
+    # None for an empty difference, so no closed form sits beside the two
+    resultant = _germs_function("_resultant")
+    nodes = list(ast.walk(resultant))
+    returns = [ast.unparse(node.value) for node in nodes if isinstance(node, ast.Return)]
+    bound = [
+        ast.unparse(node.value)
+        for node in nodes
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["bound"]
+    ]
+    assert sorted(returns) == ["_fiber_order(f, g) if f and g else None", "bound"], returns
+    assert bound == ["_order_bound(*polygons)"], bound
 
 
 def _owners(names) -> dict:
