@@ -396,6 +396,18 @@ class TestNumericOracles:
         with pytest.raises(InputError, match="identical images"):
             numeric_intersection_oracle(u, u, 1e-3, 0.3)
 
+    def test_resultant_that_underflows_is_refused(self):
+        # coefficients 10^-150 and epsilon 1e-200: every sample of the
+        # perturbed resultant underflows to 0, which the oracles refuse
+        # rather than count; the exact orders are 1 and 1
+        a = Fraction(1, 10**150)
+        u, v, single = germ([0, a], [0, 0, a]), germ([0, 0, a], [0, a]), germ([0, 0, a], [0, 0, 0, a])
+        assert (local_intersection(u, v), delta_local(single)) == (1, 1)
+        with pytest.raises(InputError, match="^oracle resultant vanished identically$"):
+            numeric_intersection_oracle(u, v, epsilon=1e-200)
+        with pytest.raises(InputError, match="^oracle resultant vanished identically$"):
+            numeric_double_point_oracle(single, epsilon=1e-200)
+
 
 def _reference_degree(b, axis):
     scale = np.abs(b).max()
@@ -1191,18 +1203,6 @@ class TestOracleRangeRefusal:
             local_intersection(u, u)
         with pytest.raises(InputError, match="germ coefficient of z\\^2 in q is out of the range"):
             numeric_intersection_oracle(u, u)
-
-    def test_resultant_that_underflows_is_refused(self):
-        # coefficients 10^-150 and epsilon 1e-200: every sample of the
-        # perturbed resultant underflows to 0, which the oracles refuse
-        # rather than count; the exact orders are 1 and 1
-        a = Fraction(1, 10**150)
-        u, v, single = germ([0, a], [0, 0, a]), germ([0, 0, a], [0, a]), germ([0, 0, a], [0, 0, 0, a])
-        assert (local_intersection(u, v), delta_local(single)) == (1, 1)
-        with pytest.raises(InputError, match="^oracle resultant vanished identically$"):
-            numeric_intersection_oracle(u, v, epsilon=1e-200)
-        with pytest.raises(InputError, match="^oracle resultant vanished identically$"):
-            numeric_double_point_oracle(single, epsilon=1e-200)
 
 
 class TestExactInvariantGuards:
