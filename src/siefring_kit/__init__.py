@@ -12,9 +12,6 @@ Subpackages:
   with an independent floating-point oracle.
 - ``audit``: trivialization-invariance checks.
 - ``cli``: the ``siefring-kit`` command-line front end.
-
-The scene names below are read from ``core`` on first use, so importing
-the package, or a layer that needs no scene, does not run ``core``.
 """
 
 from .errors import InconsistencyError, InputError, InvarianceError, SiefringKitError
@@ -22,32 +19,9 @@ from .errors import InconsistencyError, InputError, InvarianceError, SiefringKit
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoverData",
-    "CurveClass",
     "InconsistencyError",
     "InputError",
     "InvarianceError",
-    "OrbitData",
-    "PunctureSpec",
-    "RelativePairing",
-    "Scene",
     "SiefringKitError",
-    "TrivializationShift",
-    "cz_index",
-    "euler_char",
-    "load_scene",
-    "parity",
-    "shift_scene",
-    "sigma_bar",
     "__version__",
 ]
-
-
-def __getattr__(name):
-    """A scene name of ``core``, imported on its first use: the names of
-    ``__all__`` not bound above."""
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import core
-
-    return getattr(core, name)

@@ -123,6 +123,8 @@ def _cmd_audit(args) -> int:
 def _cmd_germ(args) -> int:
     if args.germ_op == "iota" and args.b is None:
         raise InputError("germ iota needs two germ files")
+    if args.germ_op == "delta" and args.b is not None:
+        raise InputError("germ delta takes one germ file")
     if args.germ_op == "oracle":
         perturbation = {"epsilon": args.epsilon, "radius": args.radius, "seed": _seed(args)}
     u = germs.load_germ(args.a)  # the second file is read only where it is used
@@ -154,9 +156,7 @@ def _cmd_closed(args) -> int:
             }
         )
     else:  # nodal-split
-        result = closed.analyze_nodal_split(
-            args.total_self, args.total_c1, tuple(args.components)
-        )
+        result = closed.analyze_nodal_split(component_c1=tuple(args.components))
         _emit(result.as_dict())
     return EXIT_OK
 
@@ -224,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     adj.add_argument("--c1", type=int, required=True)
     adj.add_argument("--genus", type=int, default=0)
     ns = clsub.add_parser("nodal-split", help="forced invariants of a two-component split")
-    ns.add_argument("--total-self", type=int, default=0, dest="total_self")
-    ns.add_argument("--total-c1", type=int, default=2, dest="total_c1")
     ns.add_argument("--components", type=int, nargs=2, default=(1, 1))
     cl.set_defaults(func=_cmd_closed)
 

@@ -836,13 +836,8 @@ def branched_cover(u: Germ, k: int) -> Germ:
 def _numeric_divided_difference(coeffs: np.ndarray) -> np.ndarray:
     """2D array B[i, j] = coefficient of z^i w^j of (f(z)-f(w))/(z-w), f not constant."""
     deg = len(coeffs) - 1
-    out = np.zeros((deg, deg), dtype=complex)
-    for e in range(1, deg + 1):
-        c = coeffs[e]
-        if c != 0:
-            for i in range(e):
-                out[i, e - 1 - i] += c
-    return out
+    idx = np.arange(deg)  # B[i, j] = c_(i+j+1), a Hankel matrix zero past c_deg
+    return np.concatenate([coeffs[1:], np.zeros(deg - 1, complex)])[idx[:, None] + idx]
 
 
 def _numeric_difference(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:

@@ -28,13 +28,24 @@ _KINDS = {
 
 
 def read_json(path, what: str):
-    """Decoded contents of the JSON file at ``path``, a ``what`` file."""
+    """Decoded contents of the JSON file at ``path``, a ``what`` file.  A
+    repeated key in one object is refused, where ``json`` keeps the last."""
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"duplicate key {key!r} in {what} file")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past the digit limit, or nesting too deep
         raise InputError(f"malformed JSON in {what} file: {exc}") from exc
 
 

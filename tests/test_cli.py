@@ -449,6 +449,22 @@ MALFORMED_COMMAND_LINES = {
     # a dashed word that is no number stays an option (see TestNegativeNumbers)
     "window_not_a_number": (["spectrum", "FILE", "--window", "-1e1x", "10"], "--window: expected 2 arguments"),
     "window_minus_inf": (["spectrum", "FILE", "--window", "-inf", "10"], "--window: expected 2 arguments"),
+    # refused before either file is read, so a missing second file is no answer
+    "delta_two_files": (["germ", "delta", "FILE", "no_such_file.json"], "germ delta takes one germ file"),
+    "nodal_split_total_self": (
+        ["closed", "nodal-split", "--total-self", "0"], "unrecognized arguments: --total-self 0"
+    ),
+}
+
+# input files that json.dumps cannot write: (command, text, rest, message start)
+DEEP = "[" * 100_000 + "]" * 100_000
+MALFORMED_TEXT = {
+    "germ_integer_past_digit_limit": (
+        "germ delta", '{"p": [[' + "9" * 5000 + ", 1, 0, 1]]}", [], "malformed JSON in germ file: Exceeds"
+    ),
+    "germ_nested_too_deep": ("germ delta", DEEP, [], "malformed JSON in germ file: maximum recursion"),
+    "scene_nested_too_deep": ("curve", DEEP, ["page"], "malformed JSON in scene file: maximum recursion"),
+    "loop_nested_too_deep": ("spectrum", DEEP, [], "malformed JSON in loop file: maximum recursion"),
 }
 
 
@@ -499,6 +515,24 @@ class TestMalformedInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_TEXT))
+    def test_undecodable_text_exits_one(self, defect, tmp_path, capsys):
+        command, text, rest, message = MALFORMED_TEXT[defect]
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *command.split(), str(path), *rest)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_duplicate_key_is_refused(self, tmp_path, capsys):
+        # json keeps the last "p": (z^2, z^5) has delta 2, where the first, z, gives 0
+        embedded = json.dumps({"p": [[0, 1, 0, 1], [1, 1, 0, 1]], "q": GERM_35["q"]})
+        path = tmp_path / "germ.json"
+        path.write_text(embedded[:-1] + ', "p": [[0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]}', encoding="utf-8")
+        assert run(capsys, "germ", "delta", str(path)) == (1, "", "error: duplicate key 'p' in germ file\n")
+        path.write_text(embedded, encoding="utf-8")
+        assert run(capsys, "germ", "delta", str(path)) == (0, "0\n", "")
 
     def test_undecodable_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "loop.json"

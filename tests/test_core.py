@@ -366,14 +366,8 @@ class TestSceneFiles:
 
 
 class TestPackageNames:
-    """The scene names of ``__all__`` that the package reads from ``core``
-    on first use."""
-
-    def test_core_names_are_the_core_objects(self):
-        served = [name for name in siefring_kit.__all__ if name not in vars(siefring_kit)]
-        assert len(served) == 13
-        for name in served:
-            assert getattr(siefring_kit, name) is getattr(core, name)
+    """The package binds its error types and ``__version__``; the layers,
+    ``core`` among them, are reached by their own module names."""
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError) as refusal:

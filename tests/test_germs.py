@@ -1579,6 +1579,27 @@ class TestOneSylvesterBuilder:
             assert np.array_equal(stacked, expected)
 
 
+def _reference_divided_difference(coeffs):
+    """B[i, j] = c_(i+j+1) of (f(z) - f(w))/(z - w), term by term."""
+    deg = len(coeffs) - 1
+    out = np.zeros((deg, deg), dtype=complex)
+    for e in range(1, deg + 1):
+        for i in range(e):
+            out[i, e - 1 - i] += coeffs[e]
+    return out
+
+
+class TestNumericDividedDifference:
+    def test_hankel_matches_the_term_by_term_matrix(self):
+        rng = np.random.default_rng(3801)
+        singles = [random_simple_germ(rng, max_k=5) for _ in range(200)]
+        singles += [axis_germ(rng, int(rng.integers(1, 5)), axis) for axis in (0, 1) for _ in range(50)]
+        for u in singles:
+            for c in (c for c in u.numeric if len(c)):  # a zero coordinate has none
+                got, want = germs._numeric_divided_difference(c), _reference_divided_difference(c)
+                assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
 class TestModularCertification:
     """Cases where the edge check's prime alone gives a wrong answer."""
 

@@ -355,16 +355,41 @@ def test_one_grid_evaluator_and_no_winding_guard():
     assert [path.name for path in files if b"grid too coarse" in path.read_bytes()] == []
 
 
-def test_no_module_getattr_beside_the_package():
-    # the package reads its scene names from core on first use; no other
-    # module forwards names it does not define
+def test_no_module_getattr():
+    # no module forwards names it does not define: a layer is reached by
+    # its own name, and _lazy.lazy_import is the one lazy mechanism
+    package = Path(siefring_kit.__file__).parent
+    modules = sorted(package.rglob("*.py"))
     found = [
-        path.name
-        for path in SOURCES
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in modules
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
     ]
-    assert found == ["__init__.py"], found
+    assert package / "__init__.py" in modules and found == []
+
+
+def _json_decoding(node) -> bool:
+    """``node`` reaches json's decoder: ``json.load``, ``json.loads`` or
+    ``json.JSONDecoder``, or an import of one of them from ``json``."""
+    decoders = {"load", "loads", "JSONDecoder", "decoder"}
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr in decoders
+    if isinstance(node, ast.ImportFrom) and node.module and node.module.partition(".")[0] == "json":
+        return node.module != "json" or any(alias.name in decoders for alias in node.names)
+    return False
+
+
+def test_only_read_json_decodes_json():
+    # every input file is decoded by jsonio.read_json, so its refusals of
+    # undecodable text and repeated keys cover them all
+    package = Path(siefring_kit.__file__).parent
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            found.update((path.name, owner) for node in ast.walk(top) if _json_decoding(node))
+    assert found == {("jsonio.py", "read_json")}, found
 
 
 def test_no_hermitian_refusal():
