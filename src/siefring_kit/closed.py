@@ -90,28 +90,21 @@ class NodalSplitResult:
         return asdict(self)
 
 
-def analyze_nodal_split(
-    total_self: int = 0, total_c1: int = 2, component_c1: tuple[int, int] = (1, 1)
-) -> NodalSplitResult:
+def analyze_nodal_split(component_c1: tuple[int, int] = (1, 1)) -> NodalSplitResult:
     """Deduce the component invariants when a sphere of self-intersection 0
     and c1 = 2 breaks into two sphere components.
 
     Bubbling components always have positive first Chern number, so the
-    only split consistent with total_c1 = 2 is (1, 1); for it, expanding
+    only split whose Chern numbers sum to 2 is (1, 1); for it, expanding
     0 = (v+ + v-).(v+ + v-) with the adjunction formula forces
     delta(v+-) = 0, v+.v- = 1 and v+-.v+- = -1: a pair of exceptional
     spheres meeting once, transversely.
     """
-    total_self, total_c1 = _counts(total_self=total_self, total_c1=total_c1)
     a, b = (typed(c, int, "component_c1 entry") for c in component_c1)
-    if a + b != total_c1:
-        raise InputError(f"component Chern numbers {component_c1} do not sum to {total_c1}")
+    if a + b != 2:
+        raise InputError(f"component Chern numbers {component_c1} do not sum to 2")
     if a < 1 or b < 1:
         raise InputError("bubbling components must have positive first Chern numbers")
-    if total_self != 0 or total_c1 != 2:
-        raise InputError(
-            "analysis is specialized to the square-zero, c1 = 2 degeneration pattern"
-        )
     # c_N(v+-) = 1 - 2 = -1; expansion of 0 = [S].[S] gives
     # 2 delta(v+) + 2 delta(v-) + 2(v+.v- - 1) = 0 with every term >= 0.
     cross = 1
@@ -131,25 +124,6 @@ def analyze_nodal_split(
 def delta_closed_inverse(delta: int, c1A: int, genus: int) -> int:
     """Self-pairing forced by the adjunction formula: 2 delta + c_N."""
     return 2 * typed(delta, int, "delta") + cn_closed(c1A, genus)
-
-
-def double_cover_contradiction(total_self: int = 0, k: int = 2, component_c1: int = 1) -> str:
-    """Why a square-zero sphere cannot be a k-fold cover of a c1 = 1 sphere:
-    adjunction on the underlying simple curve has odd right-hand side."""
-    total_self, k, component_c1 = _counts(total_self=total_self, k=k, component_c1=component_c1)
-    if k < 2:
-        raise InputError("covering multiplicity must be >= 2 for a multiple cover")
-    rhs_parity = (component_c1 - 2) % 2
-    lhs = total_self  # k^2 [v].[v] = total_self forces [v].[v] = 0 when total_self = 0
-    if lhs % (k * k) != 0:
-        return f"homology class not divisible: [u].[u] = {total_self} is not a multiple of {k * k}"
-    vv = lhs // (k * k)
-    if rhs_parity == 1 and vv % 2 == 0:
-        return (
-            f"parity contradiction: [v].[v] = {vv} is even but "
-            f"2 delta(v) + c1([v]) - 2 is odd for c1([v]) = {component_c1}"
-        )
-    return "no contradiction from parity alone"
 
 
 def cp2_degree_table(degree: int) -> dict:

@@ -31,7 +31,7 @@ SIGNS = {"+": 1, "-": -1}
 @dataclass(frozen=True)
 class CoverData:
     """Extremal winding numbers of one cover of a simple orbit and every
-    per-cover rule; the module functions of the same names read them."""
+    per-cover rule, each stated once, here."""
 
     alpha_minus: int
     alpha_plus: int
@@ -262,35 +262,6 @@ def sign_factor(sign: str) -> int:
         return SIGNS[sign]
     except (KeyError, TypeError):
         raise InputError(f"sign must be '+' or '-', got {sign!r}") from None
-
-
-def alpha(orbit: OrbitData, k: int, sign: str) -> int:
-    """Extremal winding alpha_sign of the k-fold cover."""
-    return orbit.cover(k).alpha(sign_factor(sign))
-
-
-def end_bound(orbit: OrbitData, k: int, sign: str) -> int:
-    """Extremal winding that bounds an end of the given sign on the k-fold
-    cover: alpha_- at a positive end, alpha_+ at a negative one."""
-    return orbit.cover(k).end_bound(sign_factor(sign))
-
-
-def parity(orbit: OrbitData, k: int) -> int:
-    """Parity of the k-fold cover: alpha_plus - alpha_minus, always 0 or 1."""
-    return orbit.cover(k).parity()
-
-
-def cz_index(orbit: OrbitData, k: int) -> int:
-    """Conley-Zehnder index of the k-fold cover relative to the baseline.
-
-    Computed as 2*alpha_minus + parity, which equals 2*alpha_plus - parity.
-    """
-    return orbit.cover(k).cz_index()
-
-
-def sigma_bar(orbit: OrbitData, k: int, sign: str) -> int:
-    """Covering multiplicity gcd(k, alpha_sign) of the extremal eigenfunction."""
-    return orbit.cover(k).sigma_bar(k, sign_factor(sign))
 
 
 def euler_char(curve: CurveClass) -> int:

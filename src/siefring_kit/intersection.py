@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SIGNS, CurveClass, Scene, end_bound, euler_char, parity, sign_factor
+from .core import SIGNS, CurveClass, Scene, euler_char, sign_factor
 from .errors import InconsistencyError, InputError
 from .jsonio import typed
 
@@ -32,11 +32,11 @@ def omega_pair(scene: Scene, orbit_a: tuple[str, int], orbit_b: tuple[str, int],
     and a = alpha_-+ the end bound of the sign.
     """
     (id_a, k), (id_b, m) = orbit_a, orbit_b
-    bound_k = end_bound(scene.orbit(id_a), k, sign)
-    bound_m = end_bound(scene.orbit(id_b), m, sign)
+    cover_k, s = scene.orbit(id_a).cover(k), sign_factor(sign)
+    cover_m = scene.orbit(id_b).cover(m)
     if id_a != id_b:
         return 0
-    return _omega(sign_factor(sign), k, bound_k, m, bound_m)
+    return _omega(s, k, cover_k.end_bound(s), m, cover_m.end_bound(s))
 
 
 def omega_self(scene: Scene, orbit_ref: tuple[str, int], sign: str) -> int:
@@ -140,7 +140,7 @@ def check_cn_index_relation(scene: Scene, u_id: str) -> CnIndexReport:
     u = scene.curve(u_id)
     if u.ambient_dim_half != 2:
         raise InputError("relation specific to dimension four (ambient_dim_half = 2)")
-    even = sum(1 for p in u.punctures if parity(scene.orbit(p.orbit), p.multiplicity) == 0)
+    even = sum(1 for p in u.punctures if scene.orbit(p.orbit).cover(p.multiplicity).parity() == 0)
     c_n, index, _ = end_sums(scene, u)
     return CnIndexReport(2 * c_n, index - 2 + 2 * u.genus + even)
 
@@ -281,7 +281,7 @@ def _foliation(scene: Scene, u: CurveClass, index: int) -> FoliationReport:
     return FoliationReport(
         index_is_two=index == 2,
         genus_zero=u.genus == 0,
-        all_odd=all(parity(scene.orbit(p.orbit), p.multiplicity) == 1 for p in u.punctures),
+        all_odd=all(scene.orbit(p.orbit).cover(p.multiplicity).parity() == 1 for p in u.punctures),
         distinct_simple_orbits=(
             len(set(orbits_seen)) == len(orbits_seen)
             and all(p.multiplicity == 1 for p in u.punctures)

@@ -236,7 +236,7 @@ def test_criterion_09_planar_page_identities():
 
 
 def test_criterion_10_nodal_split_deduction():
-    result = closed.analyze_nodal_split(0, 2, (1, 1))
+    result = closed.analyze_nodal_split((1, 1))
     assert result.possible
     assert (result.delta_plus, result.delta_minus) == (0, 0)
     assert result.cross_pairing == 1

@@ -19,12 +19,9 @@ from siefring_kit.core import (
     RelativePairing,
     Scene,
     TrivializationShift,
-    end_bound,
     euler_char,
-    parity,
     shift_scene,
     sign_factor,
-    sigma_bar,
 )
 from siefring_kit.errors import InconsistencyError, InputError
 
@@ -90,7 +87,7 @@ def ref_star(scene, u_id, v_id):
     total = scene.pairing.get(u_id, v_id)
     for sign, oid, k, m in ref_shared_ends(scene.curve(u_id), scene.curve(v_id)):
         s, orbit = sign_factor(sign), scene.orbit(oid)
-        total -= min(-s * k * end_bound(orbit, m, sign), -s * m * end_bound(orbit, k, sign))
+        total -= min(-s * k * orbit.cover(m).end_bound(s), -s * m * orbit.cover(k).end_bound(s))
     return total
 
 
@@ -141,9 +138,10 @@ def ref_snapshot(scene):
     snap = {}
     for orbit in scene.orbits:
         for k in orbit.cover_table:
-            snap[f"parity[{orbit.id}^{k}]"] = parity(orbit, k)
-            snap[f"sigma_bar-[{orbit.id}^{k}]"] = sigma_bar(orbit, k, "-")
-            snap[f"sigma_bar+[{orbit.id}^{k}]"] = sigma_bar(orbit, k, "+")
+            cover = orbit.cover(k)
+            snap[f"parity[{orbit.id}^{k}]"] = cover.parity()
+            snap[f"sigma_bar-[{orbit.id}^{k}]"] = cover.sigma_bar(k, -1)
+            snap[f"sigma_bar+[{orbit.id}^{k}]"] = cover.sigma_bar(k, 1)
     for curve in scene.curves:
         cid = curve.id
         c_n, index, sigma_total = ref_sums(scene, curve)
@@ -411,12 +409,13 @@ class TestSnapshotCost:
         scene = benchmark_sized_scene()
         shift = random_shift(np.random.default_rng(0), scene)
         calls = []
+        real_bound = CoverData.end_bound
 
         def counted_bound(*args):
             calls.append(args)
-            return end_bound(*args)
+            return real_bound(*args)
 
-        monkeypatch.setattr(core, "end_bound", counted_bound)
+        monkeypatch.setattr(CoverData, "end_bound", counted_bound)
         shifted = shift_scene(scene, shift)
         monkeypatch.undo()
         assert calls == []
@@ -550,24 +549,20 @@ class TestTrustedShift:
 class TestSnapshotReadsEachCover:
     def test_no_cover_lookup_and_no_module_reader(self, monkeypatch):
         # each CoverData is read off the cover table once, as star and
-        # end_sums read it: no OrbitData.cover, alpha, parity or sigma_bar call
+        # end_sums read it: no OrbitData.cover call
         scene = benchmark_sized_scene()
         shifted = shift_scene(scene, random_shift(np.random.default_rng(5), scene))
-        calls = Counter()
+        calls = []
+        real_cover = OrbitData.cover
 
-        def counted(name, real):
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
+        def counted_cover(*args):
+            calls.append(args)
+            return real_cover(*args)
 
-            return wrapper
-
-        monkeypatch.setattr(OrbitData, "cover", counted("cover", OrbitData.cover))
-        for name in ("alpha", "parity", "sigma_bar"):
-            monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
+        monkeypatch.setattr(OrbitData, "cover", counted_cover)
         snaps = [audit._snapshot(s) for s in (scene, shifted)]
         monkeypatch.undo()
-        assert calls == Counter()
+        assert calls == []
         assert snaps == [ref_snapshot(scene), ref_snapshot(shifted)]
 
 

@@ -454,6 +454,14 @@ MALFORMED_COMMAND_LINES = {
     "nodal_split_total_self": (
         ["closed", "nodal-split", "--total-self", "0"], "unrecognized arguments: --total-self 0"
     ),
+    "nodal_split_zero_component": (
+        ["closed", "nodal-split", "--components", "2", "0"],
+        "bubbling components must have positive first Chern numbers",
+    ),
+    "nodal_split_wrong_sum": (
+        ["closed", "nodal-split", "--components", "1", "2"],
+        "component Chern numbers (1, 2) do not sum to 2",
+    ),
 }
 
 # input files that json.dumps cannot write: (command, text, rest, message start)

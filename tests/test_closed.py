@@ -9,7 +9,6 @@ from siefring_kit.closed import (
     delta_closed,
     delta_closed_inverse,
     disjointness_verdict,
-    double_cover_contradiction,
     vdim_closed,
 )
 from siefring_kit.errors import InconsistencyError, InputError
@@ -68,7 +67,7 @@ class TestDeltaClosed:
 
 class TestNodalSplit:
     def test_balanced_split_forced_values(self):
-        result = analyze_nodal_split(0, 2, (1, 1))
+        result = analyze_nodal_split((1, 1))
         assert result.possible
         assert result.delta_plus == 0 and result.delta_minus == 0
         assert result.cross_pairing == 1
@@ -77,30 +76,15 @@ class TestNodalSplit:
 
     def test_unbalanced_split_rejected(self):
         with pytest.raises(InputError, match="positive first Chern"):
-            analyze_nodal_split(0, 2, (2, 0))
+            analyze_nodal_split((2, 0))
 
     def test_wrong_sum_rejected(self):
         with pytest.raises(InputError, match="sum"):
-            analyze_nodal_split(0, 2, (2, 1))
-
-    def test_double_cover_parity_contradiction(self):
-        message = double_cover_contradiction(total_self=0, k=2, component_c1=1)
-        assert "parity contradiction" in message
-
-    def test_double_cover_other_verdicts(self):
-        assert double_cover_contradiction(total_self=2) == (
-            "homology class not divisible: [u].[u] = 2 is not a multiple of 4"
-        )
-        assert double_cover_contradiction(component_c1=2) == "no contradiction from parity alone"
-
-    def test_other_degeneration_refused(self):
-        with pytest.raises(InputError) as refusal:
-            analyze_nodal_split(total_self=1)
-        assert str(refusal.value) == "analysis is specialized to the square-zero, c1 = 2 degeneration pattern"
+            analyze_nodal_split((2, 1))
 
     def test_full_chain_reproduces_component_table(self):
         # the deduced invariants satisfy the adjunction identities they came from
-        result = analyze_nodal_split(0, 2, (1, 1))
+        result = analyze_nodal_split((1, 1))
         for self_pairing, delta in (
             (result.self_pairing_plus, result.delta_plus),
             (result.self_pairing_minus, result.delta_minus),
@@ -150,8 +134,7 @@ COUNT_CALLS = {
     "delta_closed": (delta_closed, (4, 6, 0)),
     "delta_closed_inverse": (delta_closed_inverse, (1, 6, 0)),
     "disjointness_verdict": (disjointness_verdict, (1,)),
-    "analyze_nodal_split": (lambda s, c1, a, b: analyze_nodal_split(s, c1, (a, b)).as_dict(), (0, 2, 1, 1)),
-    "double_cover_contradiction": (double_cover_contradiction, (0, 2, 1)),
+    "analyze_nodal_split": (lambda a, b: analyze_nodal_split((a, b)).as_dict(), (1, 1)),
     "cp2_degree_table": (cp2_degree_table, (3,)),
 }
 COUNT_CASES = [(name, i) for name, (_, args) in COUNT_CALLS.items() for i in range(len(args))]
@@ -192,7 +175,5 @@ class TestCountArguments:
             cn_closed(2, np.int64(-1))
         with pytest.raises(InputError, match="degree must be >= 1, got 0"):
             cp2_degree_table(np.int64(0))
-        with pytest.raises(InputError, match="covering multiplicity must be >= 2"):
-            double_cover_contradiction(0, np.int64(1))
         with pytest.raises(InputError, match=r"component Chern numbers \(2, 1\) do not sum to 2"):
-            analyze_nodal_split(0, 2, (2, 1))
+            analyze_nodal_split((2, 1))

@@ -11,7 +11,6 @@ import pytest
 import siefring_kit
 from siefring_kit import core
 from siefring_kit.core import (
-    SIGNS,
     CoverData,
     CurveClass,
     OrbitData,
@@ -19,15 +18,10 @@ from siefring_kit.core import (
     RelativePairing,
     Scene,
     TrivializationShift,
-    alpha,
-    cz_index,
-    end_bound,
     euler_char,
-    parity,
     scene_from_dict,
     scene_to_dict,
     shift_scene,
-    sigma_bar,
 )
 from siefring_kit.errors import InputError
 
@@ -40,27 +34,27 @@ def orbit(am, ap, k=1, oid="g"):
 
 class TestParityAndIndex:
     def test_odd_orbit(self):
-        assert parity(orbit(0, 1), 1) == 1
+        assert orbit(0, 1).cover(1).parity() == 1
 
     def test_even_orbit(self):
-        assert parity(orbit(3, 3), 1) == 0
+        assert orbit(3, 3).cover(1).parity() == 0
 
     def test_negative_windings(self):
-        assert parity(orbit(-1, 0), 1) == 1
+        assert orbit(-1, 0).cover(1).parity() == 1
 
     def test_cz_odd(self):
-        assert cz_index(orbit(0, 1), 1) == 1
+        assert orbit(0, 1).cover(1).cz_index() == 1
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5, -3])
     def test_cz_even_formula(self, k):
-        assert cz_index(orbit(k, k), 1) == 2 * k
+        assert orbit(k, k).cover(1).cz_index() == 2 * k
 
     def test_cz_negative(self):
-        assert cz_index(orbit(-1, 0), 1) == -1
+        assert orbit(-1, 0).cover(1).cz_index() == -1
 
     def test_unknown_cover(self):
         with pytest.raises(InputError, match="unknown cover"):
-            parity(orbit(0, 1), 2)
+            orbit(0, 1).cover(2).parity()
 
     def test_nondegeneracy_enforced(self):
         with pytest.raises(InputError, match="nondegeneracy"):
@@ -71,24 +65,24 @@ class TestParityAndIndex:
 
 class TestSigmaBar:
     def test_simple_orbit_is_one(self):
-        assert sigma_bar(orbit(5, 5), 1, "-") == 1
-        assert sigma_bar(orbit(5, 5), 1, "+") == 1
+        assert orbit(5, 5).cover(1).sigma_bar(1, -1) == 1
+        assert orbit(5, 5).cover(1).sigma_bar(1, 1) == 1
 
     def test_coprime(self):
-        assert sigma_bar(orbit(1, 1, k=2), 2, "-") == 1
+        assert orbit(1, 1, k=2).cover(2).sigma_bar(2, -1) == 1
 
     def test_gcd_with_zero_is_k(self):
-        assert sigma_bar(orbit(0, 0, k=4), 4, "-") == 4
+        assert orbit(0, 0, k=4).cover(4).sigma_bar(4, -1) == 4
 
     def test_divides_k(self):
         o = OrbitData("g", {4: CoverData(6, 6)})
-        assert sigma_bar(o, 4, "-") == 2
-        assert 4 % sigma_bar(o, 4, "-") == 0
+        assert o.cover(4).sigma_bar(4, -1) == 2
+        assert 4 % o.cover(4).sigma_bar(4, -1) == 0
 
     def test_equals_k_iff_k_divides_alpha(self):
         o = OrbitData("g", {3: CoverData(6, 7)})
-        assert sigma_bar(o, 3, "-") == 3  # 3 | 6
-        assert sigma_bar(o, 3, "+") == 1  # gcd(3, 7)
+        assert o.cover(3).sigma_bar(3, -1) == 3  # 3 | 6
+        assert o.cover(3).sigma_bar(3, 1) == 1  # gcd(3, 7)
 
 
 def raw_gcd(k, a):
@@ -97,8 +91,7 @@ def raw_gcd(k, a):
 
 
 class TestCoverRules:
-    """Every per-cover rule is a CoverData method, and each module function
-    of the same name reads it through OrbitData.cover."""
+    """Every per-cover rule is a CoverData method."""
 
     def test_methods_match_the_raw_formulas_on_300_scenes(self):
         rng = np.random.default_rng(67)
@@ -116,28 +109,11 @@ class TestCoverRules:
                     assert c.sigma_bar(k, 1) == raw_gcd(k, ap)
                     if am == 0:
                         assert c.sigma_bar(k, -1) == k
-                    for sign, s in SIGNS.items():
-                        assert alpha(orbit, k, sign) == c.alpha(s)
-                        assert end_bound(orbit, k, sign) == c.end_bound(s)
-                        assert sigma_bar(orbit, k, sign) == c.sigma_bar(k, s)
-                    assert parity(orbit, k) == c.parity()
-                    assert cz_index(orbit, k) == c.cz_index()
                     if k > 1:
                         seen.add((am == 0, c.sigma_bar(k, -1) == k, c.parity()))
         # on multiple covers: winding 0 at both parities, k dividing a nonzero
         # winding, and k prime to it
         assert {(True, True, 0), (True, True, 1), (False, True, 0), (False, False, 1)} <= seen
-
-    @pytest.mark.parametrize("reader", [alpha, end_bound, sigma_bar])
-    def test_signed_readers_look_up_the_cover_first(self, reader):
-        o = orbit(0, 1)
-        with pytest.raises(InputError, match="unknown cover"):
-            reader(o, 2, "x")
-        with pytest.raises(InputError, match="cover multiplicity must be an integer, got True"):
-            reader(o, True, "x")
-        with pytest.raises(InputError, match="sign must be '\\+' or '-', got 'x'"):
-            reader(o, 1, "x")
-        assert reader(o, np.int64(1), "+") == reader(o, 1, "+")
 
 
 class TestEulerChar:

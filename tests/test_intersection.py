@@ -10,9 +10,7 @@ from siefring_kit.core import (
     PunctureSpec,
     RelativePairing,
     Scene,
-    parity,
     shift_scene,
-    sigma_bar,
 )
 from siefring_kit.errors import InconsistencyError, InputError
 
@@ -100,21 +98,19 @@ class TestOmegaTerms:
             k = int(rng.integers(1, 6))
             am = int(rng.integers(-6, 7))
             scene = orbit_scene({"g": {k: CoverData(am, am + int(rng.integers(0, 2)))}})
-            orbit = scene.orbit("g")
-            from siefring_kit.core import alpha
-
+            cover = scene.orbit("g").cover(k)
             lhs_plus = (
                 xn.omega_self(scene, ("g", k), "+")
                 - xn.omega_pair(scene, ("g", k), ("g", k), "+")
-                - alpha(orbit, k, "-")
+                - cover.alpha(-1)
             )
-            assert lhs_plus == sigma_bar(orbit, k, "-") - 1
+            assert lhs_plus == cover.sigma_bar(k, -1) - 1
             lhs_minus = (
                 xn.omega_self(scene, ("g", k), "-")
                 - xn.omega_pair(scene, ("g", k), ("g", k), "-")
-                + alpha(orbit, k, "+")
+                + cover.alpha(1)
             )
-            assert lhs_minus == sigma_bar(orbit, k, "+") - 1
+            assert lhs_minus == cover.sigma_bar(k, 1) - 1
 
     def test_pair_term_below_both_arguments(self):
         rng = np.random.default_rng(2)
@@ -621,10 +617,10 @@ class TestTauInvariance:
                     assert xn.star(shifted, u, v) == base["star"][(u, v)]
             for o in shifted.orbits:
                 for k in o.cover_table:
-                    original = scene.orbit(o.id)
-                    assert parity(o, k) == parity(original, k)
-                    assert sigma_bar(o, k, "+") == sigma_bar(original, k, "+")
-                    assert sigma_bar(o, k, "-") == sigma_bar(original, k, "-")
+                    cover, original = o.cover(k), scene.orbit(o.id).cover(k)
+                    assert cover.parity() == original.parity()
+                    assert cover.sigma_bar(k, 1) == original.sigma_bar(k, 1)
+                    assert cover.sigma_bar(k, -1) == original.sigma_bar(k, -1)
 
 
 class TestClosedDegeneration:

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import siefring_kit
+from siefring_kit.core import CoverData
 
 SOURCES = sorted(Path(siefring_kit.__file__).parent.glob("*.py"))
 
@@ -164,6 +165,22 @@ def test_cover_rules_only_in_cover_data():
     assert sorted(set(found)) == [("core.py", "CoverData")], found
     for name in ("intersection.py", "audit.py"):
         assert list(_uses(ast.parse((package / name).read_text(encoding="utf-8")), "gcd")) == []
+
+
+def test_one_form_per_cover_rule():
+    # a per-cover rule is a CoverData method and nothing else: no module binds
+    # a top-level function or name after one, so no second form can come back
+    rules = {name for name, value in vars(CoverData).items() if callable(value) and not name.startswith("_")}
+    package = Path(siefring_kit.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            else:
+                names = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            found += [f"{path.relative_to(package)}:{node.lineno}: {n}" for n in names if n in rules]
+    assert "sigma_bar" in rules and found == []
 
 
 def test_one_oracle_resultant_path():
