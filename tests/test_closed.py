@@ -127,7 +127,8 @@ class TestCp2Table:
 
 
 # (function, valid integer arguments); the nodal split's component pair is
-# passed as its two entries
+# passed as its two entries, numbered as cases 2 and 3 after the square-zero
+# self-intersection and c1 = 2 that the split is fixed to
 COUNT_CALLS = {
     "vdim_closed": (vdim_closed, (3, 1, 2)),
     "cn_closed": (cn_closed, (2, 1)),
@@ -137,7 +138,12 @@ COUNT_CALLS = {
     "analyze_nodal_split": (lambda a, b: analyze_nodal_split((a, b)).as_dict(), (1, 1)),
     "cp2_degree_table": (cp2_degree_table, (3,)),
 }
-COUNT_CASES = [(name, i) for name, (_, args) in COUNT_CALLS.items() for i in range(len(args))]
+CASE_OFFSET = {"analyze_nodal_split": 2}
+COUNT_CASES = [
+    pytest.param(name, i, id=f"{name}-{i + CASE_OFFSET.get(name, 0)}")
+    for name, (_, args) in COUNT_CALLS.items()
+    for i in range(len(args))
+]
 
 
 def _call_with(name, i, value):
