@@ -242,7 +242,8 @@ class Germ:
     @cached_property
     def _hash(self) -> int:
         """The dataclass hash, hash((p, q)), computed once: every oracle cell
-        looks the germ up in the resultant and disk caches."""
+        looks the germ up in the oracle's order and disk caches.  The exact
+        calculators cache nothing, so they never hash a germ."""
         return hash((self.p, self.q))
 
     @cached_property
@@ -331,8 +332,10 @@ def _exact(x):
 
 def _parts(coeffs) -> list:
     """(exponent, (re, im)) of each nonzero coefficient, each part an int
-    where it is one (``_exact``)."""
-    return [(e, (_exact(c.re), _exact(c.im))) for e, c in enumerate(coeffs) if c]
+    where it is one (``_exact``).  The shared zero, the gaps of a branched
+    cover, is skipped by identity, and the rest are tested on their parts,
+    with no call of ``GaussianRational.__bool__``."""
+    return [(e, (_exact(c.re), _exact(c.im))) for e, c in enumerate(coeffs) if c is not _ZERO and (c.re or c.im)]
 
 
 def _difference_terms(coeffs_u, coeffs_v) -> dict:
@@ -751,13 +754,12 @@ def delta_from_normal_form(nf: GermNormalForm) -> int:
 # -- exact intersection numbers -----------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _pair_resultant(u: Germ, v: Germ) -> int | None:
     """The order at z = 0 of Res_w(p_u(z) - p_v(w), q_u(z) - q_v(w)), or
     None where it vanishes identically, as ``_resultant`` gives it after v's
-    domain check; an oracle ladder asks for the same pair in every cell.  A
-    domain refusal is an exception, which lru_cache does not store, and a
-    zero resultant is stored like an order, so it is proved once."""
+    domain check.  Not cached: the exact path builds each pair once and
+    hashes no germ; the oracle ladder, which asks in every cell, keeps its
+    own memo (``_oracle_order``)."""
     return _resultant(_difference_terms(u.p, v.p), _difference_terms(u.q, v.q), (v, _PAIR_DOMAIN))
 
 
@@ -767,8 +769,14 @@ def local_intersection(u: Germ, v: Germ) -> int:
     Computed as the order of vanishing at z = 0 of the resultant in w of
     (p_u(z) - p_v(w), q_u(z) - q_v(w)); always >= 1, and equal to the
     algebraic count of intersections surviving near 0 after perturbation.
+    Nothing is cached, so neither germ nor any coefficient is hashed.
     """
-    order = _pair_resultant(u, v)
+    return _intersection_number(_pair_resultant(u, v))
+
+
+def _intersection_number(order: int | None) -> int:
+    """The pair order as an intersection number: the identical-images
+    refusal for a zero resultant, and the invariant order >= 1."""
     if order is None:
         raise InputError("identical images / common branch: resultant vanishes identically")
     if order < 1:
@@ -1050,6 +1058,17 @@ def _check_perturbation(epsilon, radius) -> tuple[complex, float]:
     return e, r
 
 
+@lru_cache(maxsize=256)
+def _oracle_order(u: Germ, v: Germ) -> int | None:
+    """The pair oracle's exact verdict, ``_pair_resultant``, kept by value:
+    every cell of a ladder asks for the same pair, and the oracle hashes the
+    germs for ``_disk_plan`` anyway.  A zero resultant is stored as None,
+    like an order, so it is proved once per ladder, and the refusal is
+    raised outside (``_intersection_number``); a domain refusal is an
+    exception, which lru_cache does not store."""
+    return _pair_resultant(u, v)
+
+
 @lru_cache(maxsize=32)
 def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
     """The counting disk of one (germs, radius): the resultant plan, on
@@ -1162,7 +1181,7 @@ def numeric_intersection_oracle(
     # cell of a ladder asks again
     u.numeric, v.numeric
     _require_small_domain(v, _PAIR_DOMAIN)
-    local_intersection(u, v)
+    _intersection_number(_oracle_order(u, v))
     plan = _disk_plan(u, v, radius)
     edge_tol = ROOT_EDGE_TOL / radius
 

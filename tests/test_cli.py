@@ -197,6 +197,15 @@ class TestGermCommand:
             " at draw 1; a turn of epsilon's phase cannot move them\n"
         )
 
+    @pytest.mark.parametrize("command", ["iota", "oracle"])
+    def test_identical_images_exit_one(self, tmp_path, capsys, command):
+        # a germ against itself: Res_w vanishes identically, and the exact
+        # count and the oracle refuse with the same line
+        a = write(tmp_path / "a.json", GERM_35)
+        code, out, err = run(capsys, "germ", command, a, a)
+        assert (code, out) == (1, "")
+        assert err == "error: identical images / common branch: resultant vanishes identically\n"
+
     def test_iota_needs_two_files(self, tmp_path, capsys):
         a = write(tmp_path / "a.json", GERM_35)
         code, out, err = run(capsys, "germ", "iota", a)

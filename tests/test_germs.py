@@ -1,6 +1,7 @@
 import contextlib
 import json
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -1168,7 +1169,7 @@ class TestOracleDomainRefusal:
         # of Fulton's algorithm
         u = germ([0, 1, 0, 2], [0, 0, 1, 0, 3])
         calls = TestNewtonPolygonBound._counted(monkeypatch)
-        germs._pair_resultant.cache_clear()
+        germs._oracle_order.cache_clear()
         for radius in RADIUS_LADDER:
             for eps in EPSILON_LADDER:
                 with pytest.raises(InputError, match="identical images"):
@@ -1188,7 +1189,7 @@ class TestOracleRangeRefusal:
         def no_exact_work(*args):
             raise AssertionError("exact resultant computed before the range refusal")
 
-        germs._pair_resultant.cache_clear()
+        germs._oracle_order.cache_clear()
         monkeypatch.setattr(germs, "_resultant", no_exact_work)
         u = getattr(self, name)
         for pair in ((u, QUARTIC46), (QUARTIC46, u)):
@@ -1517,7 +1518,7 @@ class TestModularResultantEngine:
             (germ([0, 1], [0]), germ([0], [0, 0, 0, 2]), 3),
             (germ([0, 0, 1], [0]), germ([0], [0, 0, 0, 2]), 6),
         ):
-            germs._pair_resultant.cache_clear()
+            germs._oracle_order.cache_clear()
             calls.clear()
             assert local_intersection(u, v) == order
             assert calls == [order]
@@ -1618,7 +1619,7 @@ class TestModularCertification:
         monkeypatch.setattr(germs, "_edges_apart", lambda f, g: False)
         calls = TestNewtonPolygonBound._counted(monkeypatch)
         assert germs._resultant(*terms) == 1 and len(calls) == 1
-        germs._pair_resultant.cache_clear()
+        germs._oracle_order.cache_clear()
         assert local_intersection(u, v) == 1
 
     def test_first_prime_alone_sees_a_zero_resultant(self):
@@ -1633,7 +1634,7 @@ class TestModularCertification:
         # far-zero check of v to Euclid
         u, v = germ([0, 1], [0, 1]), germ([0, Fraction(1, self.P)], [0, 2])
         calls = TestNewtonPolygonBound._counted(monkeypatch)
-        germs._pair_resultant.cache_clear()
+        germs._oracle_order.cache_clear()
         assert local_intersection(u, v) == 1 and len(calls) == 1
         divisions = []
         remainder = germs._remainder
@@ -1824,7 +1825,7 @@ class TestNewtonPolygonBound:
         v = germ([0, 0] + [big + 7 * j for j in range(1, 9)], [0, 0, 0] + [big - 11 * j for j in range(1, 8)])
         f, g = _terms_of("pair", (u, v))
         assert max(f)[0] + max(g)[0] == 18
-        germs._pair_resultant.cache_clear()
+        germs._oracle_order.cache_clear()
         calls = self._counted(monkeypatch)
         # v's far-zero test and the pair are both certified by their edges
         assert local_intersection(u, v) == 3
@@ -2031,7 +2032,7 @@ class TestFarZeroByEuclid:
         for _ in range(40):
             far = _far_zero_germ(rng)
             assert not _sympy_far_zero_free(far)
-            germs._pair_resultant.cache_clear()
+            germs._oracle_order.cache_clear()
             with pytest.raises(InputError, match="germ domain too large"):
                 local_intersection(u, far)
             if is_simple(far):
@@ -2198,7 +2199,7 @@ class TestDeferredDomainCheck:
         log = _logged(monkeypatch)
         seen = {"certified": 0, "refused": 0, "passes": 0}
         for (kind, gs), sure in zip(terms, certified):
-            germs._pair_resultant.cache_clear()
+            germs._oracle_order.cache_clear()
             log.clear()
             answer = _value_or_refusal(lambda: local_intersection(*gs) if kind == "pair" else delta_local(*gs))
             if sure:
@@ -2218,7 +2219,7 @@ class TestDeferredDomainCheck:
         u = germ([0, 1], [0, 0, 1])
         for _ in range(12):
             far = _far_zero_germ(rng)
-            germs._pair_resultant.cache_clear()
+            germs._oracle_order.cache_clear()
             for eps in (1e-3, 1e-4):
                 with pytest.raises(InputError, match="germ domain too large"):
                     numeric_intersection_oracle(u, far, epsilon=eps)
@@ -2232,7 +2233,7 @@ class TestDeferredDomainCheck:
         assert len(pairs) + len(singles) >= 300
         got = []
         for u, v in pairs:
-            germs._pair_resultant.cache_clear()
+            germs._oracle_order.cache_clear()
             got.append(_value_or_refusal(lambda: local_intersection(u, v)))
             assert got[-1] == _reference_intersection(u, v), (u, v)
         for u in singles:
@@ -2403,7 +2404,7 @@ class TestLargeInputs:
         # f = z^80 - w^82 and g = z^81 - w^83 have edges of valuations 40/41
         # and 81/83 and no common one, so the edges certify 80 * 83 = 6640
         calls = TestNewtonPolygonBound._counted(monkeypatch)
-        germs._pair_resultant.cache_clear()
+        germs._oracle_order.cache_clear()
         assert local_intersection(monomial_germ(80, 81), monomial_germ(82, 83)) == 6640
         assert calls == []
 
@@ -2414,7 +2415,7 @@ class TestLargeInputs:
         a = 80
         u, v = germ([0] * a + [1], [0] * (a + 1) + [1]), germ([0] * a + [1], [0] * (a + 1) + [1, 1])
         calls = TestNewtonPolygonBound._counted(monkeypatch)
-        germs._pair_resultant.cache_clear()
+        germs._oracle_order.cache_clear()
         assert local_intersection(u, v) == a * (a + 1) + 1 == 6481
         assert calls == [6481]
 
@@ -2540,6 +2541,72 @@ class TestNoDiscardedWork:
             assert cover == want and hash(cover) == hash(want)
             gaps = [c for f in (cover.p, cover.q) for e, c in enumerate(f) if e % k]
             assert gaps and all(c is germs._ZERO for c in gaps)
+
+
+class TestExactPathHashesNothing:
+    """The exact calculators cache nothing, so they hash no germ and no
+    coefficient; the pair oracle's order memo and its disks hash each germ
+    of a ladder, and ``Germ._hash`` computes that hash once per germ.
+    Counted, not timed."""
+
+    @staticmethod
+    def _hashes(monkeypatch) -> list:
+        """The class name of each Germ.__hash__ and GaussianRational.__hash__ call."""
+        calls = []
+        for cls in (germs.Germ, germs.GaussianRational):
+
+            def counted(self, _real=cls.__hash__, _name=cls.__name__):
+                calls.append(_name)
+                return _real(self)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        return calls
+
+    @staticmethod
+    def _fresh_pairs():
+        """Axis pairs, built afresh, that the edges certify, that Fulton's
+        algorithm answers (the tangent pair) and that the domain check
+        refuses (far zeros in v, decided by Euclid)."""
+        rng = np.random.default_rng(3304)
+        pairs = [tuple(axis_germ(rng, int(rng.integers(1, 4)), axis) for axis in (0, 1)) for _ in range(20)]
+        pairs.append((germ([0, 0, 0, 1], [0, 0, 0, 0, 1]), germ([0, 0, 0, 1], [0, 0, 0, 0, 1, 1])))
+        pairs.append((germ([0, 1], [0, 0, 1]), germ([0, 1, 0, 1], [0, 0, 0, 1, 0, 1])))
+        return pairs
+
+    def test_pairs_and_covers_hash_nothing(self, monkeypatch):
+        pairs = self._fresh_pairs()
+        calls = self._hashes(monkeypatch)
+        answers = [_value_or_refusal(lambda: local_intersection(u, v)) for u, v in pairs]
+        answers += [
+            _value_or_refusal(lambda: local_intersection(branched_cover(u, 2), branched_cover(v, 3))) for u, v in pairs
+        ]
+        assert calls == []
+        assert 13 in answers and any(isinstance(a, tuple) and "germ domain too large" in a[1] for a in answers)
+
+    def test_delta_hashes_nothing(self, monkeypatch):
+        singles = TestNoDiscardedWork._simple_germs()
+        calls = self._hashes(monkeypatch)
+        assert all(delta_local(u) >= 0 for u in singles)
+        assert calls == []
+
+    def test_oracle_ladder_hashes_each_germ_once(self, monkeypatch):
+        u, v = germ([0, 1, 2], [0, 0, 0, 3]), germ([0, 0, 5], [0, 7])
+        computed = []
+        real = germs.Germ.__dict__["_hash"].func
+
+        def counted(self):
+            computed.append(self)
+            return real(self)
+
+        hashed = cached_property(counted)
+        hashed.__set_name__(germs.Germ, "_hash")
+        monkeypatch.setattr(germs.Germ, "_hash", hashed)
+        germs._oracle_order.cache_clear()
+        germs._disk_plan.cache_clear()
+        for radius in RADIUS_LADDER:
+            for eps in EPSILON_LADDER:
+                assert numeric_intersection_oracle(u, v, epsilon=eps, radius=radius) == 1
+        assert len(computed) == 2 and computed[0] is u and computed[1] is v
 
 
 class TestGaussianHash:

@@ -200,7 +200,9 @@ def test_one_oracle_resultant_path():
 
 def test_one_counting_disk():
     # the radius pre-check runs where a disk is planned, and that plan is the
-    # one cache per disk, so a second disk cache cannot come back beside it
+    # one cache per disk, so a second disk cache cannot come back beside it;
+    # the pair oracle's order memo is the only other cache, so the exact
+    # calculators hash no germ
     source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
     found = {"_embedded_radius_check": set(), "lru_cache": set(), "cache": set()}
     for node in source.body:
@@ -211,7 +213,7 @@ def test_one_counting_disk():
             owners.update(owner for _ in _uses(node, name))
     assert found == {
         "_embedded_radius_check": {"_disk_plan"},
-        "lru_cache": {"_pair_resultant", "_disk_plan"},
+        "lru_cache": {"_oracle_order", "_disk_plan"},
         "cache": set(),
     }, found
 
