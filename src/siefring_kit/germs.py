@@ -53,10 +53,10 @@ R = 0.  All of it is exact, in ints and Fractions, with no prime, no
 factoring, no field extension and no numpy, which is bound lazily and runs
 on first numeric use: Germ.numeric and the oracles.
 
-A second, independent path perturbs the germ, locates the finitely many
-intersection parameters as polynomial roots via companion matrices, and
-counts those inside a small disk in floating point.  The two paths are
-checked against each other throughout the test suite.
+A second, independent path perturbs the germ and counts the intersection
+parameters inside a small disk in floating point, as the certified winding
+of the resultant on its circle (_winding).  The two paths are checked
+against each other throughout the test suite.
 """
 
 from __future__ import annotations
@@ -74,12 +74,11 @@ from .jsonio import JsonObject, read_json, read_multiplicity, read_seed, typed
 
 np = lazy_import("numpy")  # run on first numeric use; see the module docstring
 
-ROOT_EDGE_TOL = 1e-6
 COEFF_TRIM_TOL = 1e-11
-# draws per cell, redrawn only for a root on the circle or an unpaired parameter;
-# at z = 0 the resultant is ~ epsilon**(a-1) times a product: |epsilon| sets it, not the phase
+# draws per cell, redrawn only for an uncertified count or an unpaired
+# parameter: |epsilon| sets the size of R_eps - R_0, not the phase
 MAX_EPSILON_REDRAWS = 10
-STUCK_AT_THE_ORIGIN = "perturbed intersection parameters stuck at the origin"
+MAX_WINDING_SAMPLES = 1 << 14
 PRIME = 2147389441  # 1 mod 4, so that -1 has a square root modulo it
 IOTA = 815951605  # IOTA^2 = -1 modulo PRIME: the image of i
 
@@ -920,7 +919,7 @@ class _ResultantPlan:
     """
 
     def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float, moving: int = 1):
-        # a radius or epsilon too large overflows the samples; _trimmed refuses the result
+        # a radius or epsilon too large overflows the samples; _winding refuses the result
         with np.errstate(over="ignore", invalid="ignore"):
             # a float circle: an int's powers in _closed_form wrap int64 past 3**39
             self.arrays, self.circle, self.moving = (bf, bg), float(circle), moving
@@ -970,6 +969,12 @@ class _ResultantPlan:
             # coefficients from values at the roots of unity: c_m = (1/n) sum_s v_s w^{-sm}
             return np.fft.fft(np.concatenate(values)) / self.samples
 
+    @cached_property
+    def base(self) -> tuple:
+        """The unperturbed resultant R_0 and its winding samples by count,
+        which the Rouche test of every draw reads (``_winding``)."""
+        return self.resultant(), {}
+
     def _closed_form(self, bf: np.ndarray, bg: np.ndarray) -> np.ndarray:
         """The resultant where a polynomial is zero or free of w."""
         (_, df), (_, dg) = self.degrees
@@ -981,47 +986,65 @@ class _ResultantPlan:
         return np.asarray(np.polynomial.polynomial.polypow(scaled, power), dtype=complex)
 
 
-def _trimmed(coeffs: np.ndarray) -> tuple[int, np.ndarray]:
-    """(multiplicity at 0, kept coefficients) of a polynomial rescaled so
-    that the counting circle is |zeta| = 1.  Low-order coefficients below
-    COEFF_TRIM_TOL of the largest count as an exact root at 0, high-order
-    ones are dropped."""
-    magnitude = np.abs(coeffs)
-    scale = magnitude.max()
+def _arcs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, reach) at the n-th roots of unity of the polynomials with
+    ascending coefficients ``rows[k]``, n >= rows.shape[1].  In the turn t
+    of zeta = e^(2 pi i t), values f_j and slopes f'_j are zero-padded
+    inverse FFTs of c_m and 2 pi i m c_m, and |f''| <= L2 = 4 pi^2 sum m^2
+    |c_m|, so f stays within reach_j = |f'_j| h + L2 h^2 / 2 of f_j on the
+    arc of half a step h = 1/2n to either side."""
+    m = np.arange(rows.shape[1])
+    out = np.fft.ifft(np.concatenate([rows, rows * (2j * np.pi * m)]), n) * n
+    h = 0.5 / n
+    bend = (2 * np.pi**2 * h * h) * (np.abs(rows) @ (m * m))
+    return out[: len(rows)], np.abs(out[len(rows) :]) * h + bend[:, None]
+
+
+def _winding(coeffs: np.ndarray, base: tuple | None = None) -> int | None:
+    """The certified number of zeros in |zeta| < 1 of the polynomial f with
+    ascending coefficients ``coeffs``, or None where no sample count up to
+    MAX_WINDING_SAMPLES, doubling from the least power of two >= 2
+    len(coeffs), certifies it.  Where every |f_j| > 2 reach_j (``_arcs``),
+    each half-step arc lies in a disk that subtends under 60 degrees at 0 and
+    meets its neighbour's, so the principal angles of f_(j+1) / f_j sum to
+    2 pi times the count.  This certifies the computed coefficients; their
+    distance from the true resultant is the determinant's roundoff.
+
+    ``base`` = (coefficients of f_0, {n: (|f_0| at the samples, reach)}) is a
+    disk's unperturbed resultant.  Given it, the count also needs Rouche's
+    test, |f - f_0| + reach < |f_0| - reach at every sample, which gives f
+    the zeros of f_0 in the disk; a sample where |f - f_0| >= |f_0| refuses
+    the draw, as epsilon dwarfs the germ there.  A resultant that is not
+    finite or vanishes is refused before any count."""
+    scale = np.abs(coeffs).max()
     if not np.isfinite(scale):
         raise InputError("oracle resultant is not finite; shrink the radius or epsilon")
     if scale == 0:
         raise InputError("oracle resultant vanished identically")
-    keep = np.flatnonzero(magnitude > COEFF_TRIM_TOL * scale)
-    first, last = int(keep[0]), int(keep[-1])
-    return first, coeffs[first : last + 1]
-
-
-def _roots(kept: np.ndarray) -> np.ndarray:
-    """Roots of the ascending coefficients ``kept`` (both ends nonzero): the
-    eigenvalues of the companion matrix, built as np.roots builds it."""
-    p = kept[::-1]
-    if len(p) < 2:
-        return np.zeros(0)
-    companion = np.diag(np.ones(len(p) - 2, p.dtype), -1)
-    companion[0, :] = -p[1:] / p[0]
-    return np.linalg.eigvals(companion)
-
-
-def _hits_edge(roots: np.ndarray, edge_tol: float) -> bool:
-    """True if a root lies within edge_tol of the counting circle."""
-    return bool(np.any(np.abs(np.abs(roots) - 1.0) < edge_tol))
-
-
-def _embedded_radius_check(res0_scaled: np.ndarray, edge_tol: float, what: str):
-    """Reject a counting disk that contains unperturbed solution parameters."""
-    if not np.any(res0_scaled):
-        return  # resultant-zero cases are reported by the draws
-    roots = _roots(_trimmed(res0_scaled)[1])
-    if len(roots) and np.min(np.abs(roots)) <= 1.0 + edge_tol:
-        raise InputError(
-            f"radius too large: {what} within the chosen disk; shrink the radius"
-        )
+    rows = coeffs[None]
+    if base is not None:  # rows f and f - f_0; a draw planned afresh may be longer or shorter
+        base_coeffs, base_arcs = base
+        rows = np.zeros((2, max(len(coeffs), len(base_coeffs))), complex)
+        rows[:, : len(coeffs)] = coeffs
+        rows[1, : len(base_coeffs)] -= base_coeffs
+    n = 1 << (2 * rows.shape[1] - 1).bit_length()
+    while n <= MAX_WINDING_SAMPLES:
+        values, reach = _arcs(rows, n)
+        size = np.abs(values)
+        certified = (size[0] > 2 * reach[0]).all()
+        if base is not None:
+            if n not in base_arcs:
+                values_0, reach_0 = _arcs(base_coeffs[None], n)
+                base_arcs[n] = np.abs(values_0[0]), reach_0[0]
+            at_base, base_reach = base_arcs[n]
+            if (size[1] >= at_base).any():
+                raise InputError("oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon")
+            certified = certified and (size[1] + reach[1] < at_base - base_reach).all()
+        if certified:
+            v = values[0]
+            return round((np.angle(v[1:] / v[:-1]).sum() + np.angle(v[0] / v[-1])) / (2 * np.pi))
+        n *= 2
+    return None
 
 
 def _number(value, kind):
@@ -1076,22 +1099,27 @@ def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
     evaluate, returned once the check passes.  The arrays are the divided
     differences of u's p and q with epsilon at q's z^0 w^0, or, given v, the
     differences p_u(z) - p_v(w) and q_u(z) - q_v(w) with epsilon at p's.  The
-    cells of a ladder share a disk and a ladder visits a few radii, so a few
-    disks are kept; a refusal is an exception, which lru_cache does not store."""
+    check: R_0 winds as often as its exact order at 0 (2 delta_local(u), or
+    the pair's), so it has no other zero in the disk; an R_0 that underflows
+    to zero is left to the draws' Rouche test.  The cells of a ladder share a
+    disk and a ladder visits a few radii, so a few disks are kept; a refusal
+    is an exception, which lru_cache does not store."""
     if v is None:
         arrays, moving = (_numeric_divided_difference(c) for c in u.numeric), 1
-        what = "germ has self-intersections"
+        order, what = 2 * delta_local(u), "germ has self-intersections"
     else:
         arrays, moving = (_numeric_difference(a, b) for a, b in zip(u.numeric, v.numeric)), 0
-        what = "germs intersect away from the origin but"
+        order, what = _oracle_order(u, v), "germs intersect away from the origin but"
     plan = _ResultantPlan(*_read_only(*arrays), radius, moving)
-    _embedded_radius_check(plan.resultant(), ROOT_EDGE_TOL / radius, what)
+    base = plan.base[0]
+    if np.any(base) and _winding(base) != order:
+        raise InputError(f"radius too large: {what} within the chosen disk; shrink the radius")
     return plan
 
 
 def _turns(epsilon: complex, seed: int):
     """epsilon, then epsilon turned by seeded random phases, MAX_EPSILON_REDRAWS
-    in all.  The turns serve a root on the circle and an unpaired parameter,
+    in all.  The turns serve an uncertified count and an unpaired parameter,
     the failures a phase can move.  The generator is made at the first turn,
     so a cell that its first draw answers or ends makes none."""
     yield epsilon
@@ -1105,21 +1133,15 @@ def _redraw(draw, epsilon: complex, seed: int) -> int:
 
     The first draw uses epsilon itself, each later one epsilon turned by a
     seeded random phase; a draw returns its count, or the reason it failed
-    as a string.  A draw stuck at the origin (STUCK_AT_THE_ORIGIN) ends the
-    cell at once, since its resultant's low-order size moves with |epsilon|
-    and not with the phase; any other failure is redrawn, and the last one
-    is reported if every draw fails.
+    as a string, and the last one is reported if every draw fails.  A draw
+    that fails Rouche's test raises (``_winding``) and ends the cell, since
+    the size of R_eps - R_0 moves with |epsilon|, not with the phase.
     """
-    for draws, eps in enumerate(_turns(epsilon, seed), 1):
+    for eps in _turns(epsilon, seed):
         result = draw(eps)
         if not isinstance(result, str):
             return result
-        if result == STUCK_AT_THE_ORIGIN:
-            raise InputError(
-                f"oracle failed: {result} at draw {draws}; a turn of epsilon's phase cannot move them"
-            )
-        last_failure = result
-    raise InputError(f"oracle failed: {last_failure} after {MAX_EPSILON_REDRAWS} draws")
+    raise InputError(f"oracle failed: {result} after {MAX_EPSILON_REDRAWS} draws")
 
 
 def numeric_double_point_oracle(
@@ -1129,8 +1151,8 @@ def numeric_double_point_oracle(
 
     The germ is perturbed to (p(z), q(z) + eps z); ordered self-intersection
     parameter pairs are the roots of the resultant of the perturbed divided
-    differences, counted inside |z| < radius via companion-matrix
-    eigenvalues and halved.  Must agree with delta_local on valid inputs;
+    differences, counted inside |z| < radius by its certified winding
+    (``_winding``) and halved.  Must agree with delta_local on valid inputs;
     shares its exact refusals and its rule for a constant coordinate.
     """
     seed = read_seed(seed)
@@ -1140,17 +1162,12 @@ def numeric_double_point_oracle(
         return delta
     _require_small_domain(u, _SELF_DOMAIN)
     plan = _disk_plan(u, None, radius)
-    edge_tol = ROOT_EDGE_TOL / radius
 
     def draw(eps):
         # q(z) + eps z - (q(w) + eps w) divided by (z - w) adds the constant eps
-        zero_mult, kept = _trimmed(plan.resultant(eps))
-        if zero_mult:
-            return STUCK_AT_THE_ORIGIN
-        roots = _roots(kept)
-        if _hits_edge(roots, edge_tol):
+        count = _winding(plan.resultant(eps), plan.base)
+        if count is None:
             return "radius on a root, retry"
-        count = int(np.sum(np.abs(roots) < 1.0))
         if count % 2 != 0:
             return "unpaired intersection parameter (partner escaped the disk)"
         return count // 2
@@ -1164,10 +1181,11 @@ def numeric_intersection_oracle(
     """Count intersections of two perturbed germs in a bidisk, numerically.
 
     The first germ is shifted to (p_u(z) + eps, q_u(z)) and the solution
-    parameters are counted inside |z| < radius via companion-matrix roots
-    of the resultant eliminating w.  The radius pre-check guarantees the
-    unperturbed germs have no intersection parameters with |z| <= radius
-    apart from the origin, so for small eps the count equals the number of
+    parameters are counted inside |z| < radius by the certified winding of
+    the resultant eliminating w (``_winding``).  The radius pre-check
+    guarantees the unperturbed germs have no intersection parameters with
+    |z| <= radius apart from the origin, and Rouche's test that eps moves
+    none across the circle, so the count equals the number of
     perturbed intersections in the bidisk.  Must agree with
     local_intersection on valid inputs, and shares its exact refusals
     (too large a domain, identical images).
@@ -1183,19 +1201,14 @@ def numeric_intersection_oracle(
     _require_small_domain(v, _PAIR_DOMAIN)
     _intersection_number(_oracle_order(u, v))
     plan = _disk_plan(u, v, radius)
-    edge_tol = ROOT_EDGE_TOL / radius
 
     def draw(eps):
         # the resultant root z of a solution (z, w) does not see where w is,
         # but the radius pre-check has excluded unperturbed solutions with
         # |z| <= radius and w anywhere, so for small eps every perturbed
-        # solution counted here lies in the bidisk; roots deflated to 0
-        # are perturbed solutions too
-        zero_mult, kept = _trimmed(plan.resultant(eps))
-        roots = _roots(kept)
-        if _hits_edge(roots, edge_tol):
-            return "radius on a root, retry"
-        return zero_mult + int(np.sum(np.abs(roots) < 1.0))
+        # solution counted here lies in the bidisk
+        count = _winding(plan.resultant(eps), plan.base)
+        return "radius on a root, retry" if count is None else count
 
     return _redraw(draw, epsilon, seed)
 

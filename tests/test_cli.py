@@ -30,6 +30,11 @@ GERM_CUSP_HUGE = dict(GERM_CUSP_TINY, q=[[0, 1, 0, 1]] * 3 + [[10**400, 1, 0, 1]
 # the same beyond complex128 in the imaginary part: q = i z^3 / 10^400 and 10^400 i z^3
 GERM_CUSP_TINY_IMAG = dict(GERM_CUSP_TINY, q=[[0, 1, 0, 1]] * 3 + [[0, 1, 1, 10**400]])
 GERM_CUSP_HUGE_IMAG = dict(GERM_CUSP_TINY, q=[[0, 1, 0, 1]] * 3 + [[0, 1, 10**400, 1]])
+# a = 10^-20: u = (a z, a z^2), v = (a z^2, a z) and the cusp (a z^2, a z^3)
+_A = [1, 10**20, 0, 1]
+GERM_TINY_U = {"p": [[0, 1, 0, 1], _A], "q": [[0, 1, 0, 1]] * 2 + [_A]}
+GERM_TINY_V = {"p": GERM_TINY_U["q"], "q": GERM_TINY_U["p"]}
+GERM_TINY_CUSP = {"p": [[0, 1, 0, 1]] * 2 + [_A], "q": [[0, 1, 0, 1]] * 3 + [_A]}
 
 
 def write(path, payload):
@@ -188,14 +193,22 @@ class TestGermCommand:
 
     def test_oracle_single_stuck_at_the_origin(self, tmp_path, capsys):
         # at epsilon 1e-8 the perturbed double points of (z^3, z^5) stay at 0
-        # to the trim; the first draw ends the cell with its own refusal
+        # to the trim that the companion rule read them with, which refused
+        # the cell; the winding counts them, and prints delta
         a = write(tmp_path / "a.json", GERM_35)
         code, out, err = run(capsys, "germ", "oracle", a, "--epsilon", "1e-8")
+        assert (code, out, err) == (0, "4\n", "")
+        assert run(capsys, "germ", "delta", a) == (code, out, err)
+
+    @pytest.mark.parametrize("germs", [[GERM_TINY_U, GERM_TINY_V], [GERM_TINY_CUSP]], ids=["pair", "single"])
+    def test_oracle_refuses_an_epsilon_that_dwarfs_the_germ(self, germs, tmp_path, capsys):
+        # a = 10^-20: the companion rule printed 0 where the exact answer is 1
+        paths = [write(tmp_path / f"{i}.json", g) for i, g in enumerate(germs)]
+        exact = run(capsys, "germ", "iota" if len(paths) == 2 else "delta", *paths)
+        assert exact == (0, "1\n", "")
+        code, out, err = run(capsys, "germ", "oracle", *paths)
         assert (code, out) == (1, "")
-        assert err == (
-            "error: oracle failed: perturbed intersection parameters stuck at the origin"
-            " at draw 1; a turn of epsilon's phase cannot move them\n"
-        )
+        assert err == "error: oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon\n"
 
     @pytest.mark.parametrize("command", ["iota", "oracle"])
     def test_identical_images_exit_one(self, tmp_path, capsys, command):

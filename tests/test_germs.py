@@ -1,5 +1,7 @@
 import contextlib
+from collections import Counter
 import json
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,6 +45,16 @@ from germgen import (
 CUSP23 = germ([0, 0, 1], [0, 0, 0, 1])
 CUSP35 = monomial_germ(3, 5)
 QUARTIC46 = monomial_germ(4, 6)
+# the companion-root rule that counted before the certified winding, kept by
+# the reference bodies (_reference_double_point_oracle): a root within ROOT_EDGE_TOL / radius of the
+# circle was redrawn, and a draw with a root trimmed to 0 was stuck
+ROOT_EDGE_TOL = 1e-6
+STUCK = "perturbed intersection parameters stuck at the origin"
+ROUCHE = "oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon"
+# a = 10^-20: epsilon dwarfs these germs on every circle of the ladders
+TINY = Fraction(1, 10**20)
+TINY_PAIR = (germ([0, TINY], [0, 0, TINY]), germ([0, 0, TINY], [0, TINY]))
+TINY_CUSP = germ([0, 0, TINY], [0, 0, 0, TINY])
 
 
 class TestGermConstruction:
@@ -623,15 +635,14 @@ class TestResultantPlan:
             assert np.array_equal(plan.resultant(1e-3), twin.resultant(1e-3))
         assert np.abs(germs._ResultantPlan(*closed, 3).resultant()).max() > 1e42
 
-    STUCK = (
-        "oracle failed: perturbed intersection parameters stuck at the origin at draw 1;"
-        " a turn of epsilon's phase cannot move them"
-    )
     # per cell of EPSILON_LADDER at radius 0.15; the k = 4 germ's six double
-    # points leave the disk at epsilon 1e-2 and 1e-3 and stay stuck at 1e-7 on
+    # points leave the disk at epsilon 1e-2 and 1e-3, where Rouche's test
+    # refuses the cells (the companion rule counted 0), and its winding counts
+    # them from 1e-4 on, at 1e-7 and 1e-8 too, where the companion rule found
+    # them stuck at the origin
     LADDER_OUTCOMES = [
         [("value", 2)] * 7,
-        [("value", 0)] * 2 + [("value", 6)] * 3 + [("refused", STUCK)] * 2,
+        [("refused", ROUCHE)] * 2 + [("value", 6)] * 5,
     ]
 
     @pytest.mark.parametrize("disk", [0, 1], ids=["pair", "k4-single"])
@@ -639,8 +650,10 @@ class TestResultantPlan:
         u, v = self._disks()[disk]
         if v is None:
             germ_args, oracle, reference = (u,), numeric_double_point_oracle, _reference_double_point_oracle
+            exact = _outcome(delta_local, u)
         else:
             germ_args, oracle, reference = (u, v), numeric_intersection_oracle, _reference_intersection_oracle
+            exact = _outcome(local_intersection, u, v)
         germs._disk_plan.cache_clear()
         built = []
         plan_class = germs._ResultantPlan
@@ -651,7 +664,9 @@ class TestResultantPlan:
         assert germs._disk_plan.cache_info().maxsize == 32
         assert outcomes == self.LADDER_OUTCOMES[disk]
         monkeypatch.undo()
-        assert outcomes == [_outcome(reference, *germ_args, epsilon, 0.15, 0) for epsilon in EPSILON_LADDER]
+        refs = [_outcome(reference, *germ_args, epsilon, 0.15, 0) for epsilon in EPSILON_LADDER]
+        moves = [_against_the_reference(ours, ref, exact) for ours, ref in zip(outcomes, refs)]
+        assert moves == [["same"] * 7, ["refused by Rouche"] * 2 + ["same"] * 3 + ["answered"] * 2][disk]
 
 
 class TestRedrawTurns:
@@ -674,16 +689,39 @@ class TestRedrawTurns:
         assert made == [] and [e for e in epsilons if e is not None] == [1e-3, 1e-3]
 
     def test_a_stuck_cell_makes_one_draw_and_no_generator(self, monkeypatch):
+        # the companion rule refused this cell as stuck at the origin; its
+        # first draw's winding answers it
         made, epsilons = self._count(monkeypatch)
-        with pytest.raises(InputError, match="stuck at the origin at draw 1; a turn of epsilon's phase"):
-            numeric_double_point_oracle(CUSP35, 1e-8, 0.3, seed=5)
+        assert numeric_double_point_oracle(CUSP35, 1e-8, 0.3, seed=5) == 4
         assert made == [] and [e for e in epsilons if e is not None] == [1e-8]
+
+    @pytest.mark.parametrize("oracle", ["double-point", "intersection"])
+    def test_a_rouche_refusal_makes_one_draw_and_no_generator(self, monkeypatch, oracle):
+        made, epsilons = self._count(monkeypatch)
+        with pytest.raises(InputError) as info:
+            if oracle == "double-point":
+                numeric_double_point_oracle(TINY_CUSP, 1e-3, 0.3, seed=5)
+            else:
+                numeric_intersection_oracle(*TINY_PAIR, 1e-3, 0.3, seed=5)
+        assert str(info.value) == ROUCHE
+        assert made == [] and [e for e in epsilons if e is not None] == [1e-3]
+
+    def test_a_later_draw_answers_a_redrawn_cell(self, monkeypatch):
+        # a draw that cannot be certified is redrawn with a turned phase
+        made, _ = self._count(monkeypatch)
+        results = iter([RETRY, UNPAIRED, 3])
+        epsilons = []
+        assert germs._redraw(lambda eps: epsilons.append(eps) or next(results), 1e-3, 7) == 3
+        assert made == [7] and epsilons[0] == 1e-3 and len(set(epsilons)) == 3
+        assert all(abs(abs(eps) - 1e-3) < 1e-18 for eps in epsilons)
 
 
 class TestStuckCellsStayStuck:
-    """The premise of ending a stuck cell at its first draw: at z = 0 the
-    resultant is about epsilon**(a-1) times a product, so no turn of
-    epsilon's phase frees the cell.  Counted in cells, with no clock."""
+    """Cells that the companion rule refused as stuck at the origin: at
+    z = 0 the resultant is about epsilon**(a-1) times a product, so no turn
+    of epsilon's phase lifts its low coefficients above the trim.  The
+    winding does not trim, and answers each such cell with delta_local.
+    Counted in cells, with no clock."""
 
     def test_every_turned_phase_of_a_stuck_cell_is_stuck(self):
         rng = np.random.default_rng(2426)
@@ -697,14 +735,13 @@ class TestStuckCellsStayStuck:
                     continue  # the radius pre-check refuses before any draw
                 for epsilon in EPSILON_LADDER:
                     first, *turns = germs._turns(complex(epsilon), seed)
-                    if not germs._trimmed(plan.resultant(first))[0]:
+                    if not _reference_unit_roots(plan.resultant(first), 0)[0]:
                         continue
                     stuck += 1
                     for eps in turns:
-                        assert germs._trimmed(plan.resultant(eps))[0], (u, radius, epsilon, eps)
+                        assert _reference_unit_roots(plan.resultant(eps), 0)[0], (u, radius, epsilon, eps)
                     turned += len(turns)
-                    with pytest.raises(InputError, match="stuck at the origin at draw 1;"):
-                        numeric_double_point_oracle(u, epsilon, radius, seed)
+                    assert numeric_double_point_oracle(u, epsilon, radius, seed) == delta_local(u)
         assert stuck > 300 and turned == 9 * stuck
 
 
@@ -822,6 +859,17 @@ def _reference_unit_roots(coeffs, edge_tol):
     return first, roots, bool(np.any(np.abs(np.abs(roots) - 1.0) < edge_tol))
 
 
+def _reference_redraw(draw, epsilon, seed):
+    """The companion rule's redraw loop: a stuck draw ended the cell at once."""
+    for draws, eps in enumerate(germs._turns(epsilon, seed), 1):
+        result = draw(eps)
+        if not isinstance(result, str):
+            return result
+        if result == STUCK:
+            raise InputError(f"oracle failed: {result} at draw {draws}; a turn of epsilon's phase cannot move them")
+    raise InputError(f"oracle failed: {result} after {germs.MAX_EPSILON_REDRAWS} draws")
+
+
 def _reference_radius_check(res0, edge_tol, what):
     if not np.any(res0):
         return
@@ -838,13 +886,13 @@ def _reference_check_perturbation(epsilon, radius):
 
 
 def _reference_double_point_oracle(u, epsilon, radius, seed):
-    """numeric_double_point_oracle with res0, the pre-check and np.roots in every cell."""
+    """The companion rule of numeric_double_point_oracle, with res0, the pre-check and np.roots in every cell."""
     _reference_check_perturbation(epsilon, radius)
     delta = germs._double_point_refusals(u)
     if delta is not None:
         return delta
     germs._require_small_domain(u, germs._SELF_DOMAIN)
-    edge_tol = germs.ROOT_EDGE_TOL / radius
+    edge_tol = ROOT_EDGE_TOL / radius
     pdd, qdd = (germs._numeric_divided_difference(c) for c in u.numeric)
     res0 = germs._ResultantPlan(pdd, qdd, radius).resultant()
     _reference_radius_check(res0, edge_tol, "germ has self-intersections")
@@ -855,7 +903,7 @@ def _reference_double_point_oracle(u, epsilon, radius, seed):
         res = germs._ResultantPlan(pdd, q_pert, radius).resultant()
         zero_mult, roots, hit_edge = _reference_unit_roots(res, edge_tol)
         if zero_mult:
-            return "perturbed intersection parameters stuck at the origin"
+            return STUCK
         if hit_edge:
             return "radius on a root, retry"
         count = int(np.sum(np.abs(roots) < 1.0))
@@ -863,14 +911,14 @@ def _reference_double_point_oracle(u, epsilon, radius, seed):
             return "unpaired intersection parameter (partner escaped the disk)"
         return count // 2
 
-    return germs._redraw(draw, epsilon, seed)
+    return _reference_redraw(draw, epsilon, seed)
 
 
 def _reference_intersection_oracle(u, v, epsilon, radius, seed):
-    """numeric_intersection_oracle with res0, the pre-check and np.roots in every cell."""
+    """The companion rule of numeric_intersection_oracle, with res0, the pre-check and np.roots in every cell."""
     _reference_check_perturbation(epsilon, radius)
     germs._pair_resultant(u, v)
-    edge_tol = germs.ROOT_EDGE_TOL / radius
+    edge_tol = ROOT_EDGE_TOL / radius
     b1 = germs._numeric_difference(u.numeric[0], v.numeric[0])
     b2 = germs._numeric_difference(u.numeric[1], v.numeric[1])
     res0 = germs._ResultantPlan(b1, b2, radius).resultant()
@@ -885,7 +933,7 @@ def _reference_intersection_oracle(u, v, epsilon, radius, seed):
             return "radius on a root, retry"
         return zero_mult + int(np.sum(np.abs(roots) < 1.0))
 
-    return germs._redraw(draw, epsilon, seed)
+    return _reference_redraw(draw, epsilon, seed)
 
 
 def _outcome(oracle, *args):
@@ -895,9 +943,24 @@ def _outcome(oracle, *args):
         return "refused", str(exc)
 
 
+def _against_the_reference(ours, ref, exact):
+    """How a cell of the winding rule stands to the companion reference:
+    "same", or the move a named change allows.  A count only the winding
+    gives is the exact answer, and Rouche's test refuses a cell that the
+    reference answers or whose draws all failed there; any other difference
+    fails."""
+    if ours == ref:
+        return "same"
+    if ours[0] == "value":
+        assert ours == exact and ref[0] == "refused", (ours, ref, exact)
+        return "answered"
+    assert ours == ("refused", ROUCHE) and (ref[0] == "value" or ref[1].startswith("oracle failed: ")), (ours, ref)
+    return "refused by Rouche"
+
+
 class TestCachedDisks:
-    """The oracles with a cached disk per (germs, radius) and roots only for
-    the draws that read them, against the per-cell reference bodies."""
+    """The oracles with a cached disk per (germs, radius) and a winding only
+    for the draws that read it, against the per-cell reference bodies."""
 
     RADII = (*RADIUS_LADDER, 5.0, 1e-300)
     EPSILONS = (*EPSILON_LADDER, 1e-5 * np.exp(2j), 1e300)
@@ -907,17 +970,21 @@ class TestCachedDisks:
         germs._disk_plan.cache_clear()
 
     def test_every_cell_matches_the_reference(self, monkeypatch):
+        # every certified winding is np.roots's count of the same
+        # coefficients, their roots trimmed to 0 included
         self._clear_disks()
-        checked_roots = []
-        companion = germs._roots
+        checked_counts = []
+        winding = germs._winding
 
-        def compared(kept):
-            out = companion(kept)
-            assert np.array_equal(out, np.roots(kept[::-1]))
-            checked_roots.append(len(out))
+        def compared(coeffs, base=None):
+            out = winding(coeffs, base)
+            if out is not None:
+                first, roots, _ = _reference_unit_roots(coeffs, 0)
+                assert out == first + np.sum(np.abs(roots) < 1)
+                checked_counts.append(out)
             return out
 
-        monkeypatch.setattr(germs, "_roots", compared)
+        monkeypatch.setattr(germs, "_winding", compared)
         rng = np.random.default_rng(400)
         singles = [random_simple_germ(rng) for _ in range(60)]
         pairs = [
@@ -931,30 +998,38 @@ class TestCachedDisks:
             (numeric_intersection_oracle, _reference_intersection_oracle, (u, v), seed)
             for seed, (u, v) in enumerate(pairs)
         ]
-        kinds = set()
+        kinds, moves = set(), Counter()
         for oracle, reference, germ_args, seed in cells:
+            exact = _outcome(delta_local if oracle is numeric_double_point_oracle else local_intersection, *germ_args)
             for radius in self.RADII:
                 for epsilon in self.EPSILONS:
                     args = (*germ_args, epsilon, radius, seed)
                     ours, ref = _outcome(oracle, *args), _outcome(reference, *args)
-                    assert ours == ref and type(ours[1]) is type(ref[1]), args
+                    moves[_against_the_reference(ours, ref, exact)] += 1
+                    assert type(ours[1]) is type(ref[1]) or ours[0] != ref[0], args
                     kind = ours[1].split(":")[0].split(";")[0] if ours[0] == "refused" else "value"
                     kinds.add(kind)
         # answers, radius refusals, overflow refusals and failed draws all occur
         assert {"value", "radius too large", "oracle resultant is not finite", "oracle failed"} <= kinds
-        assert len(checked_roots) > 1000 and 0 in checked_roots
+        # stuck cells are answered, and cells that epsilon dwarfs are refused
+        assert moves["answered"] > 100 and moves["refused by Rouche"] > 1000 and moves["same"] > 4000
+        assert len(checked_counts) > 1000 and 0 in checked_counts
 
     def test_one_radius_check_per_disk(self, monkeypatch):
+        # the pre-check is the one winding without a base, of the disk's R_0
         self._clear_disks()
         checks = []
-        check = germs._embedded_radius_check
-        monkeypatch.setattr(germs, "_embedded_radius_check", lambda *a: checks.append(a[2]) or check(*a))
+        winding = germs._winding
+        monkeypatch.setattr(
+            germs, "_winding", lambda c, base=None: base is None and checks.append(len(c)) or winding(c, base)
+        )
         for radius in (0.3, 0.15):
             for epsilon in EPSILON_LADDER:
                 with contextlib.suppress(InputError):
                     numeric_intersection_oracle(CUSP35, QUARTIC46, epsilon, radius)
                 with contextlib.suppress(InputError):
                     numeric_double_point_oracle(CUSP35, epsilon, radius)
+        # two radii of each disk, the pair's R_0 and the single's of their own lengths
         assert len(checks) == 4 and len(set(checks)) == 2
         # a refusal is not cached: the refused radius is checked again
         u = germ([0, 0, 1], [0, 0, 0, 1, 0, 1])
@@ -964,18 +1039,21 @@ class TestCachedDisks:
         assert len(checks) == 6
 
     def test_stuck_draws_find_no_roots(self, monkeypatch):
-        germs._disk_plan(CUSP35, None, 0.3)  # the pre-check finds its roots beforehand
-        calls, trims = [], []
-        eigvals, trimmed = np.linalg.eigvals, germs._trimmed
+        # a draw whose double points stay at 0 to the companion rule's trim is
+        # counted by its winding in one draw, and no eigensolve runs anywhere
+        germs._disk_plan.cache_clear()
+        calls, evaluated = [], []
+        eigvals, evaluate = np.linalg.eigvals, germs._ResultantPlan.resultant
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
-        monkeypatch.setattr(germs, "_trimmed", lambda c: trims.append(trimmed(c)) or trims[-1])
-        with pytest.raises(InputError, match="stuck at the origin at draw 1;"):
-            numeric_double_point_oracle(CUSP35, 1e-8, 0.3)
-        # the one draw kept a polynomial with roots to find, and found none
-        ((first, kept),) = trims
-        assert first and len(kept) > 1
-        assert calls == []
-        assert numeric_double_point_oracle(CUSP35, 1e-3, 0.3) == 4 and calls
+        monkeypatch.setattr(
+            germs._ResultantPlan,
+            "resultant",
+            lambda plan, eps=None: evaluated.append(evaluate(plan, eps)) or evaluated[-1],
+        )
+        assert numeric_double_point_oracle(CUSP35, 1e-8, 0.3) == delta_local(CUSP35) == 4
+        _, draw = evaluated  # the disk's R_0, then the one draw
+        assert _reference_unit_roots(draw, 0)[0] > 0
+        assert numeric_double_point_oracle(CUSP35, 1e-3, 0.3) == 4 and calls == []
 
     def test_disk_arrays_are_read_only(self):
         disks = germs._disk_plan(CUSP35, QUARTIC46, 0.3).arrays, germs._disk_plan(CUSP35, None, 0.3).arrays
@@ -1011,40 +1089,51 @@ UNPAIRED = "unpaired intersection parameter (partner escaped the disk)"
 class TestRedrawBranches:
     """Cells whose first draw puts a root on the counting circle: the radius
     is |z| for a root z of that draw's resultant on the disk of radius 0.3.
-    A turn of epsilon's phase moves the roots, and a later draw answers
-    (rescued) or every draw fails (exhausted).  The draws are counted by
-    patching ``_redraw``, and each outcome is the per-cell reference's."""
+    The ids say what the companion rule did: a turn of epsilon's phase moved
+    the roots, and a later draw answered (rescued) or every draw failed
+    (exhausted).  A root of R_eps on the circle is a point where |R_eps -
+    R_0| = |R_0|, so Rouche's test refuses three of them at the first draw;
+    the cusp's double points stay on the circle at every phase, and no draw
+    certifies a count.  The draws are counted by patching ``_redraw``."""
 
     EPSILON = 1e-3
 
     @staticmethod
     def _draws(monkeypatch) -> list:
-        """What each draw of the oracles returns, in order: a count or the
-        reason it failed."""
+        """What each draw of the oracles returns, in order: a count, the
+        reason it failed or the refusal it raised."""
         draws = []
         redraw = germs._redraw
 
         def logged(draw, epsilon, seed):
-            return redraw(lambda eps: draws.append(draw(eps)) or draws[-1], epsilon, seed)
+            def logging(eps):
+                try:
+                    draws.append(draw(eps))
+                except InputError as exc:
+                    draws.append(str(exc))
+                    raise
+                return draws[-1]
+
+            return redraw(logging, epsilon, seed)
 
         monkeypatch.setattr(germs, "_redraw", logged)
         return draws
 
     def _radius_on_a_root(self, u, v, index) -> float:
         """|z| for the index-th smallest root z of the first draw's resultant."""
-        _, kept = germs._trimmed(germs._disk_plan(u, v, 0.3).resultant(self.EPSILON))
-        return 0.3 * float(np.sort(np.abs(germs._roots(kept)))[index])
+        _, roots, _ = _reference_unit_roots(germs._disk_plan(u, v, 0.3).resultant(self.EPSILON), 0)
+        return 0.3 * float(np.sort(np.abs(roots))[index])
 
     @pytest.mark.parametrize(
         "u, v, index, draws",
         [
-            # answered by the last draw, after eight unpaired parameters
-            (germ([0, 0, 0, 1, 1], [0, 0, 0, 0, 1, 2]), None, 4, [RETRY] + [UNPAIRED] * 8 + [3]),
+            # the companion rule answered by the last draw, after eight unpaired parameters
+            (germ([0, 0, 0, 1, 1], [0, 0, 0, 0, 1, 2]), None, 4, [ROUCHE]),
             # (z^2, z^3 + eps z) has its double points at z^2 = -eps, on the
             # circle |z| = |eps|^(1/2) whatever the phase
             (CUSP23, None, 0, [RETRY] * 10),
-            (germ([0, 1, 1], [0, 0, 0, 1]), germ([0, 0, 1], [0, 1, 1]), 0, [RETRY, 1]),
-            (germ([0, 1], [0, 0, 1]), germ([0, 0, 1], [0, 1, 0, 1]), 0, [RETRY] * 10),
+            (germ([0, 1, 1], [0, 0, 0, 1]), germ([0, 0, 1], [0, 1, 1]), 0, [ROUCHE]),
+            (germ([0, 1], [0, 0, 1]), germ([0, 0, 1], [0, 1, 0, 1]), 0, [ROUCHE]),
         ],
         ids=["double-point-rescued", "double-point-exhausted", "pair-rescued", "pair-exhausted"],
     )
@@ -1056,13 +1145,108 @@ class TestRedrawBranches:
             oracle, reference, args = numeric_intersection_oracle, _reference_intersection_oracle, (u, v)
         log = self._draws(monkeypatch)
         ours = _outcome(oracle, *args, self.EPSILON, radius, 0)
-        assert log == draws and len(draws) > 1
+        assert log == draws
         monkeypatch.undo()
-        assert ours == _outcome(reference, *args, self.EPSILON, radius, 0)
-        if isinstance(draws[-1], str):
-            assert ours == ("refused", f"oracle failed: {draws[-1]} after {germs.MAX_EPSILON_REDRAWS} draws")
+        exact = _outcome(delta_local if v is None else local_intersection, *args)
+        ref = _outcome(reference, *args, self.EPSILON, radius, 0)
+        assert _against_the_reference(ours, ref, exact) == ("same" if len(draws) > 1 else "refused by Rouche")
+        if draws == [ROUCHE]:
+            assert ours == ("refused", ROUCHE)
         else:
-            assert ours == ("value", draws[-1])
+            assert ours == ("refused", f"oracle failed: {draws[-1]} after {germs.MAX_EPSILON_REDRAWS} draws")
+
+
+class TestWinding:
+    """The certified count of zeros in the unit disk, against np.roots."""
+
+    def test_random_polynomials_match_np_roots(self):
+        # degree 1 to 10, one root within 10^-3 to 10^-1.5 of the circle and
+        # the rest anywhere with modulus 0.05 to 1.95, none within 10^-3 of it
+        rng = np.random.default_rng(41)
+        counts = Counter()
+        for _ in range(1000):
+            d = int(rng.integers(1, 11))
+            moduli = rng.uniform(0.05, 1.95, d)
+            moduli[np.abs(moduli - 1) < 1e-3] += 2e-3
+            moduli[0] = 1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-3, -1.5)
+            coeffs = np.poly(moduli * np.exp(2j * np.pi * rng.random(d)))[::-1] * complex(*rng.normal(size=2))
+            count = germs._winding(coeffs)
+            assert count == np.sum(np.abs(np.roots(coeffs[::-1])) < 1), coeffs
+            counts[count] += 1
+        assert set(counts) == set(range(10))
+
+    @pytest.mark.parametrize("angle", [0.0, 1.0, np.pi])
+    def test_a_root_on_the_circle_certifies_nothing(self, angle):
+        coeffs = np.poly([np.exp(1j * angle), 0.5, 2j])[::-1]
+        assert germs._winding(coeffs) is None
+
+    def test_the_slope_term_certifies_a_flat_minimum(self):
+        # ((zeta + 1) / 2)^8 + 10^-4: |f| is 10^-4 and f' is ~0 at zeta = -1,
+        # so the reach |f'| h + L2 h^2 / 2 certifies at some sample count,
+        # where the Lipschitz bound h L, L = 2 pi sum m |c_m|, fails at every
+        # sample count the helper tries
+        coeffs = np.array([math.comb(8, m) for m in range(9)], dtype=complex) / 2**8
+        coeffs[0] += 1e-4
+        assert germs._winding(coeffs) == np.sum(np.abs(np.roots(coeffs[::-1])) < 1) == 4
+        lipschitz = 2 * np.pi * np.dot(np.arange(9), np.abs(coeffs))
+        for n in (1 << k for k in range(5, 15)):
+            values = np.fft.ifft(coeffs, n) * n
+            assert (np.abs(values) <= lipschitz / (2 * n)).any(), n
+
+    def test_a_resultant_that_is_not_finite_or_zero_is_refused_first(self):
+        # before any count, and with a base too
+        base = (np.ones(3, complex), {})
+        for coeffs, message in (
+            (np.array([1, np.inf, 0], dtype=complex), "oracle resultant is not finite"),
+            (np.array([1, np.nan, 0], dtype=complex), "oracle resultant is not finite"),
+            (np.zeros(3, complex), "oracle resultant vanished identically"),
+        ):
+            for given in (None, base):
+                with pytest.raises(InputError, match=f"^{message}"):
+                    germs._winding(coeffs, given)
+
+    def test_rouche_keeps_the_base_count_and_refuses_a_dwarfing_move(self):
+        base_coeffs = np.poly([0.1, -0.2j, 3.0])[::-1]  # two zeros in the disk
+        base = (base_coeffs, {})
+        assert germs._winding(base_coeffs + 1e-3, base) == 2
+        assert germs._winding(np.pad(base_coeffs, (0, 2)) + 1e-3, base) == 2  # lengths may differ
+        with pytest.raises(InputError) as info:
+            germs._winding(base_coeffs + [10.0, 0, 0, 0], base)
+        assert str(info.value) == ROUCHE
+        # the base keeps its samples by count for the next draw
+        assert base[1] and all(len(values) == n for n, (values, _) in base[1].items())
+
+
+class TestEpsilonDwarfsTheGerm:
+    """Where epsilon moves the resultant by as much as its size somewhere on
+    the counting circle, Rouche's test refuses the cell: with a = 10^-20 the
+    companion rule counted 0 in these cells, where the exact answer is 1."""
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_pair_cells_refused(self, epsilon):
+        assert local_intersection(*TINY_PAIR) == 1
+        with pytest.raises(InputError) as info:
+            numeric_intersection_oracle(*TINY_PAIR, epsilon, 0.3)
+        assert str(info.value) == ROUCHE
+
+    def test_double_point_cell_refused(self):
+        assert delta_local(TINY_CUSP) == 1
+        with pytest.raises(InputError) as info:
+            numeric_double_point_oracle(TINY_CUSP, 1e-3, 0.3)
+        assert str(info.value) == ROUCHE
+
+    def test_an_unperturbed_resultant_that_underflows_is_refused(self):
+        # at a = 10^-160 the disk's R_0 underflows to zero, so the pre-check
+        # has nothing to wind; every draw is refused by Rouche's test
+        a = Fraction(1, 10**160)
+        u, v = germ([0, a], [0, 0, a]), germ([0, 0, a], [0, a])
+        cusp = germ([0, 0, a], [0, 0, 0, a])
+        assert not np.any(germs._disk_plan(u, v, 0.3).base[0])
+        assert not np.any(germs._disk_plan(cusp, None, 0.3).base[0])
+        for call in (lambda: numeric_intersection_oracle(u, v, 1e-3, 0.3), lambda: numeric_double_point_oracle(cusp)):
+            with pytest.raises(InputError) as info:
+                call()
+            assert str(info.value) == ROUCHE
 
 
 class TestGermFiles:

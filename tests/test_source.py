@@ -185,52 +185,65 @@ def test_one_form_per_cover_rule():
 
 def test_one_oracle_resultant_path():
     # the oracle samples, factors and transforms its resultant in one place,
-    # _ResultantPlan, so a second resultant path cannot come back beside it
+    # _ResultantPlan, so a second resultant path cannot come back beside it;
+    # the winding samples the coefficients that the plan returns by one
+    # inverse transform in _arcs, on one line that names np.fft and ifft
     source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
     found = {}
     for node in source.body:
         owner = getattr(node, "name", None)
-        for name in ("det", "vander", "fft"):
+        for name in ("det", "vander", "fft", "ifft"):
             # np.fft.fft names fft twice on one line
             found.setdefault(name, set()).update((owner, line) for line in _uses(node, name))
-    assert {name: [owner for owner, _ in sites] for name, sites in found.items()} == {
-        name: ["_ResultantPlan"] for name in ("det", "vander", "fft")
+    assert {name: sorted(owner for owner, _ in sites) for name, sites in found.items()} == {
+        "det": ["_ResultantPlan"],
+        "vander": ["_ResultantPlan"],
+        "fft": ["_ResultantPlan", "_arcs"],
+        "ifft": ["_arcs"],
     }, found
 
 
+def _winding_calls(source) -> set:
+    """(owner, number of arguments) of every call of germs._winding."""
+    return {
+        (node.name, len(call.args) + len(call.keywords))
+        for node in source.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_winding"
+    }
+
+
 def test_one_counting_disk():
-    # the radius pre-check runs where a disk is planned, and that plan is the
-    # one cache per disk, so a second disk cache cannot come back beside it;
-    # the pair oracle's order memo is the only other cache, so the exact
-    # calculators hash no germ
+    # the radius pre-check, the one winding without a base, runs where a disk
+    # is planned, and that plan is the one cache per disk, so a second disk
+    # cache cannot come back beside it; the pair oracle's order memo is the
+    # only other cache, so the exact calculators hash no germ
     source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
-    found = {"_embedded_radius_check": set(), "lru_cache": set(), "cache": set()}
+    found = {"lru_cache": set(), "cache": set()}
     for node in source.body:
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
             continue
         owner = getattr(node, "name", None)
         for name, owners in found.items():
             owners.update(owner for _ in _uses(node, name))
-    assert found == {
-        "_embedded_radius_check": {"_disk_plan"},
-        "lru_cache": {"_oracle_order", "_disk_plan"},
-        "cache": set(),
-    }, found
+    assert found == {"lru_cache": {"_oracle_order", "_disk_plan"}, "cache": set()}, found
+    assert {owner for owner, args in _winding_calls(source) if args == 1} == {"_disk_plan"}
 
 
-def test_one_stuck_reason():
-    # the double-point draw returns the stuck reason and _redraw ends a cell
-    # on it: both read one constant, spelled once in the package
-    from siefring_kit import germs
-
-    package = Path(siefring_kit.__file__).parent
-    spelled = sum(path.read_text(encoding="utf-8").count(germs.STUCK_AT_THE_ORIGIN) for path in SOURCES)
-    owners = {
-        getattr(node, "name", None)
-        for node in ast.parse((package / "germs.py").read_text(encoding="utf-8")).body
-        for _ in _uses(node, "STUCK_AT_THE_ORIGIN")
+def test_one_winding_count():
+    # both draws and the radius pre-check count zeros through one certified
+    # winding, whose samples _arcs alone takes; no eigensolve, root finder or
+    # trim of the companion rule is left to count a second way
+    source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
+    gone = ("eigvals", "roots", "_roots", "_hits_edge", "ROOT_EDGE_TOL", "STUCK_AT_THE_ORIGIN", "_trimmed")
+    assert {name: list(_uses(source, name)) for name in gone} == {name: [] for name in gone}
+    assert _winding_calls(source) == {
+        ("_disk_plan", 1),
+        ("numeric_double_point_oracle", 2),
+        ("numeric_intersection_oracle", 2),
     }
-    assert spelled == 1 and owners == {None, "numeric_double_point_oracle", "_redraw"}, (spelled, owners)
+    arcs = {getattr(node, "name", None) for node in source.body for _ in _uses(node, "_arcs")}
+    assert arcs == {"_winding"}, arcs
 
 
 def test_one_certification_path():
