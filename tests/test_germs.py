@@ -1,7 +1,7 @@
 import contextlib
-from collections import Counter
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -46,8 +46,9 @@ CUSP23 = germ([0, 0, 1], [0, 0, 0, 1])
 CUSP35 = monomial_germ(3, 5)
 QUARTIC46 = monomial_germ(4, 6)
 # the companion-root rule that counted before the certified winding, kept by
-# the reference bodies (_reference_double_point_oracle): a root within ROOT_EDGE_TOL / radius of the
-# circle was redrawn, and a draw with a root trimmed to 0 was stuck
+# the reference bodies (_reference_double_point_oracle and its pair twin): a
+# root within ROOT_EDGE_TOL / radius of the circle was redrawn, and a draw
+# with a root trimmed to 0 was stuck
 ROOT_EDGE_TOL = 1e-6
 STUCK = "perturbed intersection parameters stuck at the origin"
 ROUCHE = "oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon"
