@@ -54,8 +54,9 @@ factoring, no field extension and no numpy, which is bound lazily and runs
 on first numeric use: Germ.numeric and the oracles.
 
 A second, independent path perturbs the germ and counts the intersection
-parameters inside a small disk in floating point, as the certified winding
-of the resultant on its circle (_winding).  The two paths are checked
+parameters inside a small disk in floating point: the certified winding of
+the unperturbed resultant on its circle (_winding), which one perturbed
+draw keeps by Rouche's test (_rouche).  The two paths are checked
 against each other throughout the test suite.
 """
 
@@ -75,9 +76,6 @@ from .jsonio import JsonObject, read_json, read_multiplicity, read_seed, typed
 np = lazy_import("numpy")  # run on first numeric use; see the module docstring
 
 COEFF_TRIM_TOL = 1e-11
-# draws per cell, redrawn only for an uncertified count or an unpaired
-# parameter: |epsilon| sets the size of R_eps - R_0, not the phase
-MAX_EPSILON_REDRAWS = 10
 MAX_WINDING_SAMPLES = 1 << 14
 PRIME = 2147389441  # 1 mod 4, so that -1 has a square root modulo it
 IOTA = 815951605  # IOTA^2 = -1 modulo PRIME: the image of i
@@ -919,7 +917,7 @@ class _ResultantPlan:
     """
 
     def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float, moving: int = 1):
-        # a radius or epsilon too large overflows the samples; _winding refuses the result
+        # a radius or epsilon too large overflows the samples; _finite refuses the result
         with np.errstate(over="ignore", invalid="ignore"):
             # a float circle: an int's powers in _closed_form wrap int64 past 3**39
             self.arrays, self.circle, self.moving = (bf, bg), float(circle), moving
@@ -971,8 +969,8 @@ class _ResultantPlan:
 
     @cached_property
     def base(self) -> tuple:
-        """The unperturbed resultant R_0 and its winding samples by count,
-        which the Rouche test of every draw reads (``_winding``)."""
+        """The unperturbed resultant R_0 and its arcs by sample count, which
+        Rouche's test of every draw reads (``_rouche``)."""
         return self.resultant(), {}
 
     def _closed_form(self, bf: np.ndarray, bg: np.ndarray) -> np.ndarray:
@@ -1000,7 +998,16 @@ def _arcs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return out[: len(rows)], np.abs(out[len(rows) :]) * h + bend[:, None]
 
 
-def _winding(coeffs: np.ndarray, base: tuple | None = None) -> int | None:
+def _finite(coeffs: np.ndarray) -> None:
+    """Refuse a resultant that is not finite or vanishes, before any count."""
+    scale = np.abs(coeffs).max()
+    if not np.isfinite(scale):
+        raise InputError("oracle resultant is not finite; shrink the radius or epsilon")
+    if scale == 0:
+        raise InputError("oracle resultant vanished identically")
+
+
+def _winding(coeffs: np.ndarray) -> int | None:
     """The certified number of zeros in |zeta| < 1 of the polynomial f with
     ascending coefficients ``coeffs``, or None where no sample count up to
     MAX_WINDING_SAMPLES, doubling from the least power of two >= 2
@@ -1008,43 +1015,46 @@ def _winding(coeffs: np.ndarray, base: tuple | None = None) -> int | None:
     each half-step arc lies in a disk that subtends under 60 degrees at 0 and
     meets its neighbour's, so the principal angles of f_(j+1) / f_j sum to
     2 pi times the count.  This certifies the computed coefficients; their
-    distance from the true resultant is the determinant's roundoff.
-
-    ``base`` = (coefficients of f_0, {n: (|f_0| at the samples, reach)}) is a
-    disk's unperturbed resultant.  Given it, the count also needs Rouche's
-    test, |f - f_0| + reach < |f_0| - reach at every sample, which gives f
-    the zeros of f_0 in the disk; a sample where |f - f_0| >= |f_0| refuses
-    the draw, as epsilon dwarfs the germ there.  A resultant that is not
-    finite or vanishes is refused before any count."""
-    scale = np.abs(coeffs).max()
-    if not np.isfinite(scale):
-        raise InputError("oracle resultant is not finite; shrink the radius or epsilon")
-    if scale == 0:
-        raise InputError("oracle resultant vanished identically")
-    rows = coeffs[None]
-    if base is not None:  # rows f and f - f_0; a draw planned afresh may be longer or shorter
-        base_coeffs, base_arcs = base
-        rows = np.zeros((2, max(len(coeffs), len(base_coeffs))), complex)
-        rows[:, : len(coeffs)] = coeffs
-        rows[1, : len(base_coeffs)] -= base_coeffs
-    n = 1 << (2 * rows.shape[1] - 1).bit_length()
+    distance from the true resultant is the determinant's roundoff."""
+    _finite(coeffs)
+    n = 1 << (2 * len(coeffs) - 1).bit_length()
     while n <= MAX_WINDING_SAMPLES:
-        values, reach = _arcs(rows, n)
-        size = np.abs(values)
-        certified = (size[0] > 2 * reach[0]).all()
-        if base is not None:
-            if n not in base_arcs:
-                values_0, reach_0 = _arcs(base_coeffs[None], n)
-                base_arcs[n] = np.abs(values_0[0]), reach_0[0]
-            at_base, base_reach = base_arcs[n]
-            if (size[1] >= at_base).any():
-                raise InputError("oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon")
-            certified = certified and (size[1] + reach[1] < at_base - base_reach).all()
-        if certified:
-            v = values[0]
+        (v,), (reach,) = _arcs(coeffs[None], n)
+        if (np.abs(v) > 2 * reach).all():
             return round((np.angle(v[1:] / v[:-1]).sum() + np.angle(v[0] / v[-1])) / (2 * np.pi))
         n *= 2
     return None
+
+
+def _rouche(coeffs: np.ndarray, base: tuple) -> None:
+    """Rouche's test that f, with ascending coefficients ``coeffs``, has as
+    many zeros in |zeta| < 1 as a disk's R_0, given ``base`` = (coefficients
+    of R_0, {n: (|R_0| at the samples, reach)}): |f - R_0| + reach < |R_0| -
+    reach at every sample (``_arcs``), at some sample count that ``_winding``
+    would try for the longer of the two.  A sample where |f - R_0| >= |R_0|
+    refuses the cell, as epsilon dwarfs the germ there; where no count
+    passes, a root of f lies on or near the circle, and the cell is refused
+    too."""
+    _finite(coeffs)
+    base_coeffs, base_arcs = base
+    # a draw planned afresh may be longer or shorter than R_0
+    moved = np.zeros(max(len(coeffs), len(base_coeffs)), complex)
+    moved[: len(coeffs)] = coeffs
+    moved[: len(base_coeffs)] -= base_coeffs
+    n = 1 << (2 * len(moved) - 1).bit_length()
+    while n <= MAX_WINDING_SAMPLES:
+        if n not in base_arcs:
+            (values_0,), (reach_0,) = _arcs(base_coeffs[None], n)
+            base_arcs[n] = np.abs(values_0), reach_0
+        at_base, base_reach = base_arcs[n]
+        (values,), (reach,) = _arcs(moved[None], n)
+        size = np.abs(values)
+        if (size >= at_base).any():
+            raise InputError("oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon")
+        if (size + reach < at_base - base_reach).all():
+            return
+        n *= 2
+    raise InputError("oracle failed: radius on a root; change the radius")
 
 
 def _number(value, kind):
@@ -1100,8 +1110,9 @@ def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
     differences of u's p and q with epsilon at q's z^0 w^0, or, given v, the
     differences p_u(z) - p_v(w) and q_u(z) - q_v(w) with epsilon at p's.  The
     check: R_0 winds as often as its exact order at 0 (2 delta_local(u), or
-    the pair's), so it has no other zero in the disk; an R_0 that underflows
-    to zero is left to the draws' Rouche test.  The cells of a ladder share a
+    the pair's), so it has no other zero in the disk, and that order is the
+    plan's ``count``; an R_0 that underflows to zero is left to the draws'
+    Rouche test, which it fails.  The cells of a ladder share a
     disk and a ladder visits a few radii, so a few disks are kept; a refusal
     is an exception, which lru_cache does not store."""
     if v is None:
@@ -1114,34 +1125,8 @@ def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
     base = plan.base[0]
     if np.any(base) and _winding(base) != order:
         raise InputError(f"radius too large: {what} within the chosen disk; shrink the radius")
+    plan.count = order
     return plan
-
-
-def _turns(epsilon: complex, seed: int):
-    """epsilon, then epsilon turned by seeded random phases, MAX_EPSILON_REDRAWS
-    in all.  The turns serve an uncertified count and an unpaired parameter,
-    the failures a phase can move.  The generator is made at the first turn,
-    so a cell that its first draw answers or ends makes none."""
-    yield epsilon
-    rng = np.random.default_rng(seed)
-    for _ in range(MAX_EPSILON_REDRAWS - 1):
-        yield epsilon * np.exp(2j * np.pi * rng.random())
-
-
-def _redraw(draw, epsilon: complex, seed: int) -> int:
-    """The count of the first perturbation ``draw(eps)`` accepts.
-
-    The first draw uses epsilon itself, each later one epsilon turned by a
-    seeded random phase; a draw returns its count, or the reason it failed
-    as a string, and the last one is reported if every draw fails.  A draw
-    that fails Rouche's test raises (``_winding``) and ends the cell, since
-    the size of R_eps - R_0 moves with |epsilon|, not with the phase.
-    """
-    for eps in _turns(epsilon, seed):
-        result = draw(eps)
-        if not isinstance(result, str):
-            return result
-    raise InputError(f"oracle failed: {result} after {MAX_EPSILON_REDRAWS} draws")
 
 
 def numeric_double_point_oracle(
@@ -1151,28 +1136,22 @@ def numeric_double_point_oracle(
 
     The germ is perturbed to (p(z), q(z) + eps z); ordered self-intersection
     parameter pairs are the roots of the resultant of the perturbed divided
-    differences, counted inside |z| < radius by its certified winding
-    (``_winding``) and halved.  Must agree with delta_local on valid inputs;
+    differences, counted inside |z| < radius by the certified winding of the
+    unperturbed one (``_disk_plan``), which one draw keeps by Rouche's test
+    (``_rouche``), and halved.  Must agree with delta_local on valid inputs;
     shares its exact refusals and its rule for a constant coordinate.
+    ``seed`` is read by the integer rule but has no effect.
     """
-    seed = read_seed(seed)
+    read_seed(seed)
     epsilon, radius = _check_perturbation(epsilon, radius)
     delta = _double_point_refusals(u)
     if delta is not None:
         return delta
     _require_small_domain(u, _SELF_DOMAIN)
     plan = _disk_plan(u, None, radius)
-
-    def draw(eps):
-        # q(z) + eps z - (q(w) + eps w) divided by (z - w) adds the constant eps
-        count = _winding(plan.resultant(eps), plan.base)
-        if count is None:
-            return "radius on a root, retry"
-        if count % 2 != 0:
-            return "unpaired intersection parameter (partner escaped the disk)"
-        return count // 2
-
-    return _redraw(draw, epsilon, seed)
+    # q(z) + eps z - (q(w) + eps w) divided by (z - w) adds the constant eps
+    _rouche(plan.resultant(epsilon), plan.base)
+    return plan.count // 2
 
 
 def numeric_intersection_oracle(
@@ -1182,15 +1161,16 @@ def numeric_intersection_oracle(
 
     The first germ is shifted to (p_u(z) + eps, q_u(z)) and the solution
     parameters are counted inside |z| < radius by the certified winding of
-    the resultant eliminating w (``_winding``).  The radius pre-check
-    guarantees the unperturbed germs have no intersection parameters with
-    |z| <= radius apart from the origin, and Rouche's test that eps moves
-    none across the circle, so the count equals the number of
-    perturbed intersections in the bidisk.  Must agree with
-    local_intersection on valid inputs, and shares its exact refusals
-    (too large a domain, identical images).
+    the unperturbed resultant eliminating w (``_disk_plan``).  The radius
+    pre-check guarantees the unperturbed germs have no intersection
+    parameters with |z| <= radius apart from the origin, and Rouche's test
+    of one draw (``_rouche``) that eps moves none across the circle, so the
+    count equals the number of perturbed intersections in the bidisk.  Must
+    agree with local_intersection on valid inputs, and shares its exact
+    refusals (too large a domain, identical images).  ``seed`` is read by
+    the integer rule but has no effect.
     """
-    seed = read_seed(seed)
+    read_seed(seed)
     epsilon, radius = _check_perturbation(epsilon, radius)
     # a coefficient out of complex128 range is refused before any exact work;
     # the other refusals are exact (shared components make the float
@@ -1201,16 +1181,12 @@ def numeric_intersection_oracle(
     _require_small_domain(v, _PAIR_DOMAIN)
     _intersection_number(_oracle_order(u, v))
     plan = _disk_plan(u, v, radius)
-
-    def draw(eps):
-        # the resultant root z of a solution (z, w) does not see where w is,
-        # but the radius pre-check has excluded unperturbed solutions with
-        # |z| <= radius and w anywhere, so for small eps every perturbed
-        # solution counted here lies in the bidisk
-        count = _winding(plan.resultant(eps), plan.base)
-        return "radius on a root, retry" if count is None else count
-
-    return _redraw(draw, epsilon, seed)
+    # the resultant root z of a solution (z, w) does not see where w is,
+    # but the radius pre-check has excluded unperturbed solutions with
+    # |z| <= radius and w anywhere, so for small eps every perturbed
+    # solution counted here lies in the bidisk
+    _rouche(plan.resultant(epsilon), plan.base)
+    return plan.count
 
 
 # -- germ file format ----------------------------------------------------------

@@ -210,6 +210,15 @@ class TestGermCommand:
         assert (code, out) == (1, "")
         assert err == "error: oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon\n"
 
+    def test_oracle_radius_on_a_root_exits_one(self, tmp_path, capsys):
+        # (z^2, z^3 + eps z) has its double points on |z| = |eps|^(1/2): the
+        # one draw passes Rouche's test at no sample count
+        cusp = {"p": [[0, 1, 0, 1]] * 2 + [[1, 1, 0, 1]], "q": [[0, 1, 0, 1]] * 3 + [[1, 1, 0, 1]]}
+        a = write(tmp_path / "a.json", cusp)
+        code, out, err = run(capsys, "germ", "oracle", a, "--radius", "0.03162277660168388")
+        assert (code, out) == (1, "")
+        assert err == "error: oracle failed: radius on a root; change the radius\n"
+
     @pytest.mark.parametrize("command", ["iota", "oracle"])
     def test_identical_images_exit_one(self, tmp_path, capsys, command):
         # a germ against itself: Res_w vanishes identically, and the exact

@@ -203,14 +203,15 @@ def test_one_oracle_resultant_path():
     }, found
 
 
-def _winding_calls(source) -> set:
-    """(owner, number of arguments) of every call of germs._winding."""
-    return {
+def _winding_calls(source, name: str = "_winding") -> list:
+    """(owner, number of arguments) of every call of germs._winding, or of
+    the function ``name``, one entry per call."""
+    return sorted(
         (node.name, len(call.args) + len(call.keywords))
         for node in source.body
         for call in ast.walk(node)
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_winding"
-    }
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name
+    )
 
 
 def test_one_counting_disk():
@@ -231,19 +232,19 @@ def test_one_counting_disk():
 
 
 def test_one_winding_count():
-    # both draws and the radius pre-check count zeros through one certified
-    # winding, whose samples _arcs alone takes; no eigensolve, root finder or
-    # trim of the companion rule is left to count a second way
+    # the radius pre-check counts zeros through one certified winding, and
+    # each oracle makes one draw, which Rouche's test alone checks against
+    # it; only the two take samples by _arcs.  No eigensolve, root finder or
+    # trim of the companion rule is left to count a second way, and no
+    # redraw loop or seeded generator to draw a second time
     source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
     gone = ("eigvals", "roots", "_roots", "_hits_edge", "ROOT_EDGE_TOL", "STUCK_AT_THE_ORIGIN", "_trimmed")
+    gone += ("_redraw", "_turns", "MAX_EPSILON_REDRAWS", "default_rng")
     assert {name: list(_uses(source, name)) for name in gone} == {name: [] for name in gone}
-    assert _winding_calls(source) == {
-        ("_disk_plan", 1),
-        ("numeric_double_point_oracle", 2),
-        ("numeric_intersection_oracle", 2),
-    }
+    assert _winding_calls(source) == [("_disk_plan", 1)]
+    assert _winding_calls(source, "_rouche") == [("numeric_double_point_oracle", 2), ("numeric_intersection_oracle", 2)]
     arcs = {getattr(node, "name", None) for node in source.body for _ in _uses(node, "_arcs")}
-    assert arcs == {"_winding"}, arcs
+    assert arcs == {"_winding", "_rouche"}, arcs
 
 
 def test_one_certification_path():
