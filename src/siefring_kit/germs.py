@@ -55,9 +55,12 @@ on first numeric use: Germ.numeric and the oracles.
 
 A second, independent path perturbs the germ and counts the intersection
 parameters inside a small disk in floating point: the certified winding of
-the unperturbed resultant on its circle (_winding), which one perturbed
-draw keeps by Rouche's test (_rouche).  The two paths are checked
-against each other throughout the test suite.
+the unperturbed resultant on its circle (_winding), which the perturbed
+draw keeps by Rouche's test (_rouche).  Epsilon moves one coefficient, so
+each disk holds the exact expansion of its draws in epsilon
+(_ResultantPlan.expansion), and a cell reads its draw off it with no
+determinant.  The two paths are checked against each other throughout the
+test suite.
 """
 
 from __future__ import annotations
@@ -877,17 +880,42 @@ def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
     n = f_rows.shape[1] + g_rows.shape[1] - 2
     out = np.zeros((len(f_rows), n, n), dtype=np.result_type(f_rows, g_rows))
     for which, rows in enumerate((f_rows, g_rows)):
-        _place_rows(out, rows, which)
+        width = rows.shape[1]
+        shift, j = np.arange(n + 1 - width)[:, None], np.arange(width)
+        out[:, which * (width - 1) + shift, shift + j] = rows[:, None, width - 1 - j]
     return out
 
 
-def _place_rows(out: np.ndarray, rows: np.ndarray, which: int) -> None:
-    """Lay f's rows (which 0) or g's (which 1) into the Sylvester stack
-    ``out`` where _sylvester_stack puts them: deg + 1 = width wide, as many
-    copies as the other polynomial's degree, g's after f's."""
-    width = rows.shape[1]
-    shift, j = np.arange(out.shape[1] + 1 - width)[:, None], np.arange(width)
-    out[:, which * (width - 1) + shift, shift + j] = rows[:, None, width - 1 - j]
+def _characteristic(m: np.ndarray) -> np.ndarray:
+    """The coefficients in t of det(t I - m_s) for each matrix of the stack
+    m, ascending: row k holds the t^k coefficients, one column per matrix.
+    Householder reflections make each m_s upper Hessenberg, h, by a unitary
+    similarity; then La Budde's recurrence over the leading blocks of h
+    (Rehman and Ipsen, La Budde's method for computing characteristic
+    polynomials, 2011), p_i = (t - h_ii) p_(i-1) - sum_j h_(i-j,i) b_i ...
+    b_(i-j+1) p_(i-j-1) with b_k = h_(k,k-1), ends in p_d: O(d^3) per
+    matrix, and no eigensolve.  The matrices run along the last axis."""
+    h = np.moveaxis(m, 0, -1).astype(complex, order="C")
+    d = len(h)
+    for k in range(d - 2):
+        # v = x - a e_1, a = -|x| x_0 / |x_0|, so that (I - 2 v v* / |v|^2) x = a e_1
+        x = h[k + 1 :, k]
+        v = x.copy()
+        v[0] += np.exp(1j * np.angle(x[0])) * np.sqrt((x.real**2 + x.imag**2).sum(axis=0))
+        size = np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        v /= np.where(size > 0, size, 1)
+        h[k + 1 :] -= 2 * v[:, None] * (v.conj()[:, None] * h[k + 1 :]).sum(axis=0)
+        h[:, k + 1 :] -= 2 * (h[:, k + 1 :] * v).sum(axis=1)[:, None] * v.conj()
+    p = np.zeros((d + 1, d + 1, h.shape[-1]), complex)
+    p[0, 0] = 1
+    for i in range(1, d + 1):
+        p[i, 1:] = p[i - 1, :-1]
+        p[i] -= h[i - 1, i - 1] * p[i - 1]
+        below = 1
+        for j in range(1, i):
+            below = below * h[i - j, i - j - 1]
+            p[i] -= h[i - 1 - j, i - 1] * below * p[i - 1 - j]
+    return p[d]
 
 
 class _ResultantPlan:
@@ -906,14 +934,12 @@ class _ResultantPlan:
     determinant of that matrix alone gives.
 
     The oracles perturb by adding epsilon there, to g's divided difference
-    (``moving`` 1) or to f's difference (``moving`` 0).  The plan holds both
-    degrees, the samples' z-powers and a Sylvester stack of both row sets.
-    A draw with |b00 + epsilon| at most ``room``, the largest entry of the
-    moving array without b00, has the plan's degrees whenever the plan's own
-    b00 is within ``room`` (``steady``): the largest entry still sets the
-    trim scale, and index 0 raises no last index.  Such a draw recomputes
-    the moving rows by the same product and lays them into a copy of the
-    stack; any other draw is planned afresh.
+    (``moving`` 1) or to f's difference (``moving`` 0).  A draw with |b00 +
+    epsilon| at most ``room``, the largest entry of the moving array without
+    b00, has the plan's degrees whenever the plan's own b00 is within
+    ``room`` (``steady``): the largest entry still sets the trim scale, and
+    index 0 raises no last index.  Such a draw is read off the disk's
+    ``expansion`` (``terms``); any other draw is planned afresh.
     """
 
     def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float, moving: int = 1):
@@ -932,46 +958,92 @@ class _ResultantPlan:
                 return  # a closed form; nothing to sample
             self.samples = samples = dfz * dg + dgz * df + 1
             zs = circle * np.exp(2j * np.pi * np.arange(samples) / samples)
-            # (samples, deg_z + 1) each; a column of a wider vander may differ in its last bit
-            self.zpow = [np.vander(zs, dz + 1, increasing=True) for dz, _ in self.degrees]
-            self.stack = _sylvester_stack(*map(self._rows, self.arrays, (0, 1)))
+            # the w-coefficients at the samples, (samples, deg_w + 1) each; a
+            # column of a wider vander may differ in its last bit
+            rows = [
+                np.vander(zs, dz + 1, increasing=True) @ b[: dz + 1, : dw + 1]
+                for b, (dz, dw) in zip(self.arrays, self.degrees)
+            ]
+            self.stack = _sylvester_stack(*rows)
             self.chunk = max(1, _WORK_CELLS // (df + dg) ** 2)
 
-    def _rows(self, b: np.ndarray, which: int) -> np.ndarray:
-        """The values at the samples of the w-coefficients of ``b``, in the
-        place of polynomial ``which``: (samples, deg_w + 1)."""
-        dz, dw = self.degrees[which]
-        return self.zpow[which] @ b[: dz + 1, : dw + 1]
-
     def resultant(self, epsilon: complex | None = None) -> np.ndarray:
-        """The resultant of the arrays, with ``epsilon`` added to the
-        moving one's z^0 w^0 coefficient unless it is None."""
+        """The resultant of the arrays, or, unless ``epsilon`` is None, of
+        the arrays with epsilon added to the moving one's z^0 w^0
+        coefficient, planned afresh."""
         with np.errstate(over="ignore", invalid="ignore"):
-            arrays = self.arrays
             if epsilon is not None:
-                arrays = list(arrays)
+                arrays = list(self.arrays)
                 arrays[self.moving] = b = arrays[self.moving].copy()
                 b[0, 0] += epsilon
-                if not (self.steady and np.abs(b[0, 0]) <= self.room):
-                    return _ResultantPlan(*arrays, self.circle, self.moving).resultant()
+                return _ResultantPlan(*arrays, self.circle, self.moving).resultant()
             if self.stack is None:
-                return self._closed_form(*arrays)
-            rows = None if epsilon is None else self._rows(arrays[self.moving], self.moving)
-            values = []
-            for lo in range(0, self.samples, self.chunk):
-                stack = self.stack[lo : lo + self.chunk]
-                if rows is not None:
-                    stack = stack.copy()
-                    _place_rows(stack, rows[lo : lo + self.chunk], self.moving)
-                values.append(np.linalg.det(stack))
-            # coefficients from values at the roots of unity: c_m = (1/n) sum_s v_s w^{-sm}
-            return np.fft.fft(np.concatenate(values)) / self.samples
+                return self._closed_form(*self.arrays)
+            chunks = (self.stack[lo : lo + self.chunk] for lo in range(0, self.samples, self.chunk))
+            return self._transform(np.concatenate([np.linalg.det(chunk) for chunk in chunks]))
+
+    def _transform(self, values: np.ndarray) -> np.ndarray:
+        """Ascending coefficients in zeta of the polynomials whose values at
+        the samples are the rows of ``values``: c_m = (1/n) sum_s v_s w^{-sm}."""
+        return np.fft.fft(values) / self.samples
 
     @cached_property
     def base(self) -> tuple:
         """The unperturbed resultant R_0 and its arcs by sample count, which
         Rouche's test of every draw reads (``_rouche``)."""
         return self.resultant(), {}
+
+    @cached_property
+    def expansion(self) -> tuple | None:
+        """(c, nu), the exact expansion R_eps = R_0 + sum_k epsilon^k c_k of
+        a steady draw, k = 1 .. d, computed once per disk from the stack;
+        None for a closed form, an R_0 that vanished or an expansion that is
+        not finite, whose draws are planned afresh.
+
+        In the Sylvester matrix, b00 sits once in each of the d rows of the
+        moving polynomial, on one diagonal.  With the other polynomial's
+        rows and the b00-free columns first, S = [[A, B], [C, D]], A upper
+        triangular with the other's leading w-coefficient on its diagonal,
+        and epsilon adds epsilon I to D.  So R_eps = +-det A det(K + epsilon
+        I), K = D - C A^-1 B (the Schur complement), and c_k is +-det A
+        times the t^k coefficient of det(t I + K) (``_characteristic``), by
+        one batched solve and the plan's transform.  nu_k = sum_m |c_(k,m)|
+        (1 + 2 pi h m + 2 pi^2 h^2 m^2), h = 1/2n at _rouche's first sample
+        count n, bounds the size and reach (``_arcs``) of c_k at every
+        sample and c_k on the whole circle."""
+        if self.stack is None or not np.any(self.base[0]):
+            return None
+        with np.errstate(all="ignore"):
+            (_, df), (_, dg) = self.degrees
+            side = (df, dg)[self.moving]  # A's order, the other polynomial's rows
+            f_rows, g_rows = self.stack[:, :dg], self.stack[:, dg:]
+            other, rows = (g_rows, f_rows) if self.moving == 0 else (f_rows, g_rows)
+            a = other[:, :, :side]
+            try:
+                k = rows[:, :, side:] - rows[:, :, :side] @ np.linalg.solve(a, other[:, :, side:])
+            except np.linalg.LinAlgError:  # a zero leading coefficient at a sample
+                return None
+            # g's rows come first for moving 0: df dg row swaps
+            det_a = (-1) ** (df * dg * (1 - self.moving)) * np.diagonal(a, axis1=1, axis2=2).prod(axis=1)
+            c = self._transform(det_a * _characteristic(-k)[1:])
+            if not np.isfinite(c).all():
+                return None
+            h = 0.5 / (1 << (2 * self.samples - 1).bit_length())
+            m = np.arange(self.samples)
+            return c, (np.abs(c) @ (1 + 2 * np.pi * h * m + 2 * np.pi**2 * h * h * m * m)).tolist()
+
+    def terms(self, epsilon: complex) -> tuple | None:
+        """(epsilon, c, bound) where the disk's ``expansion`` gives the draw
+        at epsilon, bound = sum_k nu_k |epsilon|^k, finite; None where the
+        draw would change the plan's degrees (not ``steady``) or the disk
+        has no expansion, and the draw is planned afresh."""
+        if not (self.steady and abs(self.arrays[self.moving][0, 0] + epsilon) <= self.room) or not self.expansion:
+            return None
+        c, nu = self.expansion
+        size, bound = abs(epsilon), 0.0
+        for term in reversed(nu):
+            bound = (bound + term) * size
+        return (epsilon, c, bound) if bound < math.inf else None
 
     def _closed_form(self, bf: np.ndarray, bg: np.ndarray) -> np.ndarray:
         """The resultant where a polynomial is zero or free of w."""
@@ -1026,32 +1098,47 @@ def _winding(coeffs: np.ndarray) -> int | None:
     return None
 
 
-def _rouche(coeffs: np.ndarray, base: tuple) -> None:
-    """Rouche's test that f, with ascending coefficients ``coeffs``, has as
-    many zeros in |zeta| < 1 as a disk's R_0, given ``base`` = (coefficients
-    of R_0, {n: (|R_0| at the samples, reach)}): |f - R_0| + reach < |R_0| -
-    reach at every sample (``_arcs``), at some sample count that ``_winding``
-    would try for the longer of the two.  A sample where |f - R_0| >= |R_0|
-    refuses the cell, as epsilon dwarfs the germ there; where no count
-    passes, a root of f lies on or near the circle, and the cell is refused
-    too."""
-    _finite(coeffs)
+def _rouche(coeffs: np.ndarray | None, base: tuple, terms: tuple | None = None) -> None:
+    """Rouche's test that a draw has as many zeros in |zeta| < 1 as a
+    disk's R_0, given ``base`` = (coefficients of R_0, {n: (|R_0| at the
+    samples, |R_0| - reach)}): |R_eps - R_0| + reach < |R_0| - reach at every
+    sample (``_arcs``), at some sample count that ``_winding`` would try for
+    the longer of the two.  The draw is ``coeffs``, its ascending
+    coefficients, or, where they are None, R_0 + sum epsilon^k c_k from the
+    disk's expansion, ``terms`` = (epsilon, c, bound)
+    (``_ResultantPlan.terms``).  There the test passes at once where bound
+    < min(|R_0| - reach) at the first count: the bound is at least |R_eps -
+    R_0| + reach at every sample, and |R_eps - R_0| on the whole circle; else
+    the samples are tested as for a draw.  A sample where |R_eps - R_0| >=
+    |R_0| refuses the cell, as epsilon dwarfs the germ there; where no count
+    passes, a root of R_eps lies on or near the circle, and the cell is
+    refused too."""
     base_coeffs, base_arcs = base
-    # a draw planned afresh may be longer or shorter than R_0
-    moved = np.zeros(max(len(coeffs), len(base_coeffs)), complex)
-    moved[: len(coeffs)] = coeffs
-    moved[: len(base_coeffs)] -= base_coeffs
-    n = 1 << (2 * len(moved) - 1).bit_length()
+    if terms is None:
+        _finite(coeffs)
+        # a draw planned afresh may be longer or shorter than R_0
+        moved = np.zeros(max(len(coeffs), len(base_coeffs)), complex)
+        moved[: len(coeffs)] = coeffs
+        moved[: len(base_coeffs)] -= base_coeffs
+    n = 1 << (2 * (len(base_coeffs) if terms else len(moved)) - 1).bit_length()
     while n <= MAX_WINDING_SAMPLES:
         if n not in base_arcs:
             (values_0,), (reach_0,) = _arcs(base_coeffs[None], n)
-            base_arcs[n] = np.abs(values_0), reach_0
-        at_base, base_reach = base_arcs[n]
+            size_0 = np.abs(values_0)
+            base_arcs[n] = size_0, size_0 - reach_0
+        at_base, margin = base_arcs[n]
+        if terms:
+            epsilon, c, bound = terms
+            if bound < margin.min():
+                return
+            moved, terms = c[-1] * epsilon, None
+            for row in c[-2::-1]:  # Horner
+                moved = (moved + row) * epsilon
         (values,), (reach,) = _arcs(moved[None], n)
         size = np.abs(values)
         if (size >= at_base).any():
             raise InputError("oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon")
-        if (size + reach < at_base - base_reach).all():
+        if (size + reach < margin).all():
             return
         n *= 2
     raise InputError("oracle failed: radius on a root; change the radius")
@@ -1105,16 +1192,16 @@ def _oracle_order(u: Germ, v: Germ) -> int | None:
 @lru_cache(maxsize=32)
 def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
     """The counting disk of one (germs, radius): the resultant plan, on
-    read-only arrays, that the radius pre-check and every draw on the circle
-    evaluate, returned once the check passes.  The arrays are the divided
-    differences of u's p and q with epsilon at q's z^0 w^0, or, given v, the
-    differences p_u(z) - p_v(w) and q_u(z) - q_v(w) with epsilon at p's.  The
-    check: R_0 winds as often as its exact order at 0 (2 delta_local(u), or
-    the pair's), so it has no other zero in the disk, and that order is the
-    plan's ``count``; an R_0 that underflows to zero is left to the draws'
-    Rouche test, which it fails.  The cells of a ladder share a
-    disk and a ladder visits a few radii, so a few disks are kept; a refusal
-    is an exception, which lru_cache does not store."""
+    read-only arrays, that the radius pre-check evaluates and every draw on
+    the circle reads, returned once the check passes.  The arrays are the
+    divided differences of u's p and q with epsilon at q's z^0 w^0, or,
+    given v, the differences p_u(z) - p_v(w) and q_u(z) - q_v(w) with
+    epsilon at p's.  The check: R_0 winds as often as its exact order at 0
+    (2 delta_local(u), or the pair's), so it has no other zero in the disk,
+    and that order is the plan's ``count``; an R_0 that underflows to zero
+    is left to the draws' Rouche test, which it fails.  The cells of a
+    ladder share a disk and a ladder visits a few radii, so a few disks are
+    kept; a refusal is an exception, which lru_cache does not store."""
     if v is None:
         arrays, moving = (_numeric_divided_difference(c) for c in u.numeric), 1
         order, what = 2 * delta_local(u), "germ has self-intersections"
@@ -1137,9 +1224,12 @@ def numeric_double_point_oracle(
     The germ is perturbed to (p(z), q(z) + eps z); ordered self-intersection
     parameter pairs are the roots of the resultant of the perturbed divided
     differences, counted inside |z| < radius by the certified winding of the
-    unperturbed one (``_disk_plan``), which one draw keeps by Rouche's test
-    (``_rouche``), and halved.  Must agree with delta_local on valid inputs;
-    shares its exact refusals and its rule for a constant coordinate.
+    unperturbed one (``_disk_plan``), which the draw at eps keeps by
+    Rouche's test (``_rouche``), and halved.  The draw is read off the
+    disk's expansion where eps keeps the plan's degrees
+    (``_ResultantPlan.terms``), and planned afresh elsewhere.  Must agree
+    with delta_local on valid inputs; shares its exact refusals and its rule
+    for a constant coordinate.
     ``seed`` is read by the integer rule but has no effect.
     """
     read_seed(seed)
@@ -1150,7 +1240,8 @@ def numeric_double_point_oracle(
     _require_small_domain(u, _SELF_DOMAIN)
     plan = _disk_plan(u, None, radius)
     # q(z) + eps z - (q(w) + eps w) divided by (z - w) adds the constant eps
-    _rouche(plan.resultant(epsilon), plan.base)
+    terms = plan.terms(epsilon)
+    _rouche(None if terms else plan.resultant(epsilon), plan.base, terms)
     return plan.count // 2
 
 
@@ -1164,8 +1255,9 @@ def numeric_intersection_oracle(
     the unperturbed resultant eliminating w (``_disk_plan``).  The radius
     pre-check guarantees the unperturbed germs have no intersection
     parameters with |z| <= radius apart from the origin, and Rouche's test
-    of one draw (``_rouche``) that eps moves none across the circle, so the
-    count equals the number of perturbed intersections in the bidisk.  Must
+    of the draw at eps (``_rouche``, read off the disk's expansion as for
+    double points) that eps moves none across the circle, so the count
+    equals the number of perturbed intersections in the bidisk.  Must
     agree with local_intersection on valid inputs, and shares its exact
     refusals (too large a domain, identical images).  ``seed`` is read by
     the integer rule but has no effect.
@@ -1185,7 +1277,8 @@ def numeric_intersection_oracle(
     # but the radius pre-check has excluded unperturbed solutions with
     # |z| <= radius and w anywhere, so for small eps every perturbed
     # solution counted here lies in the bidisk
-    _rouche(plan.resultant(epsilon), plan.base)
+    terms = plan.terms(epsilon)
+    _rouche(None if terms else plan.resultant(epsilon), plan.base, terms)
     return plan.count
 
 

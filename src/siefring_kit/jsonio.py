@@ -72,7 +72,7 @@ def read_seed(value) -> int:
     """A random seed: an integer, read by ``typed``, and nonnegative.
     ``audit_scene`` seeds the standard library's ``random.Random`` with it;
     the germ oracles read it by the same rule, but it has no effect there,
-    as each of their cells makes one draw."""
+    as each of their cells makes at most one draw."""
     seed = typed(value, int, "seed")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")

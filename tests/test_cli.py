@@ -35,6 +35,11 @@ _A = [1, 10**20, 0, 1]
 GERM_TINY_U = {"p": [[0, 1, 0, 1], _A], "q": [[0, 1, 0, 1]] * 2 + [_A]}
 GERM_TINY_V = {"p": GERM_TINY_U["q"], "q": GERM_TINY_U["p"]}
 GERM_TINY_CUSP = {"p": [[0, 1, 0, 1]] * 2 + [_A], "q": [[0, 1, 0, 1]] * 3 + [_A]}
+# (z^9, z^10 + (1 + 2i)/3 z^18): a double-point disk with 8 moving Sylvester rows
+GERM_DEGREE_NINE = {
+    "p": [[0, 1, 0, 1]] * 9 + [[1, 1, 0, 1]],
+    "q": [[0, 1, 0, 1]] * 10 + [[1, 1, 0, 1]] + [[0, 1, 0, 1]] * 7 + [[1, 3, 2, 3]],
+}
 
 
 def write(path, payload):
@@ -218,6 +223,19 @@ class TestGermCommand:
         code, out, err = run(capsys, "germ", "oracle", a, "--radius", "0.03162277660168388")
         assert (code, out) == (1, "")
         assert err == "error: oracle failed: radius on a root; change the radius\n"
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            ([], (1, "", "error: oracle failed: epsilon too large for the disk (Rouche's test); shrink epsilon\n")),
+            (["--epsilon", "1e-8"], (0, "36\n", "")),
+        ],
+        ids=["default", "epsilon-1e-8"],
+    )
+    def test_oracle_degree_nine_germ(self, tmp_path, capsys, args, expected):
+        # the one cell of each process is read off its disk's expansion
+        a = write(tmp_path / "a.json", GERM_DEGREE_NINE)
+        assert run(capsys, "germ", "oracle", a, *args) == expected
 
     @pytest.mark.parametrize("command", ["iota", "oracle"])
     def test_identical_images_exit_one(self, tmp_path, capsys, command):

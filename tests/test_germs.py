@@ -60,6 +60,16 @@ ON_A_ROOT = "oracle failed: radius on a root; change the radius"
 TINY = Fraction(1, 10**20)
 TINY_PAIR = (germ([0, TINY], [0, 0, TINY]), germ([0, 0, TINY], [0, TINY]))
 TINY_CUSP = germ([0, 0, TINY], [0, 0, 0, TINY])
+# a draw read off a disk's expansion against the per-sample determinant,
+# relative to the largest coefficient.  c_1 is a sum of (d-1)-minors of K,
+# whose roundoff scales with |det A| |K|^(d-1), and that can exceed |R| by
+# orders where R_0's zeros cluster in a small disk: the worst steady cell of
+# TestExpansion reads 5.3e-11 (a pair at radius 0.04, epsilon 1e-4), where a
+# 60-digit determinant puts all of it on the expansion and leaves the loop
+# within 4e-16; the median cell reads 4e-16
+EXPANSION_TOL = 1e-9
+# (z^9, z^10 + (1 + 2i)/3 z^18): its double-point disk has d = 8 moving rows
+DEGREE_NINE = germ([0] * 9 + [1], [0] * 10 + [1] + [0] * 7 + [gaussian(1, 2) / 3])
 
 
 class TestGermConstruction:
@@ -497,6 +507,24 @@ class TestStackedDeterminants:
         return calls
 
     @staticmethod
+    def _record_expansion(monkeypatch):
+        """(bf, bg, circle, R_0 + sum eps^k c_k) of every cell whose draw the
+        disk's expansion gives, the arrays with epsilon added."""
+        covered = []
+        terms = germs._ResultantPlan.terms
+
+        def recording(plan, epsilon):
+            out = terms(plan, epsilon)
+            if out:
+                eps, c, _ = out
+                draw = plan.base[0] + sum(eps**k * row for k, row in enumerate(c, 1))
+                covered.append((*_perturbed(plan, eps), plan.circle, draw))
+            return out
+
+        monkeypatch.setattr(germs._ResultantPlan, "terms", recording)
+        return covered
+
+    @staticmethod
     def _count_det(monkeypatch):
         stacks = []
         det = np.linalg.det
@@ -509,14 +537,18 @@ class TestStackedDeterminants:
         return stacks
 
     def test_oracle_ladders_match_the_per_sample_loop(self, monkeypatch):
+        # every plan evaluation (each disk's R_0, each draw planned afresh)
+        # equals the loop, and every draw read off a disk's expansion is
+        # within EXPANSION_TOL of it
         calls = self._record(monkeypatch)
+        covered = self._record_expansion(monkeypatch)
         rng = np.random.default_rng(300)
         orders = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)] * 2
         pairs = [(axis_germ(rng, ku, 0), axis_germ(rng, kv, 1)) for ku, kv in orders]
         pairs.append((germ([0, 1], [0]), germ([0], [0, 0, 0, 2])))  # w-free difference of p
         singles = [random_simple_germ(rng) for _ in range(8)] + [CUSP35]
-        # more pairs, drawn after the rest: a stuck single makes one draw, and
-        # the count below asks for over 400 evaluations
+        # more pairs, drawn after the rest: the count below asks for over 300
+        # cells read off an expansion, of the 396 the ladders visit
         pairs += [(axis_germ(rng, ku, 0), axis_germ(rng, kv, 1)) for ku, kv in orders]
         for radius in RADIUS_LADDER:
             # a redraw turns epsilon by a phase, as the complex one here does
@@ -532,9 +564,12 @@ class TestStackedDeterminants:
         for bf, bg, circle, out in calls:
             assert np.array_equal(out, _reference_resultant_w(bf, bg, circle), equal_nan=True)
             w_free += min(germs._degrees(bf)[1], germs._degrees(bg)[1]) == 0
+        for bf, bg, circle, out in covered:
+            ref = _reference_resultant_w(bf, bg, circle)
+            assert np.abs(out - ref).max() <= EXPANSION_TOL * np.abs(ref).max()
         # a pair's perturbed difference carries epsilon at z^0 w^0
-        turned = sum(bf[0, 0].imag != 0 for bf, *_ in calls)
-        assert w_free and turned and len(calls) - w_free > 400
+        turned = sum(bf[0, 0].imag != 0 for bf, *_ in covered)
+        assert w_free and turned and len(covered) > 300
 
     @pytest.mark.parametrize(
         "bf, bg",
@@ -581,8 +616,9 @@ class TestStackedDeterminants:
 
 
 class TestResultantPlan:
-    """A disk's plan does the epsilon-free work once; a draw redoes only the
-    perturbed rows, the determinants and the transform.  Counted in calls."""
+    """A disk's plan does the epsilon-free work once; a steady draw is read
+    off the disk's expansion, and any other is planned afresh.  Counted in
+    calls."""
 
     @staticmethod
     def _disks():
@@ -593,27 +629,34 @@ class TestResultantPlan:
 
     @pytest.mark.parametrize("disk", [0, 1], ids=["pair", "k4-single"])
     def test_draws_reuse_the_plan(self, monkeypatch, disk):
+        # after a steady disk's R_0, its seven-epsilon ladder reads the disk's
+        # expansion: no vander, degrees, determinant or draw, and no seeded
+        # generator or eigensolve
         u, v = self._disks()[disk]
-        vanders, degrees = [], []
-        vander, degrees_of = np.vander, germs._degrees
-        monkeypatch.setattr(np, "vander", lambda *a, **k: vanders.append(a[1]) or vander(*a, **k))
+        oracle, germ_args = (numeric_double_point_oracle, (u,)) if v is None else (numeric_intersection_oracle, (u, v))
+        germs._disk_plan.cache_clear()
+        calls, degrees, drawn = Counter(), [], []
+        for owner, name in ((np, "vander"), (np.linalg, "det"), (np.random, "default_rng"), (np.linalg, "eigvals")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k: calls.update([_n]) or _f(*a, **k))
+        degrees_of, evaluate = germs._degrees, germs._ResultantPlan.resultant
         monkeypatch.setattr(germs, "_degrees", lambda b: degrees.append(b) or degrees_of(b))
-        plan = germs._disk_plan.__wrapped__(u, v, 0.15)  # built afresh, not from the cache
-        assert len(vanders) == 2 and len(degrees) == 2 and plan.steady
+        monkeypatch.setattr(germs._ResultantPlan, "resultant", lambda plan, eps=None: drawn.append(eps) or evaluate(plan, eps))
+        plan = germs._disk_plan(u, v, 0.15)
+        assert calls == {"vander": 2, "det": 1} and len(degrees) == 2 and drawn == [None] and plan.steady
         fixed = plan.arrays[1 - plan.moving]
-        vanders.clear()
+        calls.clear()
         degrees.clear()
-        outs = [plan.resultant(epsilon) for epsilon in EPSILON_LADDER]
-        assert len(outs) == 7 and vanders == [] and degrees == []
+        outcomes = [_outcome(oracle, *germ_args, epsilon, 0.15) for epsilon in EPSILON_LADDER]
+        assert outcomes == self.LADDER_OUTCOMES[disk]
+        assert calls == {} and degrees == [] and drawn == [None]
         # too large an epsilon sets the trim scale: the draw is planned afresh,
         # and leaves the moving polynomial a constant
-        outs.append(plan.resultant(1e300))
+        out = plan.resultant(1e300)
         assert len(degrees) == 2 and any(b is fixed for b in degrees)
         assert degrees_of(degrees[plan.moving]) == (0, 0)
         monkeypatch.undo()
-        for epsilon, out in zip((*EPSILON_LADDER, 1e300), outs):
-            ref = _reference_resultant_w(*_perturbed(plan, epsilon), 0.15)
-            assert np.array_equal(out, ref, equal_nan=True)
+        assert np.array_equal(out, _reference_resultant_w(*_perturbed(plan, 1e300), 0.15), equal_nan=True)
 
     def test_a_dominant_b00_plans_every_draw_afresh(self):
         # b00 = 2 sets the trim scale and drops the 1.5e-11 w^2 term, which
@@ -674,9 +717,108 @@ class TestResultantPlan:
         assert moves == [["same"] * 7, ["refused by Rouche"] * 2 + ["same"] * 3 + ["answered"] * 2][disk]
 
 
+class TestExpansion:
+    """A steady draw read off the disk's expansion R_0 + sum eps^k c_k:
+    against the per-sample determinant, against Rouche's sample test, and
+    its cost in batched calls.  Counted, with no clock."""
+
+    @staticmethod
+    def _steady_cells(monkeypatch) -> list:
+        """(plan, terms) of every cell of ``TestCachedDisks.cells()`` over
+        RADIUS_LADDER and EPSILON_LADDER whose draw its disk's expansion
+        gives, as the oracles read them."""
+        cells, terms = [], germs._ResultantPlan.terms
+
+        def recording(plan, epsilon):
+            out = terms(plan, epsilon)
+            if out:
+                cells.append((plan, out))
+            return out
+
+        germs._disk_plan.cache_clear()
+        monkeypatch.setattr(germs._ResultantPlan, "terms", recording)
+        for oracle, germ_args, seed in TestCachedDisks.cells():
+            for radius in RADIUS_LADDER:
+                for epsilon in EPSILON_LADDER:
+                    _outcome(oracle, *germ_args, epsilon, radius, seed)
+        monkeypatch.undo()
+        return cells
+
+    def test_steady_draws_match_the_per_sample_loop(self, monkeypatch):
+        errors = []
+        for plan, (epsilon, c, _) in self._steady_cells(monkeypatch):
+            draw = plan.base[0] + sum(epsilon**k * row for k, row in enumerate(c, 1))
+            ref = _reference_resultant_w(*_perturbed(plan, epsilon), plan.circle)
+            errors.append(np.abs(draw - ref).max() / np.abs(ref).max())
+        assert len(errors) > 2000 and max(errors) <= EXPANSION_TOL and np.median(errors) < 1e-14
+
+    def test_a_bound_answer_passes_the_sample_test(self, monkeypatch):
+        # where sum nu_k |eps|^k < min(|R_0| - reach) at the first sample
+        # count, Rouche's sample test on the same Delta passes too (an
+        # infinite bound makes _rouche run it)
+        answered = tested = 0
+        for plan, (epsilon, c, bound) in self._steady_cells(monkeypatch):
+            base_coeffs, arcs = plan.base  # the cell's test has kept R_0's arcs
+            if bound < arcs[1 << (2 * len(base_coeffs) - 1).bit_length()][1].min():
+                assert germs._rouche(None, plan.base, (epsilon, c, math.inf)) is None
+                answered += 1
+            else:
+                tested += 1
+        assert answered > 1000 and tested > 100
+
+    @staticmethod
+    def _charpoly_errors(matrices) -> list:
+        """max_k |ours_k - sympy's_k| / max(|m|_2, 1)^(d - k) over each
+        matrix's characteristic polynomial det(t I - m), sympy's taken
+        exactly on the entries as binary rationals."""
+        t = sympy.Symbol("t")
+        errors = []
+        for m, ours in zip(matrices, germs._characteristic(matrices).T):
+            exact = sympy.Matrix([[sympy.Rational(x.real) + sympy.I * sympy.Rational(x.imag) for x in row] for row in m.tolist()])
+            coeffs = [complex(c) for c in exact.charpoly(t).all_coeffs()[::-1]]  # ascending
+            scale, d = max(np.linalg.norm(m, 2), 1.0), len(m)
+            errors.append(max(abs(ours[k] - coeffs[k]) / scale ** (d - k) for k in range(d + 1)))
+        return errors
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_characteristic_polynomial_matches_sympy(self, d):
+        rng = np.random.default_rng(4400 + d)
+        matrices = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        assert max(self._charpoly_errors(matrices)) < 1e-14
+
+    def test_graded_characteristic_polynomial_matches_sympy(self):
+        # eigenvalues 1, 1e-6 and 1e-12 under a random unitary similarity
+        rng = np.random.default_rng(4409)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        graded = q @ np.diag([1, 1e-6, 1e-12]) @ q.conj().T
+        assert max(self._charpoly_errors(graded[None])) < 1e-14
+
+    def test_the_expansion_takes_a_fixed_number_of_batched_calls(self, monkeypatch):
+        # one solve of the other polynomial's triangular block and one
+        # characteristic polynomial, each a stack of one matrix per sample no
+        # wider than the Sylvester side: no stack of 2^d determinants
+        germs._disk_plan.cache_clear()
+        plan = germs._disk_plan(DEGREE_NINE, None, 0.3)
+        calls = []
+        for name in ("solve", "det", "inv", "eig", "eigvals"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name: calls.append((_n, *(x.shape for x in a))) or _f(*a))
+        characteristic = germs._characteristic
+        monkeypatch.setattr(germs, "_characteristic", lambda m: calls.append(("_characteristic", m.shape)) or characteristic(m))
+        assert plan.expansion is not None
+        (_, df), (_, dg) = plan.degrees
+        samples, n = plan.samples, plan.stack.shape[1]
+        # q moves: deg f = 8 rows of its divided difference, beside deg g = 17 of p's
+        assert (df, dg, n) == (8, 17, 25) and calls == [
+            ("solve", (samples, dg, dg), (samples, dg, df)),
+            ("_characteristic", (samples, df, df)),
+        ]
+
+
 class TestRedrawTurns:
-    """A cell makes one draw at epsilon itself, and no oracle call makes a
-    seeded generator: the phase turns of earlier versions are gone."""
+    """A cell makes at most one draw, at epsilon itself, and no oracle call
+    makes a seeded generator: the phase turns of earlier versions are gone.
+    A cell whose draw the disk's expansion gives makes none."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -688,18 +830,30 @@ class TestRedrawTurns:
         )
         return made, epsilons
 
+    @staticmethod
+    def _read(monkeypatch):
+        """(epsilon, whether the disk's expansion gives the draw) of every
+        call of ``_ResultantPlan.terms``."""
+        read = []
+        terms = germs._ResultantPlan.terms
+        monkeypatch.setattr(germs._ResultantPlan, "terms", lambda plan, eps: read.append(eps) or terms(plan, eps))
+        return read
+
     def test_a_first_draw_answer_makes_no_generator(self, monkeypatch):
+        # both cells are answered from their disks' expansions, with no draw
         made, epsilons = self._count(monkeypatch)
+        read = self._read(monkeypatch)
         assert numeric_double_point_oracle(CUSP35, 1e-3, 0.3, seed=3) == 4
         assert numeric_intersection_oracle(CUSP35, QUARTIC46, 1e-3, 0.3, seed=3) == 18
-        assert made == [] and [e for e in epsilons if e is not None] == [1e-3, 1e-3]
+        assert made == [] and [e for e in epsilons if e is not None] == [] and read == [1e-3, 1e-3]
 
-    def test_a_stuck_cell_makes_one_draw_and_no_generator(self, monkeypatch):
-        # the companion rule refused this cell as stuck at the origin; its
-        # first draw's winding answers it
+    def test_a_stuck_cell_makes_no_draw_and_no_generator(self, monkeypatch):
+        # the companion rule refused this cell as stuck at the origin; the
+        # disk's expansion answers it
         made, epsilons = self._count(monkeypatch)
+        read = self._read(monkeypatch)
         assert numeric_double_point_oracle(CUSP35, 1e-8, 0.3, seed=5) == 4
-        assert made == [] and [e for e in epsilons if e is not None] == [1e-8]
+        assert made == [] and [e for e in epsilons if e is not None] == [] and read == [1e-8]
 
     @pytest.mark.parametrize("oracle", ["double-point", "intersection"])
     def test_a_rouche_refusal_makes_one_draw_and_no_generator(self, monkeypatch, oracle):
@@ -713,24 +867,30 @@ class TestRedrawTurns:
         assert made == [] and [e for e in epsilons if e is not None] == [1e-3]
 
     def test_every_cell_makes_at_most_one_draw_and_no_generator(self, monkeypatch):
-        # over the cached-disk cells: a cell whose disk passes its check
-        # evaluates the perturbed resultant once, and any other cell not at all
+        # over the cached-disk cells: a cell whose disk passes its check reads
+        # the expansion's terms at epsilon once, and evaluates the perturbed
+        # resultant once where they do not give its draw; any other cell
+        # does neither
         cells = TestCachedDisks.cells()  # drawn before default_rng is counted
         made, epsilons = self._count(monkeypatch)
         disks, disk_plan = [], germs._disk_plan
         monkeypatch.setattr(germs, "_disk_plan", lambda *a: disks.append(disk_plan(*a)) or disks[-1])
+        read, terms = [], germs._ResultantPlan.terms
+        monkeypatch.setattr(germs._ResultantPlan, "terms", lambda plan, eps: read.append(terms(plan, eps)) or read[-1])
         draws = Counter()
         for oracle, germ_args, seed in cells:
             for radius in TestCachedDisks.RADII:
                 for epsilon in TestCachedDisks.EPSILONS:
                     disks.clear()
                     epsilons.clear()
+                    read.clear()
                     outcome = _outcome(oracle, *germ_args, epsilon, radius, seed)
                     drawn = [e for e in epsilons if e is not None]
-                    assert drawn == [complex(epsilon)] * len(disks), (germ_args, radius, epsilon, outcome)
+                    assert len(read) == len(disks), (germ_args, radius, epsilon, outcome)
+                    assert drawn == [complex(epsilon) for out in read if not out], (germ_args, radius, epsilon, outcome)
                     draws[len(drawn), outcome[0]] += 1
         assert made == []
-        assert draws[1, "value"] > 1000 and draws[1, "refused"] > 1000 and draws[0, "refused"] > 1000
+        assert draws[0, "value"] > 1000 and draws[0, "refused"] > 1000 and draws[1, "refused"] > 500
 
 
 class TestStuckCellsStayStuck:
@@ -1013,15 +1173,19 @@ class TestCachedDisks:
         germs._disk_plan.cache_clear()
 
     def test_every_cell_matches_the_reference(self, monkeypatch):
-        # every resultant that passes Rouche's test has np.roots's count of
-        # the same coefficients, their roots trimmed to 0 included, as its
+        # every resultant that passes Rouche's test, a draw planned afresh or
+        # R_0 + sum eps^k c_k from the disk's expansion, has np.roots's count
+        # of the same coefficients, their roots trimmed to 0 included, as its
         # answer (twice the answer for double points)
         self._clear_disks()
         checked_counts, passed = [], []
         rouche = germs._rouche
 
-        def compared(coeffs, base):
-            rouche(coeffs, base)
+        def compared(coeffs, base, terms=None):
+            rouche(coeffs, base, terms)
+            if terms:
+                epsilon, c, _ = terms
+                coeffs = base[0] + sum(epsilon**k * row for k, row in enumerate(c, 1))
             first, roots, _ = _reference_unit_roots(coeffs, 0)
             passed.append(first + np.sum(np.abs(roots) < 1))
 
@@ -1084,8 +1248,9 @@ class TestCachedDisks:
         assert len(checks) == 6
 
     def test_stuck_draws_find_no_roots(self, monkeypatch):
-        # a draw whose double points stay at 0 to the companion rule's trim is
-        # counted by its winding in one draw, and no eigensolve runs anywhere
+        # a draw whose double points stay at 0 to the companion rule's trim,
+        # by the expansion and by the per-sample loop alike, is answered from
+        # the disk's expansion with no draw, and no eigensolve runs anywhere
         germs._disk_plan.cache_clear()
         calls, evaluated = [], []
         eigvals, evaluate = np.linalg.eigvals, germs._ResultantPlan.resultant
@@ -1096,8 +1261,12 @@ class TestCachedDisks:
             lambda plan, eps=None: evaluated.append(evaluate(plan, eps)) or evaluated[-1],
         )
         assert numeric_double_point_oracle(CUSP35, 1e-8, 0.3) == delta_local(CUSP35) == 4
-        _, draw = evaluated  # the disk's R_0, then the one draw
-        assert _reference_unit_roots(draw, 0)[0] > 0
+        (base,) = evaluated  # the disk's R_0 alone
+        plan = germs._disk_plan(CUSP35, None, 0.3)
+        epsilon, c, _ = plan.terms(1e-8)
+        draw = base + sum(epsilon**k * row for k, row in enumerate(c, 1))
+        reference = _reference_resultant_w(*_perturbed(plan, epsilon), 0.3)
+        assert _reference_unit_roots(draw, 0)[0] == _reference_unit_roots(reference, 0)[0] > 0
         assert numeric_double_point_oracle(CUSP35, 1e-3, 0.3) == 4 and calls == []
 
     def test_disk_arrays_are_read_only(self):
@@ -1147,9 +1316,9 @@ class TestRedrawBranches:
         draws = []
         rouche = germs._rouche
 
-        def logged(coeffs, base):
+        def logged(coeffs, base, terms=None):
             try:
-                rouche(coeffs, base)
+                rouche(coeffs, base, terms)
             except InputError as exc:
                 draws.append(str(exc))
                 raise

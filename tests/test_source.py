@@ -238,13 +238,22 @@ def test_one_winding_count():
     # trim of the companion rule is left to count a second way, and no
     # redraw loop or seeded generator to draw a second time
     source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
-    gone = ("eigvals", "roots", "_roots", "_hits_edge", "ROOT_EDGE_TOL", "STUCK_AT_THE_ORIGIN", "_trimmed")
+    gone = ("eigvals", "roots", "poly", "_roots", "_hits_edge", "ROOT_EDGE_TOL", "STUCK_AT_THE_ORIGIN", "_trimmed")
     gone += ("_redraw", "_turns", "MAX_EPSILON_REDRAWS", "default_rng")
     assert {name: list(_uses(source, name)) for name in gone} == {name: [] for name in gone}
     assert _winding_calls(source) == [("_disk_plan", 1)]
-    assert _winding_calls(source, "_rouche") == [("numeric_double_point_oracle", 2), ("numeric_intersection_oracle", 2)]
+    # the draw's coefficients, R_0 and its arcs, and the terms of the disk's expansion
+    assert _winding_calls(source, "_rouche") == [("numeric_double_point_oracle", 3), ("numeric_intersection_oracle", 3)]
     arcs = {getattr(node, "name", None) for node in source.body for _ in _uses(node, "_arcs")}
     assert arcs == {"_winding", "_rouche"}, arcs
+
+
+def test_one_characteristic_polynomial():
+    # La Budde's recurrence runs for the disk's expansion alone: one call of
+    # _characteristic, in _ResultantPlan.expansion, and nowhere else
+    found = _owners(["_characteristic"])["_characteristic"]
+    calls = _winding_calls(ast.parse(ast.unparse(_germs_function("expansion"))), "_characteristic")
+    assert found == {("germs.py", "_ResultantPlan")} and calls == [("expansion", 1)], (found, calls)
 
 
 def test_one_certification_path():
