@@ -233,10 +233,11 @@ def test_one_counting_disk():
 
 def test_one_winding_count():
     # the radius pre-check counts zeros through one certified winding, and
-    # each oracle makes one draw, which Rouche's test alone checks against
-    # it; only the two take samples by _arcs.  No eigensolve, root finder or
-    # trim of the companion rule is left to count a second way, and no
-    # redraw loop or seeded generator to draw a second time
+    # each oracle cell's draw, read off the disk's expansion or planned
+    # afresh, is checked against it by Rouche's test alone; only the two
+    # take samples by _arcs.  No eigensolve, root finder, characteristic
+    # polynomial by roots or trim of the companion rule is left to count a
+    # second way, and no redraw loop or seeded generator to draw a second time
     source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
     gone = ("eigvals", "roots", "poly", "_roots", "_hits_edge", "ROOT_EDGE_TOL", "STUCK_AT_THE_ORIGIN", "_trimmed")
     gone += ("_redraw", "_turns", "MAX_EPSILON_REDRAWS", "default_rng")
