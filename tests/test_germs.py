@@ -752,6 +752,14 @@ class TestExpansion:
             errors.append(np.abs(draw - ref).max() / np.abs(ref).max())
         assert len(errors) > 2000 and max(errors) <= EXPANSION_TOL and np.median(errors) < 1e-14
 
+    def test_the_bound_covers_delta_and_its_reach(self, monkeypatch):
+        # sum nu_k |eps|^k >= |Delta| + reach at every sample of the first
+        # count, Delta = sum eps^k c_k, to the last bits of the sums
+        for plan, (epsilon, c, bound) in self._steady_cells(monkeypatch):
+            delta = sum(epsilon**k * row for k, row in enumerate(c, 1))
+            (values,), (reach,) = germs._arcs(delta[None], 1 << (2 * len(delta) - 1).bit_length())
+            assert (np.abs(values) + reach).max() <= bound * (1 + 1e-12)
+
     def test_a_bound_answer_passes_the_sample_test(self, monkeypatch):
         # where sum nu_k |eps|^k < min(|R_0| - reach) at the first sample
         # count, Rouche's sample test on the same Delta passes too (an
