@@ -1,6 +1,6 @@
 """Invariant calculators for punctured pseudoholomorphic curves.
 
-Subpackages:
+Modules:
 
 - ``core``: orbits, curve classes, scenes, trivialization shifts.
 - ``spectrum``: the model asymptotic operator on the circle, its

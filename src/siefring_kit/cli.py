@@ -144,17 +144,7 @@ def _cmd_closed(args) -> int:
     if args.closed_op == "cp2":
         _emit(closed.cp2_degree_table(args.degree))
     elif args.closed_op == "adjunction":
-        delta = closed.delta_closed(args.self_pairing, args.c1, args.genus)
-        _emit(
-            {
-                "self_pairing": args.self_pairing,
-                "c1": args.c1,
-                "genus": args.genus,
-                "c_N": closed.cn_closed(args.c1, args.genus),
-                "delta": delta,
-                "embedded": delta == 0,
-            }
-        )
+        _emit({"genus": args.genus, **closed.adjunction_record(args.self_pairing, args.c1, args.genus)})
     else:  # nodal-split
         result = closed.analyze_nodal_split(component_c1=tuple(args.components))
         _emit(result.as_dict())

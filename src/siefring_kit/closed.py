@@ -126,18 +126,25 @@ def delta_closed_inverse(delta: int, c1A: int, genus: int) -> int:
     return 2 * typed(delta, int, "delta") + cn_closed(c1A, genus)
 
 
+def adjunction_record(self_pairing: int, c1A: int, genus: int) -> dict:
+    """Adjunction data of a simple closed genus-g curve, as the ``closed``
+    commands print it: [u].[u], c1, c_N, delta and whether it is embedded.
+    Refused as ``delta_closed`` refuses, and in its order."""
+    delta = delta_closed(self_pairing, c1A, genus)
+    self_pairing, c1A = _counts(self_pairing=self_pairing, c1A=c1A)
+    return {
+        "self_pairing": self_pairing,
+        "c1": c1A,
+        "c_N": cn_closed(c1A, genus),
+        "delta": delta,
+        "embedded": delta == 0,
+    }
+
+
 def cp2_degree_table(degree: int) -> dict:
     """Adjunction data of a degree-d sphere in the projective plane:
     [u].[u] = d^2, c1 = 3d, delta = (d-1)(d-2)/2, embedded iff d <= 2."""
     d = typed(degree, int, "degree")
     if d < 1:
         raise InputError(f"degree must be >= 1, got {d}")
-    delta = delta_closed(d * d, 3 * d, 0)
-    return {
-        "degree": d,
-        "self_pairing": d * d,
-        "c1": 3 * d,
-        "c_N": cn_closed(3 * d, 0),
-        "delta": delta,
-        "embedded": delta == 0,
-    }
+    return {"degree": d, **adjunction_record(d * d, 3 * d, 0)}

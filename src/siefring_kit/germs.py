@@ -869,9 +869,6 @@ def _degrees(b: np.ndarray) -> tuple[int, int]:
     return tuple(int(line[-1]) if len(line) else -1 for line in lines)
 
 
-_WORK_CELLS = 1 << 15  # complex128 cells in one batched work array
-
-
 def _sylvester_stack(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
     """Sylvester matrices in w of the polynomial pairs (f_rows[s], g_rows[s])
     (ascending coefficients, any dtype), stacked along the first axis: deg g
@@ -920,8 +917,8 @@ def _characteristic(m: np.ndarray) -> np.ndarray:
 
 class _ResultantPlan:
     """The resultant in w of two bivariate complex polynomials bf and bg,
-    rescaled to one circle, with the work that a change of one polynomial's
-    z^0 w^0 coefficient leaves alone done once.
+    rescaled to one circle, with the work that a change of bg's z^0 w^0
+    coefficient, b00, leaves alone done once.
 
     ``resultant`` returns the ascending coefficients of R(circle * zeta) in
     zeta, where R(z) = Res_w.  Sampling the Sylvester determinant on the
@@ -929,33 +926,35 @@ class _ResultantPlan:
     when many roots cluster inside it; on the unscaled unit circle the
     low-order coefficients of a tight degree-18 cluster drown in roundoff.
     The Sylvester matrices at all the samples are stacked and go to one
-    batched determinant, in chunks of at most _WORK_CELLS entries; LAPACK
-    still factors each matrix on its own, so every value is the one a
-    determinant of that matrix alone gives.
+    batched determinant; LAPACK still factors each matrix on its own, so
+    every value is the one a determinant of that matrix alone gives.  A
+    polynomial free of w takes the same stack: f free of w gives deg g
+    diagonal copies of f, whose determinant is f^(deg g), and two such
+    polynomials a 0 x 0 matrix, whose determinant is 1.  A zero
+    polynomial, or an array that overflowed to NaN, has degree -1 and R = 0.
 
-    The oracles perturb by adding epsilon there, to g's divided difference
-    (``moving`` 1) or to f's difference (``moving`` 0).  A draw with |b00 +
-    epsilon| at most ``room``, the largest entry of the moving array without
-    b00, has the plan's degrees whenever the plan's own b00 is within
-    ``room`` (``steady``): the largest entry still sets the trim scale, and
-    index 0 raises no last index.  Such a draw is read off the disk's
-    ``expansion`` (``terms``); any other draw is planned afresh.
+    The oracles perturb by adding epsilon to b00.  A draw with |b00 +
+    epsilon| at most ``room``, the largest entry of bg without b00, has the
+    plan's degrees whenever the plan's own b00 is within ``room``
+    (``steady``): the largest entry still sets the trim scale, and index 0
+    raises no last index.  Such a draw is read off the disk's ``expansion``
+    (``terms``); any other draw is planned afresh.
     """
 
-    def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float, moving: int = 1):
+    def __init__(self, bf: np.ndarray, bg: np.ndarray, circle: float):
         # a radius or epsilon too large overflows the samples; _finite refuses the result
         with np.errstate(over="ignore", invalid="ignore"):
-            # a float circle: an int's powers in _closed_form wrap int64 past 3**39
-            self.arrays, self.circle, self.moving = (bf, bg), float(circle), moving
-            magnitude = np.abs(self.arrays[moving])
+            # a float circle, as the oracles pass it, whatever number a caller gives
+            self.arrays, self.circle = (bf, bg), float(circle)
+            magnitude = np.abs(bg)
             magnitude[0, 0] = 0
             self.room = magnitude.max()
-            self.steady = np.abs(self.arrays[moving][0, 0]) <= self.room
+            self.steady = np.abs(bg[0, 0]) <= self.room
             self.degrees = [_degrees(bf), _degrees(bg)]
             (dfz, df), (dgz, dg) = self.degrees
             self.stack = None
-            if min(df, dg) <= 0:
-                return  # a closed form; nothing to sample
+            if min(df, dg) < 0:
+                return  # a zero polynomial; nothing to sample
             self.samples = samples = dfz * dg + dgz * df + 1
             zs = circle * np.exp(2j * np.pi * np.arange(samples) / samples)
             # the w-coefficients at the samples, (samples, deg_w + 1) each; a
@@ -965,22 +964,19 @@ class _ResultantPlan:
                 for b, (dz, dw) in zip(self.arrays, self.degrees)
             ]
             self.stack = _sylvester_stack(*rows)
-            self.chunk = max(1, _WORK_CELLS // (df + dg) ** 2)
 
     def resultant(self, epsilon: complex | None = None) -> np.ndarray:
         """The resultant of the arrays, or, unless ``epsilon`` is None, of
-        the arrays with epsilon added to the moving one's z^0 w^0
-        coefficient, planned afresh."""
+        the arrays with epsilon added to bg's z^0 w^0 coefficient, planned
+        afresh."""
         with np.errstate(over="ignore", invalid="ignore"):
             if epsilon is not None:
-                arrays = list(self.arrays)
-                arrays[self.moving] = b = arrays[self.moving].copy()
-                b[0, 0] += epsilon
-                return _ResultantPlan(*arrays, self.circle, self.moving).resultant()
+                bg = self.arrays[1].copy()
+                bg[0, 0] += epsilon
+                return _ResultantPlan(self.arrays[0], bg, self.circle).resultant()
             if self.stack is None:
-                return self._closed_form(*self.arrays)
-            chunks = (self.stack[lo : lo + self.chunk] for lo in range(0, self.samples, self.chunk))
-            return self._transform(np.concatenate([np.linalg.det(chunk) for chunk in chunks]))
+                return np.zeros(1, dtype=complex)
+            return self._transform(np.linalg.det(self.stack))
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
         """Ascending coefficients in zeta of the polynomials whose values at
@@ -989,43 +985,39 @@ class _ResultantPlan:
 
     @cached_property
     def base(self) -> tuple:
-        """The unperturbed resultant R_0 and its arcs by sample count, which
-        Rouche's test of every draw reads (``_rouche``)."""
+        """The unperturbed resultant R_0 and its samples by count, {n: (|R_0|
+        at the samples, |R_0| - reach)}, which the disk's winding fills
+        (``_winding``) and Rouche's test of every draw reads (``_rouche``)."""
         return self.resultant(), {}
 
     @cached_property
     def expansion(self) -> tuple | None:
         """(c, nu), the exact expansion R_eps = R_0 + sum_k epsilon^k c_k of
-        a steady draw, k = 1 .. d, computed once per disk from the stack;
-        None for a closed form, an R_0 that vanished or an expansion that is
-        not finite, whose draws are planned afresh.
+        a steady draw, k = 1 .. deg_w f, computed once per disk from the
+        stack; None for an R_0 that vanished or an expansion that is not
+        finite, whose draws are planned afresh.
 
-        In the Sylvester matrix, b00 sits once in each of the d rows of the
-        moving polynomial, on one diagonal.  With the other polynomial's
-        rows and the b00-free columns first, S = [[A, B], [C, D]], A upper
-        triangular with the other's leading w-coefficient on its diagonal,
-        and epsilon adds epsilon I to D.  So R_eps = +-det A det(K + epsilon
-        I), K = D - C A^-1 B (the Schur complement), and c_k is +-det A
-        times the t^k coefficient of det(t I + K) (``_characteristic``), by
-        one batched solve and the plan's transform.  nu_k = sum_m |c_(k,m)|
-        (1 + 2 pi h m + 2 pi^2 h^2 m^2), h = 1/2n at _rouche's first sample
-        count n, bounds the size and reach (``_arcs``) of c_k at every
-        sample and c_k on the whole circle."""
-        if self.stack is None or not np.any(self.base[0]):
+        In the Sylvester matrix, b00 sits once in each of the deg_w f rows
+        of g, on one diagonal.  With f's rows and the b00-free columns
+        first, S = [[A, B], [C, D]], A upper triangular with f's leading
+        w-coefficient on its diagonal, and epsilon adds epsilon I to D.  So
+        R_eps = det A det(K + epsilon I), K = D - C A^-1 B (the Schur
+        complement), and c_k is det A times the t^k coefficient of det(t I
+        + K) (``_characteristic``), by one batched solve and the plan's
+        transform.  Where f is free of w, K is 0 x 0 and c is empty: R_eps
+        = R_0.  nu_k = sum_m |c_(k,m)| (1 + 2 pi h m + 2 pi^2 h^2 m^2), h =
+        1/2n at _rouche's first sample count n, bounds the size and reach
+        (``_arcs``) of c_k at every sample and c_k on the whole circle."""
+        if not np.any(self.base[0]):
             return None
         with np.errstate(all="ignore"):
-            (_, df), (_, dg) = self.degrees
-            side = (df, dg)[self.moving]  # A's order, the other polynomial's rows
-            f_rows, g_rows = self.stack[:, :dg], self.stack[:, dg:]
-            other, rows = (g_rows, f_rows) if self.moving == 0 else (f_rows, g_rows)
-            a = other[:, :, :side]
+            dg = self.degrees[1][1]  # A's order, f's rows
+            a = self.stack[:, :dg, :dg]
             try:
-                k = rows[:, :, side:] - rows[:, :, :side] @ np.linalg.solve(a, other[:, :, side:])
+                k = self.stack[:, dg:, dg:] - self.stack[:, dg:, :dg] @ np.linalg.solve(a, self.stack[:, :dg, dg:])
             except np.linalg.LinAlgError:  # a zero leading coefficient at a sample
                 return None
-            # g's rows come first for moving 0: df dg row swaps
-            det_a = (-1) ** (df * dg * (1 - self.moving)) * np.diagonal(a, axis1=1, axis2=2).prod(axis=1)
-            c = self._transform(det_a * _characteristic(-k)[1:])
+            c = self._transform(np.diagonal(a, axis1=1, axis2=2).prod(axis=1) * _characteristic(-k)[1:])
             if not np.isfinite(c).all():
                 return None
             h = 0.5 / (1 << (2 * self.samples - 1).bit_length())
@@ -1034,26 +1026,17 @@ class _ResultantPlan:
 
     def terms(self, epsilon: complex) -> tuple | None:
         """(epsilon, c, bound) where the disk's ``expansion`` gives the draw
-        at epsilon, bound = sum_k nu_k |epsilon|^k, finite; None where the
-        draw would change the plan's degrees (not ``steady``) or the disk
-        has no expansion, and the draw is planned afresh."""
-        if not (self.steady and abs(self.arrays[self.moving][0, 0] + epsilon) <= self.room) or not self.expansion:
+        at epsilon, bound = sum_k nu_k |epsilon|^k, finite (0 for an empty
+        c); None where the draw would change the plan's degrees (not
+        ``steady``) or the disk has no expansion, and the draw is planned
+        afresh."""
+        if not (self.steady and abs(self.arrays[1][0, 0] + epsilon) <= self.room) or not self.expansion:
             return None
         c, nu = self.expansion
         size, bound = abs(epsilon), 0.0
         for term in reversed(nu):
             bound = (bound + term) * size
         return (epsilon, c, bound) if bound < math.inf else None
-
-    def _closed_form(self, bf: np.ndarray, bg: np.ndarray) -> np.ndarray:
-        """The resultant where a polynomial is zero or free of w."""
-        (_, df), (_, dg) = self.degrees
-        if df < 0 or dg < 0:
-            return np.zeros(1, dtype=complex)
-        # Res(f, g) = f^{deg g} when f is free of w; a zeroth power is [1]
-        base, power = (bf[:, 0], dg) if df == 0 else (bg[:, 0], df)
-        scaled = base * self.circle ** np.arange(len(base))
-        return np.asarray(np.polynomial.polynomial.polypow(scaled, power), dtype=complex)
 
 
 def _arcs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1079,7 +1062,7 @@ def _finite(coeffs: np.ndarray) -> None:
         raise InputError("oracle resultant vanished identically")
 
 
-def _winding(coeffs: np.ndarray) -> int | None:
+def _winding(coeffs: np.ndarray, arcs: dict) -> int | None:
     """The certified number of zeros in |zeta| < 1 of the polynomial f with
     ascending coefficients ``coeffs``, or None where no sample count up to
     MAX_WINDING_SAMPLES, doubling from the least power of two >= 2
@@ -1087,12 +1070,16 @@ def _winding(coeffs: np.ndarray) -> int | None:
     each half-step arc lies in a disk that subtends under 60 degrees at 0 and
     meets its neighbour's, so the principal angles of f_(j+1) / f_j sum to
     2 pi times the count.  This certifies the computed coefficients; their
-    distance from the true resultant is the determinant's roundoff."""
+    distance from the true resultant is the determinant's roundoff.  Each
+    count tried keeps (|f_j|, |f_j| - reach_j) in ``arcs``, the disk's
+    samples of R_0 that Rouche's test reads (``_rouche``)."""
     _finite(coeffs)
     n = 1 << (2 * len(coeffs) - 1).bit_length()
     while n <= MAX_WINDING_SAMPLES:
         (v,), (reach,) = _arcs(coeffs[None], n)
-        if (np.abs(v) > 2 * reach).all():
+        size = np.abs(v)
+        arcs[n] = size, size - reach
+        if (size > 2 * reach).all():
             return round((np.angle(v[1:] / v[:-1]).sum() + np.angle(v[0] / v[-1])) / (2 * np.pi))
         n *= 2
     return None
@@ -1103,7 +1090,9 @@ def _rouche(coeffs: np.ndarray | None, base: tuple, terms: tuple | None = None) 
     disk's R_0, given ``base`` = (coefficients of R_0, {n: (|R_0| at the
     samples, |R_0| - reach)}): |R_eps - R_0| + reach < |R_0| - reach at every
     sample (``_arcs``), at some sample count that ``_winding`` would try for
-    the longer of the two.  The draw is ``coeffs``, its ascending
+    the longer of the two.  R_0's samples are read from ``base``, where the
+    disk's winding left those of every count it tried, and taken here only
+    at a count it did not.  The draw is ``coeffs``, its ascending
     coefficients, or, where they are None, R_0 + sum epsilon^k c_k from the
     disk's expansion, ``terms`` = (epsilon, c, bound)
     (``_ResultantPlan.terms``).  There the test passes at once where bound
@@ -1131,8 +1120,8 @@ def _rouche(coeffs: np.ndarray | None, base: tuple, terms: tuple | None = None) 
             epsilon, c, bound = terms
             if bound < margin.min():
                 return
-            moved, terms = c[-1] * epsilon, None
-            for row in c[-2::-1]:  # Horner
+            moved, terms = np.zeros_like(base_coeffs), None
+            for row in c[::-1]:  # Horner, from 0 for an empty c
                 moved = (moved + row) * epsilon
         (values,), (reach,) = _arcs(moved[None], n)
         size = np.abs(values)
@@ -1194,23 +1183,25 @@ def _disk_plan(u: Germ, v: Germ | None, radius: float) -> _ResultantPlan:
     """The counting disk of one (germs, radius): the resultant plan, on
     read-only arrays, that the radius pre-check evaluates and every draw on
     the circle reads, returned once the check passes.  The arrays are the
-    divided differences of u's p and q with epsilon at q's z^0 w^0, or,
-    given v, the differences p_u(z) - p_v(w) and q_u(z) - q_v(w) with
-    epsilon at p's.  The check: R_0 winds as often as its exact order at 0
-    (2 delta_local(u), or the pair's), so it has no other zero in the disk,
-    and that order is the plan's ``count``; an R_0 that underflows to zero
-    is left to the draws' Rouche test, which it fails.  The cells of a
-    ladder share a disk and a ladder visits a few radii, so a few disks are
-    kept; a refusal is an exception, which lru_cache does not store."""
+    divided differences of u's p and q, or, given v, the differences q_u(z)
+    - q_v(w) and p_u(z) - p_v(w), so that epsilon goes to the second, q's
+    z^0 w^0 or p's; Res_w(q, p) = +-Res_w(p, q) has the same zeros.  The
+    check: R_0 winds as often as its exact order at 0 (2 delta_local(u), or
+    the pair's), so it has no other zero in the disk, and that order is the
+    plan's ``count``; the winding leaves R_0's samples in the plan's
+    ``base`` for Rouche's test.  An R_0 that underflows to zero is left to
+    the draws' Rouche test, which it fails.  The cells of a ladder share a
+    disk and a ladder visits a few radii, so a few disks are kept; a
+    refusal is an exception, which lru_cache does not store."""
     if v is None:
-        arrays, moving = (_numeric_divided_difference(c) for c in u.numeric), 1
+        arrays = (_numeric_divided_difference(c) for c in u.numeric)
         order, what = 2 * delta_local(u), "germ has self-intersections"
     else:
-        arrays, moving = (_numeric_difference(a, b) for a, b in zip(u.numeric, v.numeric)), 0
+        arrays = (_numeric_difference(a, b) for a, b in zip(u.numeric[::-1], v.numeric[::-1]))
         order, what = _oracle_order(u, v), "germs intersect away from the origin but"
-    plan = _ResultantPlan(*_read_only(*arrays), radius, moving)
-    base = plan.base[0]
-    if np.any(base) and _winding(base) != order:
+    plan = _ResultantPlan(*_read_only(*arrays), radius)
+    base, arcs = plan.base
+    if np.any(base) and _winding(base, arcs) != order:
         raise InputError(f"radius too large: {what} within the chosen disk; shrink the radius")
     plan.count = order
     return plan

@@ -3,6 +3,7 @@ import pytest
 
 from siefring_kit.closed import (
     Disjointness,
+    adjunction_record,
     analyze_nodal_split,
     cn_closed,
     cp2_degree_table,
@@ -126,6 +127,24 @@ class TestCp2Table:
         assert cp2_degree_table(2)["embedded"] is True
 
 
+class TestAdjunctionRecord:
+    """One record of the adjunction data, which ``closed adjunction`` and
+    the cp2 table print with their genus or degree."""
+
+    def test_the_cp2_table_is_the_record_with_its_degree(self):
+        for d in range(1, 7):
+            assert cp2_degree_table(d) == {"degree": d, **adjunction_record(d * d, 3 * d, 0)}
+
+    @pytest.mark.parametrize("args", [(True, 1.5, -1), (4, 1.5, -1), (4, 6, -1), (4, 6, 1.5), (0, 1, 0), (-4, 2, 0)])
+    def test_refused_as_delta_closed_refuses(self, args):
+        refusals = []
+        for f in (adjunction_record, delta_closed):
+            with pytest.raises((InputError, InconsistencyError)) as info:
+                f(*args)
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1]
+
+
 # (function, valid integer arguments); the nodal split's component pair is
 # passed as its two entries, numbered as cases 2 and 3 after the square-zero
 # self-intersection and c1 = 2 that the split is fixed to
@@ -136,6 +155,7 @@ COUNT_CALLS = {
     "delta_closed_inverse": (delta_closed_inverse, (1, 6, 0)),
     "disjointness_verdict": (disjointness_verdict, (1,)),
     "analyze_nodal_split": (lambda a, b: analyze_nodal_split((a, b)).as_dict(), (1, 1)),
+    "adjunction_record": (adjunction_record, (4, 6, 0)),
     "cp2_degree_table": (cp2_degree_table, (3,)),
 }
 CASE_OFFSET = {"analyze_nodal_split": 2}

@@ -68,6 +68,12 @@ TINY_CUSP = germ([0, 0, TINY], [0, 0, 0, TINY])
 # epsilon 1e-4), where a 60-digit determinant puts all of it on the
 # expansion and leaves the loop within 4e-16; the median cell reads 4e-16
 EXPANSION_TOL = 1e-9
+# a plan with a polynomial free of w, whose determinants of diagonal copies
+# are sampled and transformed like any other, against the reference's closed
+# form f^(deg g), relative to the largest coefficient: roundoff, 8.9e-16 at
+# worst over the w-free plans of TestStackedDeterminants' ladders (a
+# coefficient that the closed form gives as an exact 0 reads -3.7e-17)
+W_FREE_TOL = 1e-14
 # (z^9, z^10 + (1 + 2i)/3 z^18): its double-point disk has d = 8 moving rows
 DEGREE_NINE = germ([0] * 9 + [1], [0] * 10 + [1] + [0] * 7 + [gaussian(1, 2) / 3])
 
@@ -480,9 +486,9 @@ def _reference_resultant_w(bf, bg, circle):
 
 
 def _perturbed(plan, epsilon):
-    """The plan's arrays with epsilon added at the moving one's z^0 w^0."""
+    """The plan's arrays with epsilon added at the second one's z^0 w^0."""
     arrays = [a.copy() for a in plan.arrays]
-    arrays[plan.moving][0, 0] += epsilon
+    arrays[1][0, 0] += epsilon
     return arrays
 
 
@@ -562,13 +568,18 @@ class TestStackedDeterminants:
         assert {circle for _, _, circle, _ in calls} == set(RADIUS_LADDER)
         w_free = 0
         for bf, bg, circle, out in calls:
-            assert np.array_equal(out, _reference_resultant_w(bf, bg, circle), equal_nan=True)
-            w_free += min(germs._degrees(bf)[1], germs._degrees(bg)[1]) == 0
+            ref = _reference_resultant_w(bf, bg, circle)
+            if min(germs._degrees(bf)[1], germs._degrees(bg)[1]) == 0:
+                # the plan's stack against the reference's closed form
+                assert np.abs(out - ref).max() <= W_FREE_TOL * np.abs(ref).max()
+                w_free += 1
+            else:
+                assert np.array_equal(out, ref, equal_nan=True)
         for bf, bg, circle, out in covered:
             ref = _reference_resultant_w(bf, bg, circle)
             assert np.abs(out - ref).max() <= EXPANSION_TOL * np.abs(ref).max()
-        # a pair's perturbed difference carries epsilon at z^0 w^0
-        turned = sum(bf[0, 0].imag != 0 for bf, *_ in covered)
+        # a pair's perturbed difference of p, its second array, carries epsilon at z^0 w^0
+        turned = sum(bg[0, 0].imag != 0 for _, bg, *_ in covered)
         assert w_free and turned and len(covered) > 300
 
     @pytest.mark.parametrize(
@@ -595,9 +606,11 @@ class TestStackedDeterminants:
         stacks = self._count_det(monkeypatch)
         out = germs._ResultantPlan(b1, b2, 0.3).resultant()
         ((samples, n, _),) = stacks
-        assert samples == len(out) > 1 and samples * n * n <= germs._WORK_CELLS
+        assert samples == len(out) > 1
 
-    def test_high_degree_stack_is_chunked(self, monkeypatch):
+    def test_high_degree_stack_takes_one_call(self, monkeypatch):
+        # an 801 x 40 x 40 stack, 1.28 million complex cells: the plan keeps
+        # its whole stack for the disk's expansion, and one det call takes it
         rng = np.random.default_rng(302)
         def tail(n):
             return [rand_coeff(rng) for _ in range(n)]
@@ -609,9 +622,7 @@ class TestStackedDeterminants:
         stacks = self._count_det(monkeypatch)
         out = germs._ResultantPlan(b1, b2, 0.3).resultant()
         monkeypatch.undo()
-        assert len(out) * stacks[0][1] ** 2 > germs._WORK_CELLS
-        assert len(stacks) > 1 and sum(s for s, _, _ in stacks) == len(out)
-        assert all(s * n * n <= germs._WORK_CELLS for s, n, _ in stacks)
+        assert stacks == [(len(out), 40, 40)] and len(out) == 801
         assert np.array_equal(out, _reference_resultant_w(b1, b2, 0.3), equal_nan=True)
 
 
@@ -644,19 +655,23 @@ class TestResultantPlan:
         monkeypatch.setattr(germs._ResultantPlan, "resultant", lambda plan, eps=None: drawn.append(eps) or evaluate(plan, eps))
         plan = germs._disk_plan(u, v, 0.15)
         assert calls == {"vander": 2, "det": 1} and len(degrees) == 2 and drawn == [None] and plan.steady
-        fixed = plan.arrays[1 - plan.moving]
+        fixed = plan.arrays[0]
         calls.clear()
         degrees.clear()
         outcomes = [_outcome(oracle, *germ_args, epsilon, 0.15) for epsilon in EPSILON_LADDER]
         assert outcomes == self.LADDER_OUTCOMES[disk]
         assert calls == {} and degrees == [] and drawn == [None]
         # too large an epsilon sets the trim scale: the draw is planned afresh,
-        # and leaves the moving polynomial a constant
+        # and leaves bg, the array epsilon moves, a constant; its power
+        # overflows in the stack as in the loop's closed form, and both are
+        # refused as not finite
         out = plan.resultant(1e300)
-        assert len(degrees) == 2 and any(b is fixed for b in degrees)
-        assert degrees_of(degrees[plan.moving]) == (0, 0)
+        assert len(degrees) == 2 and degrees[0] is fixed
+        assert degrees_of(degrees[1]) == (0, 0)
         monkeypatch.undo()
-        assert np.array_equal(out, _reference_resultant_w(*_perturbed(plan, 1e300), 0.15), equal_nan=True)
+        for draw in (out, _reference_resultant_w(*_perturbed(plan, 1e300), 0.15)):
+            with pytest.raises(InputError, match="^oracle resultant is not finite"):
+                germs._finite(draw)
 
     def test_a_dominant_b00_plans_every_draw_afresh(self):
         # b00 = 2 sets the trim scale and drops the 1.5e-11 w^2 term, which
@@ -705,10 +720,16 @@ class TestResultantPlan:
         germs._disk_plan.cache_clear()
         built = []
         plan_class = germs._ResultantPlan
-        monkeypatch.setattr(germs, "_ResultantPlan", lambda *a: built.append(a[-1]) or plan_class(*a))
+        monkeypatch.setattr(germs, "_ResultantPlan", lambda *a: built.append(a) or plan_class(*a))
         outcomes = [_outcome(oracle, *germ_args, epsilon, 0.15) for epsilon in EPSILON_LADDER]
-        # one plan for the disk's check and all seven cells, with p or q moving
-        assert built == [0 if v is not None else 1]
+        # one plan for the disk's check and all seven cells, with epsilon on
+        # its second array: p's difference, or q's divided difference
+        if v is None:
+            moved = germs._numeric_divided_difference(u.numeric[1])
+        else:
+            moved = germs._numeric_difference(u.numeric[0], v.numeric[0])
+        ((_, bg, circle),) = built
+        assert np.array_equal(bg, moved) and circle == 0.15
         assert germs._disk_plan.cache_info().maxsize == 32
         assert outcomes == self.LADDER_OUTCOMES[disk]
         monkeypatch.undo()
@@ -755,10 +776,14 @@ class TestExpansion:
     def test_the_bound_covers_delta_and_its_reach(self, monkeypatch):
         # sum nu_k |eps|^k >= |Delta| + reach at every sample of the first
         # count, Delta = sum eps^k c_k, to the last bits of the sums
+        empty = 0
         for plan, (epsilon, c, bound) in self._steady_cells(monkeypatch):
-            delta = sum(epsilon**k * row for k, row in enumerate(c, 1))
+            # c is empty where f is free of w: Delta = 0 and the bound is 0
+            delta = sum((epsilon**k * row for k, row in enumerate(c, 1)), np.zeros_like(plan.base[0]))
+            empty += not len(c)
             (values,), (reach,) = germs._arcs(delta[None], 1 << (2 * len(delta) - 1).bit_length())
             assert (np.abs(values) + reach).max() <= bound * (1 + 1e-12)
+        assert empty
 
     def test_a_bound_answer_passes_the_sample_test(self, monkeypatch):
         # where sum nu_k |eps|^k < min(|R_0| - reach) at the first sample
@@ -773,6 +798,60 @@ class TestExpansion:
             else:
                 tested += 1
         assert answered > 1000 and tested > 100
+
+    # (germ arguments, epsilon, radius, outcome): a pair and a double point
+    # answered, a pair whose p difference is free of w, a stuck cell and two
+    # refused by Rouche's test, as the expansion and the draw both give them
+    WITHOUT_EXPANSION = [
+        ((CUSP35,), 1e-3, 0.3, ("value", 4)),
+        ((CUSP35, QUARTIC46), 1e-3, 0.3, ("value", 18)),
+        ((germ([0, 0, 0, 1], [0, 1]), germ([0], [0, 0, 1])), 1e-3, 0.3, ("value", 6)),
+        ((CUSP35,), 1e-8, 0.15, ("value", 4)),
+        ((TINY_CUSP,), 1e-3, 0.3, ("refused", ROUCHE)),
+        ((germ([0, 0, 0, 1, 1], [0, 0, 0, 0, 1, 2]),), 1e-2, 0.15, ("refused", ROUCHE)),
+    ]
+
+    @pytest.mark.parametrize("branch", ["singular", "not finite"])
+    def test_a_disk_without_an_expansion_plans_its_draws_afresh(self, monkeypatch, branch):
+        # an oracle disk's A has f's constant leading w-coefficient on its
+        # diagonal, and no oracle input here makes the c_k overflow where R_0
+        # is finite, so the solve's LinAlgError and a c that is not finite
+        # are patched in; each cell then draws once, afresh, at epsilon
+        if branch == "singular":
+
+            def singular(*args):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            monkeypatch.setattr(np.linalg, "solve", singular)
+        else:
+            characteristic = germs._characteristic
+            monkeypatch.setattr(germs, "_characteristic", lambda m: characteristic(m) * np.inf)
+        germs._disk_plan.cache_clear()
+        made, epsilons = TestRedrawTurns._count(monkeypatch)
+        read = TestRedrawTurns._read(monkeypatch)
+        for germ_args, epsilon, radius, outcome in self.WITHOUT_EXPANSION:
+            oracle = numeric_double_point_oracle if len(germ_args) == 1 else numeric_intersection_oracle
+            epsilons.clear()
+            assert _outcome(oracle, *germ_args, epsilon, radius) == outcome, germ_args
+            assert [e for e in epsilons if e is not None] == [epsilon]
+            assert germs._disk_plan(*germ_args, *([None] * (2 - len(germ_args))), radius).expansion is None
+        assert made == [] and len(read) == len(self.WITHOUT_EXPANSION)
+        monkeypatch.undo()
+        germs._disk_plan.cache_clear()
+        for germ_args, epsilon, radius, outcome in self.WITHOUT_EXPANSION:
+            oracle = numeric_double_point_oracle if len(germ_args) == 1 else numeric_intersection_oracle
+            assert _outcome(oracle, *germ_args, epsilon, radius) == outcome, germ_args
+
+    def test_a_leading_coefficient_zero_at_a_sample_has_no_expansion(self):
+        # f = 1 + (z - 0.3) w: at circle 0.3 its leading w-coefficient is an
+        # exact 0 at the sample z = 0.3, A is singular there, and the draw is
+        # planned afresh, equal to the loop
+        bf = np.array([[1, -0.3], [0, 1]], dtype=complex)
+        bg = np.array([[0.5, 1], [1, 0]], dtype=complex)
+        plan = germs._ResultantPlan(bf, bg, 0.3)
+        assert plan.steady and np.any(plan.base[0])
+        assert plan.expansion is None and plan.terms(1e-3) is None
+        assert np.array_equal(plan.resultant(1e-3), _reference_resultant_w(*_perturbed(plan, 1e-3), 0.3))
 
     @staticmethod
     def _charpoly_errors(matrices) -> list:
@@ -897,9 +976,13 @@ class TestRedrawTurns:
                     assert drawn == [complex(epsilon) for out in read if not out], (germ_args, radius, epsilon, outcome)
                     draws[len(drawn), outcome[0]] += 1
         assert made == []
-        # the cells that draw: closed forms, draws off the plan's degrees and
-        # disks whose R_0 vanished
-        assert all(draws[drawn, kind] > 1000 for drawn in (0, 1) for kind in ("value", "refused"))
+        # the cells that draw: draws off the plan's degrees and disks whose R_0
+        # vanished; a disk with a polynomial free of w reads its expansion
+        # like any other, so 120 answered cells draw, where 1,080 did while
+        # such disks took a closed form (1,941 refused and 3,295 answered
+        # without a draw, 1,124 refused with one)
+        assert draws[0, "value"] > 3000 and draws[0, "refused"] > 1000 and draws[1, "refused"] > 1000
+        assert 0 < draws[1, "value"] < 200
 
 
 class TestStuckCellsStayStuck:
@@ -1015,22 +1098,26 @@ class TestOracleArguments:
         assert str(info.value) == message
 
     def test_an_int_radius_reads_as_its_float(self, monkeypatch):
-        # p_u - p_v = z^45 is free of w, so the disk's resultant is a closed
-        # form of radius**k z^k, whose 3**45 overflowed int64 at radius 3
+        # p_u - p_v = z^45 is free of w, so the disk's R_0 is (3^45 zeta^45)^2
+        # at radius 3, where a closed form in powers of an int radius wrapped
+        # int64; the cell reads the disk's expansion, the same at 3 and 3.0
         u, v = germ([0] * 45 + [1], [0, 1]), germ([0], [0, 0, 1])
-        runs = []
-        evaluate = germs._ResultantPlan.resultant
+        runs, read = [], []
+        evaluate, terms = germs._ResultantPlan.resultant, germs._ResultantPlan.terms
         monkeypatch.setattr(
             germs._ResultantPlan, "resultant", lambda plan, eps=None: runs[-1].append(evaluate(plan, eps)) or runs[-1][-1]
         )
+        monkeypatch.setattr(germs._ResultantPlan, "terms", lambda plan, eps: read.append(terms(plan, eps)) or read[-1])
         counts = []
         for radius in (3, 3.0):
             germs._disk_plan.cache_clear()
             runs.append([])
             counts.append(numeric_intersection_oracle(u, v, 1e-3, radius))
-        assert counts[0] == counts[1] and len(runs[0]) == len(runs[1]) > 1
+        assert counts[0] == counts[1] and len(runs[0]) == len(runs[1]) == 1
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
         assert np.abs(runs[0][0]).max() > 1e42
+        (eps, c, bound), (eps_f, c_f, bound_f) = read
+        assert eps == eps_f and np.array_equal(c, c_f) and bound == bound_f
 
 
 def _reference_unit_roots(coeffs, edge_tol):
@@ -1240,7 +1327,7 @@ class TestCachedDisks:
         self._clear_disks()
         checks = []
         winding = germs._winding
-        monkeypatch.setattr(germs, "_winding", lambda c: checks.append(len(c)) or winding(c))
+        monkeypatch.setattr(germs, "_winding", lambda c, arcs: checks.append(len(c)) or winding(c, arcs))
         for radius in (0.3, 0.15):
             for epsilon in EPSILON_LADDER:
                 with contextlib.suppress(InputError):
@@ -1255,6 +1342,28 @@ class TestCachedDisks:
             with pytest.raises(InputError, match="radius too large"):
                 numeric_double_point_oracle(u, 1e-3, radius=2.5)
         assert len(checks) == 6
+
+    def test_r0_is_sampled_once_per_count(self, monkeypatch):
+        # the disk's winding leaves R_0's samples at every count it tries in
+        # the plan's base, and Rouche's test of each cell reads them there:
+        # over the ladders, no _arcs call takes a passed disk's R_0 at a
+        # count twice, and the first count is the winding's
+        self._clear_disks()
+        taken, disks = [], []
+        arcs, disk_plan = germs._arcs, germs._disk_plan
+        monkeypatch.setattr(germs, "_arcs", lambda rows, n: taken.append((rows.base, n)) or arcs(rows, n))
+        monkeypatch.setattr(germs, "_disk_plan", lambda *a: disks.append(disk_plan(*a)) or disks[-1])
+        for oracle, germ_args, seed in self.cells()[::4]:
+            for radius in RADIUS_LADDER:
+                for epsilon in EPSILON_LADDER:
+                    _outcome(oracle, *germ_args, epsilon, radius, seed)
+        plans = {id(plan): plan for plan in disks if np.any(plan.base[0])}
+        counts = Counter((id(rows), n) for rows, n in taken if id(rows) in {id(p.base[0]) for p in plans.values()})
+        assert len(plans) > 30 and set(counts.values()) == {1}
+        for plan in plans.values():
+            base, memo = plan.base
+            assert 1 << (2 * len(base) - 1).bit_length() in memo
+            assert sorted(n for key, n in counts if key == id(base)) == sorted(memo)
 
     def test_stuck_draws_find_no_roots(self, monkeypatch):
         # a draw whose double points stay at 0 to the companion rule's trim,
@@ -1384,7 +1493,7 @@ class TestWinding:
             moduli[np.abs(moduli - 1) < 1e-3] += 2e-3
             moduli[0] = 1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-3, -1.5)
             coeffs = np.poly(moduli * np.exp(2j * np.pi * rng.random(d)))[::-1] * complex(*rng.normal(size=2))
-            count = germs._winding(coeffs)
+            count = germs._winding(coeffs, {})
             assert count == np.sum(np.abs(np.roots(coeffs[::-1])) < 1), coeffs
             counts[count] += 1
         assert set(counts) == set(range(10))
@@ -1392,7 +1501,7 @@ class TestWinding:
     @pytest.mark.parametrize("angle", [0.0, 1.0, np.pi])
     def test_a_root_on_the_circle_certifies_nothing(self, angle):
         coeffs = np.poly([np.exp(1j * angle), 0.5, 2j])[::-1]
-        assert germs._winding(coeffs) is None
+        assert germs._winding(coeffs, {}) is None
 
     def test_the_slope_term_certifies_a_flat_minimum(self):
         # ((zeta + 1) / 2)^8 + 10^-4: |f| is 10^-4 and f' is ~0 at zeta = -1,
@@ -1401,7 +1510,7 @@ class TestWinding:
         # sample count the helper tries
         coeffs = np.array([math.comb(8, m) for m in range(9)], dtype=complex) / 2**8
         coeffs[0] += 1e-4
-        assert germs._winding(coeffs) == np.sum(np.abs(np.roots(coeffs[::-1])) < 1) == 4
+        assert germs._winding(coeffs, {}) == np.sum(np.abs(np.roots(coeffs[::-1])) < 1) == 4
         lipschitz = 2 * np.pi * np.dot(np.arange(9), np.abs(coeffs))
         for n in (1 << k for k in range(5, 15)):
             values = np.fft.ifft(coeffs, n) * n
@@ -1415,7 +1524,7 @@ class TestWinding:
             (np.array([1, np.nan, 0], dtype=complex), "oracle resultant is not finite"),
             (np.zeros(3, complex), "oracle resultant vanished identically"),
         ):
-            for test in (germs._winding, lambda c: germs._rouche(c, base)):
+            for test in (lambda c: germs._winding(c, {}), lambda c: germs._rouche(c, base)):
                 with pytest.raises(InputError, match=f"^{message}"):
                     test(coeffs)
 

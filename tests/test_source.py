@@ -215,8 +215,7 @@ def _winding_calls(source, name: str = "_winding") -> list:
 
 
 def test_one_counting_disk():
-    # the radius pre-check, the one winding without a base, runs where a disk
-    # is planned, and that plan is the one cache per disk, so a second disk
+    # the radius pre-check, the one winding, runs where a disk is planned, and that plan is the one cache per disk, so a second disk
     # cache cannot come back beside it; the pair oracle's order memo is the
     # only other cache, so the exact calculators hash no germ
     source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
@@ -228,7 +227,7 @@ def test_one_counting_disk():
         for name, owners in found.items():
             owners.update(owner for _ in _uses(node, name))
     assert found == {"lru_cache": {"_oracle_order", "_disk_plan"}, "cache": set()}, found
-    assert {owner for owner, args in _winding_calls(source) if args == 1} == {"_disk_plan"}
+    assert {owner for owner, args in _winding_calls(source) if args == 2} == {"_disk_plan"}
 
 
 def test_one_winding_count():
@@ -242,11 +241,45 @@ def test_one_winding_count():
     gone = ("eigvals", "roots", "poly", "_roots", "_hits_edge", "ROOT_EDGE_TOL", "STUCK_AT_THE_ORIGIN", "_trimmed")
     gone += ("_redraw", "_turns", "MAX_EPSILON_REDRAWS", "default_rng")
     assert {name: list(_uses(source, name)) for name in gone} == {name: [] for name in gone}
-    assert _winding_calls(source) == [("_disk_plan", 1)]
+    assert _winding_calls(source) == [("_disk_plan", 2)]
     # the draw's coefficients, R_0 and its arcs, and the terms of the disk's expansion
     assert _winding_calls(source, "_rouche") == [("numeric_double_point_oracle", 3), ("numeric_intersection_oracle", 3)]
     arcs = {getattr(node, "name", None) for node in source.body for _ in _uses(node, "_arcs")}
     assert arcs == {"_winding", "_rouche"}, arcs
+
+
+def test_one_determinant_path_per_disk():
+    # every counting disk is one stack of Sylvester determinants with epsilon
+    # on the plan's second array: no closed form for a polynomial free of w,
+    # no switch of the array epsilon moves and no chunks of the stack; one
+    # np.linalg.det call, in _ResultantPlan.resultant, and one winding, in
+    # _disk_plan, which leaves R_0's samples in the memo of the plan's base
+    source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
+    gone = ("_closed_form", "moving", "_WORK_CELLS", "chunk", "polypow")
+    assert {name: list(_uses(source, name)) for name in gone} == {name: [] for name in gone}
+    dets = [
+        (node.name, call)
+        for node in ast.walk(source)
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "np.linalg.det"
+    ]
+    assert [owner for owner, _ in dets] == ["resultant"] and [line for node in source.body for line in _uses(node, "det")] == [dets[0][1].lineno]
+    disk = _germs_function("_disk_plan")
+    (call,) = [c for c in ast.walk(disk) if isinstance(c, ast.Call) and ast.unparse(c.func) == "_winding"]
+    # base, arcs = plan.base; ... _winding(base, arcs)
+    (memo,) = [
+        node
+        for node in ast.walk(disk)
+        if isinstance(node, ast.Assign) and ast.unparse(node.value) == "plan.base"
+    ]
+    assert ast.unparse(memo.targets[0]) == "(base, arcs)" and ast.unparse(call) == "_winding(base, arcs)"
+
+
+def test_one_adjunction_record():
+    # the closed commands print the adjunction data of one builder, which
+    # the cli and the cp2 table extend with their genus or degree
+    assert _owners(("embedded",)) == {"embedded": {("closed.py", "adjunction_record")}}
 
 
 def test_one_characteristic_polynomial():
