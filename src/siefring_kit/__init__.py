@@ -10,6 +10,8 @@ Modules:
 - ``closed``: adjunction arithmetic for closed curves.
 - ``germs``: exact local intersection numbers of polynomial map germs,
   with an independent floating-point oracle.
+- ``winding``: certified windings of trigonometric polynomials, read by
+  both floating-point engines.
 - ``audit``: trivialization-invariance checks.
 - ``cli``: the ``siefring-kit`` command-line front end.
 """

@@ -55,9 +55,9 @@ on first numeric use: Germ.numeric and the oracles.
 
 A second, independent path perturbs the germ and counts the intersection
 parameters inside a small disk in floating point: the certified winding of
-the unperturbed resultant on its circle (_winding), which the perturbed
-draw keeps by Rouche's test (_rouche).  Epsilon moves one coefficient, so
-each disk holds the exact expansion of its draws in epsilon
+the unperturbed resultant on its circle (_winding, by ``winding``), which
+the perturbed draw keeps by Rouche's test (_rouche).  Epsilon moves one
+coefficient, so each disk holds the exact expansion of its draws in epsilon
 (_ResultantPlan.expansion), and a cell reads its draw off it with no
 determinant.  The two paths are checked against each other throughout the
 test suite.
@@ -75,11 +75,11 @@ from functools import cached_property, lru_cache, wraps
 from ._lazy import lazy_import
 from .errors import InputError, InvarianceError
 from .jsonio import JsonObject, read_json, read_multiplicity, read_seed, typed
+from .winding import MAX_WINDING_SAMPLES, arcs as _arcs, windings
 
 np = lazy_import("numpy")  # run on first numeric use; see the module docstring
 
 COEFF_TRIM_TOL = 1e-11
-MAX_WINDING_SAMPLES = 1 << 14
 PRIME = 2147389441  # 1 mod 4, so that -1 has a square root modulo it
 IOTA = 815951605  # IOTA^2 = -1 modulo PRIME: the image of i
 
@@ -1039,20 +1039,6 @@ class _ResultantPlan:
         return (epsilon, c, bound) if bound < math.inf else None
 
 
-def _arcs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, reach) at the n-th roots of unity of the polynomials with
-    ascending coefficients ``rows[k]``, n >= rows.shape[1].  In the turn t
-    of zeta = e^(2 pi i t), values f_j and slopes f'_j are zero-padded
-    inverse FFTs of c_m and 2 pi i m c_m, and |f''| <= L2 = 4 pi^2 sum m^2
-    |c_m|, so f stays within reach_j = |f'_j| h + L2 h^2 / 2 of f_j on the
-    arc of half a step h = 1/2n to either side."""
-    m = np.arange(rows.shape[1])
-    out = np.fft.ifft(np.concatenate([rows, rows * (2j * np.pi * m)]), n) * n
-    h = 0.5 / n
-    bend = (2 * np.pi**2 * h * h) * (np.abs(rows) @ (m * m))
-    return out[: len(rows)], np.abs(out[len(rows) :]) * h + bend[:, None]
-
-
 def _finite(coeffs: np.ndarray) -> None:
     """Refuse a resultant that is not finite or vanishes, before any count."""
     scale = np.abs(coeffs).max()
@@ -1063,26 +1049,11 @@ def _finite(coeffs: np.ndarray) -> None:
 
 
 def _winding(coeffs: np.ndarray, arcs: dict) -> int | None:
-    """The certified number of zeros in |zeta| < 1 of the polynomial f with
-    ascending coefficients ``coeffs``, or None where no sample count up to
-    MAX_WINDING_SAMPLES, doubling from the least power of two >= 2
-    len(coeffs), certifies it.  Where every |f_j| > 2 reach_j (``_arcs``),
-    each half-step arc lies in a disk that subtends under 60 degrees at 0 and
-    meets its neighbour's, so the principal angles of f_(j+1) / f_j sum to
-    2 pi times the count.  This certifies the computed coefficients; their
-    distance from the true resultant is the determinant's roundoff.  Each
-    count tried keeps (|f_j|, |f_j| - reach_j) in ``arcs``, the disk's
-    samples of R_0 that Rouche's test reads (``_rouche``)."""
+    """R_0's certified count of zeros in |zeta| < 1 (``winding.windings``),
+    or None, after ``_finite``; each count tried leaves R_0's samples in
+    ``arcs``, the disk's memo that Rouche's test reads (``_rouche``)."""
     _finite(coeffs)
-    n = 1 << (2 * len(coeffs) - 1).bit_length()
-    while n <= MAX_WINDING_SAMPLES:
-        (v,), (reach,) = _arcs(coeffs[None], n)
-        size = np.abs(v)
-        arcs[n] = size, size - reach
-        if (size > 2 * reach).all():
-            return round((np.angle(v[1:] / v[:-1]).sum() + np.angle(v[0] / v[-1])) / (2 * np.pi))
-        n *= 2
-    return None
+    return windings(coeffs[None], memo=arcs)[0]
 
 
 def _rouche(coeffs: np.ndarray | None, base: tuple, terms: tuple | None = None) -> None:

@@ -17,9 +17,9 @@ the asymptotic-eigenvector picture.
 
 Each matrix of a loop is read exactly symmetric (``_check_symmetric``), so
 the Galerkin matrix is exactly Hermitian and every cover k S(k t) of an
-accepted loop is accepted too.  numpy and ``core`` are bound lazily and run
-on first use, so a loop file that the JSON rules of ``loop_from_dict``
-refuse is refused before either is imported.
+accepted loop is accepted too.  Windings are certified (``winding``).  numpy
+and ``core`` are bound lazily and run on first use, so a loop file that the
+JSON rules of ``loop_from_dict`` refuse is refused before either is imported.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from functools import cache, cached_property
 from ._lazy import lazy_import
 from .errors import InputError
 from .jsonio import JsonObject, read_json, read_multiplicity, typed
+from .winding import MAX_WINDING_SAMPLES, windings
 
 np = lazy_import("numpy")  # run on first numeric use; see the module docstring
 core = lazy_import(f"{__package__}.core")
@@ -39,7 +40,6 @@ core = lazy_import(f"{__package__}.core")
 SYMMETRY_TOL = 1e-12
 ZERO_EIGENVALUE_TOL = 1e-6
 CLUSTER_TOL = 1e-8
-RESOLVED_SAMPLE_RATIO = 1e-8
 PERIOD_TOL = 1e-6
 DEFAULT_CUTOFF = 32
 # the dense complex matrix has 2(2M + 1) rows: at most 67 MB at this cutoff
@@ -173,12 +173,11 @@ class OperatorDiscretization:
         resolved band, ascending, computed once per discretization.
 
         They equal the eigenvalues and windings ``eigen_window`` gives on
-        that window, from the same samples.  The alpha rule reads nothing
-        else, so the window skips what only an ``EigenPair`` holds: no
-        loop sampling, no residual, no multiplicities."""
+        that window, from the same coefficients.  The alpha rule reads
+        nothing else, so the window skips what only an ``EigenPair`` holds:
+        no samples, no loop sampling, no residual, no multiplicities."""
         half = resolved_band(self) / 2
-        lams, _, f = _window(self, -half, half)
-        return lams, _windings(f[..., 0] + 1j * f[..., 1])
+        return _window(self, -half, half)[:2]
 
 
 def _checked_cutoff(mode_cutoff, bandwidth: int) -> int:
@@ -251,22 +250,26 @@ class EigenPair:
     residual: float
 
 
-def _real_coefficients(columns: np.ndarray, M: int) -> np.ndarray:
+def _real_coefficients(columns: np.ndarray, M: int) -> tuple:
     """Turn eigenvectors of the complexified operator (the columns) into
     coefficients of real eigenfunctions, shape (columns, 2M+1, 2).
 
     The complexification of a real operator has conjugation-invariant
     eigenspaces for real eigenvalues, so Re(e^{i theta} F) is again an
     eigenfunction; theta is chosen to maximize its L^2 norm, which keeps it
-    bounded away from zero.
+    bounded away from zero.  Where that norm does not depend on theta (the
+    bilinear pairing vanishes, as on a Floquet block B(r, q) with r not in
+    {0, q/2}), theta = 0, and Re F and Im F both lie in the eigenspace.
+    Those columns' indices and the coefficients of their Im F follow.
     """
     F = columns.T.reshape(-1, 2 * M + 1, 2)
     # bilinear pairing int <F, F> dt pairs mode n with mode -n
     quad = np.sum(F * F[:, ::-1, :], axis=(1, 2))
-    theta = np.where(np.abs(quad) > 1e-14, -np.angle(quad) / 2, 0.0)
-    G = np.exp(1j * theta)[:, None, None] * F
-    # coefficients of Re g: (c_n + conj(c_{-n})) / 2
-    return (G + np.conj(G[:, ::-1, :])) / 2
+    pure = np.abs(quad) <= 1e-14
+    G = np.exp(1j * np.where(pure, 0.0, -np.angle(quad) / 2))[:, None, None] * F
+    # coefficients of Re g: (c_n + conj(c_{-n})) / 2, and Im g = Re(-i g)
+    real = lambda g: (g + np.conj(g[:, ::-1, :])) / 2  # noqa: E731
+    return real(G), np.flatnonzero(pure), real(-1j * G[pure])
 
 
 def _on_grid(coeffs: np.ndarray, N: int) -> np.ndarray:
@@ -275,38 +278,6 @@ def _on_grid(coeffs: np.ndarray, N: int) -> np.ndarray:
     c_{-n} = conj(c_n) and M < N/2: one inverse real FFT."""
     M = (coeffs.shape[-2] - 1) // 2
     return N * np.fft.irfft(coeffs[..., M:, :], n=N, axis=-2)
-
-
-def _windings(samples: np.ndarray) -> np.ndarray:
-    """Winding numbers of nowhere-zero loops of complex samples, one loop
-    per row, in one pass over the stack.
-
-    Each row sums the principal-branch angle increments between consecutive
-    samples and divides by 2 pi, rounded to the nearest integer.  The loop
-    is closed, so the ratios of consecutive samples multiply to 1 and the
-    increments sum to 2 pi n up to rounding.  The first row that fails is
-    refused with its message: samples too close to zero (an infinite
-    sample reads so too) or a NaN sample.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    mags = np.abs(samples)
-    unresolved = mags.min(axis=1) <= RESOLVED_SAMPLE_RATIO * mags.max(axis=1)
-    # a zero sample divides by zero only in a row refused as unresolved
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.roll(samples, -1, axis=1) / samples
-    totals = np.angle(ratios).sum(axis=1) / (2 * np.pi)
-    failed = unresolved | ~np.isfinite(totals)
-    if failed.any():
-        if unresolved[failed.argmax()]:
-            raise InputError("eigenfunction not resolved: samples pass too close to zero")
-        raise InputError("eigenfunction not resolved: samples are not finite")
-    return np.round(totals).astype(int)
-
-
-def winding(samples: np.ndarray) -> int:
-    """Winding number of a nowhere-zero loop of complex samples, read by
-    ``_windings`` as a stack of one row."""
-    return int(_windings(np.reshape(samples, (1, -1)))[0])
 
 
 def _multiplicities(eigenvalues: np.ndarray) -> list[int]:
@@ -322,15 +293,25 @@ def resolved_band(op: OperatorDiscretization) -> float:
 
 
 def _window(op: OperatorDiscretization, lo: float, hi: float):
-    """The eigenvalues in [lo, hi], ascending, the real coefficients of
-    their eigenfunctions (shape (pairs, 2M+1, 2)) and the eigenfunctions'
-    values on t_j = j/N, N = 8(2M+1) (shape (pairs, N, 2)): what
-    ``eigen_window`` and ``half_band_window`` share."""
+    """The eigenvalues in [lo, hi], ascending, the certified windings of
+    their eigenfunctions x + i y (``winding.windings``), refused where one is
+    not certified, and their real coefficients (shape (pairs, 2M+1, 2)):
+    what ``eigen_window`` and ``half_band_window`` share.  Every
+    eigenfunction of one eigenspace winds alike, so Re F and Im F of a pure
+    column (``_real_coefficients``) winding apart are refused too."""
     M = op.mode_cutoff
     evals, evecs = op.eigh
     sel = np.flatnonzero((evals >= lo) & (evals <= hi))
-    coeffs = _real_coefficients(evecs[:, sel], M)
-    return evals[sel], coeffs, _on_grid(coeffs, 8 * (2 * M + 1))
+    coeffs, pure, turned = _real_coefficients(evecs[:, sel], M)
+    rows = np.concatenate([coeffs, turned])
+    found = windings(rows[..., 0] + 1j * rows[..., 1], low=-M)
+    if None in found:
+        raise InputError(f"eigenfunction not resolved: no sample count up to {MAX_WINDING_SAMPLES} certifies its winding")
+    winds = np.array(found[: len(coeffs)], dtype=int)
+    for w, v in zip(winds[pure].tolist(), found[len(coeffs) :]):
+        if w != v:
+            raise InputError(f"eigenfunction not resolved: Re F and Im F of one eigenspace wind {w} and {v} times")
+    return evals[sel], winds, coeffs
 
 
 def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[EigenPair]:
@@ -348,7 +329,8 @@ def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[Eigen
             f"window exceeds resolution: need |lo|, |hi| <= {band:.6g} at cutoff {op.mode_cutoff}"
         )
     M = op.mode_cutoff
-    lams, coeffs, f = _window(op, lo, hi)  # f: (pairs, N, 2)
+    lams, winds, coeffs = _window(op, lo, hi)
+    f = _on_grid(coeffs, 8 * (2 * M + 1))  # (pairs, N, 2)
     N = f.shape[-2]
     df = _on_grid(coeffs * (2j * np.pi * np.arange(-M, M + 1))[:, None], N)
     # the residual |A f - lam f| / max|f| uses f' exact from the coefficients
@@ -363,12 +345,12 @@ def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[Eigen
     residuals = np.maximum(np.abs(r0).max(axis=1), np.abs(r1).max(axis=1))
     residuals /= np.maximum(np.abs(f).max(axis=(1, 2)), 1e-300)
     samples = f0 + 1j * f1
-    windings = _windings(samples).tolist()
+    winds = winds.tolist()
     return [
         EigenPair(
             eigenvalue=float(lam),
             samples=samples[pos],
-            winding=windings[pos],
+            winding=winds[pos],
             multiplicity=mult,
             coeffs=coeffs[pos],
             residual=float(residuals[pos]),

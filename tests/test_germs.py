@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from siefring_kit import germs
+from siefring_kit import germs, winding
 from siefring_kit.errors import InputError, InvarianceError
 from siefring_kit.germs import (
     GermNormalForm,
@@ -1346,24 +1346,32 @@ class TestCachedDisks:
     def test_r0_is_sampled_once_per_count(self, monkeypatch):
         # the disk's winding leaves R_0's samples at every count it tries in
         # the plan's base, and Rouche's test of each cell reads them there:
-        # over the ladders, no _arcs call takes a passed disk's R_0 at a
-        # count twice, and the first count is the winding's
+        # over the ladders, no arcs call, by the winding module or by
+        # Rouche's test, takes a passed disk's R_0 at a count twice, and the
+        # first count is the winding's
         self._clear_disks()
         taken, disks = [], []
-        arcs, disk_plan = germs._arcs, germs._disk_plan
-        monkeypatch.setattr(germs, "_arcs", lambda rows, n: taken.append((rows.base, n)) or arcs(rows, n))
+        arcs, disk_plan = winding.arcs, germs._disk_plan
+
+        def recorded(rows, n, low=0):
+            taken.append((rows[0].tobytes(), n) if len(rows) == 1 else None)
+            return arcs(rows, n, low)
+
+        monkeypatch.setattr(winding, "arcs", recorded)
+        monkeypatch.setattr(germs, "_arcs", recorded)
         monkeypatch.setattr(germs, "_disk_plan", lambda *a: disks.append(disk_plan(*a)) or disks[-1])
         for oracle, germ_args, seed in self.cells()[::4]:
             for radius in RADIUS_LADDER:
                 for epsilon in EPSILON_LADDER:
                     _outcome(oracle, *germ_args, epsilon, radius, seed)
         plans = {id(plan): plan for plan in disks if np.any(plan.base[0])}
-        counts = Counter((id(rows), n) for rows, n in taken if id(rows) in {id(p.base[0]) for p in plans.values()})
-        assert len(plans) > 30 and set(counts.values()) == {1}
+        # a disk that the cache let go and planned again samples its R_0 anew
+        expected = Counter((base.tobytes(), n) for base, memo in (p.base for p in plans.values()) for n in memo)
+        bases = {base for base, _ in expected}
+        assert len(plans) > 30 and Counter(key for key in taken if key and key[0] in bases) == expected
         for plan in plans.values():
             base, memo = plan.base
             assert 1 << (2 * len(base) - 1).bit_length() in memo
-            assert sorted(n for key, n in counts if key == id(base)) == sorted(memo)
 
     def test_stuck_draws_find_no_roots(self, monkeypatch):
         # a draw whose double points stay at 0 to the companion rule's trim,

@@ -186,20 +186,21 @@ def test_one_form_per_cover_rule():
 def test_one_oracle_resultant_path():
     # the oracle samples, factors and transforms its resultant in one place,
     # _ResultantPlan, so a second resultant path cannot come back beside it;
-    # the winding samples the coefficients that the plan returns by one
-    # inverse transform in _arcs, on one line that names np.fft and ifft
-    source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
+    # every winding samples its coefficients by one inverse transform, in
+    # winding.arcs, on one line that names np.fft and ifft
+    package = Path(siefring_kit.__file__).parent
     found = {}
-    for node in source.body:
-        owner = getattr(node, "name", None)
-        for name in ("det", "vander", "fft", "ifft"):
-            # np.fft.fft names fft twice on one line
-            found.setdefault(name, set()).update((owner, line) for line in _uses(node, name))
-    assert {name: sorted(owner for owner, _ in sites) for name, sites in found.items()} == {
-        "det": ["_ResultantPlan"],
-        "vander": ["_ResultantPlan"],
-        "fft": ["_ResultantPlan", "_arcs"],
-        "ifft": ["_arcs"],
+    for name in ("germs.py", "winding.py"):
+        for node in ast.parse((package / name).read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            for word in ("det", "vander", "fft", "ifft"):
+                # np.fft.fft names fft twice on one line
+                found.setdefault(word, set()).update((name, owner, line) for line in _uses(node, word))
+    assert {word: sorted((name, owner) for name, owner, _ in sites) for word, sites in found.items()} == {
+        "det": [("germs.py", "_ResultantPlan")],
+        "vander": [("germs.py", "_ResultantPlan")],
+        "fft": [("germs.py", "_ResultantPlan"), ("winding.py", "arcs")],
+        "ifft": [("winding.py", "arcs")],
     }, found
 
 
@@ -231,12 +232,13 @@ def test_one_counting_disk():
 
 
 def test_one_winding_count():
-    # the radius pre-check counts zeros through one certified winding, and
-    # each oracle cell's draw, read off the disk's expansion or planned
-    # afresh, is checked against it by Rouche's test alone; only the two
-    # take samples by _arcs.  No eigensolve, root finder, characteristic
-    # polynomial by roots or trim of the companion rule is left to count a
-    # second way, and no redraw loop or seeded generator to draw a second time
+    # the radius pre-check counts zeros through one certified winding, the
+    # winding module's, and each oracle cell's draw, read off the disk's
+    # expansion or planned afresh, is checked against it by Rouche's test
+    # alone, which takes its samples by the module's arcs.  No eigensolve,
+    # root finder, characteristic polynomial by roots or trim of the
+    # companion rule is left to count a second way, and no redraw loop or
+    # seeded generator to draw a second time
     source = ast.parse((Path(siefring_kit.__file__).parent / "germs.py").read_text(encoding="utf-8"))
     gone = ("eigvals", "roots", "poly", "_roots", "_hits_edge", "ROOT_EDGE_TOL", "STUCK_AT_THE_ORIGIN", "_trimmed")
     gone += ("_redraw", "_turns", "MAX_EPSILON_REDRAWS", "default_rng")
@@ -244,8 +246,47 @@ def test_one_winding_count():
     assert _winding_calls(source) == [("_disk_plan", 2)]
     # the draw's coefficients, R_0 and its arcs, and the terms of the disk's expansion
     assert _winding_calls(source, "_rouche") == [("numeric_double_point_oracle", 3), ("numeric_intersection_oracle", 3)]
+    assert _winding_calls(source, "windings") == [("_winding", 2)]
+    # None: the name's one binding, an import from the winding module
     arcs = {getattr(node, "name", None) for node in source.body for _ in _uses(node, "_arcs")}
-    assert arcs == {"_winding", "_rouche"}, arcs
+    assert arcs == {None, "_rouche"}, arcs
+    bindings = [
+        (node.module, alias.name)
+        for node in source.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname == "_arcs"
+    ]
+    assert bindings == [("winding", "arcs")], bindings
+
+
+def test_one_winding_rule():
+    # both floating-point engines read every winding through the winding
+    # module's certificate: germs in _winding, spectrum in _window, and no
+    # other function reads a count off angles (the other two take a phase:
+    # the real eigenfunction's and a Householder reflection's); the sampled
+    # rule's ratio guard and its public one-row form are gone
+    package = Path(siefring_kit.__file__).parent
+    angles = {
+        (path.name, node.name)
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and list(_uses(node, "angle"))
+    }
+    assert angles == {("winding.py", "windings"), ("spectrum.py", "_real_coefficients"), ("germs.py", "_characteristic")}, angles
+    for name, owner in (("germs.py", "_winding"), ("spectrum.py", "_window")):
+        source = ast.parse((package / name).read_text(encoding="utf-8"))
+        imports = [ast.unparse(node) for node in source.body if isinstance(node, ast.ImportFrom) and node.module == "winding"]
+        assert any("windings" in line for line in imports), (name, imports)
+        assert [call_owner for call_owner, _ in _winding_calls(source, "windings")] == [owner]
+    assert _owners(("RESOLVED_SAMPLE_RATIO", "_windings")) == {"RESOLVED_SAMPLE_RATIO": set(), "_windings": set()}
+    from siefring_kit import spectrum
+
+    assert not hasattr(spectrum, "winding")
+    # numpy is bound lazily, as in germs and spectrum
+    winding = ast.parse((package / "winding.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in winding.body if "numpy" in _imported_packages(node)] == []
+    assert "np = lazy_import('numpy')" in [ast.unparse(node) for node in winding.body]
 
 
 def test_one_determinant_path_per_disk():

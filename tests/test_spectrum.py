@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from siefring_kit import cli, core, spectrum
+from siefring_kit.winding import windings
 from siefring_kit.errors import InputError
 from siefring_kit.spectrum import (
     CLUSTER_TOL,
@@ -26,12 +27,10 @@ from siefring_kit.spectrum import (
     loop_from_dict,
     orbit_from_loop,
     spectrum_report,
-    winding,
     _ODE_BLOCK,
     _floquet_block,
     _multiplicities,
     _on_grid,
-    _windings,
 )
 
 TWO_PI = 2 * np.pi
@@ -289,22 +288,33 @@ class TestWindowErrors:
 
 
 class TestWinding:
+    """Eigenfunction windings are read from Fourier coefficients, modes -M..M,
+    by the one certified rule, ``winding.windings`` with low = -M."""
+
+    M = 8
+
+    def row(self, modes: dict) -> np.ndarray:
+        """Coefficients of x + i y over the modes -M..M, from {mode: c}."""
+        out = np.zeros(2 * self.M + 1, dtype=complex)
+        for n, c in modes.items():
+            out[n + self.M] = c
+        return out
+
     def test_unit_circle(self):
-        ts = np.arange(64) / 64
-        assert winding(np.exp(2j * np.pi * ts)) == 1
+        assert windings(self.row({1: 1.0})[None], low=-self.M) == [1]
 
     def test_constant(self):
-        assert winding(np.full(32, 1.0 + 0.5j)) == 0
+        assert windings(self.row({0: 1.0 + 0.5j})[None], low=-self.M) == [0]
 
     def test_higher_winding(self):
-        ts = np.arange(128) / 128
-        assert winding(np.exp(-6j * np.pi * ts)) == -3
+        # e^(-6 pi i t) with a small mode-2 ripple
+        assert windings(self.row({-3: 1.0, 2: 0.3j})[None], low=-self.M) == [-3]
 
     def test_near_zero_samples_rejected(self):
-        samples = np.ones(16, dtype=complex)
-        samples[3] = 1e-12
-        with pytest.raises(InputError, match="not resolved"):
-            winding(samples)
+        # 1 + e^(2 pi i t) passes through 0 at t = 1/2; 1 + (1 - 1e-12) e^(...)
+        # keeps 1e-12 from it, where no sample count up to the limit certifies
+        rows = np.array([self.row({0: 1.0, 1: 1.0}), self.row({0: 1.0, 1: 1 - 1e-12}), self.row({0: 1.0})])
+        assert windings(rows, low=-self.M) == [None, None, 0]
 
     def test_extremal_negative_of_identity_loop(self):
         op = assemble(constant_loop(np.eye(2)), 16)
@@ -312,77 +322,64 @@ class TestWinding:
         assert [p.winding for p in pairs] == [0, 0]
 
     def test_nan_sample_refused(self):
-        with pytest.raises(InputError, match="eigenfunction not resolved: samples are not finite"):
-            winding(np.array([1, np.nan, 1j]))
+        assert windings(np.array([self.row({1: np.nan}), self.row({1: 1.0})]), low=-self.M) == [None, 1]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
+    def test_a_tiny_row_winds_as_its_scaled_copy(self, scale):
+        # the increments are differences of angles: a product with a
+        # conjugate underflows at 1e-300, and a ratio of subnormal samples
+        # overflows at 1e-310
+        rows = np.array([self.row({-2: 1.0, 1: 0.5j}), self.row({0: 0.9, 3: 1.0}), self.row({-1: 1.0})])
+        assert windings(rows * scale, low=-self.M) == windings(rows, low=-self.M) == [-2, 3, -1]
 
     def test_infinite_sample_reads_as_unresolved(self):
-        with pytest.raises(InputError, match="samples pass too close to zero"):
-            winding(np.array([1, np.inf, 1j]))
+        with np.errstate(invalid="ignore"):
+            assert windings(self.row({0: 1.0, 2: np.inf})[None], low=-self.M) == [None]
 
 
-def winding_reference(samples) -> int:
-    """The per-loop winding rule, one loop at a time: the reference for
-    the vectorized ``_windings``.  It reads the resolution guard off the
-    module."""
-    samples = np.asarray(samples, dtype=complex)
-    mags = np.abs(samples)
-    if mags.min() <= spectrum.RESOLVED_SAMPLE_RATIO * mags.max():
-        raise InputError("eigenfunction not resolved: samples pass too close to zero")
-    ratios = np.roll(samples, -1) / samples
-    return int(round(np.angle(ratios).sum() / (2 * np.pi)))
+def roots_reference(row: np.ndarray, M: int) -> int:
+    """The winding of sum c_n e^(2 pi i n t), n = -M..M: the zeros of the
+    polynomial zeta^M sum c_n zeta^n in the unit disk, by np.roots, less M."""
+    return int(np.sum(np.abs(np.roots(row[::-1])) < 1)) - M
 
 
-def sample_stack(rng) -> np.ndarray:
-    """1-6 loops of 3-64 complex samples each: smooth loops of winding
-    -4..4, noise, constants and unresolved noise (one sample at or near 0),
-    each scaled by 10^-3..10^3."""
-    rows, n = int(rng.integers(1, 7)), int(rng.integers(3, 65))
-    ts = np.arange(n) / n
-    stack = np.empty((rows, n), dtype=complex)
-    for i in range(rows):
-        kind = rng.choice(["smooth", "noise", "constant", "unresolved"], p=[0.45, 0.2, 0.15, 0.2])
-        if kind == "constant":
-            row = np.full(n, complex(*rng.normal(size=2)))
-        elif kind == "smooth":
-            radius = 1 + 0.6 * np.cos(TWO_PI * int(rng.integers(1, 4)) * ts + rng.uniform(0, 6))
-            row = radius * np.exp(1j * (TWO_PI * int(rng.integers(-4, 5)) * ts + rng.uniform(0, 6)))
-        else:
-            row = rng.normal(size=n) + 1j * rng.normal(size=n)
-            if kind == "unresolved":
-                row[rng.integers(n)] = rng.choice([0.0, 1e-9, 1e-12])
-        stack[i] = row * 10.0 ** int(rng.integers(-3, 4))
+def coefficient_stack(rng, M: int) -> np.ndarray:
+    """1-6 rows of 2M + 1 coefficients, each the polynomial of 1..2M random
+    roots of modulus 0.2 to 1.8, none within 1e-3 of the unit circle and
+    the nearest within 1e-3 to 1e-1 of it, scaled by 10^-3..10^3."""
+    stack = np.zeros((int(rng.integers(1, 7)), 2 * M + 1), dtype=complex)
+    for row in stack:
+        d = int(rng.integers(1, 2 * M + 1))
+        moduli = rng.uniform(0.2, 1.8, d)
+        moduli[np.abs(moduli - 1) < 1e-3] += 2e-3
+        moduli[0] = 1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-3, -1)
+        poly = np.poly(moduli * np.exp(2j * np.pi * rng.random(d)))[::-1]
+        row[: d + 1] = poly * complex(*rng.normal(size=2)) * 10.0 ** int(rng.integers(-3, 4))
     return stack
 
 
 class TestVectorizedWindings:
-    """``_windings`` reads a stack of loops as the per-loop reference reads
-    each row in turn: the same windings, or the first failing row's
-    message."""
+    """``windings`` reads a stack of rows as np.roots reads each row: the
+    count of zeros in the unit disk, less M for rows over the modes -M..M,
+    or None where no sample count certifies it, as for a root so near the
+    circle that no arc of the finest count excludes 0."""
 
     def test_matches_the_per_row_reference(self):
         rng = np.random.default_rng(2204)
-        seen = {"passed": 0, "unresolved": 0, "first failure past row 0": 0}
+        seen, uncertified, rows = set(), 0, 0
         for _ in range(110):
-            stack = sample_stack(rng)
-            expected, failing = [], None
-            for i, row in enumerate(stack):
-                try:
-                    expected.append(winding_reference(row))
-                except InputError as exc:
-                    expected, failing = str(exc), i
-                    break
-            if failing is None:
-                got = _windings(stack)
-                assert got.tolist() == expected and got.dtype.kind == "i"
-                assert [winding(row) for row in stack] == expected
-                seen["passed"] += 1
-                continue
-            with pytest.raises(InputError) as refusal:
-                _windings(stack)
-            assert str(refusal.value) == expected
-            seen["unresolved"] += 1
-            seen["first failure past row 0"] += failing > 0
-        assert min(seen.values()) >= 40, seen
+            M = int(rng.integers(1, 9))
+            stack = coefficient_stack(rng, M)
+            expected = [roots_reference(row, M) for row in stack]
+            got = windings(stack, low=-M)
+            # the same rows over the modes 0..2M count zeros, M more each
+            zeros = windings(stack)
+            assert all(w in (e, None) for w, e in zip(got, expected))
+            assert all(w in (e + M, None) for w, e in zip(zeros, expected))
+            seen.update(got)
+            uncertified += got.count(None) + zeros.count(None)
+            rows += 2 * len(got)
+        assert len(seen) >= 15 and uncertified <= rows // 100, (seen, uncertified, rows)
 
 
 class TestWindingTheorem:
@@ -1041,6 +1038,54 @@ class TestFloquetBlocks:
         assert sorted(orbit.cover_table) == list(range(1, 17))
         assert elapsed < 20.0, f"covers 1..16 at cutoff 32 took {elapsed:.1f}s"
         assert block_cover_table(loop, (7, 8), 16) == full_cover_table(loop, (7, 8), 16)
+
+
+class TestCertifiedWindings:
+    """Every eigenfunction winding is certified from its coefficients
+    (``winding.windings``).  A window that holds a winding no sample count
+    certifies is refused, and so is a pure Floquet eigenspace whose Re F and
+    Im F wind apart, where the sampled rule read a table."""
+
+    # perfbench's random_loop at bandwidth 3, scale 8: covers 2 and 3 read
+    # {2: (1, 1), 3: (1, 2)} at every cutoff from 10 to 48, and the sampled
+    # rule read that table at cutoffs 8 and 9 too
+    LOOP = {
+        "modes": [
+            {"n": 0, "cos": [[7.027422367889216, 0.10561696805760062], [0.10561696805760062, 3.3409085826661067]]},
+            {
+                "n": 1,
+                "cos": [[-9.820598234417648, 3.0474283405833944], [3.0474283405833944, 4.53741749567238]],
+                "sin": [[16.764807819027688, 0.8749284137091686], [0.8749284137091686, -11.710712915132547]],
+            },
+            {
+                "n": 2,
+                "cos": [[-2.811184586348543, 12.257104465627403], [12.257104465627403, -10.231871653347268]],
+                "sin": [[6.744303418708508, 8.387538889712559], [8.387538889712559, 6.520288925920008]],
+            },
+            {
+                "n": 3,
+                "cos": [[1.0626855295071531, -6.783818120748378], [-6.783818120748378, -0.9385761642971115]],
+                "sin": [[-4.46591047329515, 2.260076117386706], [2.260076117386706, 1.544852917078298]],
+            },
+        ]
+    }
+
+    def test_an_uncertified_winding_is_refused(self):
+        loop = loop_from_dict(self.LOOP)
+        message = "eigenfunction not resolved: no sample count up to 16384 certifies its winding"
+        assert block_cover_table(loop, (2, 3), 8) == message
+        assert block_cover_table(loop, (2, 3), 12) == {2: (1, 1), 3: (1, 2)}
+
+    def test_pure_rows_must_wind_alike(self):
+        loop = loop_from_dict(self.LOOP)
+        message = "eigenfunction not resolved: Re F and Im F of one eigenspace wind 1 and 2 times"
+        assert block_cover_table(loop, (2, 3), 9) == message
+        # the block B(1, 3) holds the pair: its pairing vanishes on every column
+        op = _floquet_block(cover_operator(loop, 3), 9, 1, 3)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            op.half_band_window
+        _, pure, turned = spectrum._real_coefficients(op.eigh[1], op.mode_cutoff)
+        assert len(pure) == len(turned) == len(op.eigh[0])
 
 
 class TestWindingMonotonicity:
