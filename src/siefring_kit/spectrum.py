@@ -17,16 +17,19 @@ the asymptotic-eigenvector picture.
 
 Each matrix of a loop is read exactly symmetric (``_check_symmetric``), so
 the Galerkin matrix is exactly Hermitian and every cover k S(k t) of an
-accepted loop is accepted too.  Windings are certified (``winding``).  numpy
-and ``core`` are bound lazily and run on first use, so a loop file that the
-JSON rules of ``loop_from_dict`` refuse is refused before either is imported.
+accepted loop is accepted too.  Windings are certified (``winding``), each
+eigenpair's once per discretization, and the verdicts are kept for every
+later window; ``spectrum_report`` reads them with the eigenvalues and
+samples no eigenfunction.  numpy and ``core`` are bound lazily and run on
+first use, so a loop file that the JSON rules of ``loop_from_dict`` refuse
+is refused before either is imported.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from ._lazy import lazy_import
@@ -153,6 +156,10 @@ class OperatorDiscretization:
     mode_cutoff: int
     matrix: np.ndarray
     modes: range
+    # what ``_window`` has certified, by eigenvalue index: row 0 holds the
+    # windings, row 1 Im F's on a pure row (the winding again on any other);
+    # NaN where no sample count certifies one, inf where none was sampled
+    _verdicts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +180,7 @@ class OperatorDiscretization:
         resolved band, ascending, computed once per discretization.
 
         They equal the eigenvalues and windings ``eigen_window`` gives on
-        that window, from the same coefficients.  The alpha rule reads
+        that window, from the same kept verdicts.  The alpha rule reads
         nothing else, so the window skips what only an ``EigenPair`` holds:
         no samples, no loop sampling, no residual, no multiplicities."""
         half = resolved_band(self) / 2
@@ -295,23 +302,52 @@ def resolved_band(op: OperatorDiscretization) -> float:
 def _window(op: OperatorDiscretization, lo: float, hi: float):
     """The eigenvalues in [lo, hi], ascending, the certified windings of
     their eigenfunctions x + i y (``winding.windings``), refused where one is
-    not certified, and their real coefficients (shape (pairs, 2M+1, 2)):
-    what ``eigen_window`` and ``half_band_window`` share.  Every
-    eigenfunction of one eigenspace winds alike, so Re F and Im F of a pure
-    column (``_real_coefficients``) winding apart are refused too."""
-    M = op.mode_cutoff
+    not certified, and the indices of their eigenvector columns: what
+    ``eigen_window``, ``half_band_window`` and ``spectrum_report`` share.
+    Every eigenfunction of one eigenspace winds alike, so Re F and Im F of a
+    pure column (``_real_coefficients``) winding apart are refused too.
+
+    Each eigenpair is certified once per discretization and its verdict
+    kept (``_verdicts``): the first call certifies the half band as well,
+    which the alpha rule reads, and a later call only the rows of its window
+    not yet sampled.  Only rows inside [lo, hi] are refused."""
     evals, evecs = op.eigh
-    sel = np.flatnonzero((evals >= lo) & (evals <= hi))
-    coeffs, pure, turned = _real_coefficients(evecs[:, sel], M)
-    rows = np.concatenate([coeffs, turned])
-    found = windings(rows[..., 0] + 1j * rows[..., 1], low=-M)
-    if None in found:
+    a, b = evals.searchsorted(lo), evals.searchsorted(hi, "right")
+    kept = op._verdicts
+    if kept is None:
+        half = resolved_band(op) / 2
+        kept = np.full((2, len(evals)), np.inf)
+        object.__setattr__(op, "_verdicts", kept)
+        cols = np.arange(min(a, evals.searchsorted(-half)), max(b, evals.searchsorted(half, "right")))
+    else:
+        cols = a + np.flatnonzero(kept[0, a:b] == np.inf)
+    if len(cols):
+        M = op.mode_cutoff
+        coeffs, pure, im = _real_coefficients(evecs[:, cols], M)
+        rows = np.concatenate([coeffs, im])
+        # None, for a row no count certifies, reads NaN
+        found = np.array(windings(rows[..., 0] + 1j * rows[..., 1], low=-M), dtype=float)
+        kept[:, cols] = found[: len(cols)]
+        kept[1, cols[pure]] = found[len(cols) :]
+    w, v = kept[:, a:b]
+    apart = np.flatnonzero(w != v)  # NaN differs from itself
+    if len(apart) and np.isnan(kept[:, a:b]).any():
         raise InputError(f"eigenfunction not resolved: no sample count up to {MAX_WINDING_SAMPLES} certifies its winding")
-    winds = np.array(found[: len(coeffs)], dtype=int)
-    for w, v in zip(winds[pure].tolist(), found[len(coeffs) :]):
-        if w != v:
-            raise InputError(f"eigenfunction not resolved: Re F and Im F of one eigenspace wind {w} and {v} times")
-    return evals[sel], winds, coeffs
+    if len(apart):
+        i = apart[0]
+        raise InputError(f"eigenfunction not resolved: Re F and Im F of one eigenspace wind {int(w[i])} and {int(v[i])} times")
+    return evals[a:b], w.astype(int), np.arange(a, b)
+
+
+def _check_window(op: OperatorDiscretization, lo: float, hi: float) -> None:
+    """Refuse a window unless lo < hi, both within the resolved band."""
+    if not lo < hi:
+        raise InputError(f"window requires lo < hi, got ({lo}, {hi})")
+    band = resolved_band(op)
+    if abs(lo) > band or abs(hi) > band:
+        raise InputError(
+            f"window exceeds resolution: need |lo|, |hi| <= {band:.6g} at cutoff {op.mode_cutoff}"
+        )
 
 
 def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[EigenPair]:
@@ -320,16 +356,14 @@ def eigen_window(op: OperatorDiscretization, lo: float, hi: float) -> list[Eigen
     Beside eigenvalues and windings, each pair holds its samples,
     coefficients, multiplicity and residual, the last from the loop
     sampled on the grid: the callers that list or re-evaluate eigenpairs
-    read these, while the alpha rule reads ``half_band_window``."""
-    if not lo < hi:
-        raise InputError(f"window requires lo < hi, got ({lo}, {hi})")
-    band = resolved_band(op)
-    if abs(lo) > band or abs(hi) > band:
-        raise InputError(
-            f"window exceeds resolution: need |lo|, |hi| <= {band:.6g} at cutoff {op.mode_cutoff}"
-        )
+    read these, while the alpha rule reads ``half_band_window`` and
+    ``spectrum_report`` reads ``_window``."""
+    _check_window(op, lo, hi)
     M = op.mode_cutoff
-    lams, winds, coeffs = _window(op, lo, hi)
+    lams, winds, cols = _window(op, lo, hi)
+    # columns taken by index, not by a slice: their layout sets the rounding
+    # of the pairing in _real_coefficients, so of every sample
+    coeffs = _real_coefficients(op.eigh[1][:, cols], M)[0]
     f = _on_grid(coeffs, 8 * (2 * M + 1))  # (pairs, N, 2)
     N = f.shape[-2]
     df = _on_grid(coeffs * (2j * np.pi * np.arange(-M, M + 1))[:, None], N)
@@ -633,14 +667,22 @@ def load_loop(path) -> SpectralLoop:
 
 
 def spectrum_report(loop: SpectralLoop, mode_cutoff: int, lo: float, hi: float) -> dict:
-    """JSON-ready spectrum report for the CLI."""
+    """JSON-ready spectrum report for the CLI: the eigenvalues in [lo, hi]
+    with their windings and multiplicities, then the alpha record.
+
+    It answers and refuses as ``eigen_window`` and ``alphas_from_spectrum``
+    on one ``assemble`` do, in that order, but reads eigenvalues and
+    windings straight from ``_window``: it samples no eigenfunction, no
+    loop and no residual, and builds no ``EigenPair``.  The alpha record
+    reads the windings that window certified."""
     op = assemble(loop, mode_cutoff)
-    pairs = eigen_window(op, lo, hi)
+    _check_window(op, lo, hi)
+    lams, winds, _ = _window(op, lo, hi)
     record = alphas_from_spectrum(op)
     return {
-        "eigenvalues": [p.eigenvalue for p in pairs],
-        "windings": [p.winding for p in pairs],
-        "multiplicities": [p.multiplicity for p in pairs],
+        "eigenvalues": lams.tolist(),
+        "windings": winds.tolist(),
+        "multiplicities": _multiplicities(lams),
         "alpha_minus": record.alpha_minus,
         "alpha_plus": record.alpha_plus,
         "parity": record.parity,

@@ -11,6 +11,7 @@ import pytest
 from siefring_kit import cli, core, spectrum
 from siefring_kit.winding import windings
 from siefring_kit.errors import InputError
+from siefring_kit.jsonio import canonical_dumps
 from siefring_kit.spectrum import (
     CLUSTER_TOL,
     DEFAULT_CUTOFF,
@@ -1086,6 +1087,159 @@ class TestCertifiedWindings:
             op.half_band_window
         _, pure, turned = spectrum._real_coefficients(op.eigh[1], op.mode_cutoff)
         assert len(pure) == len(turned) == len(op.eigh[0])
+
+
+def reference_report(loop, M, lo, hi):
+    """The spectrum report as ``eigen_window`` and ``alphas_from_spectrum``
+    on one ``assemble`` compose it: the reference for ``spectrum_report``."""
+    op = assemble(loop, M)
+    pairs = eigen_window(op, lo, hi)
+    record = alphas_from_spectrum(op)
+    return {
+        "eigenvalues": [p.eigenvalue for p in pairs],
+        "windings": [p.winding for p in pairs],
+        "multiplicities": [p.multiplicity for p in pairs],
+        "alpha_minus": record.alpha_minus,
+        "alpha_plus": record.alpha_plus,
+        "parity": record.parity,
+        "cz": record.cz,
+    }
+
+
+def report_outcome(report, loop, M, lo, hi):
+    """The report's canonical JSON text, or its exception's type and message."""
+    try:
+        return canonical_dumps(report(loop, M, lo, hi))
+    except Exception as exc:  # the type is compared too
+        return type(exc), str(exc)
+
+
+class TestReportMatchesTheReference:
+    """``spectrum_report`` reads eigenvalues and windings from the kept
+    verdicts, and answers or refuses as the composition of ``eigen_window``
+    and ``alphas_from_spectrum`` does."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(4848)
+        for M in (8, 16, 32):
+            for _ in range(6):
+                loop = random_loop(rng, int(rng.integers(1, 4)), float(rng.choice([0.5, 1, 2, 4, 8])))
+                band = np.pi * M
+                evals = assemble(loop, M).eigh[0]
+                gap = int(np.argmax(np.diff(evals[np.abs(evals) < band / 2])))
+                mid = (evals[np.abs(evals) < band / 2][gap] + evals[np.abs(evals) < band / 2][gap + 1]) / 2
+                yield loop, M, -band / 4, band / 5  # inside the half band
+                yield loop, M, -0.9 * band, 0.8 * band  # wider than it
+                yield loop, M, mid - 1e-9, mid + 1e-9  # empty
+                yield loop, M, -band - 1.0, 5.0  # past the band
+        for c in (0.0, 2 * np.pi, 1.5):
+            loop = constant_loop(c * np.eye(2))  # an eigenvalue at 0 unless c = 1.5
+            for lo, hi in ((-10.0, 10.0), (1.0, 10.0), (5.0, 5.0)):
+                yield loop, 16, lo, hi
+        loop = loop_from_dict(TestCertifiedWindings.LOOP)
+        for M in (14, 16, 17, 19, 22, 23):
+            for lo, hi in ((-5.0, 5.0), (-1.0, 1.0)):
+                yield cover_operator(loop, 3), M, lo, hi
+        for M in (7, 8, 12):
+            yield loop, M, -5.0, 5.0
+
+    def test_every_case(self):
+        outcomes = []
+        for loop, M, lo, hi in self.cases():
+            expected = report_outcome(reference_report, loop, M, lo, hi)
+            assert report_outcome(spectrum_report, loop, M, lo, hi) == expected, (M, lo, hi)
+            outcomes.append(expected)
+        texts = [o for o in outcomes if isinstance(o, str)]
+        messages = [o[1] for o in outcomes if not isinstance(o, str)]
+        assert len(outcomes) >= 60 and len(texts) >= 30
+        assert any('"eigenvalues": []' in t for t in texts)
+        for fragment in (
+            "window exceeds resolution",
+            "window requires lo < hi",
+            "degenerate orbit",
+            "no sample count up to 16384 certifies its winding",
+            "Re F and Im F of one eigenspace wind",
+        ):
+            assert any(fragment in m for m in messages), fragment
+
+
+class TestOneCertificationPerEigenpair:
+    """Each eigenpair's winding is certified once per discretization and
+    its verdict kept: the report samples nothing, and ``eigen_window`` and
+    the alpha rule read the same verdicts."""
+
+    LOOP = staticmethod(lambda: random_loop(np.random.default_rng(7), bandwidth=2, scale=2.0))
+
+    def test_report_samples_no_grid(self, monkeypatch):
+        loop = self.LOOP()
+        expected = reference_report(loop, 32, -10.0, 10.0)
+        calls = []
+        for owner, name in ((SpectralLoop, "__call__"), (spectrum, "_on_grid"), (spectrum, "EigenPair")):
+            monkeypatch.setattr(owner, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+        assert spectrum_report(loop, 32, -10.0, 10.0) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("q, r", [(1, 0), (3, 1)])
+    def test_each_row_certified_once(self, monkeypatch, q, r):
+        op = _floquet_block(cover_operator(self.LOOP(), q), 8, r, q)
+        rows = []
+        real = spectrum.windings
+
+        def counted(stack, low=0, memo=None):
+            rows.extend(row.tobytes() for row in stack)
+            return real(stack, low, memo)
+
+        monkeypatch.setattr(spectrum, "windings", counted)
+        first = eigen_window(op, -5.0, 5.0)
+        # the alpha rule's window; a block alone is no operator's spectrum
+        alphas_from_spectrum(op) if q == 1 else op.half_band_window
+        again = eigen_window(op, -5.0, 5.0)
+        wide = eigen_window(op, -0.9 * np.pi * op.mode_cutoff, 5.0)
+        assert [p.winding for p in again] == [p.winding for p in first]
+        evals, evecs = op.eigh
+        certified = np.abs(evals) <= np.pi * op.mode_cutoff / 2
+        certified |= (evals >= -0.9 * np.pi * op.mode_cutoff) & (evals <= 5.0)
+        pure = spectrum._real_coefficients(evecs[:, certified], op.mode_cutoff)[1]
+        assert len(rows) == len(set(rows)) == certified.sum() + len(pure)
+        assert len(wide) > len(first) and (q == 1 or len(pure))
+
+    def test_coefficients_do_not_depend_on_earlier_windows(self):
+        # the window's columns, taken by index, give the coefficients bit for
+        # bit, whichever windows were certified before
+        loop = self.LOOP()
+        fresh = eigen_window(assemble(loop, 16), -5.0, 5.0)
+        op = assemble(loop, 16)
+        eigen_window(op, -40.0, 30.0)
+        alphas_from_spectrum(op)
+        evals, evecs = op.eigh
+        cols = np.flatnonzero((evals >= -5.0) & (evals <= 5.0))
+        expected = spectrum._real_coefficients(evecs[:, cols], 16)[0]
+        for pairs in (fresh, eigen_window(op, -5.0, 5.0)):
+            assert np.array_equal([p.coeffs for p in pairs], expected)
+            assert [p.residual for p in pairs] == [p.residual for p in fresh]
+
+    def test_kept_verdicts_refuse_only_inside_the_window(self):
+        op = assemble(self.LOOP(), 16)
+        windings_in = [p.winding for p in eigen_window(op, -5.0, 5.0)]
+        winds, turned = op._verdicts
+        evals = op.eigh[0]
+        inside = np.flatnonzero((evals >= -5.0) & (evals <= 5.0))
+        outside = np.flatnonzero(np.isfinite(winds) & (evals > 5.0))
+        assert len(inside) >= 2 and len(outside)
+        winds[outside[0]] = np.nan
+        assert [p.winding for p in eigen_window(op, -5.0, 5.0)] == windings_in
+        # the alpha rule reads the same verdicts: the half band holds the row
+        with pytest.raises(InputError, match="^eigenfunction not resolved: no sample count up to 16384 certifies its winding$"):
+            alphas_from_spectrum(op)
+        turned[inside[1]] = winds[inside[1]] + 1
+        message = f"eigenfunction not resolved: Re F and Im F of one eigenspace wind {int(winds[inside[1]])} and {int(winds[inside[1]]) + 1} times"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            eigen_window(op, -5.0, 5.0)
+        # an uncertified row is refused before one whose Im F winds apart
+        winds[inside[-1]] = np.nan
+        with pytest.raises(InputError, match="^eigenfunction not resolved: no sample count up to 16384"):
+            eigen_window(op, -5.0, 5.0)
 
 
 class TestWindingMonotonicity:
