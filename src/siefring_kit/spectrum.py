@@ -414,9 +414,9 @@ def _alpha_record(parts) -> AlphaRecord:
     """
     if min(np.abs(m * op.eigh[0]).min() for op, m, _ in parts) <= ZERO_EIGENVALUE_TOL:
         raise InputError("degenerate orbit: operator has an eigenvalue at 0")
-    windows = [(op.half_band_window, m, copies) for op, m, copies in parts]
-    lams = np.concatenate([np.tile(m * ls, copies) for (ls, _), m, copies in windows])
-    winds = np.concatenate([np.tile(m * ws, copies) for (_, ws), m, copies in windows])
+    scaled = [(m * ls, m * ws) for op, m, copies in parts for ls, ws in [op.half_band_window] * copies]
+    lams = np.concatenate([ls for ls, _ in scaled])
+    winds = np.concatenate([ws for _, ws in scaled])
     order = np.argsort(lams, kind="stable")
     lams, windings = lams[order], winds[order]
     neg, pos = windings[lams < 0], windings[lams > 0]
