@@ -15,6 +15,11 @@ the induced data of covered orbits; it also contains a small linear-ODE
 integrator and an exponential-decay fitter used as an independent check on
 the asymptotic-eigenvector picture.
 
+Every discretization is decomposed on one path, ``OperatorDiscretization.eigh``:
+a Floquet block whole, and a loop whose frequencies share a factor g (a
+cover among them) by its residue classes mod g, the class -R read off R as
+its conjugate, as ``orbit_from_loop`` reads its blocks.
+
 Each matrix of a loop is read exactly symmetric (``_check_symmetric``), so
 the Galerkin matrix is exactly Hermitian and every cover k S(k t) of an
 accepted loop is accepted too.  Windings are certified (``winding``), each
@@ -131,7 +136,9 @@ def cover_operator(loop: SpectralLoop, k: int) -> SpectralLoop:
     (mod q).  An eigenpair (mu, f) of B(r, q) is the eigenpair
     (m mu, f(m .)) of the k-cover, with winding multiplied by m; B(q - r, q)
     is the complex conjugate of B(r, q) and has the same eigenvalues and
-    windings.
+    windings.  ``assemble`` of the cover splits it so, by the residues mod
+    the gcd of its frequencies, and ``orbit_from_loop`` by the blocks
+    B(r, q) of each q dividing k.
     """
     k = read_multiplicity(k)
     if k == 1:
@@ -149,13 +156,17 @@ class OperatorDiscretization:
     over the modes ``modes``: an arithmetic progression in -M..M that the
     loop keeps invariant, all of -M..M or a Floquet block.  It is Hermitian
     because truncation compresses a self-adjoint operator onto a
-    basis-closed subspace.
+    basis-closed subspace.  On all of -M..M a loop whose frequencies have
+    gcd g couples only modes congruent mod g: ``period`` is that g (2M + 1
+    for a constant loop, which couples no two modes), and 1 keeps the
+    matrix one block.
     """
 
     loop: SpectralLoop
     mode_cutoff: int
     matrix: np.ndarray
     modes: range
+    period: int = 1
     # what ``_window`` has certified, by eigenvalue index: row 0 holds the
     # windings, row 1 Im F's on a pure row (the winding again on any other);
     # NaN where no sample count certifies one, inf where none was sampled
@@ -165,13 +176,45 @@ class OperatorDiscretization:
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors of ``matrix``, computed
         once per discretization.  The eigenvectors are laid out over all
-        modes -M..M, zero off ``modes``."""
-        evals, evecs = np.linalg.eigh(self.matrix)
-        M = self.mode_cutoff
-        if len(self.modes) == 2 * M + 1:
-            return evals, evecs
-        full = np.zeros((2 * M + 1, 2, len(evals)), dtype=complex)
-        full[np.asarray(self.modes) + M] = evecs.reshape(len(self.modes), 2, -1)
+        modes -M..M, zero off ``modes``.
+
+        With period g > 1 the matrix splits into the residue classes
+        n = R (mod g), each a block taken from ``matrix`` by index.  The
+        classes R <= g/2 are decomposed, one ``eigh`` per block size on the
+        stack of its blocks, and the class -R != R is read off R as its
+        conjugate C F: c_n -> conj(c_{-n}), with the same eigenvalues.  The
+        eigenvalues are merged ascending by a stable sort."""
+        M, g = self.mode_cutoff, self.period
+        classes: dict[int, list] = {}
+        for R in range(g // 2 + 1) if g > 1 else ():
+            modes = _residue_modes(M, R, g)
+            classes.setdefault(len(modes), []).append(modes)
+        parts = []
+        for blocks in classes.values() or [[self.modes]]:
+            modes, stack = np.array(blocks), self.matrix
+            if g > 1:  # the blocks of one size, taken from ``matrix`` by index
+                rows = (2 * (modes + M)[..., None] + [0, 1]).reshape(len(modes), -1)
+                stack = stack[rows[:, :, None], rows[:, None, :]]
+            parts.append((modes, *np.linalg.eigh(stack)))
+        if g == 1 and len(self.modes) == 2 * M + 1:
+            return parts[0][1:]
+        full = np.zeros((2 * M + 1, 2, 2 * len(self.modes)), dtype=complex)
+        if g == 1:  # one block, its eigenvalues ascending as they come
+            (modes, evals, evecs), = parts
+            full[modes[0] + M] = evecs.reshape(len(self.modes), 2, -1)
+        else:
+            for modes, vals, vecs in list(parts):
+                c = 2 * modes[:, 0] % g != 0  # the classes R with -R != R
+                if c.any():
+                    parts.append((-modes[c], vals[c], vecs[c].conj()))
+            evals = np.concatenate([vals.ravel() for _, vals, _ in parts])
+            order = np.argsort(evals, kind="stable")
+            place = np.empty_like(order)
+            place[order] = np.arange(len(order))
+            for modes, vals, vecs in parts:
+                cols, place = place[: vals.size].reshape(vals.shape), place[vals.size :]
+                full[(modes + M)[..., None], :, cols[:, None]] = vecs.reshape(*modes.shape, 2, -1).swapaxes(2, 3)
+            evals = evals[order]
         return evals, full.reshape(2 * (2 * M + 1), -1)
 
     @cached_property
@@ -225,17 +268,28 @@ def _galerkin(loop: SpectralLoop, modes: range) -> np.ndarray:
 
 
 def assemble(loop: SpectralLoop, mode_cutoff: int = DEFAULT_CUTOFF) -> OperatorDiscretization:
-    """Build the truncated operator matrix for the given loop: block
-    B(0, 1), all modes -M..M."""
-    return _floquet_block(loop, _checked_cutoff(mode_cutoff, loop.bandwidth), 0, 1)
+    """Build the truncated operator matrix for the given loop on all modes
+    -M..M, with the gcd of the loop's frequencies as its ``period``: a
+    loop whose frequencies share a factor g is decomposed by residue
+    classes mod g, and where g = 1 the matrix is one block, B(0, 1)."""
+    M = _checked_cutoff(mode_cutoff, loop.bandwidth)
+    modes = range(-M, M + 1)
+    g = math.gcd(*(n for n, _, _ in loop.modes)) or 2 * M + 1
+    return OperatorDiscretization(loop, M, _galerkin(loop, modes), modes, g)
+
+
+def _residue_modes(M: int, r: int, q: int) -> range:
+    """The modes n = r (mod q) in -M..M, ascending."""
+    return range((r + M) % q - M, M + 1, q)
 
 
 def _floquet_block(cover: SpectralLoop, mode_cutoff: int, r: int, q: int) -> OperatorDiscretization:
     """Block B(r, q) of the q-cover ``cover`` (``cover_operator(loop, q)``)
     at cutoff M q, on its modes n = r (mod q): j in [-M, M] for r = 0 and
-    j in [-M, M - 1] otherwise for n = q j + r."""
+    j in [-M, M - 1] otherwise for n = q j + r.  It is one block, decomposed
+    by one ``eigh`` of its matrix."""
     Mq = mode_cutoff * q
-    modes = range(r - Mq, Mq + 1, q)
+    modes = _residue_modes(Mq, r, q)
     return OperatorDiscretization(cover, Mq, _galerkin(cover, modes), modes)
 
 
@@ -702,7 +756,7 @@ def orbit_from_loop(orbit_id: str, loop: SpectralLoop, covers, mode_cutoff: int 
     times m = k / q, and B(q - r, q) contributes it again for r not in
     {0, q / 2}.  Only the blocks with r <= q / 2 are decomposed, each once
     for all covers, and the union of their spectra goes through the same
-    rule as ``alphas_from_spectrum`` of the full cover matrix.  Each
+    rule as ``alphas_from_spectrum`` of the cover's ``assemble``.  Each
     q-cover operator is built once, for the cutoff check of cover q and
     for every block B(r, q).
     """

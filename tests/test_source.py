@@ -289,6 +289,22 @@ def test_one_winding_rule():
     assert "np = lazy_import('numpy')" in [ast.unparse(node) for node in winding.body]
 
 
+def test_one_decomposition_path():
+    # spectrum.py decomposes every discretization at one np.linalg.eigh call
+    # site, in OperatorDiscretization.eigh: a Floquet block and the dense
+    # B(0, 1) as one matrix, the residue classes of a loop whose frequencies
+    # share a factor as stacks of blocks; no second eigensolver beside it
+    source = ast.parse((Path(siefring_kit.__file__).parent / "spectrum.py").read_text(encoding="utf-8"))
+    calls = [
+        ast.unparse(node.func)
+        for node in ast.walk(source)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(("eigh", "eigvalsh"))
+    ]
+    assert calls == ["np.linalg.eigh"], calls
+    (method,) = [node for node in ast.walk(source) if isinstance(node, ast.FunctionDef) and node.name == "eigh"]
+    assert [ast.unparse(node.func) for node in ast.walk(method) if isinstance(node, ast.Call)].count("np.linalg.eigh") == 1
+
+
 def test_one_determinant_path_per_disk():
     # every counting disk is one stack of Sylvester determinants with epsilon
     # on the plan's second array: no closed form for a polynomial free of w,

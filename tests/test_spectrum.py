@@ -85,7 +85,8 @@ def loop_matrix_reference(loop, M):
 
 
 def full_cover_table(loop, covers, M):
-    """Cover table from one dense matrix per cover, or the refusal message."""
+    """Cover table from one ``assemble`` of each cover operator, which splits
+    it by residue classes, or the refusal message."""
     try:
         table = {}
         for k in covers:
@@ -1003,7 +1004,17 @@ class TestFloquetBlockCount:
 
 
 class TestFloquetBlocks:
-    def test_block_path_matches_full_covers(self):
+    # the largest |split - dense| / (1 + |lam|) over the 1,789 cover operators
+    # of the 400-loop sweep and the two stress sets was 2.0e-13
+    DENSE_TOL = 1e-12
+
+    @staticmethod
+    def dense_eigenvalues(cover, M):
+        """The test-local dense reference: one eigh of the whole Galerkin
+        matrix on -M..M, no split by residue classes."""
+        return np.linalg.eigh(spectrum._galerkin(cover, range(-M, M + 1)))[0]
+
+    def test_split_path_matches_the_dense_reference(self):
         rng = np.random.default_rng(606)
         tables = 0
         for _ in range(60):
@@ -1011,19 +1022,59 @@ class TestFloquetBlocks:
             lo = int(rng.integers(1, 7))
             covers = tuple(range(lo, int(rng.integers(lo, 7)) + 1))
             M = int(rng.choice([8, 16]))
-            expected = full_cover_table(loop, covers, M)
-            assert block_cover_table(loop, covers, M) == expected, (covers, M)
-            tables += isinstance(expected, dict)
+            for k in covers:
+                cover = cover_operator(loop, k)
+                op = assemble(cover, M * k)
+                assert op.period == k
+                dense = self.dense_eigenvalues(cover, M * k)
+                assert np.all(np.abs(op.eigh[0] - dense) <= self.DENSE_TOL * (1 + np.abs(dense))), (covers, M, k)
+            table = block_cover_table(loop, covers, M)
+            if isinstance(table, dict):
+                assert full_cover_table(loop, covers, M) == table, (covers, M)
+            tables += isinstance(table, dict)
         assert tables >= 50
 
-    def test_refusals_match_full_covers(self):
+    def test_refusals_match_the_stated_messages(self):
         loop = random_loop(np.random.default_rng(9), bandwidth=3, scale=0.5)
-        for covers, M in (((1, 2), 6), ((4, 1), 5), ((2, 17), 32), ((3,), 171)):
-            expected = full_cover_table(loop, covers, M)
-            assert isinstance(expected, str)
-            assert block_cover_table(loop, covers, M) == expected
+        for covers, M, message in (
+            ((1, 2), 6, "cutoff below loop bandwidth: need mode_cutoff >= 7, got 6"),
+            ((4, 1), 5, "cutoff below loop bandwidth: need mode_cutoff >= 7, got 5"),
+            ((2, 17), 32, "cutoff too large: need mode_cutoff <= 512, got 544"),
+            ((3,), 171, "cutoff too large: need mode_cutoff <= 512, got 513"),
+        ):
+            assert block_cover_table(loop, covers, M) == full_cover_table(loop, covers, M) == message
         with pytest.raises(InputError, match="cover multiplicity must be a positive integer"):
             orbit_from_loop("o", loop, (1, 0), 8)
+
+    def test_the_paths_agree_on_a_pure_row_refusal(self):
+        # case 245 of the rng-607 stress loops: the dense matrix of cover 3 at
+        # cutoff 24 answered (1, 2) with eigenvectors that mix the classes 1
+        # and 2 mod 3, while the block B(1, 3) refuses; split, both refuse
+        loop = loop_from_dict(self.STRESS_607_245)
+        message = "eigenfunction not resolved: Re F and Im F of one eigenspace wind -1 and -2 times"
+        assert block_cover_table(loop, (3,), 8) == full_cover_table(loop, (3,), 8) == message
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            alphas_from_spectrum(assemble(cover_operator(loop, 3), 24))
+        dense = self.dense_eigenvalues(cover_operator(loop, 3), 24)
+        assert np.all(np.abs(assemble(cover_operator(loop, 3), 24).eigh[0] - dense) <= self.DENSE_TOL * (1 + np.abs(dense)))
+        # both paths answer from cutoff 10 on
+        assert block_cover_table(loop, (3,), 10) == full_cover_table(loop, (3,), 10) == {3: (1, 2)}
+
+    STRESS_607_245 = {
+        "modes": [
+            {"n": 0, "cos": [[0.3901146215318469, -1.3218752679019048], [-1.3218752679019048, 7.342001718098451]]},
+            {
+                "n": 1,
+                "cos": [[-8.505027068411168, 1.0129951849364476], [1.0129951849364476, 16.142579750331656]],
+                "sin": [[-3.9511830520474507, -5.5358251627473365], [-5.5358251627473365, 3.706368710800299]],
+            },
+            {
+                "n": 2,
+                "cos": [[14.040346501658236, -10.904040577919526], [-10.904040577919526, -1.419605731541324]],
+                "sin": [[8.37385301255086, -10.314335103012569], [-10.314335103012569, -8.912074709163585]],
+            },
+        ]
+    }
 
     def test_constant_loop_covers(self):
         for c in (np.eye(2), np.diag([-1.0, 1.0]), 2.5 * np.eye(2)):
@@ -1039,6 +1090,98 @@ class TestFloquetBlocks:
         assert sorted(orbit.cover_table) == list(range(1, 17))
         assert elapsed < 20.0, f"covers 1..16 at cutoff 32 took {elapsed:.1f}s"
         assert block_cover_table(loop, (7, 8), 16) == full_cover_table(loop, (7, 8), 16)
+
+
+class TestResidueSplit:
+    """``assemble`` decomposes a loop whose frequencies share a factor g by
+    residue classes mod g: classes R <= g/2 by one eigh per block size, the
+    class -R read off R as its conjugate; a constant loop, one mode a
+    block.  Where g = 1 the matrix is one block, decomposed whole."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_one_eigh_per_block_size(self, eigh_calls):
+        loop = random_loop(np.random.default_rng(7), bandwidth=1, scale=0.5)
+        assemble(loop, 16).eigh
+        assemble(cover_operator(loop, 3), 28).eigh  # 19 modes in each class
+        assemble(cover_operator(loop, 2), 20).eigh  # 21 even modes, 20 odd
+        assemble(constant_loop(np.eye(2)), 32).eigh  # modes 0..32, one each
+        assert eigh_calls == [(66, 66), (2, 38, 38), (1, 42, 42), (1, 40, 40), (33, 2, 2)]
+
+    @pytest.mark.parametrize("k, M", [(2, 16), (3, 28), (4, 33), (6, 40)])
+    def test_eigenvectors_over_all_modes(self, k, M):
+        # each column is a unit eigenvector of the whole matrix, zero off one
+        # residue class, and the columns are orthonormal
+        loop = random_loop(np.random.default_rng(k), bandwidth=2, scale=2.0)
+        op = assemble(cover_operator(loop, k), M)
+        evals, evecs = op.eigh
+        scale = np.abs(op.matrix).max()
+        assert np.all(np.diff(evals) >= 0)
+        assert np.abs(op.matrix @ evecs - evecs * evals).max() <= 1e-12 * scale
+        assert np.abs(evecs.conj().T @ evecs - np.eye(len(evals))).max() <= 1e-12
+        support = np.abs(evecs.reshape(2 * M + 1, 2, -1)).max(axis=1) > 0
+        residues = [set((np.flatnonzero(col) - M) % k) for col in support.T]
+        assert all(len(r) == 1 for r in residues)
+        assert sorted(r.pop() for r in residues) == sorted(np.arange(-M, M + 1).repeat(2) % k)
+
+    def test_the_conjugate_class_is_read_off(self):
+        # the class -R holds R's eigenvalues bit for bit, and its
+        # eigenvectors are C F: c_n -> conj(c_{-n})
+        loop = random_loop(np.random.default_rng(31), bandwidth=3, scale=1.0)
+        M = 25
+        evals, evecs = assemble(cover_operator(loop, 5), M).eigh
+        F = evecs.reshape(2 * M + 1, 2, -1)
+        home = np.array([np.flatnonzero(np.abs(F[:, :, j]).max(axis=1))[0] for j in range(len(evals))]) % 5
+        for R in (1, 2):
+            mine, theirs = np.flatnonzero(home == R), np.flatnonzero(home == 5 - R)
+            assert np.array_equal(evals[mine], evals[theirs])
+            assert np.array_equal(F[::-1, :, theirs], F[:, :, mine].conj())
+
+    @pytest.mark.parametrize("M", [16, 32])
+    @pytest.mark.parametrize(
+        "matrix", [np.eye(2), 1.5 * np.eye(2), 0.0 * np.eye(2), np.diag([0.3, -0.7])], ids=["identity", "1.5", "0", "diag"]
+    )
+    def test_constant_loop_prints_the_dense_bytes(self, tmp_path, capsys, matrix, M):
+        # the spectrum subcommand on a constant loop prints what a dense
+        # decomposition of the whole matrix gives: eigenvalues bit for bit,
+        # windings, multiplicities and the alpha record
+        data = {"modes": [{"n": 0, "cos": matrix.tolist()}]}
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = cli.main(["spectrum", str(path), "--cutoff", str(M)])
+        out, err = capsys.readouterr()
+        loop = loop_from_dict(data)
+        modes = range(-M, M + 1)
+        dense = spectrum.OperatorDiscretization(loop, M, spectrum._galerkin(loop, modes), modes)
+        assert assemble(loop, M).period == 2 * M + 1 and dense.period == 1
+        assert np.array_equal(assemble(loop, M).eigh[0], np.linalg.eigh(dense.matrix)[0])
+        try:
+            pairs = eigen_window(dense, -10.0, 10.0)
+            record = alphas_from_spectrum(dense)
+        except InputError as exc:
+            assert (code, out, err) == (1, "", f"error: {exc}\n")
+            return
+        expected = {
+            "eigenvalues": [p.eigenvalue for p in pairs],
+            "windings": [p.winding for p in pairs],
+            "multiplicities": [p.multiplicity for p in pairs],
+            "alpha_minus": record.alpha_minus,
+            "alpha_plus": record.alpha_plus,
+            "parity": record.parity,
+            "cz": record.cz,
+        }
+        assert (code, err) == (0, "")
+        assert out == canonical_dumps(expected)
 
 
 class TestCertifiedWindings:
