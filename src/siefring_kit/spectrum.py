@@ -23,18 +23,18 @@ its conjugate, as ``orbit_from_loop`` reads its blocks.
 Each matrix of a loop is read exactly symmetric (``_check_symmetric``), so
 the Galerkin matrix is exactly Hermitian and every cover k S(k t) of an
 accepted loop is accepted too.  Windings are certified (``winding``), each
-eigenpair's once per discretization, and the verdicts are kept for every
-later window; ``spectrum_report`` reads them with the eigenvalues and
-samples no eigenfunction.  numpy and ``core`` are bound lazily and run on
-first use, so a loop file that the JSON rules of ``loop_from_dict`` refuse
-is refused before either is imported.
+eigenpair's once per discretization over the span of each window joined
+with the half band, and kept for every later window; ``spectrum_report``
+reads them with the eigenvalues and samples no eigenfunction.  numpy and
+``core`` are bound lazily and run on first use, so a loop file that the
+JSON rules of ``loop_from_dict`` refuse is refused before either is imported.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 from ._lazy import lazy_import
@@ -159,7 +159,7 @@ class OperatorDiscretization:
     basis-closed subspace.  On all of -M..M a loop whose frequencies have
     gcd g couples only modes congruent mod g: ``period`` is that g (2M + 1
     for a constant loop, which couples no two modes), and 1 keeps the
-    matrix one block.
+    matrix one block.  Its certified windings are kept in ``_verdicts``.
     """
 
     loop: SpectralLoop
@@ -167,10 +167,6 @@ class OperatorDiscretization:
     matrix: np.ndarray
     modes: range
     period: int = 1
-    # what ``_window`` has certified, by eigenvalue index: row 0 holds the
-    # windings, row 1 Im F's on a pure row (the winding again on any other);
-    # NaN where no sample count certifies one, inf where none was sampled
-    _verdicts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +214,21 @@ class OperatorDiscretization:
         return evals, full.reshape(2 * (2 * M + 1), -1)
 
     @cached_property
+    def _verdicts(self) -> np.ndarray:
+        """What ``_window`` has certified, by eigenvalue index: row 0 holds
+        the windings, row 1 Im F's on a pure row (the winding again on any
+        other); NaN where no sample count certifies one, inf where none was sampled."""
+        return np.full((2, 2 * len(self.modes)), np.inf)
+
+    @cached_property
     def half_band_window(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and windings of the eigenpairs within half the
         resolved band, ascending, computed once per discretization.
 
         They equal the eigenvalues and windings ``eigen_window`` gives on
-        that window, from the same kept verdicts.  The alpha rule reads
-        nothing else, so the window skips what only an ``EigenPair`` holds:
-        no samples, no loop sampling, no residual, no multiplicities."""
+        that window, from the verdicts that every window keeps for the half
+        band too.  The alpha rule reads nothing else, so the window skips what
+        only an ``EigenPair`` holds: no samples, loop sampling or residual."""
         half = resolved_band(self) / 2
         return _window(self, -half, half)[:2]
 
@@ -362,19 +365,15 @@ def _window(op: OperatorDiscretization, lo: float, hi: float):
     pure column (``_real_coefficients``) winding apart are refused too.
 
     Each eigenpair is certified once per discretization and its verdict
-    kept (``_verdicts``): the first call certifies the half band as well,
-    which the alpha rule reads, and a later call only the rows of its window
-    not yet sampled.  Only rows inside [lo, hi] are refused."""
+    kept (``_verdicts``): every call certifies, in one pass, the rows not yet
+    certified from min(lo, -B/2) to max(hi, B/2), B the resolved band: its
+    own and the alpha rule's half band.  Only rows inside [lo, hi] are refused."""
     evals, evecs = op.eigh
     a, b = evals.searchsorted(lo), evals.searchsorted(hi, "right")
+    half = resolved_band(op) / 2
+    start, stop = min(a, evals.searchsorted(-half)), max(b, evals.searchsorted(half, "right"))
     kept = op._verdicts
-    if kept is None:
-        half = resolved_band(op) / 2
-        kept = np.full((2, len(evals)), np.inf)
-        object.__setattr__(op, "_verdicts", kept)
-        cols = np.arange(min(a, evals.searchsorted(-half)), max(b, evals.searchsorted(half, "right")))
-    else:
-        cols = a + np.flatnonzero(kept[0, a:b] == np.inf)
+    cols = start + np.flatnonzero(kept[0, start:stop] == np.inf)
     if len(cols):
         M = op.mode_cutoff
         coeffs, pure, im = _real_coefficients(evecs[:, cols], M)

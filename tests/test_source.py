@@ -533,3 +533,26 @@ def test_no_hermitian_refusal():
     assert package / "spectrum.py" in files
     spelled = [path.name for path in files for word in (b"HERMITIAN_TOL", b"not Hermitian") if word in path.read_bytes()]
     assert spelled == []
+
+
+def test_frozen_objects_set_only_in_post_init():
+    # a frozen dataclass sets its own attributes in __post_init__ and
+    # nowhere else, and declares no field outside __init__: what is kept
+    # after construction is a cached_property, so no free function writes
+    # into a frozen object
+    package = Path(siefring_kit.__file__).parent
+    setters, inside, hidden = set(), set(), []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                setters.add((path.name, node.lineno))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("field", "dataclasses.field"):
+                hidden += [f"{path.name}:{node.lineno}" for k in node.keywords if k.arg == "init" and ast.unparse(k.value) != "True"]
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                inside.update(
+                    (path.name, sub.lineno)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "object.__setattr__"
+                )
+    assert setters and sorted(setters - inside) == [] and hidden == [], hidden

@@ -1342,13 +1342,18 @@ class TestOneCertificationPerEigenpair:
             op.half_band_window
         again = eigen_window(op, -5.0, 5.0)
         wide = eigen_window(op, -0.9 * np.pi * op.mode_cutoff, 5.0)
+        # a window beyond the half band certifies the rows in between too
+        beyond = eigen_window(op, 0.6 * np.pi * op.mode_cutoff, 0.9 * np.pi * op.mode_cutoff)
         assert [p.winding for p in again] == [p.winding for p in first]
         evals, evecs = op.eigh
-        certified = np.abs(evals) <= np.pi * op.mode_cutoff / 2
-        certified |= (evals >= -0.9 * np.pi * op.mode_cutoff) & (evals <= 5.0)
+        band = np.pi * op.mode_cutoff
+        certified = (evals >= -0.9 * band) & (evals <= 0.9 * band)
+        between = (evals > band / 2) & (evals < 0.6 * band)
         pure = spectrum._real_coefficients(evecs[:, certified], op.mode_cutoff)[1]
         assert len(rows) == len(set(rows)) == certified.sum() + len(pure)
         assert len(wide) > len(first) and (q == 1 or len(pure))
+        # on B(0, 1) two rows lie between; B(1, 3) has none there
+        assert len(beyond) and between.sum() == (2 if q == 1 else 0)
 
     def test_coefficients_do_not_depend_on_earlier_windows(self):
         # the window's columns, taken by index, give the coefficients bit for
@@ -1386,6 +1391,47 @@ class TestOneCertificationPerEigenpair:
         winds[inside[-1]] = np.nan
         with pytest.raises(InputError, match="^eigenfunction not resolved: no sample count up to 16384"):
             eigen_window(op, -5.0, 5.0)
+
+    @staticmethod
+    def read(op, what):
+        """Eigenvalues and windings of one read of ``op``, or its refusal."""
+        try:
+            if what == "half":
+                return [x.tolist() for x in op.half_band_window]
+            if what == "alphas":
+                return alphas_from_spectrum(op)
+            pairs = eigen_window(op, *what)
+            return [p.eigenvalue for p in pairs], [p.winding for p in pairs]
+        except InputError as exc:
+            return str(exc)
+
+    def test_kept_verdicts_never_change_an_answer(self):
+        # any order of reads on one discretization gives what each read gives
+        # on a fresh one, the refusals of an uncertified row (cutoff 8) and of
+        # a pure pair winding apart (cutoff 9) among them
+        base, refused = self.LOOP(), loop_from_dict(TestCertifiedWindings.LOOP)
+        cases = [(lambda q=q, r=r: _floquet_block(cover_operator(base, q), 8, r, q), []) for q, r in ((1, 0), (3, 1))]
+        cases.append((lambda: assemble(base, 16), ["alphas"]))
+        cases += [
+            (lambda M=M, q=q, r=r: _floquet_block(cover_operator(refused, q), M, r, q), [])
+            for M in (8, 9)
+            for q, r in ((1, 0), (2, 1), (3, 1))
+        ]
+        rng = np.random.default_rng(5353)
+        messages = set()
+        for build, extra in cases:
+            band = np.pi * build().mode_cutoff
+            reads = [(-5.0, 5.0), (0.6 * band, 0.9 * band), (-0.9 * band, -0.55 * band), (-band, band), "half"]
+            reads += [tuple(np.sort(rng.uniform(-band, band, 2))) for _ in range(3)] + extra
+            for _ in range(4):
+                op = build()
+                for i in rng.permutation(len(reads)):
+                    got = self.read(op, reads[i])
+                    assert got == self.read(build(), reads[i]), reads[i]
+                    if isinstance(got, str):
+                        messages.add(got)
+        assert any("no sample count up to 16384" in m for m in messages)
+        assert any("Re F and Im F of one eigenspace wind" in m for m in messages)
 
 
 class TestWindingMonotonicity:
