@@ -228,7 +228,7 @@ class OperatorDiscretization:
         They equal the eigenvalues and windings ``eigen_window`` gives on
         that window, from the verdicts that every window keeps for the half
         band too.  The alpha rule reads nothing else, so the window skips what
-        only an ``EigenPair`` holds: no samples, loop sampling or residual."""
+        only an ``EigenPair`` holds: no samples, loop sampling, residual or multiplicity."""
         half = resolved_band(self) / 2
         return _window(self, -half, half)[:2]
 
