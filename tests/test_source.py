@@ -536,10 +536,9 @@ def test_no_hermitian_refusal():
 
 
 def test_frozen_objects_set_only_in_post_init():
-    # a frozen dataclass sets its own attributes in __post_init__ and
-    # nowhere else, and declares no field outside __init__: what is kept
-    # after construction is a cached_property, so no free function writes
-    # into a frozen object
+    # object.__setattr__ appears only inside __post_init__, and no
+    # dataclass field is declared init=False: what a frozen object keeps
+    # after construction is a cached_property
     package = Path(siefring_kit.__file__).parent
     setters, inside, hidden = set(), set(), []
     for path in sorted(package.rglob("*.py")):
@@ -555,4 +554,4 @@ def test_frozen_objects_set_only_in_post_init():
                     for sub in ast.walk(node)
                     if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "object.__setattr__"
                 )
-    assert setters and sorted(setters - inside) == [] and hidden == [], hidden
+    assert sorted(setters - inside) == [] and hidden == [], hidden

@@ -1342,18 +1342,38 @@ class TestOneCertificationPerEigenpair:
             op.half_band_window
         again = eigen_window(op, -5.0, 5.0)
         wide = eigen_window(op, -0.9 * np.pi * op.mode_cutoff, 5.0)
-        # a window beyond the half band certifies the rows in between too
-        beyond = eigen_window(op, 0.6 * np.pi * op.mode_cutoff, 0.9 * np.pi * op.mode_cutoff)
         assert [p.winding for p in again] == [p.winding for p in first]
         evals, evecs = op.eigh
-        band = np.pi * op.mode_cutoff
-        certified = (evals >= -0.9 * band) & (evals <= 0.9 * band)
-        between = (evals > band / 2) & (evals < 0.6 * band)
+        certified = np.abs(evals) <= np.pi * op.mode_cutoff / 2
+        certified |= (evals >= -0.9 * np.pi * op.mode_cutoff) & (evals <= 5.0)
         pure = spectrum._real_coefficients(evecs[:, certified], op.mode_cutoff)[1]
         assert len(rows) == len(set(rows)) == certified.sum() + len(pure)
         assert len(wide) > len(first) and (q == 1 or len(pure))
-        # on B(0, 1) two rows lie between; B(1, 3) has none there
-        assert len(beyond) and between.sum() == (2 if q == 1 else 0)
+
+    @pytest.mark.parametrize("q, r", [(1, 0), (3, 1)])
+    def test_rows_beyond_the_half_band_certified_once(self, monkeypatch, q, r):
+        # a window beyond the half band certifies the rows in between too,
+        # each once: the first window certifies the half band, the second
+        # the rows from there to its own end
+        op = _floquet_block(cover_operator(self.LOOP(), q), 8, r, q)
+        rows = []
+        real = spectrum.windings
+
+        def counted(stack, low=0, memo=None):
+            rows.extend(row.tobytes() for row in stack)
+            return real(stack, low, memo)
+
+        monkeypatch.setattr(spectrum, "windings", counted)
+        evals, evecs = op.eigh
+        band = np.pi * op.mode_cutoff
+        for hi, window in ((band / 2, (-5.0, 5.0)), (0.9 * band, (0.6 * band, 0.9 * band))):
+            assert len(eigen_window(op, *window))
+            certified = (evals >= -band / 2) & (evals <= hi)
+            pure = spectrum._real_coefficients(evecs[:, certified], op.mode_cutoff)[1]
+            assert len(rows) == len(set(rows)) == certified.sum() + len(pure)
+        # on B(0, 1) two rows lie between the half band and the window
+        between = (evals > band / 2) & (evals < 0.6 * band)
+        assert between.sum() == (2 if q == 1 else 0)
 
     def test_coefficients_do_not_depend_on_earlier_windows(self):
         # the window's columns, taken by index, give the coefficients bit for
